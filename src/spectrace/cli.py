@@ -245,8 +245,8 @@ def _loglog_slope(xs: Sequence[float], ys: Sequence[float]) -> float:
 # ---------------------------------------------------------------------------
 
 def _validate_grid_args(args):
-    if not (args.tmin > 0 and args.tmax > 0):
-        raise UsageError("tmin and tmax must be positive")
+    if not (0 < args.tmin < math.inf and 0 < args.tmax < math.inf):
+        raise UsageError("tmin and tmax must be positive and finite")
     if args.tmin >= args.tmax:
         raise UsageError(f"tmin must be < tmax, got {args.tmin} >= {args.tmax}")
     if args.points < 4:
@@ -341,9 +341,10 @@ class VerifyRow:
 def _first_positive_omega(s: Spectrum) -> float:
     w = 1.0
     for _ in range(60):
-        for omega, _m in s.up_to(w):
-            if omega > 0:
-                return omega
+        omegas, _mults = s.arrays(w)
+        positive = omegas[omegas > 0]
+        if positive.size:
+            return float(positive[0])
         w *= 4.0
     raise UsageError("could not find a positive eigenfrequency")
 
@@ -610,13 +611,13 @@ def cmd_riesz(args) -> int:
         raise UsageError("alpha must be >= 0")
     if args.variable not in ("lambda", "omega"):
         raise UsageError("variable must be lambda or omega")
-    if args.xmin is None or args.xmax is None:
-        if args.variable == "lambda":
-            args.xmin, args.xmax = 1e2, 1e4
-        else:
-            args.xmin, args.xmax = 10.0, 1e2
-    if not (0 < args.xmin < args.xmax):
-        raise UsageError("need 0 < xmin < xmax")
+    default_min, default_max = (1e2, 1e4) if args.variable == "lambda" else (10.0, 1e2)
+    if args.xmin is None:
+        args.xmin = default_min
+    if args.xmax is None:
+        args.xmax = default_max
+    if not (0 < args.xmin < args.xmax < math.inf):
+        raise UsageError("need 0 < xmin < xmax < inf")
     grid = geometric_grid(args.xmin, args.xmax, args.points)
 
     if args.remainder is not None:

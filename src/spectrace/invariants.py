@@ -124,7 +124,7 @@ class ExactCoeff:
 
     def __truediv__(self, other):
         if isinstance(other, (int, Fraction)):
-            return self * Fraction(1, 1) * Fraction(other) ** -1
+            return self * Fraction(other) ** -1
         raise TypeError("ExactCoeff division only by rationals")
 
     def __float__(self) -> float:
@@ -181,10 +181,6 @@ def _apply_factor(factor: ExactCoeff, c):
     if _is_exact(c):
         return factor * _coerce_exact(c)
     return float(factor) * float(c)
-
-
-def _coeff_float(c) -> float:
-    return float(c)
 
 
 def gamma_half(k2: int) -> ExactCoeff:

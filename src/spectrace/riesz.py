@@ -48,6 +48,7 @@ def riesz_mean(s: Spectrum, alpha: int, variable: str, x: float) -> RieszMeanVal
     variable="lambda": (1/alpha!) x^{-alpha} sum_{lambda_n <= x} mult (x - lambda_n)^alpha.
     variable="omega":  the same with omega_n in place of lambda_n.
     Evaluated from the closed form (partial power sums), not by quadrature.
+    Raises ValueError for x = inf on a spectrum that does not end.
     """
     if variable not in _VARIABLES:
         raise ValueError(f"variable must be one of {_VARIABLES}, got {variable!r}")
@@ -57,12 +58,13 @@ def riesz_mean(s: Spectrum, alpha: int, variable: str, x: float) -> RieszMeanVal
         raise ValueError(f"x must be positive, got {x}")
     alpha = int(alpha)
     if variable == "omega":
-        terms = [(w, m) for w, m in s.up_to(x * (1 + 1e-12) + 1e-12) if w <= x]
-        acc = math.fsum(m * (x - w) ** alpha for w, m in terms)
+        keys, mults = s.arrays(x * (1 + 1e-12) + 1e-12)
     else:
-        omega_hi = math.sqrt(x) * (1 + 1e-12) + 1e-12
-        terms = [(w * w, m) for w, m in s.up_to(omega_hi)]
-        acc = math.fsum(m * (x - lam) ** alpha for lam, m in terms if lam <= x)
+        omegas, mults = s.arrays(math.sqrt(x) * (1 + 1e-12) + 1e-12)
+        keys = omegas * omegas
+    below = keys <= x
+    acc = math.fsum(m * (x - k) ** alpha
+                    for k, m in zip(keys[below].tolist(), mults[below].tolist()))
     value = acc / (math.factorial(alpha) * x**alpha)
     return RieszMeanValue(alpha=alpha, variable=variable, x=x, value=value)
 
@@ -73,7 +75,8 @@ def riesz_mean_grid(s: Spectrum, alpha: int, variable: str,
 
     Same closed form as riesz_mean; the one enumeration (to the largest grid
     point) plus vectorized partial power sums is what keeps dense grids over
-    product spectra affordable.
+    product spectra affordable.  Raises ValueError for an infinite grid point
+    on a spectrum that does not end.
     """
     if variable not in _VARIABLES:
         raise ValueError(f"variable must be one of {_VARIABLES}, got {variable!r}")
@@ -87,12 +90,11 @@ def riesz_mean_grid(s: Spectrum, alpha: int, variable: str,
     alpha = int(alpha)
     xmax = max(grid)
     if variable == "omega":
-        terms = s.up_to(xmax * (1 + 1e-12) + 1e-12)
-        keys = np.array([w for w, _ in terms])
+        keys, mults = s.arrays(xmax * (1 + 1e-12) + 1e-12)
     else:
-        terms = s.up_to(math.sqrt(xmax) * (1 + 1e-12) + 1e-12)
-        keys = np.array([w * w for w, _ in terms])
-    mults = np.array([m for _, m in terms], dtype=float)
+        omegas, mults = s.arrays(math.sqrt(xmax) * (1 + 1e-12) + 1e-12)
+        keys = omegas * omegas
+    mults = mults.astype(float)
     fac = math.factorial(alpha)
     out = []
     for x in grid:
@@ -224,7 +226,8 @@ def weyl_remainder(
     """E_M(omega) = N(omega^2) - sum_{s<=M} g_s omega^{d-s} on the grid.
 
     Beyond the leading term this remainder is oscillatory and does not decay;
-    sampling it over decades makes that visible.
+    sampling it over decades makes that visible.  Raises ValueError for an
+    infinite grid point on a spectrum that does not end.
     """
     if len(weyl_coeffs) < M + 1:
         raise ValueError(f"need g_0..g_{M}, got {len(weyl_coeffs)} coefficients")
@@ -233,9 +236,8 @@ def weyl_remainder(
     if not grid:
         return []
     wmax = max(grid)
-    terms = s.up_to(wmax * (1 + 1e-12) + 1e-12)
-    omegas = np.array([w for w, _ in terms])
-    counts = np.concatenate([[0.0], np.cumsum([m for _, m in terms])])
+    omegas, mults = s.arrays(wmax * (1 + 1e-12) + 1e-12)
+    counts = np.concatenate([[0.0], np.cumsum(mults.astype(float))])
     out = []
     for w in grid:
         idx = int(np.searchsorted(omegas, w, side="right"))

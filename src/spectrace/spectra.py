@@ -1,20 +1,21 @@
 """Construction and queries of eigenvalue spectra and their counting function.
 
-A Spectrum is a lazily enumerable, nondecreasing stream of eigenfrequencies
-omega_n with multiplicities; the eigenvalues are lambda_n = omega_n^2 (derived
-by squaring, never stored).  Every constructor records a Weyl-type envelope
-N(lambda) <= C1 + C2 lambda^{d/2} when one is known, which is what lets the
-trace evaluators certify their truncation error.
+A Spectrum is a lazily enumerable, nondecreasing sequence of eigenfrequencies
+omega_n with multiplicities, held as a cached sorted prefix of two arrays
+(omegas: float64, mults: int64); the eigenvalues are lambda_n = omega_n^2
+(derived by squaring, never stored).  Every constructor records a Weyl-type
+envelope N(lambda) <= C1 + C2 lambda^{d/2} when one is known, which is what
+lets the trace evaluators certify their truncation error.
 """
 
 from __future__ import annotations
 
-import bisect
-import heapq
 import math
 import threading
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Optional, Sequence, Union
+from typing import Callable, Optional, Sequence, Union
+
+import numpy as np
 
 __all__ = [
     "Spectrum",
@@ -28,6 +29,11 @@ __all__ = [
     "counting",
 ]
 
+# (omegas: float64, mults: int64), ascending in omega
+Arrays = tuple[np.ndarray, np.ndarray]
+# the largest multiplicity the int64 mults array can hold
+_MAX_MULT = int(np.iinfo(np.int64).max)
+
 
 class SpectrumFormatError(ValueError):
     """Raised when a spectrum file violates the file grammar."""
@@ -35,7 +41,7 @@ class SpectrumFormatError(ValueError):
 
 @dataclass(frozen=True)
 class Spectrum:
-    """An ordered eigenfrequency stream with multiplicities.
+    """An ordered eigenfrequency sequence with multiplicities.
 
     Fields
     ------
@@ -44,14 +50,17 @@ class Spectrum:
     envelope : optional (C1, C2) with N(lambda) <= C1 + C2 * lambda^{d/2};
         None means truncation cannot be certified.
     truncated_at : for finite data (e.g. loaded files) the largest omega the
-        stream can produce; None for constructively infinite spectra.
+        sequence can produce; None for constructively infinite spectra.
     """
 
     dim: int
     label: str
     envelope: Optional[tuple[float, float]]
     truncated_at: Optional[float]
-    _enumerate: Callable[[float], Iterable[tuple[float, int]]] = field(repr=False, compare=False)
+    # _enumerate(omega_max) returns ascending (omegas, mults) holding every
+    # term with omega <= omega_max, possibly followed by further true terms;
+    # arrays() trims to omega_max
+    _enumerate: Callable[[float], Arrays] = field(repr=False, compare=False)
     _cache: dict = field(default_factory=dict, repr=False, compare=False)
     _lock: threading.Lock = field(default_factory=threading.Lock, repr=False, compare=False)
 
@@ -59,25 +68,42 @@ class Spectrum:
         if self.dim < 1:
             raise ValueError("dim must be a positive integer")
 
-    def up_to(self, omega_max: float) -> list[tuple[float, int]]:
-        """All (omega, multiplicity) terms with omega <= omega_max, ascending.
+    def arrays(self, omega_max: float) -> Arrays:
+        """(omegas, mults) of all terms with omega <= omega_max, ascending.
 
-        Deterministic: repeated calls yield identical lists.  The widest
+        omegas is float64, mults int64; both are read-only views.  The widest
         enumeration so far is cached (enumerations are prefix-compatible), so
         grid evaluations pay for one pass over the spectrum, not one per
         point; the cache is guarded by a lock so shared read-only use across
-        threads stays safe.
+        threads stays safe.  Raises ValueError for an infinite omega_max on a
+        spectrum that does not end (truncated_at is None).
         """
         if omega_max < 0 or math.isnan(omega_max):
-            return []
+            return _readonly(np.empty(0), np.empty(0, dtype=np.int64))
+        if math.isinf(omega_max) and self.truncated_at is None:
+            raise ValueError(
+                f"cannot enumerate the infinite spectrum {self.label!r} up to omega = inf"
+            )
         with self._lock:
             cached = self._cache.get("enum")
-            if cached is not None and omega_max <= cached[0]:
-                omegas, terms = cached[1], cached[2]
-                return terms[: bisect.bisect_right(omegas, omega_max)]
-            terms = list(self._enumerate(omega_max))
-            self._cache["enum"] = (omega_max, [w for w, _ in terms], terms)
-            return list(terms)
+            if cached is None or omega_max > cached[0]:
+                cached = (omega_max,) + _readonly(*self._enumerate(omega_max))
+                self._cache["enum"] = cached
+        _, omegas, mults = cached
+        k = int(np.searchsorted(omegas, omega_max, side="right"))
+        return omegas[:k], mults[:k]
+
+    def up_to(self, omega_max: float) -> list[tuple[float, int]]:
+        """All (omega, multiplicity) terms with omega <= omega_max, ascending,
+        as a list of Python tuples (a view of arrays(omega_max))."""
+        omegas, mults = self.arrays(omega_max)
+        return list(zip(omegas.tolist(), mults.tolist()))
+
+
+def _readonly(omegas: np.ndarray, mults: np.ndarray) -> Arrays:
+    omegas.flags.writeable = False
+    mults.flags.writeable = False
+    return omegas, mults
 
 
 @dataclass(frozen=True)
@@ -95,7 +121,8 @@ class CountingFunction:
             return 0
         # enumerate slightly past sqrt(x) so the boundary eigenvalue is kept
         omega_hi = math.sqrt(x) * (1.0 + 1e-12) + 1e-12
-        return sum(m for w, m in self.backing.up_to(omega_hi) if w * w <= x)
+        omegas, mults = self.backing.arrays(omega_hi)
+        return int(mults[omegas * omegas <= x].sum())
 
 
 def counting(n: Union[CountingFunction, Spectrum], x: float) -> int:
@@ -108,6 +135,23 @@ def counting(n: Union[CountingFunction, Spectrum], x: float) -> int:
 # Constructors
 # ---------------------------------------------------------------------------
 
+def _lattice(step: float, zero_mode: bool, mult: int) -> Callable[[float], Arrays]:
+    """Enumerator of omega_n = n * step (n >= 1) with multiplicity mult,
+    preceded by omega_0 = 0 (multiplicity 1) when zero_mode is set."""
+
+    def gen(omega_max: float) -> Arrays:
+        n_hi = int(omega_max / step) + 2
+        # float64(n) * step rounds exactly as the scalar n * step does
+        omegas = np.arange(1, n_hi + 1, dtype=np.float64) * step
+        mults = np.full(omegas.size, mult, dtype=np.int64)
+        if zero_mode:
+            omegas = np.concatenate(([0.0], omegas))
+            mults = np.concatenate(([1], mults))
+        return omegas, mults
+
+    return gen
+
+
 def interval_spectrum(length: float, bc: str) -> Spectrum:
     """Dirichlet or Neumann spectrum of -d^2/dx^2 on an interval.
 
@@ -119,26 +163,14 @@ def interval_spectrum(length: float, bc: str) -> Spectrum:
     bc = bc.lower()
     if bc not in ("dirichlet", "neumann"):
         raise ValueError(f"bc must be 'dirichlet' or 'neumann', got {bc!r}")
-    step = math.pi / length
     neumann = bc == "neumann"
-
-    def gen(omega_max: float):
-        if neumann and omega_max >= 0.0:
-            yield (0.0, 1)
-        n_hi = int(omega_max / step) + 2
-        for n in range(1, n_hi + 1):
-            w = n * step
-            if w > omega_max:
-                break
-            yield (w, 1)
-
     c1 = 1.0 if neumann else 0.0
     return Spectrum(
         dim=1,
         label=f"interval:length={length!r}:bc={bc}",
         envelope=(c1, length / math.pi),
         truncated_at=None,
-        _enumerate=gen,
+        _enumerate=_lattice(math.pi / length, neumann, 1),
     )
 
 
@@ -147,34 +179,44 @@ def torus_spectrum(circumference: float) -> Spectrum:
     omega_n = 2 pi n / circumference with multiplicity 2."""
     if not (circumference > 0) or math.isinf(circumference):
         raise ValueError(f"circumference must be positive and finite, got {circumference}")
-    step = 2.0 * math.pi / circumference
-
-    def gen(omega_max: float):
-        if omega_max >= 0.0:
-            yield (0.0, 1)
-        n_hi = int(omega_max / step) + 2
-        for n in range(1, n_hi + 1):
-            w = n * step
-            if w > omega_max:
-                break
-            yield (w, 2)
-
     return Spectrum(
         dim=1,
         label=f"torus:circumference={circumference!r}",
         envelope=(1.0, circumference / math.pi),
         truncated_at=None,
-        _enumerate=gen,
+        _enumerate=_lattice(2.0 * math.pi / circumference, True, 2),
     )
+
+
+def _row_counts(la: np.ndarray, lb: np.ndarray, lam_max: float) -> np.ndarray:
+    """For each row i, the number of j with la[i] + lb[j] <= lam_max, the sum
+    rounded as float64.  fl(la + x) is nondecreasing in x, so the qualifying
+    j form a prefix of the ascending lb; searchsorted on lam_max - la guesses
+    its length and the rounding of that difference is corrected exactly."""
+    nb = lb.size
+    counts = np.searchsorted(lb, lam_max - la, side="right")
+    while True:
+        grow = counts < nb
+        grow[grow] = la[grow] + lb[counts[grow]] <= lam_max
+        if not grow.any():
+            break
+        counts += grow
+    while True:
+        shrink = counts > 0
+        shrink[shrink] = la[shrink] + lb[counts[shrink] - 1] > lam_max
+        if not shrink.any():
+            break
+        counts -= shrink
+    return counts
 
 
 def product_spectrum(a: Spectrum, b: Spectrum) -> Spectrum:
     """Direct product: eigenvalues add (omega = sqrt(wa^2 + wb^2)),
     multiplicities multiply, dimensions add.
 
-    The merged stream is emitted in ascending order; terms whose computed
-    eigenvalues collide as exactly equal floats are coalesced with summed
-    multiplicity (tolerance 0 -- looser coalescing would corrupt counts).
+    Terms are ascending; terms whose computed eigenvalues collide as exactly
+    equal floats are coalesced with summed multiplicity (tolerance 0 -- looser
+    coalescing would corrupt counts).
     """
     if a.envelope is not None and b.envelope is not None:
         c1a, c2a = a.envelope
@@ -189,35 +231,32 @@ def product_spectrum(a: Spectrum, b: Spectrum) -> Spectrum:
     cuts = [s.truncated_at for s in (a, b) if s.truncated_at is not None]
     truncated_at = min(cuts) if cuts else None
 
-    def gen(omega_max: float):
+    def gen(omega_max: float) -> Arrays:
         lam_max = omega_max * omega_max
-        a_terms = a.up_to(omega_max)
-        b_terms = b.up_to(omega_max)
-
-        def row(wa: float, ma: int):
-            la = wa * wa
-            for wb, mb in b_terms:
-                lam = la + wb * wb
-                if lam > lam_max:
-                    break
-                yield (lam, ma * mb)
-
-        merged = heapq.merge(*(row(wa, ma) for wa, ma in a_terms), key=lambda t: t[0])
-        pending_lam = None
-        pending_mult = 0
-        for lam, mult in merged:
-            if pending_lam is not None and lam == pending_lam:
-                pending_mult += mult
-                continue
-            if pending_lam is not None:
-                w = math.sqrt(pending_lam)
-                if w <= omega_max:
-                    yield (w, pending_mult)
-            pending_lam, pending_mult = lam, mult
-        if pending_lam is not None:
-            w = math.sqrt(pending_lam)
-            if w <= omega_max:
-                yield (w, pending_mult)
+        # widen to the largest eigenvalue whose rounded root is <= omega_max:
+        # sqrt(lam) can equal omega_max while lam > omega_max^2, and such a
+        # term must not depend on whether a wider enumeration was cached
+        while lam_max < math.inf and math.sqrt(math.nextafter(lam_max, math.inf)) <= omega_max:
+            lam_max = math.nextafter(lam_max, math.inf)
+        wa, ma = a.arrays(omega_max)
+        wb, mb = b.arrays(omega_max)
+        la = wa * wa
+        lb = wb * wb
+        # candidate pairs at exact size: row i takes the first counts[i] b-terms
+        counts = _row_counts(la, lb, lam_max)
+        rows = np.repeat(np.arange(la.size), counts)
+        cols = np.arange(rows.size) - np.repeat(np.cumsum(counts) - counts, counts)
+        lam = la[rows] + lb[cols]
+        mult = ma[rows] * mb[cols]
+        del rows, cols  # bounds peak memory on large products
+        order = np.argsort(lam)
+        lam = lam[order]
+        mult = mult[order]
+        del order
+        first = np.ones(lam.size, dtype=bool)
+        first[1:] = lam[1:] != lam[:-1]
+        starts = np.flatnonzero(first)
+        return np.sqrt(lam[starts]), np.add.reduceat(mult, starts)
 
     return Spectrum(
         dim=a.dim + b.dim,
@@ -226,6 +265,15 @@ def product_spectrum(a: Spectrum, b: Spectrum) -> Spectrum:
         truncated_at=truncated_at,
         _enumerate=gen,
     )
+
+
+def _listed_spectrum(dim: int, label: str, envelope: Optional[tuple[float, float]],
+                     omegas: Sequence[float], mults: Sequence[int]) -> Spectrum:
+    """A spectrum that ends: the given ascending terms and nothing beyond."""
+    terms = (np.array(omegas, dtype=np.float64), np.array(mults, dtype=np.int64))
+    last = float(terms[0][-1]) if terms[0].size else 0.0
+    return Spectrum(dim=dim, label=label, envelope=envelope,
+                    truncated_at=last, _enumerate=lambda omega_max: terms)
 
 
 def finite_spectrum(
@@ -243,20 +291,12 @@ def finite_spectrum(
     for (w, m), (w2, _) in zip(terms, terms[1:]):
         if w2 < w:
             raise ValueError("terms must be nondecreasing in omega")
-    if any(w < 0 for w, _ in terms) or any(m < 1 for _, m in terms):
-        raise ValueError("need omega >= 0 and multiplicity >= 1")
+    if any(w < 0 for w, _ in terms) or any(not 1 <= m <= _MAX_MULT for _, m in terms):
+        raise ValueError(f"need omega >= 0 and 1 <= multiplicity <= {_MAX_MULT}")
     if envelope is None:
         envelope = (float(sum(m for _, m in terms)), 0.0)
-    last = terms[-1][0] if terms else 0.0
-
-    def gen(omega_max: float):
-        for w, m in terms:
-            if w > omega_max:
-                break
-            yield (w, m)
-
-    return Spectrum(dim=dim, label=label, envelope=envelope,
-                    truncated_at=last, _enumerate=gen)
+    return _listed_spectrum(dim, label, envelope,
+                            [w for w, _ in terms], [m for _, m in terms])
 
 
 # ---------------------------------------------------------------------------
@@ -277,7 +317,8 @@ def load_spectrum(path) -> Spectrum:
 
     dim: Optional[int] = None
     envelope: Optional[tuple[float, float]] = None
-    terms: list[tuple[float, int]] = []
+    omegas: list[float] = []
+    mults: list[int] = []
     prev_omega = -math.inf
 
     for lineno, raw in enumerate(raw_lines, start=1):
@@ -298,7 +339,7 @@ def load_spectrum(path) -> Spectrum:
                 raise SpectrumFormatError(f"dimension must be positive at line {lineno}")
             continue
         if fields[0] == "envelope":
-            if terms or envelope is not None or len(fields) != 3:
+            if omegas or envelope is not None or len(fields) != 3:
                 raise SpectrumFormatError(f"misplaced envelope line at line {lineno}")
             try:
                 c1, c2 = float(fields[1]), float(fields[2])
@@ -321,21 +362,15 @@ def load_spectrum(path) -> Spectrum:
             raise SpectrumFormatError(f"omega must be >= 0 at line {lineno}")
         if mult < 1:
             raise SpectrumFormatError(f"multiplicity must be >= 1 at line {lineno}")
+        if mult > _MAX_MULT:
+            raise SpectrumFormatError(f"multiplicity exceeds {_MAX_MULT} at line {lineno}")
         if omega < prev_omega:
             raise SpectrumFormatError(f"non-monotone at line {lineno}")
         prev_omega = omega
-        terms.append((omega, mult))
+        omegas.append(omega)
+        mults.append(mult)
 
     if dim is None:
         raise SpectrumFormatError("missing 'dim <d>' header (empty file)")
 
-    last = terms[-1][0] if terms else 0.0
-
-    def gen(omega_max: float):
-        for w, m in terms:
-            if w > omega_max:
-                break
-            yield (w, m)
-
-    return Spectrum(dim=dim, label=f"file:{path}", envelope=envelope,
-                    truncated_at=last, _enumerate=gen)
+    return _listed_spectrum(dim, f"file:{path}", envelope, omegas, mults)

@@ -15,6 +15,8 @@ import warnings
 from dataclasses import dataclass
 from typing import Sequence
 
+import numpy as np
+
 from .spectra import Spectrum
 
 __all__ = [
@@ -106,19 +108,28 @@ def _tail_bound(kind: str, t: float, w: float, n_seen: float,
     return max((head + poly) * _BOUND_SLACK, 0.0)
 
 
-def _term_sum(kind: str, t: float, terms) -> float:
-    if kind == "heat":
-        return math.fsum(m * _exp_safe(-t * w * w) for w, m in terms)
-    if kind == "cylinder":
-        return math.fsum(m * _exp_safe(-t * w) for w, m in terms)
-    return math.fsum(-m * w * _exp_safe(-t * w) for w, m in terms)
+def _term_sum(kind: str, t: float, omegas: np.ndarray, mults: np.ndarray) -> float:
+    """Correctly rounded sum of the kernel's terms.
+
+    Each term is rounded exactly as the scalar m * _exp_safe(-t w w),
+    m * _exp_safe(-t w) or -m w _exp_safe(-t w) would be: the exponent and
+    the products in numpy (same operations, same order), the exponential by
+    math.exp (np.exp may differ from it in the last bit), then math.fsum.
+    """
+    args = (-t * omegas) * omegas if kind == "heat" else -t * omegas
+    live = args > -745.0
+    exps = np.zeros(args.size)
+    exps[live] = np.fromiter(map(math.exp, args[live].tolist()), dtype=np.float64,
+                             count=int(np.count_nonzero(live)))
+    weights = (-mults * omegas) if kind == "dcylinder" else mults
+    return math.fsum((weights * exps).tolist())
 
 
 def _certified_trace(s: Spectrum, t: float, tol: float, kind: str,
                      max_terms: int) -> TraceSample:
     t = float(t)
-    if not (t > 0) or math.isnan(t):
-        raise ValueError(f"t must be positive, got {t}")
+    if not (0 < t < math.inf):
+        raise ValueError(f"t must be positive and finite, got {t}")
     if not (tol > 0):
         raise ValueError(f"tol must be positive, got {tol}")
 
@@ -128,13 +139,13 @@ def _certified_trace(s: Spectrum, t: float, tol: float, kind: str,
                 "spectrum has neither an envelope nor a finite term list; "
                 "cannot evaluate its trace"
             )
-        terms = s.up_to(s.truncated_at)
+        omegas, mults = s.arrays(s.truncated_at)
         warnings.warn(
             f"spectrum {s.label!r} supplies no envelope constants; "
             "trace tail cannot be certified (tail_bound = NaN)",
             stacklevel=3,
         )
-        return TraceSample(t, _term_sum(kind, t, terms), math.nan, len(terms))
+        return TraceSample(t, _term_sum(kind, t, omegas, mults), math.nan, omegas.size)
 
     c1, c2 = s.envelope
     d = s.dim
@@ -157,8 +168,8 @@ def _certified_trace(s: Spectrum, t: float, tol: float, kind: str,
             if c2 > 0:
                 w = ((max_terms - c1) / c2) ** (1.0 / d)
             budget_capped = True
-        terms = s.up_to(w)
-        n_seen = sum(m for _, m in terms)
+        omegas, mults = s.arrays(w)
+        n_seen = int(mults.sum())
         # envelope certifies an empty tail: nothing left to bound
         empty_tail = c2 == 0.0 and n_seen >= c1
         bound = 0.0 if empty_tail else _tail_bound(kind, t, w, n_seen, c1, c2, d)
@@ -166,14 +177,14 @@ def _certified_trace(s: Spectrum, t: float, tol: float, kind: str,
         # integral test needs w t >= 1 unless the tail is empty anyway
         usable = empty_tail or kind != "dcylinder" or w * t >= 1.0
         if usable and bound <= tol:
-            return TraceSample(t, _term_sum(kind, t, terms), bound, len(terms))
+            return TraceSample(t, _term_sum(kind, t, omegas, mults), bound, omegas.size)
         if exhausted or budget_capped:
             reason = "term budget exhausted" if budget_capped else "spectrum data exhausted"
             raise ToleranceError(
                 f"{reason} before reaching tol={tol:g}; achieved tail bound "
-                f"{bound:g} with {len(terms)} terms",
+                f"{bound:g} with {omegas.size} terms",
                 achieved_bound=bound,
-                terms_used=len(terms),
+                terms_used=omegas.size,
             )
         w *= 2.0
 

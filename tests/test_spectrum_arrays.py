@@ -1,0 +1,213 @@
+"""Property tests locking the array-backed spectrum core to scalar references.
+
+Each reference is the per-term loop the arrays replace: product spectra
+against a brute-force double loop with exact-equality coalescing, the cached
+prefix against a fresh enumeration, and _term_sum against a per-term
+math.fsum.  Equality is exact (bit for bit): the array code performs the same
+float operations in the same order.
+"""
+
+import math
+
+import numpy as np
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from spectrace import finite_spectrum, interval_spectrum, product_spectrum, torus_spectrum
+from spectrace.spectra import _row_counts
+from spectrace.traces import _exp_safe, _term_sum
+
+PI = math.pi
+
+sizes = st.floats(min_value=0.3, max_value=4.0, allow_nan=False, allow_infinity=False)
+factor_kinds = st.sampled_from(["dirichlet", "neumann", "torus"])
+
+
+def make_factor(kind, size):
+    return torus_spectrum(size) if kind == "torus" else interval_spectrum(size, kind)
+
+
+def scalar_factor_terms(kind, size, omega_max):
+    """The factor's terms from its definition, one Python float at a time."""
+    step = 2.0 * PI / size if kind == "torus" else PI / size
+    mult = 2 if kind == "torus" else 1
+    terms = [] if kind == "dirichlet" else [(0.0, 1)]
+    n = 1
+    while n * step <= omega_max:
+        terms.append((n * step, mult))
+        n += 1
+    return terms
+
+
+def brute_force_product(a_terms, b_terms, omega_max):
+    """Every pair with sqrt(wa^2 + wb^2) <= omega_max, coalescing exactly
+    equal eigenvalues."""
+    coalesced = {}
+    for wa, ma in a_terms:
+        for wb, mb in b_terms:
+            lam = wa * wa + wb * wb
+            if math.sqrt(lam) <= omega_max:
+                coalesced[lam] = coalesced.get(lam, 0) + ma * mb
+    return [(math.sqrt(lam), coalesced[lam]) for lam in sorted(coalesced)]
+
+
+@st.composite
+def products(draw):
+    kind_a = draw(factor_kinds)
+    size_a = draw(sizes)
+    if draw(st.booleans()):
+        # a square: every off-diagonal eigenvalue is hit twice
+        kind_b, size_b = kind_a, size_a
+    else:
+        kind_b, size_b = draw(factor_kinds), draw(sizes)
+    return (kind_a, size_a), (kind_b, size_b)
+
+
+class TestRowCounts:
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.floats(min_value=0.0, max_value=1e3), min_size=1, max_size=30),
+           st.lists(st.floats(min_value=0.0, max_value=1e3), min_size=1, max_size=30),
+           st.data())
+    def test_counts_equal_rounded_pair_sums(self, la, lb, data):
+        la, lb = np.array(la), np.sort(np.array(lb))
+        # a bound that some rounded pair sum hits exactly, plus its neighbours
+        hit = float(la[data.draw(st.integers(0, la.size - 1))]
+                    + lb[data.draw(st.integers(0, lb.size - 1))])
+        for lam_max in (hit, math.nextafter(hit, 0.0), math.nextafter(hit, math.inf)):
+            want = [sum(1 for b in lb.tolist() if a + b <= lam_max) for a in la.tolist()]
+            assert _row_counts(la, lb, lam_max).tolist() == want
+
+
+class TestProductMatchesDoubleLoop:
+    @settings(max_examples=60, deadline=None)
+    @given(products(), st.floats(min_value=0.0, max_value=60.0))
+    def test_terms_equal_brute_force(self, factors, omega_max):
+        (kind_a, size_a), (kind_b, size_b) = factors
+        s = product_spectrum(make_factor(kind_a, size_a), make_factor(kind_b, size_b))
+        expected = brute_force_product(scalar_factor_terms(kind_a, size_a, omega_max),
+                                       scalar_factor_terms(kind_b, size_b, omega_max),
+                                       omega_max)
+        assert s.up_to(omega_max) == expected
+
+    def test_square_coalesces_coincident_eigenvalues(self):
+        side = interval_spectrum(PI, "dirichlet")
+        s = product_spectrum(side, side)
+        # (1,2) and (2,1) share lambda = 5; (1,7), (7,1) and (5,5) share 50
+        terms = dict(s.up_to(8.0))
+        assert terms[math.sqrt(5.0)] == 2
+        assert terms[math.sqrt(50.0)] == 3
+
+    def test_root_on_the_cutoff_is_kept(self):
+        # sqrt(pi^2 + (4 pi/3)^2) rounds to 5 pi/3 although the eigenvalue
+        # exceeds (5 pi/3)^2 in float arithmetic
+        s = product_spectrum(interval_spectrum(1.0, "dirichlet"), torus_spectrum(1.5))
+        omega = math.sqrt(PI * PI + (2 * PI / 1.5) ** 2)
+        assert PI * PI + (2 * PI / 1.5) ** 2 > omega * omega
+        assert s.up_to(omega)[-1] == (omega, 2)
+
+    def test_nested_product_of_a_product(self):
+        circle = torus_spectrum(2 * PI)
+        plane = product_spectrum(circle, circle)
+        cube = product_spectrum(plane, circle)
+        expected = brute_force_product(plane.up_to(4.0), circle.up_to(4.0), 4.0)
+        assert cube.up_to(4.0) == expected
+
+
+SPECTRUM_KINDS = [
+    lambda: interval_spectrum(1.3, "dirichlet"),
+    lambda: interval_spectrum(0.7, "neumann"),
+    lambda: torus_spectrum(2.2),
+    lambda: product_spectrum(interval_spectrum(1.0, "dirichlet"), torus_spectrum(1.5)),
+    lambda: product_spectrum(interval_spectrum(1.1, "neumann"),
+                             interval_spectrum(1.1, "neumann")),
+    lambda: finite_spectrum(2, [(0.5, 1), (1.0, 3), (1.0, 2), (2.5, 4)]),
+]
+
+
+class TestCachedPrefix:
+    @settings(max_examples=60, deadline=None)
+    @given(st.sampled_from(range(len(SPECTRUM_KINDS))),
+           st.floats(min_value=0.0, max_value=40.0),
+           st.floats(min_value=1.0, max_value=3.0))
+    def test_prefix_after_wider_call_equals_fresh(self, kind, omega, widen):
+        cached = SPECTRUM_KINDS[kind]()
+        cached.arrays(omega * widen + 1.0)
+        got_w, got_m = cached.arrays(omega)
+        want_w, want_m = SPECTRUM_KINDS[kind]().arrays(omega)
+        assert got_w.dtype == np.float64 and got_m.dtype == np.int64
+        assert np.array_equal(got_w, want_w)
+        assert np.array_equal(got_m, want_m)
+
+    @pytest.mark.parametrize("kind", range(len(SPECTRUM_KINDS)))
+    def test_prefix_ending_on_an_eigenvalue_keeps_it(self, kind):
+        cached = SPECTRUM_KINDS[kind]()
+        wide, _ = cached.arrays(12.0)
+        for omega in wide[:40].tolist():
+            got_w, got_m = cached.arrays(omega)
+            want_w, want_m = SPECTRUM_KINDS[kind]().arrays(omega)
+            assert got_w[-1] == omega
+            assert np.array_equal(got_w, want_w) and np.array_equal(got_m, want_m)
+
+    def test_arrays_are_read_only(self):
+        s = interval_spectrum(PI, "neumann")
+        for arr in s.arrays(10.0) + s.arrays(5.0):
+            assert not arr.flags.writeable
+
+    def test_up_to_is_tuple_view_of_arrays(self):
+        s = product_spectrum(torus_spectrum(3.0), interval_spectrum(1.5, "neumann"))
+        w, m = s.arrays(9.0)
+        terms = s.up_to(9.0)
+        assert terms == list(zip(w.tolist(), m.tolist()))
+        assert all(type(wi) is float and type(mi) is int for wi, mi in terms)
+
+    def test_negative_and_nan_give_empty(self):
+        s = torus_spectrum(1.0)
+        for bad in (-1.0, math.nan):
+            w, m = s.arrays(bad)
+            assert w.size == 0 and m.size == 0
+
+
+def reference_term_sum(kind, t, terms):
+    """The per-term summation the array version replaced."""
+    if kind == "heat":
+        return math.fsum(m * _exp_safe(-t * w * w) for w, m in terms)
+    if kind == "cylinder":
+        return math.fsum(m * _exp_safe(-t * w) for w, m in terms)
+    return math.fsum(-m * w * _exp_safe(-t * w) for w, m in terms)
+
+
+term_lists = st.lists(
+    st.tuples(st.floats(min_value=0.0, max_value=3e3, allow_nan=False),
+              st.integers(min_value=1, max_value=1000)),
+    max_size=60,
+).map(sorted)
+
+
+class TestTermSumBitIdentical:
+    @settings(max_examples=200, deadline=None)
+    @given(st.sampled_from(["heat", "cylinder", "dcylinder"]), term_lists,
+           st.floats(min_value=1e-6, max_value=10.0))
+    def test_matches_per_term_fsum(self, kind, terms, t):
+        omegas = np.array([w for w, _ in terms], dtype=np.float64)
+        mults = np.array([m for _, m in terms], dtype=np.int64)
+        got = _term_sum(kind, t, omegas, mults)
+        assert got.hex() == reference_term_sum(kind, t, terms).hex()
+
+    @pytest.mark.parametrize("terms", [
+        [(1.0, 1), (20.0, 3), (27.29, 2), (27.3, 5), (800.0, 1), (2000.0, 7)],
+        # only subnormal exponentials and terms past the cut: a sum near 1e-317
+        [(26.5, 1), (27.0, 4), (27.29, 2), (27.3, 5), (730.0, 3), (745.5, 1)],
+    ])
+    def test_terms_past_the_underflow_cut(self, terms):
+        # arguments -t w w and -t w straddle -745: the far terms count as 0.0
+        omegas = np.array([w for w, _ in terms])
+        mults = np.array([m for _, m in terms], dtype=np.int64)
+        for kind in ("heat", "cylinder", "dcylinder"):
+            for t in (1.0, 0.5, 0.9315):
+                got = _term_sum(kind, t, omegas, mults)
+                assert got.hex() == reference_term_sum(kind, t, terms).hex()
+
+    def test_empty_sum_is_zero(self):
+        for kind in ("heat", "cylinder", "dcylinder"):
+            got = _term_sum(kind, 1.0, np.empty(0), np.empty(0, dtype=np.int64))
+            assert got.hex() == (0.0).hex()
