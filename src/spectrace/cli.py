@@ -49,10 +49,15 @@ from .moments import (
     omega_comb_expansion,
     squares_comb_expansion,
 )
-from .riesz import extract_riesz_coeffs, riesz_fit_basis, riesz_mean_grid, weyl_remainder
+from .riesz import (
+    DEFAULT_RANGES,
+    extract_riesz_coeffs,
+    riesz_fit_basis,
+    riesz_mean_grid,
+    weyl_remainder,
+)
 from .spectra import (
     Spectrum,
-    SpectrumFormatError,
     interval_spectrum,
     load_spectrum,
     product_spectrum,
@@ -84,20 +89,14 @@ def parse_spectrum_spec(spec: str) -> Spectrum:
             length = float(fields["length"])
         except ValueError:
             raise UsageError(f"bad interval length {fields['length']!r}") from None
-        try:
-            return interval_spectrum(length, fields["bc"])
-        except ValueError as exc:
-            raise UsageError(str(exc)) from None
+        return interval_spectrum(length, fields["bc"])
     if spec.startswith("torus:"):
         fields = _parse_fields(spec[len("torus:"):], {"circumference"})
         try:
             circ = float(fields["circumference"])
         except ValueError:
             raise UsageError(f"bad circumference {fields['circumference']!r}") from None
-        try:
-            return torus_spectrum(circ)
-        except ValueError as exc:
-            raise UsageError(str(exc)) from None
+        return torus_spectrum(circ)
     if spec.startswith("product:"):
         a, b = _split_product(spec[len("product:"):])
         return product_spectrum(parse_spectrum_spec(a), parse_spectrum_spec(b))
@@ -547,10 +546,8 @@ def _test_function(args) -> TestFunction:
         return TestFunction.expdecay()
     if name == "odd-gaussian":
         return TestFunction.odd_gaussian()
-    if name == "bump":
-        lo, hi = args.support
-        return TestFunction.bump(lo=lo, hi=hi)
-    raise UsageError(f"unknown test function {name!r}")
+    lo, hi = args.support  # "bump", the last of the parser's choices
+    return TestFunction.bump(lo=lo, hi=hi)
 
 
 def _parse_decades(text: str) -> tuple[float, float]:
@@ -573,21 +570,18 @@ def cmd_moments(args) -> int:
 
     rows = []
     corrected_errors = []
-    try:
-        for eps in eps_grid:
-            if args.comb == "linear":
-                res = euler_maclaurin_expansion(g, eps, args.orders)
-                corrected = res.abs_error
-            elif args.comb == "squares":
-                res = squares_comb_expansion(g, eps)
-                corrected = abs(res.lhs - res.rhs + g(0.0) / 2.0)
-            else:
-                res = omega_comb_expansion(g, eps, args.orders)
-                corrected = res.abs_error
-            corrected_errors.append(corrected)
-            rows.append((res.epsilon, res.lhs, res.rhs, res.abs_error))
-    except ValueError as exc:
-        raise UsageError(str(exc)) from None
+    for eps in eps_grid:
+        if args.comb == "linear":
+            res = euler_maclaurin_expansion(g, eps, args.orders)
+            corrected = res.abs_error
+        elif args.comb == "squares":
+            res = squares_comb_expansion(g, eps)
+            corrected = abs(res.lhs - res.rhs + g(0.0) / 2.0)
+        else:
+            res = omega_comb_expansion(g, eps, args.orders)
+            corrected = res.abs_error
+        corrected_errors.append(corrected)
+        rows.append((res.epsilon, res.lhs, res.rhs, res.abs_error))
 
     slope = _loglog_slope(eps_grid, corrected_errors)
     comments = [_config_comment("moments", args)]
@@ -609,9 +603,7 @@ def cmd_riesz(args) -> int:
     spectrum = parse_spectrum_spec(args.spectrum)
     if args.alpha < 0:
         raise UsageError("alpha must be >= 0")
-    if args.variable not in ("lambda", "omega"):
-        raise UsageError("variable must be lambda or omega")
-    default_min, default_max = (1e2, 1e4) if args.variable == "lambda" else (10.0, 1e2)
+    default_min, default_max = DEFAULT_RANGES[args.variable]
     if args.xmin is None:
         args.xmin = default_min
     if args.xmax is None:
@@ -672,14 +664,14 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--tol", type=float, default=tol)
         p.add_argument("--max-terms", type=int, default=10_000_000)
         p.add_argument("--out", default=None, help="output path (default stdout)")
-        p.add_argument("--format", choices=("csv", "json"), default="csv")
-        p.add_argument("--svg", default=None, help="also render a single-series SVG")
 
     p_trace = sub.add_parser("trace", help="sample a kernel trace over a t-grid")
     p_trace.add_argument("--spectrum", required=True)
     p_trace.add_argument("--kernel", choices=("heat", "cylinder", "dcylinder"),
                          default="heat")
     add_common_grid(p_trace, 1e-3, 1.0, 40, 1e-12)
+    p_trace.add_argument("--format", choices=("csv", "json"), default="csv")
+    p_trace.add_argument("--svg", default=None, help="also render a single-series SVG")
     p_trace.set_defaults(func=cmd_trace)
 
     p_coeffs = sub.add_parser("coeffs", help="fit expansion coefficients from a trace grid")
@@ -691,7 +683,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_coeffs.add_argument("--with-logs", action="store_true",
                           help="include t^(s-d) log t basis terms where the shape allows them")
     add_common_grid(p_coeffs, 1e-3, 1e-1, 64, 1e-13)
-    p_coeffs.set_defaults(func=cmd_coeffs, format="json")
+    p_coeffs.set_defaults(func=cmd_coeffs)
 
     p_verify = sub.add_parser("verify", help="run the coefficient-relation pipeline")
     p_verify.add_argument("--spectrum", required=True)
@@ -744,16 +736,11 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return exc.code if isinstance(exc.code, int) else EXIT_USAGE
     try:
         return args.func(args)
-    except UsageError as exc:
+    except (UsageError, ValueError, FileNotFoundError, IsADirectoryError) as exc:
+        # library ValueErrors (SpectrumFormatError among them) are bad inputs
         print(f"spectrace: error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (SpectrumFormatError, FileNotFoundError, IsADirectoryError) as exc:
-        print(f"spectrace: error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except ToleranceError as exc:
-        print(f"spectrace: numerical failure: {exc}", file=sys.stderr)
-        return EXIT_NUMERICAL
-    except IllConditionedBasisError as exc:
+    except (ToleranceError, IllConditionedBasisError) as exc:
         print(f"spectrace: numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
 

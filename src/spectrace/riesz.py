@@ -19,7 +19,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .fitkit import AsymptoticBasis, FitReport, fit_expansion, geometric_grid
-from .spectra import Spectrum
+from .spectra import Spectrum, _keys_up_to
 
 __all__ = [
     "RieszMeanValue",
@@ -27,11 +27,14 @@ __all__ = [
     "riesz_mean_grid",
     "extract_riesz_coeffs",
     "weyl_remainder",
-    "default_riesz_grid",
     "riesz_fit_basis",
 ]
 
 _VARIABLES = ("lambda", "omega")
+# default fitting window (x_min, x_max) per variable
+DEFAULT_RANGES = {"lambda": (1e2, 1e4), "omega": (10.0, 1e2)}
+# orders fitted beyond s = alpha
+_GUARD_ORDERS = 1
 
 
 @dataclass(frozen=True)
@@ -47,36 +50,21 @@ def riesz_mean(s: Spectrum, alpha: int, variable: str, x: float) -> RieszMeanVal
 
     variable="lambda": (1/alpha!) x^{-alpha} sum_{lambda_n <= x} mult (x - lambda_n)^alpha.
     variable="omega":  the same with omega_n in place of lambda_n.
-    Evaluated from the closed form (partial power sums), not by quadrature.
-    Raises ValueError for x = inf on a spectrum that does not end.
+    The one-point riesz_mean_grid.  Raises ValueError for x = inf on a
+    spectrum that does not end.
     """
-    if variable not in _VARIABLES:
-        raise ValueError(f"variable must be one of {_VARIABLES}, got {variable!r}")
-    if alpha < 0 or int(alpha) != alpha:
-        raise ValueError(f"alpha must be a nonnegative integer, got {alpha}")
-    if not (x > 0):
-        raise ValueError(f"x must be positive, got {x}")
-    alpha = int(alpha)
-    if variable == "omega":
-        keys, mults = s.arrays(x * (1 + 1e-12) + 1e-12)
-    else:
-        omegas, mults = s.arrays(math.sqrt(x) * (1 + 1e-12) + 1e-12)
-        keys = omegas * omegas
-    below = keys <= x
-    acc = math.fsum(m * (x - k) ** alpha
-                    for k, m in zip(keys[below].tolist(), mults[below].tolist()))
-    value = acc / (math.factorial(alpha) * x**alpha)
-    return RieszMeanValue(alpha=alpha, variable=variable, x=x, value=value)
+    return riesz_mean_grid(s, alpha, variable, [x])[0]
 
 
 def riesz_mean_grid(s: Spectrum, alpha: int, variable: str,
                     grid: Sequence[float]) -> list[RieszMeanValue]:
     """Riesz means over a whole grid with a single spectrum enumeration.
 
-    Same closed form as riesz_mean; the one enumeration (to the largest grid
-    point) plus vectorized partial power sums is what keeps dense grids over
-    product spectra affordable.  Raises ValueError for an infinite grid point
-    on a spectrum that does not end.
+    Evaluated from the closed form (partial power sums), not by quadrature:
+    one enumeration to the largest grid point, then one np.sum per point.
+    Every term mult (x - x_n)^alpha is >= 0, so the pairwise sum has no
+    cancellation to lose digits to.  Raises ValueError for an infinite grid
+    point on a spectrum that does not end.
     """
     if variable not in _VARIABLES:
         raise ValueError(f"variable must be one of {_VARIABLES}, got {variable!r}")
@@ -88,12 +76,7 @@ def riesz_mean_grid(s: Spectrum, alpha: int, variable: str,
     if not grid:
         return []
     alpha = int(alpha)
-    xmax = max(grid)
-    if variable == "omega":
-        keys, mults = s.arrays(xmax * (1 + 1e-12) + 1e-12)
-    else:
-        omegas, mults = s.arrays(math.sqrt(xmax) * (1 + 1e-12) + 1e-12)
-        keys = omegas * omegas
+    keys, mults = _keys_up_to(s, variable, max(grid))
     mults = mults.astype(float)
     fac = math.factorial(alpha)
     out = []
@@ -108,27 +91,18 @@ def riesz_mean_grid(s: Spectrum, alpha: int, variable: str,
     return out
 
 
-def default_riesz_grid(variable: str, points: int = 64) -> list[float]:
-    """Default geometric fitting grids: [1e2, 1e4] in lambda, [10, 1e2] in omega."""
-    if variable == "lambda":
-        return geometric_grid(1e2, 1e4, points)
-    return geometric_grid(10.0, 1e2, points)
-
-
 def riesz_fit_basis(dim: int, alpha: int, variable: str,
                     scale_anchor: float = 1.0,
-                    include_logs: bool = True,
-                    guard_orders: int = 1) -> AsymptoticBasis:
+                    include_logs: bool = True) -> AsymptoticBasis:
     """Basis matching the Riesz-mean expansion shape.
 
     lambda variable: x^{(d-s)/2}; omega variable: x^{d-s}, plus x^{d-s} log x
-    where s-d is odd and positive.  s runs to alpha + guard_orders: the terms
+    where s-d is odd and positive.  s runs to alpha + _GUARD_ORDERS: the terms
     beyond s = alpha absorb the smooth part of the remainder so the
     diagonal-range coefficients come out clean.
     """
-    smax = alpha + guard_orders
     terms: list[tuple[Fraction, int]] = []
-    for s in range(smax + 1):
+    for s in range(alpha + _GUARD_ORDERS + 1):
         if variable == "lambda":
             terms.append((Fraction(dim - s, 2), 0))
         else:
@@ -144,7 +118,6 @@ def extract_riesz_coeffs(
     variable: str,
     grid: Optional[Sequence[float]] = None,
     basis: Optional[AsymptoticBasis] = None,
-    include_logs: str | bool = "detect",
 ) -> FitReport:
     """Fit the asymptotic coefficients of the alpha-th Riesz mean.
 
@@ -154,22 +127,19 @@ def extract_riesz_coeffs(
     coefficient a_{alpha,alpha} feeds b_s = Gamma((d+s)/2+1)/Gamma(s+1) a_ss,
     and in the omega variable c_ss feeds the cylinder relations.
 
-    include_logs controls the x^{d-s} log x columns the omega-variable shape
-    allows at s-d odd positive: True always includes them, False never, and
-    "detect" (default) includes a log column only when the with/without
-    comparison says the data carry it -- fitting a log column against data
-    that have none mostly soaks up spectral oscillation and spoils the
-    power coefficients.
+    grid defaults to 64 points geometric over DEFAULT_RANGES[variable].  The
+    default omega-variable basis carries an x^{d-s} log x column (allowed at
+    s-d odd positive) only when the with/without comparison says the data
+    have it -- fitting a log column against data that have none mostly soaks
+    up spectral oscillation and spoils the power coefficients.
 
     Coefficients at s < alpha repeat information available at lower alpha and
     are flagged informational in the report notes.
     """
     if variable not in _VARIABLES:
         raise ValueError(f"variable must be one of {_VARIABLES}, got {variable!r}")
-    if include_logs not in ("detect", True, False):
-        raise ValueError(f"include_logs must be 'detect', True, or False, got {include_logs!r}")
     if grid is None:
-        grid = default_riesz_grid(variable)
+        grid = geometric_grid(*DEFAULT_RANGES[variable], 64)
     grid = list(grid)
     if any(b <= a for a, b in zip(grid, grid[1:])):
         raise ValueError("grid must be strictly increasing")
@@ -178,11 +148,10 @@ def extract_riesz_coeffs(
                for mv in riesz_mean_grid(s, alpha, variable, grid)]
     anchor = math.sqrt(grid[0] * grid[-1])
     if basis is None:
-        if include_logs == "detect" and variable == "omega":
+        if variable == "omega":
             basis = _detected_omega_basis(samples, s.dim, alpha, anchor)
         else:
-            basis = riesz_fit_basis(s.dim, alpha, variable, anchor,
-                                    include_logs=bool(include_logs))
+            basis = riesz_fit_basis(s.dim, alpha, variable, anchor)
     report = fit_expansion(samples, basis)
     notes = list(report.notes)
     redundant = []
@@ -229,14 +198,15 @@ def weyl_remainder(
     sampling it over decades makes that visible.  Raises ValueError for an
     infinite grid point on a spectrum that does not end.
     """
+    if M < 0:
+        raise ValueError(f"M must be >= 0, got {M}")
     if len(weyl_coeffs) < M + 1:
         raise ValueError(f"need g_0..g_{M}, got {len(weyl_coeffs)} coefficients")
     d = s.dim
     grid = [float(w) for w in grid]
     if not grid:
         return []
-    wmax = max(grid)
-    omegas, mults = s.arrays(wmax * (1 + 1e-12) + 1e-12)
+    omegas, mults = _keys_up_to(s, "omega", max(grid))
     counts = np.concatenate([[0.0], np.cumsum(mults.astype(float))])
     out = []
     for w in grid:

@@ -13,13 +13,12 @@ from __future__ import annotations
 import math
 import threading
 from dataclasses import dataclass, field
-from typing import Callable, Optional, Sequence, Union
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
 __all__ = [
     "Spectrum",
-    "CountingFunction",
     "SpectrumFormatError",
     "interval_spectrum",
     "torus_spectrum",
@@ -106,29 +105,31 @@ def _readonly(omegas: np.ndarray, mults: np.ndarray) -> Arrays:
     return omegas, mults
 
 
-@dataclass(frozen=True)
-class CountingFunction:
-    """N(x) = number of eigenvalues lambda_n <= x, with multiplicity.
+def _keys_up_to(s: Spectrum, variable: str, x: float) -> Arrays:
+    """(keys, mults) of all terms with key <= x, ascending, where the key is
+    lambda = omega^2 for variable "lambda" and omega for variable "omega".
+
+    Enumerates slightly past x so a term whose key rounds onto x is kept; the
+    one place that slack lives, so every query sees the same cached extent.
+    """
+    if variable == "omega":
+        keys, mults = s.arrays(x * (1 + 1e-12) + 1e-12)
+    else:
+        omegas, mults = s.arrays(math.sqrt(x) * (1 + 1e-12) + 1e-12)
+        keys = omegas * omegas
+    k = int(np.searchsorted(keys, x, side="right"))
+    return keys[:k], mults[:k]
+
+
+def counting(s: Spectrum, x: float) -> int:
+    """N(x): the number of eigenvalues lambda_n <= x, with multiplicity.
 
     A right-continuous nondecreasing step function; N(x) = 0 below the
-    smallest eigenvalue.
+    smallest eigenvalue and for negative or NaN x.
     """
-
-    backing: Spectrum
-
-    def __call__(self, x: float) -> int:
-        if x < 0 or math.isnan(x):
-            return 0
-        # enumerate slightly past sqrt(x) so the boundary eigenvalue is kept
-        omega_hi = math.sqrt(x) * (1.0 + 1e-12) + 1e-12
-        omegas, mults = self.backing.arrays(omega_hi)
-        return int(mults[omegas * omegas <= x].sum())
-
-
-def counting(n: Union[CountingFunction, Spectrum], x: float) -> int:
-    """Exact count of eigenvalues (with multiplicity) having lambda_n <= x."""
-    cf = n if isinstance(n, CountingFunction) else CountingFunction(n)
-    return cf(x)
+    if x < 0 or math.isnan(x):
+        return 0
+    return int(_keys_up_to(s, "lambda", x)[1].sum())
 
 
 # ---------------------------------------------------------------------------
@@ -291,7 +292,8 @@ def finite_spectrum(
     for (w, m), (w2, _) in zip(terms, terms[1:]):
         if w2 < w:
             raise ValueError("terms must be nondecreasing in omega")
-    if any(w < 0 for w, _ in terms) or any(not 1 <= m <= _MAX_MULT for _, m in terms):
+    # "not w >= 0" also rejects NaN, which would hide misordered terms above
+    if any(not w >= 0 for w, _ in terms) or any(not 1 <= m <= _MAX_MULT for _, m in terms):
         raise ValueError(f"need omega >= 0 and 1 <= multiplicity <= {_MAX_MULT}")
     if envelope is None:
         envelope = (float(sum(m for _, m in terms)), 0.0)

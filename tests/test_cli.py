@@ -262,6 +262,30 @@ class TestRieszCommand:
         assert code == 2
 
 
+class TestLibraryErrorsExit2:
+    @pytest.mark.parametrize("argv", [
+        ["riesz", "--spectrum", INTERVAL_SPEC, "--points", "1"],
+        ["moments", "--points", "1"],
+        ["riesz", "--spectrum", INTERVAL_SPEC, "--fit", "--points", "3"],
+        ["riesz", "--spectrum", INTERVAL_SPEC, "--remainder", "2", "--weyl-coeffs", "1"],
+        ["riesz", "--spectrum", INTERVAL_SPEC, "--remainder", "-1", "--weyl-coeffs", "1"],
+        ["coeffs", "--spectrum", INTERVAL_SPEC, "--orders", "9", "--points", "8"],
+    ], ids=["riesz-points-1", "moments-points-1", "riesz-fit-points-3",
+            "remainder-short-coeffs", "remainder-negative", "coeffs-too-few-points"])
+    def test_value_error_is_usage_error(self, capsys, argv):
+        code, out, err = run(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("spectrace: error: ")
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("flag", [["--format", "csv"], ["--svg", "out.svg"]])
+    def test_coeffs_rejects_trace_only_flags(self, capsys, flag):
+        code, _, err = run(capsys, "coeffs", "--spectrum", INTERVAL_SPEC, *flag)
+        assert code == 2
+        assert "unrecognized arguments" in err
+
+
 class TestParserBasics:
     def test_no_command_exits_2(self, capsys):
         assert main([]) == 2

@@ -134,3 +134,13 @@ class TestMultiplicityRange:
     def test_finite_spectrum_rejects_multiplicity_beyond_int64(self):
         with pytest.raises(ValueError, match="multiplicity"):
             finite_spectrum(1, [(1.0, 2**63)])
+
+
+class TestNanFrequency:
+    @pytest.mark.parametrize("terms", [
+        [(1.0, 1), (math.nan, 1), (0.5, 1)],  # the NaN hides the misordered 0.5
+        [(math.nan, 2)],
+    ])
+    def test_finite_spectrum_rejects_nan(self, terms):
+        with pytest.raises(ValueError, match="omega >= 0"):
+            finite_spectrum(1, terms)

@@ -8,6 +8,7 @@ from spectrace import (
     extract_riesz_coeffs,
     geometric_grid,
     interval_spectrum,
+    product_spectrum,
     riesz_mean,
     torus_spectrum,
     weyl_remainder,
@@ -53,8 +54,28 @@ class TestRieszMean:
         grid = geometric_grid(2.0, 40.0, 12)
         batch = riesz_mean_grid(INTERVAL, 2, "omega", grid)
         for mv in batch:
-            assert mv.value == pytest.approx(
-                riesz_mean(INTERVAL, 2, "omega", mv.x).value, rel=1e-13, abs=1e-15)
+            assert mv.value == riesz_mean(INTERVAL, 2, "omega", mv.x).value
+
+    @pytest.mark.parametrize("alpha", [1, 2])
+    def test_grid_matches_scalar_on_product(self, alpha):
+        # one summation policy: a grid point and the scalar call agree bit for bit
+        s = product_spectrum(interval_spectrum(1.1, "dirichlet"), torus_spectrum(1.7))
+        x = 1e4 + 0.3
+        (mv,) = riesz_mean_grid(s, alpha, "lambda", [x])
+        assert mv.value == riesz_mean(s, alpha, "lambda", x).value
+        assert riesz_mean_grid(s, alpha, "lambda", [10.0, x])[1] == mv
+
+    @pytest.mark.parametrize("variable, x", [("lambda", 1e4 + 0.3), ("omega", 100.3)])
+    @pytest.mark.parametrize("alpha", [0, 1, 2])
+    def test_matches_per_term_fsum_reference(self, alpha, variable, x):
+        # np.sum of nonnegative terms stays within a few ulps of the correctly
+        # rounded sum; 64 machine epsilons is a bound fixed from the dtype
+        s = product_spectrum(interval_spectrum(1.1, "dirichlet"), torus_spectrum(1.7))
+        keys = [(w * w if variable == "lambda" else w, m) for w, m in s.up_to(110.0)]
+        ref = math.fsum(m * (x - k) ** alpha for k, m in keys if k <= x)
+        ref /= math.factorial(alpha) * x**alpha
+        assert riesz_mean(s, alpha, variable, x).value == pytest.approx(
+            ref, rel=64 * 2.0**-52, abs=0)
 
     def test_smoothing_continuity_alpha1(self):
         # R^1 is continuous across an eigenvalue; N itself jumps
