@@ -375,17 +375,22 @@ def run_verification(spectrum: Spectrum, orders: int = 4, points: int = 64,
             "verification refused: spectrum supplies no envelope constants, so "
             "trace truncation cannot be certified (add an 'envelope C1 C2' line)"
         )
+    if not (max_terms >= 1):
+        raise ValueError(f"max_terms must be at least 1, got {max_terms}")
     d = spectrum.dim
     w1 = _first_positive_omega(spectrum)
     rows: list[VerifyRow] = []
 
-    # window floors keep the per-point term count within budget: at time t a
-    # trace needs eigenvalues out to ~x0/t (cylinder) or ~x0/t in lambda
-    # (heat), and the envelope converts that into a count
+    # verify's window policy: no sample below the time at which the envelope
+    # count out to x0/t (cylinder) or x0/t in lambda (heat) exceeds the term
+    # cap.  Each trace solves for its own, smaller cutoff; x0 = 80 and the cap
+    # only place the windows.  A budget no larger than C1 pays for no cutoff,
+    # so the windows stay nominal and the first trace reports the
+    # unreachable tolerance.
     c1, c2 = spectrum.envelope
     cap = min(max_terms, 400_000)
     x0 = 80.0
-    if c2 > 0:
+    if c2 > 0 and cap > c1:
         w_cap = ((cap - c1) / c2) ** (1.0 / d)
         t_cyl_floor = x0 / w_cap
         t_heat_floor = x0 / w_cap**2

@@ -129,7 +129,8 @@ def counting(s: Spectrum, x: float) -> int:
     """
     if x < 0 or math.isnan(x):
         return 0
-    return int(_keys_up_to(s, "lambda", x)[1].sum())
+    # exact Python ints: each multiplicity fits int64, their total may not
+    return sum(_keys_up_to(s, "lambda", x)[1].tolist())
 
 
 # ---------------------------------------------------------------------------

@@ -6,11 +6,20 @@ priori tail bound obtained from the spectrum's Weyl envelope
 N(lambda) <= C1 + C2 lambda^{d/2} by the integral test.  Values are plain
 floats from error-free-transformation summation in ascending omega order, so
 results are bitwise reproducible.
+
+Each trace enumerates once, up to the smallest cutoff at which the tail
+bound crediting no enumerated term is <= tol (solved to about 1/64 in
+x = t omega, or t omega^2 for heat).  Crediting the terms found can only
+lower the bound, so that enumeration certifies unless finite data end or the
+term budget caps the cutoff first (ToleranceError).  terms_used counts the
+distinct frequencies up to the cutoff; tail_bound is the bound there with
+them credited, <= tol and often well below it.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 import warnings
 from dataclasses import dataclass
 from typing import Sequence
@@ -34,6 +43,11 @@ DEFAULT_MAX_TERMS = 10_000_000
 # headroom multiplying every tail bound, covering float rounding in the
 # incomplete-gamma recurrences
 _BOUND_SLACK = 1.0 + 1e-9
+
+# resolution, in x = t w (t w^2 for heat), of the solved cutoff, and a cap
+# on its solver's steps (3 or 4 is typical; bisection alone needs 16)
+_X_STEP = 1.0 / 64.0
+_SOLVE_STEPS = 64
 
 
 class ToleranceError(RuntimeError):
@@ -69,12 +83,15 @@ def _upper_gamma_half(a2: int, x: float) -> float:
         # exp(-x) underflows; the true value is below ~1e-300 and the
         # certification slack absorbs it
         return 0.0
-    if a2 == 2:
-        return math.exp(-x)
-    if a2 == 1:
-        return math.sqrt(math.pi) * math.erfc(math.sqrt(x))
-    a = (a2 - 2) / 2.0
-    return a * _upper_gamma_half(a2 - 2, x) + x**a * math.exp(-x)
+    # Gamma(a + 1, x) = a Gamma(a, x) + x^a e^-x, upward from Gamma(1/2, x)
+    # or Gamma(1, x)
+    k = 2 - a2 % 2
+    g = math.exp(-x) if k == 2 else math.sqrt(math.pi) * math.erfc(math.sqrt(x))
+    while k < a2:
+        a = k / 2.0
+        g = a * g + x**a * math.exp(-x)
+        k += 2
+    return g
 
 
 def _exp_safe(x: float) -> float:
@@ -113,16 +130,57 @@ def _term_sum(kind: str, t: float, omegas: np.ndarray, mults: np.ndarray) -> flo
 
     Each term is rounded exactly as the scalar m * _exp_safe(-t w w),
     m * _exp_safe(-t w) or -m w _exp_safe(-t w) would be: the exponent and
-    the products in numpy (same operations, same order), the exponential by
-    math.exp (np.exp may differ from it in the last bit), then math.fsum.
+    the products in numpy or Python floats (same operations, same order),
+    the exponential by math.exp (np.exp may differ from it in the last bit),
+    then math.fsum.  The exponents fall as omega rises, so the terms past the
+    -745 underflow cut, which are all zero, form a suffix and are skipped.
     """
     args = (-t * omegas) * omegas if kind == "heat" else -t * omegas
-    live = args > -745.0
-    exps = np.zeros(args.size)
-    exps[live] = np.fromiter(map(math.exp, args[live].tolist()), dtype=np.float64,
-                             count=int(np.count_nonzero(live)))
-    weights = (-mults * omegas) if kind == "dcylinder" else mults
-    return math.fsum((weights * exps).tolist())
+    k = args.size - int(np.searchsorted(args[::-1], -745.0, side="right"))
+    weights = -mults[:k] * omegas[:k] if kind == "dcylinder" else mults[:k]
+    return math.fsum(map(operator.mul, weights.tolist(), map(math.exp, args[:k].tolist())))
+
+
+def _cutoff(kind: str, t: float, tol: float, c1: float, c2: float, d: int) -> float:
+    """The smallest frequency w whose tail bound with no term credited
+    (n_seen = 0) is <= tol, to about _X_STEP in x = t w (t w^2 for heat).
+
+    The bound falls as x grows wherever it is valid and is 0 from x = 745 on
+    (exp(-x) underflows), so ln(bound) = ln(tol) has one root below that.
+    Secant steps aim half an _X_STEP past it, so the iterates settle on its
+    certifying side; the last uncertified (lo) and certified (hi) x bracket
+    every step, and a step that leaves the bracket bisects it instead.
+    """
+    # the derivative kernel's bound needs w t >= 1; x >= 2 leaves room for
+    # the rounding of w t
+    x_min = 2.0 if kind == "dcylinder" else 0.0
+    # ln(bound) = m ln(x) - x + O(1) as x grows: the first step's slope
+    m = d / 2.0 if kind == "heat" else d + 1.0 if kind == "dcylinder" else float(d)
+    log_tol = math.log(tol)
+    lo, hi = x_min, 745.0
+    x = min(max(x_min, -log_tol), hi)
+    prev = None  # (x, ln(bound / tol)) of the previous finite evaluation
+    for _ in range(_SOLVE_STEPS):
+        w = math.sqrt(x / t) if kind == "heat" else x / t
+        bound = _tail_bound(kind, t, w, 0.0, c1, c2, d)
+        if bound <= tol:
+            hi = x
+        else:
+            lo = x
+        if hi - lo <= _X_STEP:
+            break
+        nxt = math.nan
+        if 0.0 < bound < math.inf:
+            excess = math.log(bound) - log_tol
+            slope = ((excess - prev[1]) / (x - prev[0]) if prev is not None
+                     else m / max(x, 2.0 * m) - 1.0)
+            prev = (x, excess)
+            if slope < 0.0:
+                nxt = x - excess / slope + 0.5 * _X_STEP
+                if hi == x and abs(nxt - x) < 0.5 * _X_STEP:
+                    break
+        x = nxt if lo < nxt < hi else 0.5 * (lo + hi)
+    return math.sqrt(hi / t) if kind == "heat" else hi / t
 
 
 def _certified_trace(s: Spectrum, t: float, tol: float, kind: str,
@@ -132,6 +190,8 @@ def _certified_trace(s: Spectrum, t: float, tol: float, kind: str,
         raise ValueError(f"t must be positive and finite, got {t}")
     if not (tol > 0):
         raise ValueError(f"tol must be positive, got {tol}")
+    if not (max_terms >= 1):
+        raise ValueError(f"max_terms must be at least 1, got {max_terms}")
 
     if s.envelope is None:
         if s.truncated_at is None:
@@ -150,43 +210,33 @@ def _certified_trace(s: Spectrum, t: float, tol: float, kind: str,
     c1, c2 = s.envelope
     d = s.dim
 
-    x0 = 45.0 + max(0.0, -math.log(tol))
-    if kind == "heat":
-        w = math.sqrt(x0 / t)
-    else:
-        w = x0 / t
-    if kind == "dcylinder":
-        w = max(w, 2.0 / t)
-
-    while True:
-        exhausted = s.truncated_at is not None and w >= s.truncated_at
-        if exhausted:
-            w = s.truncated_at
-        budget_capped = False
-        predicted = c1 + c2 * w**d
-        if predicted > max_terms and not exhausted:
-            if c2 > 0:
-                w = ((max_terms - c1) / c2) ** (1.0 / d)
-            budget_capped = True
-        omegas, mults = s.arrays(w)
-        n_seen = int(mults.sum())
-        # envelope certifies an empty tail: nothing left to bound
-        empty_tail = c2 == 0.0 and n_seen >= c1
-        bound = 0.0 if empty_tail else _tail_bound(kind, t, w, n_seen, c1, c2, d)
-        # the derivative summand decreases only past omega = 1/t, so the
-        # integral test needs w t >= 1 unless the tail is empty anyway
-        usable = empty_tail or kind != "dcylinder" or w * t >= 1.0
-        if usable and bound <= tol:
-            return TraceSample(t, _term_sum(kind, t, omegas, mults), bound, omegas.size)
-        if exhausted or budget_capped:
-            reason = "term budget exhausted" if budget_capped else "spectrum data exhausted"
-            raise ToleranceError(
-                f"{reason} before reaching tol={tol:g}; achieved tail bound "
-                f"{bound:g} with {omegas.size} terms",
-                achieved_bound=bound,
-                terms_used=omegas.size,
-            )
-        w *= 2.0
+    # crediting the enumerated terms only lowers the bound, so this one
+    # enumeration certifies unless the data end or the budget caps it first
+    w = _cutoff(kind, t, tol, c1, c2, d)
+    exhausted = s.truncated_at is not None and w >= s.truncated_at
+    if exhausted:
+        w = s.truncated_at
+    budget_capped = not exhausted and c1 + c2 * w**d > max_terms
+    if budget_capped and c2 > 0:
+        # a budget below C1 pays for no cutoff above 0
+        w = (max(max_terms - c1, 0.0) / c2) ** (1.0 / d)
+    omegas, mults = s.arrays(w)
+    n_seen = int(mults.sum())
+    # envelope certifies an empty tail: nothing left to bound
+    empty_tail = c2 == 0.0 and n_seen >= c1
+    bound = 0.0 if empty_tail else _tail_bound(kind, t, w, n_seen, c1, c2, d)
+    # the derivative summand decreases only past omega = 1/t, so the
+    # integral test needs w t >= 1 unless the tail is empty anyway
+    usable = empty_tail or kind != "dcylinder" or w * t >= 1.0
+    if usable and bound <= tol:
+        return TraceSample(t, _term_sum(kind, t, omegas, mults), bound, omegas.size)
+    reason = "term budget exhausted" if budget_capped else "spectrum data exhausted"
+    raise ToleranceError(
+        f"{reason} before reaching tol={tol:g}; achieved tail bound "
+        f"{bound:g} with {omegas.size} terms",
+        achieved_bound=bound,
+        terms_used=omegas.size,
+    )
 
 
 def heat_trace(s: Spectrum, t: float, tol: float = 1e-12,

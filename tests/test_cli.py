@@ -286,6 +286,29 @@ class TestLibraryErrorsExit2:
         assert "unrecognized arguments" in err
 
 
+class TestTermBudget:
+    NEUMANN_SQUARE = ("product:(interval:length=1:bc=neumann)"
+                      "x(interval:length=1:bc=neumann)")
+
+    @pytest.mark.parametrize("argv, code", [
+        # a budget below the envelope's C1 pays for no cutoff: unreachable tol
+        (["trace", "--spectrum", NEUMANN_SQUARE, "--max-terms", "1"], 3),
+        (["verify", "--spectrum", NEUMANN_SQUARE, "--max-terms", "1"], 3),
+        # a budget below one term is a bad input
+        (["verify", "--spectrum", "interval:length=1:bc=dirichlet", "--max-terms", "0"], 2),
+        (["trace", "--spectrum", "interval:length=1:bc=neumann", "--max-terms", "-5"], 2),
+        (["coeffs", "--spectrum", INTERVAL_SPEC, "--max-terms", "0"], 2),
+    ], ids=["trace-below-c1", "verify-below-c1", "verify-zero", "trace-negative",
+            "coeffs-zero"])
+    def test_exit_code_without_traceback(self, capsys, argv, code):
+        got, out, err = run(capsys, *argv)
+        assert got == code
+        assert out == ""
+        assert err.startswith("spectrace: numerical failure: " if code == 3
+                              else "spectrace: error: ")
+        assert "Traceback" not in err
+
+
 class TestParserBasics:
     def test_no_command_exits_2(self, capsys):
         assert main([]) == 2

@@ -143,6 +143,12 @@ class TestCounting:
         lam = 1.0  # omega = 1 has multiplicity 2
         assert counting(s, lam) - counting(s, lam - 1e-9) == 2
 
+    def test_total_beyond_int64_is_exact(self):
+        # each multiplicity fits int64, their sum does not
+        s = finite_spectrum(1, [(1.0, 2**62), (1.5, 2**62), (2.0, 2**62)])
+        assert counting(s, 10.0) == 3 * 2**62
+        assert counting(s, 1.0) == 2**62
+
     def test_weyl_law_window(self):
         # N(omega^2)/omega within [1 - 2/omega, 1] for the unit-frequency interval
         s = interval_spectrum(PI, "dirichlet")

@@ -207,6 +207,21 @@ class TestTermSumBitIdentical:
                 got = _term_sum(kind, t, omegas, mults)
                 assert got.hex() == reference_term_sum(kind, t, terms).hex()
 
+    @pytest.mark.parametrize("kind, terms", [
+        ("heat", [(1.99, 3), (2.0, 2)]),
+        ("cylinder", [(3.99, 3), (4.0, 2)]),
+        ("dcylinder", [(3.99, 3), (4.0, 2)]),
+    ])
+    def test_argument_exactly_at_the_cut(self, kind, terms):
+        # at t = 186.25 the last term's argument is exactly -745: exp(-745) is
+        # the smallest subnormal, but the cut counts the term as 0.0, while
+        # the first term stays subnormal, so either slip changes the sum
+        omegas = np.array([w for w, _ in terms])
+        mults = np.array([m for _, m in terms], dtype=np.int64)
+        got = _term_sum(kind, 186.25, omegas, mults)
+        assert got.hex() == reference_term_sum(kind, 186.25, terms).hex()
+        assert got != 0.0
+
     def test_empty_sum_is_zero(self):
         for kind in ("heat", "cylinder", "dcylinder"):
             got = _term_sum(kind, 1.0, np.empty(0), np.empty(0, dtype=np.int64))

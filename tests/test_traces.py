@@ -1,6 +1,7 @@
 import math
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from spectrace import (
     ToleranceError,
@@ -16,9 +17,13 @@ from spectrace import (
     torus_spectrum,
     trace_grid,
 )
+from spectrace.spectra import Spectrum
+from spectrace.traces import _X_STEP, _cutoff, _tail_bound
 
 PI = math.pi
 INTERVAL = interval_spectrum(PI, "dirichlet")
+NEUMANN = interval_spectrum(PI, "neumann")
+TORUS = torus_spectrum(2 * PI)  # omega_n = n twice over, plus omega_0 = 0
 
 
 def theta_heat(t):
@@ -188,3 +193,77 @@ class TestGrid:
     def test_unknown_kernel_rejected(self):
         with pytest.raises(ValueError):
             trace_grid(INTERVAL, "wave", [0.1])
+
+
+def theta_sum(t):
+    """sum_{n>=1} e^{-t n^2}: the Poisson-dual theta sum below t = 1, where
+    the direct sum is long, and the direct sum above, where the dual cancels."""
+    if t < 1.0:
+        dual = math.fsum(math.exp(-PI * PI * k * k / t) for k in range(1, 40))
+        return 0.5 * (math.sqrt(PI / t) * (1.0 + 2.0 * dual) - 1.0)
+    return math.fsum(math.exp(-t * n * n) for n in range(1, 40))
+
+
+# closed forms over omega_n = n (n >= 1), scaled by the multiplicity and
+# shifted by the zero mode: sum e^{-t n} = 1/(e^t - 1) and its t-derivative
+# -1/(4 sinh^2(t/2)); the zero mode adds 1 to heat and cylinder, 0 to dcylinder
+CLOSED_FORMS = {
+    "heat": theta_sum,
+    "cylinder": lambda t: 1.0 / math.expm1(t),
+    "dcylinder": lambda t: -0.25 / math.sinh(0.5 * t) ** 2,
+}
+SPECTRA = {"dirichlet": (INTERVAL, 1, 0), "neumann": (NEUMANN, 1, 1), "torus": (TORUS, 2, 1)}
+
+
+class TestSolvedCutoff:
+    def test_sums_far_fewer_terms(self):
+        # a fixed first cutoff at x = 45 + ln(1/tol) summed 74,933 terms here
+        s = cylinder_trace(INTERVAL, 1e-3, tol=1e-13)
+        assert s.terms_used <= 45_000
+        assert s.tail_bound <= 1e-13
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.sampled_from(sorted(CLOSED_FORMS)), st.sampled_from(sorted(SPECTRA)),
+           st.floats(min_value=1e-4, max_value=10.0),
+           st.floats(min_value=-14.0, max_value=-4.0))
+    def test_bound_covers_the_closed_form(self, kind, name, t, log_tol):
+        spectrum, mult, zero_mode = SPECTRA[name]
+        tol = 10.0 ** log_tol
+        exact = mult * CLOSED_FORMS[kind](t) + (zero_mode if kind != "dcylinder" else 0)
+        sample = trace_grid(spectrum, kind, [t], tol)[0]
+        assert sample.tail_bound <= tol
+        assert abs(sample.value - exact) <= sample.tail_bound + 32 * math.ulp(exact)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.sampled_from(["heat", "cylinder", "dcylinder"]), st.integers(1, 3),
+           st.floats(min_value=0.0, max_value=5.0), st.floats(min_value=0.01, max_value=100.0),
+           st.floats(min_value=1e-4, max_value=10.0), st.floats(min_value=-14.0, max_value=-2.0))
+    def test_cutoff_is_the_smallest_that_certifies(self, kind, d, c1, c2, t, log_tol):
+        tol = 10.0 ** log_tol
+        w = _cutoff(kind, t, tol, c1, c2, d)
+        assert _tail_bound(kind, t, w, 0.0, c1, c2, d) <= tol
+        x_below = (t * w * w if kind == "heat" else t * w) - 2 * _X_STEP
+        if x_below >= (2.0 if kind == "dcylinder" else 0.0):
+            w_below = math.sqrt(x_below / t) if kind == "heat" else x_below / t
+            assert _tail_bound(kind, t, w_below, 0.0, c1, c2, d) > tol
+
+    @pytest.mark.parametrize("kind", ["heat", "cylinder", "dcylinder"])
+    @pytest.mark.parametrize("spectrum", [INTERVAL, NEUMANN, TORUS,
+                                          product_spectrum(NEUMANN, TORUS)],
+                             ids=["dirichlet", "neumann", "torus", "product"])
+    def test_each_trace_enumerates_once(self, monkeypatch, kind, spectrum):
+        calls = []
+        arrays = Spectrum.arrays
+
+        def counted(self, omega_max):
+            calls.append(self)
+            return arrays(self, omega_max)
+
+        monkeypatch.setattr(Spectrum, "arrays", counted)
+        for t in (0.2, 1.0, 10.0):
+            for tol in (1e-14, 1e-8, 1e-3):
+                calls.clear()
+                sample = trace_grid(spectrum, kind, [t], tol)[0]
+                # a product also enumerates its factors; count its own calls
+                assert sum(1 for s in calls if s is spectrum) == 1
+                assert sample.tail_bound <= tol
