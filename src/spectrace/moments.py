@@ -16,11 +16,11 @@ differentiation could not deliver.
 from __future__ import annotations
 
 import math
+import operator
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
-
-from scipy.integrate import quad
 
 from .invariants import zeta_neg_int
 
@@ -35,7 +35,57 @@ __all__ = [
 ]
 
 _MAX_DERIV = 12
-_QUAD_TOL = 1e-13
+_EPS = sys.float_info.epsilon
+
+
+# ---------------------------------------------------------------------------
+# quadrature
+# ---------------------------------------------------------------------------
+
+def _tanh_sinh_table(h: float, min_weight: float) -> tuple[tuple[float, ...], tuple[float, ...]]:
+    """Tanh-sinh (double-exponential) rule on [-1, 1], Takahasi & Mori (1974):
+    nodes +-tanh(pi/2 sinh(kh)) for k = 0, 1, ... while the weight
+    h pi/2 cosh(kh) / cosh^2(pi/2 sinh(kh)) is at least min_weight.
+
+    Returns each node's distance 1 - tanh(s) = exp(-s)/cosh(s) from the ends
+    of [-1, 1], free of the cancellation in 1 - tanh(s), and its weight.
+    """
+    gaps, weights = [], []
+    k = 0
+    while True:
+        s = math.pi / 2.0 * math.sinh(k * h)
+        w = h * math.pi / 2.0 * math.cosh(k * h) / math.cosh(s) ** 2
+        if w < min_weight:
+            return tuple(gaps), tuple(weights)
+        gaps.append(math.exp(-s) / math.cosh(s))
+        weights.append(w)
+        k += 1
+
+
+# h = 1/32 with weights down to 1e-20: 217 nodes
+_TS_GAPS, _TS_WEIGHTS = _tanh_sinh_table(1.0 / 32.0, 1e-20)
+
+
+def _tanh_sinh(fn, lo: float, hi: float) -> tuple[float, float]:
+    """int_lo^hi fn by the tanh-sinh rule at step h and at step 2h (every
+    other node), both from one set of evaluations."""
+    half = 0.5 * (hi - lo)
+    vals = [fn(lo + half)]
+    vals += [fn(lo + half * g) + fn(hi - half * g) for g in _TS_GAPS[1:]]
+    fine = math.fsum(map(operator.mul, _TS_WEIGHTS, vals))
+    coarse = 2.0 * math.fsum(map(operator.mul, _TS_WEIGHTS[::2], vals[::2]))
+    return half * fine, half * coarse
+
+
+def quad(fn, lo: float, hi: float) -> float:
+    """int_lo^hi fn by a fixed 217-node tanh-sinh rule (h = 1/32).
+
+    Made for the bumps of this module: alone or divided by sqrt(u) or u, they
+    come out within 4e-15 relative of 40-digit values.  fn must be finite on
+    the closed interval: the outermost nodes, 1e-20 of the width inside each
+    end, round onto lo and hi.
+    """
+    return _tanh_sinh(fn, lo, hi)[0]
 
 
 @dataclass(frozen=True)
@@ -142,7 +192,7 @@ class TestFunction:
     # -- integrals ---------------------------------------------------------
 
     def integral(self) -> float:
-        """int_0^inf f, closed form except for bump (adaptive quadrature)."""
+        """int_0^inf f, closed form except for bump (tanh-sinh quadrature)."""
         return self._base_integral() / self.scale
 
     def _base_integral(self) -> float:
@@ -176,8 +226,7 @@ class TestFunction:
 
     def _quad(self, fn) -> float:
         lo, hi = self.support
-        val, _ = quad(fn, lo, hi, epsabs=_QUAD_TOL, epsrel=_QUAD_TOL, limit=200)
-        return val
+        return quad(fn, lo, hi)
 
     # -- tail control ------------------------------------------------------
 
@@ -206,7 +255,21 @@ class TestFunction:
         lo, hi = self.support
         if c >= hi:
             return 0.0
-        return self._quad(lambda u: self._base(u) if u >= c else 0.0) * (1 + 1e-9) + 1e-300
+        a = max(lo, c)
+        fine, coarse = _tanh_sinh(self._base, a, hi)
+        # Discretisation: the rule's error falls doubly exponentially in 1/h,
+        # so |fine - coarse| bounds the error of fine.  Rounding: node
+        # positions are off by at most 3 eps hi, moving the sum by at most
+        # 3 eps hi TV(f) <= 6 eps hi f_top (f is unimodal, at most f_top on
+        # [a, hi]); each f = exp(-1/p) carries a relative error of at most
+        # eps (4/p + 1), and f/p <= f_top / min(p_top, 1) on [a, hi].  16 eps
+        # covers both and the final scalings.  Terms that underflow lose less
+        # than 1e-300 each.
+        top = max(a, 0.5 * (lo + hi))
+        p_top = (top - lo) * (hi - top)
+        f_top = self._base(top)
+        rounding = 16.0 * _EPS * f_top * (hi + (hi - a) / min(p_top, 1.0)) if f_top else 0.0
+        return fine + abs(fine - coarse) + rounding + (hi - a) * 1e-300
 
     def tail_integral_invsqrt(self, c: float) -> float:
         """Upper bound on int_c^inf |f(x)|/sqrt(x) dx, c > 0."""

@@ -106,22 +106,27 @@ def _tail_bound(kind: str, t: float, w: float, n_seen: float,
     eigenvalues already enumerated below w.  For the derivative kernel the
     bound requires w >= 1/t (the summand must be decreasing on the tail).
     """
-    if kind == "heat":
-        x = t * w * w
-        head = (c1 - n_seen) * _exp_safe(-x)
-        poly = c2 * t ** (-d / 2.0) * _upper_gamma_half(d + 2, x)
-    elif kind == "cylinder":
-        x = t * w
-        head = (c1 - n_seen) * _exp_safe(-x)
-        poly = c2 * t ** (-float(d)) * _upper_gamma_half(2 * d + 2, x)
-    elif kind == "dcylinder":
-        x = t * w
-        head = (c1 - n_seen) * w * _exp_safe(-x)
-        poly = c2 * t ** (-float(d + 1)) * (
-            _upper_gamma_half(2 * d + 4, x) - _upper_gamma_half(2 * d + 2, x)
-        )
-    else:
-        raise ValueError(f"unknown kernel kind {kind!r}")
+    try:
+        if kind == "heat":
+            x = t * w * w
+            head = (c1 - n_seen) * _exp_safe(-x)
+            poly = c2 * t ** (-d / 2.0) * _upper_gamma_half(d + 2, x)
+        elif kind == "cylinder":
+            x = t * w
+            head = (c1 - n_seen) * _exp_safe(-x)
+            poly = c2 * t ** (-float(d)) * _upper_gamma_half(2 * d + 2, x)
+        elif kind == "dcylinder":
+            x = t * w
+            head = (c1 - n_seen) * w * _exp_safe(-x)
+            poly = c2 * t ** (-float(d + 1)) * (
+                _upper_gamma_half(2 * d + 4, x) - _upper_gamma_half(2 * d + 2, x)
+            )
+        else:
+            raise ValueError(f"unknown kernel kind {kind!r}")
+    except OverflowError:
+        # the power of t alone passes the float range: no finite bound, so
+        # no cutoff certifies and the trace ends in ToleranceError
+        return math.inf
     return max((head + poly) * _BOUND_SLACK, 0.0)
 
 
@@ -216,7 +221,11 @@ def _certified_trace(s: Spectrum, t: float, tol: float, kind: str,
     exhausted = s.truncated_at is not None and w >= s.truncated_at
     if exhausted:
         w = s.truncated_at
-    budget_capped = not exhausted and c1 + c2 * w**d > max_terms
+    try:
+        budget_capped = not exhausted and c1 + c2 * w**d > max_terms
+    except OverflowError:
+        # w**d past the float range exceeds any budget
+        budget_capped = True
     if budget_capped and c2 > 0:
         # a budget below C1 pays for no cutoff above 0
         w = (max(max_terms - c1, 0.0) / c2) ** (1.0 / d)

@@ -1,5 +1,9 @@
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -307,6 +311,37 @@ class TestTermBudget:
         assert err.startswith("spectrace: numerical failure: " if code == 3
                               else "spectrace: error: ")
         assert "Traceback" not in err
+
+    SQUARE = ("product:(interval:length=1:bc=dirichlet)"
+              "x(interval:length=1:bc=dirichlet)")
+    CUBE = f"product:({SQUARE})x(interval:length=1:bc=dirichlet)"
+
+    @pytest.mark.parametrize("kernel, spec, tmin", [
+        ("heat", CUBE, "1e-300"),
+        ("cylinder", SQUARE, "1e-170"),
+        ("dcylinder", SQUARE, "1e-120"),
+    ], ids=["heat", "cylinder", "dcylinder"])
+    def test_tail_bound_past_float_range_exits_3(self, capsys, kernel, spec, tmin):
+        # t ** -(d/2), t ** -d and t ** -(d+1) pass 1.8e308 at these t
+        got, out, err = run(capsys, "trace", "--kernel", kernel, "--spectrum", spec,
+                            "--tmin", tmin, "--tmax", f"{10 * float(tmin):g}",
+                            "--max-terms", "1000")
+        assert got == 3
+        assert out == ""
+        assert err.startswith("spectrace: numerical failure: ")
+        assert "achieved tail bound inf" in err
+        assert "Traceback" not in err
+
+
+class TestImport:
+    def test_cli_import_leaves_scipy_out(self):
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        code = ("import spectrace.cli, sys; "
+                "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                              timeout=60, env={**os.environ, "PYTHONPATH": src})
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "[]"
 
 
 class TestParserBasics:

@@ -1,6 +1,7 @@
 import math
 from fractions import Fraction
 
+import mpmath as mp
 import pytest
 
 from spectrace import (
@@ -15,6 +16,7 @@ from spectrace import (
     squares_comb_expansion,
     zeta_neg_int,
 )
+from spectrace.moments import quad
 
 PI = math.pi
 GAUSS = TF.gaussian()
@@ -85,6 +87,55 @@ class TestTestFunctions:
             TF.bump(lo=0.0, hi=1.0)
         with pytest.raises(ValueError):
             TF.bump(lo=2.0, hi=1.0)
+
+
+def bump_tail_reference(lo, hi, c):
+    """int_max(lo,c)^hi exp(-1/((u-lo)(hi-u))) du at 120 digits.
+
+    The pieces grow geometrically from the lower end by the integrand's decay
+    length there, so each is smooth.  At 40 to 80 digits mpmath stops short
+    on the steep pieces near hi (off by 1.5e-11 at c = 1.495 on (0.5, 1.5));
+    at 120 these agree with a 160-digit run to 1e-43.
+    """
+    with mp.workdps(120):
+        lo, hi = mp.mpf(lo), mp.mpf(hi)
+        a = max(lo, mp.mpf(c))
+        ell = (hi - a) / 4
+        if lo < a != (lo + hi) / 2:
+            ell = min(ell, ((a - lo) * (hi - a)) ** 2 / abs(lo + hi - 2 * a))
+        points, x = [a], a + ell / 4
+        while x < hi:
+            points.append(x)
+            x = a + 2 * (x - a)
+        return mp.quad(lambda u: mp.exp(-1 / ((u - lo) * (hi - u))), points + [hi])
+
+
+class TestQuadrature:
+    @pytest.mark.parametrize("lo, hi", [(0.0, 1.0), (0.3, 1.0), (0.5, 1.5), (0.25, 0.75),
+                                        (0.2, 0.7), (1.0, 2.0)])
+    @pytest.mark.parametrize("power", [0.0, 0.5, 1.0])
+    def test_bump_integrals_match_mpmath(self, lo, hi, power):
+        def f(u):
+            prod = (u - lo) * (hi - u)
+            return math.exp(-1.0 / prod) / u**power if prod > 0.0 else 0.0
+
+        with mp.workdps(40):
+            ref = mp.quad(lambda u: mp.exp(-1 / ((u - lo) * (hi - u))) / u**power, [lo, hi])
+        assert abs(quad(f, lo, hi) - ref) <= 4e-15 * ref
+
+    @pytest.mark.parametrize("lo, hi", [(0.5, 1.5), (0.25, 0.75), (0.3, 1.0)])
+    def test_bump_tail_integral_is_an_upper_bound(self, lo, hi):
+        b = TF.bump(lo=lo, hi=hi)
+        w = hi - lo
+        # across the support, and within 1% of hi where the integrand is a
+        # spike at c
+        for c in [lo - 0.1] + [lo + w * i / 8 for i in range(8)] + [
+                hi - w * x for x in (0.05, 0.01, 0.005, 0.002)]:
+            ref = bump_tail_reference(lo, hi, c)
+            got = b.tail_integral(c)
+            assert got >= ref, (c, got, ref)
+            assert got <= ref * (1 + 1e-6) + 1e-300, (c, got, ref)
+        assert b.tail_integral(hi) == 0.0
 
 
 class TestCombPairing:
