@@ -7,8 +7,8 @@ riesz (Riesz-mean samples, fits, and Weyl remainders).
 
 Exit codes: 0 success, 1 verification failure, 2 usage/config error,
 3 numerical failure.  Identical configurations produce byte-identical
-CSV/JSON output, and every output starts with a comment carrying the full
-resolved configuration.
+CSV/JSON output on the same numpy build and CPU dispatch, and every output
+starts with a comment carrying the full resolved configuration.
 """
 
 from __future__ import annotations
@@ -69,6 +69,10 @@ EXIT_OK = 0
 EXIT_VERIFY_FAILED = 1
 EXIT_USAGE = 2
 EXIT_NUMERICAL = 3
+
+# an error at or below this multiple of eps * max(|lhs|, |rhs|) is rounding,
+# not truncation, and is left out of the moments error slope
+_ROUNDING_FLOOR = 64 * 2.0**-52
 
 
 class UsageError(Exception):
@@ -575,6 +579,7 @@ def cmd_moments(args) -> int:
 
     rows = []
     corrected_errors = []
+    fitted = []  # (eps, error) of the rows above the rounding floor
     for eps in eps_grid:
         if args.comb == "linear":
             res = euler_maclaurin_expansion(g, eps, args.orders)
@@ -587,8 +592,10 @@ def cmd_moments(args) -> int:
             corrected = res.abs_error
         corrected_errors.append(corrected)
         rows.append((res.epsilon, res.lhs, res.rhs, res.abs_error))
+        if corrected > _ROUNDING_FLOOR * max(abs(res.lhs), abs(res.rhs)):
+            fitted.append((eps, corrected))
 
-    slope = _loglog_slope(eps_grid, corrected_errors)
+    slope = _loglog_slope([e for e, _ in fitted], [err for _, err in fitted])
     comments = [_config_comment("moments", args)]
     if args.comb == "squares":
         comments.append(f"# boundary_correction=-g(0)/2={-g(0.0) / 2.0!r}")

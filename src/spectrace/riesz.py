@@ -61,10 +61,12 @@ def riesz_mean_grid(s: Spectrum, alpha: int, variable: str,
     """Riesz means over a whole grid with a single spectrum enumeration.
 
     Evaluated from the closed form (partial power sums), not by quadrature:
-    one enumeration to the largest grid point, then one np.sum per point.
-    Every term mult (x - x_n)^alpha is >= 0, so the pairwise sum has no
-    cancellation to lose digits to.  Raises ValueError for an infinite grid
-    point on a spectrum that does not end.
+    one enumeration to the largest grid point and one searchsorted for the
+    grid, then one np.sum per point over mult (x - x_n)^alpha, formed in a
+    buffer reused from point to point.  Every term is >= 0, so the pairwise
+    sum has no cancellation to lose digits to.  alpha = 0 reads a cumulative
+    count, exact while the count stays below 2^53.  Raises ValueError for an
+    infinite grid point on a spectrum that does not end.
     """
     if variable not in _VARIABLES:
         raise ValueError(f"variable must be one of {_VARIABLES}, got {variable!r}")
@@ -78,15 +80,25 @@ def riesz_mean_grid(s: Spectrum, alpha: int, variable: str,
     alpha = int(alpha)
     keys, mults = _keys_up_to(s, variable, max(grid))
     mults = mults.astype(float)
+    idxs = np.searchsorted(keys, grid, side="right")
+    if alpha == 0:
+        counts = np.concatenate([[0.0], np.cumsum(mults)])[idxs].tolist()
+        return [RieszMeanValue(alpha=0, variable=variable, x=x, value=n)
+                for x, n in zip(grid, counts)]
     fac = math.factorial(alpha)
+    buf = np.empty(int(idxs.max()))
     out = []
-    for x in grid:
-        idx = int(np.searchsorted(keys, x, side="right"))
-        if idx == 0:
-            value = 0.0
-        else:
-            value = float(np.sum(mults[:idx] * (x - keys[:idx]) ** alpha))
-            value /= fac * x**alpha
+    for x, idx in zip(grid, idxs.tolist()):
+        value = 0.0
+        if idx:
+            terms = buf[:idx]
+            np.subtract(x, keys[:idx], out=terms)
+            if alpha == 2:
+                np.square(terms, out=terms)
+            elif alpha > 2:
+                np.power(terms, alpha, out=terms)
+            terms *= mults[:idx]
+            value = float(np.sum(terms)) / (fac * x**alpha)
         out.append(RieszMeanValue(alpha=alpha, variable=variable, x=x, value=value))
     return out
 

@@ -4,8 +4,13 @@ heat_trace sums exp(-t lambda_n), cylinder_trace sums exp(-t omega_n), and
 cylinder_trace_derivative sums -omega_n exp(-t omega_n), each with an a
 priori tail bound obtained from the spectrum's Weyl envelope
 N(lambda) <= C1 + C2 lambda^{d/2} by the integral test.  Values are plain
-floats from error-free-transformation summation in ascending omega order, so
-results are bitwise reproducible.
+floats summed by the one policy Riesz means also use: the terms formed in
+numpy (np.exp for the exponential) and added by one np.sum.  The terms share
+a sign, so a value is within 64 eps sum|term_n| + sum|weight_n| 2^-1074 of
+the correctly rounded sum.  Results are bitwise reproducible only on the same
+numpy build and CPU dispatch: np.exp's loop is picked at run time (see
+NPY_DISABLE_CPU_FEATURES in numpy's docs), and its AVX-512 loop can differ
+from the portable one in the last bit.
 
 Each trace enumerates once, up to the smallest cutoff at which the tail
 bound crediting no enumerated term is <= tol (solved to about 1/64 in
@@ -19,7 +24,6 @@ them credited, <= tol and often well below it.
 from __future__ import annotations
 
 import math
-import operator
 import warnings
 from dataclasses import dataclass
 from typing import Sequence
@@ -131,19 +135,20 @@ def _tail_bound(kind: str, t: float, w: float, n_seen: float,
 
 
 def _term_sum(kind: str, t: float, omegas: np.ndarray, mults: np.ndarray) -> float:
-    """Correctly rounded sum of the kernel's terms.
+    """Sum of the kernel's terms m exp(-t w w), m exp(-t w) or -m w exp(-t w).
 
-    Each term is rounded exactly as the scalar m * _exp_safe(-t w w),
-    m * _exp_safe(-t w) or -m w _exp_safe(-t w) would be: the exponent and
-    the products in numpy or Python floats (same operations, same order),
-    the exponential by math.exp (np.exp may differ from it in the last bit),
-    then math.fsum.  The exponents fall as omega rises, so the terms past the
-    -745 underflow cut, which are all zero, form a suffix and are skipped.
+    One np.sum (pairwise) over the terms formed in numpy, as riesz_mean_grid
+    sums its means.  Every term has the same sign (>= 0 for heat and
+    cylinder, <= 0 for dcylinder), so there is no cancellation: the result is
+    within 64 eps sum|term_n| + sum|weight_n| 2^-1074 of the correctly rounded
+    sum (the second part covers subnormal exponentials).  The exponents fall
+    as omega rises, so the terms at or past the -745 underflow cut, which
+    _exp_safe counts as 0.0, form a suffix and are skipped.
     """
     args = (-t * omegas) * omegas if kind == "heat" else -t * omegas
     k = args.size - int(np.searchsorted(args[::-1], -745.0, side="right"))
     weights = -mults[:k] * omegas[:k] if kind == "dcylinder" else mults[:k]
-    return math.fsum(map(operator.mul, weights.tolist(), map(math.exp, args[:k].tolist())))
+    return float(np.sum(weights * np.exp(args[:k])))
 
 
 def _cutoff(kind: str, t: float, tol: float, c1: float, c2: float, d: int) -> float:

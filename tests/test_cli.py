@@ -208,6 +208,13 @@ class TestMomentsCommand:
         assert slope == pytest.approx(3.0, abs=0.1)
         assert "zeta(-1)=-1/12" in out
 
+    def test_rounding_level_errors_give_nan_slope(self, capsys):
+        # at orders 5 every abs_error is a few ulps of lhs: no row is above
+        # the rounding floor, so there is no slope to fit
+        code, out, _ = run(capsys, "moments", "--comb", "linear", "--fn", "expdecay")
+        assert code == 0
+        assert "# error_slope=nan" in out.splitlines()
+
     def test_squares_carries_boundary_note(self, capsys):
         code, out, _ = run(capsys, "moments", "--comb", "squares", "--fn",
                            "gaussian", "--eps-decades", "1e-3:1e-2",

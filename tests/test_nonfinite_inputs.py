@@ -1,7 +1,8 @@
-"""Non-finite and one-sided inputs either return or raise a documented error.
+"""Non-finite, extreme and one-sided inputs either return or raise a
+documented error.
 
-The checks that once hung run in a subprocess with a timeout, so a
-regression fails the test instead of stalling the suite.
+The checks that once hung, and the trace fuzzing, run in a subprocess with a
+timeout, so a regression fails the test instead of stalling the suite.
 """
 
 import math
@@ -64,6 +65,45 @@ class TestNonFiniteTime:
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.split() == ["2"] * 4
         assert proc.stderr.count("tmin and tmax must be positive and finite") == 4
+
+
+TRACE_FUZZ = """
+import math
+from hypothesis import given, settings, strategies as st
+from spectrace import (cylinder_trace, cylinder_trace_derivative, heat_trace,
+                       interval_spectrum, product_spectrum, torus_spectrum)
+from spectrace.traces import ToleranceError
+
+SPECTRA = [
+    lambda: interval_spectrum(1.0, "dirichlet"),
+    lambda: interval_spectrum(0.3, "neumann"),
+    lambda: torus_spectrum(2.0),
+    lambda: product_spectrum(interval_spectrum(1.0, "neumann"), torus_spectrum(1.7)),
+]
+
+@settings(max_examples=150, deadline=None, database=None)
+@given(st.sampled_from(SPECTRA),
+       st.sampled_from([heat_trace, cylinder_trace, cylinder_trace_derivative]),
+       st.floats(min_value=1e-300, max_value=1e300),
+       st.floats(min_value=1e-300, max_value=1.0),
+       st.integers(min_value=1, max_value=10**7))
+def check(make, fn, t, tol, max_terms):
+    try:
+        sample = fn(make(), t, tol, max_terms)
+    except (ValueError, ToleranceError):
+        return
+    assert math.isfinite(sample.value) and sample.tail_bound <= tol, sample
+
+check()
+print("ok")
+"""
+
+
+class TestExtremeTraceInputs:
+    def test_traces_return_finite_or_raise_documented_errors(self):
+        # t in [1e-300, 1e300], tol in [1e-300, 1], max_terms in [1, 1e7]
+        proc = run_python(TRACE_FUZZ)
+        assert proc.returncode == 0 and proc.stdout.split() == ["ok"], proc.stderr
 
 
 class TestInfiniteCutoff:

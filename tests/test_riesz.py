@@ -1,6 +1,7 @@
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from spectrace import (
@@ -14,6 +15,7 @@ from spectrace import (
     weyl_remainder,
 )
 from spectrace.riesz import riesz_mean_grid
+from spectrace.spectra import _keys_up_to
 
 PI = math.pi
 INTERVAL = interval_spectrum(PI, "dirichlet")
@@ -76,6 +78,25 @@ class TestRieszMean:
         ref /= math.factorial(alpha) * x**alpha
         assert riesz_mean(s, alpha, variable, x).value == pytest.approx(
             ref, rel=64 * 2.0**-52, abs=0)
+
+    @pytest.mark.parametrize("variable, hi", [("lambda", 1e4), ("omega", 100.0)])
+    @pytest.mark.parametrize("alpha", [0, 1, 2, 3])
+    def test_grid_equals_per_point_np_sum(self, alpha, variable, hi):
+        # the grid forms its terms in a reused buffer and counts by a
+        # cumulative sum; both give the per-point np.sum bit for bit
+        s = product_spectrum(interval_spectrum(1.1, "dirichlet"), torus_spectrum(1.7))
+        keys, mults = _keys_up_to(s, variable, hi)
+        mults = mults.astype(float)
+        # unsorted, with a repeat, points below the first key and points that
+        # equal an eigenvalue
+        grid = [hi, 0.5, keys[0], keys[7], 3.3 * keys[0], keys[-1], hi / 3.0, keys[7]]
+        for mv, x in zip(riesz_mean_grid(s, alpha, variable, grid), grid):
+            idx = int(np.searchsorted(keys, x, side="right"))
+            want = 0.0
+            if idx:
+                want = float(np.sum(mults[:idx] * (x - keys[:idx]) ** alpha))
+                want /= math.factorial(alpha) * x**alpha
+            assert (mv.x, mv.value.hex()) == (x, want.hex())
 
     def test_smoothing_continuity_alpha1(self):
         # R^1 is continuous across an eigenvalue; N itself jumps
