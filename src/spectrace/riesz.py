@@ -35,6 +35,12 @@ _VARIABLES = ("lambda", "omega")
 DEFAULT_RANGES = {"lambda": (1e2, 1e4), "omega": (10.0, 1e2)}
 # orders fitted beyond s = alpha
 _GUARD_ORDERS = 1
+# consecutive terms per chunk of riesz_mean_grid's moment tables
+_CHUNK = 1024
+# riesz_mean_grid divides by x^alpha only while |log2 x^alpha| is below this,
+# far enough inside the float range that neither it nor the sum under- or
+# overflows
+_POW_BITS = 900.0
 
 
 @dataclass(frozen=True)
@@ -62,10 +68,20 @@ def riesz_mean_grid(s: Spectrum, alpha: int, variable: str,
 
     Evaluated from the closed form (partial power sums), not by quadrature:
     one enumeration to the largest grid point and one searchsorted for the
-    grid, then one np.sum per point over mult (x - x_n)^alpha, formed in a
-    buffer reused from point to point.  Every term is >= 0, so the pairwise
-    sum has no cancellation to lose digits to.  alpha = 0 reads a cumulative
-    count, exact while the count stays below 2^53.  Raises ValueError for an
+    grid.  alpha = 0 reads the cumulative count (_cumulative_count).  For
+    alpha >= 1 the sorted terms are cut into chunks of _CHUNK consecutive
+    terms; chunk c, with largest key a_c, keeps the moments
+    S[c, i] = sum mult (a_c - x_n)^i for i = 0..alpha, and by the binomial
+    theorem its share of the sum at any x >= a_c is
+    sum_i C(alpha, i) (x - a_c)^(alpha - i) S[c, i], a Horner polynomial in
+    x - a_c.  A point adds that over the chunks wholly at or below it and
+    np.sum of the fewer than _CHUNK terms past the last of them.  Every
+    quantity is >= 0, so nothing cancels and a mean stays within a few eps
+    of the correctly rounded one (the tests hold it to 64 eps).  Chunks start
+    at the first term, so a value depends only on x and the spectrum, never
+    on the rest of the grid: riesz_mean(x) is the same float.  Where x^alpha
+    lies outside 2^-900 .. 2^900, a point sums mult ((x - x_n) / x)^alpha
+    instead, which neither under- nor overflows.  Raises ValueError for an
     infinite grid point on a spectrum that does not end.
     """
     if variable not in _VARIABLES:
@@ -79,28 +95,73 @@ def riesz_mean_grid(s: Spectrum, alpha: int, variable: str,
         return []
     alpha = int(alpha)
     keys, mults = _keys_up_to(s, variable, max(grid))
-    mults = mults.astype(float)
-    idxs = np.searchsorted(keys, grid, side="right")
     if alpha == 0:
-        counts = np.concatenate([[0.0], np.cumsum(mults)])[idxs].tolist()
+        counts = _cumulative_count(keys, mults, grid).tolist()
         return [RieszMeanValue(alpha=0, variable=variable, x=x, value=n)
                 for x, n in zip(grid, counts)]
+    mults = mults.astype(float)
+    idxs = np.searchsorted(keys, grid, side="right").tolist()
+    chunks = max(idxs) // _CHUNK
+    coef = _chunk_moments(keys[:chunks * _CHUNK], mults[:chunks * _CHUNK], alpha)
+    anchors = keys[_CHUNK - 1:chunks * _CHUNK:_CHUNK]
+    gap, acc, terms = np.empty(chunks), np.empty(chunks), np.empty(_CHUNK - 1)
     fac = math.factorial(alpha)
-    buf = np.empty(int(idxs.max()))
     out = []
-    for x, idx in zip(grid, idxs.tolist()):
-        value = 0.0
-        if idx:
-            terms = buf[:idx]
-            np.subtract(x, keys[:idx], out=terms)
-            if alpha == 2:
-                np.square(terms, out=terms)
-            elif alpha > 2:
-                np.power(terms, alpha, out=terms)
-            terms *= mults[:idx]
-            value = float(np.sum(terms)) / (fac * x**alpha)
+    for x, idx in zip(grid, idxs):
+        if idx and not abs(alpha * math.log2(x)) < _POW_BITS:
+            # x^alpha would under- or overflow: sum the terms scaled by 1/x
+            scaled = np.power((x - keys[:idx]) / x, alpha) * mults[:idx]
+            out.append(RieszMeanValue(alpha=alpha, variable=variable, x=x,
+                                      value=float(np.sum(scaled)) / fac))
+            continue
+        q = idx // _CHUNK
+        head = 0.0
+        if q:
+            # the chunks at or below x, by Horner in x - a_c
+            y, h = gap[:q], acc[:q]
+            np.subtract(x, anchors[:q], out=y)
+            np.multiply(coef[0, :q], y, out=h)
+            h += coef[1, :q]
+            for row in coef[2:, :q]:
+                h *= y
+                h += row
+            head = float(np.sum(h))
+        # the terms past the last full chunk, term by term
+        start = q * _CHUNK
+        tail = terms[:idx - start]
+        np.subtract(x, keys[start:idx], out=tail)
+        if alpha == 2:
+            np.square(tail, out=tail)
+        elif alpha > 2:
+            np.power(tail, alpha, out=tail)
+        tail *= mults[start:idx]
+        value = (head + float(np.sum(tail))) / (fac * x**alpha) if idx else 0.0
         out.append(RieszMeanValue(alpha=alpha, variable=variable, x=x, value=value))
     return out
+
+
+def _chunk_moments(keys: np.ndarray, mults: np.ndarray, alpha: int) -> np.ndarray:
+    """C(alpha, i) S[c, i], shape (alpha + 1, chunks), for the keys cut into
+    chunks of _CHUNK: S[c, i] = sum mult (a_c - x_n)^i over chunk c, a_c its
+    largest key.  Each row sum depends on its own chunk alone.
+    """
+    keys = keys.reshape(-1, _CHUNK)
+    mults = mults.reshape(-1, _CHUNK)
+    gaps = keys[:, -1:] - keys
+    coef = np.empty((alpha + 1, keys.shape[0]))
+    coef[0] = mults.sum(axis=1)
+    term = mults
+    for i in range(1, alpha + 1):
+        term = term * gaps
+        coef[i] = math.comb(alpha, i) * term.sum(axis=1)
+    return coef
+
+
+def _cumulative_count(keys: np.ndarray, mults: np.ndarray, grid) -> np.ndarray:
+    """N at each grid point as a float array, from one searchsorted into the
+    cumulative multiplicities; exact while the count stays below 2^53."""
+    counts = np.concatenate([[0.0], np.cumsum(mults, dtype=np.float64)])
+    return counts[np.searchsorted(keys, grid, side="right")]
 
 
 def riesz_fit_basis(dim: int, alpha: int, variable: str,
@@ -219,11 +280,8 @@ def weyl_remainder(
     if not grid:
         return []
     omegas, mults = _keys_up_to(s, "omega", max(grid))
-    counts = np.concatenate([[0.0], np.cumsum(mults.astype(float))])
     out = []
-    for w in grid:
-        idx = int(np.searchsorted(omegas, w, side="right"))
-        n = counts[idx]
+    for w, n in zip(grid, _cumulative_count(omegas, mults, grid).tolist()):
         model = math.fsum(weyl_coeffs[k] * w ** (d - k) for k in range(M + 1))
-        out.append((w, float(n) - model))
+        out.append((w, n - model))
     return out

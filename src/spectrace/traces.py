@@ -16,9 +16,12 @@ Each trace enumerates once, up to the smallest cutoff at which the tail
 bound crediting no enumerated term is <= tol (solved to about 1/64 in
 x = t omega, or t omega^2 for heat).  Crediting the terms found can only
 lower the bound, so that enumeration certifies unless finite data end or the
-term budget caps the cutoff first (ToleranceError).  terms_used counts the
-distinct frequencies up to the cutoff; tail_bound is the bound there with
-them credited, <= tol and often well below it.
+term budget caps the cutoff first (ToleranceError).  A capped cutoff is
+checked before enumerating: if even the envelope's whole count up to it,
+credited, leaves the bound above tol, no enumeration can certify, and the
+ToleranceError carries the bound with nothing credited and terms_used 0.
+terms_used counts the distinct frequencies up to the cutoff; tail_bound is
+the bound there with them credited, <= tol and often well below it.
 """
 
 from __future__ import annotations
@@ -234,6 +237,11 @@ def _certified_trace(s: Spectrum, t: float, tol: float, kind: str,
     if budget_capped and c2 > 0:
         # a budget below C1 pays for no cutoff above 0
         w = (max(max_terms - c1, 0.0) / c2) ** (1.0 / d)
+        # no enumeration up to w can credit more than the envelope's count
+        # there, so when even that bound misses tol none can certify
+        if _tail_bound(kind, t, w, c1 + c2 * w**d, c1, c2, d) > tol:
+            raise _unreachable("term budget exhausted", tol,
+                               _tail_bound(kind, t, w, 0.0, c1, c2, d), 0)
     omegas, mults = s.arrays(w)
     n_seen = int(mults.sum())
     # envelope certifies an empty tail: nothing left to bound
@@ -245,11 +253,15 @@ def _certified_trace(s: Spectrum, t: float, tol: float, kind: str,
     if usable and bound <= tol:
         return TraceSample(t, _term_sum(kind, t, omegas, mults), bound, omegas.size)
     reason = "term budget exhausted" if budget_capped else "spectrum data exhausted"
-    raise ToleranceError(
+    raise _unreachable(reason, tol, bound, omegas.size)
+
+
+def _unreachable(reason: str, tol: float, bound: float, terms: int) -> ToleranceError:
+    return ToleranceError(
         f"{reason} before reaching tol={tol:g}; achieved tail bound "
-        f"{bound:g} with {omegas.size} terms",
+        f"{bound:g} with {terms} terms",
         achieved_bound=bound,
-        terms_used=omegas.size,
+        terms_used=terms,
     )
 
 

@@ -1,12 +1,13 @@
 import math
 from fractions import Fraction
 
-import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from spectrace import (
     counting,
     extract_riesz_coeffs,
+    finite_spectrum,
     geometric_grid,
     interval_spectrum,
     product_spectrum,
@@ -14,6 +15,7 @@ from spectrace import (
     torus_spectrum,
     weyl_remainder,
 )
+from spectrace import riesz
 from spectrace.riesz import riesz_mean_grid
 from spectrace.spectra import _keys_up_to
 
@@ -82,21 +84,33 @@ class TestRieszMean:
     @pytest.mark.parametrize("variable, hi", [("lambda", 1e4), ("omega", 100.0)])
     @pytest.mark.parametrize("alpha", [0, 1, 2, 3])
     def test_grid_equals_per_point_np_sum(self, alpha, variable, hi):
-        # the grid forms its terms in a reused buffer and counts by a
-        # cumulative sum; both give the per-point np.sum bit for bit
+        # every grid value is the one-point value at its x, bit for bit, and
+        # within 64 eps of the per-term math.fsum reference; the grid reaches
+        # about 6,700 terms, so it spans several chunks of the moment tables
         s = product_spectrum(interval_spectrum(1.1, "dirichlet"), torus_spectrum(1.7))
+        hi *= 9.0 if variable == "lambda" else 3.0
         keys, mults = _keys_up_to(s, variable, hi)
-        mults = mults.astype(float)
-        # unsorted, with a repeat, points below the first key and points that
-        # equal an eigenvalue
-        grid = [hi, 0.5, keys[0], keys[7], 3.3 * keys[0], keys[-1], hi / 3.0, keys[7]]
+        b = riesz._CHUNK
+        assert keys.size >= 3 * b
+        # unsorted, with a repeat, points below the first key, points that
+        # equal an eigenvalue, and the last and first keys of chunks
+        grid = [hi, 0.5, keys[0], keys[7], 3.3 * keys[0], keys[-1], hi / 3.0, keys[7],
+                keys[b - 1], keys[b], keys[2 * b - 1]]
+        terms = list(zip(keys.tolist(), mults.tolist()))
         for mv, x in zip(riesz_mean_grid(s, alpha, variable, grid), grid):
-            idx = int(np.searchsorted(keys, x, side="right"))
-            want = 0.0
-            if idx:
-                want = float(np.sum(mults[:idx] * (x - keys[:idx]) ** alpha))
-                want /= math.factorial(alpha) * x**alpha
-            assert (mv.x, mv.value.hex()) == (x, want.hex())
+            assert (mv.x, mv.value.hex()) == (x, riesz_mean(s, alpha, variable, x).value.hex())
+            ref = math.fsum(m * (x - k) ** alpha for k, m in terms if k <= x)
+            ref /= math.factorial(alpha) * x**alpha
+            assert mv.value == pytest.approx(ref, rel=64 * 2.0**-52, abs=0)
+
+    @pytest.mark.parametrize("x, alpha, want", [
+        (1e-200, 2, 0.5),  # x^2 underflows; only the zero mode is below x
+        (5e-324, 4, 1.0 / 24.0),
+        (1e300, 2, 1.5),  # x^2 overflows; (1 + 2 (1 - 1e-300)^2) / 2!
+    ])
+    def test_extreme_points_stay_in_range(self, x, alpha, want):
+        s = finite_spectrum(1, [(0.0, 1), (1.0, 2)])
+        assert riesz_mean(s, alpha, "omega", x).value == want
 
     def test_smoothing_continuity_alpha1(self):
         # R^1 is continuous across an eigenvalue; N itself jumps
@@ -113,6 +127,62 @@ class TestRieszMean:
             hi = riesz_mean(INTERVAL, 2, "lambda", x + h).value
             return (hi - lo) / (2 * h)
         assert abs(deriv(4.0 - 2 * h) - deriv(4.0 + 2 * h)) < 1e-3
+
+
+sizes = st.floats(min_value=0.5, max_value=3.0)
+lattices = st.one_of(
+    st.builds(interval_spectrum, sizes, st.sampled_from(["dirichlet", "neumann"])),
+    st.builds(torus_spectrum, sizes),
+)
+
+
+def finite_with_run(terms, run):
+    """The terms plus a run of count close frequencies w0, w0 + dw, ...,
+    each of multiplicity m."""
+    w0, dw, count, m = run
+    return finite_spectrum(1, sorted(terms + [(w0 + j * dw, m) for j in range(count)]))
+
+
+# 1-D lists with repeated frequencies and multiplicities up to 2^40, plus a
+# heavy run of 1,024 to 3,000 close ones: light terms below a heavy run make
+# the moments of a chunk anchored anywhere but at its top cancel
+finite_factors = st.builds(
+    finite_with_run,
+    st.lists(st.tuples(st.one_of(st.sampled_from([0.0, 1.0, 2.5, 7.0]), st.floats(0.0, 40.0)),
+                       st.integers(1, 2**40)), min_size=1, max_size=40),
+    st.tuples(st.floats(1.0, 40.0), st.floats(1e-6, 1e-2), st.integers(1024, 3000),
+              st.integers(2**30, 2**40)),
+)
+# a single zero mode: its product with a factor has that factor's frequencies
+point = st.builds(lambda m: finite_spectrum(1, [(0.0, m)]), st.integers(1, 2**20))
+
+
+class TestChunkedGrid:
+    @settings(max_examples=150, deadline=None)
+    @given(st.one_of(point, lattices), st.one_of(finite_factors, lattices), st.integers(1, 4),
+           st.sampled_from(["lambda", "omega"]), st.integers(900, 6000),
+           st.lists(st.floats(0.0, 1.0, exclude_min=True), max_size=6),
+           st.lists(st.integers(0, 2**20), max_size=6), st.data())
+    def test_grid_is_pointwise_and_near_fsum(self, a, b, alpha, variable, n, fracs,
+                                             picks, data):
+        # each value is the one-point value at its x, bit for bit, whatever
+        # else the grid holds, and within 64 eps of the per-term fsum (of the
+        # terms scaled by 1/x, which stays in range for subnormal x); the
+        # grid reaches up to the n-th key and its points include eigenvalues
+        # and the last key of every chunk
+        s = product_spectrum(a, b)
+        keys, mults = _keys_up_to(s, variable, 1.6e5 if variable == "lambda" else 400.0)
+        hi = float(keys[min(n, keys.size - 1)])
+        keys, mults = _keys_up_to(s, variable, hi)
+        points = [hi] + [u * hi for u in fracs] + [keys[p % keys.size] for p in picks]
+        points += keys[riesz._CHUNK - 1::riesz._CHUNK].tolist()
+        grid = data.draw(st.permutations([x for x in points if x > 0]))
+        terms = list(zip(keys.tolist(), mults.tolist()))
+        fac = math.factorial(alpha)
+        for mv, x in zip(riesz_mean_grid(s, alpha, variable, grid), grid):
+            assert mv.value == riesz_mean(s, alpha, variable, x).value
+            ref = math.fsum(m * ((x - k) / x) ** alpha for k, m in terms if k <= x)
+            assert mv.value == pytest.approx(ref / fac, rel=64 * 2.0**-52, abs=0)
 
 
 class TestExtraction:

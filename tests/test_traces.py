@@ -130,6 +130,21 @@ class TestCertification:
         assert err.value.achieved_bound > 1e-300
         assert err.value.terms_used <= 100
 
+    @pytest.mark.parametrize("kind", ["heat", "cylinder", "dcylinder"])
+    def test_budget_no_credit_can_meet_raises_before_enumerating(self, monkeypatch, kind):
+        # at t = 1e-300 even the envelope's whole count up to the budget's
+        # cutoff leaves a tail bound far above tol, so the trace raises
+        # without building the 10^7 terms the budget would pay for
+        def refuse(self, omega_max):
+            raise AssertionError(f"enumerated up to {omega_max:g}")
+
+        monkeypatch.setattr(Spectrum, "arrays", refuse)
+        with pytest.raises(ToleranceError) as err:
+            trace_grid(interval_spectrum(1.0, "dirichlet"), kind, [1e-300], 1.0, 10**7)
+        assert err.value.terms_used == 0
+        assert err.value.achieved_bound > 1.0
+        assert "term budget exhausted" in str(err.value)
+
     def test_loaded_without_envelope_warns_nan(self, tmp_path):
         p = tmp_path / "trunc.txt"
         p.write_text("dim 1\n" + "\n".join(f"{n} 1" for n in range(1, 200)) + "\n")
