@@ -15,12 +15,16 @@ differentiation could not deliver.
 
 from __future__ import annotations
 
+import itertools
 import math
 import operator
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional
+from functools import cached_property
+from typing import Callable, Optional
+
+import numpy as np
 
 from .invariants import zeta_neg_int
 
@@ -36,6 +40,24 @@ __all__ = [
 
 _MAX_DERIV = 12
 _EPS = sys.float_info.epsilon
+# comb indices per array evaluation, which bounds the memory of a long sum
+_COMB_CHUNK = 1 << 16
+
+
+def _exp(a: np.ndarray) -> np.ndarray:
+    """math.exp at every element of the 1-D array a.  Not np.exp: numpy's
+    SIMD loops may differ from math.exp in the last bit."""
+    return np.fromiter(map(math.exp, a.tolist()), dtype=np.float64, count=a.size)
+
+
+def _comb_sum(term: Callable[[np.ndarray], np.ndarray], first: int, last: int) -> float:
+    """math.fsum of term(n) over the integers n = first..last, with term
+    evaluated on float64 arrays of at most _COMB_CHUNK consecutive n.  fsum
+    rounds the exact total once, so the chunking cannot change the result."""
+    return math.fsum(itertools.chain.from_iterable(
+        term(np.arange(lo, min(lo + _COMB_CHUNK, last + 1), dtype=np.float64)).tolist()
+        for lo in range(first, last + 1, _COMB_CHUNK)
+    ))
 
 
 # ---------------------------------------------------------------------------
@@ -144,21 +166,39 @@ class TestFunction:
 
     # -- evaluation --------------------------------------------------------
 
-    def _base(self, u: float) -> float:
-        if self.kind == "gaussian":
-            return math.exp(-u * u)
-        if self.kind == "expdecay":
-            return math.exp(-u) if u > -700 else math.inf
-        if self.kind == "odd-gaussian":
-            return u * math.exp(-u * u)
-        lo, hi = self.support
-        prod = (u - lo) * (hi - u)
-        if prod <= 0.0:
-            return 0.0
-        return math.exp(-1.0 / prod)
+    def values(self, x) -> np.ndarray:
+        """f at every point of x (a number or a 1-D sequence), as a float64
+        array; g(x) is its one-point case.
+
+        Each element goes through the same IEEE operations, and the
+        exponentials are math.exp applied per element (np.exp may differ from
+        it in the last bit), so a value depends neither on the array it comes
+        in nor on numpy's SIMD dispatch.
+        """
+        return self._base(self.scale * np.array(x, dtype=np.float64, ndmin=1))
 
     def __call__(self, x: float) -> float:
-        return self._base(self.scale * x)
+        return self.values([x])[0].item()
+
+    def _base(self, u: np.ndarray) -> np.ndarray:
+        """The unscaled function at every point of u."""
+        if self.kind == "gaussian":
+            return _exp((-u) * u)
+        if self.kind == "expdecay":
+            # exp(-u) overflows from u = -710 on; exp(inf) = inf
+            return _exp(np.where(u > -700, -u, math.inf))
+        if self.kind == "odd-gaussian":
+            return u * _exp((-u) * u)
+        lo, hi = self.support
+        prod = (u - lo) * (hi - u)
+        out = np.zeros(u.shape)
+        inside = ~(prod <= 0.0)
+        out[inside] = _exp(-1.0 / prod[inside])
+        return out
+
+    def _base_at(self, u: float) -> float:
+        """The unscaled function at one point, for the scalar quadrature."""
+        return self._base(np.array([u]))[0].item()
 
     @property
     def support_interval(self) -> Optional[tuple[float, float]]:
@@ -190,22 +230,31 @@ class TestFunction:
         return 0.0  # bump vanishes identically near 0
 
     # -- integrals ---------------------------------------------------------
+    # each integral is computed once per instance: the bump ones cost a
+    # quadrature, and the expansions ask for them at every epsilon
 
     def integral(self) -> float:
         """int_0^inf f, closed form except for bump (tanh-sinh quadrature)."""
-        return self._base_integral() / self.scale
+        return self._integral
 
-    def _base_integral(self) -> float:
+    @cached_property
+    def _integral(self) -> float:
         if self.kind == "gaussian":
-            return math.sqrt(math.pi) / 2.0
-        if self.kind == "expdecay":
-            return 1.0
-        if self.kind == "odd-gaussian":
-            return 0.5
-        return self._quad(self._base)
+            base = math.sqrt(math.pi) / 2.0
+        elif self.kind == "expdecay":
+            base = 1.0
+        elif self.kind == "odd-gaussian":
+            base = 0.5
+        else:
+            base = self._quad(self._base_at)
+        return base / self.scale
 
     def integral_invsqrt(self) -> float:
         """int_0^inf f(x)/sqrt(x) dx."""
+        return self._integral_invsqrt
+
+    @cached_property
+    def _integral_invsqrt(self) -> float:
         if self.kind == "gaussian":
             base = math.gamma(0.25) / 2.0
         elif self.kind == "expdecay":
@@ -213,15 +262,19 @@ class TestFunction:
         elif self.kind == "odd-gaussian":
             base = math.gamma(0.75) / 2.0
         else:
-            base = self._quad(lambda u: self._base(u) / math.sqrt(u))
+            base = self._quad(lambda u: self._base_at(u) / math.sqrt(u))
         return base / math.sqrt(self.scale)
 
     def integral_over_x(self) -> float:
         """int_0^inf f(x)/x dx (scale invariant); requires f(0) = 0."""
+        return self._integral_over_x
+
+    @cached_property
+    def _integral_over_x(self) -> float:
         if self.kind == "odd-gaussian":
             return math.sqrt(math.pi) / 2.0
         if self.kind == "bump":
-            return self._quad(lambda u: self._base(u) / u)
+            return self._quad(lambda u: self._base_at(u) / u)
         raise ValueError(f"int f/x diverges for {self.kind} (f(0) != 0)")
 
     def _quad(self, fn) -> float:
@@ -256,7 +309,7 @@ class TestFunction:
         if c >= hi:
             return 0.0
         a = max(lo, c)
-        fine, coarse = _tanh_sinh(self._base, a, hi)
+        fine, coarse = _tanh_sinh(self._base_at, a, hi)
         # Discretisation: the rule's error falls doubly exponentially in 1/h,
         # so |fine - coarse| bounds the error of fine.  Rounding: node
         # positions are off by at most 3 eps hi, moving the sum by at most
@@ -267,7 +320,7 @@ class TestFunction:
         # than 1e-300 each.
         top = max(a, 0.5 * (lo + hi))
         p_top = (top - lo) * (hi - top)
-        f_top = self._base(top)
+        f_top = self._base_at(top)
         rounding = 16.0 * _EPS * f_top * (hi + (hi - a) / min(p_top, 1.0)) if f_top else 0.0
         return fine + abs(fine - coarse) + rounding + (hi - a) * 1e-300
 
@@ -313,31 +366,31 @@ def comb_pairing(kind: str, eps: float, g: TestFunction, tol: float = 1e-13) -> 
     if kind not in ("linear", "squares"):
         raise ValueError(f"kind must be 'linear' or 'squares', got {kind!r}")
 
+    # the sampled arguments, n eps or eps n^2, as the scalar formulas round them
+    if kind == "linear":
+        def term(n: np.ndarray) -> np.ndarray:
+            return g.values(n * eps)
+    else:
+        def term(n: np.ndarray) -> np.ndarray:
+            return g.values(eps * n * n)
+
     if g.kind == "bump":
         lo, hi = g.support_interval
         if kind == "linear":
             lo_n, hi_n = math.ceil(lo / eps), math.floor(hi / eps)
         else:
             lo_n, hi_n = math.ceil(math.sqrt(lo / eps)), math.floor(math.sqrt(hi / eps))
-        arg = (lambda n: n * eps) if kind == "linear" else (lambda n: eps * n * n)
-        return math.fsum(g(arg(n)) for n in range(max(lo_n, 1), hi_n + 1))
+        return _comb_sum(term, max(lo_n, 1), hi_n)
 
     if kind == "linear":
         def tail_after(n: int) -> float:
             return g.tail_integral(n * eps) / eps
-        def arg(n: int) -> float:
-            return n * eps
+        # first index beyond which |g| decreases along the sampled arguments
+        n_mono = int(math.ceil(g.monotone_from / eps)) + 1
     else:
         def tail_after(n: int) -> float:
             c = eps * n * n
             return g.tail_integral_invsqrt(c) / (2.0 * math.sqrt(eps))
-        def arg(n: int) -> float:
-            return eps * n * n
-
-    # first index beyond which |g| decreases along the sampled arguments
-    if kind == "linear":
-        n_mono = int(math.ceil(g.monotone_from / eps)) + 1
-    else:
         n_mono = int(math.ceil(math.sqrt(g.monotone_from / eps))) + 1
 
     n_stop = max(n_mono, 4)
@@ -345,7 +398,7 @@ def comb_pairing(kind: str, eps: float, g: TestFunction, tol: float = 1e-13) -> 
         n_stop *= 2
         if n_stop > 10**9:
             raise ValueError("comb pairing does not converge to the requested tolerance")
-    return math.fsum(g(arg(n)) for n in range(1, n_stop + 1))
+    return _comb_sum(term, 1, n_stop)
 
 
 # ---------------------------------------------------------------------------
@@ -408,22 +461,19 @@ def omega_comb_expansion(phi: TestFunction, eps: float, M: int) -> MomentExpansi
 
     root = math.sqrt(eps)
 
+    def term(n: np.ndarray) -> np.ndarray:
+        return (root / (2.0 * n)) * phi.values(root * n)
+
     if phi.kind == "bump":
         lo, hi = phi.support_interval
-        lo_n = max(1, math.ceil(lo / root))
-        hi_n = math.floor(hi / root)
-        lhs = math.fsum(
-            (root / (2.0 * n)) * phi(root * n) for n in range(lo_n, hi_n + 1)
-        )
+        lhs = _comb_sum(term, max(1, math.ceil(lo / root)), math.floor(hi / root))
     else:
         # term magnitude <= (sqrt(eps)/2) |phi(sqrt(eps) n)|, so the plain
         # linear-comb tail bound applies after dividing by sqrt(eps)
         n_stop = max(int(math.ceil(phi.monotone_from / root)) + 1, 4)
         while phi.tail_integral(n_stop * root) / 2.0 > 1e-15:
             n_stop *= 2
-        lhs = math.fsum(
-            (root / (2.0 * n)) * phi(root * n) for n in range(1, n_stop + 1)
-        )
+        lhs = _comb_sum(term, 1, n_stop)
 
     terms = [(root / 2.0) * phi.integral_over_x()]
     for n in range(M + 1):

@@ -160,8 +160,11 @@ def _chunk_moments(keys: np.ndarray, mults: np.ndarray, alpha: int) -> np.ndarra
 def _cumulative_count(keys: np.ndarray, mults: np.ndarray, grid) -> np.ndarray:
     """N at each grid point as a float array, from one searchsorted into the
     cumulative multiplicities; exact while the count stays below 2^53."""
-    counts = np.concatenate([[0.0], np.cumsum(mults, dtype=np.float64)])
-    return counts[np.searchsorted(keys, grid, side="right")]
+    idx = np.searchsorted(keys, grid, side="right")
+    out = np.zeros(idx.size)
+    hit = idx > 0
+    out[hit] = np.cumsum(mults, dtype=np.float64)[idx[hit] - 1]
+    return out
 
 
 def riesz_fit_basis(dim: int, alpha: int, variable: str,

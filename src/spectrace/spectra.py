@@ -10,8 +10,10 @@ lets the trace evaluators certify their truncation error.
 
 from __future__ import annotations
 
+import itertools
 import math
 import threading
+import warnings
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
 
@@ -249,7 +251,13 @@ def product_spectrum(a: Spectrum, b: Spectrum) -> Spectrum:
         rows = np.repeat(np.arange(la.size), counts)
         cols = np.arange(rows.size) - np.repeat(np.cumsum(counts) - counts, counts)
         lam = la[rows] + lb[cols]
-        mult = ma[rows] * mb[cols]
+        # every coalesced multiplicity is at most max(ma) max(mb) pairs; only
+        # where that bound passes the int64 limit are they summed exactly
+        exact = rows.size > 0 and int(ma.max()) * int(mb.max()) * rows.size > _MAX_MULT
+        if exact:
+            mult = ma[rows].astype(object) * mb[cols].astype(object)
+        else:
+            mult = ma[rows] * mb[cols]
         del rows, cols  # bounds peak memory on large products
         order = np.argsort(lam)
         lam = lam[order]
@@ -258,7 +266,13 @@ def product_spectrum(a: Spectrum, b: Spectrum) -> Spectrum:
         first = np.ones(lam.size, dtype=bool)
         first[1:] = lam[1:] != lam[:-1]
         starts = np.flatnonzero(first)
-        return np.sqrt(lam[starts]), np.add.reduceat(mult, starts)
+        mult = np.add.reduceat(mult, starts)
+        if exact:
+            top = max(mult)
+            if top > _MAX_MULT:
+                raise ValueError(f"product multiplicity {top} exceeds the int64 limit 2**63 - 1")
+            mult = mult.astype(np.int64)
+        return np.sqrt(lam[starts]), mult
 
     return Spectrum(
         dim=a.dim + b.dim,
@@ -314,17 +328,60 @@ def load_spectrum(path) -> Spectrum:
     line is "<omega> <multiplicity>" with omega nondecreasing.  The file is
     treated as a truncation of the true spectrum, so without an envelope line
     trace tail bounds cannot be certified.
+
+    The header is read line by line (_read_lines); the body, from the first
+    data line on, in one np.loadtxt pass (_read_body).  Where that pass fails
+    or finds a bad term, _read_lines reads the body instead: it names the
+    offending line and reads the tokens only Python accepts (1_000, non-ASCII
+    digits), so the result never depends on which reader ran.
     """
     with open(path, "r", encoding="utf-8") as fh:
-        raw_lines = fh.readlines()
+        lines = fh.readlines()
+    dim, envelope, body, _, _ = _read_lines(lines, header_only=True)
+    terms = _read_body(lines[body:])
+    if terms is None:
+        dim, envelope, _, *terms = _read_lines(lines, body, dim, envelope)
+    return _listed_spectrum(dim, f"file:{path}", envelope, *terms)
 
-    dim: Optional[int] = None
-    envelope: Optional[tuple[float, float]] = None
+
+def _read_body(lines: list[str]) -> Optional[Arrays]:
+    """(omegas, mults) of a file body in one np.loadtxt pass, or None when
+    loadtxt raises or warns (numpy 1.x reads "5.0" into an int column with a
+    DeprecationWarning), or a term breaks the grammar: NaN or negative omega,
+    multiplicity below 1, omega decreasing."""
+    if not lines:
+        # loadtxt warns on empty input
+        return np.empty(0), np.empty(0, dtype=np.int64)
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            table = np.loadtxt(lines, dtype=[("w", "f8"), ("m", "i8")],
+                               comments="#", ndmin=1)
+    except (ValueError, Warning):  # the per-line reader decides, and names the line
+        return None
+    omegas, mults = table["w"], table["m"]
+    if not (np.all(omegas >= 0) and np.all(mults >= 1) and np.all(np.diff(omegas) >= 0)):
+        return None
+    return omegas, mults
+
+
+def _read_lines(lines: Sequence[str], start: int = 0, dim: Optional[int] = None,
+                envelope: Optional[tuple[float, float]] = None, header_only: bool = False,
+                ) -> tuple[int, Optional[tuple[float, float]], int, list[float], list[int]]:
+    """The file grammar, one line at a time: the reference reader.
+
+    Reads lines[start:] (numbered from lines[0] = line 1), given the dim and
+    envelope of the header before start, and returns
+    (dim, envelope, stop, omegas, mults) with omegas and mults Python lists.
+    With header_only it stops at the first data line, whose index is stop;
+    otherwise stop = len(lines).  Raises SpectrumFormatError, naming the
+    line, at the first line that breaks the grammar.
+    """
     omegas: list[float] = []
     mults: list[int] = []
     prev_omega = -math.inf
 
-    for lineno, raw in enumerate(raw_lines, start=1):
+    for lineno, raw in enumerate(itertools.islice(lines, start, None), start=start + 1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
@@ -352,6 +409,8 @@ def load_spectrum(path) -> Spectrum:
                 raise SpectrumFormatError(f"envelope constants must be nonnegative at line {lineno}")
             envelope = (c1, c2)
             continue
+        if header_only:
+            return dim, envelope, lineno - 1, omegas, mults
         if len(fields) != 2:
             raise SpectrumFormatError(
                 f"expected '<omega> <multiplicity>' at line {lineno}, got {line!r}"
@@ -375,5 +434,4 @@ def load_spectrum(path) -> Spectrum:
 
     if dim is None:
         raise SpectrumFormatError("missing 'dim <d>' header (empty file)")
-
-    return _listed_spectrum(dim, f"file:{path}", envelope, omegas, mults)
+    return dim, envelope, len(lines), omegas, mults

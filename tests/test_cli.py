@@ -290,6 +290,15 @@ class TestLibraryErrorsExit2:
         assert err.startswith("spectrace: error: ")
         assert "Traceback" not in err
 
+    def test_product_multiplicity_past_int64_exits_2(self, capsys, tmp_path):
+        p = tmp_path / "heavy.txt"
+        p.write_text(f"dim 1\n1 {2**40}\n")
+        spec = f"product:(file:{p})x(file:{p})"
+        code, out, err = run(capsys, "riesz", "--spectrum", spec, "--xmin", "1", "--xmax", "10")
+        assert code == 2
+        assert out == ""
+        assert "2**63 - 1" in err
+
     @pytest.mark.parametrize("flag", [["--format", "csv"], ["--svg", "out.svg"]])
     def test_coeffs_rejects_trace_only_flags(self, capsys, flag):
         code, _, err = run(capsys, "coeffs", "--spectrum", INTERVAL_SPEC, *flag)

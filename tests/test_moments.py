@@ -1,8 +1,12 @@
+import contextlib
+import io
 import math
 from fractions import Fraction
+from unittest import mock
 
 import mpmath as mp
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from spectrace import (
     TestFunction as TF,
@@ -16,6 +20,7 @@ from spectrace import (
     squares_comb_expansion,
     zeta_neg_int,
 )
+from spectrace import cli, moments
 from spectrace.moments import quad
 
 PI = math.pi
@@ -173,6 +178,116 @@ class TestCombPairing:
             comb_pairing("cubes", 0.1, EXP)
         with pytest.raises(ValueError):
             comb_pairing("linear", -0.1, EXP)
+
+
+def reference_value(g, x):
+    """g(x) by the scalar formulas, one math call per point."""
+    u = g.scale * x
+    if g.kind == "gaussian":
+        return math.exp(-u * u)
+    if g.kind == "expdecay":
+        return math.exp(-u) if u > -700 else math.inf
+    if g.kind == "odd-gaussian":
+        return u * math.exp(-u * u)
+    lo, hi = g.support
+    prod = (u - lo) * (hi - u)
+    return math.exp(-1.0 / prod) if prod > 0.0 else 0.0
+
+
+@st.composite
+def smooth_functions(draw, kinds=("gaussian", "expdecay", "odd-gaussian", "bump"),
+                   scales=st.floats(1e-3, 1e3)):
+    kind = draw(st.sampled_from(kinds))
+    support = None
+    if kind == "bump":
+        lo = draw(st.floats(0.01, 5.0))
+        support = (lo, lo + draw(st.floats(0.01, 5.0)))
+    return TF(kind, support, draw(st.just(1.0) | scales))
+
+
+def _special_points(g):
+    """Points where the formulas switch branch: expdecay's overflow guard at
+    u = -700, and a bump's support ends, its middle and beyond."""
+    s = g.scale
+    points = [0.0, -699.0 / s, -700.0 / s, -701.0 / s, -1e4 / s]
+    if g.support is not None:
+        lo, hi = g.support
+        for edge in (lo, hi):
+            points += [edge, edge / s, math.nextafter(edge / s, math.inf),
+                       math.nextafter(edge / s, -math.inf)]
+        points += [(lo + hi) / (2.0 * s), 2.0 * hi / s, -lo / s]
+    return points
+
+
+def _comb_ranges(call):
+    """call() and the index ranges (first, last) it handed to _comb_sum."""
+    ranges = []
+    real = moments._comb_sum
+
+    def spy(term, first, last):
+        ranges.append((first, last))
+        return real(term, first, last)
+
+    with mock.patch.object(moments, "_comb_sum", spy):
+        return call(), ranges
+
+
+class TestArrayEvaluator:
+    """TestFunction.values is the one evaluator; it must agree bit for bit
+    with the scalar formulas evaluated one point at a time with math."""
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(g=smooth_functions(), data=st.data())
+    def test_matches_per_element_math(self, g, data):
+        xs = _special_points(g) + data.draw(st.lists(
+            st.floats(-1e3, 1e3, allow_nan=False, allow_infinity=False), max_size=20))
+        want = [reference_value(g, x).hex() for x in xs]
+        assert [v.hex() for v in g.values(xs).tolist()] == want
+        assert [g(x).hex() for x in xs] == want
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(g=smooth_functions(scales=st.floats(0.25, 4.0)), eps=st.floats(0.01, 0.5),
+           kind=st.sampled_from(("linear", "squares")))
+    def test_comb_pairing_is_fsum_of_reference(self, g, eps, kind):
+        got, ranges = _comb_ranges(lambda: comb_pairing(kind, eps, g))
+        ((first, last),) = ranges
+        assert first >= 1
+        arg = (lambda n: n * eps) if kind == "linear" else (lambda n: eps * n * n)
+        assert got == math.fsum(reference_value(g, arg(n)) for n in range(first, last + 1))
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(phi=smooth_functions(("odd-gaussian", "bump"), st.floats(0.25, 4.0)),
+           eps=st.floats(1e-4, 0.25))
+    def test_omega_comb_is_fsum_of_reference(self, phi, eps):
+        res, ranges = _comb_ranges(lambda: omega_comb_expansion(phi, eps, 2))
+        ((first, last),) = ranges
+        assert first >= 1
+        root = math.sqrt(eps)
+        assert res.lhs == math.fsum((root / (2.0 * n)) * reference_value(phi, root * n)
+                                    for n in range(first, last + 1))
+
+    def test_long_sums_are_chunked(self):
+        # 200k indices: several array evaluations, one fsum
+        got, ranges = _comb_ranges(lambda: comb_pairing("linear", 1e-3, EXP, tol=1e-80))
+        ((first, last),) = ranges
+        assert last > 3 * moments._COMB_CHUNK
+        assert got == math.fsum(reference_value(EXP, n * 1e-3) for n in range(first, last + 1))
+
+    @pytest.mark.parametrize("comb", ["linear", "squares", "omega"])
+    def test_moments_run_makes_one_quadrature_per_integral(self, comb):
+        # 16 epsilons, one bump integral each: int f, int f/sqrt(x) or int f/x
+        calls = []
+        real = moments.quad
+
+        def spy(fn, lo, hi):
+            calls.append((lo, hi))
+            return real(fn, lo, hi)
+
+        argv = ["moments", "--comb", comb, "--fn", "bump", "--support", "0.3", "0.9"]
+        with mock.patch.object(moments, "quad", spy), \
+                contextlib.redirect_stdout(io.StringIO()):
+            assert cli.main(argv) == 0
+        assert calls == [(0.3, 0.9)]
 
 
 class TestEulerMaclaurin:
