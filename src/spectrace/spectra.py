@@ -34,6 +34,8 @@ __all__ = [
 Arrays = tuple[np.ndarray, np.ndarray]
 # the largest multiplicity the int64 mults array can hold
 _MAX_MULT = int(np.iinfo(np.int64).max)
+# the largest finite float64, beyond which an eigenvalue omega^2 overflows
+_MAX_FLOAT = float(np.finfo(np.float64).max)
 
 
 class SpectrumFormatError(ValueError):
@@ -214,13 +216,21 @@ def _row_counts(la: np.ndarray, lb: np.ndarray, lam_max: float) -> np.ndarray:
     return counts
 
 
+def _commonest(mults: np.ndarray) -> int:
+    """The most frequent value of a nonempty multiplicity array."""
+    values, counts = np.unique(mults, return_counts=True)
+    return int(values[np.argmax(counts)])
+
+
 def product_spectrum(a: Spectrum, b: Spectrum) -> Spectrum:
     """Direct product: eigenvalues add (omega = sqrt(wa^2 + wb^2)),
     multiplicities multiply, dimensions add.
 
     Terms are ascending; terms whose computed eigenvalues collide as exactly
     equal floats are coalesced with summed multiplicity (tolerance 0 -- looser
-    coalescing would corrupt counts).
+    coalescing would corrupt counts).  Enumeration raises ValueError when a
+    multiplicity passes the int64 limit, or when a factor's omega^2 or a pair
+    sum inside the cutoff passes the float64 limit.
     """
     if a.envelope is not None and b.envelope is not None:
         c1a, c2a = a.envelope
@@ -244,35 +254,52 @@ def product_spectrum(a: Spectrum, b: Spectrum) -> Spectrum:
             lam_max = math.nextafter(lam_max, math.inf)
         wa, ma = a.arrays(omega_max)
         wb, mb = b.arrays(omega_max)
-        la = wa * wa
-        lb = wb * wb
-        # candidate pairs at exact size: row i takes the first counts[i] b-terms
-        counts = _row_counts(la, lb, lam_max)
-        rows = np.repeat(np.arange(la.size), counts)
-        cols = np.arange(rows.size) - np.repeat(np.cumsum(counts) - counts, counts)
-        lam = la[rows] + lb[cols]
+        # an overflow is an error, raised by value below, not a warning
+        with np.errstate(over="ignore"):
+            la = wa * wa
+            lb = wb * wb
+            for w, lw in ((wa, la), (wb, lb)):
+                if lw.size and not math.isfinite(lw[-1]):
+                    raise ValueError(f"factor eigenvalue omega^2 = {float(w[-1])!r}^2 exceeds "
+                                     f"the float64 limit {_MAX_FLOAT!r}")
+            # candidate pairs at exact size: row i takes the first counts[i] b-terms
+            counts = _row_counts(la, lb, lam_max)
+            rows = np.repeat(np.arange(la.size), counts)
+            cols = np.arange(rows.size) - np.repeat(np.cumsum(counts) - counts, counts)
+            lam = la[rows] + lb[cols]
+        if not lam.size:
+            return lam, np.empty(0, dtype=np.int64)
         # every coalesced multiplicity is at most max(ma) max(mb) pairs; only
         # where that bound passes the int64 limit are they summed exactly
-        exact = rows.size > 0 and int(ma.max()) * int(mb.max()) * rows.size > _MAX_MULT
-        if exact:
-            mult = ma[rows].astype(object) * mb[cols].astype(object)
-        else:
-            mult = ma[rows] * mb[cols]
-        del rows, cols  # bounds peak memory on large products
-        order = np.argsort(lam)
-        lam = lam[order]
-        mult = mult[order]
-        del order
+        exact = int(ma.max()) * int(mb.max()) * rows.size > _MAX_MULT
+        # pair (i, j) weighs ma[i] mb[j]; most pairs weigh base, the product of
+        # each factor's commonest multiplicity, so an eigenvalue's multiplicity
+        # is base times its number of pairs plus the excess of its odd pairs
+        pa, pb = _commonest(ma), _commonest(mb)
+        odd = np.flatnonzero(np.repeat(ma != pa, counts) | (mb != pb)[cols])
+        lam_odd = lam[odd]
+        ma_odd, mb_odd = ma[rows[odd]], mb[cols[odd]]
+        del rows, cols, odd  # bounds peak memory on large products
+        lam.sort()
+        if not math.isfinite(lam[-1]):
+            raise ValueError("a product eigenvalue, a pair sum of factor eigenvalues, "
+                             f"exceeds the float64 limit {_MAX_FLOAT!r}")
         first = np.ones(lam.size, dtype=bool)
         first[1:] = lam[1:] != lam[:-1]
         starts = np.flatnonzero(first)
-        mult = np.add.reduceat(mult, starts)
+        lam = lam[starts]
+        runs = np.diff(starts, append=first.size)
+        if exact:
+            runs, ma_odd, mb_odd = runs.astype(object), ma_odd.astype(object), mb_odd.astype(object)
+        base = pa * pb
+        mult = runs * base
+        np.add.at(mult, np.searchsorted(lam, lam_odd), ma_odd * mb_odd - base)
         if exact:
             top = max(mult)
             if top > _MAX_MULT:
                 raise ValueError(f"product multiplicity {top} exceeds the int64 limit 2**63 - 1")
             mult = mult.astype(np.int64)
-        return np.sqrt(lam[starts]), mult
+        return np.sqrt(lam), mult
 
     return Spectrum(
         dim=a.dim + b.dim,

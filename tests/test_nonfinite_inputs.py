@@ -9,6 +9,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import pytest
@@ -184,3 +185,44 @@ class TestNanFrequency:
     def test_finite_spectrum_rejects_nan(self, terms):
         with pytest.raises(ValueError, match="omega >= 0"):
             finite_spectrum(1, terms)
+
+
+def big_times_one():
+    return product_spectrum(finite_spectrum(1, [(1e200, 1)]), finite_spectrum(1, [(1.0, 1)]))
+
+
+class TestSquaredFrequencyOverflow:
+    """A product squares its factors' omegas; a square or pair sum past the
+    float64 limit raises ValueError (and warns nothing) instead of dropping
+    the term or returning omega = inf."""
+
+    @pytest.mark.parametrize("omega_max", [1e300, math.inf])
+    def test_factor_square_past_float64_raises(self, omega_max):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=r"1e\+200\^2 exceeds the float64 limit"):
+                big_times_one().arrays(omega_max)
+
+    def test_pair_sum_past_float64_raises(self):
+        # 1e154^2 = 1e308 is finite, the pair sum 2e308 is not
+        s = product_spectrum(finite_spectrum(1, [(1e154, 1)]), finite_spectrum(1, [(1e154, 1)]))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="pair sum of factor eigenvalues, exceeds the float64 limit"):
+                s.arrays(math.inf)
+
+    def test_terms_below_the_overflow_still_enumerate(self):
+        assert big_times_one().up_to(1.0) == []
+        s = product_spectrum(finite_spectrum(1, [(1.0, 1), (1e200, 1)]),
+                             finite_spectrum(1, [(1.0, 1)]))
+        assert s.up_to(2.0) == [(math.sqrt(2.0), 1)]
+
+    def test_riesz_cli_exits_2(self, capsys, tmp_path):
+        (tmp_path / "big.spec").write_text("dim 1\nenvelope 1 0\n1e200 1\n")
+        (tmp_path / "one.spec").write_text("dim 1\nenvelope 1 0\n1 1\n")
+        spec = f"product:(file:{tmp_path / 'big.spec'})x(file:{tmp_path / 'one.spec'})"
+        code = main(["riesz", "--spectrum", spec, "--variable", "omega", "--alpha", "0",
+                     "--xmin", "1", "--xmax", "1e300"])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert "float64 limit" in captured.err

@@ -79,7 +79,54 @@ class TestRowCounts:
             assert _row_counts(la, lb, lam_max).tolist() == want
 
 
+# multiplicities of the finite factors below: a light pool, and the heavy
+# values that send a product down the exact (Python int) path
+LIGHT_MULTS = [1, 2, 3, 7]
+HEAVY_MULTS = [2**22, 2**40]
+
+
+@st.composite
+def finite_factors(draw, heavy=False):
+    """A finite factor built to stress the multiplicity rule: omegas on a
+    grid whose squared sums collide (0 included, repeats allowed), and
+    multiplicities mostly one bulk value, which need not be the smallest or
+    the only commonest one."""
+    pool = LIGHT_MULTS + (HEAVY_MULTS if heavy else [])
+    scale = draw(st.sampled_from([1.0, 0.5, math.sqrt(2.0)]))
+    steps = draw(st.lists(st.integers(0, 7), max_size=12))
+    bulk = draw(st.sampled_from(pool))
+    mults = [draw(st.sampled_from([bulk, bulk] + pool)) for _ in steps]
+    return finite_spectrum(1, [(k * scale, m) for k, m in zip(sorted(steps), mults)])
+
+
+@st.composite
+def finite_products(draw):
+    heavy = draw(st.booleans())
+    if draw(st.booleans()):
+        # a nested product as the first factor
+        a = product_spectrum(draw(finite_factors()), draw(finite_factors()))
+    else:
+        a = draw(finite_factors(heavy=heavy))
+    return a, draw(finite_factors(heavy=heavy))
+
+
 class TestProductMatchesDoubleLoop:
+    @settings(max_examples=300, deadline=None)
+    @given(finite_products(),
+           st.one_of(st.just(math.inf), st.floats(min_value=0.0, max_value=15.0)))
+    def test_finite_factors_equal_brute_force(self, factors, omega_max):
+        # the multiplicity of a product eigenvalue is base x (its number of
+        # pairs) plus the excess of the pairs that do not weigh base; these
+        # factors make both parts, their collisions and the exact path occur
+        a, b = factors
+        expected = brute_force_product(a.up_to(omega_max), b.up_to(omega_max), omega_max)
+        s = product_spectrum(a, b)
+        if any(m > 2**63 - 1 for _, m in expected):
+            with pytest.raises(ValueError, match=r"2\*\*63 - 1"):
+                s.arrays(omega_max)
+        else:
+            assert s.up_to(omega_max) == expected
+
     @settings(max_examples=60, deadline=None)
     @given(products(), st.floats(min_value=0.0, max_value=60.0))
     def test_terms_equal_brute_force(self, factors, omega_max):
