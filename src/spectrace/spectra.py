@@ -36,6 +36,9 @@ Arrays = tuple[np.ndarray, np.ndarray]
 _MAX_MULT = int(np.iinfo(np.int64).max)
 # the largest finite float64, beyond which an eigenvalue omega^2 overflows
 _MAX_FLOAT = float(np.finfo(np.float64).max)
+# the share of a product's pairs that may be odd (weigh other than the
+# commonest weight) before it sorts pair indices instead of pair values
+_ODD_SHARE_MAX = 0.15
 
 
 class SpectrumFormatError(ValueError):
@@ -254,14 +257,12 @@ def product_spectrum(a: Spectrum, b: Spectrum) -> Spectrum:
             lam_max = math.nextafter(lam_max, math.inf)
         wa, ma = a.arrays(omega_max)
         wb, mb = b.arrays(omega_max)
-        # an overflow is an error, raised by value below, not a warning
-        with np.errstate(over="ignore"):
+        # an overflow is an error, raised by value below, not a warning: an
+        # infinite factor square admits its pairs (inf - inf is NaN, which
+        # searchsorted places last), so it shows as the largest pair sum
+        with np.errstate(over="ignore", invalid="ignore"):
             la = wa * wa
             lb = wb * wb
-            for w, lw in ((wa, la), (wb, lb)):
-                if lw.size and not math.isfinite(lw[-1]):
-                    raise ValueError(f"factor eigenvalue omega^2 = {float(w[-1])!r}^2 exceeds "
-                                     f"the float64 limit {_MAX_FLOAT!r}")
             # candidate pairs at exact size: row i takes the first counts[i] b-terms
             counts = _row_counts(la, lb, lam_max)
             rows = np.repeat(np.arange(la.size), counts)
@@ -276,24 +277,42 @@ def product_spectrum(a: Spectrum, b: Spectrum) -> Spectrum:
         # each factor's commonest multiplicity, so an eigenvalue's multiplicity
         # is base times its number of pairs plus the excess of its odd pairs
         pa, pb = _commonest(ma), _commonest(mb)
-        odd = np.flatnonzero(np.repeat(ma != pa, counts) | (mb != pb)[cols])
-        lam_odd = lam[odd]
-        ma_odd, mb_odd = ma[rows[odd]], mb[cols[odd]]
-        del rows, cols, odd  # bounds peak memory on large products
-        lam.sort()
+        odd_a, odd_b = ma != pa, mb != pb
+        # row i holds counts[i] odd pairs if ma[i] is odd, else as many as odd
+        # b-terms in its prefix; where many pairs are odd, the excess costs
+        # more than sorting indices and summing every pair's weight
+        odd_b_before = np.concatenate(([0], np.cumsum(odd_b)))
+        n_odd = int(np.where(odd_a, counts, odd_b_before[counts]).sum())
+        by_index = n_odd > _ODD_SHARE_MAX * lam.size
+        if by_index:
+            w = ma[rows] * mb[cols] if not exact else ma[rows].astype(object) * mb[cols].astype(object)
+            del rows, cols  # bounds peak memory on large products
+            order = np.argsort(lam)
+            lam = lam[order]
+            w = w[order]
+            del order
+        else:
+            odd = np.flatnonzero(np.repeat(odd_a, counts) | odd_b[cols])
+            lam_odd = lam[odd]
+            ma_odd, mb_odd = ma[rows[odd]], mb[cols[odd]]
+            del rows, cols, odd
+            lam.sort()
         if not math.isfinite(lam[-1]):
-            raise ValueError("a product eigenvalue, a pair sum of factor eigenvalues, "
+            raise ValueError("a product eigenvalue (a factor's omega^2, or a pair sum of them) "
                              f"exceeds the float64 limit {_MAX_FLOAT!r}")
         first = np.ones(lam.size, dtype=bool)
         first[1:] = lam[1:] != lam[:-1]
         starts = np.flatnonzero(first)
         lam = lam[starts]
-        runs = np.diff(starts, append=first.size)
-        if exact:
-            runs, ma_odd, mb_odd = runs.astype(object), ma_odd.astype(object), mb_odd.astype(object)
-        base = pa * pb
-        mult = runs * base
-        np.add.at(mult, np.searchsorted(lam, lam_odd), ma_odd * mb_odd - base)
+        if by_index:
+            mult = np.add.reduceat(w, starts)
+        else:
+            runs = np.diff(starts, append=first.size)
+            if exact:
+                runs, ma_odd, mb_odd = runs.astype(object), ma_odd.astype(object), mb_odd.astype(object)
+            base = pa * pb
+            mult = runs * base
+            np.add.at(mult, np.searchsorted(lam, lam_odd), ma_odd * mb_odd - base)
         if exact:
             top = max(mult)
             if top > _MAX_MULT:

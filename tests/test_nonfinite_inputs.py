@@ -200,7 +200,7 @@ class TestSquaredFrequencyOverflow:
     def test_factor_square_past_float64_raises(self, omega_max):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            with pytest.raises(ValueError, match=r"1e\+200\^2 exceeds the float64 limit"):
+            with pytest.raises(ValueError, match=r"omega\^2, or a pair sum of them\) exceeds the float64 limit"):
                 big_times_one().arrays(omega_max)
 
     def test_pair_sum_past_float64_raises(self):
@@ -208,7 +208,7 @@ class TestSquaredFrequencyOverflow:
         s = product_spectrum(finite_spectrum(1, [(1e154, 1)]), finite_spectrum(1, [(1e154, 1)]))
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            with pytest.raises(ValueError, match="pair sum of factor eigenvalues, exceeds the float64 limit"):
+            with pytest.raises(ValueError, match="exceeds the float64 limit"):
                 s.arrays(math.inf)
 
     def test_terms_below_the_overflow_still_enumerate(self):

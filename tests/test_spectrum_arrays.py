@@ -15,6 +15,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from spectrace import finite_spectrum, interval_spectrum, product_spectrum, torus_spectrum
+from spectrace import spectra
 from spectrace.spectra import _row_counts
 from spectrace.traces import _exp_safe, _term_sum
 
@@ -111,21 +112,28 @@ def finite_products(draw):
 
 
 class TestProductMatchesDoubleLoop:
+    # an odd-share limit below 0 sends every product down the index sort,
+    # one above 1 every product down the value sort with the excess step
+    @pytest.mark.parametrize("odd_share_max", [-1.0, 2.0], ids=["by_index", "by_value"])
     @settings(max_examples=300, deadline=None)
     @given(finite_products(),
            st.one_of(st.just(math.inf), st.floats(min_value=0.0, max_value=15.0)))
-    def test_finite_factors_equal_brute_force(self, factors, omega_max):
+    def test_finite_factors_equal_brute_force(self, odd_share_max, factors, omega_max):
         # the multiplicity of a product eigenvalue is base x (its number of
         # pairs) plus the excess of the pairs that do not weigh base; these
         # factors make both parts, their collisions and the exact path occur
         a, b = factors
         expected = brute_force_product(a.up_to(omega_max), b.up_to(omega_max), omega_max)
         s = product_spectrum(a, b)
-        if any(m > 2**63 - 1 for _, m in expected):
-            with pytest.raises(ValueError, match=r"2\*\*63 - 1"):
-                s.arrays(omega_max)
-        else:
-            assert s.up_to(omega_max) == expected
+        default, spectra._ODD_SHARE_MAX = spectra._ODD_SHARE_MAX, odd_share_max
+        try:
+            if any(m > 2**63 - 1 for _, m in expected):
+                with pytest.raises(ValueError, match=r"2\*\*63 - 1"):
+                    s.arrays(omega_max)
+            else:
+                assert s.up_to(omega_max) == expected
+        finally:
+            spectra._ODD_SHARE_MAX = default
 
     @settings(max_examples=60, deadline=None)
     @given(products(), st.floats(min_value=0.0, max_value=60.0))
