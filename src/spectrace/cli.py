@@ -1,9 +1,9 @@
 """Command-line front end for spectrace.
 
 Subcommands: trace (sample a kernel over a t-grid), coeffs (fit expansion
-coefficients from a trace grid), verify (run the full coefficient-relation
-pipeline and print a pass/fail table), moments (comb expansion studies),
-riesz (Riesz-mean samples, fits, and Weyl remainders).
+coefficients from a trace grid), verify (print the pass/fail table of the
+coefficient-relation pipeline in spectrace.verify), moments (comb expansion
+studies), riesz (Riesz-mean samples, fits, and Weyl remainders).
 
 Exit codes: 0 success, 1 verification failure, 2 usage/config error,
 3 numerical failure.  Identical configurations produce byte-identical
@@ -17,31 +17,13 @@ import argparse
 import json
 import math
 import sys
-from fractions import Fraction
 from typing import Optional, Sequence
 
 import numpy as np
 
 from . import __version__
-from .fitkit import (
-    FitReport,
-    IllConditionedBasisError,
-    cylinder_basis,
-    dcylinder_basis,
-    detect_log_term,
-    fit_expansion,
-    geometric_grid,
-    heat_basis,
-)
-from .invariants import (
-    AsymptoticExpansion,
-    ExpansionTerm,
-    casimir_energy,
-    expansion_to_json,
-    heat_to_cylinder,
-    riesz_to_cylinder,
-    riesz_to_heat,
-)
+from .fitkit import IllConditionedBasisError, geometric_grid
+from .invariants import expansion_to_json
 from .moments import (
     TestFunction,
     euler_maclaurin_expansion,
@@ -52,7 +34,6 @@ from .moments import (
 from .riesz import (
     DEFAULT_RANGES,
     extract_riesz_coeffs,
-    riesz_fit_basis,
     riesz_mean_grid,
     weyl_remainder,
 )
@@ -64,6 +45,7 @@ from .spectra import (
     torus_spectrum,
 )
 from .traces import ToleranceError, trace_grid
+from .verify import expansion_from_fit, fit_trace, run_verification
 
 EXIT_OK = 0
 EXIT_VERIFY_FAILED = 1
@@ -282,31 +264,14 @@ def cmd_trace(args) -> int:
     return EXIT_OK
 
 
-def _fit_trace_expansion(spectrum, kernel, ts, tol, orders, max_terms,
-                         include_logs=False) -> tuple[FitReport, list]:
-    samples = trace_grid(spectrum, kernel, ts, tol, max_terms)
-    anchor = math.sqrt(ts[0] * ts[-1])
-    d = spectrum.dim
-    if kernel == "heat":
-        basis = heat_basis(d, orders, anchor)
-    elif kernel == "cylinder":
-        basis = cylinder_basis(d, orders, anchor, include_logs=include_logs)
-    else:
-        basis = dcylinder_basis(d, orders, anchor)
-    report = fit_expansion([(s.t, s.value) for s in samples], basis)
-    return report, samples
-
-
 def cmd_coeffs(args) -> int:
     _validate_grid_args(args)
     if args.orders < 1:
         raise UsageError("orders must be >= 1")
     spectrum = parse_spectrum_spec(args.spectrum)
     ts = geometric_grid(args.tmin, args.tmax, args.points)
-    report, _ = _fit_trace_expansion(
-        spectrum, args.kernel, ts, args.tol, args.orders, args.max_terms,
-        include_logs=args.with_logs,
-    )
+    report, _ = fit_trace(spectrum, args.kernel, ts, args.tol, args.orders, args.max_terms,
+                          include_logs=args.with_logs)
     payload = {"kernel": args.kernel, "dim": spectrum.dim,
                "fit_report": report.to_json_dict(),
                "expansion": expansion_to_json(expansion_from_fit(spectrum.dim, report))}
@@ -317,218 +282,6 @@ def cmd_coeffs(args) -> int:
 # ---------------------------------------------------------------------------
 # verify
 # ---------------------------------------------------------------------------
-
-class VerifyRow:
-    def __init__(self, name: str, computed, expected, tol: float, note: str = ""):
-        self.name = name
-        self.computed = computed
-        self.expected = expected
-        self.tol = tol
-        self.note = note
-        if expected is None:
-            self.delta = math.nan
-            self.passed = True
-        else:
-            self.delta = abs(computed - expected)
-            self.passed = self.delta <= tol
-
-    def line(self) -> str:
-        status = "PASS" if self.passed else "FAIL"
-        exp = "---" if self.expected is None else f"{self.expected:+.8e}"
-        comp = f"{self.computed:+.8e}" if isinstance(self.computed, float) else str(self.computed)
-        delta = "" if self.expected is None else f" delta={self.delta:.2e} tol={self.tol:.1e}"
-        note = f"  [{self.note}]" if self.note else ""
-        return f"{status}  {self.name:<38} {comp}  vs {exp}{delta}{note}"
-
-
-def _first_positive_omega(s: Spectrum) -> float:
-    w = 1.0
-    for _ in range(60):
-        omegas, _mults = s.arrays(w)
-        positive = omegas[omegas > 0]
-        if positive.size:
-            return float(positive[0])
-        w *= 4.0
-    raise UsageError("could not find a positive eigenfrequency")
-
-
-def _recipe_energy(s: Spectrum) -> Optional[float]:
-    label = s.label
-    if label.startswith("interval:"):
-        length = float(label.split("length=")[1].split(":")[0])
-        return -math.pi / (24.0 * length)
-    if label.startswith("torus:"):
-        circ = float(label.split("circumference=")[1].split(":")[0])
-        return -math.pi / (6.0 * circ)
-    return None
-
-
-def expansion_from_fit(dim: int, report: FitReport) -> AsymptoticExpansion:
-    terms = tuple(
-        ExpansionTerm(p, q, c, "fitted")
-        for (p, q), c in zip(report.basis.terms, report.coefficients)
-    )
-    return AsymptoticExpansion(dim, terms)
-
-
-def run_verification(spectrum: Spectrum, orders: int = 4, points: int = 64,
-                     tol: float = 1e-13, max_terms: int = 10_000_000) -> list[VerifyRow]:
-    """Fit all coefficient families for one spectrum and check every relation."""
-    if spectrum.envelope is None:
-        raise UsageError(
-            "verification refused: spectrum supplies no envelope constants, so "
-            "trace truncation cannot be certified (add an 'envelope C1 C2' line)"
-        )
-    if not (max_terms >= 1):
-        raise ValueError(f"max_terms must be at least 1, got {max_terms}")
-    d = spectrum.dim
-    w1 = _first_positive_omega(spectrum)
-    rows: list[VerifyRow] = []
-
-    # verify's window policy: no sample below the time at which the envelope
-    # count out to x0/t (cylinder) or x0/t in lambda (heat) exceeds the term
-    # cap.  Each trace solves for its own, smaller cutoff; x0 = 80 and the cap
-    # only place the windows.  A budget no larger than C1 pays for no cutoff,
-    # so the windows stay nominal and the first trace reports the
-    # unreachable tolerance.
-    c1, c2 = spectrum.envelope
-    cap = min(max_terms, 400_000)
-    x0 = 80.0
-    if c2 > 0 and cap > c1:
-        w_cap = ((cap - c1) / c2) ** (1.0 / d)
-        t_cyl_floor = x0 / w_cap
-        t_heat_floor = x0 / w_cap**2
-    else:
-        t_cyl_floor = t_heat_floor = 0.0
-    if spectrum.truncated_at is not None and spectrum.truncated_at > 0:
-        # a finite term list cannot certify below these times
-        t_cyl_floor = max(t_cyl_floor, x0 / spectrum.truncated_at)
-        t_heat_floor = max(t_heat_floor, x0 / spectrum.truncated_at**2)
-    cyl_lo = max(1e-3 / w1, t_cyl_floor)
-    cyl_hi = max(0.1 / w1, 8.0 * cyl_lo)
-    heat_lo = max(1e-4 / (w1 * w1), t_heat_floor)
-    heat_hi = max(0.1 / (w1 * w1), 8.0 * heat_lo)
-    cyl_ts = geometric_grid(cyl_lo, cyl_hi, points)
-    heat_ts = geometric_grid(heat_lo, heat_hi, points)
-
-    heat_fit, _ = _fit_trace_expansion(spectrum, "heat", heat_ts, tol, orders, max_terms)
-    cyl_fit, cyl_samples = _fit_trace_expansion(spectrum, "cylinder", cyl_ts, tol, orders, max_terms)
-    dcyl_fit, _ = _fit_trace_expansion(spectrum, "dcylinder", cyl_ts, tol, orders + 1, max_terms)
-
-    heat_exp = expansion_from_fit(d, heat_fit)
-    cyl_from_heat = heat_to_cylinder(heat_exp)
-
-    # power-coefficient relations: e_s from b_s against directly fitted e_s.
-    # Tolerances carry the fits' own jackknife spreads, so a coarse window
-    # (forced by the term budget in higher dimension) widens them honestly
-    # while d=1 spectra run at the nominal figures.
-    for s in range(orders + 1):
-        p = Fraction(s - d)
-        via = cyl_from_heat.term(p, 0)
-        if via is None:
-            continue
-        direct = cyl_fit.coefficient(p, 0)
-        if via.status == "undetermined":
-            rows.append(VerifyRow(
-                f"e_{s} undetermined by heat side", direct, None, 0.0,
-                note="new invariant; reported from direct fit only"))
-            continue
-        slack = 10.0 * (cyl_fit.spread(p, 0) + heat_fit.spread(Fraction(s - d, 2), 0))
-        rows.append(VerifyRow(
-            f"e_{s} = 2^(d-s) Gamma((d-s+1)/2) b_{s}/sqrt(pi)",
-            float(via.coefficient), direct, 1e-5 * max(1.0, abs(direct)) + slack))
-
-    # log coefficients implied by the heat side must be tiny here
-    for s in range(orders + 1):
-        p = Fraction(s - d)
-        via = cyl_from_heat.term(p, 1)
-        if via is not None:
-            slack = 10.0 * heat_fit.spread(Fraction(s - d, 2), 0)
-            rows.append(VerifyRow(
-                f"f_{s} from b_{s}", float(via.coefficient), 0.0, 1e-6 + slack))
-
-    # index-term checks
-    det = detect_log_term(
-        [(s.t, s.value) for s in cyl_samples],
-        Fraction(0),
-        cylinder_basis(d, orders, math.sqrt(cyl_ts[0] * cyl_ts[-1])),
-    )
-    rows.append(VerifyRow(
-        "no log t at t^0 in Tr T", det.magnitude, 0.0,
-        1e-6 + 10.0 * det.coefficient_spread if not det.present else 0.0,
-        note="detector says absent" if not det.present else "detector says PRESENT"))
-
-    rows.append(VerifyRow(
-        "no t^-1 in dTrT/dt", dcyl_fit.coefficient(Fraction(-1), 0), 0.0,
-        1e-8 + 10.0 * dcyl_fit.spread(Fraction(-1), 0)))
-
-    # vacuum energy
-    cyl_exp = expansion_from_fit(d, cyl_fit)
-    try:
-        energy = casimir_energy(cyl_exp)
-        expected = _recipe_energy(spectrum)
-        if expected is not None:
-            tol_e = 1e-4 * max(abs(expected), 1e-3) + 5.0 * cyl_fit.spread(Fraction(1), 0)
-        else:
-            tol_e = 0.0
-        rows.append(VerifyRow("casimir energy -e_(d+1)/2", energy, expected, tol_e,
-                              note="" if expected is not None else "no closed form for this recipe"))
-    except ValueError:
-        rows.append(VerifyRow("casimir energy -e_(d+1)/2", math.nan, None, 0.0,
-                              note="expansion too shallow for s=d+1"))
-
-    # Riesz relations (diagonal coefficients only); the fits are limited by
-    # spectral oscillation, so these rows run at a looser tolerance than the
-    # trace-to-trace relations above
-    lam_grid = geometric_grid(1e2 * w1 * w1, 1e6 * w1 * w1, 128)
-    om_grid = geometric_grid(10.0 * w1, 100.0 * w1, 128)
-    riesz_tol = 2e-2 if d == 1 else 5e-2
-
-    a_diag = []
-    for alpha in range(min(2, orders) + 1):
-        rep = extract_riesz_coeffs(spectrum, alpha, "lambda", grid=lam_grid)
-        a_diag.append(rep.coefficient(Fraction(d - alpha, 2), 0))
-    heat_from_riesz = riesz_to_heat(a_diag, d)
-    for s, _a in enumerate(a_diag):
-        via = heat_from_riesz.term(Fraction(s - d, 2), 0)
-        direct = heat_fit.coefficient(Fraction(s - d, 2), 0)
-        rows.append(VerifyRow(
-            f"b_{s} = Gamma((d+{s})/2+1) a_{s}{s}/{s}!",
-            float(via.coefficient), direct, riesz_tol * max(1.0, abs(direct))))
-
-    c_diag, d_diag = [], []
-    for alpha in range(min(2, orders) + 1):
-        anchor = math.sqrt(om_grid[0] * om_grid[-1])
-        base = riesz_fit_basis(d, alpha, "omega", anchor, include_logs=False)
-        ds_val = 0.0
-        p_diag = Fraction(d - alpha)
-        if alpha - d > 0 and (alpha - d) % 2 == 1:
-            # decide the log coefficient by detection before trusting a fit
-            samples = [(mv.x, math.factorial(alpha) * mv.value)
-                       for mv in riesz_mean_grid(spectrum, alpha, "omega", om_grid)]
-            det_r = detect_log_term(samples, p_diag, base)
-            rep = det_r.with_log if det_r.present else det_r.without_log
-            if det_r.present:
-                ds_val = rep.coefficient(p_diag, 1)
-        else:
-            rep = extract_riesz_coeffs(spectrum, alpha, "omega", grid=om_grid,
-                                       basis=base)
-        c_diag.append(rep.coefficient(p_diag, 0))
-        d_diag.append(ds_val)
-    cyl_from_riesz = riesz_to_cylinder(c_diag, d_diag, c_diag, d)
-    for s in range(len(c_diag)):
-        via = cyl_from_riesz.term(Fraction(s - d), 0)
-        if via is None or via.status == "undetermined" or via.coefficient is None:
-            continue
-        direct = cyl_fit.coefficient(Fraction(s - d), 0)
-        branch = "c" if (d - s) % 2 == 0 or d - s > 0 else "e"
-        tol_s = (2e-2 if branch == "e" else riesz_tol) * max(1.0, abs(direct))
-        rows.append(VerifyRow(
-            f"e_{s} = d! {branch}_{s}{s}/{s}!" + (" (+psi d_ss)" if branch == "e" else ""),
-            float(via.coefficient), direct, tol_s))
-
-    return rows
-
 
 def cmd_verify(args) -> int:
     spectrum = parse_spectrum_spec(args.spectrum)

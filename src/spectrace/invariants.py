@@ -358,30 +358,29 @@ def riesz_to_heat(a_ss: Sequence[CoeffLike], d: int) -> AsymptoticExpansion:
 def riesz_to_cylinder(
     c_ss: Sequence[CoeffLike],
     d_ss: Sequence[CoeffLike],
-    e_ss: Sequence[CoeffLike],
     d: int,
 ) -> AsymptoticExpansion:
     """Cylinder coefficients from diagonal omega-Riesz coefficients.
 
+    c_ss[s] is the non-log coefficient at exponent d-s, d_ss[s] the log one.
     For d-s even or positive: e_s = Gamma(d+1)/Gamma(s+1) * c_ss.
     For d-s odd and negative: f_s = -Gamma(d+1)/Gamma(s+1) * d_ss and
-    e_s = Gamma(d+1)/Gamma(s+1) * (e_ss + psi(d+1) d_ss), psi(d+1) = H_d - gamma.
+    e_s = Gamma(d+1)/Gamma(s+1) * (c_ss + psi(d+1) d_ss), psi(d+1) = H_d - gamma.
 
-    The operational meaning of e_ss when log terms are present is ambiguous in
-    the source relations; here e_ss is taken to be the fitted non-log
-    coefficient at exponent d-s (see the package notes).
+    The source relations name the non-log coefficient of that mixed branch
+    e_ss, whose operational meaning beside a log term is ambiguous; here it is
+    the fitted non-log coefficient at exponent d-s, as in the other branch.
     """
     psi = sum(1.0 / k for k in range(1, d + 1)) - EULER_GAMMA
     terms = []
-    nmax = max(len(c_ss), len(d_ss), len(e_ss))
-    for s in range(nmax):
+    for s in range(max(len(c_ss), len(d_ss))):
         factor = ExactCoeff.from_rational(
             Fraction(math.factorial(d), math.factorial(s))
         )
         ds = d - s
         p = Fraction(s - d)
+        c = c_ss[s] if s < len(c_ss) else None
         if ds % 2 == 0 or ds > 0:
-            c = c_ss[s] if s < len(c_ss) else None
             if c is None:
                 terms.append(ExpansionTerm(p, 0, None, "undetermined"))
             else:
@@ -389,19 +388,18 @@ def riesz_to_cylinder(
                 terms.append(ExpansionTerm(p, 0, _apply_factor(factor, c), status))
         else:
             dv = d_ss[s] if s < len(d_ss) else 0
-            ev = e_ss[s] if s < len(e_ss) else None
             fcoeff = _apply_factor(-factor, dv)
             fstatus = "known" if _is_exact(dv) else "fitted"
             terms.append(ExpansionTerm(p, 1, fcoeff, fstatus))
-            if ev is None:
+            if c is None:
                 terms.append(ExpansionTerm(p, 0, None, "undetermined"))
             else:
                 dv_zero = dv == 0 or (isinstance(dv, ExactCoeff) and dv.is_zero)
-                if _is_exact(ev) and dv_zero:
-                    coeff = _apply_factor(factor, ev)
+                if _is_exact(c) and dv_zero:
+                    coeff = _apply_factor(factor, c)
                     status = "known"
                 else:
-                    coeff = float(factor) * (float(ev) + psi * float(dv))
+                    coeff = float(factor) * (float(c) + psi * float(dv))
                     status = "fitted"
                 terms.append(ExpansionTerm(p, 0, coeff, status))
     return AsymptoticExpansion(d, tuple(terms))

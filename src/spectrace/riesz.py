@@ -18,7 +18,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .fitkit import AsymptoticBasis, FitReport, fit_expansion, geometric_grid
+from .fitkit import AsymptoticBasis, FitReport, detect_log_term, fit_expansion, geometric_grid
 from .spectra import Spectrum, _keys_up_to
 
 __all__ = [
@@ -251,8 +251,6 @@ def extract_riesz_coeffs(
 
 def _detected_omega_basis(samples, dim: int, alpha: int, anchor: float) -> AsymptoticBasis:
     """Log-free omega basis, augmented with the log columns the data support."""
-    from .fitkit import detect_log_term
-
     basis = riesz_fit_basis(dim, alpha, "omega", anchor, include_logs=False)
     full = riesz_fit_basis(dim, alpha, "omega", anchor, include_logs=True)
     for p, q in full.terms:
@@ -271,20 +269,19 @@ def weyl_remainder(
     """E_M(omega) = N(omega^2) - sum_{s<=M} g_s omega^{d-s} on the grid.
 
     Beyond the leading term this remainder is oscillatory and does not decay;
-    sampling it over decades makes that visible.  Raises ValueError for an
-    infinite grid point on a spectrum that does not end.
+    sampling it over decades makes that visible.  N is the alpha = 0 omega
+    mean of riesz_mean_grid, so the grid points must be positive (ValueError
+    otherwise), and an infinite one raises ValueError on a spectrum that does
+    not end.
     """
     if M < 0:
         raise ValueError(f"M must be >= 0, got {M}")
     if len(weyl_coeffs) < M + 1:
         raise ValueError(f"need g_0..g_{M}, got {len(weyl_coeffs)} coefficients")
     d = s.dim
-    grid = [float(w) for w in grid]
-    if not grid:
-        return []
-    omegas, mults = _keys_up_to(s, "omega", max(grid))
     out = []
-    for w, n in zip(grid, _cumulative_count(omegas, mults, grid).tolist()):
+    for mv in riesz_mean_grid(s, 0, "omega", grid):
+        w = mv.x
         model = math.fsum(weyl_coeffs[k] * w ** (d - k) for k in range(M + 1))
-        out.append((w, n - model))
+        out.append((w, mv.value - model))
     return out

@@ -57,6 +57,8 @@ class Spectrum:
         None means truncation cannot be certified.
     truncated_at : for finite data (e.g. loaded files) the largest omega the
         sequence can produce; None for constructively infinite spectra.
+    energy : the vacuum energy -e_{d+1}/2 in closed form, set by the
+        constructors that know it (interval, torus); None otherwise.
     """
 
     dim: int
@@ -67,6 +69,7 @@ class Spectrum:
     # term with omega <= omega_max, possibly followed by further true terms;
     # arrays() trims to omega_max
     _enumerate: Callable[[float], Arrays] = field(repr=False, compare=False)
+    energy: Optional[float] = None
     _cache: dict = field(default_factory=dict, repr=False, compare=False)
     _lock: threading.Lock = field(default_factory=threading.Lock, repr=False, compare=False)
 
@@ -180,6 +183,7 @@ def interval_spectrum(length: float, bc: str) -> Spectrum:
         envelope=(c1, length / math.pi),
         truncated_at=None,
         _enumerate=_lattice(math.pi / length, neumann, 1),
+        energy=-math.pi / (24.0 * length),
     )
 
 
@@ -194,6 +198,7 @@ def torus_spectrum(circumference: float) -> Spectrum:
         envelope=(1.0, circumference / math.pi),
         truncated_at=None,
         _enumerate=_lattice(2.0 * math.pi / circumference, True, 2),
+        energy=-math.pi / (6.0 * circumference),
     )
 
 

@@ -161,8 +161,7 @@ def test_criterion_06_riesz_relations():
         # detection already ruled the log column out, so d_22 = 0 and the
         # mixed branch reduces to e_2 = Gamma(2)/Gamma(3) c_22
         assert (Fraction(-1), 1) not in rep_c.basis.terms
-        via = riesz_to_cylinder([None, None, None], [0, 0, 0],
-                                [None, None, c22], d=1)
+        via = riesz_to_cylinder([None, None, c22], [0, 0, 0], d=1)
         e2_via = float(via.term(1).coefficient)
         assert abs(e2_via - 1.0 / 12.0) <= 2e-2 / 12.0
 

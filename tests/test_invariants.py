@@ -142,9 +142,8 @@ class TestRieszRelations:
 
     def test_riesz_to_cylinder_branches(self):
         cyl = riesz_to_cylinder(
-            c_ss=[Fraction(1), Fraction(-1, 2), None],
+            c_ss=[Fraction(1), Fraction(-1, 2), Fraction(1, 6)],
             d_ss=[0, 0, 0],
-            e_ss=[None, None, Fraction(1, 6)],
             d=1,
         )
         assert cyl.term(-1).coefficient == ExactCoeff.from_rational(1)
@@ -153,16 +152,14 @@ class TestRieszRelations:
         assert cyl.term(1, 1).coefficient == ExactCoeff.from_rational(0)
 
     def test_zero_dss_means_zero_log_coefficients(self):
-        cyl = riesz_to_cylinder([1.0, 2.0, 3.0, 4.0], [0, 0, 0, 0],
-                                [0.0, 0.0, 0.5, 0.25], d=1)
+        cyl = riesz_to_cylinder([1.0, 2.0, 0.5, 4.0], [0, 0, 0, 0], d=1)
         for tm in cyl.terms:
             if tm.log_power == 1:
                 assert float(tm.coefficient) == 0.0
 
     def test_psi_enters_mixed_branch(self):
         # d=1, s=2: e_2 = (1/2)(e_22 + psi(2) d_22), psi(2) = 1 - gamma
-        cyl = riesz_to_cylinder([0.0, 0.0, 0.0], [0.0, 0.0, 1.0],
-                                [0.0, 0.0, 0.0], d=1)
+        cyl = riesz_to_cylinder([0.0, 0.0, 0.0], [0.0, 0.0, 1.0], d=1)
         psi2 = 1.0 - 0.5772156649015329
         assert float(cyl.term(1).coefficient) == pytest.approx(0.5 * psi2, rel=1e-12)
 

@@ -248,3 +248,9 @@ class TestWeylRemainder:
     def test_requires_enough_coefficients(self):
         with pytest.raises(ValueError):
             weyl_remainder(INTERVAL, 1, [1.0], [10.0])
+
+    @pytest.mark.parametrize("w", [0.0, math.nan, -1.0])
+    def test_nonpositive_or_nan_point_raises(self, w):
+        # M = 2 > d puts w^(d-2) in the model, a division by zero at w = 0
+        with pytest.raises(ValueError, match="positive"):
+            weyl_remainder(INTERVAL, 2, [1.0, -0.5, 0.0], [w, 10.0])
