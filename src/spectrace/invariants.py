@@ -11,6 +11,8 @@ coefficient is fed through a relation.
 from __future__ import annotations
 
 import math
+import numbers
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence, Union
@@ -76,6 +78,11 @@ class ExactCoeff:
     Closed under the arithmetic the relation identities need: Gamma at
     half-integer arguments contributes sqrt(pi) factors, and products of
     one-dimensional expansions contribute integer powers of pi.
+
+    Arithmetic with an int, Fraction or ExactCoeff stays exact; with any other
+    real (a fitted float) it is float(self) op float(other), so one formula
+    serves exact and fitted coefficients alike.  Division is exact by a
+    single-part q * pi^(k/2).
     """
 
     parts: tuple[tuple[int, Fraction], ...]  # sorted (half-power of pi, coeff)
@@ -93,15 +100,39 @@ class ExactCoeff:
         items = tuple(sorted((k, v) for k, v in d.items() if v != 0))
         return ExactCoeff(items)
 
-    def _as_dict(self) -> dict[int, Fraction]:
-        return dict(self.parts)
+    def _binary(self, other, exact, inexact):
+        # the numeric rule: rationals join exactly, other reals demote to float
+        if isinstance(other, (int, Fraction)):
+            other = ExactCoeff.from_rational(other)
+        if isinstance(other, ExactCoeff):
+            return exact(self, other)
+        if isinstance(other, numbers.Real):
+            return inexact(float(self), float(other))
+        return NotImplemented
 
-    def __add__(self, other):
-        other = _coerce_exact(other)
-        d = self._as_dict()
+    def _add(self, other: "ExactCoeff") -> "ExactCoeff":
+        d = dict(self.parts)
         for k, v in other.parts:
             d[k] = d.get(k, Fraction(0)) + v
         return ExactCoeff._make(d)
+
+    def _mul(self, other: "ExactCoeff") -> "ExactCoeff":
+        d: dict[int, Fraction] = {}
+        for ka, va in self.parts:
+            for kb, vb in other.parts:
+                d[ka + kb] = d.get(ka + kb, Fraction(0)) + va * vb
+        return ExactCoeff._make(d)
+
+    def _inverse(self) -> "ExactCoeff":
+        if not self.parts:
+            raise ZeroDivisionError("division by an exact zero")
+        if len(self.parts) != 1:
+            raise ValueError(f"only a single-part q*pi^(k/2) has an exact inverse, not {self}")
+        ((k, v),) = self.parts
+        return ExactCoeff(((-k, 1 / v),))
+
+    def __add__(self, other):
+        return self._binary(other, ExactCoeff._add, operator.add)
 
     __radd__ = __add__
 
@@ -109,26 +140,24 @@ class ExactCoeff:
         return ExactCoeff(tuple((k, -v) for k, v in self.parts))
 
     def __sub__(self, other):
-        return self + (-_coerce_exact(other))
+        return self + -other
 
     def __mul__(self, other):
-        other = _coerce_exact(other)
-        d: dict[int, Fraction] = {}
-        for ka, va in self.parts:
-            for kb, vb in other.parts:
-                k = ka + kb
-                d[k] = d.get(k, Fraction(0)) + va * vb
-        return ExactCoeff._make(d)
+        return self._binary(other, ExactCoeff._mul, operator.mul)
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return self * Fraction(other) ** -1
-        raise TypeError("ExactCoeff division only by rationals")
+        return self._binary(other, lambda a, b: a._mul(b._inverse()), operator.truediv)
+
+    def __rtruediv__(self, other):
+        return self._binary(other, lambda a, b: b._mul(a._inverse()), lambda a, b: b / a)
 
     def __float__(self) -> float:
         return math.fsum(float(v) * math.pi ** (k / 2) for k, v in self.parts)
+
+    def __bool__(self) -> bool:
+        return bool(self.parts)
 
     @property
     def is_zero(self) -> bool:
@@ -143,63 +172,22 @@ class ExactCoeff:
         raise ValueError(f"{self} is not rational")
 
     def __str__(self) -> str:
-        if not self.parts:
-            return "0"
-        chunks = []
-        for k, v in self.parts:
-            if k == 0:
-                chunks.append(str(v))
-            elif k == 1:
-                chunks.append(f"{v}*sqrt(pi)")
-            elif k == 2:
-                chunks.append(f"{v}*pi")
-            elif k == -1:
-                chunks.append(f"{v}/sqrt(pi)")
-            elif k == -2:
-                chunks.append(f"{v}/pi")
-            else:
-                chunks.append(f"{v}*pi^({k}/2)")
-        return " + ".join(chunks)
+        return " + ".join(f"{v}{_PI_POWER.get(k, f'*pi^({k}/2)')}" for k, v in self.parts) or "0"
 
 
-def _coerce_exact(x) -> ExactCoeff:
-    if isinstance(x, ExactCoeff):
-        return x
-    if isinstance(x, (int, Fraction)):
-        return ExactCoeff.from_rational(x)
-    raise TypeError(f"cannot treat {type(x).__name__} as exact")
-
-
-def _is_exact(x) -> bool:
-    return isinstance(x, (int, Fraction, ExactCoeff))
-
-
-def _apply_factor(factor: ExactCoeff, c):
-    """factor * c, staying exact when c is exact, float otherwise."""
-    if c is None:
-        return None
-    if _is_exact(c):
-        return factor * _coerce_exact(c)
-    return float(factor) * float(c)
+_PI_POWER = {0: "", 1: "*sqrt(pi)", 2: "*pi", -1: "/sqrt(pi)", -2: "/pi"}
 
 
 def gamma_half(k2: int) -> ExactCoeff:
-    """Gamma(k2/2) exactly, for positive integer k2.
+    """Gamma(k2/2) exactly, for any integer k2 but the poles 0, -2, -4, ...
 
     Even k2 gives an integer factorial, odd k2 a rational multiple of
     sqrt(pi).
     """
-    if k2 < 1:
-        raise ValueError("gamma_half requires k2 >= 1")
-    return _gamma_half_any(k2)
-
-
-def _gamma_half_any(k2: int) -> ExactCoeff:
-    # Gamma(k2/2) for any integer k2 that is not a nonpositive even integer.
     if k2 % 2 == 0:
         m = k2 // 2
         if m < 1:
-            raise ValueError(f"Gamma({m}) pole")
+            raise ValueError(f"Gamma({m}) is a pole")
         return ExactCoeff.from_rational(math.factorial(m - 1))
     m = (k2 - 1) // 2  # argument is m + 1/2
     if m >= 0:
@@ -293,6 +281,26 @@ def _order_of(term: ExpansionTerm, dim: int, half_step: bool) -> int:
     return int(s)
 
 
+def _coeff(c) -> CoeffLike:
+    """A relation's input coefficient: ints and Fractions become ExactCoeff,
+    other numbers float; None (undetermined) passes through."""
+    if c is None or isinstance(c, ExactCoeff):
+        return c
+    if isinstance(c, (int, Fraction)):
+        return ExactCoeff.from_rational(c)
+    return float(c)
+
+
+def _scale(factor: ExactCoeff, c: CoeffLike) -> CoeffLike:
+    return None if c is None else factor * c
+
+
+def _status(c: CoeffLike) -> str:
+    if c is None:
+        return "undetermined"
+    return "known" if isinstance(c, ExactCoeff) else "fitted"
+
+
 def heat_to_cylinder(heat: AsymptoticExpansion) -> AsymptoticExpansion:
     """Map heat coefficients b_s to cylinder coefficients.
 
@@ -310,38 +318,17 @@ def heat_to_cylinder(heat: AsymptoticExpansion) -> AsymptoticExpansion:
         s = _order_of(tm, d, half_step=True)
         p = Fraction(s - d)  # cylinder exponent
         ds = d - s
+        b = _coeff(tm.coefficient)
         if ds % 2 == 0 or ds > 0:
-            factor = _pow2(ds) * _gamma_half_any(ds + 1) * _inv_sqrt_pi()
-            coeff = _apply_factor(factor, tm.coefficient)
-            status = tm.status if tm.coefficient is not None else "undetermined"
-            out.append(ExpansionTerm(p, 0, coeff, status))
+            e = _scale(Fraction(2) ** ds * gamma_half(ds + 1) / ExactCoeff.sqrt_pi(), b)
+            out.append(ExpansionTerm(p, 0, e, tm.status if e is not None else "undetermined"))
         else:
-            half = (s - d + 1) // 2
-            factor = _pow2(d - s + 1) * _inv_sqrt_pi()
-            gam = _gamma_half_any(s - d + 1)  # positive integer argument here
-            factor = factor * _invert_exact(gam)
-            if half % 2 == 1:
-                factor = -factor
-            fcoeff = _apply_factor(factor, tm.coefficient)
-            out.append(ExpansionTerm(p, 1, fcoeff, tm.status))
+            sign = -1 if (s - d + 1) // 2 % 2 else 1
+            # Gamma((s-d+1)/2) has a positive integer argument here
+            factor = sign * Fraction(2) ** (ds + 1) / (ExactCoeff.sqrt_pi() * gamma_half(s - d + 1))
+            out.append(ExpansionTerm(p, 1, _scale(factor, b), tm.status))
             out.append(ExpansionTerm(p, 0, None, "undetermined"))
     return AsymptoticExpansion(d, tuple(out))
-
-
-def _pow2(k: int) -> ExactCoeff:
-    return ExactCoeff.from_rational(Fraction(2) ** k)
-
-
-def _inv_sqrt_pi() -> ExactCoeff:
-    return ExactCoeff._make({-1: Fraction(1)})
-
-
-def _invert_exact(x: ExactCoeff) -> ExactCoeff:
-    """Reciprocal of a single-part exact value q * pi^(k/2)."""
-    if len(x.parts) != 1:
-        raise ValueError("can only invert monomial exact values")
-    k, v = x.parts[0]
-    return ExactCoeff._make({-k: 1 / v})
 
 
 def riesz_to_heat(a_ss: Sequence[CoeffLike], d: int) -> AsymptoticExpansion:
@@ -349,17 +336,13 @@ def riesz_to_heat(a_ss: Sequence[CoeffLike], d: int) -> AsymptoticExpansion:
     b_s = Gamma((d+s)/2 + 1) a_ss / Gamma(s+1)."""
     terms = []
     for s, a in enumerate(a_ss):
-        factor = _gamma_half_any(d + s + 2) * Fraction(1, math.factorial(s))
-        status = "known" if _is_exact(a) else "fitted"
-        terms.append(ExpansionTerm(Fraction(s - d, 2), 0, _apply_factor(factor, a), status))
+        b = _scale(gamma_half(d + s + 2) / math.factorial(s), _coeff(a))
+        terms.append(ExpansionTerm(Fraction(s - d, 2), 0, b, _status(b)))
     return AsymptoticExpansion(d, tuple(terms))
 
 
-def riesz_to_cylinder(
-    c_ss: Sequence[CoeffLike],
-    d_ss: Sequence[CoeffLike],
-    d: int,
-) -> AsymptoticExpansion:
+def riesz_to_cylinder(c_ss: Sequence[CoeffLike], d_ss: Sequence[CoeffLike],
+                      d: int) -> AsymptoticExpansion:
     """Cylinder coefficients from diagonal omega-Riesz coefficients.
 
     c_ss[s] is the non-log coefficient at exponent d-s, d_ss[s] the log one.
@@ -370,38 +353,24 @@ def riesz_to_cylinder(
     The source relations name the non-log coefficient of that mixed branch
     e_ss, whose operational meaning beside a log term is ambiguous; here it is
     the fitted non-log coefficient at exponent d-s, as in the other branch.
+    Status follows the result: exact "known", float "fitted", None
+    "undetermined".
     """
     psi = sum(1.0 / k for k in range(1, d + 1)) - EULER_GAMMA
     terms = []
     for s in range(max(len(c_ss), len(d_ss))):
-        factor = ExactCoeff.from_rational(
-            Fraction(math.factorial(d), math.factorial(s))
-        )
-        ds = d - s
+        factor = ExactCoeff.from_rational(Fraction(math.factorial(d), math.factorial(s)))
         p = Fraction(s - d)
-        c = c_ss[s] if s < len(c_ss) else None
-        if ds % 2 == 0 or ds > 0:
-            if c is None:
-                terms.append(ExpansionTerm(p, 0, None, "undetermined"))
-            else:
-                status = "known" if _is_exact(c) else "fitted"
-                terms.append(ExpansionTerm(p, 0, _apply_factor(factor, c), status))
+        c = _coeff(c_ss[s]) if s < len(c_ss) else None
+        if (d - s) % 2 == 0 or d - s > 0:
+            e = _scale(factor, c)
         else:
-            dv = d_ss[s] if s < len(d_ss) else 0
-            fcoeff = _apply_factor(-factor, dv)
-            fstatus = "known" if _is_exact(dv) else "fitted"
-            terms.append(ExpansionTerm(p, 1, fcoeff, fstatus))
-            if c is None:
-                terms.append(ExpansionTerm(p, 0, None, "undetermined"))
-            else:
-                dv_zero = dv == 0 or (isinstance(dv, ExactCoeff) and dv.is_zero)
-                if _is_exact(c) and dv_zero:
-                    coeff = _apply_factor(factor, c)
-                    status = "known"
-                else:
-                    coeff = float(factor) * (float(c) + psi * float(dv))
-                    status = "fitted"
-                terms.append(ExpansionTerm(p, 0, coeff, status))
+            dv = _coeff(d_ss[s] if s < len(d_ss) else 0)
+            f = _scale(-factor, dv)
+            terms.append(ExpansionTerm(p, 1, f, _status(f)))
+            # psi is a float, so only a zero d_ss leaves an exact c_ss exact
+            e = None if c is None or dv is None else factor * (c + psi * dv if dv else c)
+        terms.append(ExpansionTerm(p, 0, e, _status(e)))
     return AsymptoticExpansion(d, tuple(terms))
 
 
@@ -410,7 +379,8 @@ def expansion_product(a: AsymptoticExpansion, b: AsymptoticExpansion) -> Asympto
 
     Exponents add, coefficients convolve, dimensions add.  The result is
     truncated at the smaller of the two input orders, past which the
-    convolution would be incomplete.
+    convolution would be incomplete.  A product term that an undetermined
+    factor term feeds is undetermined.
     """
     if a.has_log_terms or b.has_log_terms:
         raise ValueError("expansion_product is defined for log-free expansions only")
@@ -419,31 +389,23 @@ def expansion_product(a: AsymptoticExpansion, b: AsymptoticExpansion) -> Asympto
     scut = min(smax_a, smax_b)
     d = a.dim + b.dim
     acc: dict[Fraction, CoeffLike] = {}
+    unknown: set[Fraction] = set()
     fitted = False
     for ta in a.terms:
         for tb in b.terms:
-            if ta.coefficient is None or tb.coefficient is None:
-                continue
             p = ta.exponent + tb.exponent
-            s = p * 2 + d
-            if s > scut:
+            if p * 2 + d > scut:
                 continue
-            if _is_exact(ta.coefficient) and _is_exact(tb.coefficient):
-                prod = _coerce_exact(ta.coefficient) * _coerce_exact(tb.coefficient)
-            else:
-                prod = float(ta.coefficient) * float(tb.coefficient)
+            if ta.coefficient is None or tb.coefficient is None:
+                unknown.add(p)
+                continue
+            prod = _coeff(ta.coefficient) * _coeff(tb.coefficient)
             fitted = fitted or ta.status == "fitted" or tb.status == "fitted"
-            if p in acc:
-                prev = acc[p]
-                if _is_exact(prev) and _is_exact(prod):
-                    acc[p] = _coerce_exact(prev) + _coerce_exact(prod)
-                else:
-                    acc[p] = float(prev) + float(prod)
-            else:
-                acc[p] = prod
+            acc[p] = acc[p] + prod if p in acc else prod
     status = "fitted" if fitted else "known"
-    terms = tuple(ExpansionTerm(p, 0, c, status) for p, c in acc.items())
-    return AsymptoticExpansion(d, terms)
+    out = {p: ExpansionTerm(p, 0, c, status) for p, c in acc.items()}
+    out.update((p, ExpansionTerm(p, 0, None, "undetermined")) for p in unknown)
+    return AsymptoticExpansion(d, tuple(out.values()))
 
 
 def expansion_derivative(e: AsymptoticExpansion) -> AsymptoticExpansion:
@@ -456,30 +418,21 @@ def expansion_derivative(e: AsymptoticExpansion) -> AsymptoticExpansion:
     out: list[ExpansionTerm] = []
     for tm in e.terms:
         p = tm.exponent
+        c = _coeff(tm.coefficient)
         if tm.log_power == 0:
             if p == 0:
                 out.append(ExpansionTerm(Fraction(-1), 0, Fraction(0), "known"))
-                continue
-            if tm.coefficient is None:
+            elif c is None:
                 out.append(ExpansionTerm(p - 1, 0, None, "undetermined"))
             else:
-                c = (_coerce_exact(tm.coefficient) * p if _is_exact(tm.coefficient)
-                     else float(tm.coefficient) * float(p))
-                out.append(ExpansionTerm(p - 1, 0, c, tm.status))
+                out.append(ExpansionTerm(p - 1, 0, c * p, tm.status))
+        elif c is None:
+            out.append(ExpansionTerm(p - 1, 1, None, "undetermined"))
         else:
             # f t^p log t -> p f t^{p-1} log t + f t^{p-1}
-            if tm.coefficient is None:
-                out.append(ExpansionTerm(p - 1, 1, None, "undetermined"))
-                continue
-            if _is_exact(tm.coefficient):
-                clog = _coerce_exact(tm.coefficient) * p
-                cpow = _coerce_exact(tm.coefficient)
-            else:
-                clog = float(tm.coefficient) * float(p)
-                cpow = float(tm.coefficient)
             if p != 0:
-                out.append(ExpansionTerm(p - 1, 1, clog, tm.status))
-            _merge_power_term(out, p - 1, cpow, tm.status)
+                out.append(ExpansionTerm(p - 1, 1, c * p, tm.status))
+            _merge_power_term(out, p - 1, c, tm.status)
     return AsymptoticExpansion(e.dim, tuple(out))
 
 
@@ -488,10 +441,7 @@ def _merge_power_term(terms: list[ExpansionTerm], p: Fraction, c, status: str):
         if tm.exponent == p and tm.log_power == 0:
             if tm.coefficient is None:
                 return  # undetermined absorbs the contribution
-            if _is_exact(tm.coefficient) and _is_exact(c):
-                merged = _coerce_exact(tm.coefficient) + _coerce_exact(c)
-            else:
-                merged = float(tm.coefficient) + float(c)
+            merged = tm.coefficient + c
             terms[i] = ExpansionTerm(p, 0, merged, status if tm.status == status else "fitted")
             return
     terms.append(ExpansionTerm(p, 0, c, status))
@@ -514,13 +464,8 @@ def casimir_energy(cyl: AsymptoticExpansion) -> float:
 # ---------------------------------------------------------------------------
 
 def _serialize_coeff(c) -> Union[str, float, None]:
-    if c is None:
-        return None
-    if isinstance(c, (int, Fraction)):
-        return str(Fraction(c))
-    if isinstance(c, ExactCoeff):
-        return str(c)
-    return float(c)
+    c = _coeff(c)
+    return str(c) if isinstance(c, ExactCoeff) else c
 
 
 def expansion_to_json(e: AsymptoticExpansion) -> dict:

@@ -41,6 +41,8 @@ _MAX_DERIV = 12
 _EPS = sys.float_info.epsilon
 # comb indices per array evaluation, which bounds the memory of a long sum
 _COMB_CHUNK = 1 << 16
+# absolute tail bound at which comb_pairing stops summing
+_COMB_TOL = 1e-13
 
 
 def _exp(a: np.ndarray) -> np.ndarray:
@@ -142,11 +144,8 @@ class TestFunction:
         return TestFunction("odd-gaussian")
 
     @staticmethod
-    def bump(radius: float = 1.0, lo: Optional[float] = None,
-             hi: Optional[float] = None) -> "TestFunction":
-        """Bump supported on (lo, hi); default (radius/2, radius)."""
-        if lo is None or hi is None:
-            lo, hi = radius / 2.0, radius
+    def bump(lo: float, hi: float) -> "TestFunction":
+        """Bump supported on (lo, hi)."""
         if not (0.0 < lo < hi) or math.isinf(hi):
             raise ValueError(f"need 0 < lo < hi finite, got ({lo}, {hi})")
         return TestFunction("bump", (float(lo), float(hi)))
@@ -348,8 +347,9 @@ class MomentExpansionResult:
 # pairings
 # ---------------------------------------------------------------------------
 
-def comb_pairing(kind: str, eps: float, g: TestFunction, tol: float = 1e-13) -> float:
-    """sum_{n>=1} g(n eps) (linear) or g(eps n^2) (squares), to tolerance tol.
+def comb_pairing(kind: str, eps: float, g: TestFunction) -> float:
+    """sum_{n>=1} g(n eps) (linear) or g(eps n^2) (squares), with the dropped
+    tail below _COMB_TOL = 1e-13.
 
     Truncation is certified by the integral test once the arguments pass the
     function's monotone point; bump supports make the sum finite outright.
@@ -387,7 +387,7 @@ def comb_pairing(kind: str, eps: float, g: TestFunction, tol: float = 1e-13) -> 
         n_mono = int(math.ceil(math.sqrt(g.monotone_from / eps))) + 1
 
     n_stop = max(n_mono, 4)
-    while tail_after(n_stop) > tol:
+    while tail_after(n_stop) > _COMB_TOL:
         n_stop *= 2
         if n_stop > 10**9:
             raise ValueError("comb pairing does not converge to the requested tolerance")

@@ -223,17 +223,17 @@ def extract_riesz_coeffs(
     samples = [(mv.x, scale * mv.value)
                for mv in riesz_mean_grid(s, alpha, variable, grid)]
     anchor = math.sqrt(grid[0] * grid[-1])
-    if basis is None:
-        if variable == "omega":
-            basis = _detected_omega_basis(samples, s.dim, alpha, anchor)
-        else:
-            basis = riesz_fit_basis(s.dim, alpha, variable, anchor)
-    report = fit_expansion(samples, basis)
+    if basis is not None:
+        report = fit_expansion(samples, basis)
+    elif variable == "omega":
+        report = _detected_omega_fit(samples, s.dim, alpha, anchor)
+    else:
+        report = fit_expansion(samples, riesz_fit_basis(s.dim, alpha, variable, anchor))
     notes = list(report.notes)
     redundant = []
     for ss in range(int(alpha)):
         p = Fraction(s.dim - ss, 2) if variable == "lambda" else Fraction(s.dim - ss)
-        if (p, 0) in basis.terms:
+        if (p, 0) in report.basis.terms:
             redundant.append(f"s={ss}")
     if redundant:
         notes.append(
@@ -249,15 +249,19 @@ def extract_riesz_coeffs(
     )
 
 
-def _detected_omega_basis(samples, dim: int, alpha: int, anchor: float) -> AsymptoticBasis:
-    """Log-free omega basis, augmented with the log columns the data support."""
+def _detected_omega_fit(samples, dim: int, alpha: int, anchor: float) -> FitReport:
+    """Fit on the log-free omega basis, augmented with the log columns the
+    data support: each detection fits the basis with and without its column,
+    so the last detection's kept fit is the final one."""
     basis = riesz_fit_basis(dim, alpha, "omega", anchor, include_logs=False)
     full = riesz_fit_basis(dim, alpha, "omega", anchor, include_logs=True)
+    report = None
     for p, q in full.terms:
         if q == 1:
-            if detect_log_term(samples, p, basis).present:
-                basis = basis.with_term(p, 1)
-    return basis
+            det = detect_log_term(samples, p, basis)
+            report = det.with_log if det.present else det.without_log
+            basis = report.basis
+    return report if report is not None else fit_expansion(samples, basis)
 
 
 def weyl_remainder(

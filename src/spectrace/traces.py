@@ -296,12 +296,13 @@ def cylinder_trace_derivative(s: Spectrum, t: float, tol: float = 1e-12,
     return _certified_trace(s, t, tol, "dcylinder", max_terms)
 
 
-def heat_diagonal_interval(t: float, x: float, tol: float = 1e-10) -> float:
+def heat_diagonal_interval(t: float, x: float) -> float:
     """Pointwise heat-kernel diagonal (2/pi) sum sin^2(nx) exp(-t n^2) for the
     Dirichlet interval of length pi.
 
     Approaches (4 pi t)^{-1/2} for fixed interior x as t -> 0, but not
     uniformly: near the boundary the deficit factor is about 1 - exp(-x^2/t).
+    The sum stops once its tail is below 1e-10.
     """
     if not (0.0 < x < math.pi):
         raise ValueError(f"x must lie strictly inside (0, pi), got {x}")
@@ -311,7 +312,7 @@ def heat_diagonal_interval(t: float, x: float, tol: float = 1e-10) -> float:
     while True:
         # tail <= (2/pi) * int_m^inf exp(-t u^2) du = erfc(m sqrt(t))/sqrt(pi t)
         tail = math.erfc(m * math.sqrt(t)) / math.sqrt(math.pi * t)
-        if tail <= tol:
+        if tail <= 1e-10:
             break
         m *= 2
     return (2.0 / math.pi) * math.fsum(

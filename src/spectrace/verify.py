@@ -142,7 +142,15 @@ def run_verification(spectrum: Spectrum, orders: int = 4, points: int = 64,
     heat_ts = geometric_grid(heat_lo, heat_hi, points)
 
     heat_fit, _ = fit_trace(spectrum, "heat", heat_ts, tol, orders, max_terms)
-    cyl_fit, cyl_samples = fit_trace(spectrum, "cylinder", cyl_ts, tol, orders, max_terms)
+    # the index-term check fits the cylinder samples with and without a
+    # t^0 log t column; the log-free one is the cylinder fit
+    cyl_samples = trace_grid(spectrum, "cylinder", cyl_ts, tol, max_terms)
+    det = detect_log_term(
+        [(s.t, s.value) for s in cyl_samples],
+        Fraction(0),
+        cylinder_basis(d, orders, math.sqrt(cyl_ts[0] * cyl_ts[-1])),
+    )
+    cyl_fit = det.without_log
     dcyl_fit, _ = fit_trace(spectrum, "dcylinder", cyl_ts, tol, orders + 1, max_terms)
 
     cyl_from_heat = heat_to_cylinder(expansion_from_fit(d, heat_fit))
@@ -177,11 +185,6 @@ def run_verification(spectrum: Spectrum, orders: int = 4, points: int = 64,
                 f"f_{s} from b_{s}", float(via.coefficient), 0.0, 1e-6 + slack))
 
     # index-term checks
-    det = detect_log_term(
-        [(s.t, s.value) for s in cyl_samples],
-        Fraction(0),
-        cylinder_basis(d, orders, math.sqrt(cyl_ts[0] * cyl_ts[-1])),
-    )
     rows.append(VerifyRow(
         "no log t at t^0 in Tr T", det.magnitude, 0.0,
         1e-6 + 10.0 * det.coefficient_spread if not det.present else 0.0,

@@ -220,9 +220,9 @@ def test_criterion_09_squares_and_omega_combs():
 
 def test_criterion_10_local_diagonal_nonuniformity():
     with criterion(10, "sqrt(4 pi t) K(t,x,x) -> 1 in the interior but not near the wall"):
-        mid = heat_diagonal_interval(1e-3, PI / 2, tol=1e-10)
+        mid = heat_diagonal_interval(1e-3, PI / 2)
         assert abs(math.sqrt(4 * PI * 1e-3) * mid - 1.0) <= 1e-4
-        wall = heat_diagonal_interval(1e-4, 0.01, tol=1e-10)
+        wall = heat_diagonal_interval(1e-4, 0.01)
         assert abs(math.sqrt(4 * PI * 1e-4) * wall - 1.0) > 0.25
 
 

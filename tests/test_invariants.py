@@ -2,6 +2,7 @@ import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from spectrace import (
     AsymptoticExpansion,
@@ -63,6 +64,16 @@ class TestExactScalars:
         with pytest.raises(ValueError):
             gamma_half(0)
 
+    def test_gamma_half_rejects_poles(self):
+        for k2 in (-2, -4):
+            with pytest.raises(ValueError, match="pole"):
+                gamma_half(k2)
+
+    def test_gamma_half_negative_half_integers(self):
+        assert gamma_half(-1) == ExactCoeff.sqrt_pi(-2)                 # Gamma(-1/2)
+        assert gamma_half(-3) == ExactCoeff.sqrt_pi(Fraction(4, 3))     # Gamma(-3/2)
+        assert float(gamma_half(-5)) == pytest.approx(math.gamma(-2.5), rel=1e-15)
+
     def test_exact_coeff_arithmetic(self):
         a = ExactCoeff.sqrt_pi(Fraction(1, 2))
         assert float(a * a) == pytest.approx(math.pi / 4, rel=1e-15)
@@ -72,6 +83,24 @@ class TestExactScalars:
         assert str(a * a) == "1/4*pi"
         with pytest.raises(ValueError):
             (a + ExactCoeff.from_rational(1)).as_fraction()
+
+    def test_float_operand_demotes_to_float(self):
+        a = ExactCoeff.sqrt_pi(Fraction(1, 2))
+        for got, want in ((a * 0.5, float(a) * 0.5), (0.5 * a, 0.5 * float(a)),
+                          (a + 0.25, float(a) + 0.25), (a - 1.0, float(a) - 1.0),
+                          (a / 4.0, float(a) / 4.0), (2.0 / a, 2.0 / float(a))):
+            assert type(got) is float and got == want
+
+    def test_rational_operand_stays_exact(self):
+        a = ExactCoeff.sqrt_pi(Fraction(1, 2))
+        assert a * 2 == ExactCoeff.sqrt_pi(1)
+        assert a - 1 == ExactCoeff._make({0: Fraction(-1), 1: Fraction(1, 2)})
+        assert a / a == ExactCoeff.from_rational(1)
+        assert Fraction(1, 2) / a == ExactCoeff._make({-1: Fraction(1)})
+        with pytest.raises(ValueError):
+            a / (a + 1)
+        with pytest.raises(ZeroDivisionError):
+            a / 0
 
 
 class TestExpansionType:
@@ -163,6 +192,14 @@ class TestRieszRelations:
         psi2 = 1.0 - 0.5772156649015329
         assert float(cyl.term(1).coefficient) == pytest.approx(0.5 * psi2, rel=1e-12)
 
+    def test_none_input_is_undetermined(self):
+        heat = riesz_to_heat([None, 1.0], 1)
+        assert heat.term(Fraction(-1, 2)).status == "undetermined"
+        assert heat.term(0).status == "fitted"
+        # d=1, s=2: an undetermined d_22 leaves f_2 and e_2 undetermined
+        cyl = riesz_to_cylinder([1.0, 1.0, 1.0], [0, 0, None], d=1)
+        assert cyl.term(1, 1).status == cyl.term(1).status == "undetermined"
+
     def test_round_trip_exactness(self):
         heat = riesz_to_heat([Fraction(1), Fraction(-1, 2), Fraction(0)], 1)
         cyl = heat_to_cylinder(heat)
@@ -218,6 +255,15 @@ class TestExpansionAlgebra:
         with pytest.raises(ValueError):
             expansion_product(bad, good)
 
+    def test_undetermined_factor_term_makes_its_products_undetermined(self):
+        a = heat_expansion(1, [Fraction(1), None, Fraction(1)])
+        prod = expansion_product(a, heat_expansion(1, [1, 1, 1]))
+        assert prod.term(-1).coefficient == ExactCoeff.from_rational(1)
+        assert prod.term(-1).status == "known"
+        for p in (Fraction(-1, 2), Fraction(0)):
+            assert prod.term(p).coefficient is None
+            assert prod.term(p).status == "undetermined"
+
 
 class TestDerivativeAndEnergy:
     def test_index_term_killed(self):
@@ -258,3 +304,74 @@ class TestDerivativeAndEnergy:
         ))
         with pytest.raises(ValueError, match="fitted cylinder expansion"):
             casimir_energy(undet)
+
+
+# ---------------------------------------------------------------------------
+# one formula for exact and fitted coefficients
+# ---------------------------------------------------------------------------
+
+_FRAC = st.fractions(min_value=Fraction(1, 1000), max_value=100, max_denominator=1000)
+_FRACS = st.lists(_FRAC, min_size=1, max_size=5)
+
+
+def _assert_one_formula(exact: AsymptoticExpansion, fitted: AsymptoticExpansion):
+    """exact came from Fraction inputs, fitted from the same inputs floated:
+    term for term, ExactCoeff "known" against float "fitted", equal to a few
+    ulps (the inputs are positive, so no sum cancels)."""
+    keys = [(tm.exponent, tm.log_power) for tm in exact.terms]
+    assert keys == [(tm.exponent, tm.log_power) for tm in fitted.terms]
+    for te, tf in zip(exact.terms, fitted.terms):
+        if te.coefficient is None:
+            assert tf.coefficient is None and te.status == tf.status == "undetermined"
+            continue
+        assert isinstance(te.coefficient, ExactCoeff) and te.status == "known"
+        assert type(tf.coefficient) is float and tf.status == "fitted"
+        want = float(te.coefficient)
+        assert abs(tf.coefficient - want) <= 8 * math.ulp(want)
+
+
+class TestOneFormula:
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(d=st.integers(1, 4), b=_FRACS)
+    def test_heat_to_cylinder(self, d, b):
+        _assert_one_formula(heat_to_cylinder(heat_expansion(d, b)),
+                            heat_to_cylinder(heat_expansion(d, [float(x) for x in b], "fitted")))
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(d=st.integers(1, 4), a=_FRACS)
+    def test_riesz_to_heat(self, d, a):
+        _assert_one_formula(riesz_to_heat(a, d), riesz_to_heat([float(x) for x in a], d))
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(d=st.integers(1, 4), c=_FRACS)
+    def test_riesz_to_cylinder(self, d, c):
+        # a zero d_ss keeps the mixed branch exact; the float twin is 0.0
+        _assert_one_formula(riesz_to_cylinder(c, [0] * len(c), d),
+                            riesz_to_cylinder([float(x) for x in c], [0.0] * len(c), d))
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(d1=st.integers(0, 2), d2=st.integers(1, 2), a=_FRACS, b=_FRACS)
+    def test_expansion_product(self, d1, d2, a, b):
+        def floated(e):
+            return heat_expansion(e.dim, [float(tm.coefficient) for tm in e.terms], "fitted")
+        ea, eb = heat_expansion(d1, a), heat_expansion(d2, b)
+        _assert_one_formula(expansion_product(ea, eb), expansion_product(floated(ea), floated(eb)))
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(d=st.integers(1, 3), c=_FRACS, f=_FRAC)
+    def test_expansion_derivative(self, d, c, f):
+        def cyl(coeffs, flog, status):
+            # power terms plus a log term at t^1, which feeds the t^0 power term
+            terms = [ExpansionTerm(s - d, 0, x, status) for s, x in enumerate(coeffs)]
+            return AsymptoticExpansion(d, tuple(terms) + (ExpansionTerm(1, 1, flog, status),))
+        exact = expansion_derivative(cyl(c, f, "known"))
+        fitted = expansion_derivative(cyl([float(x) for x in c], float(f), "fitted"))
+        # the killed index term, present once s = d is, is an exact zero for
+        # either input
+        def without_index(e):
+            index = e.term(-1)
+            assert (index is None) == (len(c) <= d)
+            if index is not None:
+                assert index.coefficient == 0 and index.status == "known"
+            return AsymptoticExpansion(d, tuple(tm for tm in e.terms if tm is not index))
+        _assert_one_formula(without_index(exact), without_index(fitted))

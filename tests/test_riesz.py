@@ -1,5 +1,6 @@
 import math
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -224,6 +225,18 @@ class TestExtraction:
     def test_rejects_unsorted_grid(self):
         with pytest.raises(ValueError):
             extract_riesz_coeffs(INTERVAL, 1, "lambda", grid=[10.0, 5.0, 20.0])
+
+    def test_detected_basis_is_not_refitted(self):
+        # each log detection fits its basis with and without the column; the
+        # kept fit is the report, so the fits are exactly the detections' pairs
+        from spectrace import fitkit
+        with mock.patch.object(fitkit, "fit_expansion", wraps=fitkit.fit_expansion) as fits, \
+                mock.patch.object(riesz, "fit_expansion", wraps=riesz.fit_expansion) as refits, \
+                mock.patch.object(riesz, "detect_log_term", wraps=riesz.detect_log_term) as detect:
+            rep = extract_riesz_coeffs(INTERVAL, 2, "omega")
+        assert detect.call_count and fits.call_count == 2 * detect.call_count
+        assert refits.call_count == 0
+        assert rep.basis in [call.args[1] for call in fits.call_args_list[-2:]]
 
 
 class TestWeylRemainder:

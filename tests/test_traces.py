@@ -174,13 +174,13 @@ class TestCertification:
 
 class TestHeatDiagonal:
     def test_interior_point_free_limit(self):
-        val = heat_diagonal_interval(1e-3, PI / 2, tol=1e-10)
+        val = heat_diagonal_interval(1e-3, PI / 2)
         assert math.sqrt(4 * PI * 1e-3) * val == pytest.approx(1.0, abs=1e-4)
 
     def test_boundary_image_deficit(self):
         # near the wall the free-space value is suppressed by ~ 1 - e^{-x^2/t}
         t, x = 1e-4, 0.01
-        val = heat_diagonal_interval(t, x, tol=1e-10)
+        val = heat_diagonal_interval(t, x)
         ratio = math.sqrt(4 * PI * t) * val
         assert ratio == pytest.approx(1.0 - math.exp(-x * x / t), abs=1e-3)
         assert abs(ratio - 1.0) > 0.25
