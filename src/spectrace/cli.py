@@ -270,8 +270,8 @@ def cmd_coeffs(args) -> int:
         raise UsageError("orders must be >= 1")
     spectrum = parse_spectrum_spec(args.spectrum)
     ts = geometric_grid(args.tmin, args.tmax, args.points)
-    report, _ = fit_trace(spectrum, args.kernel, ts, args.tol, args.orders, args.max_terms,
-                          include_logs=args.with_logs)
+    report = fit_trace(spectrum, args.kernel, ts, args.tol, args.orders, args.max_terms,
+                       include_logs=args.with_logs)
     payload = {"kernel": args.kernel, "dim": spectrum.dim,
                "fit_report": report.to_json_dict(),
                "expansion": expansion_to_json(expansion_from_fit(spectrum.dim, report))}

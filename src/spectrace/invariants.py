@@ -159,6 +159,22 @@ class ExactCoeff:
     def __bool__(self) -> bool:
         return bool(self.parts)
 
+    def __eq__(self, other):
+        # a part with pi^(k/2), k != 0, makes the value irrational, so only a
+        # rational ExactCoeff can equal a plain number, and then as its Fraction
+        if isinstance(other, ExactCoeff):
+            return self.parts == other.parts
+        if isinstance(other, numbers.Number):
+            return self.is_rational and self.as_fraction() == other
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self.as_fraction()) if self.is_rational else hash(self.parts)
+
+    @property
+    def is_rational(self) -> bool:
+        return all(k == 0 for k, _ in self.parts)
+
     @property
     def is_zero(self) -> bool:
         return not self.parts
@@ -421,7 +437,7 @@ def expansion_derivative(e: AsymptoticExpansion) -> AsymptoticExpansion:
         c = _coeff(tm.coefficient)
         if tm.log_power == 0:
             if p == 0:
-                out.append(ExpansionTerm(Fraction(-1), 0, Fraction(0), "known"))
+                out.append(ExpansionTerm(Fraction(-1), 0, ExactCoeff.from_rational(0), "known"))
             elif c is None:
                 out.append(ExpansionTerm(p - 1, 0, None, "undetermined"))
             else:

@@ -42,7 +42,7 @@ _EPS = sys.float_info.epsilon
 # comb indices per array evaluation, which bounds the memory of a long sum
 _COMB_CHUNK = 1 << 16
 # absolute tail bound at which comb_pairing stops summing
-_COMB_TOL = 1e-13
+_COMB_TOL = 1e-14
 
 
 def _exp(a: np.ndarray) -> np.ndarray:
@@ -349,7 +349,7 @@ class MomentExpansionResult:
 
 def comb_pairing(kind: str, eps: float, g: TestFunction) -> float:
     """sum_{n>=1} g(n eps) (linear) or g(eps n^2) (squares), with the dropped
-    tail below _COMB_TOL = 1e-13.
+    tail below _COMB_TOL = 1e-14.
 
     Truncation is certified by the integral test once the arguments pass the
     function's monotone point; bump supports make the sum finite outright.
@@ -386,12 +386,26 @@ def comb_pairing(kind: str, eps: float, g: TestFunction) -> float:
             return g.tail_integral_invsqrt(c) / (2.0 * math.sqrt(eps))
         n_mono = int(math.ceil(math.sqrt(g.monotone_from / eps))) + 1
 
-    n_stop = max(n_mono, 4)
-    while tail_after(n_stop) > _COMB_TOL:
-        n_stop *= 2
-        if n_stop > 10**9:
+    return _comb_sum(term, 1, _smallest_stop(lambda n: tail_after(n) <= _COMB_TOL, max(n_mono, 4)))
+
+
+def _smallest_stop(certified: Callable[[int], bool], n: int) -> int:
+    """The smallest n_stop >= n with certified(n_stop), for a test that stays
+    true once true (a tail bound past the monotone point): double n until it
+    holds, then bisect between the last doubling that failed and the first
+    that held."""
+    failed = None
+    while not certified(n):
+        failed, n = n, 2 * n
+        if n > 10**9:
             raise ValueError("comb pairing does not converge to the requested tolerance")
-    return _comb_sum(term, 1, n_stop)
+    while failed is not None and n - failed > 1:
+        mid = (failed + n) // 2
+        if certified(mid):
+            n = mid
+        else:
+            failed = mid
+    return n
 
 
 # ---------------------------------------------------------------------------
@@ -463,9 +477,8 @@ def omega_comb_expansion(phi: TestFunction, eps: float, M: int) -> MomentExpansi
     else:
         # term magnitude <= (sqrt(eps)/2) |phi(sqrt(eps) n)|, so the plain
         # linear-comb tail bound applies after dividing by sqrt(eps)
-        n_stop = max(int(math.ceil(phi.monotone_from / root)) + 1, 4)
-        while phi.tail_integral(n_stop * root) / 2.0 > 1e-15:
-            n_stop *= 2
+        n_stop = _smallest_stop(lambda n: phi.tail_integral(n * root) / 2.0 <= 1e-15,
+                                max(int(math.ceil(phi.monotone_from / root)) + 1, 4))
         lhs = _comb_sum(term, 1, n_stop)
 
     terms = [(root / 2.0) * phi.integral_over_x()]

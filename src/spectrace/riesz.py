@@ -37,6 +37,8 @@ DEFAULT_RANGES = {"lambda": (1e2, 1e4), "omega": (10.0, 1e2)}
 _GUARD_ORDERS = 1
 # consecutive terms per chunk of riesz_mean_grid's moment tables
 _CHUNK = 1024
+# chunks per block of _chunk_moments' work arrays
+_BLOCK = 64
 # riesz_mean_grid divides by x^alpha only while |log2 x^alpha| is below this,
 # far enough inside the float range that neither it nor the sum under- or
 # overflows
@@ -83,6 +85,11 @@ def riesz_mean_grid(s: Spectrum, alpha: int, variable: str,
     lies outside 2^-900 .. 2^900, a point sums mult ((x - x_n) / x)^alpha
     instead, which neither under- nor overflows.  Raises ValueError for an
     infinite grid point on a spectrum that does not end.
+
+    Memory above the cached enumeration: the keys (8 bytes a term, the squared
+    frequencies in the lambda variable), the moment table (alpha + 1 floats a
+    chunk) and work arrays of _BLOCK chunks, so a grid over 420k terms peaks
+    about 12 bytes a term above the cache.
     """
     if variable not in _VARIABLES:
         raise ValueError(f"variable must be one of {_VARIABLES}, got {variable!r}")
@@ -99,7 +106,6 @@ def riesz_mean_grid(s: Spectrum, alpha: int, variable: str,
         counts = _cumulative_count(keys, mults, grid).tolist()
         return [RieszMeanValue(alpha=0, variable=variable, x=x, value=n)
                 for x, n in zip(grid, counts)]
-    mults = mults.astype(float)
     idxs = np.searchsorted(keys, grid, side="right").tolist()
     chunks = max(idxs) // _CHUNK
     coef = _chunk_moments(keys[:chunks * _CHUNK], mults[:chunks * _CHUNK], alpha)
@@ -143,17 +149,21 @@ def riesz_mean_grid(s: Spectrum, alpha: int, variable: str,
 def _chunk_moments(keys: np.ndarray, mults: np.ndarray, alpha: int) -> np.ndarray:
     """C(alpha, i) S[c, i], shape (alpha + 1, chunks), for the keys cut into
     chunks of _CHUNK: S[c, i] = sum mult (a_c - x_n)^i over chunk c, a_c its
-    largest key.  Each row sum depends on its own chunk alone.
+    largest key, with mult as float64.  Each row sum depends on its own chunk
+    alone, so the chunks are taken _BLOCK at a time and the work arrays stay
+    at a block's size, whatever the number of terms.
     """
-    keys = keys.reshape(-1, _CHUNK)
-    mults = mults.reshape(-1, _CHUNK)
-    gaps = keys[:, -1:] - keys
-    coef = np.empty((alpha + 1, keys.shape[0]))
-    coef[0] = mults.sum(axis=1)
-    term = mults
-    for i in range(1, alpha + 1):
-        term = term * gaps
-        coef[i] = math.comb(alpha, i) * term.sum(axis=1)
+    chunks = keys.size // _CHUNK
+    coef = np.empty((alpha + 1, chunks))
+    for lo in range(0, chunks, _BLOCK):
+        hi = min(lo + _BLOCK, chunks)
+        block = keys[lo * _CHUNK:hi * _CHUNK].reshape(-1, _CHUNK)
+        gaps = block[:, -1:] - block
+        term = mults[lo * _CHUNK:hi * _CHUNK].reshape(-1, _CHUNK).astype(float)
+        coef[0, lo:hi] = term.sum(axis=1)
+        for i in range(1, alpha + 1):
+            term *= gaps
+            coef[i, lo:hi] = math.comb(alpha, i) * term.sum(axis=1)
     return coef
 
 

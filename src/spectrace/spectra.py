@@ -39,6 +39,9 @@ _MAX_FLOAT = float(np.finfo(np.float64).max)
 # the share of a product's pairs that may be odd (weigh other than the
 # commonest weight) before it sorts pair indices instead of pair values
 _ODD_SHARE_MAX = 0.15
+# the shortest product line filled by its own ufunc call; below it a call
+# costs more than gathering the line's pairs through indices
+_LINE_MIN = 256
 
 
 class SpectrumFormatError(ValueError):
@@ -224,6 +227,42 @@ def _row_counts(la: np.ndarray, lb: np.ndarray, lam_max: float) -> np.ndarray:
     return counts
 
 
+def _ranges(counts: np.ndarray) -> np.ndarray:
+    """arange(c) for each c in counts, concatenated."""
+    total = int(counts.sum())
+    return np.arange(total) - np.repeat(np.cumsum(counts) - counts, counts)
+
+
+def _fill_lines(op: np.ufunc, x: np.ndarray, y: np.ndarray, counts: np.ndarray,
+                out: np.ndarray) -> None:
+    """out = op(x[i], y[j]) over the pairs (i, j < counts[i]), line i after
+    line i - 1.  Lines of at least _LINE_MIN pairs take one ufunc call each;
+    the shorter ones, which come last (counts never rises), take one call
+    together, through pair indices."""
+    ends = np.cumsum(counts)
+    long = int(np.count_nonzero(counts >= _LINE_MIN))
+    for i, (c, end) in enumerate(zip(counts[:long].tolist(), ends[:long].tolist())):
+        op(x[i], y[:c], out=out[end - c:end])
+    if long < counts.size:
+        rows = long + np.repeat(np.arange(counts.size - long), counts[long:])
+        op(x[rows], y[_ranges(counts[long:])], out=out[int(ends[long - 1]) if long else 0:])
+
+
+def _odd_pairs(counts: np.ndarray, odd_a: np.ndarray, odd_b: np.ndarray,
+               odd_b_before: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(rows, cols) of a product's odd pairs, in O(their number): every pair
+    of an odd line (odd_a), then the odd b-terms in each other line's prefix
+    (odd_b_before[c] of them in a prefix of length c)."""
+    odd_lines = np.flatnonzero(odd_a)
+    even_lines = np.flatnonzero(~odd_a)
+    odd_counts = odd_b_before[counts[even_lines]]
+    rows = np.concatenate((np.repeat(odd_lines, counts[odd_lines]),
+                           np.repeat(even_lines, odd_counts)))
+    cols = np.concatenate((_ranges(counts[odd_lines]),
+                           np.flatnonzero(odd_b)[_ranges(odd_counts)]))
+    return rows, cols
+
+
 def _commonest(mults: np.ndarray) -> int:
     """The most frequent value of a nonempty multiplicity array."""
     values, counts = np.unique(mults, return_counts=True)
@@ -239,6 +278,15 @@ def product_spectrum(a: Spectrum, b: Spectrum) -> Spectrum:
     coalescing would corrupt counts).  Enumeration raises ValueError when a
     multiplicity passes the int64 limit, or when a factor's omega^2 or a pair
     sum inside the cutoff passes the float64 limit.
+
+    Memory: enumerating P pairs into D distinct eigenvalues holds the pair
+    eigenvalues (8 bytes a pair, filled one factor term at a time, with no
+    pair-index arrays) and a run-start mask (1 byte a pair), then 8-16 bytes
+    per distinct eigenvalue: about 12 bytes a pair at the peak on the
+    Dirichlet square.  Products with many odd pairs (more than _ODD_SHARE_MAX
+    of them weigh other than the commonest weight) sort pair indices, which
+    holds about 32 bytes a pair: the eigenvalues, their weights, the sort
+    order and a permuted copy.
     """
     if a.envelope is not None and b.envelope is not None:
         c1a, c2a = a.envelope
@@ -268,51 +316,67 @@ def product_spectrum(a: Spectrum, b: Spectrum) -> Spectrum:
         with np.errstate(over="ignore", invalid="ignore"):
             la = wa * wa
             lb = wb * wb
-            # candidate pairs at exact size: row i takes the first counts[i] b-terms
+            # line i holds the pairs (i, j < counts[i]); the pair set is the
+            # same from either factor, so the lines run along the factor with
+            # fewer nonempty ones (counts[0] is the other factor's number)
             counts = _row_counts(la, lb, lam_max)
-            rows = np.repeat(np.arange(la.size), counts)
-            cols = np.arange(rows.size) - np.repeat(np.cumsum(counts) - counts, counts)
-            lam = la[rows] + lb[cols]
-        if not lam.size:
-            return lam, np.empty(0, dtype=np.int64)
+        lines = int(np.count_nonzero(counts))
+        if lines and lines > counts[0]:
+            # the other factor's line j holds the i with counts[i] > j
+            la, lb, ma, mb = lb, la, mb, ma
+            lines = int(counts[0])
+            counts = np.searchsorted(-counts, -np.arange(lines), side="left")
+        counts = counts[:lines]
+        pairs = int(counts.sum())
+        if not pairs:
+            return np.empty(0), np.empty(0, dtype=np.int64)
         # every coalesced multiplicity is at most max(ma) max(mb) pairs; only
         # where that bound passes the int64 limit are they summed exactly
-        exact = int(ma.max()) * int(mb.max()) * rows.size > _MAX_MULT
+        exact = int(ma.max()) * int(mb.max()) * pairs > _MAX_MULT
         # pair (i, j) weighs ma[i] mb[j]; most pairs weigh base, the product of
         # each factor's commonest multiplicity, so an eigenvalue's multiplicity
         # is base times its number of pairs plus the excess of its odd pairs
         pa, pb = _commonest(ma), _commonest(mb)
-        odd_a, odd_b = ma != pa, mb != pb
-        # row i holds counts[i] odd pairs if ma[i] is odd, else as many as odd
+        odd_a, odd_b = ma[:lines] != pa, mb != pb
+        # line i holds counts[i] odd pairs if ma[i] is odd, else as many as odd
         # b-terms in its prefix; where many pairs are odd, the excess costs
         # more than sorting indices and summing every pair's weight
         odd_b_before = np.concatenate(([0], np.cumsum(odd_b)))
         n_odd = int(np.where(odd_a, counts, odd_b_before[counts]).sum())
-        by_index = n_odd > _ODD_SHARE_MAX * lam.size
+        by_index = n_odd > _ODD_SHARE_MAX * pairs
+        lam = np.empty(pairs)
+        with np.errstate(over="ignore", invalid="ignore"):
+            _fill_lines(np.add, la, lb, counts, lam)
+            if not by_index:
+                rows, cols = (_odd_pairs(counts, odd_a, odd_b, odd_b_before) if n_odd
+                              else (np.empty(0, dtype=np.intp),) * 2)
+                lam_odd = la[rows] + lb[cols]
+                ma_odd, mb_odd = ma[rows], mb[cols]
+                del rows, cols
         if by_index:
-            w = ma[rows] * mb[cols] if not exact else ma[rows].astype(object) * mb[cols].astype(object)
-            del rows, cols  # bounds peak memory on large products
+            # the weights in the order of lam, as Python ints where int64
+            # could overflow
+            w = np.empty(pairs, dtype=object if exact else np.int64)
+            _fill_lines(np.multiply, *((ma.astype(object), mb.astype(object)) if exact else (ma, mb)),
+                        counts, w)
             order = np.argsort(lam)
             lam = lam[order]
             w = w[order]
             del order
         else:
-            odd = np.flatnonzero(np.repeat(odd_a, counts) | odd_b[cols])
-            lam_odd = lam[odd]
-            ma_odd, mb_odd = ma[rows[odd]], mb[cols[odd]]
-            del rows, cols, odd
             lam.sort()
         if not math.isfinite(lam[-1]):
             raise ValueError("a product eigenvalue (a factor's omega^2, or a pair sum of them) "
                              f"exceeds the float64 limit {_MAX_FLOAT!r}")
-        first = np.ones(lam.size, dtype=bool)
-        first[1:] = lam[1:] != lam[:-1]
+        first = np.ones(pairs, dtype=bool)
+        np.not_equal(lam[1:], lam[:-1], out=first[1:])
         starts = np.flatnonzero(first)
+        del first
         lam = lam[starts]
         if by_index:
             mult = np.add.reduceat(w, starts)
         else:
-            runs = np.diff(starts, append=first.size)
+            runs = np.diff(starts, append=pairs)
             if exact:
                 runs, ma_odd, mb_odd = runs.astype(object), ma_odd.astype(object), mb_odd.astype(object)
             base = pa * pb
@@ -323,7 +387,7 @@ def product_spectrum(a: Spectrum, b: Spectrum) -> Spectrum:
             if top > _MAX_MULT:
                 raise ValueError(f"product multiplicity {top} exceeds the int64 limit 2**63 - 1")
             mult = mult.astype(np.int64)
-        return np.sqrt(lam), mult
+        return np.sqrt(lam, out=lam), mult
 
     return Spectrum(
         dim=a.dim + b.dim,

@@ -32,7 +32,7 @@ from .invariants import (
 )
 from .riesz import extract_riesz_coeffs, riesz_fit_basis
 from .spectra import Spectrum
-from .traces import TraceSample, trace_grid
+from .traces import trace_grid
 
 __all__ = ["VerifyRow", "expansion_from_fit", "fit_trace", "run_verification"]
 
@@ -72,9 +72,9 @@ def expansion_from_fit(dim: int, report: FitReport) -> AsymptoticExpansion:
 
 def fit_trace(spectrum: Spectrum, kernel: str, ts: Sequence[float], tol: float,
               orders: int, max_terms: int,
-              include_logs: bool = False) -> tuple[FitReport, list[TraceSample]]:
-    """(fit, samples): the kernel's trace sampled over ts and fitted to its
-    expansion shape through `orders`, with the cylinder log columns if asked."""
+              include_logs: bool = False) -> FitReport:
+    """The kernel's trace sampled over ts and fitted to its expansion shape
+    through `orders`, with the cylinder log columns if asked."""
     samples = trace_grid(spectrum, kernel, ts, tol, max_terms)
     anchor = math.sqrt(ts[0] * ts[-1])
     d = spectrum.dim
@@ -84,7 +84,7 @@ def fit_trace(spectrum: Spectrum, kernel: str, ts: Sequence[float], tol: float,
         basis = cylinder_basis(d, orders, anchor, include_logs=include_logs)
     else:
         basis = dcylinder_basis(d, orders, anchor)
-    return fit_expansion([(s.t, s.value) for s in samples], basis), samples
+    return fit_expansion([(s.t, s.value) for s in samples], basis)
 
 
 def _first_positive_omega(s: Spectrum) -> float:
@@ -141,7 +141,7 @@ def run_verification(spectrum: Spectrum, orders: int = 4, points: int = 64,
     cyl_ts = geometric_grid(cyl_lo, cyl_hi, points)
     heat_ts = geometric_grid(heat_lo, heat_hi, points)
 
-    heat_fit, _ = fit_trace(spectrum, "heat", heat_ts, tol, orders, max_terms)
+    heat_fit = fit_trace(spectrum, "heat", heat_ts, tol, orders, max_terms)
     # the index-term check fits the cylinder samples with and without a
     # t^0 log t column; the log-free one is the cylinder fit
     cyl_samples = trace_grid(spectrum, "cylinder", cyl_ts, tol, max_terms)
@@ -151,7 +151,7 @@ def run_verification(spectrum: Spectrum, orders: int = 4, points: int = 64,
         cylinder_basis(d, orders, math.sqrt(cyl_ts[0] * cyl_ts[-1])),
     )
     cyl_fit = det.without_log
-    dcyl_fit, _ = fit_trace(spectrum, "dcylinder", cyl_ts, tol, orders + 1, max_terms)
+    dcyl_fit = fit_trace(spectrum, "dcylinder", cyl_ts, tol, orders + 1, max_terms)
 
     cyl_from_heat = heat_to_cylinder(expansion_from_fit(d, heat_fit))
 

@@ -352,8 +352,10 @@ class TestTermBudget:
 class TestImport:
     def test_cli_import_leaves_scipy_out(self):
         src = str(Path(__file__).resolve().parent.parent / "src")
+        # nor a process or thread pool: each would add to every command's set-up time
         code = ("import spectrace.cli, sys; "
-                "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+                "print(sorted(m for m in sys.modules "
+                "if m.split('.')[0] in ('scipy', 'multiprocessing', 'concurrent')))")
         proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                               timeout=60, env={**os.environ, "PYTHONPATH": src})
         assert proc.returncode == 0, proc.stderr

@@ -265,11 +265,38 @@ class TestExpansionAlgebra:
             assert prod.term(p).status == "undetermined"
 
 
+class TestExactCoeffEquality:
+    @pytest.mark.parametrize("q", [0, 1, -3, Fraction(1, 2), Fraction(-7, 3)])
+    def test_rational_equals_its_fraction(self, q):
+        c = ExactCoeff.from_rational(q)
+        assert c == q and q == c and c == Fraction(q)
+        # equal values hash alike, so a rational coefficient finds its number
+        assert hash(c) == hash(Fraction(q))
+        assert {Fraction(q): "q"}[c] == "q"
+        assert c != q + 1
+
+    def test_dyadic_equals_its_float(self):
+        assert ExactCoeff.from_rational(Fraction(-3, 4)) == -0.75
+        assert ExactCoeff.from_rational(Fraction(1, 3)) != 1 / 3
+
+    def test_pi_parts_equal_no_plain_number(self):
+        c = ExactCoeff.sqrt_pi(2)
+        assert c == ExactCoeff.sqrt_pi(2) and hash(c) == hash(ExactCoeff.sqrt_pi(2))
+        assert c != 2 and c != float(c) and c != ExactCoeff.from_rational(2)
+        assert c + 1 != 1 and (c - c) == 0
+
+
 class TestDerivativeAndEnergy:
     def test_index_term_killed(self):
         cyl = cylinder_expansion(1, [Fraction(1), Fraction(-1, 2), Fraction(1, 12)])
         dcyl = expansion_derivative(cyl)
         assert dcyl.term(-1).coefficient == Fraction(0)
+
+    def test_index_term_is_an_exact_zero(self):
+        cyl = cylinder_expansion(1, [Fraction(1), Fraction(-1, 2), Fraction(1, 12)])
+        zero = expansion_derivative(cyl).term(-1).coefficient
+        assert isinstance(zero, ExactCoeff)
+        assert zero == 0 and not zero and zero == ExactCoeff.from_rational(0)
 
     def test_index_term_killed_even_when_undetermined(self):
         cyl = AsymptoticExpansion(2, (

@@ -177,6 +177,27 @@ class TestCombPairing:
                 assert comb_pairing("linear", eps, g.rescaled(c)) == comb_pairing(
                     "linear", c * eps, g)
 
+    @pytest.mark.parametrize("kind", ["linear", "squares", "omega"])
+    def test_sum_stops_at_the_smallest_certified_index(self, kind):
+        # the dropped tail's bound meets the tolerance at the last index
+        # summed and not at the one before it
+        def certified(g, eps, n):
+            if kind == "linear":
+                return g.tail_integral(n * eps) / eps <= moments._COMB_TOL
+            if kind == "squares":
+                return (g.tail_integral_invsqrt(eps * n * n) / (2.0 * math.sqrt(eps))
+                        <= moments._COMB_TOL)
+            return g.tail_integral(n * math.sqrt(eps)) / 2.0 <= 1e-15
+
+        for g in ([ODD] if kind == "omega" else [EXP, GAUSS]):
+            for eps in (1e-3, 0.0137, 0.1):
+                if kind == "omega":
+                    _, ranges = _comb_ranges(lambda: omega_comb_expansion(g, eps, 2))
+                else:
+                    _, ranges = _comb_ranges(lambda: comb_pairing(kind, eps, g))
+                ((_, last),) = ranges
+                assert certified(g, eps, last) and not certified(g, eps, last - 1)
+
     def test_rejects_bad_inputs(self):
         with pytest.raises(ValueError):
             comb_pairing("cubes", 0.1, EXP)
@@ -271,11 +292,11 @@ class TestArrayEvaluator:
                                     for n in range(first, last + 1))
 
     def test_long_sums_are_chunked(self):
-        # 262k indices: several array evaluations, one fsum
-        got, ranges = _comb_ranges(lambda: comb_pairing("linear", 2e-4, EXP))
+        # 391k indices: several array evaluations, one fsum
+        got, ranges = _comb_ranges(lambda: comb_pairing("linear", 1e-4, EXP))
         ((first, last),) = ranges
         assert last > 3 * moments._COMB_CHUNK
-        assert got == math.fsum(reference_value(EXP, n * 2e-4) for n in range(first, last + 1))
+        assert got == math.fsum(reference_value(EXP, n * 1e-4) for n in range(first, last + 1))
 
     @pytest.mark.parametrize("comb", ["linear", "squares", "omega"])
     def test_moments_run_makes_one_quadrature_per_integral(self, comb):

@@ -8,7 +8,9 @@ sums by np.sum instead, so it is held to a fixed accuracy bound against a
 per-term math.fsum.
 """
 
+import contextlib
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -16,6 +18,8 @@ from hypothesis import given, settings, strategies as st
 
 from spectrace import finite_spectrum, interval_spectrum, product_spectrum, torus_spectrum
 from spectrace import spectra
+from spectrace.fitkit import geometric_grid
+from spectrace.riesz import riesz_mean_grid
 from spectrace.spectra import _row_counts
 from spectrace.traces import _exp_safe, _term_sum
 
@@ -111,6 +115,47 @@ def finite_products(draw):
     return a, draw(finite_factors(heavy=heavy))
 
 
+@st.composite
+def short_line_products(draw):
+    """Two long finite factors cut at a small omega_max: a few terms well
+    below the cutoff and a dense cluster just under it, so most lines, from
+    either factor, hold few pairs.  Omegas are k * scale on a grid of 64 steps
+    to the cutoff, so pair sums collide and land on the cutoff itself."""
+    scale = draw(st.sampled_from([1.0, 0.5, math.sqrt(2.0)]))
+    pool = LIGHT_MULTS + (HEAVY_MULTS if draw(st.booleans()) else [])
+
+    def factor():
+        steps = (draw(st.lists(st.integers(0, 20), max_size=3))
+                 + draw(st.lists(st.integers(40, 64), min_size=10, max_size=60)))
+        bulk = draw(st.sampled_from(pool))
+        mults = [draw(st.sampled_from([bulk, bulk, bulk] + pool)) for _ in steps]
+        return finite_spectrum(1, [(k * scale, m) for k, m in zip(sorted(steps), mults)])
+
+    return factor(), factor(), 64 * scale
+
+
+@contextlib.contextmanager
+def product_paths(odd_share_max, line_min):
+    """Product enumeration with the odd-share switch and the shortest line
+    filled by its own call set as given."""
+    saved = spectra._ODD_SHARE_MAX, spectra._LINE_MIN
+    spectra._ODD_SHARE_MAX, spectra._LINE_MIN = odd_share_max, line_min
+    try:
+        yield
+    finally:
+        spectra._ODD_SHARE_MAX, spectra._LINE_MIN = saved
+
+
+def assert_product_equals_brute_force(a, b, omega_max):
+    expected = brute_force_product(a.up_to(omega_max), b.up_to(omega_max), omega_max)
+    s = product_spectrum(a, b)
+    if any(m > 2**63 - 1 for _, m in expected):
+        with pytest.raises(ValueError, match=r"2\*\*63 - 1"):
+            s.arrays(omega_max)
+    else:
+        assert s.up_to(omega_max) == expected
+
+
 class TestProductMatchesDoubleLoop:
     # an odd-share limit below 0 sends every product down the index sort,
     # one above 1 every product down the value sort with the excess step
@@ -121,19 +166,22 @@ class TestProductMatchesDoubleLoop:
     def test_finite_factors_equal_brute_force(self, odd_share_max, factors, omega_max):
         # the multiplicity of a product eigenvalue is base x (its number of
         # pairs) plus the excess of the pairs that do not weigh base; these
-        # factors make both parts, their collisions and the exact path occur
+        # factors make both parts, their collisions and the exact path occur.
+        # Every line is filled by its own call, then every line by indices.
         a, b = factors
-        expected = brute_force_product(a.up_to(omega_max), b.up_to(omega_max), omega_max)
-        s = product_spectrum(a, b)
-        default, spectra._ODD_SHARE_MAX = spectra._ODD_SHARE_MAX, odd_share_max
-        try:
-            if any(m > 2**63 - 1 for _, m in expected):
-                with pytest.raises(ValueError, match=r"2\*\*63 - 1"):
-                    s.arrays(omega_max)
-            else:
-                assert s.up_to(omega_max) == expected
-        finally:
-            spectra._ODD_SHARE_MAX = default
+        for line_min in (1, 2**62):
+            with product_paths(odd_share_max, line_min):
+                assert_product_equals_brute_force(a, b, omega_max)
+
+    @pytest.mark.parametrize("odd_share_max", [-1.0, 2.0], ids=["by_index", "by_value"])
+    @settings(max_examples=150, deadline=None)
+    @given(short_line_products(), st.integers(1, 40))
+    def test_short_lines_equal_brute_force(self, odd_share_max, factors, line_min):
+        # the lines at or above line_min are filled one call each, the rest
+        # through pair indices, so both fills meet in one product
+        a, b, omega_max = factors
+        with product_paths(odd_share_max, line_min):
+            assert_product_equals_brute_force(a, b, omega_max)
 
     @settings(max_examples=60, deadline=None)
     @given(products(), st.floats(min_value=0.0, max_value=60.0))
@@ -167,6 +215,53 @@ class TestProductMatchesDoubleLoop:
         cube = product_spectrum(plane, circle)
         expected = brute_force_product(plane.up_to(4.0), circle.up_to(4.0), 4.0)
         assert cube.up_to(4.0) == expected
+
+
+def traced_peak(fn) -> int:
+    """Peak bytes traced by tracemalloc while fn runs, above what was held
+    before it (numpy reports its array buffers to tracemalloc)."""
+    tracemalloc.start()
+    try:
+        held = tracemalloc.get_traced_memory()[0]
+        fn()
+        return tracemalloc.get_traced_memory()[1] - held
+    finally:
+        tracemalloc.stop()
+
+
+class TestPeakMemory:
+    """Peak memory of the two large passes of `verify` on the Dirichlet
+    square of side pi (w1 = sqrt 2): its lambda-Riesz grid reaches 1e6 w1^2,
+    about 1.57M pairs and 420k distinct eigenvalues."""
+
+    W1 = math.sqrt(2.0)
+
+    def square(self):
+        side = interval_spectrum(PI, "dirichlet")
+        side.arrays(1000 * self.W1 * 1.001)
+        return product_spectrum(side, side)
+
+    def test_enumeration_peak_per_pair(self):
+        # the pair eigenvalues (8 bytes a pair), the run-start mask (1) and
+        # the distinct eigenvalues; no pair-index arrays
+        square = self.square()
+        result = {}
+        peak = traced_peak(lambda: result.update(terms=square.arrays(1000 * self.W1)))
+        pairs = int(result["terms"][1].sum())
+        assert pairs > 1_500_000
+        assert peak <= 20 * pairs, f"{peak / pairs:.1f} bytes a pair"
+
+    @pytest.mark.parametrize("alpha", [1, 2])
+    def test_riesz_grid_peak_per_term(self, alpha):
+        # above the cached enumeration: the squared keys (8 bytes a term)
+        # and block-sized moment work arrays
+        square = self.square()
+        grid = geometric_grid(1e2 * self.W1**2, 1e6 * self.W1**2, 128)
+        riesz_mean_grid(square, 0, "lambda", grid)
+        terms = square.arrays(1000 * self.W1)[0].size
+        peak = traced_peak(lambda: riesz_mean_grid(square, alpha, "lambda", grid))
+        assert terms > 400_000
+        assert peak <= 16 * terms, f"{peak / terms:.1f} bytes a term"
 
 
 SPECTRUM_KINDS = [
