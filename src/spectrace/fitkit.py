@@ -17,6 +17,8 @@ from typing import Sequence
 
 import numpy as np
 
+from .invariants import _carries_log
+
 __all__ = [
     "AsymptoticBasis",
     "FitReport",
@@ -145,9 +147,7 @@ def cylinder_basis(dim: int, orders: int, scale_anchor: float = 1.0,
     adds t^{s-d} log t at the s with s-d odd and positive."""
     terms: list[tuple[Fraction, int]] = [(Fraction(s - dim), 0) for s in range(orders + 1)]
     if include_logs:
-        for s in range(orders + 1):
-            if s - dim > 0 and (s - dim) % 2 == 1:
-                terms.append((Fraction(s - dim), 1))
+        terms += [(Fraction(s - dim), 1) for s in range(orders + 1) if _carries_log(s, dim)]
     return AsymptoticBasis(tuple(terms), scale_anchor)
 
 

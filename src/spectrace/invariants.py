@@ -289,6 +289,13 @@ def cylinder_expansion(dim: int, coeffs: Sequence[CoeffLike], status: str = "kno
     return AsymptoticExpansion(dim, terms)
 
 
+def _carries_log(s: int, dim: int) -> bool:
+    """Whether order s of a dim-dimensional expansion may carry a log term,
+    t^(s-d) log t in the cylinder trace and x^(d-s) log x in the omega-Riesz
+    means: exactly where s - d is odd and positive."""
+    return s - dim > 0 and (s - dim) % 2 == 1
+
+
 def _order_of(term: ExpansionTerm, dim: int, half_step: bool) -> int:
     # heat lattice: p = (s-d)/2; cylinder lattice: p = s-d
     s = term.exponent * 2 + dim if half_step else term.exponent + dim
@@ -335,15 +342,15 @@ def heat_to_cylinder(heat: AsymptoticExpansion) -> AsymptoticExpansion:
         p = Fraction(s - d)  # cylinder exponent
         ds = d - s
         b = _coeff(tm.coefficient)
-        if ds % 2 == 0 or ds > 0:
-            e = _scale(Fraction(2) ** ds * gamma_half(ds + 1) / ExactCoeff.sqrt_pi(), b)
-            out.append(ExpansionTerm(p, 0, e, tm.status if e is not None else "undetermined"))
-        else:
+        if _carries_log(s, d):
             sign = -1 if (s - d + 1) // 2 % 2 else 1
             # Gamma((s-d+1)/2) has a positive integer argument here
             factor = sign * Fraction(2) ** (ds + 1) / (ExactCoeff.sqrt_pi() * gamma_half(s - d + 1))
             out.append(ExpansionTerm(p, 1, _scale(factor, b), tm.status))
             out.append(ExpansionTerm(p, 0, None, "undetermined"))
+        else:
+            e = _scale(Fraction(2) ** ds * gamma_half(ds + 1) / ExactCoeff.sqrt_pi(), b)
+            out.append(ExpansionTerm(p, 0, e, tm.status if e is not None else "undetermined"))
     return AsymptoticExpansion(d, tuple(out))
 
 
@@ -378,14 +385,14 @@ def riesz_to_cylinder(c_ss: Sequence[CoeffLike], d_ss: Sequence[CoeffLike],
         factor = ExactCoeff.from_rational(Fraction(math.factorial(d), math.factorial(s)))
         p = Fraction(s - d)
         c = _coeff(c_ss[s]) if s < len(c_ss) else None
-        if (d - s) % 2 == 0 or d - s > 0:
-            e = _scale(factor, c)
-        else:
+        if _carries_log(s, d):
             dv = _coeff(d_ss[s] if s < len(d_ss) else 0)
             f = _scale(-factor, dv)
             terms.append(ExpansionTerm(p, 1, f, _status(f)))
             # psi is a float, so only a zero d_ss leaves an exact c_ss exact
             e = None if c is None or dv is None else factor * (c + psi * dv if dv else c)
+        else:
+            e = _scale(factor, c)
         terms.append(ExpansionTerm(p, 0, e, _status(e)))
     return AsymptoticExpansion(d, tuple(terms))
 

@@ -19,7 +19,9 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .fitkit import AsymptoticBasis, FitReport, detect_log_term, fit_expansion, geometric_grid
+from .invariants import _carries_log
 from .spectra import Spectrum, _keys_up_to
+from .traces import DEFAULT_MAX_TERMS, ToleranceError
 
 __all__ = [
     "RieszMeanValue",
@@ -58,8 +60,8 @@ def riesz_mean(s: Spectrum, alpha: int, variable: str, x: float) -> RieszMeanVal
 
     variable="lambda": (1/alpha!) x^{-alpha} sum_{lambda_n <= x} mult (x - lambda_n)^alpha.
     variable="omega":  the same with omega_n in place of lambda_n.
-    The one-point riesz_mean_grid.  Raises ValueError for x = inf on a
-    spectrum that does not end.
+    The one-point riesz_mean_grid: x = inf on a spectrum that ends gives the
+    limit (sum mult) / alpha!, on one that does not it raises ValueError.
     """
     return riesz_mean_grid(s, alpha, variable, [x])[0]
 
@@ -70,26 +72,28 @@ def riesz_mean_grid(s: Spectrum, alpha: int, variable: str,
 
     Evaluated from the closed form (partial power sums), not by quadrature:
     one enumeration to the largest grid point and one searchsorted for the
-    grid.  alpha = 0 reads the cumulative count (_cumulative_count).  For
-    alpha >= 1 the sorted terms are cut into chunks of _CHUNK consecutive
-    terms; chunk c, with largest key a_c, keeps the moments
+    grid, for every alpha.  The sorted terms are cut into chunks of _CHUNK
+    consecutive terms; chunk c, with largest key a_c, keeps the moments
     S[c, i] = sum mult (a_c - x_n)^i for i = 0..alpha, and by the binomial
     theorem its share of the sum at any x >= a_c is
     sum_i C(alpha, i) (x - a_c)^(alpha - i) S[c, i], a Horner polynomial in
-    x - a_c.  A point adds that over the chunks wholly at or below it and
-    np.sum of the fewer than _CHUNK terms past the last of them.  Every
-    quantity is >= 0, so nothing cancels and a mean stays within a few eps
-    of the correctly rounded one (the tests hold it to 64 eps).  Chunks start
-    at the first term, so a value depends only on x and the spectrum, never
-    on the rest of the grid: riesz_mean(x) is the same float.  Where x^alpha
-    lies outside 2^-900 .. 2^900, a point sums mult ((x - x_n) / x)^alpha
-    instead, which neither under- nor overflows.  Raises ValueError for an
-    infinite grid point on a spectrum that does not end.
+    x - a_c (for alpha = 0 the chunk count, summed once per grid).  A point
+    adds that over the chunks wholly at or below it and np.sum of the fewer
+    than _CHUNK terms past the last of them.  Every quantity is >= 0, so
+    nothing cancels and a mean stays within a few eps of the correctly
+    rounded one (the tests hold it to 64 eps; N is exact below 2^53).
+    Chunks start at the first term, so a value depends only on x and the
+    spectrum, never on the rest of the grid: riesz_mean(x) is the same
+    float.  Where x^alpha lies outside 2^-900 .. 2^900, a point sums
+    mult ((x - x_n) / x)^alpha instead, which neither under- nor overflows;
+    x = inf gives the limit (sum mult) / alpha!.  Raises ValueError for an
+    infinite grid point on a spectrum that does not end, and ToleranceError
+    before enumerating one past the term budget (_check_budget).
 
     Memory above the cached enumeration: the keys (8 bytes a term, the squared
     frequencies in the lambda variable), the moment table (alpha + 1 floats a
     chunk) and work arrays of _BLOCK chunks, so a grid over 420k terms peaks
-    about 12 bytes a term above the cache.
+    about 12 bytes a term above the cache (10 for alpha = 0).
     """
     if variable not in _VARIABLES:
         raise ValueError(f"variable must be one of {_VARIABLES}, got {variable!r}")
@@ -101,26 +105,30 @@ def riesz_mean_grid(s: Spectrum, alpha: int, variable: str,
     if not grid:
         return []
     alpha = int(alpha)
+    _check_budget(s, variable, max(grid))
     keys, mults = _keys_up_to(s, variable, max(grid))
-    if alpha == 0:
-        counts = _cumulative_count(keys, mults, grid).tolist()
-        return [RieszMeanValue(alpha=0, variable=variable, x=x, value=n)
-                for x, n in zip(grid, counts)]
     idxs = np.searchsorted(keys, grid, side="right").tolist()
     chunks = max(idxs) // _CHUNK
     coef = _chunk_moments(keys[:chunks * _CHUNK], mults[:chunks * _CHUNK], alpha)
+    counts = np.cumsum(coef[0]).tolist()
     anchors = keys[_CHUNK - 1:chunks * _CHUNK:_CHUNK]
     gap, acc, terms = np.empty(chunks), np.empty(chunks), np.empty(_CHUNK - 1)
     fac = math.factorial(alpha)
     out = []
     for x, idx in zip(grid, idxs):
+        q = idx // _CHUNK
+        start = q * _CHUNK
+        if alpha == 0 or math.isinf(x):
+            # N(x) (over alpha! at x = inf): the chunk counts and the tail's
+            n = (counts[q - 1] if q else 0.0) + float(mults[start:idx].sum(dtype=float))
+            out.append(RieszMeanValue(alpha=alpha, variable=variable, x=x, value=n / fac))
+            continue
         if idx and not abs(alpha * math.log2(x)) < _POW_BITS:
             # x^alpha would under- or overflow: sum the terms scaled by 1/x
             scaled = np.power((x - keys[:idx]) / x, alpha) * mults[:idx]
             out.append(RieszMeanValue(alpha=alpha, variable=variable, x=x,
                                       value=float(np.sum(scaled)) / fac))
             continue
-        q = idx // _CHUNK
         head = 0.0
         if q:
             # the chunks at or below x, by Horner in x - a_c
@@ -133,7 +141,6 @@ def riesz_mean_grid(s: Spectrum, alpha: int, variable: str,
                 h += row
             head = float(np.sum(h))
         # the terms past the last full chunk, term by term
-        start = q * _CHUNK
         tail = terms[:idx - start]
         np.subtract(x, keys[start:idx], out=tail)
         if alpha == 2:
@@ -144,6 +151,30 @@ def riesz_mean_grid(s: Spectrum, alpha: int, variable: str,
         value = (head + float(np.sum(tail))) / (fac * x**alpha) if idx else 0.0
         out.append(RieszMeanValue(alpha=alpha, variable=variable, x=x, value=value))
     return out
+
+
+def _check_budget(s: Spectrum, variable: str, x: float) -> None:
+    """Raise ToleranceError when a spectrum that does not end has an
+    envelope count C1 + C2 w^d at w = omega(x) above DEFAULT_MAX_TERMS, the
+    budget and unit of the certified traces; a count past the float range
+    is above it too.  An infinite x is left to the enumeration's ValueError.
+    Spectra with finite data (truncated_at set) are not checked: their
+    multiplicities are arbitrary, so the count bounds no number of rows."""
+    if s.envelope is None or s.truncated_at is not None or math.isinf(x):
+        return
+    w = math.sqrt(x) if variable == "lambda" else x
+    c1, c2 = s.envelope
+    try:
+        count = c1 + c2 * w**s.dim
+    except OverflowError:
+        count = math.inf
+    if count > DEFAULT_MAX_TERMS:
+        raise ToleranceError(
+            f"term budget exhausted: the envelope counts {count:.3g} terms up to "
+            f"{variable} = {x!r}, over the budget of {DEFAULT_MAX_TERMS}",
+            achieved_bound=math.nan,
+            terms_used=0,
+        )
 
 
 def _chunk_moments(keys: np.ndarray, mults: np.ndarray, alpha: int) -> np.ndarray:
@@ -157,45 +188,30 @@ def _chunk_moments(keys: np.ndarray, mults: np.ndarray, alpha: int) -> np.ndarra
     coef = np.empty((alpha + 1, chunks))
     for lo in range(0, chunks, _BLOCK):
         hi = min(lo + _BLOCK, chunks)
-        block = keys[lo * _CHUNK:hi * _CHUNK].reshape(-1, _CHUNK)
-        gaps = block[:, -1:] - block
         term = mults[lo * _CHUNK:hi * _CHUNK].reshape(-1, _CHUNK).astype(float)
         coef[0, lo:hi] = term.sum(axis=1)
+        if alpha:
+            block = keys[lo * _CHUNK:hi * _CHUNK].reshape(-1, _CHUNK)
+            gaps = block[:, -1:] - block
         for i in range(1, alpha + 1):
             term *= gaps
             coef[i, lo:hi] = math.comb(alpha, i) * term.sum(axis=1)
     return coef
 
 
-def _cumulative_count(keys: np.ndarray, mults: np.ndarray, grid) -> np.ndarray:
-    """N at each grid point as a float array, from one searchsorted into the
-    cumulative multiplicities; exact while the count stays below 2^53."""
-    idx = np.searchsorted(keys, grid, side="right")
-    out = np.zeros(idx.size)
-    hit = idx > 0
-    out[hit] = np.cumsum(mults, dtype=np.float64)[idx[hit] - 1]
-    return out
-
-
 def riesz_fit_basis(dim: int, alpha: int, variable: str,
-                    scale_anchor: float = 1.0,
-                    include_logs: bool = True) -> AsymptoticBasis:
-    """Basis matching the Riesz-mean expansion shape.
+                    scale_anchor: float = 1.0) -> AsymptoticBasis:
+    """The power terms of the Riesz-mean expansion shape.
 
-    lambda variable: x^{(d-s)/2}; omega variable: x^{d-s}, plus x^{d-s} log x
-    where s-d is odd and positive.  s runs to alpha + _GUARD_ORDERS: the terms
-    beyond s = alpha absorb the smooth part of the remainder so the
-    diagonal-range coefficients come out clean.
+    lambda variable: x^{(d-s)/2}; omega variable: x^{d-s}.  s runs to
+    alpha + _GUARD_ORDERS: the terms beyond s = alpha absorb the smooth part
+    of the remainder so the diagonal-range coefficients come out clean.  The
+    omega-variable log columns x^{d-s} log x are not in it:
+    extract_riesz_coeffs adds each one where the data show it.
     """
-    terms: list[tuple[Fraction, int]] = []
-    for s in range(alpha + _GUARD_ORDERS + 1):
-        if variable == "lambda":
-            terms.append((Fraction(dim - s, 2), 0))
-        else:
-            terms.append((Fraction(dim - s), 0))
-            if include_logs and s - dim > 0 and (s - dim) % 2 == 1:
-                terms.append((Fraction(dim - s), 1))
-    return AsymptoticBasis(tuple(terms), scale_anchor)
+    den = 2 if variable == "lambda" else 1
+    terms = tuple((Fraction(dim - s, den), 0) for s in range(alpha + _GUARD_ORDERS + 1))
+    return AsymptoticBasis(terms, scale_anchor)
 
 
 def extract_riesz_coeffs(
@@ -203,7 +219,6 @@ def extract_riesz_coeffs(
     alpha: int,
     variable: str,
     grid: Optional[Sequence[float]] = None,
-    basis: Optional[AsymptoticBasis] = None,
 ) -> FitReport:
     """Fit the asymptotic coefficients of the alpha-th Riesz mean.
 
@@ -214,10 +229,14 @@ def extract_riesz_coeffs(
     and in the omega variable c_ss feeds the cylinder relations.
 
     grid defaults to 64 points geometric over DEFAULT_RANGES[variable].  The
-    default omega-variable basis carries an x^{d-s} log x column (allowed at
-    s-d odd positive) only when the with/without comparison says the data
-    have it -- fitting a log column against data that have none mostly soaks
-    up spectral oscillation and spoils the power coefficients.
+    fit starts from riesz_fit_basis.  In the omega variable, at each order
+    s <= alpha where s - d is odd and positive, detect_log_term compares the
+    fit with and without an x^{d-s} log x column and keeps the column only
+    when the data have it -- fitting a log column against data that have
+    none mostly soaks up spectral oscillation and spoils the power
+    coefficients.  The guard orders s > alpha get no log column.  The last
+    detection's kept fit is the report; with no detection the basis is
+    fitted once.
 
     Coefficients at s < alpha repeat information available at lower alpha and
     are flagged informational in the report notes.
@@ -232,13 +251,15 @@ def extract_riesz_coeffs(
     scale = math.factorial(int(alpha))
     samples = [(mv.x, scale * mv.value)
                for mv in riesz_mean_grid(s, alpha, variable, grid)]
-    anchor = math.sqrt(grid[0] * grid[-1])
-    if basis is not None:
+    basis = riesz_fit_basis(s.dim, alpha, variable, math.sqrt(grid[0] * grid[-1]))
+    report = None
+    for ss in range(int(alpha) + 1):
+        if variable == "omega" and _carries_log(ss, s.dim):
+            det = detect_log_term(samples, Fraction(s.dim - ss), basis)
+            report = det.with_log if det.present else det.without_log
+            basis = report.basis
+    if report is None:
         report = fit_expansion(samples, basis)
-    elif variable == "omega":
-        report = _detected_omega_fit(samples, s.dim, alpha, anchor)
-    else:
-        report = fit_expansion(samples, riesz_fit_basis(s.dim, alpha, variable, anchor))
     notes = list(report.notes)
     redundant = []
     for ss in range(int(alpha)):
@@ -259,21 +280,6 @@ def extract_riesz_coeffs(
     )
 
 
-def _detected_omega_fit(samples, dim: int, alpha: int, anchor: float) -> FitReport:
-    """Fit on the log-free omega basis, augmented with the log columns the
-    data support: each detection fits the basis with and without its column,
-    so the last detection's kept fit is the final one."""
-    basis = riesz_fit_basis(dim, alpha, "omega", anchor, include_logs=False)
-    full = riesz_fit_basis(dim, alpha, "omega", anchor, include_logs=True)
-    report = None
-    for p, q in full.terms:
-        if q == 1:
-            det = detect_log_term(samples, p, basis)
-            report = det.with_log if det.present else det.without_log
-            basis = report.basis
-    return report if report is not None else fit_expansion(samples, basis)
-
-
 def weyl_remainder(
     s: Spectrum,
     M: int,
@@ -285,8 +291,9 @@ def weyl_remainder(
     Beyond the leading term this remainder is oscillatory and does not decay;
     sampling it over decades makes that visible.  N is the alpha = 0 omega
     mean of riesz_mean_grid, so the grid points must be positive (ValueError
-    otherwise), and an infinite one raises ValueError on a spectrum that does
-    not end.
+    otherwise), an infinite one raises ValueError on a spectrum that does not
+    end, and a grid past the term budget raises ToleranceError.  A Weyl sum
+    that is not finite at a point raises ValueError.
     """
     if M < 0:
         raise ValueError(f"M must be >= 0, got {M}")
@@ -296,6 +303,11 @@ def weyl_remainder(
     out = []
     for mv in riesz_mean_grid(s, 0, "omega", grid):
         w = mv.x
-        model = math.fsum(weyl_coeffs[k] * w ** (d - k) for k in range(M + 1))
+        try:
+            model = math.fsum(weyl_coeffs[k] * w ** (d - k) for k in range(M + 1))
+        except OverflowError:
+            model = math.inf
+        if not math.isfinite(model):
+            raise ValueError(f"the Weyl sum is not finite at omega = {w!r}")
         out.append((w, mv.value - model))
     return out

@@ -155,6 +155,9 @@ def _lattice(step: float, zero_mode: bool, mult: int) -> Callable[[float], Array
     preceded by omega_0 = 0 (multiplicity 1) when zero_mode is set."""
 
     def gen(omega_max: float) -> Arrays:
+        if not math.isfinite(omega_max / step):
+            raise ValueError(
+                f"cannot enumerate a lattice of step {step!r} up to omega = {omega_max!r}")
         n_hi = int(omega_max / step) + 2
         # float64(n) * step rounds exactly as the scalar n * step does
         omegas = np.arange(1, n_hi + 1, dtype=np.float64) * step

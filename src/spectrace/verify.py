@@ -25,12 +25,13 @@ from .fitkit import (
 from .invariants import (
     AsymptoticExpansion,
     ExpansionTerm,
+    _carries_log,
     casimir_energy,
     heat_to_cylinder,
     riesz_to_cylinder,
     riesz_to_heat,
 )
-from .riesz import extract_riesz_coeffs, riesz_fit_basis
+from .riesz import extract_riesz_coeffs
 from .spectra import Spectrum
 from .traces import trace_grid
 
@@ -228,15 +229,10 @@ def run_verification(spectrum: Spectrum, orders: int = 4, points: int = 64,
             float(via.coefficient), direct, riesz_tol * max(1.0, abs(direct))))
 
     c_diag, d_diag = [], []
-    anchor = math.sqrt(om_grid[0] * om_grid[-1])
     for alpha in range(min(2, orders) + 1):
         p_diag = Fraction(d - alpha)
-        # only where alpha - d is odd and positive may the mean carry an
-        # x^(d-alpha) log x term; there extract_riesz_coeffs fits the log
-        # column only when detect_log_term finds it in the data
-        may_log = alpha - d > 0 and (alpha - d) % 2 == 1
-        base = None if may_log else riesz_fit_basis(d, alpha, "omega", anchor, include_logs=False)
-        rep = extract_riesz_coeffs(spectrum, alpha, "omega", grid=om_grid, basis=base)
+        # a log column at x^(d-alpha) is fitted only where the data show it
+        rep = extract_riesz_coeffs(spectrum, alpha, "omega", grid=om_grid)
         c_diag.append(rep.coefficient(p_diag, 0))
         d_diag.append(rep.coefficient(p_diag, 1) if (p_diag, 1) in rep.basis.terms else 0.0)
     cyl_from_riesz = riesz_to_cylinder(c_diag, d_diag, d)
@@ -245,7 +241,7 @@ def run_verification(spectrum: Spectrum, orders: int = 4, points: int = 64,
         if via is None or via.status == "undetermined" or via.coefficient is None:
             continue
         direct = cyl_fit.coefficient(Fraction(s - d), 0)
-        branch = "c" if (d - s) % 2 == 0 or d - s > 0 else "e"
+        branch = "e" if _carries_log(s, d) else "c"
         tol_s = (2e-2 if branch == "e" else riesz_tol) * max(1.0, abs(direct))
         rows.append(VerifyRow(
             f"e_{s} = d! {branch}_{s}{s}/{s}!" + (" (+psi d_ss)" if branch == "e" else ""),

@@ -402,3 +402,25 @@ class TestOneFormula:
                 assert index.coefficient == 0 and index.status == "known"
             return AsymptoticExpansion(d, tuple(tm for tm in e.terms if tm is not index))
         _assert_one_formula(without_index(exact), without_index(fitted))
+
+
+class TestParityRule:
+    """Order s of a d-dimensional expansion carries a log term exactly where
+    s - d is odd and positive: in the cylinder fit basis, in the heat ->
+    cylinder map (log and undetermined power terms) and in the Riesz ->
+    cylinder map."""
+
+    @pytest.mark.parametrize("d", [1, 2, 3, 4])
+    def test_log_orders_follow_the_rule(self, d):
+        from spectrace.fitkit import cylinder_basis
+        from spectrace.invariants import _carries_log
+        orders = range(2 * d + 4)
+        want = {s for s in orders if s > d and (s - d) % 2 == 1}
+        assert {s for s in orders if _carries_log(s, d)} == want
+        basis = cylinder_basis(d, orders[-1], include_logs=True)
+        assert {int(p) + d for p, q in basis.terms if q == 1} == want
+        cyl = heat_to_cylinder(heat_expansion(d, [Fraction(1)] * len(orders)))
+        assert {int(tm.exponent) + d for tm in cyl.terms if tm.log_power == 1} == want
+        assert {int(tm.exponent) + d for tm in cyl.terms if tm.status == "undetermined"} == want
+        rc = riesz_to_cylinder([1.0] * len(orders), [1.0] * len(orders), d)
+        assert {int(tm.exponent) + d for tm in rc.terms if tm.log_power == 1} == want

@@ -7,6 +7,7 @@ timeout, so a regression fails the test instead of stalling the suite.
 
 import math
 import os
+import resource
 import subprocess
 import sys
 import warnings
@@ -30,12 +31,19 @@ from spectrace.riesz import riesz_mean_grid
 SRC = str(Path(__file__).resolve().parent.parent / "src")
 INTERVAL_SPEC = "interval:length=1:bc=dirichlet"
 TIMEOUT_S = 60
+# address-space cap of the subprocess checks: a grid that tries to allocate
+# past it fails with MemoryError instead of exhausting the machine
+MEMORY_CAP = 2 << 30
 ENV = {**os.environ, "PYTHONPATH": SRC}
+
+
+def _cap_memory():
+    resource.setrlimit(resource.RLIMIT_AS, (MEMORY_CAP, MEMORY_CAP))
 
 
 def run_python(code: str) -> subprocess.CompletedProcess:
     return subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                          timeout=TIMEOUT_S, env=ENV)
+                          timeout=TIMEOUT_S, env=ENV, preexec_fn=_cap_memory)
 
 
 class TestNonFiniteTime:
@@ -105,6 +113,81 @@ class TestExtremeTraceInputs:
         # t in [1e-300, 1e300], tol in [1e-300, 1], max_terms in [1, 1e7]
         proc = run_python(TRACE_FUZZ)
         assert proc.returncode == 0 and proc.stdout.split() == ["ok"], proc.stderr
+
+
+RIESZ_FUZZ = """
+import math
+from hypothesis import example, given, settings, strategies as st
+from spectrace import (finite_spectrum, interval_spectrum, product_spectrum,
+                       torus_spectrum, weyl_remainder)
+from spectrace.riesz import riesz_mean_grid
+from spectrace.traces import ToleranceError
+
+SPECTRA = {
+    "finite": lambda: finite_spectrum(1, [(0.0, 1), (1.0, 2), (2.5, 3)]),
+    "interval": lambda: interval_spectrum(1.0, "dirichlet"),
+    "torus": lambda: torus_spectrum(1000.0),
+    "product": lambda: product_spectrum(interval_spectrum(1.0, "neumann"), torus_spectrum(1.7)),
+}
+# log-uniform in [1e-300, 1e300]
+xs = st.floats(min_value=math.log(1e-300), max_value=math.log(1e300)).map(math.exp)
+
+@settings(max_examples=150, deadline=None, database=None)
+@given(st.sampled_from(sorted(SPECTRA)), st.integers(0, 4),
+       st.sampled_from(["lambda", "omega"]), st.lists(xs, min_size=1, max_size=4))
+@example("finite", 2, "lambda", [1.0, math.inf])
+@example("interval", 1, "omega", [math.inf])
+@example("finite", 1, "omega", [1.7e308])
+@example("torus", 0, "omega", [1.0, 1.7e308])
+@example("torus", 0, "omega", [1.0, 1e10])  # past the term budget
+def check(name, alpha, variable, grid):
+    s = SPECTRA[name]()
+    try:
+        values = [mv.value for mv in riesz_mean_grid(s, alpha, variable, grid)]
+    except (ValueError, ToleranceError):
+        values = []
+    try:
+        values += [e for _, e in weyl_remainder(s, alpha, [1.0, -0.5, 0.25, 0.0, 1.0], grid)]
+    except (ValueError, ToleranceError):
+        pass
+    assert all(math.isfinite(v) for v in values), values
+
+check()
+print("ok")
+"""
+
+
+class TestExtremeRieszInputs:
+    def test_grids_return_finite_or_raise_documented_errors(self):
+        # x log-uniform in [1e-300, 1e300] plus inf, 1.7e308 and a grid past
+        # the term budget; alpha 0-4, both variables
+        proc = run_python(RIESZ_FUZZ)
+        assert proc.returncode == 0 and proc.stdout.split() == ["ok"], proc.stderr
+
+
+class TestRieszTermBudget:
+    @pytest.mark.parametrize("xmax", ["1e10", "1.7e308"])
+    def test_torus_grid_past_the_budget_exits_3(self, capsys, xmax):
+        code = main(["riesz", "--spectrum", "torus:circumference=1000", "--variable", "omega",
+                     "--xmin", "1", "--xmax", xmax, "--points", "4"])
+        captured = capsys.readouterr()
+        assert code == 3 and captured.out == ""
+        assert "term budget" in captured.err and "Traceback" not in captured.err
+
+    def test_lattice_past_the_float_range_raises(self):
+        with pytest.raises(ValueError, match="cannot enumerate a lattice"):
+            torus_spectrum(1000.0).arrays(1.7e308)
+
+    def test_cube_verify_exits_3(self):
+        # its lambda-Riesz grid would need about 5e9 terms
+        proc = run_python(
+            "import sys\n"
+            "from spectrace.cli import main\n"
+            "d = 'interval:length=1:bc=dirichlet'\n"
+            "sys.exit(main(['verify', '--spectrum', f'product:(product:({d})x({d}))x({d})']))\n"
+        )
+        assert proc.returncode == 3, proc.stderr
+        assert "term budget" in proc.stderr and "Traceback" not in proc.stderr
 
 
 class TestInfiniteCutoff:

@@ -1,4 +1,5 @@
 import math
+import warnings
 from fractions import Fraction
 from unittest import mock
 
@@ -186,6 +187,50 @@ class TestChunkedGrid:
             assert mv.value == pytest.approx(ref / fac, rel=64 * 2.0**-52, abs=0)
 
 
+class TestAlphaZero:
+    """alpha = 0 runs through the chunk moment tables like every other order;
+    its values are the exact counts."""
+
+    SPECTRA = [
+        # zero modes in both factors, so the product has one too
+        lambda: product_spectrum(interval_spectrum(1.1, "neumann"), torus_spectrum(1.7)),
+        lambda: product_spectrum(torus_spectrum(2.0), torus_spectrum(1.3)),
+        lambda: finite_spectrum(1, [(0.0, 3), (1.0, 2), (1.0, 5), (2.5, 1)]),
+        lambda: finite_spectrum(1, [(0.01 * k, 1 + k % 7) for k in range(3000)]),
+    ]
+
+    @pytest.mark.parametrize("variable", ["lambda", "omega"])
+    @pytest.mark.parametrize("kind", range(len(SPECTRA)))
+    def test_values_are_exact_counts(self, kind, variable):
+        s = self.SPECTRA[kind]()
+        keys, _ = _keys_up_to(s, variable, 9e4 if variable == "lambda" else 300.0)
+        b = riesz._CHUNK
+        # points on eigenvalues in the first and last chunks and at chunk
+        # edges, between keys, and below the first positive key
+        picks = [-1, 0, 1, b - 1, b, 2 * b - 1, -2]
+        points = [keys[i] for i in picks if -keys.size <= i < keys.size]
+        points += [0.5 * (keys[-3] + keys[-2]), 0.5 * (keys[1] + keys[2]),
+                   0.5 * keys[keys > 0][0]]
+        grid = [float(x) for x in points if x > 0]
+        for mv in riesz_mean_grid(s, 0, variable, grid):
+            if variable == "lambda":
+                want = counting(s, mv.x)
+            else:
+                want = sum(s.arrays(mv.x)[1].tolist())
+            assert mv.value == want, (mv.x, mv.value, want)
+
+    @pytest.mark.parametrize("variable", ["lambda", "omega"])
+    @pytest.mark.parametrize("alpha", [0, 1, 2, 3, 4])
+    def test_infinite_point_on_a_spectrum_that_ends(self, alpha, variable):
+        # the limit (sum mult) / alpha!, with no invalid-value warning
+        s = finite_spectrum(1, [(1.0, 1), (2.0, 3)])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert riesz_mean(s, alpha, variable, math.inf).value == 4.0 / math.factorial(alpha)
+            assert riesz_mean_grid(s, alpha, variable, [math.inf, 1.0])[0].value == \
+                4.0 / math.factorial(alpha)
+
+
 class TestExtraction:
     def test_c22_on_spec_default_grid(self):
         rep = extract_riesz_coeffs(INTERVAL, 2, "omega")
@@ -226,6 +271,15 @@ class TestExtraction:
         with pytest.raises(ValueError):
             extract_riesz_coeffs(INTERVAL, 1, "lambda", grid=[10.0, 5.0, 20.0])
 
+    @pytest.mark.parametrize("s", [INTERVAL, torus_spectrum(1.5)])
+    def test_no_log_column_at_guard_orders(self, s):
+        # at alpha = d the only order with s - d odd and positive is the
+        # guard order d + 1, which gets no log column and so no detection
+        with mock.patch.object(riesz, "detect_log_term", wraps=riesz.detect_log_term) as detect:
+            rep = extract_riesz_coeffs(s, s.dim, "omega")
+        assert detect.call_count == 0
+        assert all(q == 0 for _, q in rep.basis.terms)
+
     def test_detected_basis_is_not_refitted(self):
         # each log detection fits its basis with and without the column; the
         # kept fit is the report, so the fits are exactly the detections' pairs
@@ -261,6 +315,12 @@ class TestWeylRemainder:
     def test_requires_enough_coefficients(self):
         with pytest.raises(ValueError):
             weyl_remainder(INTERVAL, 1, [1.0], [10.0])
+
+    @pytest.mark.parametrize("d, w", [(2, 1e300), (1, math.inf)])
+    def test_weyl_sum_past_the_float_range_raises(self, d, w):
+        s = finite_spectrum(d, [(1.0, 1)])
+        with pytest.raises(ValueError, match="Weyl sum is not finite"):
+            weyl_remainder(s, 0, [1.0], [2.0, w])
 
     @pytest.mark.parametrize("w", [0.0, math.nan, -1.0])
     def test_nonpositive_or_nan_point_raises(self, w):

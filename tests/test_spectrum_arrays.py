@@ -263,6 +263,17 @@ class TestPeakMemory:
         assert terms > 400_000
         assert peak <= 16 * terms, f"{peak / terms:.1f} bytes a term"
 
+    def test_counting_grid_peak_per_term(self):
+        # alpha = 0 uses the same tables: the squared keys and one moment row,
+        # no cumulative sum over the terms
+        square = self.square()
+        grid = geometric_grid(1e2 * self.W1**2, 1e6 * self.W1**2, 128)
+        riesz_mean_grid(square, 1, "lambda", grid)
+        terms = square.arrays(1000 * self.W1)[0].size
+        peak = traced_peak(lambda: riesz_mean_grid(square, 0, "lambda", grid))
+        assert terms > 400_000
+        assert peak <= 14 * terms, f"{peak / terms:.1f} bytes a term"
+
 
 SPECTRUM_KINDS = [
     lambda: interval_spectrum(1.3, "dirichlet"),
