@@ -20,7 +20,7 @@ import numpy as np
 
 from .fitkit import AsymptoticBasis, FitReport, detect_log_term, fit_expansion, geometric_grid
 from .invariants import _carries_log
-from .spectra import Spectrum, _keys_up_to
+from .spectra import Spectrum, _key_counts
 from .traces import DEFAULT_MAX_TERMS, ToleranceError
 
 __all__ = [
@@ -90,10 +90,12 @@ def riesz_mean_grid(s: Spectrum, alpha: int, variable: str,
     infinite grid point on a spectrum that does not end, and ToleranceError
     before enumerating one past the term budget (_check_budget).
 
-    Memory above the cached enumeration: the keys (8 bytes a term, the squared
-    frequencies in the lambda variable), the moment table (alpha + 1 floats a
-    chunk) and work arrays of _BLOCK chunks, so a grid over 420k terms peaks
-    about 12 bytes a term above the cache (10 for alpha = 0).
+    Memory above the cached enumeration: the moment table (alpha + 1 floats
+    a chunk) and work arrays of _BLOCK chunks.  In the lambda variable the
+    keys omega^2 are squared where used (a block of the table, the anchors,
+    a point's tail), never as a whole; the point counts come from the cached
+    omegas (_key_counts).  A grid over 420k terms peaks about 5.2 bytes a
+    term above the cache (2.5 for alpha = 0).
     """
     if variable not in _VARIABLES:
         raise ValueError(f"variable must be one of {_VARIABLES}, got {variable!r}")
@@ -106,12 +108,15 @@ def riesz_mean_grid(s: Spectrum, alpha: int, variable: str,
         return []
     alpha = int(alpha)
     _check_budget(s, variable, max(grid))
-    keys, mults = _keys_up_to(s, variable, max(grid))
-    idxs = np.searchsorted(keys, grid, side="right").tolist()
+    # the keys are values * values in the lambda variable, squared where used
+    values, mults, idxs = _key_counts(s, variable, grid)
+    square = variable == "lambda"
     chunks = max(idxs) // _CHUNK
-    coef = _chunk_moments(keys[:chunks * _CHUNK], mults[:chunks * _CHUNK], alpha)
+    coef = _chunk_moments(values[:chunks * _CHUNK], mults[:chunks * _CHUNK], alpha, square)
     counts = np.cumsum(coef[0]).tolist()
-    anchors = keys[_CHUNK - 1:chunks * _CHUNK:_CHUNK]
+    anchors = values[_CHUNK - 1:chunks * _CHUNK:_CHUNK]
+    if square:
+        anchors = anchors * anchors
     gap, acc, terms = np.empty(chunks), np.empty(chunks), np.empty(_CHUNK - 1)
     fac = math.factorial(alpha)
     out = []
@@ -125,7 +130,8 @@ def riesz_mean_grid(s: Spectrum, alpha: int, variable: str,
             continue
         if idx and not abs(alpha * math.log2(x)) < _POW_BITS:
             # x^alpha would under- or overflow: sum the terms scaled by 1/x
-            scaled = np.power((x - keys[:idx]) / x, alpha) * mults[:idx]
+            keys = values[:idx] * values[:idx] if square else values[:idx]
+            scaled = np.power((x - keys) / x, alpha) * mults[:idx]
             out.append(RieszMeanValue(alpha=alpha, variable=variable, x=x,
                                       value=float(np.sum(scaled)) / fac))
             continue
@@ -142,7 +148,11 @@ def riesz_mean_grid(s: Spectrum, alpha: int, variable: str,
             head = float(np.sum(h))
         # the terms past the last full chunk, term by term
         tail = terms[:idx - start]
-        np.subtract(x, keys[start:idx], out=tail)
+        if square:
+            np.multiply(values[start:idx], values[start:idx], out=tail)
+            np.subtract(x, tail, out=tail)
+        else:
+            np.subtract(x, values[start:idx], out=tail)
         if alpha == 2:
             np.square(tail, out=tail)
         elif alpha > 2:
@@ -177,21 +187,26 @@ def _check_budget(s: Spectrum, variable: str, x: float) -> None:
         )
 
 
-def _chunk_moments(keys: np.ndarray, mults: np.ndarray, alpha: int) -> np.ndarray:
+def _chunk_moments(values: np.ndarray, mults: np.ndarray, alpha: int,
+                   square: bool) -> np.ndarray:
     """C(alpha, i) S[c, i], shape (alpha + 1, chunks), for the keys cut into
     chunks of _CHUNK: S[c, i] = sum mult (a_c - x_n)^i over chunk c, a_c its
-    largest key, with mult as float64.  Each row sum depends on its own chunk
-    alone, so the chunks are taken _BLOCK at a time and the work arrays stay
-    at a block's size, whatever the number of terms.
+    largest key, with mult as float64.  The keys are the values, or with
+    square their rounded squares.  Each row sum depends on its own chunk
+    alone, so the chunks are taken _BLOCK at a time and the work arrays
+    (the squared keys among them) stay at a block's size, whatever the
+    number of terms.
     """
-    chunks = keys.size // _CHUNK
+    chunks = values.size // _CHUNK
     coef = np.empty((alpha + 1, chunks))
     for lo in range(0, chunks, _BLOCK):
         hi = min(lo + _BLOCK, chunks)
         term = mults[lo * _CHUNK:hi * _CHUNK].reshape(-1, _CHUNK).astype(float)
         coef[0, lo:hi] = term.sum(axis=1)
         if alpha:
-            block = keys[lo * _CHUNK:hi * _CHUNK].reshape(-1, _CHUNK)
+            block = values[lo * _CHUNK:hi * _CHUNK].reshape(-1, _CHUNK)
+            if square:
+                block = block * block
             gaps = block[:, -1:] - block
         for i in range(1, alpha + 1):
             term *= gaps

@@ -39,9 +39,9 @@ _MAX_FLOAT = float(np.finfo(np.float64).max)
 # the share of a product's pairs that may be odd (weigh other than the
 # commonest weight) before it sorts pair indices instead of pair values
 _ODD_SHARE_MAX = 0.15
-# the shortest product line filled by its own ufunc call; below it a call
-# costs more than gathering the line's pairs through indices
-_LINE_MIN = 256
+# pair eigenvalues compared (or run starts converted) per step when a
+# product coalesces its pairs in place, so no work array is pair-sized
+_RUN_BLOCK = 1 << 16
 
 
 class SpectrumFormatError(ValueError):
@@ -134,6 +134,27 @@ def _keys_up_to(s: Spectrum, variable: str, x: float) -> Arrays:
     return keys[:k], mults[:k]
 
 
+def _key_counts(s: Spectrum, variable: str,
+                xs: Sequence[float]) -> tuple[np.ndarray, np.ndarray, list[int]]:
+    """(values, mults, counts): the terms of _keys_up_to(s, variable, max(xs))
+    and, for each x in xs, the number of them with key <= x.
+
+    For "omega" values are the keys.  For "lambda" they are the frequencies
+    omega, whose keys omega * omega are not formed: a count starts from
+    searchsorted on sqrt(x) and is corrected exactly, as _row_counts corrects
+    its pair sums (the rounded square is nondecreasing in omega, so the keys
+    <= x form a prefix).  The enumeration extent is _keys_up_to's."""
+    if variable == "omega":
+        keys, mults = _keys_up_to(s, "omega", max(xs))
+        return keys, mults, np.searchsorted(keys, xs, side="right").tolist()
+    omegas, mults = s.arrays(math.sqrt(max(xs)) * (1 + 1e-12) + 1e-12)
+    xs = np.asarray(xs, dtype=np.float64)
+    counts = _prefix_counts(np.searchsorted(omegas, np.sqrt(xs), side="right"), omegas.size,
+                            lambda i, j: omegas[j] * omegas[j] <= xs[i]).tolist()
+    k = max(counts)
+    return omegas[:k], mults[:k], counts
+
+
 def counting(s: Spectrum, x: float) -> int:
     """N(x): the number of eigenvalues lambda_n <= x, with multiplicity.
 
@@ -208,26 +229,33 @@ def torus_spectrum(circumference: float) -> Spectrum:
     )
 
 
+def _prefix_counts(guess: np.ndarray, n: int,
+                   fits: Callable[[np.ndarray, np.ndarray], np.ndarray]) -> np.ndarray:
+    """Correct guessed prefix lengths exactly, in place: for each row i, the
+    indices j < n with fits(i, j) form a prefix, and guess[i] is moved one
+    step at a time to its length.  fits takes arrays of rows and indices."""
+    while True:
+        grow = np.flatnonzero(guess < n)
+        grow = grow[fits(grow, guess[grow])]
+        if not grow.size:
+            break
+        guess[grow] += 1
+    while True:
+        shrink = np.flatnonzero(guess > 0)
+        shrink = shrink[~fits(shrink, guess[shrink] - 1)]
+        if not shrink.size:
+            break
+        guess[shrink] -= 1
+    return guess
+
+
 def _row_counts(la: np.ndarray, lb: np.ndarray, lam_max: float) -> np.ndarray:
     """For each row i, the number of j with la[i] + lb[j] <= lam_max, the sum
     rounded as float64.  fl(la + x) is nondecreasing in x, so the qualifying
     j form a prefix of the ascending lb; searchsorted on lam_max - la guesses
     its length and the rounding of that difference is corrected exactly."""
-    nb = lb.size
-    counts = np.searchsorted(lb, lam_max - la, side="right")
-    while True:
-        grow = counts < nb
-        grow[grow] = la[grow] + lb[counts[grow]] <= lam_max
-        if not grow.any():
-            break
-        counts += grow
-    while True:
-        shrink = counts > 0
-        shrink[shrink] = la[shrink] + lb[counts[shrink] - 1] > lam_max
-        if not shrink.any():
-            break
-        counts -= shrink
-    return counts
+    return _prefix_counts(np.searchsorted(lb, lam_max - la, side="right"), lb.size,
+                          lambda i, j: la[i] + lb[j] <= lam_max)
 
 
 def _ranges(counts: np.ndarray) -> np.ndarray:
@@ -239,16 +267,52 @@ def _ranges(counts: np.ndarray) -> np.ndarray:
 def _fill_lines(op: np.ufunc, x: np.ndarray, y: np.ndarray, counts: np.ndarray,
                 out: np.ndarray) -> None:
     """out = op(x[i], y[j]) over the pairs (i, j < counts[i]), line i after
-    line i - 1.  Lines of at least _LINE_MIN pairs take one ufunc call each;
-    the shorter ones, which come last (counts never rises), take one call
-    together, through pair indices."""
-    ends = np.cumsum(counts)
-    long = int(np.count_nonzero(counts >= _LINE_MIN))
-    for i, (c, end) in enumerate(zip(counts[:long].tolist(), ends[:long].tolist())):
-        op(x[i], y[:c], out=out[end - c:end])
-    if long < counts.size:
-        rows = long + np.repeat(np.arange(counts.size - long), counts[long:])
-        op(x[rows], y[_ranges(counts[long:])], out=out[int(ends[long - 1]) if long else 0:])
+    line i - 1, one ufunc call a line."""
+    end = 0
+    for i, c in enumerate(counts.tolist()):
+        op(x[i], y[:c], out=out[end:end + c])
+        end += c
+
+
+def _coalesce(lam: np.ndarray) -> np.ndarray:
+    """Coalesce the ascending lam in place: shrink it to its distinct values
+    and return starts, the index of each run's first element (intp), so that
+    the result equals lam[starts] of the input.
+
+    The runs are found _RUN_BLOCK pairs at a time, in two passes: the first
+    counts them, so starts is allocated at its size; the second fills starts
+    and moves lam[starts[i]] to lam[i], which only overwrites elements
+    already compared (starts[i] >= i).  Beyond lam and starts it holds
+    block-sized work arrays only."""
+    block = _RUN_BLOCK
+    diff = np.empty(min(block, lam.size), dtype=bool)
+
+    def run_starts(lo: int) -> np.ndarray:
+        hi = min(lo + block, lam.size)
+        return np.not_equal(lam[lo:hi], lam[lo - 1:hi - 1], out=diff[:hi - lo])
+
+    distinct = 1 + sum(int(np.count_nonzero(run_starts(lo))) for lo in range(1, lam.size, block))
+    starts = np.empty(distinct, dtype=np.intp)
+    starts[0], k = 0, 1
+    for lo in range(1, lam.size, block):
+        found = np.flatnonzero(run_starts(lo))
+        found += lo
+        starts[k:k + found.size] = found
+        lam[k:k + found.size] = lam[found]
+        k += found.size
+    lam.resize(distinct, refcheck=False)
+    return starts
+
+
+def _run_lengths(starts: np.ndarray, total: int) -> np.ndarray:
+    """np.diff(starts, append=total), formed in place in starts, _RUN_BLOCK
+    at a time, and returned."""
+    for lo in range(0, starts.size, _RUN_BLOCK):
+        hi = min(lo + _RUN_BLOCK, starts.size)
+        last = (int(starts[hi]) if hi < starts.size else total) - int(starts[hi - 1])
+        starts[lo:hi - 1] = np.diff(starts[lo:hi])
+        starts[hi - 1] = last
+    return starts
 
 
 def _odd_pairs(counts: np.ndarray, odd_a: np.ndarray, odd_b: np.ndarray,
@@ -284,12 +348,13 @@ def product_spectrum(a: Spectrum, b: Spectrum) -> Spectrum:
 
     Memory: enumerating P pairs into D distinct eigenvalues holds the pair
     eigenvalues (8 bytes a pair, filled one factor term at a time, with no
-    pair-index arrays) and a run-start mask (1 byte a pair), then 8-16 bytes
-    per distinct eigenvalue: about 12 bytes a pair at the peak on the
-    Dirichlet square.  Products with many odd pairs (more than _ODD_SHARE_MAX
-    of them weigh other than the commonest weight) sort pair indices, which
-    holds about 32 bytes a pair: the eigenvalues, their weights, the sort
-    order and a permuted copy.
+    pair-index arrays) and the run starts (8 bytes per distinct eigenvalue),
+    which become the multiplicities in place; the pair buffer is coalesced
+    in place (_coalesce) and shrunk to D.  That is 8P + 8D bytes at the
+    peak, about 10.4 bytes a pair on the Dirichlet square.  Products with
+    many odd pairs (more than _ODD_SHARE_MAX of them weigh other than the
+    commonest weight) sort pair indices, which holds about 32 bytes a pair:
+    the eigenvalues, their weights, the sort order and a permuted copy.
     """
     if a.envelope is not None and b.envelope is not None:
         c1a, c2a = a.envelope
@@ -371,19 +436,16 @@ def product_spectrum(a: Spectrum, b: Spectrum) -> Spectrum:
         if not math.isfinite(lam[-1]):
             raise ValueError("a product eigenvalue (a factor's omega^2, or a pair sum of them) "
                              f"exceeds the float64 limit {_MAX_FLOAT!r}")
-        first = np.ones(pairs, dtype=bool)
-        np.not_equal(lam[1:], lam[:-1], out=first[1:])
-        starts = np.flatnonzero(first)
-        del first
-        lam = lam[starts]
+        starts = _coalesce(lam)
         if by_index:
             mult = np.add.reduceat(w, starts)
         else:
-            runs = np.diff(starts, append=pairs)
+            # the run lengths, formed in starts, times base, plus the excess
+            mult = _run_lengths(starts, pairs)
             if exact:
-                runs, ma_odd, mb_odd = runs.astype(object), ma_odd.astype(object), mb_odd.astype(object)
+                mult, ma_odd, mb_odd = mult.astype(object), ma_odd.astype(object), mb_odd.astype(object)
             base = pa * pb
-            mult = runs * base
+            mult *= base
             np.add.at(mult, np.searchsorted(lam, lam_odd), ma_odd * mb_odd - base)
         if exact:
             top = max(mult)

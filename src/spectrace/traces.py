@@ -147,11 +147,22 @@ def _term_sum(kind: str, t: float, omegas: np.ndarray, mults: np.ndarray) -> flo
     sum (the second part covers subnormal exponentials).  The exponents fall
     as omega rises, so the terms at or past the -745 underflow cut, which
     _exp_safe counts as 0.0, form a suffix and are skipped.
+
+    The terms are formed in place in one work array, each product associated
+    as ((-t w) w), m e and ((-m) w) e; the derivative kernel forms m w in a
+    second array and negates the products, which is the same float.
     """
-    args = (-t * omegas) * omegas if kind == "heat" else -t * omegas
-    k = args.size - int(np.searchsorted(args[::-1], -745.0, side="right"))
-    weights = -mults[:k] * omegas[:k] if kind == "dcylinder" else mults[:k]
-    return float(np.sum(weights * np.exp(args[:k])))
+    work = np.multiply(omegas, -t)
+    if kind == "heat":
+        work *= omegas
+    k = work.size - int(np.searchsorted(work[::-1], -745.0, side="right"))
+    work = np.exp(work[:k], out=work[:k])
+    if kind == "dcylinder":
+        work *= np.multiply(mults[:k], omegas[:k])
+        np.negative(work, out=work)
+    else:
+        work *= mults[:k]
+    return float(np.sum(work))
 
 
 def _cutoff(kind: str, t: float, tol: float, c1: float, c2: float, d: int) -> float:

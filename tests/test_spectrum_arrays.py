@@ -20,7 +20,7 @@ from spectrace import finite_spectrum, interval_spectrum, product_spectrum, toru
 from spectrace import spectra
 from spectrace.fitkit import geometric_grid
 from spectrace.riesz import riesz_mean_grid
-from spectrace.spectra import _row_counts
+from spectrace.spectra import _coalesce, _key_counts, _keys_up_to, _row_counts, _run_lengths
 from spectrace.traces import _exp_safe, _term_sum
 
 PI = math.pi
@@ -135,15 +135,15 @@ def short_line_products(draw):
 
 
 @contextlib.contextmanager
-def product_paths(odd_share_max, line_min):
-    """Product enumeration with the odd-share switch and the shortest line
-    filled by its own call set as given."""
-    saved = spectra._ODD_SHARE_MAX, spectra._LINE_MIN
-    spectra._ODD_SHARE_MAX, spectra._LINE_MIN = odd_share_max, line_min
+def product_paths(odd_share_max, run_block=spectra._RUN_BLOCK):
+    """Product enumeration with the odd-share switch and the block of the
+    in-place coalescing set as given."""
+    saved = spectra._ODD_SHARE_MAX, spectra._RUN_BLOCK
+    spectra._ODD_SHARE_MAX, spectra._RUN_BLOCK = odd_share_max, run_block
     try:
         yield
     finally:
-        spectra._ODD_SHARE_MAX, spectra._LINE_MIN = saved
+        spectra._ODD_SHARE_MAX, spectra._RUN_BLOCK = saved
 
 
 def assert_product_equals_brute_force(a, b, omega_max):
@@ -166,21 +166,18 @@ class TestProductMatchesDoubleLoop:
     def test_finite_factors_equal_brute_force(self, odd_share_max, factors, omega_max):
         # the multiplicity of a product eigenvalue is base x (its number of
         # pairs) plus the excess of the pairs that do not weigh base; these
-        # factors make both parts, their collisions and the exact path occur.
-        # Every line is filled by its own call, then every line by indices.
+        # factors make both parts, their collisions and the exact path occur
         a, b = factors
-        for line_min in (1, 2**62):
-            with product_paths(odd_share_max, line_min):
-                assert_product_equals_brute_force(a, b, omega_max)
+        with product_paths(odd_share_max):
+            assert_product_equals_brute_force(a, b, omega_max)
 
     @pytest.mark.parametrize("odd_share_max", [-1.0, 2.0], ids=["by_index", "by_value"])
     @settings(max_examples=150, deadline=None)
-    @given(short_line_products(), st.integers(1, 40))
-    def test_short_lines_equal_brute_force(self, odd_share_max, factors, line_min):
-        # the lines at or above line_min are filled one call each, the rest
-        # through pair indices, so both fills meet in one product
+    @given(short_line_products())
+    def test_short_lines_equal_brute_force(self, odd_share_max, factors):
+        # most lines hold a few pairs, each filled by its own call
         a, b, omega_max = factors
-        with product_paths(odd_share_max, line_min):
+        with product_paths(odd_share_max):
             assert_product_equals_brute_force(a, b, omega_max)
 
     @settings(max_examples=60, deadline=None)
@@ -217,6 +214,43 @@ class TestProductMatchesDoubleLoop:
         assert cube.up_to(4.0) == expected
 
 
+class TestCoalesce:
+    """_coalesce and _run_lengths, which work in place a block at a time,
+    against the whole-array route lam[starts], np.diff(starts, append=pairs)
+    on sorted arrays, with blocks of a few pairs so runs straddle block
+    edges."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.one_of(st.lists(st.integers(0, 6), min_size=1, max_size=40),
+                     st.integers(1, 40).map(lambda n: [3] * n),
+                     st.integers(1, 40).map(lambda n: list(range(n)))),
+           st.integers(1, 9))
+    def test_equals_whole_array_route(self, values, block):
+        # runs of repeated values, a single run, all values distinct
+        lam = np.sort(np.array(values, dtype=np.float64) * 0.1)
+        first = np.ones(lam.size, dtype=bool)
+        first[1:] = lam[1:] != lam[:-1]
+        want = np.flatnonzero(first)
+        got = lam.copy()
+        with product_paths(spectra._ODD_SHARE_MAX, block):
+            starts = _coalesce(got)
+            assert starts.tolist() == want.tolist()
+            assert got.tolist() == lam[want].tolist()
+            runs = _run_lengths(starts, lam.size)
+        assert runs.tolist() == np.diff(want, append=lam.size).tolist()
+
+    @pytest.mark.parametrize("odd_share_max", [-1.0, 2.0], ids=["by_index", "by_value"])
+    @settings(max_examples=100, deadline=None)
+    @given(finite_products(), st.integers(1, 5),
+           st.one_of(st.just(math.inf), st.floats(min_value=0.0, max_value=15.0)))
+    def test_products_across_block_edges(self, odd_share_max, factors, block, omega_max):
+        # the heavy multiplicities of finite_products take the exact path,
+        # where the run lengths become Python ints (object dtype)
+        a, b = factors
+        with product_paths(odd_share_max, block):
+            assert_product_equals_brute_force(a, b, omega_max)
+
+
 def traced_peak(fn) -> int:
     """Peak bytes traced by tracemalloc while fn runs, above what was held
     before it (numpy reports its array buffers to tracemalloc)."""
@@ -242,37 +276,38 @@ class TestPeakMemory:
         return product_spectrum(side, side)
 
     def test_enumeration_peak_per_pair(self):
-        # the pair eigenvalues (8 bytes a pair), the run-start mask (1) and
-        # the distinct eigenvalues; no pair-index arrays
+        # the pair eigenvalues (8 bytes a pair), coalesced in place, and the
+        # run starts (8 bytes per distinct eigenvalue); no pair-index arrays,
+        # no pair-sized mask and no copy of the distinct eigenvalues
         square = self.square()
         result = {}
         peak = traced_peak(lambda: result.update(terms=square.arrays(1000 * self.W1)))
         pairs = int(result["terms"][1].sum())
         assert pairs > 1_500_000
-        assert peak <= 20 * pairs, f"{peak / pairs:.1f} bytes a pair"
+        assert peak <= 11 * pairs, f"{peak / pairs:.1f} bytes a pair"
 
     @pytest.mark.parametrize("alpha", [1, 2])
     def test_riesz_grid_peak_per_term(self, alpha):
-        # above the cached enumeration: the squared keys (8 bytes a term)
-        # and block-sized moment work arrays
+        # above the cached enumeration: block-sized moment work arrays, the
+        # keys squared a block at a time (no term-sized array)
         square = self.square()
         grid = geometric_grid(1e2 * self.W1**2, 1e6 * self.W1**2, 128)
         riesz_mean_grid(square, 0, "lambda", grid)
         terms = square.arrays(1000 * self.W1)[0].size
         peak = traced_peak(lambda: riesz_mean_grid(square, alpha, "lambda", grid))
         assert terms > 400_000
-        assert peak <= 16 * terms, f"{peak / terms:.1f} bytes a term"
+        assert peak <= 6 * terms, f"{peak / terms:.1f} bytes a term"
 
     def test_counting_grid_peak_per_term(self):
-        # alpha = 0 uses the same tables: the squared keys and one moment row,
-        # no cumulative sum over the terms
+        # alpha = 0 uses the same tables: one moment row, no keys squared
+        # and no cumulative sum over the terms
         square = self.square()
         grid = geometric_grid(1e2 * self.W1**2, 1e6 * self.W1**2, 128)
         riesz_mean_grid(square, 1, "lambda", grid)
         terms = square.arrays(1000 * self.W1)[0].size
         peak = traced_peak(lambda: riesz_mean_grid(square, 0, "lambda", grid))
         assert terms > 400_000
-        assert peak <= 14 * terms, f"{peak / terms:.1f} bytes a term"
+        assert peak <= 3 * terms, f"{peak / terms:.1f} bytes a term"
 
 
 SPECTRUM_KINDS = [
@@ -327,6 +362,50 @@ class TestCachedPrefix:
         for bad in (-1.0, math.nan):
             w, m = s.arrays(bad)
             assert w.size == 0 and m.size == 0
+
+
+@st.composite
+def close_roots(draw):
+    """Frequencies that are the rounded roots of consecutive floats: many are
+    equal, and their rounded squares need not be the floats they came from."""
+    x = draw(st.floats(min_value=1e-6, max_value=1e12))
+    keys = [x]
+    for _ in range(draw(st.integers(0, 20))):
+        keys.append(math.nextafter(keys[-1], math.inf))
+    return [math.sqrt(k) for k in keys]
+
+
+class TestKeyCounts:
+    """_key_counts counts the lambda keys omega * omega <= x without forming
+    them: it must equal searchsorted on the squared frequencies."""
+
+    @staticmethod
+    def assert_counts_equal_searchsorted(s, key):
+        xs = [key, math.nextafter(key, 0.0), math.nextafter(key, math.inf), 0.0]
+        if s.truncated_at is not None:
+            xs.append(math.inf)
+        values, mults, counts = _key_counts(s, "lambda", xs)
+        omegas = s.arrays(math.sqrt(max(xs)) * 1.01 + 1.0)[0]
+        assert counts == np.searchsorted(omegas * omegas, xs, side="right").tolist()
+        keys, want_mults = _keys_up_to(s, "lambda", max(xs))
+        assert (values * values).tolist() == keys.tolist()
+        assert mults.tolist() == want_mults.tolist()
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.one_of(st.lists(st.floats(min_value=0.0, max_value=1e100), min_size=1, max_size=30),
+                     close_roots()),
+           st.data())
+    def test_finite_spectra(self, omegas, data):
+        s = finite_spectrum(2, [(w, 1) for w in sorted(omegas)])
+        w = s.arrays(math.inf)[0]
+        key = float(w[data.draw(st.integers(0, w.size - 1))] ** 2)
+        self.assert_counts_equal_searchsorted(s, key)
+
+    @pytest.mark.parametrize("kind", range(len(SPECTRUM_KINDS)))
+    def test_keys_of_enumerated_spectra(self, kind):
+        s = SPECTRUM_KINDS[kind]()
+        for w in s.arrays(12.0)[0][:40].tolist():
+            self.assert_counts_equal_searchsorted(s, w * w)
 
 
 def reference_terms(kind, t, terms):
