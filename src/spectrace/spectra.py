@@ -163,8 +163,14 @@ def counting(s: Spectrum, x: float) -> int:
     """
     if x < 0 or math.isnan(x):
         return 0
-    # exact Python ints: each multiplicity fits int64, their total may not
-    return sum(_keys_up_to(s, "lambda", x)[1].tolist())
+    _, mults, (k,) = _key_counts(s, "lambda", [x])
+    if not k:
+        return 0
+    # each multiplicity fits int64; their total does unless k of the largest
+    # pass the limit, and then it is summed in Python ints
+    if k * int(mults.max()) <= _MAX_MULT:
+        return int(mults.sum())
+    return sum(mults.tolist())
 
 
 # ---------------------------------------------------------------------------
@@ -258,20 +264,20 @@ def _row_counts(la: np.ndarray, lb: np.ndarray, lam_max: float) -> np.ndarray:
                           lambda i, j: la[i] + lb[j] <= lam_max)
 
 
-def _ranges(counts: np.ndarray) -> np.ndarray:
-    """arange(c) for each c in counts, concatenated."""
-    total = int(counts.sum())
-    return np.arange(total) - np.repeat(np.cumsum(counts) - counts, counts)
+def _ranges(lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """arange(l, h) for each (l, h) in zip(lo, hi), concatenated."""
+    n = hi - lo
+    return np.arange(int(n.sum())) - np.repeat(np.cumsum(n) - n - lo, n)
 
 
-def _fill_lines(op: np.ufunc, x: np.ndarray, y: np.ndarray, counts: np.ndarray,
-                out: np.ndarray) -> None:
-    """out = op(x[i], y[j]) over the pairs (i, j < counts[i]), line i after
-    line i - 1, one ufunc call a line."""
+def _fill_lines(op: np.ufunc, x: np.ndarray, y: np.ndarray, first: np.ndarray,
+                counts: np.ndarray, out: np.ndarray) -> None:
+    """out = op(x[i], y[j]) over the pairs (i, first[i] <= j < counts[i]),
+    line i after line i - 1, one ufunc call a line."""
     end = 0
-    for i, c in enumerate(counts.tolist()):
-        op(x[i], y[:c], out=out[end:end + c])
-        end += c
+    for i, (f, c) in enumerate(zip(first.tolist(), counts.tolist())):
+        op(x[i], y[f:c], out=out[end:end + c - f])
+        end += c - f
 
 
 def _coalesce(lam: np.ndarray) -> np.ndarray:
@@ -304,29 +310,35 @@ def _coalesce(lam: np.ndarray) -> np.ndarray:
     return starts
 
 
-def _run_lengths(starts: np.ndarray, total: int) -> np.ndarray:
-    """np.diff(starts, append=total), formed in place in starts, _RUN_BLOCK
-    at a time, and returned."""
+def _run_lengths(starts: np.ndarray, total: int,
+                 weights: Optional[np.ndarray] = None) -> np.ndarray:
+    """The run lengths np.diff(starts, append=total) or, given int64 weights
+    of the total elements, the run sums np.add.reduceat(weights, starts),
+    formed in place in starts, _RUN_BLOCK at a time, and returned."""
     for lo in range(0, starts.size, _RUN_BLOCK):
         hi = min(lo + _RUN_BLOCK, starts.size)
-        last = (int(starts[hi]) if hi < starts.size else total) - int(starts[hi - 1])
-        starts[lo:hi - 1] = np.diff(starts[lo:hi])
-        starts[hi - 1] = last
+        end = int(starts[hi]) if hi < starts.size else total
+        if weights is None:
+            last = end - int(starts[hi - 1])
+            starts[lo:hi - 1] = np.diff(starts[lo:hi])
+            starts[hi - 1] = last
+        else:
+            starts[lo:hi] = np.add.reduceat(weights[:end], starts[lo:hi])
     return starts
 
 
-def _odd_pairs(counts: np.ndarray, odd_a: np.ndarray, odd_b: np.ndarray,
+def _odd_pairs(first: np.ndarray, counts: np.ndarray, odd_a: np.ndarray, odd_b: np.ndarray,
                odd_b_before: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(rows, cols) of a product's odd pairs, in O(their number): every pair
-    of an odd line (odd_a), then the odd b-terms in each other line's prefix
-    (odd_b_before[c] of them in a prefix of length c)."""
+    of an odd line (odd_a), then the odd b-terms in each other line
+    (odd_b_before[c] - odd_b_before[f] of them in a line from f to c)."""
     odd_lines = np.flatnonzero(odd_a)
     even_lines = np.flatnonzero(~odd_a)
-    odd_counts = odd_b_before[counts[even_lines]]
-    rows = np.concatenate((np.repeat(odd_lines, counts[odd_lines]),
-                           np.repeat(even_lines, odd_counts)))
-    cols = np.concatenate((_ranges(counts[odd_lines]),
-                           np.flatnonzero(odd_b)[_ranges(odd_counts)]))
+    lo, hi = odd_b_before[first[even_lines]], odd_b_before[counts[even_lines]]
+    rows = np.concatenate((np.repeat(odd_lines, counts[odd_lines] - first[odd_lines]),
+                           np.repeat(even_lines, hi - lo)))
+    cols = np.concatenate((_ranges(first[odd_lines], counts[odd_lines]),
+                           np.flatnonzero(odd_b)[_ranges(lo, hi)]))
     return rows, cols
 
 
@@ -351,10 +363,13 @@ def product_spectrum(a: Spectrum, b: Spectrum) -> Spectrum:
     pair-index arrays) and the run starts (8 bytes per distinct eigenvalue),
     which become the multiplicities in place; the pair buffer is coalesced
     in place (_coalesce) and shrunk to D.  That is 8P + 8D bytes at the
-    peak, about 10.4 bytes a pair on the Dirichlet square.  Products with
-    many odd pairs (more than _ODD_SHARE_MAX of them weigh other than the
-    commonest weight) sort pair indices, which holds about 32 bytes a pair:
-    the eigenvalues, their weights, the sort order and a permuted copy.
+    peak.  A product of a spectrum with itself (equal factor terms)
+    enumerates each unordered pair once, which halves the pair buffer:
+    about 4P + 8D, 6.6 bytes an ordered pair on the Dirichlet square.
+    Products with many odd pairs (more than _ODD_SHARE_MAX of them weigh
+    other than the commonest weight) sort pair indices, which holds 24 bytes
+    a pair: the eigenvalues, sorted in place, their weights and the sort
+    order, into which the weights are gathered.
     """
     if a.envelope is not None and b.envelope is not None:
         c1a, c2a = a.envelope
@@ -378,58 +393,94 @@ def product_spectrum(a: Spectrum, b: Spectrum) -> Spectrum:
             lam_max = math.nextafter(lam_max, math.inf)
         wa, ma = a.arrays(omega_max)
         wb, mb = b.arrays(omega_max)
+        # a product of a spectrum with itself (equal terms, whatever the
+        # labels) holds each unordered pair once: the mirror pairs (i, j)
+        # and (j, i) sum to the same float
+        mirrored = np.array_equal(wa, wb) and np.array_equal(ma, mb)
         # an overflow is an error, raised by value below, not a warning: an
         # infinite factor square admits its pairs (inf - inf is NaN, which
         # searchsorted places last), so it shows as the largest pair sum
         with np.errstate(over="ignore", invalid="ignore"):
             la = wa * wa
             lb = wb * wb
-            # line i holds the pairs (i, j < counts[i]); the pair set is the
-            # same from either factor, so the lines run along the factor with
-            # fewer nonempty ones (counts[0] is the other factor's number)
+            # line i holds the pairs (i, first[i] <= j < counts[i])
             counts = _row_counts(la, lb, lam_max)
-        lines = int(np.count_nonzero(counts))
-        if lines and lines > counts[0]:
-            # the other factor's line j holds the i with counts[i] > j
-            la, lb, ma, mb = lb, la, mb, ma
-            lines = int(counts[0])
-            counts = np.searchsorted(-counts, -np.arange(lines), side="left")
+        if mirrored:
+            # line i starts on its diagonal pair (i, i); the lines with
+            # counts[i] > i form a prefix, as counts never rises
+            lines = int(np.count_nonzero(counts > np.arange(counts.size)))
+            first = np.arange(lines)
+        else:
+            # the pair set is the same from either factor, so the lines run
+            # along the factor with fewer nonempty ones (counts[0] is the
+            # other factor's number)
+            lines = int(np.count_nonzero(counts))
+            if lines and lines > counts[0]:
+                # the other factor's line j holds the i with counts[i] > j
+                la, lb, ma, mb = lb, la, mb, ma
+                lines = int(counts[0])
+                counts = np.searchsorted(-counts, -np.arange(lines), side="left")
+            first = np.zeros(lines, dtype=np.intp)
         counts = counts[:lines]
-        pairs = int(counts.sum())
+        lengths = counts - first
+        pairs = int(lengths.sum())
         if not pairs:
             return np.empty(0), np.empty(0, dtype=np.int64)
-        # every coalesced multiplicity is at most max(ma) max(mb) pairs; only
-        # where that bound passes the int64 limit are they summed exactly
-        exact = int(ma.max()) * int(mb.max()) * pairs > _MAX_MULT
-        # pair (i, j) weighs ma[i] mb[j]; most pairs weigh base, the product of
-        # each factor's commonest multiplicity, so an eigenvalue's multiplicity
-        # is base times its number of pairs plus the excess of its odd pairs
+        # pair (i, j) weighs ma[i] mb[j], twice that off the diagonal of a
+        # mirrored product, where it stands for two ordered pairs.  Every
+        # coalesced multiplicity, and every partial sum on the way to it, is
+        # at most the heaviest weight times the pairs; only where that bound
+        # passes the int64 limit are the weights Python ints
+        scale = 2 if mirrored else 1
+        exact = scale * int(ma.max()) * int(mb.max()) * pairs > _MAX_MULT
+        # most pairs weigh base, scale times the product of each factor's
+        # commonest multiplicity, so an eigenvalue's multiplicity is base
+        # times its number of pairs plus the excess of its odd pairs
         pa, pb = _commonest(ma), _commonest(mb)
+        base = scale * pa * pb
         odd_a, odd_b = ma[:lines] != pa, mb != pb
-        # line i holds counts[i] odd pairs if ma[i] is odd, else as many as odd
-        # b-terms in its prefix; where many pairs are odd, the excess costs
-        # more than sorting indices and summing every pair's weight
+        # line i holds all its pairs odd if ma[i] is odd, else as many as odd
+        # b-terms in it; a mirrored product's diagonal pairs weigh ma[i]^2,
+        # never base, so those of the other lines are odd too.  Where many
+        # pairs are odd, the excess costs more than sorting indices and
+        # summing every pair's weight
         odd_b_before = np.concatenate(([0], np.cumsum(odd_b)))
-        n_odd = int(np.where(odd_a, counts, odd_b_before[counts]).sum())
+        diagonal = np.flatnonzero(~odd_a) if mirrored else np.empty(0, dtype=np.intp)
+        n_odd = diagonal.size + int(np.where(odd_a, lengths,
+                                             odd_b_before[counts] - odd_b_before[first]).sum())
         by_index = n_odd > _ODD_SHARE_MAX * pairs
+        if exact:
+            ma, mb = ma.astype(object), mb.astype(object)
         lam = np.empty(pairs)
         with np.errstate(over="ignore", invalid="ignore"):
-            _fill_lines(np.add, la, lb, counts, lam)
+            _fill_lines(np.add, la, lb, first, counts, lam)
             if not by_index:
-                rows, cols = (_odd_pairs(counts, odd_a, odd_b, odd_b_before) if n_odd
-                              else (np.empty(0, dtype=np.intp),) * 2)
+                rows, cols = _odd_pairs(first, counts, odd_a, odd_b, odd_b_before)
+                rows, cols = np.concatenate((rows, diagonal)), np.concatenate((cols, diagonal))
                 lam_odd = la[rows] + lb[cols]
-                ma_odd, mb_odd = ma[rows], mb[cols]
+                excess = ma[rows] * mb[cols]
+                if mirrored:
+                    excess[rows != cols] *= 2
+                excess -= base
                 del rows, cols
         if by_index:
             # the weights in the order of lam, as Python ints where int64
             # could overflow
-            w = np.empty(pairs, dtype=object if exact else np.int64)
-            _fill_lines(np.multiply, *((ma.astype(object), mb.astype(object)) if exact else (ma, mb)),
-                        counts, w)
+            w = np.empty(pairs, dtype=ma.dtype)
+            _fill_lines(np.multiply, scale * ma, mb, first, counts, w)
+            if mirrored:
+                # each line opens with its diagonal pair, which counts once
+                w[np.cumsum(lengths) - lengths] = ma[:lines] * mb[:lines]
             order = np.argsort(lam)
-            lam = lam[order]
-            w = w[order]
+            lam.sort()
+            if exact:
+                w = w[order]
+            else:
+                # gathered into the sort order's own buffer, a block at a time
+                for lo in range(0, pairs, _RUN_BLOCK):
+                    block = order[lo:lo + _RUN_BLOCK]
+                    block[:] = w[block]
+                w = order
             del order
         else:
             lam.sort()
@@ -438,15 +489,14 @@ def product_spectrum(a: Spectrum, b: Spectrum) -> Spectrum:
                              f"exceeds the float64 limit {_MAX_FLOAT!r}")
         starts = _coalesce(lam)
         if by_index:
-            mult = np.add.reduceat(w, starts)
+            mult = np.add.reduceat(w, starts) if exact else _run_lengths(starts, pairs, w)
         else:
             # the run lengths, formed in starts, times base, plus the excess
             mult = _run_lengths(starts, pairs)
             if exact:
-                mult, ma_odd, mb_odd = mult.astype(object), ma_odd.astype(object), mb_odd.astype(object)
-            base = pa * pb
+                mult = mult.astype(object)
             mult *= base
-            np.add.at(mult, np.searchsorted(lam, lam_odd), ma_odd * mb_odd - base)
+            np.add.at(mult, np.searchsorted(lam, lam_odd), excess)
         if exact:
             top = max(mult)
             if top > _MAX_MULT:

@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from spectrace import finite_spectrum, interval_spectrum, product_spectrum, torus_spectrum
+from spectrace import counting, finite_spectrum, interval_spectrum, product_spectrum, torus_spectrum
 from spectrace import spectra
 from spectrace.fitkit import geometric_grid
 from spectrace.riesz import riesz_mean_grid
@@ -95,13 +95,26 @@ def finite_factors(draw, heavy=False):
     """A finite factor built to stress the multiplicity rule: omegas on a
     grid whose squared sums collide (0 included, repeats allowed), and
     multiplicities mostly one bulk value, which need not be the smallest or
-    the only commonest one."""
+    the only commonest one; or all equal; or drawn from 1-3, which sends
+    most products down the index sort."""
     pool = LIGHT_MULTS + (HEAVY_MULTS if heavy else [])
     scale = draw(st.sampled_from([1.0, 0.5, math.sqrt(2.0)]))
     steps = draw(st.lists(st.integers(0, 7), max_size=12))
     bulk = draw(st.sampled_from(pool))
-    mults = [draw(st.sampled_from([bulk, bulk] + pool)) for _ in steps]
+    mults = draw(st.sampled_from([
+        [draw(st.sampled_from([bulk, bulk] + pool)) for _ in steps],
+        [bulk] * len(steps),
+        [draw(st.integers(1, 3)) for _ in steps],
+    ]))
     return finite_spectrum(1, [(k * scale, m) for k, m in zip(sorted(steps), mults)])
+
+
+def twin(draw, a):
+    """a itself, or an equal spectrum under another label: either way a
+    product with a enumerates each unordered pair once."""
+    if draw(st.booleans()):
+        return a
+    return finite_spectrum(a.dim, a.up_to(math.inf), label="twin", envelope=a.envelope)
 
 
 @st.composite
@@ -112,6 +125,9 @@ def finite_products(draw):
         a = product_spectrum(draw(finite_factors()), draw(finite_factors()))
     else:
         a = draw(finite_factors(heavy=heavy))
+    if draw(st.booleans()):
+        # one factor used twice
+        return a, twin(draw, a)
     return a, draw(finite_factors(heavy=heavy))
 
 
@@ -131,7 +147,8 @@ def short_line_products(draw):
         mults = [draw(st.sampled_from([bulk, bulk, bulk] + pool)) for _ in steps]
         return finite_spectrum(1, [(k * scale, m) for k, m in zip(sorted(steps), mults)])
 
-    return factor(), factor(), 64 * scale
+    a = factor()
+    return a, twin(draw, a) if draw(st.booleans()) else factor(), 64 * scale
 
 
 @contextlib.contextmanager
@@ -179,6 +196,31 @@ class TestProductMatchesDoubleLoop:
         a, b, omega_max = factors
         with product_paths(odd_share_max):
             assert_product_equals_brute_force(a, b, omega_max)
+
+    @pytest.mark.parametrize("odd_share_max", [-1.0, 2.0], ids=["by_index", "by_value"])
+    @settings(max_examples=200, deadline=None)
+    @given(finite_factors(heavy=True), st.data())
+    def test_self_product_cut_on_a_diagonal_eigenvalue(self, odd_share_max, a, data):
+        # the diagonal pair (i, i) counts once and opens line i; a cutoff on
+        # its eigenvalue, or one ulp either side, keeps or drops whole lines
+        terms = a.up_to(math.inf)
+        w = terms[data.draw(st.integers(0, len(terms) - 1))][0] if terms else 1.0
+        omega_max = math.sqrt(w * w + w * w)
+        omega_max = data.draw(st.sampled_from(
+            [omega_max, math.nextafter(omega_max, 0.0), math.nextafter(omega_max, math.inf)]))
+        with product_paths(odd_share_max):
+            assert_product_equals_brute_force(a, twin(data.draw, a), omega_max)
+
+    @pytest.mark.parametrize("odd_share_max", [-1.0, 2.0], ids=["by_index", "by_value"])
+    def test_self_products_of_lattices(self, odd_share_max):
+        # the square of a Dirichlet square (equal multiplicities) and the flat
+        # torus T x T (a zero mode of multiplicity 1 among 2s)
+        square = product_spectrum(interval_spectrum(1.1, "dirichlet"),
+                                  interval_spectrum(1.1, "dirichlet"))
+        circle = torus_spectrum(1.3)
+        for a, omega_max in ((square, 30.0), (circle, 200.0)):
+            with product_paths(odd_share_max):
+                assert_product_equals_brute_force(a, a, omega_max)
 
     @settings(max_examples=60, deadline=None)
     @given(products(), st.floats(min_value=0.0, max_value=60.0))
@@ -276,15 +318,32 @@ class TestPeakMemory:
         return product_spectrum(side, side)
 
     def test_enumeration_peak_per_pair(self):
-        # the pair eigenvalues (8 bytes a pair), coalesced in place, and the
-        # run starts (8 bytes per distinct eigenvalue); no pair-index arrays,
-        # no pair-sized mask and no copy of the distinct eigenvalues
+        # the pair eigenvalues (8 bytes an unordered pair, about 4 an ordered
+        # one, as the square enumerates each mirror pair once), coalesced in
+        # place, and the run starts (8 bytes per distinct eigenvalue); no
+        # pair-index arrays, no pair-sized mask and no copy of the distinct
+        # eigenvalues
         square = self.square()
         result = {}
         peak = traced_peak(lambda: result.update(terms=square.arrays(1000 * self.W1)))
         pairs = int(result["terms"][1].sum())
         assert pairs > 1_500_000
-        assert peak <= 11 * pairs, f"{peak / pairs:.1f} bytes a pair"
+        assert peak <= 8 * pairs, f"{peak / pairs:.1f} bytes an ordered pair"
+
+    def test_index_sort_peak_per_pair(self):
+        # two 1,700-term factors with multiplicities 1-3 take the index sort:
+        # the pair eigenvalues, sorted in place, their weights and the sort
+        # order, into which the weights are gathered (24 bytes a pair); no
+        # permuted copy.  Random omegas make nearly every pair eigenvalue
+        # distinct, so the run sums are formed in the run starts
+        rng = np.random.default_rng(5)
+        a, b = (finite_spectrum(1, zip(np.sort(rng.uniform(0.0, 100.0, 1700)).tolist(),
+                                       rng.integers(1, 4, 1700).tolist()))
+                for _ in range(2))
+        s = product_spectrum(a, b)
+        peak = traced_peak(lambda: s.arrays(math.inf))
+        pairs = 1700 * 1700
+        assert peak <= 25 * pairs, f"{peak / pairs:.1f} bytes a pair"
 
     @pytest.mark.parametrize("alpha", [1, 2])
     def test_riesz_grid_peak_per_term(self, alpha):
@@ -406,6 +465,37 @@ class TestKeyCounts:
         s = SPECTRUM_KINDS[kind]()
         for w in s.arrays(12.0)[0][:40].tolist():
             self.assert_counts_equal_searchsorted(s, w * w)
+
+
+class TestCountingSum:
+    """counting reads its count from _key_counts and sums the multiplicities
+    in int64 where that cannot wrap: it must equal the exact Python sum over
+    the squared keys."""
+
+    @staticmethod
+    def assert_counts_equal_reference(s, key):
+        xs = [key, math.nextafter(key, 0.0), math.nextafter(key, math.inf), 0.0]
+        if s.truncated_at is not None:
+            xs.append(math.inf)
+        for x in xs:
+            assert counting(s, x) == sum(_keys_up_to(s, "lambda", x)[1].tolist()), x
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.tuples(st.floats(min_value=0.0, max_value=1e6),
+                              st.sampled_from([1, 3, 2**40, 2**62, 2**63 - 1])),
+                    min_size=1, max_size=20),
+           st.data())
+    def test_finite_spectra(self, terms, data):
+        # multiplicities near the int64 limit make totals that need Python ints
+        s = finite_spectrum(2, sorted(terms))
+        w = s.arrays(math.inf)[0]
+        self.assert_counts_equal_reference(s, float(w[data.draw(st.integers(0, w.size - 1))] ** 2))
+
+    @pytest.mark.parametrize("kind", range(len(SPECTRUM_KINDS)))
+    def test_enumerated_spectra(self, kind):
+        s = SPECTRUM_KINDS[kind]()
+        for w in s.arrays(12.0)[0][:40].tolist():
+            self.assert_counts_equal_reference(s, w * w)
 
 
 def reference_terms(kind, t, terms):
