@@ -10,12 +10,13 @@ lets the trace evaluators certify their truncation error.
 
 from __future__ import annotations
 
+import contextlib
 import itertools
 import math
 import threading
 import warnings
 from dataclasses import dataclass, field
-from typing import Callable, Optional, Sequence
+from typing import Callable, Iterable, Iterator, Optional, Sequence, TextIO
 
 import numpy as np
 
@@ -559,29 +560,46 @@ def load_spectrum(path) -> Spectrum:
     treated as a truncation of the true spectrum, so without an envelope line
     trace tail bounds cannot be certified.
 
-    The header is read line by line (_read_lines); the body, from the first
-    data line on, in one np.loadtxt pass (_read_body).  Where that pass fails
-    or finds a bad term, _read_lines reads the body instead: it names the
-    offending line and reads the tokens only Python accepts (1_000, non-ASCII
-    digits), so the result never depends on which reader ran.
+    The file is streamed: the header is read line by line (_read_lines), and
+    the body, from the first data line on, goes to one np.loadtxt pass
+    (_read_body), which pulls its lines from the open file one at a time;
+    the pass peaks at about 32 bytes a term (the parsed table and the two
+    arrays copied from it).  Where that pass fails or finds a bad term,
+    _read_lines reads the reopened file instead, at about 57 bytes a term:
+    it names the offending line and reads the tokens only Python accepts
+    (1_000, non-ASCII digits), so the result never depends on which reader
+    ran.  Neither path holds the file's lines.
     """
-    with open(path, "r", encoding="utf-8") as fh:
-        lines = fh.readlines()
-    dim, envelope, body, _, _ = _read_lines(lines, header_only=True)
-    terms = _read_body(lines[body:])
+    with _spectrum_file(path) as fh:
+        # terms stay the header pass's empty lists when it reaches the end
+        dim, envelope, first, *terms = _read_lines(fh, header_only=True)
+        if first is not None:
+            terms = _read_body(itertools.chain([first], fh))
     if terms is None:
-        dim, envelope, _, *terms = _read_lines(lines, body, dim, envelope)
+        with _spectrum_file(path) as fh:
+            dim, envelope, _, *terms = _read_lines(fh)
     return _listed_spectrum(dim, f"file:{path}", envelope, *terms)
 
 
-def _read_body(lines: list[str]) -> Optional[Arrays]:
-    """(omegas, mults) of a file body in one np.loadtxt pass, or None when
-    loadtxt raises or warns (numpy 1.x reads "5.0" into an int column with a
-    DeprecationWarning), or a term breaks the grammar: NaN or negative omega,
-    multiplicity below 1, omega decreasing."""
-    if not lines:
-        # loadtxt warns on empty input
-        return np.empty(0), np.empty(0, dtype=np.int64)
+@contextlib.contextmanager
+def _spectrum_file(path) -> Iterator[TextIO]:
+    """The file opened for reading.  A grammar error is raised only after
+    the rest of the file has been decoded, so that an undecodable byte
+    anywhere raises UnicodeDecodeError, as when the file is read whole."""
+    with open(path, "r", encoding="utf-8") as fh:
+        try:
+            yield fh
+        except SpectrumFormatError:
+            for _ in fh:
+                pass
+            raise
+
+
+def _read_body(lines: Iterable[str]) -> Optional[Arrays]:
+    """(omegas, mults) of a nonempty file body in one np.loadtxt pass, or
+    None when loadtxt raises or warns (numpy 1.x reads "5.0" into an int
+    column with a DeprecationWarning), or a term breaks the grammar: NaN or
+    negative omega, multiplicity below 1, omega decreasing."""
     try:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
@@ -595,23 +613,24 @@ def _read_body(lines: list[str]) -> Optional[Arrays]:
     return omegas, mults
 
 
-def _read_lines(lines: Sequence[str], start: int = 0, dim: Optional[int] = None,
-                envelope: Optional[tuple[float, float]] = None, header_only: bool = False,
-                ) -> tuple[int, Optional[tuple[float, float]], int, list[float], list[int]]:
+def _read_lines(lines: Iterable[str], header_only: bool = False,
+                ) -> tuple[int, Optional[tuple[float, float]], Optional[str], list[float], list[int]]:
     """The file grammar, one line at a time: the reference reader.
 
-    Reads lines[start:] (numbered from lines[0] = line 1), given the dim and
-    envelope of the header before start, and returns
-    (dim, envelope, stop, omegas, mults) with omegas and mults Python lists.
-    With header_only it stops at the first data line, whose index is stop;
-    otherwise stop = len(lines).  Raises SpectrumFormatError, naming the
+    Reads the lines of a whole file (any iterable, numbered from line 1) and
+    returns (dim, envelope, first, omegas, mults) with omegas and mults
+    Python lists.  With header_only it stops at the first data line and
+    hands it back as first, without reading it (None when the file has
+    none); otherwise first is None.  Raises SpectrumFormatError, naming the
     line, at the first line that breaks the grammar.
     """
+    dim: Optional[int] = None
+    envelope: Optional[tuple[float, float]] = None
     omegas: list[float] = []
     mults: list[int] = []
     prev_omega = -math.inf
 
-    for lineno, raw in enumerate(itertools.islice(lines, start, None), start=start + 1):
+    for lineno, raw in enumerate(lines, start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
@@ -640,7 +659,7 @@ def _read_lines(lines: Sequence[str], start: int = 0, dim: Optional[int] = None,
             envelope = (c1, c2)
             continue
         if header_only:
-            return dim, envelope, lineno - 1, omegas, mults
+            return dim, envelope, raw, omegas, mults
         if len(fields) != 2:
             raise SpectrumFormatError(
                 f"expected '<omega> <multiplicity>' at line {lineno}, got {line!r}"
@@ -664,4 +683,4 @@ def _read_lines(lines: Sequence[str], start: int = 0, dim: Optional[int] = None,
 
     if dim is None:
         raise SpectrumFormatError("missing 'dim <d>' header (empty file)")
-    return dim, envelope, len(lines), omegas, mults
+    return dim, envelope, None, omegas, mults

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -363,11 +364,50 @@ def spectrum_path(tmp_path_factory):
     return tmp_path_factory.mktemp("loader") / "spectrum.txt"
 
 
-def _outcome(read):
+def _outcome(read, path):
     try:
-        return read()
-    except SpectrumFormatError as exc:
-        return ("error", str(exc))
+        return read(path)
+    except (SpectrumFormatError, UnicodeDecodeError) as exc:
+        return (type(exc).__name__, str(exc))
+
+
+def _loaded(path):
+    s = load_spectrum(path)
+    omegas, mults = s.arrays(math.inf)
+    return (s.dim, s.envelope, omegas.tobytes(), mults.tolist(), s.truncated_at.hex())
+
+
+def _reference(path):
+    with open(path, "r", encoding="utf-8") as fh:
+        dim, envelope, _, omegas, mults = _read_lines(fh.readlines())
+    last = omegas[-1] if omegas else 0.0
+    return (dim, envelope, np.array(omegas, dtype=np.float64).tobytes(), mults, last.hex())
+
+
+def _terms(n, start=1.0):
+    """n data lines "<omega> 1", omega rising by 1/8 from start."""
+    return "".join(f"{start + k / 8!r} 1\n" for k in range(n))
+
+
+# files at the seams of the streamed loader: where the header pass stops,
+# the end of the file, loadtxt's 50,000-line chunks, and the decoder's reads
+SEAM_FILES = {
+    "empty": b"",
+    "comments-only": b"# a\n\n# b\n",
+    "header-only-no-newline": b"dim 2\nenvelope 1 2",
+    "gap-before-body": b"dim 1\n# c\n\n \t\nenvelope 0 1\n# d\n\n1 1\n2 1\n",
+    "one-term-no-newline": b"dim 1\n1.5 3",
+    "lone-cr": b"dim 1\renvelope 0 1\r# c\r\r1 1\r2 1_0\r3 2",
+    "non-monotone-at-60003": ("dim 1\n" + _terms(60001) + "0.5 1\n" + _terms(10, 1e6)).encode(),
+    "envelope-after-60k": ("dim 1\n" + _terms(60000) + "envelope 0 1\n").encode(),
+    "bad-byte-in-header": b"dim 1\nenvelope 0 \xff\n1 1\n",
+    "bad-byte-past-64k": ("dim 1\n" + _terms(8000)).encode() + b"\xff 1\n"
+                         + _terms(10, 1e6).encode(),
+    # a grammar error before an undecodable byte: the byte wins, as when the
+    # whole file is decoded before it is read
+    "header-error-then-bad-byte": ("dimm 1\n" + _terms(8000)).encode() + b"\xff 1\n",
+    "body-error-then-bad-byte": ("dim 1\n2 1\n1 1\n" + _terms(8000)).encode() + b"\xff 1\n",
+}
 
 
 class TestLoaderAgainstReference:
@@ -380,23 +420,17 @@ class TestLoaderAgainstReference:
     def test_matches_per_line_reader(self, spectrum_path, text):
         with open(spectrum_path, "w", encoding="utf-8", newline="") as fh:
             fh.write(text)
-
-        def loaded():
-            s = load_spectrum(spectrum_path)
-            omegas, mults = s.arrays(math.inf)
-            return (s.dim, s.envelope, omegas.tobytes(), mults.tolist(),
-                    s.truncated_at.hex())
-
-        def reference():
-            with open(spectrum_path, "r", encoding="utf-8") as fh:
-                dim, envelope, _, omegas, mults = _read_lines(fh.readlines())
-            last = omegas[-1] if omegas else 0.0
-            return (dim, envelope, np.array(omegas, dtype=np.float64).tobytes(), mults,
-                    last.hex())
-
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            assert _outcome(loaded) == _outcome(reference)
+            assert _outcome(_loaded, spectrum_path) == _outcome(_reference, spectrum_path)
+
+    @pytest.mark.parametrize("name", SEAM_FILES)
+    def test_seams_match_per_line_reader(self, tmp_path, name):
+        p = tmp_path / "seam.txt"
+        p.write_bytes(SEAM_FILES[name])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert _outcome(_loaded, p) == _outcome(_reference, p)
 
     @pytest.mark.parametrize("text, terms", [
         ("dim 1\n1 1_000\n", [(1.0, 1000)]),
@@ -424,3 +458,37 @@ class TestLoaderAgainstReference:
         p.write_text(text)
         with pytest.raises(SpectrumFormatError, match=message):
             load_spectrum(p)
+
+
+class TestLoadMemory:
+    """load_spectrum holds no line list: a 75k-line file peaks at the parsed
+    table and the two arrays copied from it (32 bytes a term) on the one-pass
+    path, and at the per-line reader's Python lists plus those arrays (57)
+    where the per-line reader decides."""
+
+    TERMS = 75_000
+
+    @pytest.fixture(scope="class")
+    def omegas(self):
+        rng = np.random.default_rng(19)
+        return np.sort(rng.uniform(1.0, 500.0, self.TERMS)).tolist()
+
+    def peak_per_term(self, path):
+        load_spectrum(path)  # warm-up: imports and one-time numpy state
+        tracemalloc.start()
+        try:
+            held = tracemalloc.get_traced_memory()[0]
+            load_spectrum(path)
+            return (tracemalloc.get_traced_memory()[1] - held) / self.TERMS
+        finally:
+            tracemalloc.stop()
+
+    @pytest.mark.parametrize("last_mult, limit", [("1", 40), ("1_0", 70)],
+                             ids=["one-pass", "per-line"])
+    def test_peak_bytes_per_term(self, tmp_path, omegas, last_mult, limit):
+        p = tmp_path / "long.spec"
+        with open(p, "w", encoding="utf-8") as fh:
+            fh.write("# 75k terms\ndim 2\nenvelope 0 0.1\n")
+            fh.writelines(f"{w!r} 1\n" for w in omegas[:-1])
+            fh.write(f"{omegas[-1]!r} {last_mult}\n")
+        assert self.peak_per_term(p) <= limit
