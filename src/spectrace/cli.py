@@ -38,6 +38,7 @@ from .riesz import (
     weyl_remainder,
 )
 from .spectra import (
+    DEFAULT_MAX_TERMS,
     Spectrum,
     interval_spectrum,
     load_spectrum,
@@ -427,7 +428,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--tmax", type=float, default=tmax)
         p.add_argument("--points", type=int, default=points)
         p.add_argument("--tol", type=float, default=tol)
-        p.add_argument("--max-terms", type=int, default=10_000_000)
+        p.add_argument("--max-terms", type=int, default=DEFAULT_MAX_TERMS)
         p.add_argument("--out", default=None, help="output path (default stdout)")
 
     p_trace = sub.add_parser("trace", help="sample a kernel trace over a t-grid")
@@ -455,7 +456,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--orders", type=int, default=4)
     p_verify.add_argument("--points", type=int, default=64)
     p_verify.add_argument("--tol", type=float, default=1e-13)
-    p_verify.add_argument("--max-terms", type=int, default=10_000_000)
+    p_verify.add_argument("--max-terms", type=int, default=DEFAULT_MAX_TERMS)
     p_verify.add_argument("--out", default=None)
     p_verify.set_defaults(func=cmd_verify)
 

@@ -21,7 +21,6 @@ import numpy as np
 from .fitkit import AsymptoticBasis, FitReport, detect_log_term, fit_expansion, geometric_grid
 from .invariants import _carries_log
 from .spectra import Spectrum, _key_counts
-from .traces import DEFAULT_MAX_TERMS, ToleranceError
 
 __all__ = [
     "RieszMeanValue",
@@ -88,7 +87,8 @@ def riesz_mean_grid(s: Spectrum, alpha: int, variable: str,
     mult ((x - x_n) / x)^alpha instead, which neither under- nor overflows;
     x = inf gives the limit (sum mult) / alpha!.  Raises ValueError for an
     infinite grid point on a spectrum that does not end, and ToleranceError
-    before enumerating one past the term budget (_check_budget).
+    when the enumeration to the largest point needs more than
+    DEFAULT_MAX_TERMS rows, before it allocates them (Spectrum.arrays).
 
     Memory above the cached enumeration: the moment table (alpha + 1 floats
     a chunk) and work arrays of _BLOCK chunks.  In the lambda variable the
@@ -107,7 +107,6 @@ def riesz_mean_grid(s: Spectrum, alpha: int, variable: str,
     if not grid:
         return []
     alpha = int(alpha)
-    _check_budget(s, variable, max(grid))
     # the keys are values * values in the lambda variable, squared where used
     values, mults, idxs = _key_counts(s, variable, grid)
     square = variable == "lambda"
@@ -161,30 +160,6 @@ def riesz_mean_grid(s: Spectrum, alpha: int, variable: str,
         value = (head + float(np.sum(tail))) / (fac * x**alpha) if idx else 0.0
         out.append(RieszMeanValue(alpha=alpha, variable=variable, x=x, value=value))
     return out
-
-
-def _check_budget(s: Spectrum, variable: str, x: float) -> None:
-    """Raise ToleranceError when a spectrum that does not end has an
-    envelope count C1 + C2 w^d at w = omega(x) above DEFAULT_MAX_TERMS, the
-    budget and unit of the certified traces; a count past the float range
-    is above it too.  An infinite x is left to the enumeration's ValueError.
-    Spectra with finite data (truncated_at set) are not checked: their
-    multiplicities are arbitrary, so the count bounds no number of rows."""
-    if s.envelope is None or s.truncated_at is not None or math.isinf(x):
-        return
-    w = math.sqrt(x) if variable == "lambda" else x
-    c1, c2 = s.envelope
-    try:
-        count = c1 + c2 * w**s.dim
-    except OverflowError:
-        count = math.inf
-    if count > DEFAULT_MAX_TERMS:
-        raise ToleranceError(
-            f"term budget exhausted: the envelope counts {count:.3g} terms up to "
-            f"{variable} = {x!r}, over the budget of {DEFAULT_MAX_TERMS}",
-            achieved_bound=math.nan,
-            terms_used=0,
-        )
 
 
 def _chunk_moments(values: np.ndarray, mults: np.ndarray, alpha: int,

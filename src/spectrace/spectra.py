@@ -43,10 +43,21 @@ _ODD_SHARE_MAX = 0.15
 # pair eigenvalues compared (or run starts converted) per step when a
 # product coalesces its pairs in place, so no work array is pair-sized
 _RUN_BLOCK = 1 << 16
+# the term budget: the most rows (lattice terms, product pairs) one enumeration allocates
+DEFAULT_MAX_TERMS = 10_000_000
 
 
 class SpectrumFormatError(ValueError):
     """Raised when a spectrum file violates the file grammar."""
+
+
+class ToleranceError(RuntimeError):
+    """A tolerance or an enumeration is out of reach within the term budget."""
+
+    def __init__(self, message: str, achieved_bound: float, terms_used: int):
+        super().__init__(message)
+        self.achieved_bound = achieved_bound
+        self.terms_used = terms_used
 
 
 @dataclass(frozen=True)
@@ -60,7 +71,9 @@ class Spectrum:
     envelope : optional (C1, C2) with N(lambda) <= C1 + C2 * lambda^{d/2};
         None means truncation cannot be certified.
     truncated_at : for finite data (e.g. loaded files) the largest omega the
-        sequence can produce; None for constructively infinite spectra.
+        sequence can produce; None for constructively infinite spectra.  A
+        product's is the smaller factor end, the extent up to which its
+        terms are complete.  Traces certify with it; no budget reads it.
     energy : the vacuum energy -e_{d+1}/2 in closed form, set by the
         constructors that know it (interval, torus); None otherwise.
     """
@@ -89,7 +102,8 @@ class Spectrum:
         grid evaluations pay for one pass over the spectrum, not one per
         point; the cache is guarded by a lock so shared read-only use across
         threads stays safe.  Raises ValueError for an infinite omega_max on a
-        spectrum that does not end (truncated_at is None).
+        spectrum that does not end (truncated_at is None), and ToleranceError
+        before it allocates more than DEFAULT_MAX_TERMS rows.
         """
         if omega_max < 0 or math.isnan(omega_max):
             return _readonly(np.empty(0), np.empty(0, dtype=np.int64))
@@ -160,7 +174,8 @@ def counting(s: Spectrum, x: float) -> int:
     """N(x): the number of eigenvalues lambda_n <= x, with multiplicity.
 
     A right-continuous nondecreasing step function; N(x) = 0 below the
-    smallest eigenvalue and for negative or NaN x.
+    smallest eigenvalue and for negative or NaN x.  Raises ToleranceError
+    past the term budget (Spectrum.arrays), whether or not the spectrum ends.
     """
     if x < 0 or math.isnan(x):
         return 0
@@ -178,15 +193,24 @@ def counting(s: Spectrum, x: float) -> int:
 # Constructors
 # ---------------------------------------------------------------------------
 
+def _check_rows(rows: float, omega_max: float) -> None:
+    """Raise ToleranceError, before they are allocated, for more than DEFAULT_MAX_TERMS rows."""
+    if rows > DEFAULT_MAX_TERMS:
+        raise ToleranceError(f"term budget exhausted: enumerating up to omega = {omega_max!r} "
+                             f"needs {rows:.3g} rows, over the budget of {DEFAULT_MAX_TERMS}",
+                             achieved_bound=math.nan, terms_used=0)
+
+
 def _lattice(step: float, zero_mode: bool, mult: int) -> Callable[[float], Arrays]:
     """Enumerator of omega_n = n * step (n >= 1) with multiplicity mult,
-    preceded by omega_0 = 0 (multiplicity 1) when zero_mode is set."""
+    preceded by omega_0 = 0 (multiplicity 1) when zero_mode is set.  It
+    budgets floor(omega_max / step) rows plus the zero mode; an infinite
+    ratio is over the budget."""
 
     def gen(omega_max: float) -> Arrays:
-        if not math.isfinite(omega_max / step):
-            raise ValueError(
-                f"cannot enumerate a lattice of step {step!r} up to omega = {omega_max!r}")
-        n_hi = int(omega_max / step) + 2
+        count = omega_max / step
+        _check_rows(math.floor(count) + zero_mode if count < math.inf else count, omega_max)
+        n_hi = int(count) + 2
         # float64(n) * step rounds exactly as the scalar n * step does
         omegas = np.arange(1, n_hi + 1, dtype=np.float64) * step
         mults = np.full(omegas.size, mult, dtype=np.int64)
@@ -357,7 +381,9 @@ def product_spectrum(a: Spectrum, b: Spectrum) -> Spectrum:
     equal floats are coalesced with summed multiplicity (tolerance 0 -- looser
     coalescing would corrupt counts).  Enumeration raises ValueError when a
     multiplicity passes the int64 limit, or when a factor's omega^2 or a pair
-    sum inside the cutoff passes the float64 limit.
+    sum inside the cutoff passes the float64 limit, and ToleranceError before
+    it allocates more than DEFAULT_MAX_TERMS pairs (a self-product's
+    unordered), finite factors or not.
 
     Memory: enumerating P pairs into D distinct eigenvalues holds the pair
     eigenvalues (8 bytes a pair, filled one factor term at a time, with no
@@ -425,6 +451,7 @@ def product_spectrum(a: Spectrum, b: Spectrum) -> Spectrum:
         counts = counts[:lines]
         lengths = counts - first
         pairs = int(lengths.sum())
+        _check_rows(pairs, omega_max)
         if not pairs:
             return np.empty(0), np.empty(0, dtype=np.int64)
         # pair (i, j) weighs ma[i] mb[j], twice that off the diagonal of a

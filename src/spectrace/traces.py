@@ -33,7 +33,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .spectra import Spectrum
+from .spectra import DEFAULT_MAX_TERMS, Spectrum, ToleranceError
 
 __all__ = [
     "TraceSample",
@@ -45,8 +45,6 @@ __all__ = [
     "trace_grid",
 ]
 
-DEFAULT_MAX_TERMS = 10_000_000
-
 # headroom multiplying every tail bound, covering float rounding in the
 # incomplete-gamma recurrences
 _BOUND_SLACK = 1.0 + 1e-9
@@ -55,15 +53,6 @@ _BOUND_SLACK = 1.0 + 1e-9
 # on its solver's steps (3 or 4 is typical; bisection alone needs 16)
 _X_STEP = 1.0 / 64.0
 _SOLVE_STEPS = 64
-
-
-class ToleranceError(RuntimeError):
-    """Requested tolerance is unreachable within the term budget."""
-
-    def __init__(self, message: str, achieved_bound: float, terms_used: int):
-        super().__init__(message)
-        self.achieved_bound = achieved_bound
-        self.terms_used = terms_used
 
 
 @dataclass(frozen=True)
@@ -285,8 +274,9 @@ def heat_trace(s: Spectrum, t: float, tol: float = 1e-12,
     s : spectrum to sum over (must carry an envelope to certify).
     t : kernel time, > 0.
     tol : required bound on the truncation error.
-    max_terms : term budget; exceeding it raises ToleranceError with the
-        bound that was achievable.
+    max_terms : envelope-count budget; exceeding it raises ToleranceError
+        with the bound that was achievable.  It lowers, never lifts, the
+        enumeration's own budget of DEFAULT_MAX_TERMS rows.
     """
     return _certified_trace(s, t, tol, "heat", max_terms)
 

@@ -32,7 +32,7 @@ from .invariants import (
     riesz_to_heat,
 )
 from .riesz import extract_riesz_coeffs
-from .spectra import Spectrum
+from .spectra import DEFAULT_MAX_TERMS, Spectrum
 from .traces import trace_grid
 
 __all__ = ["VerifyRow", "expansion_from_fit", "fit_trace", "run_verification"]
@@ -98,12 +98,13 @@ def _first_positive_omega(s: Spectrum) -> float:
 
 
 def run_verification(spectrum: Spectrum, orders: int = 4, points: int = 64,
-                     tol: float = 1e-13, max_terms: int = 10_000_000) -> list[VerifyRow]:
+                     tol: float = 1e-13, max_terms: int = DEFAULT_MAX_TERMS) -> list[VerifyRow]:
     """Fit all coefficient families for one spectrum and check every relation.
 
     Raises ValueError for a spectrum without envelope constants (its traces
     cannot be certified), for max_terms below 1 and for a spectrum with no
-    positive frequency; ToleranceError when a trace cannot meet tol.
+    positive frequency; ToleranceError when a trace cannot meet tol or an
+    enumeration passes the term budget (Spectrum.arrays).
     """
     if spectrum.envelope is None:
         raise ValueError(

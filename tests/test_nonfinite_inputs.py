@@ -17,6 +17,7 @@ import pytest
 
 from spectrace import (
     SpectrumFormatError,
+    ToleranceError,
     finite_spectrum,
     interval_spectrum,
     load_spectrum,
@@ -175,8 +176,35 @@ class TestRieszTermBudget:
         assert "term budget" in captured.err and "Traceback" not in captured.err
 
     def test_lattice_past_the_float_range_raises(self):
-        with pytest.raises(ValueError, match="cannot enumerate a lattice"):
+        # omega / step passes the float range: an infinite count of rows
+        with pytest.raises(ToleranceError, match="term budget"):
             torus_spectrum(1000.0).arrays(1.7e308)
+
+    def test_finite_factor_product_exits_3(self, tmp_path):
+        # the finite factor does not exempt the product: the interval alone
+        # would need 3.2e9 rows (25 GiB), refused before it allocates
+        (tmp_path / "one.spec").write_text("dim 1\nenvelope 1 0\n1 1\n")
+        spec = f"product:(file:{tmp_path / 'one.spec'})x({INTERVAL_SPEC})"
+        proc = run_python(
+            "import sys\n"
+            "from spectrace.cli import main\n"
+            f"sys.exit(main(['riesz', '--spectrum', {spec!r}, '--variable', 'omega',\n"
+            "                '--xmin', '1', '--xmax', '1e10']))\n"
+        )
+        assert proc.returncode == 3, proc.stderr
+        assert "term budget" in proc.stderr and "Traceback" not in proc.stderr
+
+    def test_flat_torus_verify_reports(self):
+        # its lambda-Riesz grid needs under 1M pairs, though the envelope
+        # (which folds the 1-D cross terms in) counts 2.3e7 terms
+        proc = run_python(
+            "import sys\n"
+            "from spectrace.cli import main\n"
+            "t = 'torus:circumference=1.3'\n"
+            "sys.exit(main(['verify', '--spectrum', f'product:({t})x({t})']))\n"
+        )
+        assert proc.returncode in (0, 1), proc.stderr
+        assert "overall:" in proc.stdout
 
     def test_cube_verify_exits_3(self):
         # its lambda-Riesz grid would need about 5e9 terms

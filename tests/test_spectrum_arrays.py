@@ -14,14 +14,14 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from spectrace import counting, finite_spectrum, interval_spectrum, product_spectrum, torus_spectrum
 from spectrace import spectra
 from spectrace.fitkit import geometric_grid
 from spectrace.riesz import riesz_mean_grid
 from spectrace.spectra import _coalesce, _key_counts, _keys_up_to, _row_counts, _run_lengths
-from spectrace.traces import _exp_safe, _term_sum
+from spectrace.traces import _exp_safe, _term_sum, trace_grid
 
 PI = math.pi
 
@@ -578,3 +578,68 @@ class TestTermSumBitIdentical:
         for kind in ("heat", "cylinder", "dcylinder"):
             got = _term_sum(kind, 1.0, np.empty(0), np.empty(0, dtype=np.int64))
             assert got.hex() == (0.0).hex()
+
+
+# the traces' spectra of TestTermBudget: both intervals, the torus, N x T and D x D
+TRACE_SPECTRA = [
+    lambda: interval_spectrum(1.0, "dirichlet"),
+    lambda: interval_spectrum(0.3, "neumann"),
+    lambda: torus_spectrum(2.0),
+    lambda: product_spectrum(interval_spectrum(1.0, "neumann"), torus_spectrum(1.7)),
+    lambda: product_spectrum(interval_spectrum(1.0, "dirichlet"),
+                             interval_spectrum(1.0, "dirichlet")),
+]
+
+
+def self_product():
+    s = finite_spectrum(1, [(1.0, 1), (2.0, 1), (3.0, 1), (4.0, 1)])
+    return product_spectrum(s, s)
+
+
+class TestTermBudget:
+    """The two enumerators that allocate rows refuse, before allocating, an
+    enumeration of more than spectra.DEFAULT_MAX_TERMS of them: a lattice
+    counts floor(omega / step) plus its zero mode, a product its pairs."""
+
+    @pytest.mark.parametrize("make, omega_max, rows", [
+        # steps of 1.0: omegas 1..100, and 0 plus 1..99 with the torus's zero mode
+        (lambda: interval_spectrum(PI, "dirichlet"), 100.0, 100),
+        (lambda: torus_spectrum(2 * PI), 99.0, 100),
+        # finite factors are not exempt: all 10 x 3 pairs
+        (lambda: product_spectrum(finite_spectrum(1, [(n, 1) for n in range(1, 11)]),
+                                  finite_spectrum(1, [(0.5, 1), (1.5, 1), (2.5, 1)])),
+         math.inf, 30),
+        # the 10 unordered pairs of 4 terms, each once (16 ordered pairs)
+        (self_product, math.inf, 10),
+    ], ids=["interval", "torus", "finite-product", "self-product"])
+    def test_enumerates_at_the_budget_and_refuses_one_row_past_it(
+            self, monkeypatch, make, omega_max, rows):
+        monkeypatch.setattr(spectra, "DEFAULT_MAX_TERMS", rows)
+        omegas, _ = make().arrays(omega_max)
+        assert omegas.size > 0
+        monkeypatch.setattr(spectra, "DEFAULT_MAX_TERMS", rows - 1)
+        with pytest.raises(spectra.ToleranceError, match="term budget"):
+            make().arrays(omega_max)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.sampled_from(range(len(TRACE_SPECTRA))),
+           st.sampled_from(["heat", "cylinder", "dcylinder"]),
+           st.floats(min_value=math.log(1e-6), max_value=math.log(10.0)).map(math.exp),
+           st.floats(min_value=math.log(1e-16), max_value=math.log(1e-2)).map(math.exp),
+           st.integers(1, 4000))
+    # capped at the budget, these enumerate exactly 4,000 rows and certify
+    @example(0, "cylinder", 1e-3, 5e-3, 4000)
+    @example(1, "cylinder", 1e-3, 1e-15, 4000)
+    def test_traces_within_the_budget_never_hit_the_enumeration_check(
+            self, kind, kernel, t, tol, max_terms):
+        # a trace caps its cutoff where the envelope count reaches max_terms,
+        # and the envelope counts at least the rows, so with max_terms at
+        # most the budget only the trace itself may refuse
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(spectra, "DEFAULT_MAX_TERMS", 4000)
+            try:
+                sample = trace_grid(TRACE_SPECTRA[kind](), kernel, [t], tol, max_terms)[0]
+            except spectra.ToleranceError as exc:
+                assert "before reaching tol" in str(exc), exc
+            else:
+                assert sample.tail_bound <= tol and sample.terms_used <= max_terms
