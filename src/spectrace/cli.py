@@ -95,11 +95,16 @@ def parse_spectrum_spec(spec: str) -> Spectrum:
 
 
 def _parse_fields(body: str, required: set) -> dict:
+    """The key=value fields of a spec body: each required key once, no other."""
     fields = {}
     for chunk in body.split(":"):
         if "=" not in chunk:
             raise UsageError(f"expected key=value, got {chunk!r}")
         k, v = chunk.split("=", 1)
+        if k not in required:
+            raise UsageError(f"unknown spectrum spec field {k!r}; expected {sorted(required)}")
+        if k in fields:
+            raise UsageError(f"spectrum spec field {k!r} given twice")
         fields[k] = v
     missing = required - set(fields)
     if missing:

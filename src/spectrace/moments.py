@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import itertools
 import math
-import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -38,11 +37,11 @@ __all__ = [
 ]
 
 _MAX_DERIV = 12
-_EPS = sys.float_info.epsilon
 # comb indices per array evaluation, which bounds the memory of a long sum
 _COMB_CHUNK = 1 << 16
-# absolute tail bound at which comb_pairing stops summing
+# absolute tail bounds at which comb_pairing and the omega comb stop summing
 _COMB_TOL = 1e-14
+_OMEGA_COMB_TOL = 1e-15
 
 
 def _exp(a: np.ndarray) -> np.ndarray:
@@ -89,28 +88,21 @@ def _tanh_sinh_table(h: float, min_weight: float) -> tuple[np.ndarray, np.ndarra
 _TS_GAPS, _TS_WEIGHTS = _tanh_sinh_table(1.0 / 32.0, 1e-20)
 
 
-def _tanh_sinh(fn, lo: float, hi: float) -> tuple[float, float]:
-    """int_lo^hi fn by the tanh-sinh rule at step h and at step 2h (every
-    other node), both from one evaluation of fn on the array of nodes."""
+def quad(fn, lo: float, hi: float) -> float:
+    """int_lo^hi fn by a fixed 217-node tanh-sinh rule (h = 1/32), with no
+    error estimate.
+
+    fn takes a 1-D float64 array of nodes and returns the float64 array of
+    its values there; it is called once.  Made for the bump integrals: alone
+    or divided by sqrt(u) or u, they come out within 4e-15 relative of
+    40-digit values.  fn must be finite on the closed interval: the outermost
+    nodes, 1e-20 of the width inside each end, round onto lo and hi.
+    """
     half = 0.5 * (hi - lo)
     g = _TS_GAPS[1:]
     f = fn(np.concatenate(([lo + half], lo + half * g, hi - half * g)))
     vals = np.concatenate((f[:1], f[1:g.size + 1] + f[g.size + 1:]))
-    fine = math.fsum((_TS_WEIGHTS * vals).tolist())
-    coarse = 2.0 * math.fsum((_TS_WEIGHTS[::2] * vals[::2]).tolist())
-    return half * fine, half * coarse
-
-
-def quad(fn, lo: float, hi: float) -> float:
-    """int_lo^hi fn by a fixed 217-node tanh-sinh rule (h = 1/32).
-
-    fn takes a 1-D float64 array of nodes and returns the float64 array of
-    its values there; it is called once.  Made for the bumps of this module:
-    alone or divided by sqrt(u) or u, they come out within 4e-15 relative of
-    40-digit values.  fn must be finite on the closed interval: the outermost
-    nodes, 1e-20 of the width inside each end, round onto lo and hi.
-    """
-    return _tanh_sinh(fn, lo, hi)[0]
+    return half * math.fsum((_TS_WEIGHTS * vals).tolist())
 
 
 @dataclass(frozen=True)
@@ -285,7 +277,8 @@ class TestFunction:
         return 0.0
 
     def tail_integral(self, c: float) -> float:
-        """Upper bound on int_c^inf |f|, c >= 0."""
+        """Upper bound on int_c^inf |f|, c >= 0.  ValueError for a bump: its
+        comb sums end at its support and leave no tail to bound."""
         return self._base_tail(self.scale * c) / self.scale
 
     def _base_tail(self, c: float) -> float:
@@ -297,24 +290,7 @@ class TestFunction:
             if c <= 0.0:
                 return 1.0
             return math.exp(-c * c) / 2.0 if c < 26 else 0.0
-        lo, hi = self.support
-        if c >= hi:
-            return 0.0
-        a = max(lo, c)
-        fine, coarse = _tanh_sinh(self._base, a, hi)
-        # Discretisation: the rule's error falls doubly exponentially in 1/h,
-        # so |fine - coarse| bounds the error of fine.  Rounding: node
-        # positions are off by at most 3 eps hi, moving the sum by at most
-        # 3 eps hi TV(f) <= 6 eps hi f_top (f is unimodal, at most f_top on
-        # [a, hi]); each f = exp(-1/p) carries a relative error of at most
-        # eps (4/p + 1), and f/p <= f_top / min(p_top, 1) on [a, hi].  16 eps
-        # covers both and the final scalings.  Terms that underflow lose less
-        # than 1e-300 each.
-        top = max(a, 0.5 * (lo + hi))
-        p_top = (top - lo) * (hi - top)
-        f_top = self._base(np.array([top]))[0].item()
-        rounding = 16.0 * _EPS * f_top * (hi + (hi - a) / min(p_top, 1.0)) if f_top else 0.0
-        return fine + abs(fine - coarse) + rounding + (hi - a) * 1e-300
+        raise ValueError("a bump has no tail bound: its comb sums end at its support")
 
     def tail_integral_invsqrt(self, c: float) -> float:
         """Upper bound on int_c^inf |f(x)|/sqrt(x) dx, c > 0."""
@@ -322,8 +298,6 @@ class TestFunction:
             cc = self.scale * c
             base = math.sqrt(math.pi) * math.erfc(math.sqrt(cc)) if cc < 1e6 else 0.0
             return base / math.sqrt(self.scale)
-        if self.kind == "bump" and c >= self.support[1] / self.scale:
-            return 0.0
         return self.tail_integral(c) / math.sqrt(c)
 
 
@@ -348,12 +322,9 @@ class MomentExpansionResult:
 # ---------------------------------------------------------------------------
 
 def comb_pairing(kind: str, eps: float, g: TestFunction) -> float:
-    """sum_{n>=1} g(n eps) (linear) or g(eps n^2) (squares), with the dropped
-    tail below _COMB_TOL = 1e-14.
-
-    Truncation is certified by the integral test once the arguments pass the
-    function's monotone point; bump supports make the sum finite outright.
-    """
+    """sum_{n>=1} g(n eps) (linear) or g(eps n^2) (squares), cut by _comb:
+    a bump's sum ends at its support, any other once the integral test
+    bounds the dropped tail by _COMB_TOL = 1e-14."""
     if not (eps > 0):
         raise ValueError(f"eps must be positive, got {eps}")
     if kind not in ("linear", "squares"):
@@ -361,32 +332,24 @@ def comb_pairing(kind: str, eps: float, g: TestFunction) -> float:
 
     # the sampled arguments, n eps or eps n^2, as the scalar formulas round them
     if kind == "linear":
-        def term(n: np.ndarray) -> np.ndarray:
-            return g.values(n * eps)
-    else:
-        def term(n: np.ndarray) -> np.ndarray:
-            return g.values(eps * n * n)
+        return _comb(g, lambda x: x / eps, lambda n: g.values(n * eps),
+                     lambda n: g.tail_integral(n * eps) / eps, _COMB_TOL)
+    return _comb(g, lambda x: math.sqrt(x / eps), lambda n: g.values(eps * n * n),
+                 lambda n: g.tail_integral_invsqrt(eps * n * n) / (2.0 * math.sqrt(eps)),
+                 _COMB_TOL)
 
+
+def _comb(g: TestFunction, index_of, term, tail_after, tol: float) -> float:
+    """The sum of term(n), n >= 1, of a comb that samples g at x at the real
+    index index_of(x), increasing in x: over the indices inside a bump's
+    support, else from 1 to the smallest n >= 4 past g's monotone point with
+    tail_after(n), a bound on the terms beyond n, at most tol."""
     if g.kind == "bump":
         lo, hi = g.support_interval
-        if kind == "linear":
-            lo_n, hi_n = math.ceil(lo / eps), math.floor(hi / eps)
-        else:
-            lo_n, hi_n = math.ceil(math.sqrt(lo / eps)), math.floor(math.sqrt(hi / eps))
-        return _comb_sum(term, max(lo_n, 1), hi_n)
-
-    if kind == "linear":
-        def tail_after(n: int) -> float:
-            return g.tail_integral(n * eps) / eps
-        # first index beyond which |g| decreases along the sampled arguments
-        n_mono = int(math.ceil(g.monotone_from / eps)) + 1
-    else:
-        def tail_after(n: int) -> float:
-            c = eps * n * n
-            return g.tail_integral_invsqrt(c) / (2.0 * math.sqrt(eps))
-        n_mono = int(math.ceil(math.sqrt(g.monotone_from / eps))) + 1
-
-    return _comb_sum(term, 1, _smallest_stop(lambda n: tail_after(n) <= _COMB_TOL, max(n_mono, 4)))
+        return _comb_sum(term, max(math.ceil(index_of(lo)), 1), math.floor(index_of(hi)))
+    # first index beyond which |g| decreases along the sampled arguments
+    n_mono = int(math.ceil(index_of(g.monotone_from))) + 1
+    return _comb_sum(term, 1, _smallest_stop(lambda n: tail_after(n) <= tol, max(n_mono, 4)))
 
 
 def _smallest_stop(certified: Callable[[int], bool], n: int) -> int:
@@ -418,8 +381,6 @@ def euler_maclaurin_expansion(g: TestFunction, eps: float, M: int) -> MomentExpa
     """
     if not 0 <= M <= 10:
         raise ValueError(f"M must be in 0..10, got {M}")
-    if M > _MAX_DERIV:
-        raise ValueError("derivative table does not cover the requested order")
     terms = [g.integral() / eps]
     for n in range(M + 1):
         zn = zeta_neg_int(n)
@@ -468,18 +429,10 @@ def omega_comb_expansion(phi: TestFunction, eps: float, M: int) -> MomentExpansi
 
     root = math.sqrt(eps)
 
-    def term(n: np.ndarray) -> np.ndarray:
-        return (root / (2.0 * n)) * phi.values(root * n)
-
-    if phi.kind == "bump":
-        lo, hi = phi.support_interval
-        lhs = _comb_sum(term, max(1, math.ceil(lo / root)), math.floor(hi / root))
-    else:
-        # term magnitude <= (sqrt(eps)/2) |phi(sqrt(eps) n)|, so the plain
-        # linear-comb tail bound applies after dividing by sqrt(eps)
-        n_stop = _smallest_stop(lambda n: phi.tail_integral(n * root) / 2.0 <= 1e-15,
-                                max(int(math.ceil(phi.monotone_from / root)) + 1, 4))
-        lhs = _comb_sum(term, 1, n_stop)
+    # term magnitude <= (sqrt(eps)/2) |phi(sqrt(eps) n)|, so the plain
+    # linear-comb tail bound applies after dividing by sqrt(eps)
+    lhs = _comb(phi, lambda x: x / root, lambda n: (root / (2.0 * n)) * phi.values(root * n),
+                lambda n: phi.tail_integral(n * root) / 2.0, _OMEGA_COMB_TOL)
 
     terms = [(root / 2.0) * phi.integral_over_x()]
     for n in range(M + 1):

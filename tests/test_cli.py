@@ -51,6 +51,18 @@ class TestSpectrumSpecParsing:
         with pytest.raises(UsageError):
             parse_spectrum_spec(bad)
 
+    @pytest.mark.parametrize("spec, field", [
+        ("interval:length=1:bc=dirichlet:lenght=2", "lenght"),
+        ("interval:length=1:bc=dirichlet:length=2", "length"),
+        ("torus:circumference=1:length=1", "length"),
+        ("torus:circumference=1:circumference=2", "circumference"),
+    ], ids=["interval-typo", "interval-repeat", "torus-unknown", "torus-repeat"])
+    def test_unknown_or_repeated_field_exits_2(self, capsys, spec, field):
+        code, out, err = run(capsys, "trace", "--spectrum", spec)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("spectrace: error: ") and repr(field) in err
+
 
 class TestTraceCommand:
     def test_cylinder_csv_matches_oracle(self, capsys):
@@ -281,8 +293,36 @@ class TestLibraryErrorsExit2:
         ["riesz", "--spectrum", INTERVAL_SPEC, "--remainder", "2", "--weyl-coeffs", "1"],
         ["riesz", "--spectrum", INTERVAL_SPEC, "--remainder", "-1", "--weyl-coeffs", "1"],
         ["coeffs", "--spectrum", INTERVAL_SPEC, "--orders", "9", "--points", "8"],
+        ["trace", "--spectrum", "torus:circumference=abc"],
+        ["trace", "--spectrum", "interval:length=x:bc=dirichlet"],
+        ["trace", "--spectrum", "interval:length=1:bc"],
+        ["trace", "--spectrum", f"product:{INTERVAL_SPEC}x({INTERVAL_SPEC})"],
+        ["trace", "--spectrum", f"product:({INTERVAL_SPEC})x({INTERVAL_SPEC})z"],
+        ["trace", "--spectrum", f"product:({INTERVAL_SPEC})y({INTERVAL_SPEC})"],
+        ["trace", "--spectrum", f"product:({INTERVAL_SPEC})x(({INTERVAL_SPEC})"],
+        ["trace", "--spectrum", "sphere:r=1"],
+        ["trace", "--spectrum", INTERVAL_SPEC, "--points", "3"],
+        ["trace", "--spectrum", INTERVAL_SPEC, "--tol", "0"],
+        ["coeffs", "--spectrum", INTERVAL_SPEC, "--orders", "0"],
+        ["moments", "--eps-decades", "1e-3"],
+        ["moments", "--eps-decades", "1:0.1"],
+        ["moments", "--orders", "-1"],
+        # eps so small that no index up to 1e9 certifies the tail: the shared
+        # stop search gives up on each comb
+        ["moments", "--comb", "linear", "--eps-decades", "1e-10:1e-9"],
+        ["moments", "--comb", "squares", "--eps-decades", "1e-19:1e-18"],
+        ["moments", "--comb", "omega", "--fn", "odd-gaussian", "--eps-decades", "1e-19:1e-18"],
+        ["riesz", "--spectrum", INTERVAL_SPEC, "--alpha", "-1"],
+        ["riesz", "--spectrum", INTERVAL_SPEC, "--remainder", "1", "--weyl-coeffs", "1,x"],
     ], ids=["riesz-points-1", "moments-points-1", "riesz-fit-points-3",
-            "remainder-short-coeffs", "remainder-negative", "coeffs-too-few-points"])
+            "remainder-short-coeffs", "remainder-negative", "coeffs-too-few-points",
+            "torus-bad-circumference", "interval-bad-length", "field-without-value",
+            "product-without-paren", "product-trailing-junk", "product-not-x",
+            "product-unbalanced", "unknown-kind", "trace-points-3", "trace-tol-0",
+            "coeffs-orders-0", "eps-decades-one-value", "eps-decades-reversed",
+            "moments-orders-negative", "linear-comb-never-stops",
+            "squares-comb-never-stops", "omega-comb-never-stops", "riesz-alpha-negative",
+            "weyl-coeffs-not-numbers"])
     def test_value_error_is_usage_error(self, capsys, argv):
         code, out, err = run(capsys, *argv)
         assert code == 2

@@ -95,27 +95,6 @@ class TestTestFunctions:
             TF.bump(lo=2.0, hi=1.0)
 
 
-def bump_tail_reference(lo, hi, c):
-    """int_max(lo,c)^hi exp(-1/((u-lo)(hi-u))) du at 120 digits.
-
-    The pieces grow geometrically from the lower end by the integrand's decay
-    length there, so each is smooth.  At 40 to 80 digits mpmath stops short
-    on the steep pieces near hi (off by 1.5e-11 at c = 1.495 on (0.5, 1.5));
-    at 120 these agree with a 160-digit run to 1e-43.
-    """
-    with mp.workdps(120):
-        lo, hi = mp.mpf(lo), mp.mpf(hi)
-        a = max(lo, mp.mpf(c))
-        ell = (hi - a) / 4
-        if lo < a != (lo + hi) / 2:
-            ell = min(ell, ((a - lo) * (hi - a)) ** 2 / abs(lo + hi - 2 * a))
-        points, x = [a], a + ell / 4
-        while x < hi:
-            points.append(x)
-            x = a + 2 * (x - a)
-        return mp.quad(lambda u: mp.exp(-1 / ((u - lo) * (hi - u))), points + [hi])
-
-
 class TestQuadrature:
     @pytest.mark.parametrize("lo, hi", [(0.0, 1.0), (0.3, 1.0), (0.5, 1.5), (0.25, 0.75),
                                         (0.2, 0.7), (1.0, 2.0)])
@@ -132,19 +111,14 @@ class TestQuadrature:
             ref = mp.quad(lambda u: mp.exp(-1 / ((u - lo) * (hi - u))) / u**power, [lo, hi])
         assert abs(quad(f, lo, hi) - ref) <= 4e-15 * ref
 
-    @pytest.mark.parametrize("lo, hi", [(0.5, 1.5), (0.25, 0.75), (0.3, 1.0)])
-    def test_bump_tail_integral_is_an_upper_bound(self, lo, hi):
-        b = TF.bump(lo=lo, hi=hi)
-        w = hi - lo
-        # across the support, and within 1% of hi where the integrand is a
-        # spike at c
-        for c in [lo - 0.1] + [lo + w * i / 8 for i in range(8)] + [
-                hi - w * x for x in (0.05, 0.01, 0.005, 0.002)]:
-            ref = bump_tail_reference(lo, hi, c)
-            got = b.tail_integral(c)
-            assert got >= ref, (c, got, ref)
-            assert got <= ref * (1 + 1e-6) + 1e-300, (c, got, ref)
-        assert b.tail_integral(hi) == 0.0
+    @pytest.mark.parametrize("c", [0.1, 0.5, 1.2, 2.0])
+    def test_bump_has_no_tail_bound(self, c):
+        # comb sums over a bump end at its support, so none asks for a tail
+        b = TF.bump(lo=0.5, hi=1.5)
+        with pytest.raises(ValueError, match="end at its support"):
+            b.tail_integral(c)
+        with pytest.raises(ValueError, match="end at its support"):
+            b.tail_integral_invsqrt(c)
 
 
 class TestCombPairing:
@@ -197,6 +171,23 @@ class TestCombPairing:
                     _, ranges = _comb_ranges(lambda: comb_pairing(kind, eps, g))
                 ((_, last),) = ranges
                 assert certified(g, eps, last) and not certified(g, eps, last - 1)
+
+    @pytest.mark.parametrize("kind", ["linear", "squares", "omega"])
+    def test_bump_window_holds_every_nonzero_term(self, kind):
+        # each comb sums a bump over its support's indices alone, and that
+        # sum is the fsum of the whole comb, zeros included, bit for bit
+        b = TF.bump(lo=1.0, hi=2.0).rescaled(1.5)
+        eps = 0.0137
+        root = math.sqrt(eps)
+        if kind == "omega":
+            got, ranges = _comb_ranges(lambda: omega_comb_expansion(b, eps, 2).lhs)
+            terms = [root / (2.0 * n) * b(root * n) for n in range(1, 40)]
+        else:
+            got, ranges = _comb_ranges(lambda: comb_pairing(kind, eps, b))
+            terms = [b(n * eps if kind == "linear" else eps * n * n) for n in range(1, 200)]
+        nonzero = [n for n, t in enumerate(terms, 1) if t != 0.0]
+        assert ranges == [(nonzero[0], nonzero[-1])]
+        assert got == math.fsum(terms)
 
     def test_rejects_bad_inputs(self):
         with pytest.raises(ValueError):

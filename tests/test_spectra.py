@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from spectrace import (
+    Spectrum,
     SpectrumFormatError,
     counting,
     finite_spectrum,
@@ -452,12 +453,23 @@ class TestLoaderAgainstReference:
         (f"dim 1\n1 {2**63}\n", "multiplicity exceeds 9223372036854775807 at line 2"),
         ("dim 1\n1 1\nenvelope 0 1\n", "misplaced envelope line at line 3"),
         ("dim 1\n1 1\ndim 2\n", "unparsable term at line 3"),
+        ("dim x\n1 1\n", "bad dimension at line 1"),
+        ("dim 0\n1 1\n", "dimension must be positive at line 1"),
+        ("dim 1\nenvelope a 1\n1 1\n", "bad envelope constants at line 2"),
+        ("dim 1\nenvelope -1 1\n1 1\n", "envelope constants must be nonnegative at line 2"),
     ])
     def test_body_errors_name_their_line(self, tmp_path, text, message):
         p = tmp_path / "bad.txt"
         p.write_text(text)
         with pytest.raises(SpectrumFormatError, match=message):
             load_spectrum(p)
+
+    def test_constructors_reject_what_the_reader_rejects(self):
+        with pytest.raises(ValueError, match="dim must be a positive integer"):
+            Spectrum(dim=0, label="empty", envelope=None, truncated_at=None,
+                     _enumerate=lambda omega_max: (np.empty(0), np.empty(0, dtype=np.int64)))
+        with pytest.raises(ValueError, match="nondecreasing"):
+            finite_spectrum(1, [(2.0, 1), (1.0, 1)])
 
 
 class TestLoadMemory:
