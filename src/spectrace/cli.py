@@ -38,7 +38,6 @@ from .riesz import (
     weyl_remainder,
 )
 from .spectra import (
-    DEFAULT_MAX_TERMS,
     Spectrum,
     interval_spectrum,
     load_spectrum,
@@ -250,7 +249,7 @@ def cmd_trace(args) -> int:
     _validate_grid_args(args)
     spectrum = parse_spectrum_spec(args.spectrum)
     ts = geometric_grid(args.tmin, args.tmax, args.points)
-    samples = trace_grid(spectrum, args.kernel, ts, args.tol, args.max_terms)
+    samples = trace_grid(spectrum, args.kernel, ts, args.tol)
     if args.format == "json":
         payload = {
             "samples": [
@@ -276,7 +275,7 @@ def cmd_coeffs(args) -> int:
         raise UsageError("orders must be >= 1")
     spectrum = parse_spectrum_spec(args.spectrum)
     ts = geometric_grid(args.tmin, args.tmax, args.points)
-    report = fit_trace(spectrum, args.kernel, ts, args.tol, args.orders, args.max_terms,
+    report = fit_trace(spectrum, args.kernel, ts, args.tol, args.orders,
                        include_logs=args.with_logs)
     payload = {"kernel": args.kernel, "dim": spectrum.dim,
                "fit_report": report.to_json_dict(),
@@ -291,8 +290,7 @@ def cmd_coeffs(args) -> int:
 
 def cmd_verify(args) -> int:
     spectrum = parse_spectrum_spec(args.spectrum)
-    rows = run_verification(spectrum, orders=args.orders, points=args.points,
-                            tol=args.tol, max_terms=args.max_terms)
+    rows = run_verification(spectrum, orders=args.orders, points=args.points, tol=args.tol)
     lines = [_config_comment("verify", args)]
     lines += [row.line() for row in rows]
     ok = all(row.passed for row in rows)
@@ -433,7 +431,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--tmax", type=float, default=tmax)
         p.add_argument("--points", type=int, default=points)
         p.add_argument("--tol", type=float, default=tol)
-        p.add_argument("--max-terms", type=int, default=DEFAULT_MAX_TERMS)
         p.add_argument("--out", default=None, help="output path (default stdout)")
 
     p_trace = sub.add_parser("trace", help="sample a kernel trace over a t-grid")
@@ -461,7 +458,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--orders", type=int, default=4)
     p_verify.add_argument("--points", type=int, default=64)
     p_verify.add_argument("--tol", type=float, default=1e-13)
-    p_verify.add_argument("--max-terms", type=int, default=DEFAULT_MAX_TERMS)
     p_verify.add_argument("--out", default=None)
     p_verify.set_defaults(func=cmd_verify)
 

@@ -42,6 +42,8 @@ _COMB_CHUNK = 1 << 16
 # absolute tail bounds at which comb_pairing and the omega comb stop summing
 _COMB_TOL = 1e-14
 _OMEGA_COMB_TOL = 1e-15
+# indices one comb sum may take; a bump window or a stop past it is refused
+_MAX_COMB_INDEX = 10**9
 
 
 def _exp(a: np.ndarray) -> np.ndarray:
@@ -332,36 +334,46 @@ def comb_pairing(kind: str, eps: float, g: TestFunction) -> float:
 
     # the sampled arguments, n eps or eps n^2, as the scalar formulas round them
     if kind == "linear":
-        return _comb(g, lambda x: x / eps, lambda n: g.values(n * eps),
+        return _comb(g, eps, lambda x: x / eps, lambda n: g.values(n * eps),
                      lambda n: g.tail_integral(n * eps) / eps, _COMB_TOL)
-    return _comb(g, lambda x: math.sqrt(x / eps), lambda n: g.values(eps * n * n),
+    return _comb(g, eps, lambda x: math.sqrt(x / eps), lambda n: g.values(eps * n * n),
                  lambda n: g.tail_integral_invsqrt(eps * n * n) / (2.0 * math.sqrt(eps)),
                  _COMB_TOL)
 
 
-def _comb(g: TestFunction, index_of, term, tail_after, tol: float) -> float:
-    """The sum of term(n), n >= 1, of a comb that samples g at x at the real
-    index index_of(x), increasing in x: over the indices inside a bump's
-    support, else from 1 to the smallest n >= 4 past g's monotone point with
-    tail_after(n), a bound on the terms beyond n, at most tol."""
+def _comb(g: TestFunction, eps: float, index_of, term, tail_after, tol: float) -> float:
+    """The sum of term(n), n >= 1, of a comb at spacing eps that samples g at
+    x at the real index index_of(x), increasing in x: over the indices inside
+    a bump's support, else from 1 to the smallest n >= 4 past g's monotone
+    point with tail_after(n), a bound on the terms beyond n, at most tol.
+    ValueError, before any term is summed, for more than _MAX_COMB_INDEX
+    indices; the real indices meet the cap before they become ints, as they
+    pass the float range for a subnormal eps."""
     if g.kind == "bump":
         lo, hi = g.support_interval
-        return _comb_sum(term, max(math.ceil(index_of(lo)), 1), math.floor(index_of(hi)))
-    # first index beyond which |g| decreases along the sampled arguments
-    n_mono = int(math.ceil(index_of(g.monotone_from))) + 1
-    return _comb_sum(term, 1, _smallest_stop(lambda n: tail_after(n) <= tol, max(n_mono, 4)))
+        first, last = max(index_of(lo), 1.0), index_of(hi)
+        if last - first < _MAX_COMB_INDEX:
+            return _comb_sum(term, math.ceil(first), math.floor(last))
+    else:
+        # first index beyond which |g| decreases along the sampled arguments
+        n_mono = math.ceil(min(index_of(g.monotone_from), _MAX_COMB_INDEX)) + 1
+        stop = _smallest_stop(lambda n: tail_after(n) <= tol, max(n_mono, 4))
+        if stop is not None:
+            return _comb_sum(term, 1, stop)
+    raise ValueError(f"comb sum at eps={eps!r} would take more than the cap of "
+                     f"{_MAX_COMB_INDEX} indices")
 
 
-def _smallest_stop(certified: Callable[[int], bool], n: int) -> int:
+def _smallest_stop(certified: Callable[[int], bool], n: int) -> Optional[int]:
     """The smallest n_stop >= n with certified(n_stop), for a test that stays
     true once true (a tail bound past the monotone point): double n until it
     holds, then bisect between the last doubling that failed and the first
-    that held."""
+    that held.  None when n passes _MAX_COMB_INDEX before the test holds."""
     failed = None
-    while not certified(n):
+    while n <= _MAX_COMB_INDEX and not certified(n):
         failed, n = n, 2 * n
-        if n > 10**9:
-            raise ValueError("comb pairing does not converge to the requested tolerance")
+    if n > _MAX_COMB_INDEX:
+        return None
     while failed is not None and n - failed > 1:
         mid = (failed + n) // 2
         if certified(mid):
@@ -431,7 +443,7 @@ def omega_comb_expansion(phi: TestFunction, eps: float, M: int) -> MomentExpansi
 
     # term magnitude <= (sqrt(eps)/2) |phi(sqrt(eps) n)|, so the plain
     # linear-comb tail bound applies after dividing by sqrt(eps)
-    lhs = _comb(phi, lambda x: x / root, lambda n: (root / (2.0 * n)) * phi.values(root * n),
+    lhs = _comb(phi, eps, lambda x: x / root, lambda n: (root / (2.0 * n)) * phi.values(root * n),
                 lambda n: phi.tail_integral(n * root) / 2.0, _OMEGA_COMB_TOL)
 
     terms = [(root / 2.0) * phi.integral_over_x()]

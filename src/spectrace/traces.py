@@ -16,7 +16,8 @@ Each trace enumerates once, up to the smallest cutoff at which the tail
 bound crediting no enumerated term is <= tol (solved to about 1/64 in
 x = t omega, or t omega^2 for heat).  Crediting the terms found can only
 lower the bound, so that enumeration certifies unless finite data end or the
-term budget caps the cutoff first (ToleranceError).  A capped cutoff is
+term budget caps the cutoff first (ToleranceError): the envelope count there
+passes spectra.DEFAULT_MAX_TERMS, read at call time.  A capped cutoff is
 checked before enumerating: if even the envelope's whole count up to it,
 credited, leaves the bound above tol, no enumeration can certify, and the
 ToleranceError carries the bound with nothing credited and terms_used 0.
@@ -33,7 +34,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .spectra import DEFAULT_MAX_TERMS, Spectrum, ToleranceError
+from . import spectra
+from .spectra import Spectrum, ToleranceError
 
 __all__ = [
     "TraceSample",
@@ -196,15 +198,12 @@ def _cutoff(kind: str, t: float, tol: float, c1: float, c2: float, d: int) -> fl
     return math.sqrt(hi / t) if kind == "heat" else hi / t
 
 
-def _certified_trace(s: Spectrum, t: float, tol: float, kind: str,
-                     max_terms: int) -> TraceSample:
+def _certified_trace(s: Spectrum, t: float, tol: float, kind: str) -> TraceSample:
     t = float(t)
     if not (0 < t < math.inf):
         raise ValueError(f"t must be positive and finite, got {t}")
     if not (tol > 0):
         raise ValueError(f"tol must be positive, got {tol}")
-    if not (max_terms >= 1):
-        raise ValueError(f"max_terms must be at least 1, got {max_terms}")
 
     if s.envelope is None:
         if s.truncated_at is None:
@@ -226,17 +225,18 @@ def _certified_trace(s: Spectrum, t: float, tol: float, kind: str,
     # crediting the enumerated terms only lowers the bound, so this one
     # enumeration certifies unless the data end or the budget caps it first
     w = _cutoff(kind, t, tol, c1, c2, d)
+    budget = spectra.DEFAULT_MAX_TERMS
     exhausted = s.truncated_at is not None and w >= s.truncated_at
     if exhausted:
         w = s.truncated_at
     try:
-        budget_capped = not exhausted and c1 + c2 * w**d > max_terms
+        budget_capped = not exhausted and c1 + c2 * w**d > budget
     except OverflowError:
         # w**d past the float range exceeds any budget
         budget_capped = True
     if budget_capped and c2 > 0:
         # a budget below C1 pays for no cutoff above 0
-        w = (max(max_terms - c1, 0.0) / c2) ** (1.0 / d)
+        w = (max(budget - c1, 0.0) / c2) ** (1.0 / d)
         # no enumeration up to w can credit more than the envelope's count
         # there, so when even that bound misses tol none can certify
         if _tail_bound(kind, t, w, c1 + c2 * w**d, c1, c2, d) > tol:
@@ -265,36 +265,32 @@ def _unreachable(reason: str, tol: float, bound: float, terms: int) -> Tolerance
     )
 
 
-def heat_trace(s: Spectrum, t: float, tol: float = 1e-12,
-               max_terms: int = DEFAULT_MAX_TERMS) -> TraceSample:
+def heat_trace(s: Spectrum, t: float, tol: float = 1e-12) -> TraceSample:
     """Tr K(t) = sum_n mult_n exp(-t lambda_n) with certified tail bound.
 
     Parameters
     ----------
     s : spectrum to sum over (must carry an envelope to certify).
     t : kernel time, > 0.
-    tol : required bound on the truncation error.
-    max_terms : envelope-count budget; exceeding it raises ToleranceError
-        with the bound that was achievable.  It lowers, never lifts, the
-        enumeration's own budget of DEFAULT_MAX_TERMS rows.
+    tol : required bound on the truncation error; a cutoff whose envelope
+        count passes spectra.DEFAULT_MAX_TERMS raises ToleranceError with
+        the bound that was achievable.
     """
-    return _certified_trace(s, t, tol, "heat", max_terms)
+    return _certified_trace(s, t, tol, "heat")
 
 
-def cylinder_trace(s: Spectrum, t: float, tol: float = 1e-12,
-                   max_terms: int = DEFAULT_MAX_TERMS) -> TraceSample:
+def cylinder_trace(s: Spectrum, t: float, tol: float = 1e-12) -> TraceSample:
     """Tr T(t) = sum_n mult_n exp(-t omega_n) with certified tail bound."""
-    return _certified_trace(s, t, tol, "cylinder", max_terms)
+    return _certified_trace(s, t, tol, "cylinder")
 
 
-def cylinder_trace_derivative(s: Spectrum, t: float, tol: float = 1e-12,
-                              max_terms: int = DEFAULT_MAX_TERMS) -> TraceSample:
+def cylinder_trace_derivative(s: Spectrum, t: float, tol: float = 1e-12) -> TraceSample:
     """d(Tr T)/dt = -sum_n mult_n omega_n exp(-t omega_n), term by term.
 
     Differentiated analytically per term; never a finite difference.  Its t^0
     coefficient is -2x the scalar-field vacuum energy.
     """
-    return _certified_trace(s, t, tol, "dcylinder", max_terms)
+    return _certified_trace(s, t, tol, "dcylinder")
 
 
 def heat_diagonal_interval(t: float, x: float) -> float:
@@ -303,26 +299,25 @@ def heat_diagonal_interval(t: float, x: float) -> float:
 
     Approaches (4 pi t)^{-1/2} for fixed interior x as t -> 0, but not
     uniformly: near the boundary the deficit factor is about 1 - exp(-x^2/t).
-    The sum stops once its tail is below 1e-10.
+    The sum stops at m = max(8, floor(sqrt(45/t))) terms, where
+    m sqrt(t) >= sqrt(45) - sqrt(t) puts its tail below 1e-10; an m past
+    spectra.DEFAULT_MAX_TERMS (t below about 4.5e-13) raises ToleranceError.
     """
     if not (0.0 < x < math.pi):
         raise ValueError(f"x must lie strictly inside (0, pi), got {x}")
     if not (t > 0):
         raise ValueError(f"t must be positive, got {t}")
-    m = max(8, int(math.sqrt(45.0 / t)))
-    while True:
-        # tail <= (2/pi) * int_m^inf exp(-t u^2) du = erfc(m sqrt(t))/sqrt(pi t)
-        tail = math.erfc(m * math.sqrt(t)) / math.sqrt(math.pi * t)
-        if tail <= 1e-10:
-            break
-        m *= 2
+    root = math.sqrt(45.0 / t)  # compared as a float: inf for a subnormal t
+    if root >= spectra.DEFAULT_MAX_TERMS + 1:
+        raise ToleranceError(f"term budget exhausted: the diagonal at t={t!r} needs {root:.3g} "
+                             f"terms", achieved_bound=math.nan, terms_used=0)
+    m = max(8, int(root))
     return (2.0 / math.pi) * math.fsum(
         math.sin(n * x) ** 2 * _exp_safe(-t * n * n) for n in range(1, m + 1)
     )
 
 
-def trace_grid(s: Spectrum, kind: str, ts: Sequence[float], tol: float = 1e-12,
-               max_terms: int = DEFAULT_MAX_TERMS) -> list[TraceSample]:
+def trace_grid(s: Spectrum, kind: str, ts: Sequence[float], tol: float = 1e-12) -> list[TraceSample]:
     """Evaluate one kernel over a time grid, in grid order.
 
     Each point is computed independently (safe to parallelize per point);
@@ -337,4 +332,4 @@ def trace_grid(s: Spectrum, kind: str, ts: Sequence[float], tol: float = 1e-12,
         fn = fns[kind]
     except KeyError:
         raise ValueError(f"kernel must be one of {sorted(fns)}, got {kind!r}") from None
-    return [fn(s, t, tol, max_terms) for t in ts]
+    return [fn(s, t, tol) for t in ts]

@@ -32,7 +32,8 @@ from .invariants import (
     riesz_to_heat,
 )
 from .riesz import extract_riesz_coeffs
-from .spectra import DEFAULT_MAX_TERMS, Spectrum
+from . import spectra
+from .spectra import Spectrum
 from .traces import trace_grid
 
 __all__ = ["VerifyRow", "expansion_from_fit", "fit_trace", "run_verification"]
@@ -72,11 +73,10 @@ def expansion_from_fit(dim: int, report: FitReport) -> AsymptoticExpansion:
 
 
 def fit_trace(spectrum: Spectrum, kernel: str, ts: Sequence[float], tol: float,
-              orders: int, max_terms: int,
-              include_logs: bool = False) -> FitReport:
+              orders: int, include_logs: bool = False) -> FitReport:
     """The kernel's trace sampled over ts and fitted to its expansion shape
     through `orders`, with the cylinder log columns if asked."""
-    samples = trace_grid(spectrum, kernel, ts, tol, max_terms)
+    samples = trace_grid(spectrum, kernel, ts, tol)
     anchor = math.sqrt(ts[0] * ts[-1])
     d = spectrum.dim
     if kernel == "heat":
@@ -98,21 +98,19 @@ def _first_positive_omega(s: Spectrum) -> float:
 
 
 def run_verification(spectrum: Spectrum, orders: int = 4, points: int = 64,
-                     tol: float = 1e-13, max_terms: int = DEFAULT_MAX_TERMS) -> list[VerifyRow]:
+                     tol: float = 1e-13) -> list[VerifyRow]:
     """Fit all coefficient families for one spectrum and check every relation.
 
     Raises ValueError for a spectrum without envelope constants (its traces
-    cannot be certified), for max_terms below 1 and for a spectrum with no
-    positive frequency; ToleranceError when a trace cannot meet tol or an
-    enumeration passes the term budget (Spectrum.arrays).
+    cannot be certified) and for a spectrum with no positive frequency;
+    ToleranceError when a trace cannot meet tol or an enumeration passes the
+    term budget (Spectrum.arrays).
     """
     if spectrum.envelope is None:
         raise ValueError(
             "verification refused: spectrum supplies no envelope constants, so "
             "trace truncation cannot be certified (add an 'envelope C1 C2' line)"
         )
-    if not (max_terms >= 1):
-        raise ValueError(f"max_terms must be at least 1, got {max_terms}")
     d = spectrum.dim
     w1 = _first_positive_omega(spectrum)
     rows: list[VerifyRow] = []
@@ -124,7 +122,7 @@ def run_verification(spectrum: Spectrum, orders: int = 4, points: int = 64,
     # so the windows stay nominal and the first trace reports the
     # unreachable tolerance.
     c1, c2 = spectrum.envelope
-    cap = min(max_terms, 400_000)
+    cap = min(spectra.DEFAULT_MAX_TERMS, 400_000)
     x0 = 80.0
     if c2 > 0 and cap > c1:
         w_cap = ((cap - c1) / c2) ** (1.0 / d)
@@ -143,17 +141,17 @@ def run_verification(spectrum: Spectrum, orders: int = 4, points: int = 64,
     cyl_ts = geometric_grid(cyl_lo, cyl_hi, points)
     heat_ts = geometric_grid(heat_lo, heat_hi, points)
 
-    heat_fit = fit_trace(spectrum, "heat", heat_ts, tol, orders, max_terms)
+    heat_fit = fit_trace(spectrum, "heat", heat_ts, tol, orders)
     # the index-term check fits the cylinder samples with and without a
     # t^0 log t column; the log-free one is the cylinder fit
-    cyl_samples = trace_grid(spectrum, "cylinder", cyl_ts, tol, max_terms)
+    cyl_samples = trace_grid(spectrum, "cylinder", cyl_ts, tol)
     det = detect_log_term(
         [(s.t, s.value) for s in cyl_samples],
         Fraction(0),
         cylinder_basis(d, orders, math.sqrt(cyl_ts[0] * cyl_ts[-1])),
     )
     cyl_fit = det.without_log
-    dcyl_fit = fit_trace(spectrum, "dcylinder", cyl_ts, tol, orders + 1, max_terms)
+    dcyl_fit = fit_trace(spectrum, "dcylinder", cyl_ts, tol, orders + 1)
 
     cyl_from_heat = heat_to_cylinder(expansion_from_fit(d, heat_fit))
 
@@ -164,8 +162,6 @@ def run_verification(spectrum: Spectrum, orders: int = 4, points: int = 64,
     for s in range(orders + 1):
         p = Fraction(s - d)
         via = cyl_from_heat.term(p, 0)
-        if via is None:
-            continue
         direct = cyl_fit.coefficient(p, 0)
         if via.status == "undetermined":
             rows.append(VerifyRow(
@@ -239,8 +235,6 @@ def run_verification(spectrum: Spectrum, orders: int = 4, points: int = 64,
     cyl_from_riesz = riesz_to_cylinder(c_diag, d_diag, d)
     for s in range(len(c_diag)):
         via = cyl_from_riesz.term(Fraction(s - d), 0)
-        if via is None or via.status == "undetermined" or via.coefficient is None:
-            continue
         direct = cyl_fit.coefficient(Fraction(s - d), 0)
         branch = "e" if _carries_log(s, d) else "c"
         tol_s = (2e-2 if branch == "e" else riesz_tol) * max(1.0, abs(direct))

@@ -3,10 +3,12 @@ import math
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
 
+from spectrace import spectra
 from spectrace.cli import main, parse_spectrum_spec, UsageError
 
 PI_STR = "3.141592653589793"
@@ -104,9 +106,16 @@ class TestTraceCommand:
         code, _, err = run(capsys, "trace", "--spectrum", "moebius:r=1")
         assert code == 2
 
-    def test_unreachable_tolerance_exits_3(self, capsys):
+    def test_zero_tmin_exits_2(self, capsys):
+        code, out, err = run(capsys, "trace", "--spectrum", INTERVAL_SPEC, "--tmin", "0")
+        assert code == 2
+        assert out == ""
+        assert "positive and finite" in err
+
+    def test_unreachable_tolerance_exits_3(self, capsys, monkeypatch):
+        monkeypatch.setattr(spectra, "DEFAULT_MAX_TERMS", 50)
         code, _, err = run(capsys, "trace", "--spectrum", INTERVAL_SPEC,
-                           "--tol", "1e-300", "--max-terms", "50")
+                           "--tol", "1e-300")
         assert code == 3
         assert "tail bound" in err
 
@@ -208,6 +217,15 @@ class TestVerifyCommand:
         assert code == 0
         assert "FAIL" not in out
 
+    def test_shallow_expansion_reports_energy_row(self, capsys):
+        # orders 1 fits e_0 and e_1 only, so there is no e_(d+1) = e_2
+        code, out, _ = run(capsys, "verify", "--spectrum", "interval:length=1:bc=dirichlet",
+                           "--orders", "1")
+        assert code == 0
+        row = [l for l in out.splitlines() if "casimir energy" in l]
+        assert len(row) == 1
+        assert row[0].startswith("PASS") and "[expansion too shallow for s=d+1]" in row[0]
+
 
 class TestMomentsCommand:
     def test_linear_slope_report(self, capsys):
@@ -249,6 +267,14 @@ class TestMomentsCommand:
         assert code == 2
         assert "diverges" in err
 
+    def test_svg_written(self, capsys, tmp_path):
+        svg = tmp_path / "moments.svg"
+        code, _, _ = run(capsys, "moments", "--eps-decades", "1e-3:1e-2", "--points", "5",
+                         "--orders", "2", "--svg", str(svg))
+        assert code == 0
+        content = svg.read_text()
+        assert content.startswith("<svg") and content.count("<polyline") == 1
+
 
 class TestRieszCommand:
     def test_means_csv(self, capsys):
@@ -279,10 +305,25 @@ class TestRieszCommand:
         sup_line = [l for l in out.splitlines() if l.startswith("# sup_abs_remainder=")][0]
         assert float(sup_line.split("=")[1]) >= 0.4
 
+    @pytest.mark.parametrize("mode", [
+        [],
+        ["--remainder", "1", "--weyl-coeffs", "1,-0.5"],
+    ], ids=["means", "remainder"])
+    def test_svg_written(self, capsys, tmp_path, mode):
+        svg = tmp_path / "riesz.svg"
+        code, _, _ = run(capsys, "riesz", "--spectrum", INTERVAL_SPEC, "--xmin", "5",
+                         "--xmax", "50", "--points", "6", *mode, "--svg", str(svg))
+        assert code == 0
+        content = svg.read_text()
+        assert content.startswith("<svg") and content.count("<polyline") == 1
+
     def test_remainder_requires_coeffs(self, capsys):
         code, _, err = run(capsys, "riesz", "--spectrum", INTERVAL_SPEC,
                            "--remainder", "1")
         assert code == 2
+
+
+BUMP = ("--fn", "bump", "--support", "0.3", "0.9")
 
 
 class TestLibraryErrorsExit2:
@@ -312,6 +353,10 @@ class TestLibraryErrorsExit2:
         ["moments", "--comb", "linear", "--eps-decades", "1e-10:1e-9"],
         ["moments", "--comb", "squares", "--eps-decades", "1e-19:1e-18"],
         ["moments", "--comb", "omega", "--fn", "odd-gaussian", "--eps-decades", "1e-19:1e-18"],
+        # bump windows past the same 1e9-index cap
+        ["moments", "--comb", "linear", *BUMP, "--eps-decades", "1e-12:1e-11"],
+        ["moments", "--comb", "squares", *BUMP, "--eps-decades", "1e-20:1e-19"],
+        ["moments", "--comb", "omega", *BUMP, "--eps-decades", "1e-20:1e-19"],
         ["riesz", "--spectrum", INTERVAL_SPEC, "--alpha", "-1"],
         ["riesz", "--spectrum", INTERVAL_SPEC, "--remainder", "1", "--weyl-coeffs", "1,x"],
     ], ids=["riesz-points-1", "moments-points-1", "riesz-fit-points-3",
@@ -321,14 +366,29 @@ class TestLibraryErrorsExit2:
             "product-unbalanced", "unknown-kind", "trace-points-3", "trace-tol-0",
             "coeffs-orders-0", "eps-decades-one-value", "eps-decades-reversed",
             "moments-orders-negative", "linear-comb-never-stops",
-            "squares-comb-never-stops", "omega-comb-never-stops", "riesz-alpha-negative",
+            "squares-comb-never-stops", "omega-comb-never-stops", "linear-bump-window",
+            "squares-bump-window", "omega-bump-window", "riesz-alpha-negative",
             "weyl-coeffs-not-numbers"])
     def test_value_error_is_usage_error(self, capsys, argv):
+        # promptly: the linear bump window at eps = 1e-12 alone holds 6e11 indices
+        start = time.perf_counter()
         code, out, err = run(capsys, *argv)
+        assert time.perf_counter() - start < 1.0
         assert code == 2
         assert out == ""
         assert err.startswith("spectrace: error: ")
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("fn, decades", [
+        (BUMP, "1e-12:1e-11"), ((), "1e-10:1e-9"),
+    ], ids=["bump-window", "stop-search"])
+    def test_comb_refusal_names_the_cap_and_eps(self, capsys, fn, decades):
+        code, _, err = run(capsys, "moments", "--comb", "linear", *fn,
+                           "--eps-decades", decades, "--points", "4")
+        assert code == 2
+        eps = float(decades.split(":")[0])
+        assert f"comb sum at eps={eps!r} " in err
+        assert "cap of 1000000000 indices" in err
 
     def test_product_multiplicity_past_int64_exits_2(self, capsys, tmp_path):
         p = tmp_path / "heavy.txt"
@@ -350,17 +410,13 @@ class TestTermBudget:
     NEUMANN_SQUARE = ("product:(interval:length=1:bc=neumann)"
                       "x(interval:length=1:bc=neumann)")
 
+    # a budget below the envelope's C1 pays for no cutoff: unreachable tol
     @pytest.mark.parametrize("argv, code", [
-        # a budget below the envelope's C1 pays for no cutoff: unreachable tol
-        (["trace", "--spectrum", NEUMANN_SQUARE, "--max-terms", "1"], 3),
-        (["verify", "--spectrum", NEUMANN_SQUARE, "--max-terms", "1"], 3),
-        # a budget below one term is a bad input
-        (["verify", "--spectrum", "interval:length=1:bc=dirichlet", "--max-terms", "0"], 2),
-        (["trace", "--spectrum", "interval:length=1:bc=neumann", "--max-terms", "-5"], 2),
-        (["coeffs", "--spectrum", INTERVAL_SPEC, "--max-terms", "0"], 2),
-    ], ids=["trace-below-c1", "verify-below-c1", "verify-zero", "trace-negative",
-            "coeffs-zero"])
-    def test_exit_code_without_traceback(self, capsys, argv, code):
+        (["trace", "--spectrum", NEUMANN_SQUARE], 3),
+        (["verify", "--spectrum", NEUMANN_SQUARE], 3),
+    ], ids=["trace-below-c1", "verify-below-c1"])
+    def test_exit_code_without_traceback(self, capsys, monkeypatch, argv, code):
+        monkeypatch.setattr(spectra, "DEFAULT_MAX_TERMS", 1)
         got, out, err = run(capsys, *argv)
         assert got == code
         assert out == ""
@@ -377,11 +433,12 @@ class TestTermBudget:
         ("cylinder", SQUARE, "1e-170"),
         ("dcylinder", SQUARE, "1e-120"),
     ], ids=["heat", "cylinder", "dcylinder"])
-    def test_tail_bound_past_float_range_exits_3(self, capsys, kernel, spec, tmin):
+    def test_tail_bound_past_float_range_exits_3(self, capsys, monkeypatch, kernel, spec,
+                                                  tmin):
         # t ** -(d/2), t ** -d and t ** -(d+1) pass 1.8e308 at these t
+        monkeypatch.setattr(spectra, "DEFAULT_MAX_TERMS", 1000)
         got, out, err = run(capsys, "trace", "--kernel", kernel, "--spectrum", spec,
-                            "--tmin", tmin, "--tmax", f"{10 * float(tmin):g}",
-                            "--max-terms", "1000")
+                            "--tmin", tmin, "--tmax", f"{10 * float(tmin):g}")
         assert got == 3
         assert out == ""
         assert err.startswith("spectrace: numerical failure: ")
@@ -408,3 +465,11 @@ class TestParserBasics:
 
     def test_unknown_flag_exits_2(self, capsys):
         assert main(["trace", "--spectrum", INTERVAL_SPEC, "--frobnicate"]) == 2
+
+    @pytest.mark.parametrize("command", ["trace", "coeffs", "verify"])
+    def test_max_terms_is_not_a_flag(self, capsys, command):
+        # the term budget is spectra.DEFAULT_MAX_TERMS, set in one place
+        code, out, err = run(capsys, command, "--spectrum", INTERVAL_SPEC, "--max-terms", "5")
+        assert code == 2
+        assert out == ""
+        assert "unrecognized arguments: --max-terms" in err

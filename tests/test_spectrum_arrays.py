@@ -631,15 +631,15 @@ class TestTermBudget:
     @example(0, "cylinder", 1e-3, 5e-3, 4000)
     @example(1, "cylinder", 1e-3, 1e-15, 4000)
     def test_traces_within_the_budget_never_hit_the_enumeration_check(
-            self, kind, kernel, t, tol, max_terms):
-        # a trace caps its cutoff where the envelope count reaches max_terms,
-        # and the envelope counts at least the rows, so with max_terms at
-        # most the budget only the trace itself may refuse
+            self, kind, kernel, t, tol, budget):
+        # a trace caps its cutoff where the envelope count reaches the
+        # budget, and the envelope counts at least the rows, so only the
+        # trace itself may refuse
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(spectra, "DEFAULT_MAX_TERMS", 4000)
+            mp.setattr(spectra, "DEFAULT_MAX_TERMS", budget)
             try:
-                sample = trace_grid(TRACE_SPECTRA[kind](), kernel, [t], tol, max_terms)[0]
+                sample = trace_grid(TRACE_SPECTRA[kind](), kernel, [t], tol)[0]
             except spectra.ToleranceError as exc:
                 assert "before reaching tol" in str(exc), exc
             else:
-                assert sample.tail_bound <= tol and sample.terms_used <= max_terms
+                assert sample.tail_bound <= tol and sample.terms_used <= budget

@@ -1,4 +1,5 @@
 import math
+import time
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -17,6 +18,7 @@ from spectrace import (
     torus_spectrum,
     trace_grid,
 )
+from spectrace import spectra
 from spectrace.spectra import Spectrum
 from spectrace.traces import _X_STEP, _cutoff, _tail_bound
 
@@ -124,11 +126,17 @@ class TestCertification:
             roundoff = 8 * eps * (abs(s2.value) + s1.value**2 + 1.0)
             assert abs(s2.value - s1.value**2) <= combined + roundoff
 
-    def test_budget_exhaustion_reports_achieved_bound(self):
+    def test_budget_exhaustion_reports_achieved_bound(self, monkeypatch):
+        monkeypatch.setattr(spectra, "DEFAULT_MAX_TERMS", 100)
         with pytest.raises(ToleranceError) as err:
-            heat_trace(INTERVAL, 1e-6, tol=1e-300, max_terms=100)
+            heat_trace(INTERVAL, 1e-6, tol=1e-300)
         assert err.value.achieved_bound > 1e-300
         assert err.value.terms_used <= 100
+
+    @pytest.mark.parametrize("fn", [heat_trace, cylinder_trace, cylinder_trace_derivative])
+    def test_budget_is_not_a_parameter(self, fn):
+        with pytest.raises(TypeError):
+            fn(INTERVAL, 1e-3, 1e-12, max_terms=100)
 
     @pytest.mark.parametrize("kind", ["heat", "cylinder", "dcylinder"])
     def test_budget_no_credit_can_meet_raises_before_enumerating(self, monkeypatch, kind):
@@ -139,8 +147,9 @@ class TestCertification:
             raise AssertionError(f"enumerated up to {omega_max:g}")
 
         monkeypatch.setattr(Spectrum, "arrays", refuse)
+        monkeypatch.setattr(spectra, "DEFAULT_MAX_TERMS", 10**7)
         with pytest.raises(ToleranceError) as err:
-            trace_grid(interval_spectrum(1.0, "dirichlet"), kind, [1e-300], 1.0, 10**7)
+            trace_grid(interval_spectrum(1.0, "dirichlet"), kind, [1e-300], 1.0)
         assert err.value.terms_used == 0
         assert err.value.achieved_bound > 1.0
         assert "term budget exhausted" in str(err.value)
@@ -196,6 +205,31 @@ class TestHeatDiagonal:
             heat_diagonal_interval(0.1, 0.0)
         with pytest.raises(ValueError):
             heat_diagonal_interval(0.1, PI)
+
+    def test_matches_a_longer_fsum_bit_for_bit(self):
+        # the 6,708 terms it sums leave a tail far below half an ulp, so the
+        # correctly rounded sum out to 30,000 terms is the same float
+        t, x = 1e-6, 1.0
+        ref = (2.0 / PI) * math.fsum(
+            math.sin(n * x) ** 2 * math.exp(-t * n * n) for n in range(1, 30_000))
+        assert heat_diagonal_interval(t, x) == ref
+
+    @pytest.mark.parametrize("t", [1e-14, 5e-324])
+    def test_past_the_term_budget_raises_at_once(self, t):
+        # floor(sqrt(45 / t)) terms: 6.7e7 at t = 1e-14, inf at the smallest subnormal
+        start = time.perf_counter()
+        with pytest.raises(ToleranceError, match="term budget exhausted") as err:
+            heat_diagonal_interval(t, 1.0)
+        assert time.perf_counter() - start < 0.1
+        assert err.value.terms_used == 0
+
+    def test_term_budget_is_the_one_constant(self, monkeypatch):
+        # at t = 1e-4 the sum takes floor(sqrt(45e4)) = 670 terms
+        monkeypatch.setattr(spectra, "DEFAULT_MAX_TERMS", 669)
+        with pytest.raises(ToleranceError):
+            heat_diagonal_interval(1e-4, 1.0)
+        monkeypatch.setattr(spectra, "DEFAULT_MAX_TERMS", 670)
+        assert heat_diagonal_interval(1e-4, 1.0) > 0.0
 
 
 class TestGrid:
