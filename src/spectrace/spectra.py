@@ -13,6 +13,7 @@ from __future__ import annotations
 import contextlib
 import itertools
 import math
+import os
 import threading
 import warnings
 from dataclasses import dataclass, field
@@ -45,6 +46,19 @@ _ODD_SHARE_MAX = 0.15
 _RUN_BLOCK = 1 << 16
 # the term budget: the most rows (lattice terms, product pairs) one enumeration allocates
 DEFAULT_MAX_TERMS = 10_000_000
+# characters per block of the plain-body reader (_plain_body): about 3,300
+# lines, so its work arrays stay near 1 MB whatever the file's size
+_PLAIN_BLOCK = 1 << 16
+# the plain-body reader divides exact long doubles: it needs a significand
+# that holds every 18-digit mantissa, 10^27 and every float64 midpoint, and
+# correctly rounded division, as x87 extended (63 stored bits) and IEEE quad
+# (112) have; elsewhere (long double = double, IBM double-double) it is off
+_EXACT_QUOTIENTS = np.finfo(np.longdouble).nmant in (63, 112)
+# 10^0 .. 10^27, each an exact long double on those platforms
+_POW10 = np.multiply.accumulate(np.array([1] + [10] * 27, dtype=np.longdouble))
+# a plain mantissa or multiplicity is below this; np.fromstring saturates
+# larger tokens at 2^63 - 1, which this also refuses
+_PLAIN_INT_END = 10**18
 
 
 class SpectrumFormatError(ValueError):
@@ -544,7 +558,9 @@ def product_spectrum(a: Spectrum, b: Spectrum) -> Spectrum:
 def _listed_spectrum(dim: int, label: str, envelope: Optional[tuple[float, float]],
                      omegas: Sequence[float], mults: Sequence[int]) -> Spectrum:
     """A spectrum that ends: the given ascending terms and nothing beyond."""
-    terms = (np.array(omegas, dtype=np.float64), np.array(mults, dtype=np.int64))
+    # no copy of arrays that already are contiguous float64 / int64
+    terms = (np.ascontiguousarray(omegas, dtype=np.float64),
+             np.ascontiguousarray(mults, dtype=np.int64))
     last = float(terms[0][-1]) if terms[0].size else 0.0
     return Spectrum(dim=dim, label=label, envelope=envelope,
                     truncated_at=last, _enumerate=lambda omega_max: terms)
@@ -588,20 +604,23 @@ def load_spectrum(path) -> Spectrum:
     trace tail bounds cannot be certified.
 
     The file is streamed: the header is read line by line (_read_lines), and
-    the body, from the first data line on, goes to one np.loadtxt pass
-    (_read_body), which pulls its lines from the open file one at a time;
-    the pass peaks at about 32 bytes a term (the parsed table and the two
+    the body, from the first data line on, by the first of three readers
+    that accepts it (_read_body).  A body whose every line is
+    "<digits>.<digits> <digits>" is read in blocks with exact integer
+    arithmetic (_plain_body), at about 25 bytes a term.  Any other body goes
+    to one np.loadtxt pass, which pulls its lines from the open file one at
+    a time and peaks at about 32 bytes a term (the parsed table and the two
     arrays copied from it).  Where that pass fails or finds a bad term,
     _read_lines reads the reopened file instead, at about 57 bytes a term:
     it names the offending line and reads the tokens only Python accepts
     (1_000, non-ASCII digits), so the result never depends on which reader
-    ran.  Neither path holds the file's lines.
+    ran.  No reader holds the file's lines.
     """
     with _spectrum_file(path) as fh:
         # terms stay the header pass's empty lists when it reaches the end
         dim, envelope, first, *terms = _read_lines(fh, header_only=True)
         if first is not None:
-            terms = _read_body(itertools.chain([first], fh))
+            terms = _read_body(first, fh)
     if terms is None:
         with _spectrum_file(path) as fh:
             dim, envelope, _, *terms = _read_lines(fh)
@@ -622,22 +641,134 @@ def _spectrum_file(path) -> Iterator[TextIO]:
             raise
 
 
-def _read_body(lines: Iterable[str]) -> Optional[Arrays]:
-    """(omegas, mults) of a nonempty file body in one np.loadtxt pass, or
-    None when loadtxt raises or warns (numpy 1.x reads "5.0" into an int
-    column with a DeprecationWarning), or a term breaks the grammar: NaN or
-    negative omega, multiplicity below 1, omega decreasing."""
+def _read_body(first: str, fh: TextIO) -> Optional[Arrays]:
+    """(omegas, mults) of a nonempty file body that starts with the line
+    first and goes on in fh, or None when the per-line reader must decide.
+
+    _plain_body reads it where it can.  When that reader declines, fh is
+    rewound to the body's first line and the body goes to one np.loadtxt
+    pass.  None comes back when loadtxt raises or warns (numpy 1.x reads
+    "5.0" into an int column with a DeprecationWarning), when a term breaks
+    the grammar (NaN or negative omega, multiplicity below 1, omega
+    decreasing), or when the file does not decode, so that the per-line
+    reader raises the UnicodeDecodeError where it always has."""
+    terms = None
+    if _EXACT_QUOTIENTS:
+        try:
+            terms = _plain_body(first, fh)
+        except UnicodeDecodeError:
+            return None
+        if terms is None:
+            fh.seek(0)
+            first = _read_lines(fh, header_only=True)[2]
+    if terms is None:
+        try:
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                table = np.loadtxt(itertools.chain([first], fh),
+                                   dtype=[("w", "f8"), ("m", "i8")], comments="#", ndmin=1)
+        except (ValueError, Warning):  # the per-line reader decides, and names the line
+            return None
+        terms = table["w"], table["m"]
+    omegas, mults = terms
+    if not (np.all(omegas >= 0) and np.all(mults >= 1) and np.all(np.diff(omegas) >= 0)):
+        return None
+    return terms
+
+
+def _plain_body(first: str, fh: TextIO) -> Optional[Arrays]:
+    """(omegas, mults) of a body whose every line is
+    "<digits>.<digits> <digits>\\n", or None at the first block that holds
+    anything else (the grammar is checked by the caller).
+
+    The body is read _PLAIN_BLOCK characters at a time (_plain_block) into
+    two arrays sized from the lines a character read so far and the file's
+    size, grown in place when that falls short and cut to the lines read at
+    the end, so the result is held once.
+    """
+    size = os.fstat(fh.fileno()).st_size
+    omegas, mults = np.empty(0), np.empty(0, dtype=np.int64)
+    n = chars = 0
+    for text in _line_blocks(first, fh):
+        terms = _plain_block(text)
+        if terms is None:
+            return None
+        k = n + terms[0].size
+        chars += len(text)
+        if k > omegas.size:
+            # room for the rest of the file at the lines a character so far,
+            # and for at least 1/8 more lines
+            room = max(k + k * (size - chars) // chars, k + k // 8)
+            omegas.resize(room, refcheck=False)
+            mults.resize(room, refcheck=False)
+        omegas[n:k], mults[n:k] = terms
+        n = k
+    omegas.resize(n, refcheck=False)
+    mults.resize(n, refcheck=False)
+    return omegas, mults
+
+
+def _line_blocks(first: str, fh: TextIO) -> Iterator[str]:
+    """The line first and the rest of fh in blocks of whole lines, each
+    about _PLAIN_BLOCK characters and ending in a newline; a last line
+    without one gets one."""
+    rest = first
+    while chunk := fh.read(_PLAIN_BLOCK):
+        text = rest + chunk
+        cut = text.rfind("\n") + 1
+        if cut:
+            yield text[:cut]
+        rest = text[cut:]
+    if rest:
+        yield rest if rest.endswith("\n") else rest + "\n"
+
+
+def _plain_block(text: str) -> Optional[Arrays]:
+    """(omegas, mults) of whole lines "<digits>.<digits> <digits>\\n" with at
+    most 27 fraction digits and mantissa and multiplicity below 10^18, else
+    None.
+
+    Each omega is the mantissa M (the digits without the point) over 10^f,
+    f its fraction digits: a quotient of two exact long doubles, rounded
+    once, then rounded to float64.  A float64 midpoint is exact in the long
+    double, so the second rounding is the correct one unless the quotient
+    lands on a midpoint; those few tokens are read again with float().
+    Clinger, "How to Read Floating Point Numbers Accurately" (PLDI 1990).
+    """
+    if not text.isascii():
+        return None
+    raw = text.encode("ascii")
+    chars = np.frombuffer(raw, dtype=np.uint8)
+    seps = np.flatnonzero(chars - np.uint8(ord("0")) > 9)  # every byte but a digit
+    # dot, space, newline on every line, with a digit before each
+    if (seps.size % 3 or np.any(chars[seps].reshape(-1, 3) != np.frombuffer(b". \n", np.uint8))
+            or seps[0] == 0 or np.diff(seps).min() < 2):
+        return None
+    frac = seps[1::3] - seps[::3] - 1
+    if frac.max() > _POW10.size - 1:
+        return None
     try:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            table = np.loadtxt(lines, dtype=[("w", "f8"), ("m", "i8")],
-                               comments="#", ndmin=1)
-    except (ValueError, Warning):  # the per-line reader decides, and names the line
+            ints = np.fromstring(raw.replace(b".", b""), dtype=np.int64, sep=" ")
+    except (ValueError, Warning):
         return None
-    omegas, mults = table["w"], table["m"]
-    if not (np.all(omegas >= 0) and np.all(mults >= 1) and np.all(np.diff(omegas) >= 0)):
+    if ints.size != 2 * frac.size or ints.max() >= _PLAIN_INT_END:
         return None
-    return omegas, mults
+    quotients = ints[::2].astype(np.longdouble)
+    quotients /= _POW10[frac]
+    omegas = quotients.astype(np.float64)
+    # a midpoint lies half the gap above omega (np.spacing) or half the gap
+    # below it, which is the spacing or, at a power of two, half of it; those
+    # distances are powers of two, exact in float64, and any quotient at one
+    # of them is read again
+    off = np.abs((quotients - omegas).astype(np.float64))
+    off *= 2
+    gap = np.spacing(omegas)
+    for i in np.flatnonzero((off == gap) | (off * 2 == gap)):
+        start = seps[3 * i - 1] + 1 if i else 0
+        omegas[i] = float(text[start:seps[3 * i + 1]])
+    return omegas, ints[1::2]
 
 
 def _read_lines(lines: Iterable[str], header_only: bool = False,

@@ -16,6 +16,7 @@ from spectrace import (
     product_spectrum,
     torus_spectrum,
 )
+from spectrace import spectra
 from spectrace.spectra import _read_lines
 
 PI = math.pi
@@ -360,6 +361,29 @@ def spectrum_files(draw):
     return "".join(line + draw(st.sampled_from(("\n", "\r\n"))) for line in lines)
 
 
+@st.composite
+def plain_spectrum_files(draw):
+    """A file whose body is plain, "<digits>.<digits> <digits>" lines: the
+    repr of floats of 15 to 17 significant digits with random
+    multiplicities, at times out of order or with multiplicity 0."""
+    # mantissa 10^14..10^17 times 10^-16..10^-10: reprs between 0.01 and 1e7
+    omegas = sorted(draw(st.lists(
+        st.builds(lambda m, e: float(f"{m}e{e}"),
+                  st.integers(10**14, 10**17 - 1), st.integers(-16, -10)),
+        min_size=1, max_size=40)))
+    mults = draw(st.lists(st.one_of(st.integers(1, 20), st.integers(1, 2**63 - 1)),
+                          min_size=len(omegas), max_size=len(omegas)))
+    defect = draw(st.sampled_from((None, None, None, "non-monotone", "mult-0")))
+    if defect == "non-monotone" and len(omegas) > 1 and omegas[0] < omegas[-1]:
+        omegas[0], omegas[-1] = omegas[-1], omegas[0]
+    if defect == "mult-0":
+        mults[draw(st.integers(0, len(mults) - 1))] = 0
+    header = f"dim {draw(st.integers(1, 3))}\n"
+    if draw(st.booleans()):
+        header += "envelope 0 1\n"
+    return header + "".join(f"{w!r} {m}\n" for w, m in zip(omegas, mults))
+
+
 @pytest.fixture(scope="module")
 def spectrum_path(tmp_path_factory):
     return tmp_path_factory.mktemp("loader") / "spectrum.txt"
@@ -390,6 +414,12 @@ def _terms(n, start=1.0):
     return "".join(f"{start + k / 8!r} 1\n" for k in range(n))
 
 
+def _plain_edge_body(n):
+    """n plain lines of 20 characters: a block of 2^k characters after the
+    first line ends inside a line, since 20 divides no 2^k + 20."""
+    return "".join(f"{1000 + k / 7:.12f} 1\n" for k in range(n))
+
+
 # files at the seams of the streamed loader: where the header pass stops,
 # the end of the file, loadtxt's 50,000-line chunks, and the decoder's reads
 SEAM_FILES = {
@@ -408,6 +438,21 @@ SEAM_FILES = {
     # whole file is decoded before it is read
     "header-error-then-bad-byte": ("dimm 1\n" + _terms(8000)).encode() + b"\xff 1\n",
     "body-error-then-bad-byte": ("dim 1\n2 1\n1 1\n" + _terms(8000)).encode() + b"\xff 1\n",
+    # the plain-body reader: a line across its first block's edge, a plain
+    # first block then a comment (it declines mid-file and loadtxt reads the
+    # body again), no final newline, 18- to 20-digit mantissas (it takes only
+    # the 18), "5." / ".5" (it declines), and a plain body whose grammar
+    # breaks past a block
+    "plain-line-across-block-edge": ("dim 1\n" + _plain_edge_body(4000)).encode(),
+    "plain-then-comment": ("dim 1\n" + _terms(10000) + "# tail\n" + _terms(10, 1e6)).encode(),
+    "plain-no-final-newline": b"dim 1\nenvelope 0 1\n1.5 2\n2.25 3",
+    "plain-19-digit-mantissa": b"dim 1\n1.5 1\n1.234567890123456789 1\n2.5 1\n",
+    "plain-18-digit-mantissa": b"dim 1\n1.5 1\n1.23456789012345678 1\n2.5 1\n",
+    # np.fromstring saturates 20-digit integers at 2^63 - 1
+    "plain-20-digit-mantissa": b"dim 1\n1.5 1\n1.2345678901234567890 1\n2.5 1\n",
+    "plain-20-digit-multiplicity": b"dim 1\n1.5 1\n2.5 12345678901234567890\n",
+    "point-tokens": b"dim 1\n.5 1\n5. 2\n",
+    "plain-non-monotone-past-a-block": ("dim 1\n" + _terms(10000) + "0.5 1\n").encode(),
 }
 
 
@@ -417,7 +462,7 @@ class TestLoaderAgainstReference:
     the per-line reader alone returns, bit for bit, or raise its message."""
 
     @settings(max_examples=300, deadline=None, derandomize=True)
-    @given(text=spectrum_files())
+    @given(text=st.one_of(spectrum_files(), plain_spectrum_files()))
     def test_matches_per_line_reader(self, spectrum_path, text):
         with open(spectrum_path, "w", encoding="utf-8", newline="") as fh:
             fh.write(text)
@@ -432,6 +477,68 @@ class TestLoaderAgainstReference:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             assert _outcome(_loaded, p) == _outcome(_reference, p)
+
+    @pytest.mark.parametrize("name", SEAM_FILES)
+    def test_seams_without_the_plain_reader(self, tmp_path, monkeypatch, name):
+        # a platform whose long double is too short for exact quotients
+        monkeypatch.setattr(spectra, "_EXACT_QUOTIENTS", False)
+        p = tmp_path / "seam.txt"
+        p.write_bytes(SEAM_FILES[name])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert _outcome(_loaded, p) == _outcome(_reference, p)
+
+    def test_plain_bodies_take_the_plain_reader(self, tmp_path, monkeypatch):
+        # a plain body is read by _plain_body, and loadtxt never runs
+        if not spectra._EXACT_QUOTIENTS:
+            pytest.skip("no extended long double on this platform")
+        p = tmp_path / "plain.txt"
+        p.write_bytes(SEAM_FILES["plain-line-across-block-edge"])
+        monkeypatch.setattr(np, "loadtxt", None)
+        assert _loaded(p) == _reference(p)
+
+    # tokens whose quotient M / 10^f rounds, in the 64-bit long double, onto a
+    # float64 midpoint, so that the cast to float64 rounds the wrong way
+    # (found by a search over random midpoints), and exact midpoints, where
+    # the cast is right by ties-to-even: 2^53 + odd, and 2^53 - 1/2 and
+    # 2^54 - 1, half the smaller gap below a power of two
+    ROUNDED_ONTO_MIDPOINTS = ("960.81569649536317", "871.44738406645439",
+                              "658.59818908678659")
+    EXACT_MIDPOINTS = ("9007199254740993.0", "9007199254740995.0",
+                       "9007199254740991.5", "18014398509481983.0")
+
+    def test_midpoint_tokens_are_read_again(self, monkeypatch):
+        if not spectra._EXACT_QUOTIENTS:
+            pytest.skip("no extended long double on this platform")
+        tokens = self.ROUNDED_ONTO_MIDPOINTS + self.EXACT_MIDPOINTS
+        for token in self.ROUNDED_ONTO_MIDPOINTS:
+            whole, fraction = token.split(".")
+            quotient = np.longdouble(int(whole + fraction)) / spectra._POW10[len(fraction)]
+            assert float(quotient.astype(np.float64)) != float(token)
+        reread = []
+
+        def spy(token):
+            reread.append(token)
+            return float(token)
+
+        monkeypatch.setattr(spectra, "float", spy, raising=False)
+        text = "1.5 1\n" + "".join(f"{t} 2\n" for t in tokens)
+        omegas, mults = spectra._plain_block(text)
+        assert set(tokens) <= set(reread)
+        assert omegas.tolist() == [1.5] + [float(t) for t in tokens]
+        assert mults.tolist() == [1] + [2] * len(tokens)
+
+    def test_listed_arrays_are_held_once(self):
+        # contiguous float64 / int64 arrays are kept as given, not copied
+        omegas, mults = np.array([1.0, 2.0]), np.array([1, 3])
+        held = spectra._listed_spectrum(1, "listed", None, omegas, mults).arrays(math.inf)
+        assert np.shares_memory(held[0], omegas) and np.shares_memory(held[1], mults)
+
+    def test_midpoint_tokens_load_as_float_reads_them(self, tmp_path):
+        tokens = sorted(self.ROUNDED_ONTO_MIDPOINTS + self.EXACT_MIDPOINTS, key=float)
+        p = tmp_path / "midpoints.txt"
+        p.write_text("dim 1\n" + "".join(f"{t} 1\n" for t in tokens))
+        assert load_spectrum(p).up_to(math.inf) == [(float(t), 1) for t in tokens]
 
     @pytest.mark.parametrize("text, terms", [
         ("dim 1\n1 1_000\n", [(1.0, 1000)]),
@@ -473,10 +580,11 @@ class TestLoaderAgainstReference:
 
 
 class TestLoadMemory:
-    """load_spectrum holds no line list: a 75k-line file peaks at the parsed
-    table and the two arrays copied from it (32 bytes a term) on the one-pass
-    path, and at the per-line reader's Python lists plus those arrays (57)
-    where the per-line reader decides."""
+    """load_spectrum holds no line list: a 75k-line file peaks at the two
+    arrays it keeps plus one block's work arrays (about 25 bytes a term) on
+    the plain-body path, at the parsed table and the two arrays copied from
+    it (32) on the one-pass np.loadtxt path, and at the per-line reader's
+    Python lists plus those arrays (57) where the per-line reader decides."""
 
     TERMS = 75_000
 
@@ -495,8 +603,10 @@ class TestLoadMemory:
         finally:
             tracemalloc.stop()
 
-    @pytest.mark.parametrize("last_mult, limit", [("1", 40), ("1_0", 70)],
-                             ids=["one-pass", "per-line"])
+    # the last line is plain, carries a comment (np.loadtxt reads it) or a
+    # multiplicity only Python reads
+    @pytest.mark.parametrize("last_mult, limit", [("1", 32), ("1 # last", 40), ("1_0", 70)],
+                             ids=["plain", "one-pass", "per-line"])
     def test_peak_bytes_per_term(self, tmp_path, omegas, last_mult, limit):
         p = tmp_path / "long.spec"
         with open(p, "w", encoding="utf-8") as fh:
@@ -504,3 +614,14 @@ class TestLoadMemory:
             fh.writelines(f"{w!r} 1\n" for w in omegas[:-1])
             fh.write(f"{omegas[-1]!r} {last_mult}\n")
         assert self.peak_per_term(p) <= limit
+
+    @pytest.mark.parametrize("exact_quotients", [True, False], ids=["plain-reader", "loadtxt"])
+    def test_matches_per_line_reader(self, tmp_path, monkeypatch, omegas, exact_quotients):
+        # with the platform flag off the body goes to np.loadtxt, as on a
+        # machine whose long double is too short for exact quotients
+        monkeypatch.setattr(spectra, "_EXACT_QUOTIENTS", exact_quotients and spectra._EXACT_QUOTIENTS)
+        p = tmp_path / "long.spec"
+        with open(p, "w", encoding="utf-8") as fh:
+            fh.write("# 75k terms\ndim 2\nenvelope 0 0.1\n")
+            fh.writelines(f"{w!r} {k % 3 + 1}\n" for k, w in enumerate(omegas))
+        assert _loaded(p) == _reference(p)
