@@ -290,7 +290,7 @@ def cmd_coeffs(args) -> int:
 
 def cmd_verify(args) -> int:
     spectrum = parse_spectrum_spec(args.spectrum)
-    rows = run_verification(spectrum, orders=args.orders, points=args.points, tol=args.tol)
+    rows = run_verification(spectrum)
     lines = [_config_comment("verify", args)]
     lines += [row.line() for row in rows]
     ok = all(row.passed for row in rows)
@@ -455,9 +455,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_verify = sub.add_parser("verify", help="run the coefficient-relation pipeline")
     p_verify.add_argument("--spectrum", required=True)
-    p_verify.add_argument("--orders", type=int, default=4)
-    p_verify.add_argument("--points", type=int, default=64)
-    p_verify.add_argument("--tol", type=float, default=1e-13)
     p_verify.add_argument("--out", default=None)
     p_verify.set_defaults(func=cmd_verify)
 

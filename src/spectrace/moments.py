@@ -24,6 +24,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
+from . import spectra
 from .invariants import zeta_neg_int
 
 __all__ = [
@@ -42,8 +43,6 @@ _COMB_CHUNK = 1 << 16
 # absolute tail bounds at which comb_pairing and the omega comb stop summing
 _COMB_TOL = 1e-14
 _OMEGA_COMB_TOL = 1e-15
-# indices one comb sum may take; a bump window or a stop past it is refused
-_MAX_COMB_INDEX = 10**9
 
 
 def _exp(a: np.ndarray) -> np.ndarray:
@@ -346,33 +345,35 @@ def _comb(g: TestFunction, eps: float, index_of, term, tail_after, tol: float) -
     x at the real index index_of(x), increasing in x: over the indices inside
     a bump's support, else from 1 to the smallest n >= 4 past g's monotone
     point with tail_after(n), a bound on the terms beyond n, at most tol.
-    ValueError, before any term is summed, for more than _MAX_COMB_INDEX
-    indices; the real indices meet the cap before they become ints, as they
+    ValueError, before any term is summed, for more indices than the term
+    budget; the real indices meet the cap before they become ints, as they
     pass the float range for a subnormal eps."""
+    cap = spectra.DEFAULT_MAX_TERMS
     if g.kind == "bump":
         lo, hi = g.support_interval
         first, last = max(index_of(lo), 1.0), index_of(hi)
-        if last - first < _MAX_COMB_INDEX:
+        if last - first < cap:
             return _comb_sum(term, math.ceil(first), math.floor(last))
     else:
         # first index beyond which |g| decreases along the sampled arguments
-        n_mono = math.ceil(min(index_of(g.monotone_from), _MAX_COMB_INDEX)) + 1
+        n_mono = math.ceil(min(index_of(g.monotone_from), cap)) + 1
         stop = _smallest_stop(lambda n: tail_after(n) <= tol, max(n_mono, 4))
         if stop is not None:
             return _comb_sum(term, 1, stop)
     raise ValueError(f"comb sum at eps={eps!r} would take more than the cap of "
-                     f"{_MAX_COMB_INDEX} indices")
+                     f"{cap} indices")
 
 
 def _smallest_stop(certified: Callable[[int], bool], n: int) -> Optional[int]:
     """The smallest n_stop >= n with certified(n_stop), for a test that stays
     true once true (a tail bound past the monotone point): double n until it
     holds, then bisect between the last doubling that failed and the first
-    that held.  None when n passes _MAX_COMB_INDEX before the test holds."""
+    that held.  None when n passes the term budget before the test holds."""
+    cap = spectra.DEFAULT_MAX_TERMS
     failed = None
-    while n <= _MAX_COMB_INDEX and not certified(n):
+    while n <= cap and not certified(n):
         failed, n = n, 2 * n
-    if n > _MAX_COMB_INDEX:
+    if n > cap:
         return None
     while failed is not None and n - failed > 1:
         mid = (failed + n) // 2

@@ -11,7 +11,6 @@ lets the trace evaluators certify their truncation error.
 from __future__ import annotations
 
 import contextlib
-import itertools
 import math
 import os
 import threading
@@ -46,10 +45,10 @@ _ODD_SHARE_MAX = 0.15
 _RUN_BLOCK = 1 << 16
 # the term budget: the most rows (lattice terms, product pairs) one enumeration allocates
 DEFAULT_MAX_TERMS = 10_000_000
-# characters per block of the plain-body reader (_plain_body): about 3,300
+# characters per block of the body reader (_read_body): about 3,300
 # lines, so its work arrays stay near 1 MB whatever the file's size
 _PLAIN_BLOCK = 1 << 16
-# the plain-body reader divides exact long doubles: it needs a significand
+# the plain-block reader divides exact long doubles: it needs a significand
 # that holds every 18-digit mantissa, 10^27 and every float64 midpoint, and
 # correctly rounded division, as x87 extended (63 stored bits) and IEEE quad
 # (112) have; elsewhere (long double = double, IBM double-double) it is off
@@ -604,17 +603,16 @@ def load_spectrum(path) -> Spectrum:
     trace tail bounds cannot be certified.
 
     The file is streamed: the header is read line by line (_read_lines), and
-    the body, from the first data line on, by the first of three readers
-    that accepts it (_read_body).  A body whose every line is
-    "<digits>.<digits> <digits>" is read in blocks with exact integer
-    arithmetic (_plain_body), at about 25 bytes a term.  Any other body goes
-    to one np.loadtxt pass, which pulls its lines from the open file one at
-    a time and peaks at about 32 bytes a term (the parsed table and the two
-    arrays copied from it).  Where that pass fails or finds a bad term,
-    _read_lines reads the reopened file instead, at about 57 bytes a term:
-    it names the offending line and reads the tokens only Python accepts
-    (1_000, non-ASCII digits), so the result never depends on which reader
-    ran.  No reader holds the file's lines.
+    the body, from the first data line on, in one pass of blocks of whole
+    lines (_read_body).  Blocks whose every line is
+    "<digits>.<digits> <digits>" are read with exact integer arithmetic
+    (_plain_block); from the first block that holds anything else, each
+    block goes to np.loadtxt.  Both fill the same two arrays, at about 25
+    bytes a term.  Where np.loadtxt fails or a term is bad, _read_lines
+    reads the reopened file instead, at about 57 bytes a term: it names the
+    offending line and reads the tokens only Python accepts (1_000,
+    non-ASCII digits), so the result never depends on which reader ran.
+    No reader holds the file's lines.
     """
     with _spectrum_file(path) as fh:
         # terms stay the header pass's empty lists when it reaches the end
@@ -645,67 +643,63 @@ def _read_body(first: str, fh: TextIO) -> Optional[Arrays]:
     """(omegas, mults) of a nonempty file body that starts with the line
     first and goes on in fh, or None when the per-line reader must decide.
 
-    _plain_body reads it where it can.  When that reader declines, fh is
-    rewound to the body's first line and the body goes to one np.loadtxt
-    pass.  None comes back when loadtxt raises or warns (numpy 1.x reads
-    "5.0" into an int column with a DeprecationWarning), when a term breaks
-    the grammar (NaN or negative omega, multiplicity below 1, omega
-    decreasing), or when the file does not decode, so that the per-line
-    reader raises the UnicodeDecodeError where it always has."""
-    terms = None
-    if _EXACT_QUOTIENTS:
-        try:
-            terms = _plain_body(first, fh)
-        except UnicodeDecodeError:
-            return None
-        if terms is None:
-            fh.seek(0)
-            first = _read_lines(fh, header_only=True)[2]
-    if terms is None:
-        try:
-            with warnings.catch_warnings():
-                warnings.simplefilter("error")
-                table = np.loadtxt(itertools.chain([first], fh),
-                                   dtype=[("w", "f8"), ("m", "i8")], comments="#", ndmin=1)
-        except (ValueError, Warning):  # the per-line reader decides, and names the line
-            return None
-        terms = table["w"], table["m"]
-    omegas, mults = terms
-    if not (np.all(omegas >= 0) and np.all(mults >= 1) and np.all(np.diff(omegas) >= 0)):
-        return None
-    return terms
-
-
-def _plain_body(first: str, fh: TextIO) -> Optional[Arrays]:
-    """(omegas, mults) of a body whose every line is
-    "<digits>.<digits> <digits>\\n", or None at the first block that holds
-    anything else (the grammar is checked by the caller).
-
-    The body is read _PLAIN_BLOCK characters at a time (_plain_block) into
-    two arrays sized from the lines a character read so far and the file's
-    size, grown in place when that falls short and cut to the lines read at
-    the end, so the result is held once.
-    """
+    The body is read once, in blocks of whole lines (_line_blocks).  Each
+    block goes to _plain_block until the first block it declines (from the
+    start where _EXACT_QUOTIENTS is off); that block and every later one go
+    to np.loadtxt (_loadtxt_block).  Both fill the same two arrays, sized
+    from the lines a character read so far and the file's size, grown in
+    place when that falls short and cut to the lines read at the end, so
+    the result is held once.  None comes back when loadtxt raises or warns
+    (numpy 1.x reads "5.0" into an int column with a DeprecationWarning),
+    when a term breaks the grammar (NaN or negative omega, multiplicity
+    below 1, omega decreasing), or when the file does not decode, so that
+    the per-line reader raises the UnicodeDecodeError where it always has."""
     size = os.fstat(fh.fileno()).st_size
     omegas, mults = np.empty(0), np.empty(0, dtype=np.int64)
     n = chars = 0
-    for text in _line_blocks(first, fh):
-        terms = _plain_block(text)
-        if terms is None:
-            return None
-        k = n + terms[0].size
-        chars += len(text)
-        if k > omegas.size:
-            # room for the rest of the file at the lines a character so far,
-            # and for at least 1/8 more lines
-            room = max(k + k * (size - chars) // chars, k + k // 8)
-            omegas.resize(room, refcheck=False)
-            mults.resize(room, refcheck=False)
-        omegas[n:k], mults[n:k] = terms
-        n = k
+    plain = _EXACT_QUOTIENTS
+    try:
+        for text in _line_blocks(first, fh):
+            terms = _plain_block(text) if plain else None
+            if terms is None:
+                plain = False
+                terms = _loadtxt_block(text)
+                if terms is None:
+                    return None
+            k = n + terms[0].size
+            chars += len(text)
+            if k > omegas.size:
+                # room for the rest of the file at the lines a character so
+                # far, and for at least 1/8 more lines
+                room = max(k + k * (size - chars) // chars, k + k // 8)
+                omegas.resize(room, refcheck=False)
+                mults.resize(room, refcheck=False)
+            omegas[n:k], mults[n:k] = terms
+            n = k
+    except UnicodeDecodeError:
+        return None
+    del text, terms  # the last block and its work arrays
     omegas.resize(n, refcheck=False)
     mults.resize(n, refcheck=False)
+    if not (np.all(omegas >= 0) and np.all(mults >= 1) and np.all(np.diff(omegas) >= 0)):
+        return None
     return omegas, mults
+
+
+def _loadtxt_block(text: str) -> Optional[Arrays]:
+    """(omegas, mults) of a block of whole lines by np.loadtxt, or None when
+    it raises or warns.  The lines are split on newlines only, as iterating
+    the file splits them; a block with no data line gives no terms."""
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
+            # an iterator, as the no-data warning quotes its input
+            table = np.loadtxt(iter(text[:-1].split("\n")), dtype=[("w", "f8"), ("m", "i8")],
+                               comments="#", ndmin=1)
+    except (ValueError, Warning):  # the per-line reader decides, and names the line
+        return None
+    return table["w"], table["m"]
 
 
 def _line_blocks(first: str, fh: TextIO) -> Iterator[str]:

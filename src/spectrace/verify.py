@@ -38,6 +38,11 @@ from .traces import trace_grid
 
 __all__ = ["VerifyRow", "expansion_from_fit", "fit_trace", "run_verification"]
 
+# verify's basis depth (orders s = 0..4), samples per window, trace tolerance
+_ORDERS = 4
+_POINTS = 64
+_TOL = 1e-13
+
 
 @dataclass
 class VerifyRow:
@@ -97,14 +102,13 @@ def _first_positive_omega(s: Spectrum) -> float:
     raise ValueError("could not find a positive eigenfrequency")
 
 
-def run_verification(spectrum: Spectrum, orders: int = 4, points: int = 64,
-                     tol: float = 1e-13) -> list[VerifyRow]:
+def run_verification(spectrum: Spectrum) -> list[VerifyRow]:
     """Fit all coefficient families for one spectrum and check every relation.
 
     Raises ValueError for a spectrum without envelope constants (its traces
     cannot be certified) and for a spectrum with no positive frequency;
-    ToleranceError when a trace cannot meet tol or an enumeration passes the
-    term budget (Spectrum.arrays).
+    ToleranceError when a trace cannot meet _TOL or an enumeration passes
+    the term budget (Spectrum.arrays).
     """
     if spectrum.envelope is None:
         raise ValueError(
@@ -138,20 +142,20 @@ def run_verification(spectrum: Spectrum, orders: int = 4, points: int = 64,
     cyl_hi = max(0.1 / w1, 8.0 * cyl_lo)
     heat_lo = max(1e-4 / (w1 * w1), t_heat_floor)
     heat_hi = max(0.1 / (w1 * w1), 8.0 * heat_lo)
-    cyl_ts = geometric_grid(cyl_lo, cyl_hi, points)
-    heat_ts = geometric_grid(heat_lo, heat_hi, points)
+    cyl_ts = geometric_grid(cyl_lo, cyl_hi, _POINTS)
+    heat_ts = geometric_grid(heat_lo, heat_hi, _POINTS)
 
-    heat_fit = fit_trace(spectrum, "heat", heat_ts, tol, orders)
+    heat_fit = fit_trace(spectrum, "heat", heat_ts, _TOL, _ORDERS)
     # the index-term check fits the cylinder samples with and without a
     # t^0 log t column; the log-free one is the cylinder fit
-    cyl_samples = trace_grid(spectrum, "cylinder", cyl_ts, tol)
+    cyl_samples = trace_grid(spectrum, "cylinder", cyl_ts, _TOL)
     det = detect_log_term(
         [(s.t, s.value) for s in cyl_samples],
         Fraction(0),
-        cylinder_basis(d, orders, math.sqrt(cyl_ts[0] * cyl_ts[-1])),
+        cylinder_basis(d, _ORDERS, math.sqrt(cyl_ts[0] * cyl_ts[-1])),
     )
     cyl_fit = det.without_log
-    dcyl_fit = fit_trace(spectrum, "dcylinder", cyl_ts, tol, orders + 1)
+    dcyl_fit = fit_trace(spectrum, "dcylinder", cyl_ts, _TOL, _ORDERS + 1)
 
     cyl_from_heat = heat_to_cylinder(expansion_from_fit(d, heat_fit))
 
@@ -159,7 +163,7 @@ def run_verification(spectrum: Spectrum, orders: int = 4, points: int = 64,
     # Tolerances carry the fits' own jackknife spreads, so a coarse window
     # (forced by the term budget in higher dimension) widens them honestly
     # while d=1 spectra run at the nominal figures.
-    for s in range(orders + 1):
+    for s in range(_ORDERS + 1):
         p = Fraction(s - d)
         via = cyl_from_heat.term(p, 0)
         direct = cyl_fit.coefficient(p, 0)
@@ -174,7 +178,7 @@ def run_verification(spectrum: Spectrum, orders: int = 4, points: int = 64,
             float(via.coefficient), direct, 1e-5 * max(1.0, abs(direct)) + slack))
 
     # log coefficients implied by the heat side must be tiny here
-    for s in range(orders + 1):
+    for s in range(_ORDERS + 1):
         p = Fraction(s - d)
         via = cyl_from_heat.term(p, 1)
         if via is not None:
@@ -214,7 +218,7 @@ def run_verification(spectrum: Spectrum, orders: int = 4, points: int = 64,
     riesz_tol = 2e-2 if d == 1 else 5e-2
 
     a_diag = []
-    for alpha in range(min(2, orders) + 1):
+    for alpha in range(3):
         rep = extract_riesz_coeffs(spectrum, alpha, "lambda", grid=lam_grid)
         a_diag.append(rep.coefficient(Fraction(d - alpha, 2), 0))
     heat_from_riesz = riesz_to_heat(a_diag, d)
@@ -226,7 +230,7 @@ def run_verification(spectrum: Spectrum, orders: int = 4, points: int = 64,
             float(via.coefficient), direct, riesz_tol * max(1.0, abs(direct))))
 
     c_diag, d_diag = [], []
-    for alpha in range(min(2, orders) + 1):
+    for alpha in range(3):
         p_diag = Fraction(d - alpha)
         # a log column at x^(d-alpha) is fitted only where the data show it
         rep = extract_riesz_coeffs(spectrum, alpha, "omega", grid=om_grid)

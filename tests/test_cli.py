@@ -217,11 +217,14 @@ class TestVerifyCommand:
         assert code == 0
         assert "FAIL" not in out
 
-    def test_shallow_expansion_reports_energy_row(self, capsys):
-        # orders 1 fits e_0 and e_1 only, so there is no e_(d+1) = e_2
-        code, out, _ = run(capsys, "verify", "--spectrum", "interval:length=1:bc=dirichlet",
-                           "--orders", "1")
-        assert code == 0
+    def test_shallow_expansion_reports_energy_row(self, capsys, tmp_path):
+        # verify fits e_0 .. e_4, so in dimension 4 there is no e_(d+1) = e_5
+        p = tmp_path / "s.txt"
+        p.write_text("dim 4\nenvelope 0 1\n" +
+                     "\n".join(f"{n} 1" for n in range(1, 3001)) + "\n")
+        code, out, _ = run(capsys, "verify", "--spectrum", f"file:{p}")
+        assert code in (0, 1)
+        assert "overall" in out
         row = [l for l in out.splitlines() if "casimir energy" in l]
         assert len(row) == 1
         assert row[0].startswith("PASS") and "[expansion too shallow for s=d+1]" in row[0]
@@ -388,7 +391,7 @@ class TestLibraryErrorsExit2:
         assert code == 2
         eps = float(decades.split(":")[0])
         assert f"comb sum at eps={eps!r} " in err
-        assert "cap of 1000000000 indices" in err
+        assert "cap of 10000000 indices" in err
 
     def test_product_multiplicity_past_int64_exits_2(self, capsys, tmp_path):
         p = tmp_path / "heavy.txt"
@@ -473,3 +476,13 @@ class TestParserBasics:
         assert code == 2
         assert out == ""
         assert "unrecognized arguments: --max-terms" in err
+
+    @pytest.mark.parametrize("flag, value", [("--orders", "0"), ("--points", "8"),
+                                             ("--tol", "1e-9")])
+    def test_verify_takes_a_spectrum_only(self, capsys, flag, value):
+        # verify's basis depth, sample count and tolerance are fixed in
+        # spectrace.verify, so no setting can empty its checks
+        code, out, err = run(capsys, "verify", "--spectrum", INTERVAL_SPEC, flag, value)
+        assert code == 2
+        assert out == ""
+        assert f"unrecognized arguments: {flag}" in err

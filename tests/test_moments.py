@@ -1,6 +1,7 @@
 import contextlib
 import io
 import math
+import time
 from fractions import Fraction
 from unittest import mock
 
@@ -21,7 +22,7 @@ from spectrace import (
     squares_comb_expansion,
     zeta_neg_int,
 )
-from spectrace import cli, moments
+from spectrace import cli, moments, spectra
 from spectrace.moments import quad
 
 PI = math.pi
@@ -188,6 +189,26 @@ class TestCombPairing:
         nonzero = [n for n, t in enumerate(terms, 1) if t != 0.0]
         assert ranges == [(nonzero[0], nonzero[-1])]
         assert got == math.fsum(terms)
+
+    def test_window_past_the_term_budget_is_refused_promptly(self):
+        # 2e7 indices, twice the budget of 1e7: refused before any is summed
+        start = time.perf_counter()
+        with pytest.raises(ValueError, match="cap of 10000000 indices"):
+            comb_pairing("linear", 3e-8, TF.bump(lo=0.3, hi=0.9))
+        assert time.perf_counter() - start < 1.0
+
+    def test_the_term_budget_sets_the_cap(self, monkeypatch):
+        # the bump window at eps = 1e-3 holds 599 indices and the certified
+        # expdecay stop at eps = 1e-2 lies past 3,000: both fit the budget
+        # of 1e7 and neither fits one of 500
+        bump = TF.bump(lo=0.3, hi=0.9)
+        comb_pairing("linear", 1e-3, bump)
+        comb_pairing("linear", 1e-2, EXP)
+        monkeypatch.setattr(spectra, "DEFAULT_MAX_TERMS", 500)
+        with pytest.raises(ValueError, match="cap of 500 indices"):
+            comb_pairing("linear", 1e-3, bump)
+        with pytest.raises(ValueError, match="cap of 500 indices"):
+            comb_pairing("linear", 1e-2, EXP)
 
     def test_rejects_bad_inputs(self):
         with pytest.raises(ValueError):

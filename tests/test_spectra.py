@@ -248,7 +248,7 @@ class TestLoad:
         assert s.up_to(10.0) == [(0.15, 1), (2.25, 3)]
 
 
-# -- the one-pass loader against the per-line reference reader ---------------
+# -- the block loader against the per-line reference reader -----------------
 
 SEPARATORS = (" ", "\t", "  ", " \t ", "\f", "\v", "\xa0", "　")
 BLANK_LINES = ("", "   ", "\t", "\xa0", "　", "\f", "# a comment", "  # dim 3")
@@ -421,7 +421,7 @@ def _plain_edge_body(n):
 
 
 # files at the seams of the streamed loader: where the header pass stops,
-# the end of the file, loadtxt's 50,000-line chunks, and the decoder's reads
+# the end of the file, the body's blocks, and the decoder's reads
 SEAM_FILES = {
     "empty": b"",
     "comments-only": b"# a\n\n# b\n",
@@ -438,9 +438,9 @@ SEAM_FILES = {
     # whole file is decoded before it is read
     "header-error-then-bad-byte": ("dimm 1\n" + _terms(8000)).encode() + b"\xff 1\n",
     "body-error-then-bad-byte": ("dim 1\n2 1\n1 1\n" + _terms(8000)).encode() + b"\xff 1\n",
-    # the plain-body reader: a line across its first block's edge, a plain
+    # the plain-block reader: a line across its first block's edge, a plain
     # first block then a comment (it declines mid-file and loadtxt reads the
-    # body again), no final newline, 18- to 20-digit mantissas (it takes only
+    # rest), no final newline, 18- to 20-digit mantissas (it takes only
     # the 18), "5." / ".5" (it declines), and a plain body whose grammar
     # breaks past a block
     "plain-line-across-block-edge": ("dim 1\n" + _plain_edge_body(4000)).encode(),
@@ -453,13 +453,22 @@ SEAM_FILES = {
     "plain-20-digit-multiplicity": b"dim 1\n1.5 1\n2.5 12345678901234567890\n",
     "point-tokens": b"dim 1\n.5 1\n5. 2\n",
     "plain-non-monotone-past-a-block": ("dim 1\n" + _terms(10000) + "0.5 1\n").encode(),
+    # loadtxt blocks: a run of comments longer than a block between plain
+    # lines (a block with no data line adds no terms), and a form feed and
+    # a U+2028 inside lines, which str.splitlines would split but iterating
+    # the file does not
+    "comment-run-past-a-block": ("dim 1\n" + _terms(8000) + "# c\n" * 20000
+                                 + _terms(10, 1e6)).encode(),
+    "form-feed-and-line-separator": ("dim 1\n" + _terms(8000) + "2000.5\x0c2\n2001.5 1\u2028\n"
+                                     + "2002.5 1 # \x0c\u2028 c\n" + _terms(10, 1e6)).encode(),
 }
 
 
 class TestLoaderAgainstReference:
-    """load_spectrum reads the body in one np.loadtxt pass, or with the
-    per-line reader where that pass fails; either way it must return what
-    the per-line reader alone returns, bit for bit, or raise its message."""
+    """load_spectrum reads the body in one pass of plain and np.loadtxt
+    blocks, or with the per-line reader where that pass fails; either way it
+    must return what the per-line reader alone returns, bit for bit, or
+    raise its message."""
 
     @settings(max_examples=300, deadline=None, derandomize=True)
     @given(text=st.one_of(spectrum_files(), plain_spectrum_files()))
@@ -489,13 +498,36 @@ class TestLoaderAgainstReference:
             assert _outcome(_loaded, p) == _outcome(_reference, p)
 
     def test_plain_bodies_take_the_plain_reader(self, tmp_path, monkeypatch):
-        # a plain body is read by _plain_body, and loadtxt never runs
+        # a plain body is read by _plain_block, and loadtxt never runs
         if not spectra._EXACT_QUOTIENTS:
             pytest.skip("no extended long double on this platform")
         p = tmp_path / "plain.txt"
         p.write_bytes(SEAM_FILES["plain-line-across-block-edge"])
         monkeypatch.setattr(np, "loadtxt", None)
         assert _loaded(p) == _reference(p)
+
+    def test_loadtxt_reads_from_the_declined_block_on(self, tmp_path, monkeypatch):
+        # the plain blocks before the comment's block are read once, by
+        # _plain_block; loadtxt gets each later line once, and nothing before
+        if not spectra._EXACT_QUOTIENTS:
+            pytest.skip("no extended long double on this platform")
+        text = SEAM_FILES["plain-then-comment"]
+        p = tmp_path / "seam.txt"
+        p.write_bytes(text)
+        fed = []
+        loadtxt = np.loadtxt
+
+        def counting_loadtxt(lines, *args, **kwargs):
+            lines = list(lines)
+            fed.extend(line.rstrip("\n") for line in lines)
+            return loadtxt(lines, *args, **kwargs)
+
+        monkeypatch.setattr(np, "loadtxt", counting_loadtxt)
+        assert _loaded(p) == _reference(p)
+        body = text.decode().split("\n")[1:-1]
+        assert "# tail" in fed and body[0] not in fed
+        assert fed == body[len(body) - len(fed):]
+        assert len(fed) < len(body) // 2
 
     # tokens whose quotient M / 10^f rounds, in the 64-bit long double, onto a
     # float64 midpoint, so that the cast to float64 rounds the wrong way
@@ -581,10 +613,10 @@ class TestLoaderAgainstReference:
 
 class TestLoadMemory:
     """load_spectrum holds no line list: a 75k-line file peaks at the two
-    arrays it keeps plus one block's work arrays (about 25 bytes a term) on
-    the plain-body path, at the parsed table and the two arrays copied from
-    it (32) on the one-pass np.loadtxt path, and at the per-line reader's
-    Python lists plus those arrays (57) where the per-line reader decides."""
+    arrays it keeps plus the final checks' work arrays (about 25 bytes a
+    term) wherever its blocks go, to _plain_block or to np.loadtxt, and at
+    the per-line reader's Python lists plus those arrays (57) where the
+    per-line reader decides."""
 
     TERMS = 75_000
 
@@ -603,9 +635,9 @@ class TestLoadMemory:
         finally:
             tracemalloc.stop()
 
-    # the last line is plain, carries a comment (np.loadtxt reads it) or a
-    # multiplicity only Python reads
-    @pytest.mark.parametrize("last_mult, limit", [("1", 32), ("1 # last", 40), ("1_0", 70)],
+    # the last line is plain, carries a comment (np.loadtxt reads its block)
+    # or a multiplicity only Python reads
+    @pytest.mark.parametrize("last_mult, limit", [("1", 32), ("1 # last", 30), ("1_0", 70)],
                              ids=["plain", "one-pass", "per-line"])
     def test_peak_bytes_per_term(self, tmp_path, omegas, last_mult, limit):
         p = tmp_path / "long.spec"
@@ -614,6 +646,18 @@ class TestLoadMemory:
             fh.writelines(f"{w!r} 1\n" for w in omegas[:-1])
             fh.write(f"{omegas[-1]!r} {last_mult}\n")
         assert self.peak_per_term(p) <= limit
+
+    def test_peak_with_a_comment_at_the_middle_line(self, tmp_path, omegas):
+        # np.loadtxt reads the blocks from the comment's on into the same
+        # arrays, with no table of the whole body and no copy of its columns
+        p = tmp_path / "long.spec"
+        half = self.TERMS // 2
+        with open(p, "w", encoding="utf-8") as fh:
+            fh.write("# 75k terms\ndim 2\nenvelope 0 0.1\n")
+            fh.writelines(f"{w!r} 1\n" for w in omegas[:half])
+            fh.write("# the middle line\n")
+            fh.writelines(f"{w!r} 1\n" for w in omegas[half:])
+        assert self.peak_per_term(p) <= 30
 
     @pytest.mark.parametrize("exact_quotients", [True, False], ids=["plain-reader", "loadtxt"])
     def test_matches_per_line_reader(self, tmp_path, monkeypatch, omegas, exact_quotients):
