@@ -121,17 +121,24 @@ def run_verification(spectrum: Spectrum) -> list[VerifyRow]:
 
     # verify's window policy: no sample below the time at which the envelope
     # count out to x0/t (cylinder) or x0/t in lambda (heat) exceeds the term
-    # cap.  Each trace solves for its own, smaller cutoff; x0 = 80 and the cap
-    # only place the windows.  A budget no larger than C1 pays for no cutoff,
-    # so the windows stay nominal and the first trace reports the
-    # unreachable tolerance.
+    # cap, and no lambda-Riesz grid point above the lambda at which it does
+    # (w_cap^2; the grid keeps at least a factor 8).  Each trace solves for
+    # its own, smaller cutoff; x0 = 80 and the cap only place the windows.  A
+    # budget no larger than C1 pays for no cutoff, so the windows stay
+    # nominal and the first trace reports the unreachable tolerance; a w_cap^2
+    # past the float range is over the cap too.
     c1, c2 = spectrum.envelope
     cap = min(spectra.DEFAULT_MAX_TERMS, 400_000)
     x0 = 80.0
+    lam_cap = math.inf
     if c2 > 0 and cap > c1:
         w_cap = ((cap - c1) / c2) ** (1.0 / d)
+        try:
+            lam_cap = w_cap**2
+        except OverflowError:
+            pass
         t_cyl_floor = x0 / w_cap
-        t_heat_floor = x0 / w_cap**2
+        t_heat_floor = x0 / lam_cap
     else:
         t_cyl_floor = t_heat_floor = 0.0
     if spectrum.truncated_at is not None and spectrum.truncated_at > 0:
@@ -213,8 +220,19 @@ def run_verification(spectrum: Spectrum) -> list[VerifyRow]:
     # Riesz relations (diagonal coefficients only); the fits are limited by
     # spectral oscillation, so these rows run at a looser tolerance than the
     # trace-to-trace relations above
-    lam_grid = geometric_grid(1e2 * w1 * w1, 1e6 * w1 * w1, 128)
-    om_grid = geometric_grid(10.0 * w1, 100.0 * w1, 128)
+    lam_lo, om_lo = 1e2 * w1 * w1, 10.0 * w1
+    lam_hi = max(min(1e6 * w1 * w1, lam_cap), 8.0 * lam_lo)
+    om_hi = 100.0 * w1
+    end = spectrum.truncated_at
+    if end is not None:
+        # a finite term list's means are exact only up to its last frequency
+        if end <= om_lo or end * end <= lam_lo:
+            raise ValueError(
+                f"verification refused: the spectrum's data end at omega = {end:.6g}, "
+                f"below the Riesz grids' bottom omega = 10 w1 = {om_lo:.6g}")
+        lam_hi, om_hi = min(lam_hi, end * end), min(om_hi, end)
+    lam_grid = geometric_grid(lam_lo, lam_hi, 128)
+    om_grid = geometric_grid(om_lo, om_hi, 128)
     riesz_tol = 2e-2 if d == 1 else 5e-2
 
     a_diag = []

@@ -209,13 +209,29 @@ class TestRieszTermBudget:
         assert proc.returncode in (0, 1), proc.stderr
         assert "overall:" in proc.stdout
 
-    def test_cube_verify_exits_3(self):
-        # its lambda-Riesz grid would need about 5e9 terms
+    def test_cube_verify_reports(self):
+        # its lambda-Riesz grid ends where the envelope counts the 400k cap,
+        # not at 1e6 w1^2 (1.01e9 rows); the three b_s rows it feeds pass
         proc = run_python(
             "import sys\n"
             "from spectrace.cli import main\n"
             "d = 'interval:length=1:bc=dirichlet'\n"
             "sys.exit(main(['verify', '--spectrum', f'product:(product:({d})x({d}))x({d})']))\n"
+        )
+        assert proc.returncode in (0, 1), proc.stderr
+        assert "overall:" in proc.stdout
+        riesz_rows = [line for line in proc.stdout.splitlines() if " a_" in line]
+        assert len(riesz_rows) == 3, proc.stdout
+        assert all(line.startswith("PASS  b_") for line in riesz_rows), riesz_rows
+
+    def test_4d_cube_verify_exits_3(self):
+        # its omega-Riesz grid, to 100 w1, would need 4.18e7 rows
+        proc = run_python(
+            "import sys\n"
+            "from spectrace.cli import main\n"
+            "d = 'interval:length=1:bc=dirichlet'\n"
+            "sq = f'product:({d})x({d})'\n"
+            "sys.exit(main(['verify', '--spectrum', f'product:({sq})x({sq})']))\n"
         )
         assert proc.returncode == 3, proc.stderr
         assert "term budget" in proc.stderr and "Traceback" not in proc.stderr

@@ -306,9 +306,10 @@ def traced_peak(fn) -> int:
 
 
 class TestPeakMemory:
-    """Peak memory of the two large passes of `verify` on the Dirichlet
-    square of side pi (w1 = sqrt 2): its lambda-Riesz grid reaches 1e6 w1^2,
-    about 1.57M pairs and 420k distinct eigenvalues."""
+    """Peak memory of enumeration and of lambda-Riesz grids on the Dirichlet
+    square of side pi (w1 = sqrt 2), enumerated to 1000 w1: about 1.57M
+    pairs and 420k distinct eigenvalues.  The grids run to 1e6 w1^2, past
+    where `verify` ends its own, so every cached term is summed."""
 
     W1 = math.sqrt(2.0)
 
