@@ -210,16 +210,13 @@ def _raw_coefficients(basis: AsymptoticBasis, c_norm: np.ndarray) -> np.ndarray:
     return raw
 
 
-def _solve(x: np.ndarray, y: np.ndarray, w: np.ndarray, basis: AsymptoticBasis):
-    a = _design_matrix(x, basis)
-    sw = np.sqrt(w)
-    aw = a * sw[:, None]
-    yw = y * sw
-    sing = np.linalg.svd(aw, compute_uv=False)
+def _solve(aw: np.ndarray, yw: np.ndarray, basis: AsymptoticBasis):
+    """Least squares of the weighted design aw against the weighted samples
+    yw; the condition estimate is the ratio of lstsq's own singular values."""
+    c_norm, _, _, sing = np.linalg.lstsq(aw, yw, rcond=None)
     condition = math.inf if sing[-1] == 0 else float(sing[0] / sing[-1])
     if condition > CONDITION_LIMIT:
         raise IllConditionedBasisError(condition)
-    c_norm, *_ = np.linalg.lstsq(aw, yw, rcond=None)
     resid = aw @ c_norm - yw
     rms = float(math.sqrt(np.mean(resid**2)))
     return _raw_coefficients(basis, c_norm), rms, condition
@@ -237,7 +234,10 @@ def fit_expansion(samples, basis: AsymptoticBasis) -> FitReport:
     if len(x) < m + 2:
         raise ValueError(f"need at least {m + 2} samples for {m} basis terms, got {len(x)}")
 
-    coeffs, rms, condition = _solve(x, y, w, basis)
+    sw = np.sqrt(w)
+    aw = _design_matrix(x, basis) * sw[:, None]
+    yw = y * sw
+    coeffs, rms, condition = _solve(aw, yw, basis)
 
     # stability: refit dropping each contiguous quarter of the grid
     spreads = np.zeros(m)
@@ -248,7 +248,7 @@ def fit_expansion(samples, basis: AsymptoticBasis) -> FitReport:
         keep = np.ones(len(x), dtype=bool)
         keep[bounds[k]:bounds[k + 1]] = False
         if keep.sum() >= m:
-            folds.append(_solve(x[keep], y[keep], w[keep], basis)[0])
+            folds.append(_solve(aw[keep], yw[keep], basis)[0])
     if len(folds) == 4:
         stacked = np.vstack(folds)
         spreads = stacked.max(axis=0) - stacked.min(axis=0)

@@ -11,6 +11,7 @@ oscillation itself.
 
 from __future__ import annotations
 
+import dataclasses
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -260,14 +261,7 @@ def extract_riesz_coeffs(
         notes.append(
             "informational only (redundant below the diagonal): " + ", ".join(redundant)
         )
-    return FitReport(
-        basis=report.basis,
-        coefficients=report.coefficients,
-        residual_rms=report.residual_rms,
-        condition_estimate=report.condition_estimate,
-        stability=report.stability,
-        notes=tuple(notes),
-    )
+    return dataclasses.replace(report, notes=tuple(notes))
 
 
 def weyl_remainder(

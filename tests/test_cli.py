@@ -217,17 +217,33 @@ class TestVerifyCommand:
         assert code == 0
         assert "FAIL" not in out
 
-    def test_shallow_expansion_reports_energy_row(self, capsys, tmp_path):
+    def test_interval_torus_product_reports(self, capsys):
+        # the torus's zero mode makes odd pairs, the product's excess-weight
+        # path; its e_4 row FAILs (a known accuracy limit), so exit 0 or 1
+        code, out, _ = run(capsys, "verify", "--spectrum",
+                           "product:(interval:length=1:bc=dirichlet)x(torus:circumference=1.5)")
+        assert code in (0, 1)
+        assert "overall: " in out
+
+    def test_dimension_4_is_refused(self, capsys, tmp_path):
         # verify fits e_0 .. e_4, so in dimension 4 there is no e_(d+1) = e_5
         p = tmp_path / "s.txt"
         p.write_text("dim 4\nenvelope 0 1\n" +
                      "\n".join(f"{n} 1" for n in range(1, 3001)) + "\n")
-        code, out, _ = run(capsys, "verify", "--spectrum", f"file:{p}")
-        assert code in (0, 1)
-        assert "overall" in out
-        row = [l for l in out.splitlines() if "casimir energy" in l]
-        assert len(row) == 1
-        assert row[0].startswith("PASS") and "[expansion too shallow for s=d+1]" in row[0]
+        code, out, err = run(capsys, "verify", "--spectrum", f"file:{p}")
+        assert code == 2
+        assert out == ""
+        assert err.startswith("spectrace: error: ") and "d <= 3" in err
+        assert "Traceback" not in err
+
+    def test_no_positive_frequency_is_refused(self, capsys, tmp_path):
+        p = tmp_path / "zero.txt"
+        p.write_text("dim 1\nenvelope 1 0\n0 1\n")
+        code, out, err = run(capsys, "verify", "--spectrum", f"file:{p}")
+        assert code == 2
+        assert out == ""
+        assert "could not find a positive eigenfrequency" in err
+        assert "Traceback" not in err
 
 
 class TestMomentsCommand:
@@ -393,6 +409,14 @@ class TestLibraryErrorsExit2:
         assert f"comb sum at eps={eps!r} " in err
         assert "cap of 10000000 indices" in err
 
+    def test_malformed_file_names_its_line(self, capsys, tmp_path):
+        p = tmp_path / "bad.spec"
+        p.write_text("dim 1\n1 1\n2 1\n3 1 1\n")
+        code, out, err = run(capsys, "trace", "--spectrum", f"file:{p}")
+        assert code == 2
+        assert out == ""
+        assert "line 4" in err and "Traceback" not in err
+
     def test_product_multiplicity_past_int64_exits_2(self, capsys, tmp_path):
         p = tmp_path / "heavy.txt"
         p.write_text(f"dim 1\n1 {2**40}\n")
@@ -425,6 +449,7 @@ class TestTermBudget:
         assert out == ""
         assert err.startswith("spectrace: numerical failure: " if code == 3
                               else "spectrace: error: ")
+        assert "term budget" in err
         assert "Traceback" not in err
 
     SQUARE = ("product:(interval:length=1:bc=dirichlet)"

@@ -1,9 +1,12 @@
 import math
 from fractions import Fraction
+from unittest import mock
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from spectrace import fitkit
 from spectrace import (
     AsymptoticBasis,
     IllConditionedBasisError,
@@ -118,6 +121,109 @@ class TestFitExpansion:
         report = fit_expansion(samples, power_basis(exps, scale_anchor=anchor))
         for got, want in zip(report.coefficients, coeffs):
             assert abs(got - want) <= 1e-10 * max(1.0, abs(want))
+
+
+def two_factorization_fit(samples, basis):
+    """The reference fit: an SVD for the condition estimate ahead of lstsq,
+    and each jackknife fold rebuilding and reweighting its own design.
+    Returns (coefficients, residual_rms, condition_estimate, stability)."""
+    def solve(x, y, w):
+        a = fitkit._design_matrix(x, basis)
+        sw = np.sqrt(w)
+        aw = a * sw[:, None]
+        yw = y * sw
+        sing = np.linalg.svd(aw, compute_uv=False)
+        condition = math.inf if sing[-1] == 0 else float(sing[0] / sing[-1])
+        if condition > fitkit.CONDITION_LIMIT:
+            raise IllConditionedBasisError(condition)
+        c_norm, *_ = np.linalg.lstsq(aw, yw, rcond=None)
+        resid = aw @ c_norm - yw
+        rms = float(math.sqrt(np.mean(resid**2)))
+        return fitkit._raw_coefficients(basis, c_norm), rms, condition
+
+    x, y, w = fitkit._unpack_samples(samples)
+    m = len(basis.terms)
+    coeffs, rms, condition = solve(x, y, w)
+    spreads = np.zeros(m)
+    folds = []
+    bounds = [round(k * len(x) / 4) for k in range(5)]
+    for k in range(4):
+        keep = np.ones(len(x), dtype=bool)
+        keep[bounds[k]:bounds[k + 1]] = False
+        if keep.sum() >= m:
+            folds.append(solve(x[keep], y[keep], w[keep])[0])
+    if len(folds) == 4:
+        stacked = np.vstack(folds)
+        spreads = stacked.max(axis=0) - stacked.min(axis=0)
+    return (tuple(float(c) for c in coeffs), rms, condition,
+            tuple(float(s) for s in spreads))
+
+
+class TestOneFactorization:
+    def test_one_design_and_no_separate_svd(self):
+        basis = power_basis([-1, 0, 1, 2], scale_anchor=1e-2)
+        with mock.patch.object(np.linalg, "svd", wraps=np.linalg.svd) as svd, \
+                mock.patch.object(fitkit, "_design_matrix",
+                                  wraps=fitkit._design_matrix) as design:
+            fit_expansion(laurent_samples(), basis)
+            assert design.call_count == 1
+            detect_log_term(laurent_samples(), 0, basis)
+            assert design.call_count == 3
+        assert svd.call_count == 0
+
+    def test_ill_conditioned_fold_raises(self):
+        # the full design spans x = 1, 2, 3; the fold that drops the last
+        # quarter keeps only x = 1, where the columns 1 and x coincide
+        samples = [(1.0, 1.0)] * 6 + [(2.0, 2.5), (3.0, 2.9)]
+        basis = power_basis([0, 1])
+        x, y, w = fitkit._unpack_samples(samples)
+        sw = np.sqrt(w)
+        _, _, condition = fitkit._solve(fitkit._design_matrix(x, basis) * sw[:, None],
+                                        y * sw, basis)
+        assert condition < 1e2
+        with pytest.raises(IllConditionedBasisError):
+            fit_expansion(samples, basis)
+        with pytest.raises(IllConditionedBasisError):
+            two_factorization_fit(samples, basis)
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(
+        terms=st.lists(st.tuples(st.integers(-6, 6), st.integers(0, 1)),
+                       min_size=1, max_size=5, unique=True),
+        anchor=st.floats(1e-3, 1e3),
+        lo=st.floats(1e-4, 1.0),
+        span=st.floats(2.0, 1e4),
+        extra=st.integers(0, 40),
+        weighted=st.booleans(),
+        data=st.data(),
+    )
+    def test_matches_the_two_factorization_fit(self, terms, anchor, lo, span, extra,
+                                               weighted, data):
+        basis = AsymptoticBasis(tuple((Fraction(k, 2), q) for k, q in terms), anchor)
+        xs = geometric_grid(lo, lo * span, len(terms) + 2 + extra)
+        # 1/y^2, the default weight, stays finite and nonzero
+        y_values = st.floats(-1e3, 1e3).filter(lambda v: v == 0 or abs(v) > 1e-100)
+        ys = data.draw(st.lists(y_values, min_size=len(xs), max_size=len(xs)))
+        if weighted:
+            ws = data.draw(st.lists(st.floats(1e-3, 1e3), min_size=len(xs),
+                                    max_size=len(xs)))
+            samples = list(zip(xs, ys, ws))
+        else:
+            samples = list(zip(xs, ys))
+        try:
+            coeffs, rms, condition, stability = two_factorization_fit(samples, basis)
+        except IllConditionedBasisError:
+            with pytest.raises(IllConditionedBasisError):
+                fit_expansion(samples, basis)
+            return
+        report = fit_expansion(samples, basis)
+        assert report.coefficients == coeffs
+        assert report.residual_rms == rms
+        assert report.stability == stability
+        # the two LAPACK drivers agree on the smallest singular value to about
+        # eps * sigma_max, so on the condition estimate to about eps * condition
+        rel = max(1e-12, 64 * np.finfo(float).eps * condition)
+        assert report.condition_estimate == pytest.approx(condition, rel=rel)
 
 
 class TestDetectLogTerm:

@@ -74,6 +74,7 @@ class TestTestFunctions:
         assert ODD.integral() == 0.5
         assert GAUSS.integral_invsqrt() == pytest.approx(math.gamma(0.25) / 2, rel=1e-15)
         assert EXP.integral_invsqrt() == pytest.approx(math.sqrt(PI), rel=1e-15)
+        assert ODD.integral_invsqrt() == pytest.approx(float(mp.gamma(0.75) / 2), rel=1e-15)
         assert ODD.integral_over_x() == pytest.approx(math.sqrt(PI) / 2, rel=1e-15)
 
     def test_bump_quadrature_integrals(self):

@@ -10,6 +10,7 @@ import os
 import resource
 import subprocess
 import sys
+import time
 import warnings
 from pathlib import Path
 
@@ -224,17 +225,18 @@ class TestRieszTermBudget:
         assert len(riesz_rows) == 3, proc.stdout
         assert all(line.startswith("PASS  b_") for line in riesz_rows), riesz_rows
 
-    def test_4d_cube_verify_exits_3(self):
-        # its omega-Riesz grid, to 100 w1, would need 4.18e7 rows
-        proc = run_python(
-            "import sys\n"
-            "from spectrace.cli import main\n"
-            "d = 'interval:length=1:bc=dirichlet'\n"
-            "sq = f'product:({d})x({d})'\n"
-            "sys.exit(main(['verify', '--spectrum', f'product:({sq})x({sq})']))\n"
-        )
-        assert proc.returncode == 3, proc.stderr
-        assert "term budget" in proc.stderr and "Traceback" not in proc.stderr
+    def test_4d_cube_verify_exits_2(self, capsys):
+        # its energy e_5 is past verify's orders 0..4, so it is refused before
+        # any trace (its omega-Riesz grid, to 100 w1, would need 4.18e7 rows)
+        d = "interval:length=1:bc=dirichlet"
+        sq = f"product:({d})x({d})"
+        start = time.perf_counter()
+        code = main(["verify", "--spectrum", f"product:({sq})x({sq})"])
+        elapsed = time.perf_counter() - start
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert "d <= 3" in captured.err and "Traceback" not in captured.err
+        assert elapsed < 1.0
 
 
 class TestInfiniteCutoff:

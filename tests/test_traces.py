@@ -20,7 +20,7 @@ from spectrace import (
 )
 from spectrace import spectra
 from spectrace.spectra import Spectrum
-from spectrace.traces import _X_STEP, _cutoff, _tail_bound
+from spectrace.traces import _X_STEP, _cutoff, _tail_bound, _upper_gamma_half
 
 PI = math.pi
 INTERVAL = interval_spectrum(PI, "dirichlet")
@@ -125,6 +125,31 @@ class TestCertification:
             # tail bounds cover truncation only; allow a few ulps of roundoff
             roundoff = 8 * eps * (abs(s2.value) + s1.value**2 + 1.0)
             assert abs(s2.value - s1.value**2) <= combined + roundoff
+
+    UNIT = interval_spectrum(1.0, "dirichlet")
+    CIRCLE = torus_spectrum(1.0)
+
+    # the unit Dirichlet cube, a nested product with 21% odd pairs at t = 0.03,
+    # takes the index-sort path; the flat torus, a circle times itself, pairs
+    # each unordered pair once and its zero mode makes odd pairs
+    @pytest.mark.parametrize("spectrum, tmin, closed_form", [
+        (product_spectrum(product_spectrum(UNIT, UNIT), UNIT), 0.03,
+         lambda t: math.fsum(math.exp(-t * PI**2 * n * n) for n in range(1, 100)) ** 3),
+        (product_spectrum(CIRCLE, CIRCLE), 0.01,
+         lambda t: (1 + 2 * math.fsum(math.exp(-t * (2 * PI * n) ** 2)
+                                      for n in range(1, 100))) ** 2),
+    ], ids=["cube", "flat-torus"])
+    def test_product_heat_trace_matches_its_closed_form(self, spectrum, tmin, closed_form):
+        for smp in trace_grid(spectrum, "heat", geometric_grid(tmin, 10 * tmin, 8), 1e-12):
+            exact = closed_form(smp.t)
+            assert abs(exact - smp.value) <= smp.tail_bound + 1e-14 * exact
+
+    @pytest.mark.parametrize("a2", [1, 2, 3, 4])
+    def test_upper_gamma_is_zero_past_exp_underflow(self, a2):
+        # exp(-x) underflows from x = 745 on; below it the recurrence runs
+        assert _upper_gamma_half(a2, 745.0) == 0.0
+        assert _upper_gamma_half(a2, 1e300) == 0.0
+        assert 0.0 < _upper_gamma_half(a2, 700.0) < 1e-300
 
     def test_budget_exhaustion_reports_achieved_bound(self, monkeypatch):
         monkeypatch.setattr(spectra, "DEFAULT_MAX_TERMS", 100)
