@@ -2,10 +2,10 @@
 
 Samples of a trace or Riesz mean are fitted against a caller-supplied
 power/log basis (the exponent lattice always comes from the expansion shape,
-never from automatic model selection).  The basis is normalized around a
-scale anchor before solving, the system is solved by orthogonal
-factorization, and the report carries conditioning and jackknife-stability
-diagnostics.
+never from automatic model selection).  The basis is normalized around the
+geometric mean of the sample abscissae before solving, the system is solved
+by orthogonal factorization, and the report carries conditioning and
+jackknife-stability diagnostics.
 """
 
 from __future__ import annotations
@@ -51,13 +51,10 @@ class IllConditionedBasisError(RuntimeError):
 class AsymptoticBasis:
     """Fit model sum_j c_j x^{p_j} (log x)^{q_j}.
 
-    terms are (exponent, log_power) pairs with log_power in {0, 1};
-    scale_anchor t0 rescales the columns to (x/t0)^p (log(x/t0))^q before
-    solving, which is what keeps power bases tolerably conditioned.
+    terms are (exponent, log_power) pairs with log_power in {0, 1}.
     """
 
     terms: tuple[tuple[Fraction, int], ...]
-    scale_anchor: float = 1.0
 
     def __post_init__(self):
         terms = tuple((Fraction(p), int(q)) for p, q in self.terms)
@@ -68,11 +65,9 @@ class AsymptoticBasis:
             raise ValueError("basis terms must be distinct")
         if any(q not in (0, 1) for _, q in terms):
             raise ValueError("log powers must be 0 or 1")
-        if not (self.scale_anchor > 0):
-            raise ValueError("scale_anchor must be positive")
 
     def with_term(self, p, q: int) -> "AsymptoticBasis":
-        return AsymptoticBasis(self.terms + ((Fraction(p), q),), self.scale_anchor)
+        return AsymptoticBasis(self.terms + ((Fraction(p), q),))
 
     def index_of(self, p, q: int = 0) -> int:
         return self.terms.index((Fraction(p), q))
@@ -80,9 +75,12 @@ class AsymptoticBasis:
 
 @dataclass(frozen=True)
 class FitReport:
-    """Raw-basis coefficients plus residual/conditioning/stability diagnostics."""
+    """Raw-basis coefficients plus residual/conditioning/stability diagnostics;
+    scale_anchor is the t0 the columns were rescaled to (x/t0)^p (log(x/t0))^q
+    around."""
 
     basis: AsymptoticBasis
+    scale_anchor: float
     coefficients: tuple[float, ...]
     residual_rms: float
     condition_estimate: float
@@ -98,7 +96,7 @@ class FitReport:
     def to_json_dict(self) -> dict:
         return {
             "basis": [{"p": str(p), "q": q} for p, q in self.basis.terms],
-            "scale_anchor": self.basis.scale_anchor,
+            "scale_anchor": self.scale_anchor,
             "coefficients": list(self.coefficients),
             "residual_rms": self.residual_rms,
             "condition_estimate": self.condition_estimate,
@@ -132,29 +130,28 @@ def geometric_grid(lo: float, hi: float, n: int) -> list[float]:
     return [float(v) for v in np.geomspace(lo, hi, n)]
 
 
-def power_basis(exponents: Sequence, scale_anchor: float = 1.0) -> AsymptoticBasis:
-    return AsymptoticBasis(tuple((Fraction(p), 0) for p in exponents), scale_anchor)
+def power_basis(exponents: Sequence) -> AsymptoticBasis:
+    return AsymptoticBasis(tuple((Fraction(p), 0) for p in exponents))
 
 
-def heat_basis(dim: int, orders: int, scale_anchor: float = 1.0) -> AsymptoticBasis:
+def heat_basis(dim: int, orders: int) -> AsymptoticBasis:
     """Heat-trace shape: t^{(s-d)/2} for s = 0..orders, no log terms."""
-    return power_basis([Fraction(s - dim, 2) for s in range(orders + 1)], scale_anchor)
+    return power_basis([Fraction(s - dim, 2) for s in range(orders + 1)])
 
 
-def cylinder_basis(dim: int, orders: int, scale_anchor: float = 1.0,
-                   include_logs: bool = False) -> AsymptoticBasis:
+def cylinder_basis(dim: int, orders: int, *, include_logs: bool = False) -> AsymptoticBasis:
     """Cylinder-trace shape: t^{s-d} for s = 0..orders; with include_logs,
     adds t^{s-d} log t at the s with s-d odd and positive."""
     terms: list[tuple[Fraction, int]] = [(Fraction(s - dim), 0) for s in range(orders + 1)]
     if include_logs:
         terms += [(Fraction(s - dim), 1) for s in range(orders + 1) if _carries_log(s, dim)]
-    return AsymptoticBasis(tuple(terms), scale_anchor)
+    return AsymptoticBasis(tuple(terms))
 
 
-def dcylinder_basis(dim: int, orders: int, scale_anchor: float = 1.0) -> AsymptoticBasis:
+def dcylinder_basis(dim: int, orders: int) -> AsymptoticBasis:
     """Shape of d(Tr T)/dt: t^{s-d-1} for s = 0..orders (t^{-1} included on
     purpose; its fitted coefficient should vanish)."""
-    return power_basis([Fraction(s - dim - 1) for s in range(orders + 1)], scale_anchor)
+    return power_basis([Fraction(s - dim - 1) for s in range(orders + 1)])
 
 
 # ---------------------------------------------------------------------------
@@ -172,8 +169,12 @@ def _unpack_samples(samples) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         if not (x > 0):
             raise ValueError(f"sample abscissae must be positive, got {x}")
         if w is None:
-            # relative-error weighting: trace values span orders of magnitude
-            w = 1.0 / (y * y) if y != 0 else 1.0
+            # relative-error weighting: trace values span orders of magnitude;
+            # a nonzero y whose square underflows has no finite weight
+            w = 1.0 if y == 0 else 1.0 / (y * y) if y * y else math.inf
+        if not (0 <= w < math.inf):
+            raise ValueError(f"sample ({x}, {y}) has weight {w}; "
+                             "weights must be finite and non-negative")
         xs.append(float(x))
         ys.append(float(y))
         ws.append(float(w))
@@ -181,8 +182,8 @@ def _unpack_samples(samples) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return np.array(xs)[order], np.array(ys)[order], np.array(ws)[order]
 
 
-def _design_matrix(x: np.ndarray, basis: AsymptoticBasis) -> np.ndarray:
-    u = x / basis.scale_anchor
+def _design_matrix(x: np.ndarray, basis: AsymptoticBasis, t0: float) -> np.ndarray:
+    u = x / t0
     cols = []
     for p, q in basis.terms:
         col = u ** float(p)
@@ -192,9 +193,8 @@ def _design_matrix(x: np.ndarray, basis: AsymptoticBasis) -> np.ndarray:
     return np.vstack(cols).T
 
 
-def _raw_coefficients(basis: AsymptoticBasis, c_norm: np.ndarray) -> np.ndarray:
-    """Map normalized-basis coefficients back to the raw x^p (log x)^q basis."""
-    t0 = basis.scale_anchor
+def _raw_coefficients(basis: AsymptoticBasis, c_norm: np.ndarray, t0: float) -> np.ndarray:
+    """Map coefficients of the basis rescaled around t0 back to raw x^p (log x)^q."""
     logt0 = math.log(t0)
     raw = np.zeros(len(basis.terms))
     lookup = {term: i for i, term in enumerate(basis.terms)}
@@ -210,7 +210,7 @@ def _raw_coefficients(basis: AsymptoticBasis, c_norm: np.ndarray) -> np.ndarray:
     return raw
 
 
-def _solve(aw: np.ndarray, yw: np.ndarray, basis: AsymptoticBasis):
+def _solve(aw: np.ndarray, yw: np.ndarray, basis: AsymptoticBasis, t0: float):
     """Least squares of the weighted design aw against the weighted samples
     yw; the condition estimate is the ratio of lstsq's own singular values."""
     c_norm, _, _, sing = np.linalg.lstsq(aw, yw, rcond=None)
@@ -219,25 +219,30 @@ def _solve(aw: np.ndarray, yw: np.ndarray, basis: AsymptoticBasis):
         raise IllConditionedBasisError(condition)
     resid = aw @ c_norm - yw
     rms = float(math.sqrt(np.mean(resid**2)))
-    return _raw_coefficients(basis, c_norm), rms, condition
+    return _raw_coefficients(basis, c_norm, t0), rms, condition
 
 
 def fit_expansion(samples, basis: AsymptoticBasis) -> FitReport:
     """Weighted least squares of samples against the basis.
 
     samples: iterable of (x, y) or (x, y, weight); omitted weights default to
-    1/y^2.  Needs at least len(basis) + 2 samples.  Raises
-    IllConditionedBasisError past a condition estimate of 1e12.
+    1/y^2 (1 where y = 0), and a weight that is not finite or is negative
+    raises ValueError.  Needs at least len(basis) + 2 samples.  The columns
+    are rescaled around the geometric mean t0 of the first and last
+    abscissae, which sets the conditioning and not the raw coefficients.
+    Raises IllConditionedBasisError past a condition estimate of 1e12.
     """
     x, y, w = _unpack_samples(samples)
     m = len(basis.terms)
     if len(x) < m + 2:
         raise ValueError(f"need at least {m + 2} samples for {m} basis terms, got {len(x)}")
 
+    lo, hi = float(x[0]), float(x[-1])
+    t0 = math.sqrt(lo * hi) if 0 < lo * hi < math.inf else math.sqrt(lo) * math.sqrt(hi)
     sw = np.sqrt(w)
-    aw = _design_matrix(x, basis) * sw[:, None]
+    aw = _design_matrix(x, basis, t0) * sw[:, None]
     yw = y * sw
-    coeffs, rms, condition = _solve(aw, yw, basis)
+    coeffs, rms, condition = _solve(aw, yw, basis, t0)
 
     # stability: refit dropping each contiguous quarter of the grid
     spreads = np.zeros(m)
@@ -248,7 +253,7 @@ def fit_expansion(samples, basis: AsymptoticBasis) -> FitReport:
         keep = np.ones(len(x), dtype=bool)
         keep[bounds[k]:bounds[k + 1]] = False
         if keep.sum() >= m:
-            folds.append(_solve(aw[keep], yw[keep], basis)[0])
+            folds.append(_solve(aw[keep], yw[keep], basis, t0)[0])
     if len(folds) == 4:
         stacked = np.vstack(folds)
         spreads = stacked.max(axis=0) - stacked.min(axis=0)
@@ -257,6 +262,7 @@ def fit_expansion(samples, basis: AsymptoticBasis) -> FitReport:
 
     return FitReport(
         basis=basis,
+        scale_anchor=t0,
         coefficients=tuple(float(c) for c in coeffs),
         residual_rms=rms,
         condition_estimate=condition,

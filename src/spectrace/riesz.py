@@ -190,8 +190,7 @@ def _chunk_moments(values: np.ndarray, mults: np.ndarray, alpha: int,
     return coef
 
 
-def riesz_fit_basis(dim: int, alpha: int, variable: str,
-                    scale_anchor: float = 1.0) -> AsymptoticBasis:
+def riesz_fit_basis(dim: int, alpha: int, variable: str) -> AsymptoticBasis:
     """The power terms of the Riesz-mean expansion shape.
 
     lambda variable: x^{(d-s)/2}; omega variable: x^{d-s}.  s runs to
@@ -202,7 +201,7 @@ def riesz_fit_basis(dim: int, alpha: int, variable: str,
     """
     den = 2 if variable == "lambda" else 1
     terms = tuple((Fraction(dim - s, den), 0) for s in range(alpha + _GUARD_ORDERS + 1))
-    return AsymptoticBasis(terms, scale_anchor)
+    return AsymptoticBasis(terms)
 
 
 def extract_riesz_coeffs(
@@ -242,7 +241,7 @@ def extract_riesz_coeffs(
     scale = math.factorial(int(alpha))
     samples = [(mv.x, scale * mv.value)
                for mv in riesz_mean_grid(s, alpha, variable, grid)]
-    basis = riesz_fit_basis(s.dim, alpha, variable, math.sqrt(grid[0] * grid[-1]))
+    basis = riesz_fit_basis(s.dim, alpha, variable)
     report = None
     for ss in range(int(alpha) + 1):
         if variable == "omega" and _carries_log(ss, s.dim):

@@ -82,14 +82,13 @@ def fit_trace(spectrum: Spectrum, kernel: str, ts: Sequence[float], tol: float,
     """The kernel's trace sampled over ts and fitted to its expansion shape
     through `orders`, with the cylinder log columns if asked."""
     samples = trace_grid(spectrum, kernel, ts, tol)
-    anchor = math.sqrt(ts[0] * ts[-1])
     d = spectrum.dim
     if kernel == "heat":
-        basis = heat_basis(d, orders, anchor)
+        basis = heat_basis(d, orders)
     elif kernel == "cylinder":
-        basis = cylinder_basis(d, orders, anchor, include_logs=include_logs)
+        basis = cylinder_basis(d, orders, include_logs=include_logs)
     else:
-        basis = dcylinder_basis(d, orders, anchor)
+        basis = dcylinder_basis(d, orders)
     return fit_expansion([(s.t, s.value) for s in samples], basis)
 
 
@@ -165,7 +164,7 @@ def run_verification(spectrum: Spectrum) -> list[VerifyRow]:
     det = detect_log_term(
         [(s.t, s.value) for s in cyl_samples],
         Fraction(0),
-        cylinder_basis(d, _ORDERS, math.sqrt(cyl_ts[0] * cyl_ts[-1])),
+        cylinder_basis(d, _ORDERS),
     )
     cyl_fit = det.without_log
     dcyl_fit = fit_trace(spectrum, "dcylinder", cyl_ts, _TOL, _ORDERS + 1)

@@ -316,6 +316,17 @@ class TestRieszCommand:
         c22 = doc["fit_report"]["coefficients"][basis.index(("-1", 0))]
         assert c22 == pytest.approx(1 / 6, rel=2e-2)
 
+    def test_fit_on_a_window_whose_end_product_underflows(self, capsys):
+        # 1e-300 * 1e-290 underflows to 0; the fit anchors at
+        # sqrt(1e-300) * sqrt(1e-290) and fits the all-zero means below pi^2
+        code, out, err = run(capsys, "riesz", "--spectrum", "interval:length=1:bc=dirichlet",
+                             "--fit", "--alpha", "1", "--variable", "lambda",
+                             "--xmin", "1e-300", "--xmax", "1e-290")
+        assert (code, err) == (0, "")
+        report = json.loads(out)["fit_report"]
+        assert report["scale_anchor"] == pytest.approx(1e-295, rel=1e-14)
+        assert report["coefficients"] == [0.0, 0.0, 0.0]
+
     def test_remainder_sup(self, capsys):
         code, out, _ = run(capsys, "riesz", "--spectrum", INTERVAL_SPEC,
                            "--remainder", "1", "--weyl-coeffs", "1,-0.5",

@@ -17,6 +17,9 @@ from spectrace import (
     geometric_grid,
     heat_basis,
     power_basis,
+    product_spectrum,
+    torus_spectrum,
+    trace_grid,
 )
 
 
@@ -31,11 +34,15 @@ def laurent_samples(n=64, lo=1e-3, hi=1e-1, weight=None):
     return [(t, cyl_trace_exact(t), weight) for t in ts]
 
 
+# factors the sample abscissae are multiplied by in the dilation tests
+DILATIONS = (2.0**-20, 0.37, 1e3, 1e-30)
+
+
 class TestFitExpansion:
     def test_laurent_oracle_coefficients(self):
         # unit weights keep the top-of-window bias from the omitted t^5 term
         # below the 1e-6 gate for every coefficient
-        basis = power_basis([-1, 0, 1, 2, 3], scale_anchor=1e-2)
+        basis = power_basis([-1, 0, 1, 2, 3])
         report = fit_expansion(laurent_samples(weight=1.0), basis)
         expected = [1.0, -0.5, 1.0 / 12.0, 0.0, -1.0 / 720.0]
         for got, want in zip(report.coefficients, expected):
@@ -51,9 +58,7 @@ class TestFitExpansion:
 
     def test_no_phantom_log_coefficient(self):
         basis = AsymptoticBasis(
-            ((Fraction(-1), 0), (Fraction(-1), 1), (Fraction(0), 0), (Fraction(1), 0)),
-            scale_anchor=1e-2,
-        )
+            ((Fraction(-1), 0), (Fraction(-1), 1), (Fraction(0), 0), (Fraction(1), 0)))
         report = fit_expansion(laurent_samples(), basis)
         assert abs(report.coefficient(-1, 1)) < 1e-8
 
@@ -76,29 +81,70 @@ class TestFitExpansion:
             fit_expansion(samples, basis)
         assert err.value.condition > 1e12
 
-    def test_anchoring_invariance(self):
-        # anchors near the data window; a wildly off-window anchor degrades
-        # the conditioning and with it the invariance
-        samples = laurent_samples()
-        exps = [-1, 0, 1, 2]
-        r1 = fit_expansion(samples, power_basis(exps, scale_anchor=0.005))
-        r2 = fit_expansion(samples, power_basis(exps, scale_anchor=0.05))
-        for a, b in zip(r1.coefficients, r2.coefficients):
-            assert abs(a - b) <= 1e-10 * max(1.0, abs(a))
+    def test_dilation_covariance(self):
+        # the same samples at abscissae c x are f(x'/c): each coefficient of
+        # x^p comes out times c^-p, and the basis follows the samples' window.
+        # c x rounds, so every term carries a fair share of the samples here;
+        # a term worth 1e-6 of them would move with that rounding
+        xs = geometric_grid(0.5, 2.0, 64)
+        ys = [1.0 / x + 2.0 - x + 0.5 * x * x for x in xs]
+        basis = power_basis([-1, 0, 1, 2])
+        ref = fit_expansion(list(zip(xs, ys)), basis)
+        for c in DILATIONS:
+            cxs = [c * x for x in xs]
+            report = fit_expansion(list(zip(cxs, ys)), basis)
+            assert report.scale_anchor == math.sqrt(cxs[0] * cxs[-1])
+            for (p, _), a, b in zip(basis.terms, ref.coefficients, report.coefficients):
+                assert b == pytest.approx(a * c ** -float(p), rel=1e-10)
 
-    def test_anchoring_invariance_with_log_terms(self):
+    def test_dilation_covariance_with_log_terms(self):
+        # x^p log x = c^-p x'^p (log x' - log c): the power coefficient at p
+        # also loses (log coefficient) * log c
         xs = geometric_grid(1e-2, 1.0, 32)
-        samples = [(x, 2.0 * x + 0.5 * x * math.log(x)) for x in xs]
-        terms = ((Fraction(1), 0), (Fraction(1), 1))
-        r1 = fit_expansion(samples, AsymptoticBasis(terms, 1.0))
-        r2 = fit_expansion(samples, AsymptoticBasis(terms, 0.1))
-        assert r1.coefficient(1, 0) == pytest.approx(2.0, abs=1e-10)
-        assert r2.coefficient(1, 0) == pytest.approx(2.0, abs=1e-10)
-        assert r1.coefficient(1, 1) == pytest.approx(0.5, abs=1e-10)
-        assert r2.coefficient(1, 1) == pytest.approx(0.5, abs=1e-10)
+        ys = [2.0 * x + 0.5 * x * math.log(x) + 0.3 * x * x for x in xs]
+        basis = AsymptoticBasis(((Fraction(1), 0), (Fraction(1), 1), (Fraction(2), 0)))
+        ref = fit_expansion(list(zip(xs, ys)), basis)
+        for want, got in zip([2.0, 0.5, 0.3], ref.coefficients):
+            assert got == pytest.approx(want, abs=1e-10)
+        log_coeff = ref.coefficient(1, 1)
+        for c in DILATIONS:
+            cxs = [c * x for x in xs]
+            report = fit_expansion(list(zip(cxs, ys)), basis)
+            assert report.scale_anchor == math.sqrt(cxs[0] * cxs[-1])
+            assert report.coefficient(1, 0) == pytest.approx(
+                (ref.coefficient(1, 0) - log_coeff * math.log(c)) / c, rel=1e-10)
+            assert report.coefficient(1, 1) == pytest.approx(log_coeff / c, rel=1e-10)
+            assert report.coefficient(2, 0) == pytest.approx(
+                ref.coefficient(2, 0) / c**2, rel=1e-10)
+
+    def test_orders_8_cylinder_fit_on_the_flat_torus(self):
+        # the [l/64, l/8] window of T(1.3) x T(1.3): anchored at t = 1
+        # instead of the window, this design's condition estimate is 5e13
+        torus = torus_spectrum(1.3)
+        ts = geometric_grid(1.3 / 64, 1.3 / 8, 64)
+        samples = [(s.t, s.value)
+                   for s in trace_grid(product_spectrum(torus, torus), "cylinder", ts, 1e-12)]
+        report = fit_expansion(samples, cylinder_basis(2, 8))
+        assert report.condition_estimate < 1e10
+
+    def test_seven_term_laurent_fit(self):
+        # anchored at x = 1 instead of the window this design is at 4e12
+        report = fit_expansion(laurent_samples(), power_basis([-1, 0, 1, 2, 3, 4, 5]))
+        assert report.condition_estimate < 1e10
+        expected = [1.0, -0.5, 1.0 / 12.0, 0.0, -1.0 / 720.0]
+        for got, want in zip(report.coefficients, expected):
+            assert abs(got - want) < 1e-6
+
+    def test_too_few_samples_for_jackknife(self):
+        # 10 samples and 8 terms: the folds that drop 3 samples keep 7
+        xs = geometric_grid(0.5, 2.0, 10)
+        samples = [(x, sum(x**k for k in range(8))) for x in xs]
+        report = fit_expansion(samples, power_basis(range(8)))
+        assert report.notes == ("too few samples for jackknife stability",)
+        assert report.stability == (0.0,) * 8
 
     def test_jackknife_subsample_consistency(self):
-        basis = power_basis([-1, 0, 1], scale_anchor=1e-2)
+        basis = power_basis([-1, 0, 1])
         all_samples = laurent_samples(n=64)
         full = fit_expansion(all_samples, basis)
         odd = fit_expansion(all_samples[1::2], basis)
@@ -109,26 +155,26 @@ class TestFitExpansion:
     @given(
         coeffs=st.lists(st.floats(min_value=-5, max_value=5).filter(lambda c: abs(c) > 1e-3),
                         min_size=1, max_size=4),
-        anchor=st.sampled_from([1.0, 0.1, 3.0]),
     )
-    def test_oracle_recovery_property(self, coeffs, anchor):
+    def test_oracle_recovery_property(self, coeffs):
         exps = [Fraction(k - 1, 2) for k in range(len(coeffs))]
         xs = geometric_grid(0.05, 5.0, 24)
         samples = []
         for x in xs:
             y = sum(c * x ** float(p) for c, p in zip(coeffs, exps))
             samples.append((x, y, 1.0))
-        report = fit_expansion(samples, power_basis(exps, scale_anchor=anchor))
+        report = fit_expansion(samples, power_basis(exps))
         for got, want in zip(report.coefficients, coeffs):
             assert abs(got - want) <= 1e-10 * max(1.0, abs(want))
 
 
 def two_factorization_fit(samples, basis):
     """The reference fit: an SVD for the condition estimate ahead of lstsq,
-    and each jackknife fold rebuilding and reweighting its own design.
+    and each jackknife fold rebuilding and reweighting its own design, all
+    rescaled around the full grid's geometric mean t0.
     Returns (coefficients, residual_rms, condition_estimate, stability)."""
     def solve(x, y, w):
-        a = fitkit._design_matrix(x, basis)
+        a = fitkit._design_matrix(x, basis, t0)
         sw = np.sqrt(w)
         aw = a * sw[:, None]
         yw = y * sw
@@ -139,9 +185,10 @@ def two_factorization_fit(samples, basis):
         c_norm, *_ = np.linalg.lstsq(aw, yw, rcond=None)
         resid = aw @ c_norm - yw
         rms = float(math.sqrt(np.mean(resid**2)))
-        return fitkit._raw_coefficients(basis, c_norm), rms, condition
+        return fitkit._raw_coefficients(basis, c_norm, t0), rms, condition
 
     x, y, w = fitkit._unpack_samples(samples)
+    t0 = math.sqrt(x[0] * x[-1])
     m = len(basis.terms)
     coeffs, rms, condition = solve(x, y, w)
     spreads = np.zeros(m)
@@ -161,7 +208,7 @@ def two_factorization_fit(samples, basis):
 
 class TestOneFactorization:
     def test_one_design_and_no_separate_svd(self):
-        basis = power_basis([-1, 0, 1, 2], scale_anchor=1e-2)
+        basis = power_basis([-1, 0, 1, 2])
         with mock.patch.object(np.linalg, "svd", wraps=np.linalg.svd) as svd, \
                 mock.patch.object(fitkit, "_design_matrix",
                                   wraps=fitkit._design_matrix) as design:
@@ -178,8 +225,9 @@ class TestOneFactorization:
         basis = power_basis([0, 1])
         x, y, w = fitkit._unpack_samples(samples)
         sw = np.sqrt(w)
-        _, _, condition = fitkit._solve(fitkit._design_matrix(x, basis) * sw[:, None],
-                                        y * sw, basis)
+        t0 = math.sqrt(3.0)
+        _, _, condition = fitkit._solve(fitkit._design_matrix(x, basis, t0) * sw[:, None],
+                                        y * sw, basis, t0)
         assert condition < 1e2
         with pytest.raises(IllConditionedBasisError):
             fit_expansion(samples, basis)
@@ -190,26 +238,30 @@ class TestOneFactorization:
     @given(
         terms=st.lists(st.tuples(st.integers(-6, 6), st.integers(0, 1)),
                        min_size=1, max_size=5, unique=True),
-        anchor=st.floats(1e-3, 1e3),
         lo=st.floats(1e-4, 1.0),
         span=st.floats(2.0, 1e4),
         extra=st.integers(0, 40),
         weighted=st.booleans(),
         data=st.data(),
     )
-    def test_matches_the_two_factorization_fit(self, terms, anchor, lo, span, extra,
+    def test_matches_the_two_factorization_fit(self, terms, lo, span, extra,
                                                weighted, data):
-        basis = AsymptoticBasis(tuple((Fraction(k, 2), q) for k, q in terms), anchor)
+        basis = AsymptoticBasis(tuple((Fraction(k, 2), q) for k, q in terms))
         xs = geometric_grid(lo, lo * span, len(terms) + 2 + extra)
-        # 1/y^2, the default weight, stays finite and nonzero
-        y_values = st.floats(-1e3, 1e3).filter(lambda v: v == 0 or abs(v) > 1e-100)
-        ys = data.draw(st.lists(y_values, min_size=len(xs), max_size=len(xs)))
+        ys = data.draw(st.lists(st.floats(-1e3, 1e3), min_size=len(xs), max_size=len(xs)))
         if weighted:
             ws = data.draw(st.lists(st.floats(1e-3, 1e3), min_size=len(xs),
                                     max_size=len(xs)))
             samples = list(zip(xs, ys, ws))
         else:
             samples = list(zip(xs, ys))
+            # the default weight 1/y^2 of a nonzero y is not always finite
+            with np.errstate(divide="ignore", over="ignore"):
+                inv_square = 1.0 / np.square(ys)
+            if any(y != 0 and not np.isfinite(v) for y, v in zip(ys, inv_square)):
+                with pytest.raises(ValueError, match="weight"):
+                    fit_expansion(samples, basis)
+                return
         try:
             coeffs, rms, condition, stability = two_factorization_fit(samples, basis)
         except IllConditionedBasisError:
@@ -230,19 +282,18 @@ class TestDetectLogTerm:
     def test_synthetic_log_present(self):
         xs = geometric_grid(0.01, 1.0, 40)
         samples = [(x, x * math.log(x) + x) for x in xs]
-        det = detect_log_term(samples, 1, power_basis([1], scale_anchor=0.1))
+        det = detect_log_term(samples, 1, power_basis([1]))
         assert det.present
         assert det.magnitude == pytest.approx(1.0, rel=1e-6)
 
     def test_synthetic_log_absent(self):
         xs = geometric_grid(0.01, 1.0, 40)
         samples = [(x, x) for x in xs]
-        det = detect_log_term(samples, 1, power_basis([1], scale_anchor=0.1))
+        det = detect_log_term(samples, 1, power_basis([1]))
         assert not det.present
 
     def test_cylinder_trace_has_no_log_at_t0(self):
-        det = detect_log_term(laurent_samples(), 0,
-                              power_basis([-1, 0, 1, 2], scale_anchor=1e-2))
+        det = detect_log_term(laurent_samples(), 0, power_basis([-1, 0, 1, 2]))
         assert not det.present
 
     def test_rejects_duplicate_log_column(self):
@@ -262,6 +313,12 @@ class TestBasisBuilders:
         logs = [(p, q) for p, q in b.terms if q == 1]
         assert logs == [(Fraction(1), 1), (Fraction(3), 1)]
 
+    def test_include_logs_is_keyword_only(self):
+        # a positional third argument, such as an anchor from before the fit
+        # derived its own, must not turn the log columns on
+        with pytest.raises(TypeError):
+            cylinder_basis(1, 4, 0.01)
+
     def test_dcylinder_contains_inverse_time(self):
         b = dcylinder_basis(1, 3)
         assert (Fraction(-1), 0) in b.terms
@@ -276,3 +333,29 @@ class TestBasisBuilders:
         assert g[-1] == pytest.approx(10.0)
         assert len(g) == 5
         assert all(isinstance(v, float) for v in g)
+
+
+class TestSampleWeights:
+    @pytest.mark.parametrize("samples", [
+        # y * y underflows to 0
+        [(1.0, 1e-170), (2.0, 1.0), (3.0, 1.0), (4.0, 1.0)],
+        # y * y is subnormal and 1 / (y * y) overflows
+        [(1.0, 1e-160), (2.0, 1.0), (3.0, 1.0), (4.0, 1.0)],
+        [(x, 2.0 * x) for x in geometric_grid(1e-300, 1e-290, 16)],
+    ], ids=["underflow", "overflow", "tiny-grid"])
+    def test_default_weight_not_finite_raises(self, samples, capfd):
+        with pytest.raises(ValueError, match="weight"):
+            fit_expansion(samples, power_basis([0]))
+        assert capfd.readouterr().err == ""
+
+    @pytest.mark.parametrize("weight", [-1.0, math.inf, math.nan])
+    def test_given_weight_not_finite_or_negative_raises(self, weight, capfd):
+        samples = [(1.0, 1.0, weight), (2.0, 1.0), (3.0, 1.0), (4.0, 1.0)]
+        with pytest.raises(ValueError, match=r"sample \(1\.0, 1\.0\)"):
+            fit_expansion(samples, power_basis([0]))
+        assert capfd.readouterr().err == ""
+
+    def test_zero_sample_weighs_one(self):
+        x, _, w = fitkit._unpack_samples([(1.0, 0.0), (2.0, 0.5), (3.0, 1e-150, 2.0)])
+        assert list(x) == [1.0, 2.0, 3.0]
+        assert list(w) == [1.0, 4.0, 2.0]

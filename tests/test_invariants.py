@@ -313,6 +313,31 @@ class TestDerivativeAndEnergy:
         assert dcyl.term(1, 1).coefficient == ExactCoeff.from_rational(6)
         assert dcyl.term(1, 0).coefficient == ExactCoeff.from_rational(3)
 
+    def test_undetermined_power_term(self):
+        cyl = AsymptoticExpansion(1, (ExpansionTerm(Fraction(2), 0, None, "undetermined"),))
+        term = expansion_derivative(cyl).term(1, 0)
+        assert term.coefficient is None and term.status == "undetermined"
+
+    def test_undetermined_log_term(self):
+        cyl = AsymptoticExpansion(1, (ExpansionTerm(Fraction(2), 1, None, "undetermined"),))
+        dcyl = expansion_derivative(cyl)
+        term = dcyl.term(1, 1)
+        assert term.coefficient is None and term.status == "undetermined"
+        assert dcyl.term(1, 0) is None
+
+    def test_undetermined_power_term_absorbs_the_log_part(self):
+        # 3 t^2 log t -> 6 t log t + 3 t, and the 3 t lands on the
+        # derivative of the undetermined t^2 term
+        cyl = AsymptoticExpansion(1, (
+            ExpansionTerm(Fraction(2), 0, None, "undetermined"),
+            ExpansionTerm(Fraction(2), 1, Fraction(3)),
+        ))
+        dcyl = expansion_derivative(cyl)
+        assert dcyl.term(1, 1).coefficient == ExactCoeff.from_rational(6)
+        term = dcyl.term(1, 0)
+        assert term.coefficient is None and term.status == "undetermined"
+        assert len(dcyl.terms) == 2
+
     def test_casimir_interval_value(self):
         cyl = cylinder_expansion(1, [Fraction(1), Fraction(-1, 2), Fraction(1, 12)])
         assert casimir_energy(cyl) == pytest.approx(-1.0 / 24.0, rel=1e-15)
