@@ -14,6 +14,7 @@ starts with a comment carrying the full resolved configuration.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -418,7 +419,9 @@ def cmd_riesz(args) -> int:
 # parser / main
 # ---------------------------------------------------------------------------
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The parser, built once a process: parsing leaves it unchanged."""
     parser = argparse.ArgumentParser(
         prog="spectrace",
         description="Spectral traces, expansion coefficients, and their relations.",
@@ -493,9 +496,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else EXIT_USAGE
     try:

@@ -65,6 +65,10 @@ class AsymptoticBasis:
             raise ValueError("basis terms must be distinct")
         if any(q not in (0, 1) for _, q in terms):
             raise ValueError("log powers must be 0 or 1")
+        # for each solve's raw map: the float exponents, (power, log) index pairs
+        object.__setattr__(self, "_powers", [float(p) for p, _ in terms])
+        object.__setattr__(self, "_log_pairs", [(i, terms.index((p, 1))) for i, (p, q)
+                                                in enumerate(terms) if q == 0 and (p, 1) in terms])
 
     def with_term(self, p, q: int) -> "AsymptoticBasis":
         return AsymptoticBasis(self.terms + ((Fraction(p), q),))
@@ -159,8 +163,18 @@ def dcylinder_basis(dim: int, orders: int) -> AsymptoticBasis:
 # ---------------------------------------------------------------------------
 
 def _unpack_samples(samples) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    records = list(samples)
+    if set(map(len, records)) <= {2}:
+        # plain (x, y) records as arrays, with the loop's default weights
+        x, y = np.array(records, dtype=float).reshape(-1, 2).T
+        with np.errstate(over="ignore", divide="ignore"):
+            w = np.where(y == 0, 1.0, 1.0 / (y * y))
+        if np.all((x > 0) & (w < math.inf)):
+            order = np.argsort(x, kind="stable")
+            return x[order], y[order], w[order]
+    # records with weights, and the error of the first bad record
     xs, ys, ws = [], [], []
-    for rec in samples:
+    for rec in records:
         if len(rec) == 2:
             x, y = rec
             w = None
@@ -193,24 +207,29 @@ def _design_matrix(x: np.ndarray, basis: AsymptoticBasis, t0: float) -> np.ndarr
     return np.vstack(cols).T
 
 
-def _raw_coefficients(basis: AsymptoticBasis, c_norm: np.ndarray, t0: float) -> np.ndarray:
-    """Map coefficients of the basis rescaled around t0 back to raw x^p (log x)^q."""
-    logt0 = math.log(t0)
-    raw = np.zeros(len(basis.terms))
-    lookup = {term: i for i, term in enumerate(basis.terms)}
-    for i, (p, q) in enumerate(basis.terms):
-        scale = t0 ** float(p)
-        if q == 0:
-            raw[i] += c_norm[i] / scale
-            j = lookup.get((p, 1))
-            if j is not None:
-                raw[i] -= c_norm[j] * logt0 / scale
-        else:
-            raw[i] += c_norm[i] / scale
+def _raw_coefficients(basis: AsymptoticBasis, c_norm: np.ndarray, t0: float,
+                      window: tuple[float, float]) -> np.ndarray:
+    """Map coefficients of the basis rescaled around t0 back to raw x^p (log x)^q
+    in one array division; a t0^p (a Python float) or a raw coefficient
+    outside the float range raises ValueError naming the window."""
+    scales = []
+    for p in basis._powers:
+        try:
+            scales.append(t0 ** p)
+        except OverflowError:
+            scales.append(math.inf)
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        raw = c_norm / np.array(scales)
+        for i, j in basis._log_pairs:
+            raw[i] -= c_norm[j] * math.log(t0) / scales[i]
+    if not (np.isfinite(raw).all() and all(0.0 < v < math.inf for v in scales)):
+        raise ValueError(f"the fit window {window[0]!r}..{window[1]!r} puts its raw "
+                         f"coefficients outside the float range (t0 = {t0!r})")
     return raw
 
 
-def _solve(aw: np.ndarray, yw: np.ndarray, basis: AsymptoticBasis, t0: float):
+def _solve(aw: np.ndarray, yw: np.ndarray, basis: AsymptoticBasis, t0: float,
+           window: tuple[float, float]):
     """Least squares of the weighted design aw against the weighted samples
     yw; the condition estimate is the ratio of lstsq's own singular values."""
     c_norm, _, _, sing = np.linalg.lstsq(aw, yw, rcond=None)
@@ -219,7 +238,7 @@ def _solve(aw: np.ndarray, yw: np.ndarray, basis: AsymptoticBasis, t0: float):
         raise IllConditionedBasisError(condition)
     resid = aw @ c_norm - yw
     rms = float(math.sqrt(np.mean(resid**2)))
-    return _raw_coefficients(basis, c_norm, t0), rms, condition
+    return _raw_coefficients(basis, c_norm, t0, window), rms, condition
 
 
 def fit_expansion(samples, basis: AsymptoticBasis) -> FitReport:
@@ -229,7 +248,8 @@ def fit_expansion(samples, basis: AsymptoticBasis) -> FitReport:
     1/y^2 (1 where y = 0), and a weight that is not finite or is negative
     raises ValueError.  Needs at least len(basis) + 2 samples.  The columns
     are rescaled around the geometric mean t0 of the first and last
-    abscissae, which sets the conditioning and not the raw coefficients.
+    abscissae, which sets the conditioning and not the raw coefficients; a
+    window whose raw coefficients leave the float range raises ValueError.
     Raises IllConditionedBasisError past a condition estimate of 1e12.
     """
     x, y, w = _unpack_samples(samples)
@@ -242,7 +262,7 @@ def fit_expansion(samples, basis: AsymptoticBasis) -> FitReport:
     sw = np.sqrt(w)
     aw = _design_matrix(x, basis, t0) * sw[:, None]
     yw = y * sw
-    coeffs, rms, condition = _solve(aw, yw, basis, t0)
+    coeffs, rms, condition = _solve(aw, yw, basis, t0, (lo, hi))
 
     # stability: refit dropping each contiguous quarter of the grid
     spreads = np.zeros(m)
@@ -253,7 +273,7 @@ def fit_expansion(samples, basis: AsymptoticBasis) -> FitReport:
         keep = np.ones(len(x), dtype=bool)
         keep[bounds[k]:bounds[k + 1]] = False
         if keep.sum() >= m:
-            folds.append(_solve(aw[keep], yw[keep], basis, t0)[0])
+            folds.append(_solve(aw[keep], yw[keep], basis, t0, (lo, hi))[0])
     if len(folds) == 4:
         stacked = np.vstack(folds)
         spreads = stacked.max(axis=0) - stacked.min(axis=0)

@@ -27,7 +27,9 @@ __all__ = [
     "RieszMeanValue",
     "riesz_mean",
     "riesz_mean_grid",
+    "riesz_mean_grids",
     "extract_riesz_coeffs",
+    "extract_riesz_fits",
     "weyl_remainder",
     "riesz_fit_basis",
 ]
@@ -60,125 +62,137 @@ def riesz_mean(s: Spectrum, alpha: int, variable: str, x: float) -> RieszMeanVal
 
     variable="lambda": (1/alpha!) x^{-alpha} sum_{lambda_n <= x} mult (x - lambda_n)^alpha.
     variable="omega":  the same with omega_n in place of lambda_n.
-    The one-point riesz_mean_grid: x = inf on a spectrum that ends gives the
+    The one-point riesz_mean_grids: x = inf on a spectrum that ends gives the
     limit (sum mult) / alpha!, on one that does not it raises ValueError.
     """
-    return riesz_mean_grid(s, alpha, variable, [x])[0]
+    return riesz_mean_grids(s, (alpha,), variable, [x])[0][0]
 
 
 def riesz_mean_grid(s: Spectrum, alpha: int, variable: str,
                     grid: Sequence[float]) -> list[RieszMeanValue]:
-    """Riesz means over a whole grid with a single spectrum enumeration.
+    """Riesz means of one order over a grid: the one-order riesz_mean_grids."""
+    return riesz_mean_grids(s, (alpha,), variable, grid)[0]
 
-    Evaluated from the closed form (partial power sums), not by quadrature:
-    one enumeration to the largest grid point and one searchsorted for the
-    grid, for every alpha.  The sorted terms are cut into chunks of _CHUNK
-    consecutive terms; chunk c, with largest key a_c, keeps the moments
-    S[c, i] = sum mult (a_c - x_n)^i for i = 0..alpha, and by the binomial
-    theorem its share of the sum at any x >= a_c is
-    sum_i C(alpha, i) (x - a_c)^(alpha - i) S[c, i], a Horner polynomial in
-    x - a_c (for alpha = 0 the chunk count, summed once per grid).  A point
-    adds that over the chunks wholly at or below it and np.sum of the fewer
-    than _CHUNK terms past the last of them.  Every quantity is >= 0, so
-    nothing cancels and a mean stays within a few eps of the correctly
-    rounded one (the tests hold it to 64 eps; N is exact below 2^53).
-    Chunks start at the first term, so a value depends only on x and the
-    spectrum, never on the rest of the grid: riesz_mean(x) is the same
-    float.  Where x^alpha lies outside 2^-900 .. 2^900, a point sums
-    mult ((x - x_n) / x)^alpha instead, which neither under- nor overflows;
-    x = inf gives the limit (sum mult) / alpha!.  Raises ValueError for an
-    infinite grid point on a spectrum that does not end, and ToleranceError
-    when the enumeration to the largest point needs more than
-    DEFAULT_MAX_TERMS rows, before it allocates them (Spectrum.arrays).
 
-    Memory above the cached enumeration: the moment table (alpha + 1 floats
-    a chunk) and work arrays of _BLOCK chunks.  In the lambda variable the
-    keys omega^2 are squared where used (a block of the table, the anchors,
-    a point's tail), never as a whole; the point counts come from the cached
-    omegas (_key_counts).  A grid over 420k terms peaks about 5.2 bytes a
-    term above the cache (2.5 for alpha = 0).
+def riesz_mean_grids(s: Spectrum, alphas: Sequence[int], variable: str,
+                     grid: Sequence[float]) -> list[list[RieszMeanValue]]:
+    """Riesz means of several orders over a whole grid, one list per order
+    of alphas, from one spectrum enumeration and one moment table.
+
+    Evaluated from the closed form (partial power sums), not by quadrature.
+    The sorted terms are cut into chunks of _CHUNK consecutive terms; chunk
+    c, with largest key a_c, keeps the moments S[c, i] = sum mult (a_c - x_n)^i
+    for i = 0..max(alphas), which do not depend on alpha, and its share of
+    the order-alpha sum at any x >= a_c is the Horner polynomial
+    sum_i C(alpha, i) (x - a_c)^(alpha - i) S[c, i] (for alpha = 0 the chunk
+    count, summed once per grid).  A point adds that over the chunks at or
+    below it and np.add.reduce of the fewer than _CHUNK terms past them,
+    whose bases x - x_n serve every order.  Every quantity is >= 0, so a
+    mean stays within a few eps of the correctly rounded one (the tests hold
+    it to 64 eps; N is exact below 2^53).  Chunks start at the first term, so
+    a value depends only on x, alpha and the spectrum: riesz_mean(x) is the
+    same float.  Where x^alpha lies outside 2^-900 .. 2^900, a point sums
+    mult ((x - x_n) / x)^alpha instead; x = inf gives the limit
+    (sum mult) / alpha!.  Raises ValueError for an infinite grid point on a
+    spectrum that does not end, and ToleranceError when the enumeration to
+    the largest point needs more than DEFAULT_MAX_TERMS rows, before it
+    allocates them.
+
+    Memory above the cached enumeration: the moment table and work arrays of
+    _BLOCK chunks; the lambda keys omega^2 are squared where used, never as
+    a whole.  A grid over 420k terms peaks about 5.2 bytes a term above the
+    cache at max(alphas) = 2 (2.5 for alpha = 0).
     """
     if variable not in _VARIABLES:
         raise ValueError(f"variable must be one of {_VARIABLES}, got {variable!r}")
-    if alpha < 0 or int(alpha) != alpha:
-        raise ValueError(f"alpha must be a nonnegative integer, got {alpha}")
+    for alpha in alphas:
+        if alpha < 0 or int(alpha) != alpha:
+            raise ValueError(f"alpha must be a nonnegative integer, got {alpha}")
     grid = [float(x) for x in grid]
     if any(not (x > 0) for x in grid):
         raise ValueError("grid points must be positive")
-    if not grid:
-        return []
-    alpha = int(alpha)
+    alphas = [int(alpha) for alpha in alphas]
+    if not grid or not alphas:
+        return [[] for _ in alphas]
     # the keys are values * values in the lambda variable, squared where used
     values, mults, idxs = _key_counts(s, variable, grid)
     square = variable == "lambda"
     chunks = max(idxs) // _CHUNK
-    coef = _chunk_moments(values[:chunks * _CHUNK], mults[:chunks * _CHUNK], alpha, square)
-    counts = np.cumsum(coef[0]).tolist()
+    moments = _chunk_moments(values[:chunks * _CHUNK], mults[:chunks * _CHUNK], max(alphas),
+                             square)
+    counts = np.cumsum(moments[0]).tolist()
+    # order alpha's Horner rows C(alpha, i) S[c, i]
+    coefs = [list(moments[:alpha + 1] * np.array([math.comb(alpha, i) for i in range(alpha + 1)],
+                                                  dtype=float)[:, None]) for alpha in alphas]
     anchors = values[_CHUNK - 1:chunks * _CHUNK:_CHUNK]
     if square:
         anchors = anchors * anchors
-    gap, acc, terms = np.empty(chunks), np.empty(chunks), np.empty(_CHUNK - 1)
-    fac = math.factorial(alpha)
-    out = []
+    gap, acc = np.empty(chunks), np.empty(chunks)
+    bases, terms = np.empty(_CHUNK - 1), np.empty(_CHUNK - 1)
+    out = [[] for _ in alphas]
     for x, idx in zip(grid, idxs):
         q = idx // _CHUNK
         start = q * _CHUNK
-        if alpha == 0 or math.isinf(x):
-            # N(x) (over alpha! at x = inf): the chunk counts and the tail's
-            n = (counts[q - 1] if q else 0.0) + float(mults[start:idx].sum(dtype=float))
-            out.append(RieszMeanValue(alpha=alpha, variable=variable, x=x, value=n / fac))
-            continue
-        if idx and not abs(alpha * math.log2(x)) < _POW_BITS:
-            # x^alpha would under- or overflow: sum the terms scaled by 1/x
-            keys = values[:idx] * values[:idx] if square else values[:idx]
-            scaled = np.power((x - keys) / x, alpha) * mults[:idx]
-            out.append(RieszMeanValue(alpha=alpha, variable=variable, x=x,
-                                      value=float(np.sum(scaled)) / fac))
-            continue
-        head = 0.0
-        if q:
-            # the chunks at or below x, by Horner in x - a_c
-            y, h = gap[:q], acc[:q]
-            np.subtract(x, anchors[:q], out=y)
-            np.multiply(coef[0, :q], y, out=h)
-            h += coef[1, :q]
-            for row in coef[2:, :q]:
-                h *= y
-                h += row
-            head = float(np.sum(h))
-        # the terms past the last full chunk, term by term
-        tail = terms[:idx - start]
-        if square:
-            np.multiply(values[start:idx], values[start:idx], out=tail)
-            np.subtract(x, tail, out=tail)
-        else:
-            np.subtract(x, values[start:idx], out=tail)
-        if alpha == 2:
-            np.square(tail, out=tail)
-        elif alpha > 2:
-            np.power(tail, alpha, out=tail)
-        tail *= mults[start:idx]
-        value = (head + float(np.sum(tail))) / (fac * x**alpha) if idx else 0.0
-        out.append(RieszMeanValue(alpha=alpha, variable=variable, x=x, value=value))
+        base = None
+        for alpha, coef, means in zip(alphas, coefs, out):
+            fac = math.factorial(alpha)
+            if alpha == 0 or math.isinf(x):
+                # N(x) (over alpha! at x = inf): the chunk counts and the tail's
+                n = (counts[q - 1] if q else 0.0) + float(
+                    np.add.reduce(mults[start:idx], dtype=float))
+                value = n / fac
+            elif not abs(alpha * math.log2(x)) < _POW_BITS:
+                # x^alpha would under- or overflow: sum the terms scaled by 1/x
+                keys = values[:idx] * values[:idx] if square else values[:idx]
+                scaled = np.power((x - keys) / x, alpha) * mults[:idx]
+                value = float(np.add.reduce(scaled)) / fac
+            else:
+                if base is None:
+                    # the gaps x - a_c and bases x - x_n, for every order
+                    y = np.subtract(x, anchors[:q], out=gap[:q])
+                    base = bases[:idx - start]
+                    if square:
+                        np.multiply(values[start:idx], values[start:idx], out=base)
+                        np.subtract(x, base, out=base)
+                    else:
+                        np.subtract(x, values[start:idx], out=base)
+                head = 0.0
+                if q:
+                    # the chunks at or below x, by Horner in x - a_c
+                    h = np.multiply(coef[0][:q], y, out=acc[:q])
+                    h += coef[1][:q]
+                    for row in coef[2:]:
+                        h *= y
+                        h += row[:q]
+                    head = float(np.add.reduce(h))
+                # the terms past the last full chunk, term by term
+                tail = terms[:idx - start]
+                if alpha == 1:
+                    np.multiply(base, mults[start:idx], out=tail)
+                elif alpha == 2:
+                    np.multiply(np.square(base, out=tail), mults[start:idx], out=tail)
+                else:
+                    np.multiply(np.power(base, alpha, out=tail), mults[start:idx], out=tail)
+                value = (head + float(np.add.reduce(tail))) / (fac * x**alpha)
+            means.append(RieszMeanValue(alpha=alpha, variable=variable, x=x, value=value))
     return out
 
 
 def _chunk_moments(values: np.ndarray, mults: np.ndarray, alpha: int,
                    square: bool) -> np.ndarray:
-    """C(alpha, i) S[c, i], shape (alpha + 1, chunks), for the keys cut into
-    chunks of _CHUNK: S[c, i] = sum mult (a_c - x_n)^i over chunk c, a_c its
-    largest key, with mult as float64.  The keys are the values, or with
-    square their rounded squares.  Each row sum depends on its own chunk
-    alone, so the chunks are taken _BLOCK at a time and the work arrays
-    (the squared keys among them) stay at a block's size, whatever the
-    number of terms.
+    """S[c, i], shape (alpha + 1, chunks), for the keys cut into chunks of
+    _CHUNK: S[c, i] = sum mult (a_c - x_n)^i over chunk c, a_c its largest
+    key, with mult as float64.  The keys are the values, or with square
+    their rounded squares.  Each row sum depends on its own chunk alone, so
+    the chunks are taken _BLOCK at a time and the work arrays (the squared
+    keys among them) stay at a block's size, whatever the number of terms.
     """
     chunks = values.size // _CHUNK
-    coef = np.empty((alpha + 1, chunks))
+    moments = np.empty((alpha + 1, chunks))
     for lo in range(0, chunks, _BLOCK):
         hi = min(lo + _BLOCK, chunks)
         term = mults[lo * _CHUNK:hi * _CHUNK].reshape(-1, _CHUNK).astype(float)
-        coef[0, lo:hi] = term.sum(axis=1)
+        moments[0, lo:hi] = term.sum(axis=1)
         if alpha:
             block = values[lo * _CHUNK:hi * _CHUNK].reshape(-1, _CHUNK)
             if square:
@@ -186,8 +200,8 @@ def _chunk_moments(values: np.ndarray, mults: np.ndarray, alpha: int,
             gaps = block[:, -1:] - block
         for i in range(1, alpha + 1):
             term *= gaps
-            coef[i, lo:hi] = math.comb(alpha, i) * term.sum(axis=1)
-    return coef
+            moments[i, lo:hi] = term.sum(axis=1)
+    return moments
 
 
 def riesz_fit_basis(dim: int, alpha: int, variable: str) -> AsymptoticBasis:
@@ -204,13 +218,16 @@ def riesz_fit_basis(dim: int, alpha: int, variable: str) -> AsymptoticBasis:
     return AsymptoticBasis(terms)
 
 
-def extract_riesz_coeffs(
-    s: Spectrum,
-    alpha: int,
-    variable: str,
-    grid: Optional[Sequence[float]] = None,
-) -> FitReport:
-    """Fit the asymptotic coefficients of the alpha-th Riesz mean.
+def extract_riesz_coeffs(s: Spectrum, alpha: int, variable: str,
+                         grid: Optional[Sequence[float]] = None) -> FitReport:
+    """The one-order extract_riesz_fits."""
+    return extract_riesz_fits(s, (alpha,), variable, grid)[0]
+
+
+def extract_riesz_fits(s: Spectrum, alphas: Sequence[int], variable: str,
+                       grid: Optional[Sequence[float]] = None) -> list[FitReport]:
+    """Fit the asymptotic coefficients of the Riesz mean of each order in
+    alphas, one report per order, from one riesz_mean_grids call.
 
     The fitted values follow the plain normalization x^{-alpha} sum (x-x_n)^alpha
     (alpha! times riesz_mean), which is the convention under which the
@@ -238,29 +255,31 @@ def extract_riesz_coeffs(
     grid = list(grid)
     if any(b <= a for a, b in zip(grid, grid[1:])):
         raise ValueError("grid must be strictly increasing")
-    scale = math.factorial(int(alpha))
-    samples = [(mv.x, scale * mv.value)
-               for mv in riesz_mean_grid(s, alpha, variable, grid)]
-    basis = riesz_fit_basis(s.dim, alpha, variable)
-    report = None
-    for ss in range(int(alpha) + 1):
-        if variable == "omega" and _carries_log(ss, s.dim):
-            det = detect_log_term(samples, Fraction(s.dim - ss), basis)
-            report = det.with_log if det.present else det.without_log
-            basis = report.basis
-    if report is None:
-        report = fit_expansion(samples, basis)
-    notes = list(report.notes)
-    redundant = []
-    for ss in range(int(alpha)):
-        p = Fraction(s.dim - ss, 2) if variable == "lambda" else Fraction(s.dim - ss)
-        if (p, 0) in report.basis.terms:
-            redundant.append(f"s={ss}")
-    if redundant:
-        notes.append(
-            "informational only (redundant below the diagonal): " + ", ".join(redundant)
-        )
-    return dataclasses.replace(report, notes=tuple(notes))
+    reports = []
+    for alpha, means in zip(map(int, alphas), riesz_mean_grids(s, alphas, variable, grid)):
+        scale = math.factorial(alpha)
+        samples = [(mv.x, scale * mv.value) for mv in means]
+        basis = riesz_fit_basis(s.dim, alpha, variable)
+        report = None
+        for ss in range(alpha + 1):
+            if variable == "omega" and _carries_log(ss, s.dim):
+                det = detect_log_term(samples, Fraction(s.dim - ss), basis)
+                report = det.with_log if det.present else det.without_log
+                basis = report.basis
+        if report is None:
+            report = fit_expansion(samples, basis)
+        notes = list(report.notes)
+        redundant = []
+        for ss in range(alpha):
+            p = Fraction(s.dim - ss, 2) if variable == "lambda" else Fraction(s.dim - ss)
+            if (p, 0) in report.basis.terms:
+                redundant.append(f"s={ss}")
+        if redundant:
+            notes.append(
+                "informational only (redundant below the diagonal): " + ", ".join(redundant)
+            )
+        reports.append(dataclasses.replace(report, notes=tuple(notes)))
+    return reports
 
 
 def weyl_remainder(

@@ -3,17 +3,19 @@
 heat_trace sums exp(-t lambda_n), cylinder_trace sums exp(-t omega_n), and
 cylinder_trace_derivative sums -omega_n exp(-t omega_n), each with an a
 priori tail bound obtained from the spectrum's Weyl envelope
-N(lambda) <= C1 + C2 lambda^{d/2} by the integral test.  Values are plain
-floats summed by the one policy Riesz means also use: the terms formed in
-numpy (np.exp for the exponential) and added by one np.sum.  The terms share
-a sign, so a value is within 64 eps sum|term_n| + sum|weight_n| 2^-1074 of
-the correctly rounded sum.  Results are bitwise reproducible only on the same
-numpy build and CPU dispatch: np.exp's loop is picked at run time (see
-NPY_DISABLE_CPU_FEATURES in numpy's docs), and its AVX-512 loop can differ
-from the portable one in the last bit.
+N(lambda) <= C1 + C2 lambda^{d/2} by the integral test; they and trace_grid
+are views of trace_grids, which serves several kernels from shared work.
+Values are plain floats summed by the one policy Riesz means also use: the
+terms formed in numpy (np.exp for the exponential) and added by one
+np.add.reduce.  The terms share a sign, so a value is within 64 eps
+sum|term_n| + sum|weight_n| 2^-1074 of the correctly rounded sum.  Results
+are bitwise reproducible only on the same numpy build and CPU dispatch:
+np.exp's loop is picked at run time (see NPY_DISABLE_CPU_FEATURES in numpy's
+docs), and its AVX-512 loop can differ from the portable one in the last
+bit.
 
-Each trace enumerates once, up to the smallest cutoff at which the tail
-bound crediting no enumerated term is <= tol (solved to about 1/64 in
+Each trace point enumerates once, up to the smallest cutoff at which the
+tail bound crediting no enumerated term is <= tol (solved to about 1/64 in
 x = t omega, or t omega^2 for heat).  Crediting the terms found can only
 lower the bound, so that enumeration certifies unless finite data end or the
 term budget caps the cutoff first (ToleranceError): the envelope count there
@@ -45,6 +47,7 @@ __all__ = [
     "cylinder_trace_derivative",
     "heat_diagonal_interval",
     "trace_grid",
+    "trace_grids",
 ]
 
 # headroom multiplying every tail bound, covering float rounding in the
@@ -130,32 +133,32 @@ def _tail_bound(kind: str, t: float, w: float, n_seen: float,
     return max((head + poly) * _BOUND_SLACK, 0.0)
 
 
-def _term_sum(kind: str, t: float, omegas: np.ndarray, mults: np.ndarray) -> float:
-    """Sum of the kernel's terms m exp(-t w w), m exp(-t w) or -m w exp(-t w).
-
-    One np.sum (pairwise) over the terms formed in numpy, as riesz_mean_grid
-    sums its means.  Every term has the same sign (>= 0 for heat and
-    cylinder, <= 0 for dcylinder), so there is no cancellation: the result is
-    within 64 eps sum|term_n| + sum|weight_n| 2^-1074 of the correctly rounded
-    sum (the second part covers subnormal exponentials).  The exponents fall
-    as omega rises, so the terms at or past the -745 underflow cut, which
-    _exp_safe counts as 0.0, form a suffix and are skipped.
-
-    The terms are formed in place in one work array, each product associated
-    as ((-t w) w), m e and ((-m) w) e; the derivative kernel forms m w in a
-    second array and negates the products, which is the same float.
-    """
-    work = np.multiply(omegas, -t)
-    if kind == "heat":
-        work *= omegas
-    k = work.size - int(np.searchsorted(work[::-1], -745.0, side="right"))
-    work = np.exp(work[:k], out=work[:k])
-    if kind == "dcylinder":
-        work *= np.multiply(mults[:k], omegas[:k])
-        np.negative(work, out=work)
-    else:
-        work *= mults[:k]
-    return float(np.sum(work))
+def _term_sums(t: float, kinds: Sequence[str], widths: Sequence[int], omegas: np.ndarray,
+               weights: dict, work: np.ndarray) -> list[float]:
+    """Each kernel's sum at t over its first widths[i] terms, m exp(-t w w),
+    m exp(-t w) or -m w exp(-t w), with weights[kind] the float m (-m w for
+    dcylinder) and work a row as long as omegas per kernel.  A family's
+    exponentials, ((-t w) w) for heat, are formed once in its last kernel's
+    row, up to the -745 underflow cut (_exp_safe's 0.0), and each kernel
+    multiplies them by its weights into its own row; e (-m w) is the float
+    -(e (m w)).  One np.add.reduce of same-sign terms: within 64 eps
+    sum|term_n| + sum|weight_n| 2^-1074 of the exact sum."""
+    last = {kind == "heat": i for i, kind in enumerate(kinds)}
+    exps = {}  # heat or not -> the family's exponentials
+    sums = []
+    for i, (kind, n) in enumerate(zip(kinds, widths)):
+        heat = kind == "heat"
+        if heat not in exps:
+            widest = max(w for k, w in zip(kinds, widths) if (k == "heat") == heat)
+            e = np.multiply(omegas[:widest], -t, out=work[last[heat], :widest])
+            if heat:
+                e *= omegas[:widest]
+            k = e.size - int(e[::-1].searchsorted(-745.0, side="right"))
+            exps[heat] = np.exp(e[:k], out=e[:k])
+        k = min(n, exps[heat].size)
+        terms = np.multiply(exps[heat][:k], weights[kind][:k], out=work[i, :k])
+        sums.append(float(np.add.reduce(terms)))
+    return sums
 
 
 def _cutoff(kind: str, t: float, tol: float, c1: float, c2: float, d: int) -> float:
@@ -200,7 +203,9 @@ def _cutoff(kind: str, t: float, tol: float, c1: float, c2: float, d: int) -> fl
     return math.sqrt(hi / t) if kind == "heat" else hi / t
 
 
-def _certified_trace(s: Spectrum, t: float, tol: float, kind: str) -> TraceSample:
+def _certify(s: Spectrum, t: float, tol: float,
+             kind: str) -> tuple[float, float, np.ndarray, np.ndarray]:
+    """(t, tail_bound, omegas, mults) of the kernel's cutoff certified at t."""
     t = float(t)
     if not (0 < t < math.inf):
         raise ValueError(f"t must be positive and finite, got {t}")
@@ -217,9 +222,9 @@ def _certified_trace(s: Spectrum, t: float, tol: float, kind: str) -> TraceSampl
         warnings.warn(
             f"spectrum {s.label!r} supplies no envelope constants; "
             "trace tail cannot be certified (tail_bound = NaN)",
-            stacklevel=3,
+            stacklevel=4,
         )
-        return TraceSample(t, _term_sum(kind, t, omegas, mults), math.nan, omegas.size)
+        return t, math.nan, omegas, mults
 
     c1, c2 = s.envelope
     d = s.dim
@@ -253,7 +258,7 @@ def _certified_trace(s: Spectrum, t: float, tol: float, kind: str) -> TraceSampl
     # integral test needs w t >= 1 unless the tail is empty anyway
     usable = empty_tail or kind != "dcylinder" or w * t >= 1.0
     if usable and bound <= tol:
-        return TraceSample(t, _term_sum(kind, t, omegas, mults), bound, omegas.size)
+        return t, bound, omegas, mults
     reason = "term budget exhausted" if budget_capped else "spectrum data exhausted"
     raise _unreachable(reason, tol, bound, omegas.size)
 
@@ -267,6 +272,39 @@ def _unreachable(reason: str, tol: float, bound: float, terms: int) -> Tolerance
     )
 
 
+def trace_grids(s: Spectrum, kinds: Sequence[str], ts: Sequence[float],
+                tol: float = 1e-12) -> list[list[TraceSample]]:
+    """Several kernels over one time grid: a list of samples per kernel in
+    kinds, in grid order.  Every point of every kernel is certified first,
+    kernel by kernel (_certify), so a grid raises the first failing
+    one-point trace's error; then each t sums every kernel from shared
+    exponentials (_term_sums), each sample the one-point trace's float.
+    """
+    for kind in kinds:
+        if kind not in ("heat", "cylinder", "dcylinder"):
+            raise ValueError(f"kernel must be one of ['cylinder', 'dcylinder', 'heat'], "
+                             f"got {kind!r}")
+    ts = list(ts)
+    # per kernel, per t: (t, tail_bound, terms_used); the terms up to the widest cutoff
+    points, omegas, mults = [], np.empty(0), np.empty(0, dtype=np.int64)
+    for kind in kinds:
+        points.append([])
+        for t in ts:
+            t, bound, w_omegas, w_mults = _certify(s, t, tol, kind)
+            if w_omegas.size > omegas.size:
+                omegas, mults = w_omegas, w_mults
+            points[-1].append((t, bound, w_omegas.size))
+    m = mults.astype(float)
+    weights = {kind: -(m * omegas) if kind == "dcylinder" else m for kind in kinds}
+    work = np.empty((len(kinds), omegas.size))
+    out = [[] for _ in kinds]
+    for row in zip(*points):
+        sums = _term_sums(row[0][0], kinds, [n for _, _, n in row], omegas, weights, work)
+        for samples, (t, bound, n), value in zip(out, row, sums):
+            samples.append(TraceSample(t, value, bound, n))
+    return out
+
+
 def heat_trace(s: Spectrum, t: float, tol: float = 1e-12) -> TraceSample:
     """Tr K(t) = sum_n mult_n exp(-t lambda_n) with certified tail bound.
 
@@ -278,12 +316,12 @@ def heat_trace(s: Spectrum, t: float, tol: float = 1e-12) -> TraceSample:
         count passes spectra.DEFAULT_MAX_TERMS raises ToleranceError with
         the bound that was achievable.
     """
-    return _certified_trace(s, t, tol, "heat")
+    return trace_grids(s, ("heat",), [t], tol)[0][0]
 
 
 def cylinder_trace(s: Spectrum, t: float, tol: float = 1e-12) -> TraceSample:
     """Tr T(t) = sum_n mult_n exp(-t omega_n) with certified tail bound."""
-    return _certified_trace(s, t, tol, "cylinder")
+    return trace_grids(s, ("cylinder",), [t], tol)[0][0]
 
 
 def cylinder_trace_derivative(s: Spectrum, t: float, tol: float = 1e-12) -> TraceSample:
@@ -292,7 +330,7 @@ def cylinder_trace_derivative(s: Spectrum, t: float, tol: float = 1e-12) -> Trac
     Differentiated analytically per term; never a finite difference.  Its t^0
     coefficient is -2x the scalar-field vacuum energy.
     """
-    return _certified_trace(s, t, tol, "dcylinder")
+    return trace_grids(s, ("dcylinder",), [t], tol)[0][0]
 
 
 def heat_diagonal_interval(t: float, x: float) -> float:
@@ -337,18 +375,6 @@ def _split_sum(v: np.ndarray) -> list[float]:
 
 
 def trace_grid(s: Spectrum, kind: str, ts: Sequence[float], tol: float = 1e-12) -> list[TraceSample]:
-    """Evaluate one kernel over a time grid, in grid order.
-
-    Each point is computed independently (safe to parallelize per point);
-    results are returned in the given order so output stays deterministic.
-    """
-    fns = {
-        "heat": heat_trace,
-        "cylinder": cylinder_trace,
-        "dcylinder": cylinder_trace_derivative,
-    }
-    try:
-        fn = fns[kind]
-    except KeyError:
-        raise ValueError(f"kernel must be one of {sorted(fns)}, got {kind!r}") from None
-    return [fn(s, t, tol) for t in ts]
+    """Evaluate one kernel over a time grid, in grid order: the one-kernel
+    trace_grids."""
+    return trace_grids(s, (kind,), ts, tol)[0]

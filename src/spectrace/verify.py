@@ -31,10 +31,10 @@ from .invariants import (
     riesz_to_cylinder,
     riesz_to_heat,
 )
-from .riesz import extract_riesz_coeffs
+from .riesz import extract_riesz_fits
 from . import spectra
 from .spectra import Spectrum
-from .traces import trace_grid
+from .traces import _cutoff, trace_grid, trace_grids
 
 __all__ = ["VerifyRow", "expansion_from_fit", "fit_trace", "run_verification"]
 
@@ -157,17 +157,40 @@ def run_verification(spectrum: Spectrum) -> list[VerifyRow]:
     cyl_ts = geometric_grid(cyl_lo, cyl_hi, _POINTS)
     heat_ts = geometric_grid(heat_lo, heat_hi, _POINTS)
 
+    lam_lo, om_lo = 1e2 * w1 * w1, 10.0 * w1
+    lam_hi = max(min(1e6 * w1 * w1, lam_cap), 8.0 * lam_lo)
+    om_hi = 100.0 * w1
+    end = spectrum.truncated_at
+    if end is not None:
+        # a finite term list's means are exact only up to its last frequency
+        lam_hi, om_hi = min(lam_hi, end * end), min(om_hi, end)
+
+    # one enumeration up front, to the widest extent a stage reads (the
+    # traces' cutoffs crediting no term, the Riesz tops with _keys_up_to's
+    # slack), skipped past the term budget so the stage that needs it raises
+    end_w = math.inf if end is None else end
+    extent = max(*(min(_cutoff(kind, ts[0], _TOL, c1, c2, d), end_w) for kind, ts in
+                   (("heat", heat_ts), ("cylinder", cyl_ts), ("dcylinder", cyl_ts))),
+                 math.sqrt(lam_hi) * (1 + 1e-12) + 1e-12, om_hi * (1 + 1e-12) + 1e-12)
+    try:
+        within_budget = c1 + c2 * extent**d <= spectra.DEFAULT_MAX_TERMS
+    except OverflowError:  # extent^d past the float range
+        within_budget = False
+    if within_budget:
+        spectrum.arrays(extent)
+
     heat_fit = fit_trace(spectrum, "heat", heat_ts, _TOL, _ORDERS)
-    # the index-term check fits the cylinder samples with and without a
-    # t^0 log t column; the log-free one is the cylinder fit
-    cyl_samples = trace_grid(spectrum, "cylinder", cyl_ts, _TOL)
+    # one trace_grids call for the cylinder trace and its derivative; the index-term
+    # check fits Tr T with and without a t^0 log t column, the log-free one is the fit
+    cyl_samples, dcyl_samples = trace_grids(spectrum, ("cylinder", "dcylinder"), cyl_ts, _TOL)
     det = detect_log_term(
         [(s.t, s.value) for s in cyl_samples],
         Fraction(0),
         cylinder_basis(d, _ORDERS),
     )
     cyl_fit = det.without_log
-    dcyl_fit = fit_trace(spectrum, "dcylinder", cyl_ts, _TOL, _ORDERS + 1)
+    dcyl_fit = fit_expansion([(s.t, s.value) for s in dcyl_samples],
+                             dcylinder_basis(d, _ORDERS + 1))
 
     cyl_from_heat = heat_to_cylinder(expansion_from_fit(d, heat_fit))
 
@@ -221,25 +244,16 @@ def run_verification(spectrum: Spectrum) -> list[VerifyRow]:
     # Riesz relations (diagonal coefficients only); the fits are limited by
     # spectral oscillation, so these rows run at a looser tolerance than the
     # trace-to-trace relations above
-    lam_lo, om_lo = 1e2 * w1 * w1, 10.0 * w1
-    lam_hi = max(min(1e6 * w1 * w1, lam_cap), 8.0 * lam_lo)
-    om_hi = 100.0 * w1
-    end = spectrum.truncated_at
-    if end is not None:
-        # a finite term list's means are exact only up to its last frequency
-        if end <= om_lo or end * end <= lam_lo:
-            raise ValueError(
-                f"verification refused: the spectrum's data end at omega = {end:.6g}, "
-                f"below the Riesz grids' bottom omega = 10 w1 = {om_lo:.6g}")
-        lam_hi, om_hi = min(lam_hi, end * end), min(om_hi, end)
+    if end is not None and (end <= om_lo or end * end <= lam_lo):
+        raise ValueError(
+            f"verification refused: the spectrum's data end at omega = {end:.6g}, "
+            f"below the Riesz grids' bottom omega = 10 w1 = {om_lo:.6g}")
     lam_grid = geometric_grid(lam_lo, lam_hi, 128)
     om_grid = geometric_grid(om_lo, om_hi, 128)
     riesz_tol = 2e-2 if d == 1 else 5e-2
 
-    a_diag = []
-    for alpha in range(3):
-        rep = extract_riesz_coeffs(spectrum, alpha, "lambda", grid=lam_grid)
-        a_diag.append(rep.coefficient(Fraction(d - alpha, 2), 0))
+    a_diag = [rep.coefficient(Fraction(d - alpha, 2), 0) for alpha, rep in
+              enumerate(extract_riesz_fits(spectrum, range(3), "lambda", lam_grid))]
     heat_from_riesz = riesz_to_heat(a_diag, d)
     for s, _a in enumerate(a_diag):
         via = heat_from_riesz.term(Fraction(s - d, 2), 0)
@@ -249,10 +263,9 @@ def run_verification(spectrum: Spectrum) -> list[VerifyRow]:
             float(via.coefficient), direct, riesz_tol * max(1.0, abs(direct))))
 
     c_diag, d_diag = [], []
-    for alpha in range(3):
+    # a log column at x^(d-alpha) is fitted only where the data show it
+    for alpha, rep in enumerate(extract_riesz_fits(spectrum, range(3), "omega", om_grid)):
         p_diag = Fraction(d - alpha)
-        # a log column at x^(d-alpha) is fitted only where the data show it
-        rep = extract_riesz_coeffs(spectrum, alpha, "omega", grid=om_grid)
         c_diag.append(rep.coefficient(p_diag, 0))
         d_diag.append(rep.coefficient(p_diag, 1) if (p_diag, 1) in rep.basis.terms else 0.0)
     cyl_from_riesz = riesz_to_cylinder(c_diag, d_diag, d)

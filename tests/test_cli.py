@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 from spectrace import spectra
-from spectrace.cli import main, parse_spectrum_spec, UsageError
+from spectrace.cli import build_parser, main, parse_spectrum_spec, UsageError
 
 PI_STR = "3.141592653589793"
 INTERVAL_SPEC = f"interval:length={PI_STR}:bc=dirichlet"
@@ -437,6 +437,14 @@ class TestLibraryErrorsExit2:
         assert out == ""
         assert "2**63 - 1" in err
 
+    def test_raw_coefficients_past_the_float_range_exit_2(self, capsys):
+        # the raw coefficients of a window near 1e110 scale by t0^3 = 3e331
+        code, out, err = run(capsys, "coeffs", "--spectrum", INTERVAL_SPEC, "--kernel",
+                             "cylinder", "--tmin", "1e110", "--tmax", "1e111")
+        assert code == 2
+        assert out == ""
+        assert "the fit window 1e+110..1e+111" in err and "Traceback" not in err
+
     @pytest.mark.parametrize("flag", [["--format", "csv"], ["--svg", "out.svg"]])
     def test_coeffs_rejects_trace_only_flags(self, capsys, flag):
         code, _, err = run(capsys, "coeffs", "--spectrum", INTERVAL_SPEC, *flag)
@@ -522,3 +530,43 @@ class TestParserBasics:
         assert code == 2
         assert out == ""
         assert f"unrecognized arguments: {flag}" in err
+
+
+class TestParserBuiltOnce:
+    """main builds its parser on the first call and keeps it for the process;
+    the kept parser gives every command what a fresh one gives."""
+
+    ARGVS = [
+        ["trace", "--spectrum", INTERVAL_SPEC, "--points", "5", "--format", "json"],
+        ["coeffs", "--spectrum", INTERVAL_SPEC, "--points", "16", "--kernel", "heat"],
+        ["verify", "--spectrum", INTERVAL_SPEC],
+        ["moments", "--comb", "squares", "--points", "4"],
+        ["riesz", "--spectrum", INTERVAL_SPEC, "--alpha", "2", "--points", "4"],
+        ["riesz", "--spectrum", INTERVAL_SPEC, "--remainder", "0", "--weyl-coeffs", "0.3"],
+        ["trace", "--spectrum", INTERVAL_SPEC, "--frobnicate"],
+        ["riesz", "--spectrum", INTERVAL_SPEC, "--alpha", "-1"],
+        ["--version"],
+        [],
+    ]
+
+    def test_kept_parser_matches_a_fresh_one(self, capsys):
+        fresh = []
+        for argv in self.ARGVS:
+            build_parser.cache_clear()
+            fresh.append(run(capsys, *argv))
+        build_parser.cache_clear()
+        kept = [run(capsys, *argv) for _ in range(2) for argv in self.ARGVS]
+        assert build_parser.cache_info().misses == 1
+        assert kept == fresh + fresh
+        codes = [code for code, _, _ in fresh]
+        assert codes == [0, 0, 0, 0, 0, 0, 2, 2, 0, 2]
+        assert fresh[8][1].startswith("spectrace ")
+
+    def test_import_builds_no_parser(self):
+        code = ("import spectrace.cli as cli; info = cli.build_parser.cache_info(); "
+                "print(info.currsize, info.misses)")
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                              timeout=60, env={**os.environ, "PYTHONPATH": src})
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.split() == ["0", "0"]

@@ -1,4 +1,5 @@
 import math
+import re
 from fractions import Fraction
 from unittest import mock
 
@@ -185,7 +186,7 @@ def two_factorization_fit(samples, basis):
         c_norm, *_ = np.linalg.lstsq(aw, yw, rcond=None)
         resid = aw @ c_norm - yw
         rms = float(math.sqrt(np.mean(resid**2)))
-        return fitkit._raw_coefficients(basis, c_norm, t0), rms, condition
+        return fitkit._raw_coefficients(basis, c_norm, t0, (x[0], x[-1])), rms, condition
 
     x, y, w = fitkit._unpack_samples(samples)
     t0 = math.sqrt(x[0] * x[-1])
@@ -227,7 +228,7 @@ class TestOneFactorization:
         sw = np.sqrt(w)
         t0 = math.sqrt(3.0)
         _, _, condition = fitkit._solve(fitkit._design_matrix(x, basis, t0) * sw[:, None],
-                                        y * sw, basis, t0)
+                                        y * sw, basis, t0, (1.0, 3.0))
         assert condition < 1e2
         with pytest.raises(IllConditionedBasisError):
             fit_expansion(samples, basis)
@@ -359,3 +360,81 @@ class TestSampleWeights:
         x, _, w = fitkit._unpack_samples([(1.0, 0.0), (2.0, 0.5), (3.0, 1e-150, 2.0)])
         assert list(x) == [1.0, 2.0, 3.0]
         assert list(w) == [1.0, 4.0, 2.0]
+
+
+def unpack_records(samples):
+    """The per-record reference for _unpack_samples: each (x, y) checked and
+    weighted 1/y^2 (1 where y = 0, inf where y*y underflows) one at a time."""
+    xs, ys, ws = [], [], []
+    for x, y in samples:
+        if not (x > 0):
+            raise ValueError(f"sample abscissae must be positive, got {x}")
+        w = 1.0 if y == 0 else 1.0 / (y * y) if y * y else math.inf
+        if not (0 <= w < math.inf):
+            raise ValueError(f"sample ({x}, {y}) has weight {w}; "
+                             "weights must be finite and non-negative")
+        xs.append(x)
+        ys.append(y)
+        ws.append(w)
+    order = np.argsort(np.array(xs), kind="stable")
+    return np.array(xs)[order], np.array(ys)[order], np.array(ws)[order]
+
+
+class TestPlainSamplesAsArrays:
+    """Plain (x, y) samples go through array checks, with the per-record
+    loop's weights, order and first error."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.tuples(
+        st.one_of(st.floats(1e-300, 1e300), st.sampled_from([0.0, -1.0, math.nan, 2.0])),
+        st.one_of(st.floats(allow_nan=True), st.sampled_from([0.0, 1e-170, 1e-160, 1e200]))),
+        max_size=12))
+    def test_matches_the_per_record_loop(self, samples):
+        try:
+            want = unpack_records(samples)
+        except ValueError as exc:
+            with pytest.raises(ValueError) as err:
+                fitkit._unpack_samples(samples)
+            assert str(err.value) == str(exc)
+            return
+        got = fitkit._unpack_samples(iter(samples))
+        for g, w in zip(got, want):
+            assert g.tobytes() == w.tobytes()
+
+
+def raw_by_term(basis, c_norm, t0):
+    """The term-by-term reference for fitkit._raw_coefficients."""
+    raw = []
+    for i, (p, q) in enumerate(basis.terms):
+        scale = t0 ** float(p)
+        value = c_norm[i] / scale
+        if q == 0 and (p, 1) in basis.terms:
+            value -= c_norm[basis.terms.index((p, 1))] * math.log(t0) / scale
+        raw.append(value)
+    return np.array(raw)
+
+
+class TestRawCoefficients:
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.tuples(st.integers(-12, 12), st.integers(0, 1)), min_size=1,
+                    max_size=6, unique=True),
+           st.floats(-40.0, 40.0), st.data())
+    def test_matches_the_term_by_term_map(self, terms, log10_t0, data):
+        basis = AsymptoticBasis(tuple((Fraction(k, 2), q) for k, q in terms))
+        c_norm = np.array(data.draw(st.lists(st.floats(-1e6, 1e6), min_size=len(terms),
+                                             max_size=len(terms))))
+        t0 = 10.0 ** log10_t0
+        got = fitkit._raw_coefficients(basis, c_norm, t0, (t0 / 2, t0 * 2))
+        assert got.tobytes() == raw_by_term(basis, c_norm, t0).tobytes()
+
+    @pytest.mark.parametrize("lo, exponents", [
+        (1e110, [0, 3]),      # t0^3 overflows
+        (1e-200, [0, 2]),     # t0^2 underflows to 0
+        (1e-160, [0, 2]),     # t0^2 is subnormal: the raw t^2 coefficient overflows
+        (1e170, [-2, 0]),     # t0^-2 underflows to 0
+    ])
+    def test_window_past_the_float_range_raises(self, lo, exponents):
+        xs = geometric_grid(lo, 10.0 * lo, 16)
+        samples = [(x, 1.0 + (x / lo) ** 2) for x in xs]
+        with pytest.raises(ValueError, match=re.escape(f"the fit window {xs[0]!r}..{xs[-1]!r}")):
+            fit_expansion(samples, power_basis(exponents))

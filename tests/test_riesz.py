@@ -18,7 +18,7 @@ from spectrace import (
     weyl_remainder,
 )
 from spectrace import riesz
-from spectrace.riesz import riesz_mean_grid
+from spectrace.riesz import riesz_mean_grid, riesz_mean_grids
 from spectrace.spectra import _keys_up_to
 
 PI = math.pi
@@ -185,6 +185,43 @@ class TestChunkedGrid:
             assert mv.value == riesz_mean(s, alpha, variable, x).value
             ref = math.fsum(m * ((x - k) / x) ** alpha for k, m in terms if k <= x)
             assert mv.value == pytest.approx(ref / fac, rel=64 * 2.0**-52, abs=0)
+
+
+class TestOrdersFromOneTable:
+    """riesz_mean_grids serves several orders from one moment table at the
+    top order and one tail base a point; each order's means are its
+    one-order means, bit for bit."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.one_of(finite_factors, st.builds(product_spectrum, st.one_of(point, lattices),
+                                               st.one_of(finite_factors, lattices))),
+           st.sampled_from(["lambda", "omega"]),
+           st.lists(st.integers(0, 3), min_size=1, max_size=4, unique=True),
+           st.integers(900, 6000), st.lists(st.floats(0.0, 1.0, exclude_min=True), max_size=6),
+           st.data())
+    def test_each_order_is_its_one_order_grid(self, s, variable, orders, n, fracs, data):
+        keys, _ = _keys_up_to(s, variable, 1.6e5 if variable == "lambda" else 400.0)
+        hi = float(keys[min(n, keys.size - 1)])
+        # points whose x^alpha passes 2^-900 for some orders (and 2^900 on a
+        # list that ends, with its limit at x = inf) take the scaled sum
+        points = [hi] + [u * hi for u in fracs] + [2.0**-901, 2.0**-400]
+        if s.dim == 1:
+            points += [math.inf, 2.0**901, 2.0**400]
+        points += keys[riesz._CHUNK - 1::riesz._CHUNK].tolist()
+        grid = data.draw(st.permutations([x for x in points if x > 0]))
+        for alpha, means in zip(orders, riesz_mean_grids(s, orders, variable, grid)):
+            want = riesz_mean_grid(s, alpha, variable, grid)
+            assert [(m.alpha, m.x) for m in means] == [(alpha, x) for x in grid]
+            assert [m.value.hex() for m in means] == [m.value.hex() for m in want]
+
+    def test_no_orders_or_no_points(self):
+        assert riesz_mean_grids(INTERVAL, (), "omega", [1.0]) == []
+        assert riesz_mean_grids(INTERVAL, (0, 2), "omega", []) == [[], []]
+
+    @pytest.mark.parametrize("alphas", [(1, -1), (0, 1.5)])
+    def test_every_order_is_checked(self, alphas):
+        with pytest.raises(ValueError, match="alpha must be a nonnegative integer"):
+            riesz_mean_grids(INTERVAL, alphas, "omega", [1.0])
 
 
 class TestAlphaZero:

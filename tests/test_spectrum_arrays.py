@@ -3,9 +3,9 @@
 Each reference is the per-term loop the arrays replace: product spectra
 against a brute-force double loop with exact-equality coalescing, the cached
 prefix against a fresh enumeration.  Equality is exact (bit for bit): the
-array code performs the same float operations in the same order.  _term_sum
-sums by np.sum instead, so it is held to a fixed accuracy bound against a
-per-term math.fsum.
+array code performs the same float operations in the same order.  The
+traces' sum step (_term_sums) sums by np.add.reduce instead, so it is held
+to a fixed accuracy bound against a per-term math.fsum.
 """
 
 import contextlib
@@ -21,7 +21,7 @@ from spectrace import spectra
 from spectrace.fitkit import geometric_grid
 from spectrace.riesz import riesz_mean_grid
 from spectrace.spectra import _coalesce, _key_counts, _keys_up_to, _row_counts, _run_lengths
-from spectrace.traces import _exp_safe, _term_sum, trace_grid
+from spectrace.traces import _exp_safe, _term_sums, trace_grid
 
 PI = math.pi
 
@@ -532,9 +532,17 @@ term_lists = st.lists(
 ).map(sorted)
 
 
+def _term_sum(kind, t, omegas, mults):
+    """One kernel's sum over all the terms, through the traces' sum step."""
+    m = mults.astype(float)
+    weights = {kind: -(m * omegas) if kind == "dcylinder" else m}
+    return _term_sums(t, (kind,), [omegas.size], omegas, weights, np.empty((1, omegas.size)))[0]
+
+
 class TestTermSumBitIdentical:
-    """_term_sum against the per-term math.fsum reference, within the fixed
-    bound above; only sums with no term before the cut must be exactly 0.0."""
+    """The traces' sum step against the per-term math.fsum reference, within
+    the fixed bound above; only sums with no term before the cut must be
+    exactly 0.0."""
 
     @settings(max_examples=200, deadline=None)
     @given(st.sampled_from(["heat", "cylinder", "dcylinder"]), term_lists,

@@ -19,6 +19,7 @@ from spectrace import (
     trace_grid,
 )
 from spectrace import spectra
+from spectrace.traces import trace_grids
 from spectrace.spectra import Spectrum
 from spectrace.traces import _X_STEP, _cutoff, _tail_bound, _upper_gamma_half
 
@@ -358,3 +359,50 @@ class TestSolvedCutoff:
                 # a product also enumerates its factors; count its own calls
                 assert sum(1 for s in calls if s is spectrum) == 1
                 assert sample.tail_bound <= tol
+
+
+POINT_TRACES = {"heat": heat_trace, "cylinder": cylinder_trace,
+                "dcylinder": cylinder_trace_derivative}
+# data that end at omega = 60 under a Weyl envelope: small t cannot certify
+ENDING = finite_spectrum(1, [(float(n), 1 + n % 3) for n in range(1, 61)], envelope=(0.0, 2.0))
+
+
+class TestKernelTuples:
+    """trace_grids certifies every point of every kernel first and then sums
+    them from shared exponentials; each sample is the point trace's."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.sampled_from([INTERVAL, NEUMANN, TORUS, product_spectrum(NEUMANN, TORUS), ENDING]),
+           st.lists(st.sampled_from(sorted(POINT_TRACES)), min_size=1, max_size=3, unique=True),
+           st.lists(st.floats(min_value=1e-3, max_value=10.0), min_size=1, max_size=6),
+           st.floats(min_value=-14.0, max_value=-2.0), st.integers(0, 4))
+    def test_equals_the_point_traces(self, spectrum, kinds, ts, log_tol, bad):
+        tol = 10.0 ** log_tol
+        if bad == 0:
+            ts = ts + [0.0]  # a time no trace takes: ValueError
+
+        def point(kind, t):
+            try:
+                return POINT_TRACES[kind](spectrum, t, tol)
+            except (ValueError, ToleranceError) as exc:
+                return type(exc), str(exc)
+
+        want = [[point(kind, t) for t in ts] for kind in kinds]
+        errors = [w for row in want for w in row if isinstance(w, tuple)]
+        if errors:
+            # the first point, kernel by kernel in grid order, that cannot certify
+            with pytest.raises(errors[0][0]) as err:
+                trace_grids(spectrum, kinds, ts, tol)
+            assert str(err.value) == errors[0][1]
+            return
+        got = trace_grids(spectrum, kinds, ts, tol)
+        assert [[(g.t, g.value.hex(), g.tail_bound, g.terms_used) for g in row] for row in got] \
+            == [[(w.t, w.value.hex(), w.tail_bound, w.terms_used) for w in row] for row in want]
+
+    def test_no_kernels_or_no_times(self):
+        assert trace_grids(INTERVAL, (), [0.1]) == []
+        assert trace_grids(INTERVAL, ("heat", "dcylinder"), []) == [[], []]
+
+    def test_unknown_kernel_is_refused_before_any_point(self):
+        with pytest.raises(ValueError, match="kernel must be one of"):
+            trace_grids(INTERVAL, ("cylinder", "wave"), [-1.0])

@@ -13,7 +13,7 @@ from spectrace import (
     product_spectrum,
     torus_spectrum,
 )
-from spectrace import spectra, verify
+from spectrace import riesz, spectra, verify
 from spectrace.verify import run_verification
 
 SRC = str(Path(__file__).resolve().parent.parent / "src")
@@ -71,19 +71,19 @@ def test_verify_reads_the_energy_from_the_spectrum_not_its_label():
 
 
 def riesz_grids(monkeypatch, spectrum):
-    """The grids run_verification hands extract_riesz_coeffs, by variable."""
+    """The grids run_verification hands extract_riesz_fits, by variable."""
     grids = {}
-    real = verify.extract_riesz_coeffs
+    real = riesz.extract_riesz_fits
 
-    def capture(s, alpha, variable, grid):
-        grids.setdefault(variable, []).append(list(grid))
-        return real(s, alpha, variable, grid=grid)
+    def capture(s, alphas, variable, grid):
+        assert variable not in grids  # one call serves every order
+        assert list(alphas) == [0, 1, 2]
+        grids[variable] = list(grid)
+        return real(s, alphas, variable, grid)
 
-    monkeypatch.setattr(verify, "extract_riesz_coeffs", capture)
+    monkeypatch.setattr(verify, "extract_riesz_fits", capture)
     rows = run_verification(spectrum)
-    # every order of a variable is fitted on the same grid
-    assert all(g == grids[v][0] for v in grids for g in grids[v])
-    return rows, {v: g[0] for v, g in grids.items()}
+    return rows, grids
 
 
 def dirichlet_square(side):
@@ -152,3 +152,43 @@ class TestRieszWindows:
                             envelope=(1.0, 1e-300))
         _rows, grids = riesz_grids(monkeypatch, s)
         assert grids["lambda"][-1] == 1e6 * math.pi * math.pi
+
+
+def nd_rectangle():
+    return product_spectrum(interval_spectrum(1.1, "neumann"), interval_spectrum(1.65, "dirichlet"))
+
+
+def unit_cube():
+    iv = interval_spectrum(1.0, "dirichlet")
+    return product_spectrum(product_spectrum(iv, iv), iv)
+
+
+# the verify-2d shapes, then 1-D spectra and the unit cube
+@pytest.mark.parametrize("make", [
+    lambda: dirichlet_square(1.7),
+    nd_rectangle,
+    lambda: product_spectrum(interval_spectrum(1.1, "dirichlet"), torus_spectrum(1.65)),
+    lambda: interval_spectrum(1.0, "dirichlet"),
+    lambda: interval_spectrum(1e-3, "dirichlet"),
+    lambda: torus_spectrum(1.5),
+    unit_cube,
+], ids=["square", "neumann-dirichlet", "dirichlet-torus", "interval", "short-interval",
+        "torus", "cube"])
+def test_one_enumeration_after_the_probe(monkeypatch, make):
+    # the traces and both Riesz grids read the one enumeration made up front
+    s = make()
+    calls = []
+    probe = verify._first_positive_omega
+
+    def counted_probe(spectrum):
+        w1 = probe(spectrum)
+        calls.clear()
+        return w1
+
+    monkeypatch.setattr(verify, "_first_positive_omega", counted_probe)
+    enumerate_ = s._enumerate
+    object.__setattr__(s, "_enumerate", lambda omega_max: calls.append(omega_max)
+                       or enumerate_(omega_max))
+    rows = run_verification(s)
+    assert len(calls) == 1, calls
+    assert len(rows) >= 15
