@@ -10,6 +10,7 @@ jackknife-stability diagnostics.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -164,36 +165,33 @@ def dcylinder_basis(dim: int, orders: int) -> AsymptoticBasis:
 
 def _unpack_samples(samples) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     records = list(samples)
-    if set(map(len, records)) <= {2}:
-        # plain (x, y) records as arrays, with the loop's default weights
-        x, y = np.array(records, dtype=float).reshape(-1, 2).T
-        with np.errstate(over="ignore", divide="ignore"):
-            w = np.where(y == 0, 1.0, 1.0 / (y * y))
-        if np.all((x > 0) & (w < math.inf)):
-            order = np.argsort(x, kind="stable")
-            return x[order], y[order], w[order]
-    # records with weights, and the error of the first bad record
-    xs, ys, ws = [], [], []
-    for rec in records:
-        if len(rec) == 2:
-            x, y = rec
-            w = None
-        else:
-            x, y, w = rec
-        if not (x > 0):
-            raise ValueError(f"sample abscissae must be positive, got {x}")
-        if w is None:
-            # relative-error weighting: trace values span orders of magnitude;
-            # a nonzero y whose square underflows has no finite weight
-            w = 1.0 if y == 0 else 1.0 / (y * y) if y * y else math.inf
-        if not (0 <= w < math.inf):
-            raise ValueError(f"sample ({x}, {y}) has weight {w}; "
-                             "weights must be finite and non-negative")
-        xs.append(float(x))
-        ys.append(float(y))
-        ws.append(float(w))
-    order = np.argsort(np.array(xs), kind="stable")
-    return np.array(xs)[order], np.array(ys)[order], np.array(ws)[order]
+    size = np.fromiter(map(len, records), dtype=np.intp, count=len(records))
+    if np.any((size < 2) | (size > 3)):
+        raise ValueError("a sample is an (x, y) or (x, y, weight) record")
+    # every field in one flat array, record i's from start[i], then the None
+    # that stands for the weight of an (x, y) record
+    fields = np.fromiter(itertools.chain(*records, (None,)), dtype=object,
+                         count=int(size.sum()) + 1)
+    start = np.cumsum(size) - size
+    x = fields[start].astype(float)
+    y = fields[start + 1].astype(float)
+    given = fields[np.where(size == 3, start + 2, -1)]
+    weighted = np.not_equal(given, None)
+    # relative-error weighting: trace values span orders of magnitude; a
+    # nonzero y whose square underflows has no finite weight
+    with np.errstate(over="ignore", divide="ignore"):
+        w = np.where(y == 0, 1.0, 1.0 / (y * y))
+    w[weighted] = given[weighted].astype(float)
+    bad = ~((x > 0) & (w >= 0) & (w < math.inf))
+    if bad.any():
+        i = int(np.argmax(bad))
+        if not x[i] > 0:
+            raise ValueError(f"sample abscissae must be positive, got {records[i][0]}")
+        raise ValueError(f"sample ({records[i][0]}, {records[i][1]}) has weight "
+                         f"{given[i] if weighted[i] else w[i].item()}; "
+                         "weights must be finite and non-negative")
+    order = np.argsort(x, kind="stable")
+    return x[order], y[order], w[order]
 
 
 def _design_matrix(x: np.ndarray, basis: AsymptoticBasis, t0: float) -> np.ndarray:

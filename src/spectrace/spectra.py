@@ -146,39 +146,30 @@ def _readonly(omegas: np.ndarray, mults: np.ndarray) -> Arrays:
     return omegas, mults
 
 
-def _keys_up_to(s: Spectrum, variable: str, x: float) -> Arrays:
-    """(keys, mults) of all terms with key <= x, ascending, where the key is
-    lambda = omega^2 for variable "lambda" and omega for variable "omega".
-
-    Enumerates slightly past x so a term whose key rounds onto x is kept; the
-    one place that slack lives, so every query sees the same cached extent.
-    """
-    if variable == "omega":
-        keys, mults = s.arrays(x * (1 + 1e-12) + 1e-12)
-    else:
-        omegas, mults = s.arrays(math.sqrt(x) * (1 + 1e-12) + 1e-12)
-        keys = omegas * omegas
-    k = int(np.searchsorted(keys, x, side="right"))
-    return keys[:k], mults[:k]
+def _key_extent(variable: str, x: float) -> float:
+    """The omega to which a query for keys <= x enumerates: slightly past x
+    (sqrt(x) for "lambda") so a term whose key rounds onto x is kept; the one
+    place that slack lives, so every query sees the same cached extent."""
+    w = x if variable == "omega" else math.sqrt(x)
+    return w * (1 + 1e-12) + 1e-12
 
 
 def _key_counts(s: Spectrum, variable: str,
                 xs: Sequence[float]) -> tuple[np.ndarray, np.ndarray, list[int]]:
-    """(values, mults, counts): the terms of _keys_up_to(s, variable, max(xs))
-    and, for each x in xs, the number of them with key <= x.
-
-    For "omega" values are the keys.  For "lambda" they are the frequencies
-    omega, whose keys omega * omega are not formed: a count starts from
+    """(values, mults, counts): the frequencies omega and multiplicities of
+    the terms with key <= max(xs), ascending, and for each x in xs the number
+    of them with key <= x; the key is omega for "omega" and lambda = omega^2
+    for "lambda".  The lambda keys are not formed: a count starts from
     searchsorted on sqrt(x) and is corrected exactly, as _row_counts corrects
     its pair sums (the rounded square is nondecreasing in omega, so the keys
-    <= x form a prefix).  The enumeration extent is _keys_up_to's."""
+    <= x form a prefix).  The enumeration extent is _key_extent's."""
+    omegas, mults = s.arrays(_key_extent(variable, max(xs)))
     if variable == "omega":
-        keys, mults = _keys_up_to(s, "omega", max(xs))
-        return keys, mults, np.searchsorted(keys, xs, side="right").tolist()
-    omegas, mults = s.arrays(math.sqrt(max(xs)) * (1 + 1e-12) + 1e-12)
-    xs = np.asarray(xs, dtype=np.float64)
-    counts = _prefix_counts(np.searchsorted(omegas, np.sqrt(xs), side="right"), omegas.size,
-                            lambda i, j: omegas[j] * omegas[j] <= xs[i]).tolist()
+        counts = np.searchsorted(omegas, xs, side="right").tolist()
+    else:
+        xs = np.asarray(xs, dtype=np.float64)
+        counts = _prefix_counts(np.searchsorted(omegas, np.sqrt(xs), side="right"), omegas.size,
+                                lambda i, j: omegas[j] * omegas[j] <= xs[i]).tolist()
     k = max(counts)
     return omegas[:k], mults[:k], counts
 
@@ -188,7 +179,8 @@ def counting(s: Spectrum, x: float) -> int:
 
     A right-continuous nondecreasing step function; N(x) = 0 below the
     smallest eigenvalue and for negative or NaN x.  Raises ToleranceError
-    past the term budget (Spectrum.arrays), whether or not the spectrum ends.
+    past the term budget (Spectrum.arrays), whether or not the spectrum ends,
+    and ValueError at x = inf on a spectrum that does not end.
     """
     if x < 0 or math.isnan(x):
         return 0

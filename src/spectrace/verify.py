@@ -8,6 +8,7 @@ returns one VerifyRow per relation it checks, ending in the vacuum energy
 
 from __future__ import annotations
 
+import contextlib
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -93,11 +94,19 @@ def fit_trace(spectrum: Spectrum, kernel: str, ts: Sequence[float], tol: float,
 
 
 def _first_positive_omega(s: Spectrum) -> float:
-    for k in range(60):
-        omegas, _mults = s.arrays(4.0**k)
+    # from where the envelope counts one term past C1 (the list's end when C2 = 0
+    # or C2^(-1/d) overflows), 4x a step: a few terms at any length scale
+    _c1, c2 = s.envelope
+    w = s.truncated_at or 0.0
+    if c2 > 0:
+        with contextlib.suppress(OverflowError):
+            w = c2 ** (-1.0 / s.dim)
+    for _ in range(60):
+        omegas, _mults = s.arrays(w)
         positive = omegas[omegas > 0]
         if positive.size:
             return float(positive[0])
+        w *= 4.0
     raise ValueError("could not find a positive eigenfrequency")
 
 
@@ -166,18 +175,15 @@ def run_verification(spectrum: Spectrum) -> list[VerifyRow]:
         lam_hi, om_hi = min(lam_hi, end * end), min(om_hi, end)
 
     # one enumeration up front, to the widest extent a stage reads (the
-    # traces' cutoffs crediting no term, the Riesz tops with _keys_up_to's
-    # slack), skipped past the term budget so the stage that needs it raises
+    # traces' cutoffs crediting no term, the Riesz tops); past the term budget
+    # Spectrum.arrays refuses it, and the stage that needs the terms raises
     end_w = math.inf if end is None else end
     extent = max(*(min(_cutoff(kind, ts[0], _TOL, c1, c2, d), end_w) for kind, ts in
                    (("heat", heat_ts), ("cylinder", cyl_ts), ("dcylinder", cyl_ts))),
-                 math.sqrt(lam_hi) * (1 + 1e-12) + 1e-12, om_hi * (1 + 1e-12) + 1e-12)
-    try:
-        within_budget = c1 + c2 * extent**d <= spectra.DEFAULT_MAX_TERMS
-    except OverflowError:  # extent^d past the float range
-        within_budget = False
-    if within_budget:
-        spectrum.arrays(extent)
+                 spectra._key_extent("lambda", lam_hi), spectra._key_extent("omega", om_hi))
+    if math.isfinite(extent):
+        with contextlib.suppress(spectra.ToleranceError):
+            spectrum.arrays(extent)
 
     heat_fit = fit_trace(spectrum, "heat", heat_ts, _TOL, _ORDERS)
     # one trace_grids call for the cylinder trace and its derivative; the index-term

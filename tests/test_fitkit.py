@@ -363,31 +363,38 @@ class TestSampleWeights:
 
 
 def unpack_records(samples):
-    """The per-record reference for _unpack_samples: each (x, y) checked and
-    weighted 1/y^2 (1 where y = 0, inf where y*y underflows) one at a time."""
+    """The per-record reference for _unpack_samples: each (x, y) or (x, y, w)
+    checked and weighted (w None or omitted: 1/y^2, 1 where y = 0, inf where
+    y*y underflows) one at a time."""
     xs, ys, ws = [], [], []
-    for x, y in samples:
+    for x, y, *given in samples:
+        w = given[0] if given else None
         if not (x > 0):
             raise ValueError(f"sample abscissae must be positive, got {x}")
-        w = 1.0 if y == 0 else 1.0 / (y * y) if y * y else math.inf
+        if w is None:
+            w = 1.0 if y == 0 else 1.0 / (y * y) if y * y else math.inf
         if not (0 <= w < math.inf):
             raise ValueError(f"sample ({x}, {y}) has weight {w}; "
                              "weights must be finite and non-negative")
         xs.append(x)
         ys.append(y)
-        ws.append(w)
+        ws.append(float(w))
     order = np.argsort(np.array(xs), kind="stable")
     return np.array(xs)[order], np.array(ys)[order], np.array(ws)[order]
 
 
 class TestPlainSamplesAsArrays:
-    """Plain (x, y) samples go through array checks, with the per-record
-    loop's weights, order and first error."""
+    """(x, y) and (x, y, w) samples go through array checks, with the
+    per-record loop's weights, order and first error."""
 
     @settings(max_examples=300, deadline=None)
     @given(st.lists(st.tuples(
         st.one_of(st.floats(1e-300, 1e300), st.sampled_from([0.0, -1.0, math.nan, 2.0])),
-        st.one_of(st.floats(allow_nan=True), st.sampled_from([0.0, 1e-170, 1e-160, 1e200]))),
+        st.one_of(st.floats(allow_nan=True), st.sampled_from([0.0, 1e-170, 1e-160, 1e200])))
+        .flatmap(lambda xy: st.one_of(st.just(xy), st.tuples(
+            st.just(xy[0]), st.just(xy[1]),
+            st.one_of(st.sampled_from([None, -1, math.inf, math.nan, 0.0]),
+                      st.floats(0.0, 1e300))))),
         max_size=12))
     def test_matches_the_per_record_loop(self, samples):
         try:
@@ -400,6 +407,11 @@ class TestPlainSamplesAsArrays:
         got = fitkit._unpack_samples(iter(samples))
         for g, w in zip(got, want):
             assert g.tobytes() == w.tobytes()
+
+    @pytest.mark.parametrize("record", [(1.0,), (1.0, 2.0, 3.0, 4.0)])
+    def test_a_record_of_another_length_raises(self, record):
+        with pytest.raises(ValueError, match=re.escape("(x, y) or (x, y, weight) record")):
+            fitkit._unpack_samples([(2.0, 1.0), record])
 
 
 def raw_by_term(basis, c_norm, t0):

@@ -3,6 +3,7 @@ import warnings
 from fractions import Fraction
 from unittest import mock
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -19,10 +20,19 @@ from spectrace import (
 )
 from spectrace import riesz
 from spectrace.riesz import riesz_mean_grid, riesz_mean_grids
-from spectrace.spectra import _keys_up_to
 
 PI = math.pi
 INTERVAL = interval_spectrum(PI, "dirichlet")
+
+
+def keys_up_to(s, variable, x):
+    """(keys, mults) of the terms with key <= x, the key omega^2 for "lambda"
+    and omega for "omega": the reference for spectra._key_counts, built by
+    squaring an enumerated prefix and searchsorted on the keys."""
+    omegas, mults = s.arrays((math.sqrt(x) if variable == "lambda" else x) * 1.01 + 1.0)
+    keys = omegas * omegas if variable == "lambda" else omegas
+    k = int(np.searchsorted(keys, x, side="right"))
+    return keys[:k], mults[:k]
 
 
 class TestRieszMean:
@@ -91,7 +101,7 @@ class TestRieszMean:
         # about 6,700 terms, so it spans several chunks of the moment tables
         s = product_spectrum(interval_spectrum(1.1, "dirichlet"), torus_spectrum(1.7))
         hi *= 9.0 if variable == "lambda" else 3.0
-        keys, mults = _keys_up_to(s, variable, hi)
+        keys, mults = keys_up_to(s, variable, hi)
         b = riesz._CHUNK
         assert keys.size >= 3 * b
         # unsorted, with a repeat, points below the first key, points that
@@ -173,9 +183,9 @@ class TestChunkedGrid:
         # grid reaches up to the n-th key and its points include eigenvalues
         # and the last key of every chunk
         s = product_spectrum(a, b)
-        keys, mults = _keys_up_to(s, variable, 1.6e5 if variable == "lambda" else 400.0)
+        keys, mults = keys_up_to(s, variable, 1.6e5 if variable == "lambda" else 400.0)
         hi = float(keys[min(n, keys.size - 1)])
-        keys, mults = _keys_up_to(s, variable, hi)
+        keys, mults = keys_up_to(s, variable, hi)
         points = [hi] + [u * hi for u in fracs] + [keys[p % keys.size] for p in picks]
         points += keys[riesz._CHUNK - 1::riesz._CHUNK].tolist()
         grid = data.draw(st.permutations([x for x in points if x > 0]))
@@ -200,7 +210,7 @@ class TestOrdersFromOneTable:
            st.integers(900, 6000), st.lists(st.floats(0.0, 1.0, exclude_min=True), max_size=6),
            st.data())
     def test_each_order_is_its_one_order_grid(self, s, variable, orders, n, fracs, data):
-        keys, _ = _keys_up_to(s, variable, 1.6e5 if variable == "lambda" else 400.0)
+        keys, _ = keys_up_to(s, variable, 1.6e5 if variable == "lambda" else 400.0)
         hi = float(keys[min(n, keys.size - 1)])
         # points whose x^alpha passes 2^-900 for some orders (and 2^900 on a
         # list that ends, with its limit at x = inf) take the scaled sum
@@ -240,7 +250,7 @@ class TestAlphaZero:
     @pytest.mark.parametrize("kind", range(len(SPECTRA)))
     def test_values_are_exact_counts(self, kind, variable):
         s = self.SPECTRA[kind]()
-        keys, _ = _keys_up_to(s, variable, 9e4 if variable == "lambda" else 300.0)
+        keys, _ = keys_up_to(s, variable, 9e4 if variable == "lambda" else 300.0)
         b = riesz._CHUNK
         # points on eigenvalues in the first and last chunks and at chunk
         # edges, between keys, and below the first positive key

@@ -20,10 +20,20 @@ from spectrace import counting, finite_spectrum, interval_spectrum, product_spec
 from spectrace import spectra
 from spectrace.fitkit import geometric_grid
 from spectrace.riesz import riesz_mean_grid
-from spectrace.spectra import _coalesce, _key_counts, _keys_up_to, _row_counts, _run_lengths
+from spectrace.spectra import _coalesce, _key_counts, _row_counts, _run_lengths
 from spectrace.traces import _exp_safe, _term_sums, trace_grid
 
 PI = math.pi
+
+
+def keys_up_to(s, variable, x):
+    """(keys, mults) of the terms with key <= x, the key omega^2 for "lambda"
+    and omega for "omega": the reference for spectra._key_counts, built by
+    squaring an enumerated prefix and searchsorted on the keys."""
+    omegas, mults = s.arrays((math.sqrt(x) if variable == "lambda" else x) * 1.01 + 1.0)
+    keys = omegas * omegas if variable == "lambda" else omegas
+    k = int(np.searchsorted(keys, x, side="right"))
+    return keys[:k], mults[:k]
 
 sizes = st.floats(min_value=0.3, max_value=4.0, allow_nan=False, allow_infinity=False)
 factor_kinds = st.sampled_from(["dirichlet", "neumann", "torus"])
@@ -447,7 +457,7 @@ class TestKeyCounts:
         values, mults, counts = _key_counts(s, "lambda", xs)
         omegas = s.arrays(math.sqrt(max(xs)) * 1.01 + 1.0)[0]
         assert counts == np.searchsorted(omegas * omegas, xs, side="right").tolist()
-        keys, want_mults = _keys_up_to(s, "lambda", max(xs))
+        keys, want_mults = keys_up_to(s, "lambda", max(xs))
         assert (values * values).tolist() == keys.tolist()
         assert mults.tolist() == want_mults.tolist()
 
@@ -479,7 +489,7 @@ class TestCountingSum:
         if s.truncated_at is not None:
             xs.append(math.inf)
         for x in xs:
-            assert counting(s, x) == sum(_keys_up_to(s, "lambda", x)[1].tolist()), x
+            assert counting(s, x) == sum(keys_up_to(s, "lambda", x)[1].tolist()), x
 
     @settings(max_examples=200, deadline=None)
     @given(st.lists(st.tuples(st.floats(min_value=0.0, max_value=1e6),

@@ -163,20 +163,43 @@ def unit_cube():
     return product_spectrum(product_spectrum(iv, iv), iv)
 
 
+@pytest.mark.parametrize("size", [10.0**k for k in range(-40, 41, 5)])
+@pytest.mark.parametrize("dim", [1, 2])
+def test_probe_finds_w1_at_any_length_scale(size, dim):
+    # the probe starts at the envelope's one-term frequency, not at omega = 1,
+    # so neither a long side (4e8 rows up to omega = 1) nor a short one (no
+    # term below omega = 4^59) stops it
+    s = interval_spectrum(size, "dirichlet") if dim == 1 else dirichlet_square(size)
+    w1 = verify._first_positive_omega(s)
+    omegas, _ = s.arrays(2.0 * math.pi * math.sqrt(dim) / size)
+    assert w1 == omegas[omegas > 0][0]
+    assert w1 == pytest.approx(math.pi * math.sqrt(dim) / size, rel=1e-14)
+
+
+@pytest.mark.parametrize("envelope", [None, (2.0, 5e-324)], ids=["c2-zero", "c2-overflows"])
+def test_probe_starts_at_the_list_end_without_a_usable_c2(envelope):
+    # C2 = 0 (the default envelope of a finite list) or a C2^(-1/d) past the
+    # float range: the probe starts at the list's end, past omega = 4^59
+    s = finite_spectrum(1, [(0.0, 1), (2.5e40, 1), (7e40, 2)], envelope=envelope)
+    assert verify._first_positive_omega(s) == 2.5e40
+
+
 # the verify-2d shapes, then 1-D spectra and the unit cube
-@pytest.mark.parametrize("make", [
-    lambda: dirichlet_square(1.7),
-    nd_rectangle,
-    lambda: product_spectrum(interval_spectrum(1.1, "dirichlet"), torus_spectrum(1.65)),
-    lambda: interval_spectrum(1.0, "dirichlet"),
-    lambda: interval_spectrum(1e-3, "dirichlet"),
-    lambda: torus_spectrum(1.5),
-    unit_cube,
-], ids=["square", "neumann-dirichlet", "dirichlet-torus", "interval", "short-interval",
-        "torus", "cube"])
-def test_one_enumeration_after_the_probe(monkeypatch, make):
-    # the traces and both Riesz grids read the one enumeration made up front
-    s = make()
+SHAPES = {
+    "square": lambda: dirichlet_square(1.7),
+    "neumann-dirichlet": nd_rectangle,
+    "dirichlet-torus": lambda: product_spectrum(interval_spectrum(1.1, "dirichlet"),
+                                                torus_spectrum(1.65)),
+    "interval": lambda: interval_spectrum(1.0, "dirichlet"),
+    "short-interval": lambda: interval_spectrum(1e-3, "dirichlet"),
+    "torus": lambda: torus_spectrum(1.5),
+    "cube": unit_cube,
+}
+
+
+def counted_enumerations(monkeypatch, s):
+    """The list to which s's enumerations after verify's w1 probe append
+    their extents."""
     calls = []
     probe = verify._first_positive_omega
 
@@ -189,6 +212,34 @@ def test_one_enumeration_after_the_probe(monkeypatch, make):
     enumerate_ = s._enumerate
     object.__setattr__(s, "_enumerate", lambda omega_max: calls.append(omega_max)
                        or enumerate_(omega_max))
+    return calls
+
+
+# at the lower budgets the lambda grid tops out where the envelope counts the
+# cap, and the warm-up still reads every stage's terms; the cube is over them
+@pytest.mark.parametrize("budget, shape", [
+    pytest.param(budget, shape, id=shape if budget == 10_000_000
+                 else f"{shape}-{budget}")
+    for budget in (10_000_000, 400_000, 100_000) for shape in SHAPES
+    if budget == 10_000_000 or shape != "cube"])
+def test_one_enumeration_after_the_probe(monkeypatch, budget, shape):
+    # the traces and both Riesz grids read the one enumeration made up front
+    monkeypatch.setattr(spectra, "DEFAULT_MAX_TERMS", budget)
+    s = SHAPES[shape]()
+    calls = counted_enumerations(monkeypatch, s)
     rows = run_verification(s)
     assert len(calls) == 1, calls
     assert len(rows) >= 15
+
+
+def test_warm_up_past_the_budget_leaves_the_error_to_the_stage(monkeypatch):
+    # the cube's warm-up extent is over a budget of 400,000: Spectrum.arrays
+    # refuses it, the warm-up lets that pass, and the first stage that needs
+    # the terms enumerates again and raises
+    monkeypatch.setattr(spectra, "DEFAULT_MAX_TERMS", 400_000)
+    s = unit_cube()
+    calls = counted_enumerations(monkeypatch, s)
+    with pytest.raises(spectra.ToleranceError, match="term budget exhausted") as err:
+        run_verification(s)
+    assert len(calls) > 1, calls
+    assert f"omega = {calls[-1]!r}" in str(err.value)
