@@ -37,11 +37,9 @@ Arrays = tuple[np.ndarray, np.ndarray]
 _MAX_MULT = int(np.iinfo(np.int64).max)
 # the largest finite float64, beyond which an eigenvalue omega^2 overflows
 _MAX_FLOAT = float(np.finfo(np.float64).max)
-# the share of a product's pairs that may be odd (weigh other than the
-# commonest weight) before it sorts pair indices instead of pair values
-_ODD_SHARE_MAX = 0.15
-# pair eigenvalues compared (or run starts converted) per step when a
-# product coalesces its pairs in place, so no work array is pair-sized
+# pair eigenvalues compared (run starts converted, distinct eigenvalues
+# given their odd pairs' excess) per step of a product's enumeration, so no
+# work array is pair-sized
 _RUN_BLOCK = 1 << 16
 # the term budget: the most rows (lattice terms, product pairs) one enumeration allocates
 DEFAULT_MAX_TERMS = 10_000_000
@@ -149,9 +147,17 @@ def _readonly(omegas: np.ndarray, mults: np.ndarray) -> Arrays:
 def _key_extent(variable: str, x: float) -> float:
     """The omega to which a query for keys <= x enumerates: slightly past x
     (sqrt(x) for "lambda") so a term whose key rounds onto x is kept; the one
-    place that slack lives, so every query sees the same cached extent."""
+    place that slack lives, so every query sees the same cached extent.
+
+    The slack is relative but for the float's underflow scale, so it does
+    not depend on the length scale.  A lambda key fl(omega * omega) <= x
+    has omega * omega <= x (1 + 2^-52) where the square is normal, and
+    omega * omega <= x + 2^-1075 (half the least subnormal) where it is
+    not; either way omega <= sqrt(x) (1 + 2^-52) + 2^-537.  The relative
+    1e-12 covers the first part and the rounding of sqrt(x) and of this
+    sum; the absolute 2^-510 the second."""
     w = x if variable == "omega" else math.sqrt(x)
-    return w * (1 + 1e-12) + 1e-12
+    return w * (1 + 1e-12) + 2.0**-510
 
 
 def _key_counts(s: Spectrum, variable: str,
@@ -300,13 +306,13 @@ def _ranges(lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
     return np.arange(int(n.sum())) - np.repeat(np.cumsum(n) - n - lo, n)
 
 
-def _fill_lines(op: np.ufunc, x: np.ndarray, y: np.ndarray, first: np.ndarray,
-                counts: np.ndarray, out: np.ndarray) -> None:
-    """out = op(x[i], y[j]) over the pairs (i, first[i] <= j < counts[i]),
-    line i after line i - 1, one ufunc call a line."""
+def _fill_lines(x: np.ndarray, y: np.ndarray, first: np.ndarray, counts: np.ndarray,
+                out: np.ndarray) -> None:
+    """out = x[i] + y[j] over the pairs (i, first[i] <= j < counts[i]), line
+    i after line i - 1, one ufunc call a line."""
     end = 0
     for i, (f, c) in enumerate(zip(first.tolist(), counts.tolist())):
-        op(x[i], y[f:c], out=out[end:end + c - f])
+        np.add(x[i], y[f:c], out=out[end:end + c - f])
         end += c - f
 
 
@@ -340,20 +346,15 @@ def _coalesce(lam: np.ndarray) -> np.ndarray:
     return starts
 
 
-def _run_lengths(starts: np.ndarray, total: int,
-                 weights: Optional[np.ndarray] = None) -> np.ndarray:
-    """The run lengths np.diff(starts, append=total) or, given int64 weights
-    of the total elements, the run sums np.add.reduceat(weights, starts),
-    formed in place in starts, _RUN_BLOCK at a time, and returned."""
+def _run_lengths(starts: np.ndarray, total: int) -> np.ndarray:
+    """The run lengths np.diff(starts, append=total), formed in place in
+    starts, _RUN_BLOCK at a time, and returned."""
     for lo in range(0, starts.size, _RUN_BLOCK):
         hi = min(lo + _RUN_BLOCK, starts.size)
         end = int(starts[hi]) if hi < starts.size else total
-        if weights is None:
-            last = end - int(starts[hi - 1])
-            starts[lo:hi - 1] = np.diff(starts[lo:hi])
-            starts[hi - 1] = last
-        else:
-            starts[lo:hi] = np.add.reduceat(weights[:end], starts[lo:hi])
+        last = end - int(starts[hi - 1])
+        starts[lo:hi - 1] = np.diff(starts[lo:hi])
+        starts[hi - 1] = last
     return starts
 
 
@@ -390,18 +391,22 @@ def product_spectrum(a: Spectrum, b: Spectrum) -> Spectrum:
     it allocates more than DEFAULT_MAX_TERMS pairs (a self-product's
     unordered), finite factors or not.
 
+    Multiplicities: most pairs weigh base, the product of each factor's
+    commonest multiplicity (twice that in a self-product, whose off-diagonal
+    pairs stand for two ordered pairs), so each multiplicity is base times
+    the run length of its eigenvalue among the sorted pair eigenvalues, plus
+    the excess w - base of its odd pairs (those of weight w != base).  The
+    excess is added one slab of _RUN_BLOCK distinct eigenvalues at a time.
+
     Memory: enumerating P pairs into D distinct eigenvalues holds the pair
     eigenvalues (8 bytes a pair, filled one factor term at a time, with no
     pair-index arrays) and the run starts (8 bytes per distinct eigenvalue),
     which become the multiplicities in place; the pair buffer is coalesced
     in place (_coalesce) and shrunk to D.  That is 8P + 8D bytes at the
-    peak.  A product of a spectrum with itself (equal factor terms)
-    enumerates each unordered pair once, which halves the pair buffer:
-    about 4P + 8D, 6.6 bytes an ordered pair on the Dirichlet square.
-    Products with many odd pairs (more than _ODD_SHARE_MAX of them weigh
-    other than the commonest weight) sort pair indices, which holds 24 bytes
-    a pair: the eigenvalues, sorted in place, their weights and the sort
-    order, into which the weights are gathered.
+    peak, plus slab-sized work.  A product of a spectrum with itself (equal
+    factor terms) enumerates each unordered pair once, which halves the
+    pair buffer: about 4P + 8D, 6.6 bytes an ordered pair on the Dirichlet
+    square.
     """
     if a.envelope is not None and b.envelope is not None:
         c1a, c2a = a.envelope
@@ -454,8 +459,7 @@ def product_spectrum(a: Spectrum, b: Spectrum) -> Spectrum:
                 counts = np.searchsorted(-counts, -np.arange(lines), side="left")
             first = np.zeros(lines, dtype=np.intp)
         counts = counts[:lines]
-        lengths = counts - first
-        pairs = int(lengths.sum())
+        pairs = int((counts - first).sum())
         _check_rows(pairs, omega_max)
         if not pairs:
             return np.empty(0), np.empty(0, dtype=np.int64)
@@ -466,70 +470,51 @@ def product_spectrum(a: Spectrum, b: Spectrum) -> Spectrum:
         # passes the int64 limit are the weights Python ints
         scale = 2 if mirrored else 1
         exact = scale * int(ma.max()) * int(mb.max()) * pairs > _MAX_MULT
-        # most pairs weigh base, scale times the product of each factor's
-        # commonest multiplicity, so an eigenvalue's multiplicity is base
-        # times its number of pairs plus the excess of its odd pairs
-        pa, pb = _commonest(ma), _commonest(mb)
-        base = scale * pa * pb
-        odd_a, odd_b = ma[:lines] != pa, mb != pb
-        # line i holds all its pairs odd if ma[i] is odd, else as many as odd
-        # b-terms in it; a mirrored product's diagonal pairs weigh ma[i]^2,
-        # never base, so those of the other lines are odd too.  Where many
-        # pairs are odd, the excess costs more than sorting indices and
-        # summing every pair's weight
-        odd_b_before = np.concatenate(([0], np.cumsum(odd_b)))
-        diagonal = np.flatnonzero(~odd_a) if mirrored else np.empty(0, dtype=np.intp)
-        n_odd = diagonal.size + int(np.where(odd_a, lengths,
-                                             odd_b_before[counts] - odd_b_before[first]).sum())
-        by_index = n_odd > _ODD_SHARE_MAX * pairs
-        if exact:
-            ma, mb = ma.astype(object), mb.astype(object)
         lam = np.empty(pairs)
         with np.errstate(over="ignore", invalid="ignore"):
-            _fill_lines(np.add, la, lb, first, counts, lam)
-            if not by_index:
-                rows, cols = _odd_pairs(first, counts, odd_a, odd_b, odd_b_before)
-                rows, cols = np.concatenate((rows, diagonal)), np.concatenate((cols, diagonal))
-                lam_odd = la[rows] + lb[cols]
-                excess = ma[rows] * mb[cols]
-                if mirrored:
-                    excess[rows != cols] *= 2
-                excess -= base
-                del rows, cols
-        if by_index:
-            # the weights in the order of lam, as Python ints where int64
-            # could overflow
-            w = np.empty(pairs, dtype=ma.dtype)
-            _fill_lines(np.multiply, scale * ma, mb, first, counts, w)
-            if mirrored:
-                # each line opens with its diagonal pair, which counts once
-                w[np.cumsum(lengths) - lengths] = ma[:lines] * mb[:lines]
-            order = np.argsort(lam)
-            lam.sort()
-            if exact:
-                w = w[order]
-            else:
-                # gathered into the sort order's own buffer, a block at a time
-                for lo in range(0, pairs, _RUN_BLOCK):
-                    block = order[lo:lo + _RUN_BLOCK]
-                    block[:] = w[block]
-                w = order
-            del order
-        else:
-            lam.sort()
+            _fill_lines(la, lb, first, counts, lam)
+        lam.sort()
         if not math.isfinite(lam[-1]):
             raise ValueError("a product eigenvalue (a factor's omega^2, or a pair sum of them) "
                              f"exceeds the float64 limit {_MAX_FLOAT!r}")
         starts = _coalesce(lam)
-        if by_index:
-            mult = np.add.reduceat(w, starts) if exact else _run_lengths(starts, pairs, w)
-        else:
-            # the run lengths, formed in starts, times base, plus the excess
-            mult = _run_lengths(starts, pairs)
-            if exact:
-                mult = mult.astype(object)
-            mult *= base
-            np.add.at(mult, np.searchsorted(lam, lam_odd), excess)
+        # most pairs weigh base, scale times the product of each factor's
+        # commonest multiplicity, so an eigenvalue's multiplicity is base
+        # times its run length, formed in starts, plus the excess w - base
+        # of its odd pairs
+        pa, pb = _commonest(ma), _commonest(mb)
+        base = scale * pa * pb
+        odd_a, odd_b = ma[:lines] != pa, mb != pb
+        mult = _run_lengths(starts, pairs)
+        if exact:
+            ma, mb, mult = ma.astype(object), mb.astype(object), mult.astype(object)
+        mult *= base
+        if mirrored:
+            # a diagonal pair counts once and weighs ma[i]^2, never base;
+            # those of the odd lines are among their odd pairs below
+            even = np.flatnonzero(~odd_a)
+            np.add.at(mult, np.searchsorted(lam, la[even] + lb[even]), ma[even] * mb[even] - base)
+        if odd_a.any() or odd_b.any():
+            # line i holds all its pairs odd if ma[i] is odd, else as many as
+            # odd b-terms in it.  Their excess is added one slab of distinct
+            # eigenvalues at a time: line i's pairs in the slab are
+            # done[i] <= j < upto[i], as the pair sums of a line ascend
+            odd_b_before = np.concatenate(([0], np.cumsum(odd_b)))
+            done = first
+            with np.errstate(over="ignore", invalid="ignore"):
+                for k in range(0, lam.size, _RUN_BLOCK):
+                    slab = lam[k:k + _RUN_BLOCK]
+                    upto = np.clip(_row_counts(la[:lines], lb, slab[-1]), done, counts)
+                    rows, cols = _odd_pairs(done, upto, odd_a, odd_b, odd_b_before)
+                    done = upto
+                    keys = la[rows] + lb[cols]
+                    excess = ma[rows] * mb[cols]
+                    if mirrored:
+                        excess[rows != cols] *= 2
+                    excess -= base
+                    order = np.argsort(keys)
+                    np.add.at(mult[k:k + _RUN_BLOCK], np.searchsorted(slab, keys[order]),
+                              excess[order])
         if exact:
             top = max(mult)
             if top > _MAX_MULT:

@@ -115,7 +115,9 @@ def run_verification(spectrum: Spectrum) -> list[VerifyRow]:
 
     Raises ValueError for a spectrum without envelope constants (its traces
     cannot be certified), for dimension 4 or more (the energy's order d+1
-    is past the fitted orders) and for a spectrum with no positive frequency;
+    is past the fitted orders), for a spectrum with no positive frequency
+    and for one whose first positive frequency puts a window past the float
+    range;
     ToleranceError when a trace cannot meet _TOL or an enumeration passes
     the term budget (Spectrum.arrays).
     """
@@ -131,6 +133,12 @@ def run_verification(spectrum: Spectrum) -> list[VerifyRow]:
             f"s = d+1 = {d + 1}, past the fitted orders 0..{_ORDERS}; verify covers "
             f"d <= {_ORDERS - 1}")
     w1 = _first_positive_omega(spectrum)
+    # every window is placed in units of w1, from heat times 0.1 / w1^2 to
+    # lambda = 1e6 w1^2; a w1 that sends one past the float range is refused
+    if not (0.1 / w1 / w1 < math.inf and 1e6 * w1 * w1 < math.inf):
+        raise ValueError(
+            f"verification refused: the first positive frequency w1 = {w1!r} puts verify's "
+            "windows (heat times up to 0.1/w1^2, lambda up to 1e6 w1^2) past the float range")
     rows: list[VerifyRow] = []
 
     # verify's window policy: no sample below the time at which the envelope
@@ -158,7 +166,7 @@ def run_verification(spectrum: Spectrum) -> list[VerifyRow]:
     if spectrum.truncated_at is not None and spectrum.truncated_at > 0:
         # a finite term list cannot certify below these times
         t_cyl_floor = max(t_cyl_floor, x0 / spectrum.truncated_at)
-        t_heat_floor = max(t_heat_floor, x0 / spectrum.truncated_at**2)
+        t_heat_floor = max(t_heat_floor, x0 / (spectrum.truncated_at * spectrum.truncated_at))
     cyl_lo = max(1e-3 / w1, t_cyl_floor)
     cyl_hi = max(0.1 / w1, 8.0 * cyl_lo)
     heat_lo = max(1e-4 / (w1 * w1), t_heat_floor)

@@ -105,8 +105,8 @@ def finite_factors(draw, heavy=False):
     """A finite factor built to stress the multiplicity rule: omegas on a
     grid whose squared sums collide (0 included, repeats allowed), and
     multiplicities mostly one bulk value, which need not be the smallest or
-    the only commonest one; or all equal; or drawn from 1-3, which sends
-    most products down the index sort."""
+    the only commonest one; or all equal; or drawn from 1-3, which makes
+    most pairs of a product odd."""
     pool = LIGHT_MULTS + (HEAVY_MULTS if heavy else [])
     scale = draw(st.sampled_from([1.0, 0.5, math.sqrt(2.0)]))
     steps = draw(st.lists(st.integers(0, 7), max_size=12))
@@ -162,15 +162,15 @@ def short_line_products(draw):
 
 
 @contextlib.contextmanager
-def product_paths(odd_share_max, run_block=spectra._RUN_BLOCK):
-    """Product enumeration with the odd-share switch and the block of the
-    in-place coalescing set as given."""
-    saved = spectra._ODD_SHARE_MAX, spectra._RUN_BLOCK
-    spectra._ODD_SHARE_MAX, spectra._RUN_BLOCK = odd_share_max, run_block
+def product_paths(run_block):
+    """Product enumeration with the block of the in-place coalescing and of
+    the excess slabs set as given."""
+    saved = spectra._RUN_BLOCK
+    spectra._RUN_BLOCK = run_block
     try:
         yield
     finally:
-        spectra._ODD_SHARE_MAX, spectra._RUN_BLOCK = saved
+        spectra._RUN_BLOCK = saved
 
 
 def assert_product_equals_brute_force(a, b, omega_max):
@@ -184,33 +184,26 @@ def assert_product_equals_brute_force(a, b, omega_max):
 
 
 class TestProductMatchesDoubleLoop:
-    # an odd-share limit below 0 sends every product down the index sort,
-    # one above 1 every product down the value sort with the excess step
-    @pytest.mark.parametrize("odd_share_max", [-1.0, 2.0], ids=["by_index", "by_value"])
     @settings(max_examples=300, deadline=None)
     @given(finite_products(),
            st.one_of(st.just(math.inf), st.floats(min_value=0.0, max_value=15.0)))
-    def test_finite_factors_equal_brute_force(self, odd_share_max, factors, omega_max):
+    def test_finite_factors_equal_brute_force(self, factors, omega_max):
         # the multiplicity of a product eigenvalue is base x (its number of
         # pairs) plus the excess of the pairs that do not weigh base; these
         # factors make both parts, their collisions and the exact path occur
         a, b = factors
-        with product_paths(odd_share_max):
-            assert_product_equals_brute_force(a, b, omega_max)
+        assert_product_equals_brute_force(a, b, omega_max)
 
-    @pytest.mark.parametrize("odd_share_max", [-1.0, 2.0], ids=["by_index", "by_value"])
     @settings(max_examples=150, deadline=None)
     @given(short_line_products())
-    def test_short_lines_equal_brute_force(self, odd_share_max, factors):
+    def test_short_lines_equal_brute_force(self, factors):
         # most lines hold a few pairs, each filled by its own call
         a, b, omega_max = factors
-        with product_paths(odd_share_max):
-            assert_product_equals_brute_force(a, b, omega_max)
+        assert_product_equals_brute_force(a, b, omega_max)
 
-    @pytest.mark.parametrize("odd_share_max", [-1.0, 2.0], ids=["by_index", "by_value"])
     @settings(max_examples=200, deadline=None)
     @given(finite_factors(heavy=True), st.data())
-    def test_self_product_cut_on_a_diagonal_eigenvalue(self, odd_share_max, a, data):
+    def test_self_product_cut_on_a_diagonal_eigenvalue(self, a, data):
         # the diagonal pair (i, i) counts once and opens line i; a cutoff on
         # its eigenvalue, or one ulp either side, keeps or drops whole lines
         terms = a.up_to(math.inf)
@@ -218,19 +211,16 @@ class TestProductMatchesDoubleLoop:
         omega_max = math.sqrt(w * w + w * w)
         omega_max = data.draw(st.sampled_from(
             [omega_max, math.nextafter(omega_max, 0.0), math.nextafter(omega_max, math.inf)]))
-        with product_paths(odd_share_max):
-            assert_product_equals_brute_force(a, twin(data.draw, a), omega_max)
+        assert_product_equals_brute_force(a, twin(data.draw, a), omega_max)
 
-    @pytest.mark.parametrize("odd_share_max", [-1.0, 2.0], ids=["by_index", "by_value"])
-    def test_self_products_of_lattices(self, odd_share_max):
+    def test_self_products_of_lattices(self):
         # the square of a Dirichlet square (equal multiplicities) and the flat
         # torus T x T (a zero mode of multiplicity 1 among 2s)
         square = product_spectrum(interval_spectrum(1.1, "dirichlet"),
                                   interval_spectrum(1.1, "dirichlet"))
         circle = torus_spectrum(1.3)
         for a, omega_max in ((square, 30.0), (circle, 200.0)):
-            with product_paths(odd_share_max):
-                assert_product_equals_brute_force(a, a, omega_max)
+            assert_product_equals_brute_force(a, a, omega_max)
 
     @settings(max_examples=60, deadline=None)
     @given(products(), st.floats(min_value=0.0, max_value=60.0))
@@ -284,22 +274,22 @@ class TestCoalesce:
         first[1:] = lam[1:] != lam[:-1]
         want = np.flatnonzero(first)
         got = lam.copy()
-        with product_paths(spectra._ODD_SHARE_MAX, block):
+        with product_paths(block):
             starts = _coalesce(got)
             assert starts.tolist() == want.tolist()
             assert got.tolist() == lam[want].tolist()
             runs = _run_lengths(starts, lam.size)
         assert runs.tolist() == np.diff(want, append=lam.size).tolist()
 
-    @pytest.mark.parametrize("odd_share_max", [-1.0, 2.0], ids=["by_index", "by_value"])
     @settings(max_examples=100, deadline=None)
     @given(finite_products(), st.integers(1, 5),
            st.one_of(st.just(math.inf), st.floats(min_value=0.0, max_value=15.0)))
-    def test_products_across_block_edges(self, odd_share_max, factors, block, omega_max):
+    def test_products_across_block_edges(self, factors, block, omega_max):
+        # runs and odd pairs straddle the edges of blocks and excess slabs;
         # the heavy multiplicities of finite_products take the exact path,
         # where the run lengths become Python ints (object dtype)
         a, b = factors
-        with product_paths(odd_share_max, block):
+        with product_paths(block):
             assert_product_equals_brute_force(a, b, omega_max)
 
 
@@ -341,12 +331,12 @@ class TestPeakMemory:
         assert pairs > 1_500_000
         assert peak <= 8 * pairs, f"{peak / pairs:.1f} bytes an ordered pair"
 
-    def test_index_sort_peak_per_pair(self):
-        # two 1,700-term factors with multiplicities 1-3 take the index sort:
-        # the pair eigenvalues, sorted in place, their weights and the sort
-        # order, into which the weights are gathered (24 bytes a pair); no
-        # permuted copy.  Random omegas make nearly every pair eigenvalue
-        # distinct, so the run sums are formed in the run starts
+    def test_odd_pairs_peak_per_pair(self):
+        # two 1,700-term factors with multiplicities 1-3 make nearly every
+        # pair odd, and random omegas nearly every pair eigenvalue distinct:
+        # the pair eigenvalues and the run starts (16 bytes a pair), and the
+        # odd pairs' excess worked out one slab at a time; no pair-sized
+        # weights, sort order or odd-pair arrays
         rng = np.random.default_rng(5)
         a, b = (finite_spectrum(1, zip(np.sort(rng.uniform(0.0, 100.0, 1700)).tolist(),
                                        rng.integers(1, 4, 1700).tolist()))
@@ -354,7 +344,22 @@ class TestPeakMemory:
         s = product_spectrum(a, b)
         peak = traced_peak(lambda: s.arrays(math.inf))
         pairs = 1700 * 1700
-        assert peak <= 25 * pairs, f"{peak / pairs:.1f} bytes a pair"
+        assert peak <= 18 * pairs, f"{peak / pairs:.1f} bytes a pair"
+
+    def test_nested_product_peak_per_pair(self):
+        # the unit Dirichlet cube (D x D) x D to 150 w1: 3.71M pairs of the
+        # outer product, a fifth of them odd (the square's multiplicities
+        # run 1, 2, 3, ...); the pair eigenvalues, the run starts and
+        # slab-sized work, not a weight for every pair
+        side = interval_spectrum(1.0, "dirichlet")
+        plane = product_spectrum(side, side)
+        cube = product_spectrum(plane, side)
+        omega_max = 150 * PI * math.sqrt(3.0)
+        (wp, _), (ws, _) = plane.arrays(omega_max), side.arrays(omega_max)
+        pairs = int(_row_counts(wp * wp, ws * ws, omega_max * omega_max).sum())
+        peak = traced_peak(lambda: cube.arrays(omega_max))
+        assert pairs > 3_700_000
+        assert peak <= 10 * pairs, f"{peak / pairs:.1f} bytes a pair"
 
     @pytest.mark.parametrize("alpha", [1, 2])
     def test_riesz_grid_peak_per_term(self, alpha):
@@ -476,6 +481,16 @@ class TestKeyCounts:
         s = SPECTRUM_KINDS[kind]()
         for w in s.arrays(12.0)[0][:40].tolist():
             self.assert_counts_equal_searchsorted(s, w * w)
+
+    def test_squares_that_underflow_count_at_zero(self):
+        # omega * omega rounds to 0 below about 2^-537.5: a query at x = 0
+        # must enumerate past those omegas, so the slack cannot be relative
+        # alone
+        omegas = [1e-170, 1e-163, 1.5e-162, 1e-160, 1e-150]
+        values, mults, (count,) = _key_counts(finite_spectrum(2, [(w, 1) for w in omegas]),
+                                              "lambda", [0.0])
+        assert count == sum(w * w == 0.0 for w in omegas) == 3
+        assert values.tolist() == omegas[:3] and mults.tolist() == [1, 1, 1]
 
 
 class TestCountingSum:

@@ -14,6 +14,7 @@ from spectrace import (
     torus_spectrum,
 )
 from spectrace import riesz, spectra, verify
+from spectrace.cli import main
 from spectrace.verify import run_verification
 
 SRC = str(Path(__file__).resolve().parent.parent / "src")
@@ -243,3 +244,51 @@ def test_warm_up_past_the_budget_leaves_the_error_to_the_stage(monkeypatch):
         run_verification(s)
     assert len(calls) > 1, calls
     assert f"omega = {calls[-1]!r}" in str(err.value)
+
+
+def cli_verify(capsys, spec):
+    code = main(["verify", "--spectrum", spec])
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+@pytest.mark.parametrize("spec", [
+    *(f"interval:length={size}:bc=dirichlet" for size in ("1e20", "1e60", "1e100")),
+    *(f"torus:circumference={size}" for size in ("1e20", "1e60", "1e100")),
+    *(f"product:(interval:length={size}:bc=dirichlet)x(interval:length={size}:bc=dirichlet)"
+      for size in ("1e20", "1e70")),
+])
+def test_long_shapes_pass(capsys, spec):
+    # the key slack scales with the key down to the float's underflow scale:
+    # an absolute slack of 1e-12 enumerated these to omega = 1e-12, past the
+    # term budget, whatever w1 was
+    code, out, err = cli_verify(capsys, spec)
+    assert code == 0, err
+    assert out.splitlines()[-1].startswith("PASS  overall:"), out
+
+
+@pytest.mark.parametrize("spec", [
+    "interval:length=1e-160:bc=dirichlet",
+    "interval:length=1e160:bc=dirichlet",
+    "interval:length=1e165:bc=dirichlet",
+    "torus:circumference=1e166",
+    "interval:length=1e168:bc=dirichlet",
+])
+def test_windows_past_the_float_range_are_refused(capsys, spec):
+    # w1^2 overflows, is subnormal or underflows to 0: one documented error
+    # (exit 2) naming w1, not a window of infinite or zero times and not a
+    # ZeroDivisionError out of the window arithmetic
+    code, out, err = cli_verify(capsys, spec)
+    assert code == 2
+    assert "w1 = " in err and "past the float range" in err, err
+
+
+def test_a_list_ending_past_the_float_range_gets_a_verdict(capsys, tmp_path):
+    # its last omega squared overflows: the heat floor it sets is 0, not an
+    # OverflowError
+    path = tmp_path / "far_end.spec"
+    path.write_text("dim 1\nenvelope 0 1\n" + "".join(f"{n}.0 1\n" for n in range(1, 3000))
+                    + "1e200 1\n")
+    code, out, err = cli_verify(capsys, f"file:{path}")
+    assert code in (0, 1), err
+    assert "overall:" in out.splitlines()[-1]
