@@ -173,6 +173,13 @@ def product_paths(run_block):
         spectra._RUN_BLOCK = saved
 
 
+# how an odd pair's excess reaches its eigenvalue: with one distinct
+# eigenvalue a slab it lands on the slab's only index; with slabs of many it
+# is placed among the slab's values by searchsorted
+slab_placements = pytest.mark.parametrize("run_block", [1, spectra._RUN_BLOCK],
+                                          ids=["by_index", "by_value"])
+
+
 def assert_product_equals_brute_force(a, b, omega_max):
     expected = brute_force_product(a.up_to(omega_max), b.up_to(omega_max), omega_max)
     s = product_spectrum(a, b)
@@ -184,22 +191,26 @@ def assert_product_equals_brute_force(a, b, omega_max):
 
 
 class TestProductMatchesDoubleLoop:
+    @slab_placements
     @settings(max_examples=300, deadline=None)
     @given(finite_products(),
            st.one_of(st.just(math.inf), st.floats(min_value=0.0, max_value=15.0)))
-    def test_finite_factors_equal_brute_force(self, factors, omega_max):
+    def test_finite_factors_equal_brute_force(self, run_block, factors, omega_max):
         # the multiplicity of a product eigenvalue is base x (its number of
         # pairs) plus the excess of the pairs that do not weigh base; these
         # factors make both parts, their collisions and the exact path occur
         a, b = factors
-        assert_product_equals_brute_force(a, b, omega_max)
+        with product_paths(run_block):
+            assert_product_equals_brute_force(a, b, omega_max)
 
+    @slab_placements
     @settings(max_examples=150, deadline=None)
     @given(short_line_products())
-    def test_short_lines_equal_brute_force(self, factors):
+    def test_short_lines_equal_brute_force(self, run_block, factors):
         # most lines hold a few pairs, each filled by its own call
         a, b, omega_max = factors
-        assert_product_equals_brute_force(a, b, omega_max)
+        with product_paths(run_block):
+            assert_product_equals_brute_force(a, b, omega_max)
 
     @settings(max_examples=200, deadline=None)
     @given(finite_factors(heavy=True), st.data())
@@ -213,14 +224,16 @@ class TestProductMatchesDoubleLoop:
             [omega_max, math.nextafter(omega_max, 0.0), math.nextafter(omega_max, math.inf)]))
         assert_product_equals_brute_force(a, twin(data.draw, a), omega_max)
 
-    def test_self_products_of_lattices(self):
+    @slab_placements
+    def test_self_products_of_lattices(self, run_block):
         # the square of a Dirichlet square (equal multiplicities) and the flat
         # torus T x T (a zero mode of multiplicity 1 among 2s)
         square = product_spectrum(interval_spectrum(1.1, "dirichlet"),
                                   interval_spectrum(1.1, "dirichlet"))
         circle = torus_spectrum(1.3)
         for a, omega_max in ((square, 30.0), (circle, 200.0)):
-            assert_product_equals_brute_force(a, a, omega_max)
+            with product_paths(run_block):
+                assert_product_equals_brute_force(a, a, omega_max)
 
     @settings(max_examples=60, deadline=None)
     @given(products(), st.floats(min_value=0.0, max_value=60.0))
@@ -281,14 +294,18 @@ class TestCoalesce:
             runs = _run_lengths(starts, lam.size)
         assert runs.tolist() == np.diff(want, append=lam.size).tolist()
 
+    # a block of 1 holds one distinct eigenvalue a slab; blocks of 2-5 make
+    # the excess be placed by value inside slabs that end mid-product
+    @pytest.mark.parametrize("blocks", [(1, 1), (2, 5)], ids=["by_index", "by_value"])
     @settings(max_examples=100, deadline=None)
-    @given(finite_products(), st.integers(1, 5),
+    @given(finite_products(), st.data(),
            st.one_of(st.just(math.inf), st.floats(min_value=0.0, max_value=15.0)))
-    def test_products_across_block_edges(self, factors, block, omega_max):
+    def test_products_across_block_edges(self, blocks, factors, data, omega_max):
         # runs and odd pairs straddle the edges of blocks and excess slabs;
         # the heavy multiplicities of finite_products take the exact path,
         # where the run lengths become Python ints (object dtype)
         a, b = factors
+        block = data.draw(st.integers(*blocks))
         with product_paths(block):
             assert_product_equals_brute_force(a, b, omega_max)
 
