@@ -27,7 +27,6 @@ from .traces import (
     trace_grid,
 )
 from .riesz import (
-    RieszMeanValue,
     extract_riesz_coeffs,
     riesz_mean,
     weyl_remainder,
@@ -83,7 +82,6 @@ __all__ = [
     "IllConditionedBasisError",
     "LogTermDetection",
     "MomentExpansionResult",
-    "RieszMeanValue",
     "Spectrum",
     "SpectrumFormatError",
     "TestFunction",

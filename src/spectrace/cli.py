@@ -407,11 +407,9 @@ def cmd_riesz(args) -> int:
         return EXIT_OK
 
     means = riesz_mean_grid(spectrum, args.alpha, args.variable, grid)
-    rows = [(mv.x, mv.value) for mv in means]
-    _emit(_csv([_config_comment("riesz", args)], "x,value", rows), args.out)
+    _emit(_csv([_config_comment("riesz", args)], "x,value", zip(grid, means)), args.out)
     if args.svg:
-        render_svg(args.svg, [r[0] for r in rows], [r[1] for r in rows],
-                   f"R^{args.alpha}_{args.variable} N")
+        render_svg(args.svg, grid, means, f"R^{args.alpha}_{args.variable} N")
     return EXIT_OK
 
 

@@ -10,7 +10,6 @@ jackknife-stability diagnostics.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -163,32 +162,25 @@ def dcylinder_basis(dim: int, orders: int) -> AsymptoticBasis:
 # fitting
 # ---------------------------------------------------------------------------
 
-def _unpack_samples(samples) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    records = list(samples)
-    size = np.fromiter(map(len, records), dtype=np.intp, count=len(records))
-    if np.any((size < 2) | (size > 3)):
-        raise ValueError("a sample is an (x, y) or (x, y, weight) record")
-    # every field in one flat array, record i's from start[i], then the None
-    # that stands for the weight of an (x, y) record
-    fields = np.fromiter(itertools.chain(*records, (None,)), dtype=object,
-                         count=int(size.sum()) + 1)
-    start = np.cumsum(size) - size
-    x = fields[start].astype(float)
-    y = fields[start + 1].astype(float)
-    given = fields[np.where(size == 3, start + 2, -1)]
-    weighted = np.not_equal(given, None)
-    # relative-error weighting: trace values span orders of magnitude; a
-    # nonzero y whose square underflows has no finite weight
-    with np.errstate(over="ignore", divide="ignore"):
-        w = np.where(y == 0, 1.0, 1.0 / (y * y))
-    w[weighted] = given[weighted].astype(float)
+def _unpack_samples(x, y, weights=None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    x = np.asarray(x, dtype=float)
+    y = np.asarray(y, dtype=float)
+    if weights is None:
+        # relative-error weighting: trace values span orders of magnitude; a
+        # nonzero y whose square underflows has no finite weight
+        with np.errstate(over="ignore", divide="ignore"):
+            w = np.where(y == 0, 1.0, 1.0 / (y * y))
+    else:
+        w = np.asarray(weights, dtype=float)
+    if x.ndim != 1 or y.shape != x.shape or w.shape != x.shape:
+        raise ValueError(f"x, y and weights must be 1-D and of one length, got shapes "
+                         f"{x.shape}, {y.shape} and {w.shape}")
     bad = ~((x > 0) & (w >= 0) & (w < math.inf))
     if bad.any():
         i = int(np.argmax(bad))
         if not x[i] > 0:
-            raise ValueError(f"sample abscissae must be positive, got {records[i][0]}")
-        raise ValueError(f"sample ({records[i][0]}, {records[i][1]}) has weight "
-                         f"{given[i] if weighted[i] else w[i].item()}; "
+            raise ValueError(f"sample abscissae must be positive, got {x[i].item()}")
+        raise ValueError(f"sample ({x[i].item()}, {y[i].item()}) has weight {w[i].item()}; "
                          "weights must be finite and non-negative")
     order = np.argsort(x, kind="stable")
     return x[order], y[order], w[order]
@@ -239,18 +231,19 @@ def _solve(aw: np.ndarray, yw: np.ndarray, basis: AsymptoticBasis, t0: float,
     return _raw_coefficients(basis, c_norm, t0, window), rms, condition
 
 
-def fit_expansion(samples, basis: AsymptoticBasis) -> FitReport:
-    """Weighted least squares of samples against the basis.
+def fit_expansion(x, y, basis: AsymptoticBasis, weights=None) -> FitReport:
+    """Weighted least squares of the samples y at abscissae x against the basis.
 
-    samples: iterable of (x, y) or (x, y, weight); omitted weights default to
-    1/y^2 (1 where y = 0), and a weight that is not finite or is negative
-    raises ValueError.  Needs at least len(basis) + 2 samples.  The columns
-    are rescaled around the geometric mean t0 of the first and last
-    abscissae, which sets the conditioning and not the raw coefficients; a
-    window whose raw coefficients leave the float range raises ValueError.
+    x, y and weights are 1-D arrays of one length, in any order of x;
+    weights default to 1/y^2 (1 where y = 0), and a weight that is not
+    finite or is negative raises ValueError.  Needs at least len(basis) + 2
+    samples.  The columns are rescaled around the geometric mean t0 of the
+    smallest and largest abscissae, which sets the conditioning and not the
+    raw coefficients; a window whose raw coefficients leave the float range
+    raises ValueError.
     Raises IllConditionedBasisError past a condition estimate of 1e12.
     """
-    x, y, w = _unpack_samples(samples)
+    x, y, w = _unpack_samples(x, y, weights)
     m = len(basis.terms)
     if len(x) < m + 2:
         raise ValueError(f"need at least {m + 2} samples for {m} basis terms, got {len(x)}")
@@ -289,8 +282,8 @@ def fit_expansion(samples, basis: AsymptoticBasis) -> FitReport:
     )
 
 
-def detect_log_term(samples, p, base_basis: AsymptoticBasis) -> LogTermDetection:
-    """Decide whether a (p, log) term is present in the sampled data.
+def detect_log_term(x, y, p, base_basis: AsymptoticBasis) -> LogTermDetection:
+    """Decide whether a (p, log) term is present in the samples y at x.
 
     Fits with and without the x^p log x column added to base_basis.  The term
     is declared present only when adding it shrinks the weighted residual rms
@@ -300,8 +293,8 @@ def detect_log_term(samples, p, base_basis: AsymptoticBasis) -> LogTermDetection
     p = Fraction(p)
     if (p, 1) in base_basis.terms:
         raise ValueError(f"base basis already contains the log term at {p}")
-    without = fit_expansion(samples, base_basis)
-    with_report = fit_expansion(samples, base_basis.with_term(p, 1))
+    without = fit_expansion(x, y, base_basis)
+    with_report = fit_expansion(x, y, base_basis.with_term(p, 1))
     coeff = with_report.coefficient(p, 1)
     spread = with_report.spread(p, 1)
     if with_report.residual_rms == 0.0:

@@ -388,6 +388,15 @@ def _smallest_stop(certified: Callable[[int], bool], n: int) -> Optional[int]:
 # expansions
 # ---------------------------------------------------------------------------
 
+def _eps_power(eps: float, p: float) -> float:
+    """eps^p of a moment term; one past the float range raises ValueError."""
+    try:
+        return eps**p
+    except OverflowError:
+        raise ValueError(f"eps = {eps!r} puts the moment term eps^{p:g} past the "
+                         "float range") from None
+
+
 def euler_maclaurin_expansion(g: TestFunction, eps: float, M: int) -> MomentExpansionResult:
     """Linear comb vs its expansion through moment order M:
     rhs = (1/eps) int_0^inf g + sum_{n=0}^{M} zeta(-n) g^{(n)}(0) eps^n / n!.
@@ -397,7 +406,7 @@ def euler_maclaurin_expansion(g: TestFunction, eps: float, M: int) -> MomentExpa
     terms = [g.integral() / eps]
     for n in range(M + 1):
         zn = zeta_neg_int(n)
-        terms.append(float(zn) * g.deriv0(n) * eps**n / math.factorial(n))
+        terms.append(float(zn) * g.deriv0(n) * _eps_power(eps, n) / math.factorial(n))
     lhs = comb_pairing("linear", eps, g)
     return MomentExpansionResult(
         epsilon=eps, order=M, lhs=lhs, rhs=math.fsum(terms), terms=tuple(terms)
@@ -451,7 +460,7 @@ def omega_comb_expansion(phi: TestFunction, eps: float, M: int) -> MomentExpansi
     for n in range(M + 1):
         zn = zeta_neg_int(n)
         terms.append(
-            float(zn) * eps ** ((n + 2) / 2.0) * phi.deriv0(n + 1)
+            float(zn) * _eps_power(eps, (n + 2) / 2.0) * phi.deriv0(n + 1)
             / (2.0 * math.factorial(n + 1))
         )
     return MomentExpansionResult(

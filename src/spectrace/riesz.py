@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import dataclasses
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
@@ -24,7 +23,6 @@ from .invariants import _carries_log
 from .spectra import Spectrum, _key_counts
 
 __all__ = [
-    "RieszMeanValue",
     "riesz_mean",
     "riesz_mean_grid",
     "riesz_mean_grids",
@@ -49,15 +47,7 @@ _BLOCK = 64
 _POW_BITS = 900.0
 
 
-@dataclass(frozen=True)
-class RieszMeanValue:
-    alpha: int
-    variable: str
-    x: float
-    value: float
-
-
-def riesz_mean(s: Spectrum, alpha: int, variable: str, x: float) -> RieszMeanValue:
+def riesz_mean(s: Spectrum, alpha: int, variable: str, x: float) -> float:
     """Exact alpha-th Riesz mean of N at x, in the chosen variable.
 
     variable="lambda": (1/alpha!) x^{-alpha} sum_{lambda_n <= x} mult (x - lambda_n)^alpha.
@@ -69,15 +59,16 @@ def riesz_mean(s: Spectrum, alpha: int, variable: str, x: float) -> RieszMeanVal
 
 
 def riesz_mean_grid(s: Spectrum, alpha: int, variable: str,
-                    grid: Sequence[float]) -> list[RieszMeanValue]:
+                    grid: Sequence[float]) -> list[float]:
     """Riesz means of one order over a grid: the one-order riesz_mean_grids."""
     return riesz_mean_grids(s, (alpha,), variable, grid)[0]
 
 
 def riesz_mean_grids(s: Spectrum, alphas: Sequence[int], variable: str,
-                     grid: Sequence[float]) -> list[list[RieszMeanValue]]:
-    """Riesz means of several orders over a whole grid, one list per order
-    of alphas, from one spectrum enumeration and one moment table.
+                     grid: Sequence[float]) -> list[list[float]]:
+    """Riesz means of several orders over a whole grid, one list of floats
+    per order of alphas, in grid order, from one spectrum enumeration and
+    one moment table.
 
     Evaluated from the closed form (partial power sums), not by quadrature.
     The sorted terms are cut into chunks of _CHUNK consecutive terms; chunk
@@ -93,7 +84,8 @@ def riesz_mean_grids(s: Spectrum, alphas: Sequence[int], variable: str,
     a value depends only on x, alpha and the spectrum: riesz_mean(x) is the
     same float.  Where x^alpha lies outside 2^-900 .. 2^900, a point sums
     mult ((x - x_n) / x)^alpha instead; x = inf gives the limit
-    (sum mult) / alpha!.  Raises ValueError for an infinite grid point on a
+    (sum mult) / alpha!.  Raises ValueError for an order past 170 (whose
+    alpha! is past the float range), for an infinite grid point on a
     spectrum that does not end, and ToleranceError when the enumeration to
     the largest point needs more than DEFAULT_MAX_TERMS rows, before it
     allocates them.
@@ -106,8 +98,9 @@ def riesz_mean_grids(s: Spectrum, alphas: Sequence[int], variable: str,
     if variable not in _VARIABLES:
         raise ValueError(f"variable must be one of {_VARIABLES}, got {variable!r}")
     for alpha in alphas:
-        if alpha < 0 or int(alpha) != alpha:
-            raise ValueError(f"alpha must be a nonnegative integer, got {alpha}")
+        # 170! is the largest factorial in the float range
+        if alpha < 0 or int(alpha) != alpha or alpha > 170:
+            raise ValueError(f"alpha must be a nonnegative integer at most 170, got {alpha}")
     grid = [float(x) for x in grid]
     if any(not (x > 0) for x in grid):
         raise ValueError("grid points must be positive")
@@ -174,7 +167,7 @@ def riesz_mean_grids(s: Spectrum, alphas: Sequence[int], variable: str,
                 else:
                     np.multiply(np.power(base, alpha, out=tail), mults[start:idx], out=tail)
                 value = (head + float(np.add.reduce(tail))) / (fac * x**alpha)
-            means.append(RieszMeanValue(alpha=alpha, variable=variable, x=x, value=value))
+            means.append(value)
     return out
 
 
@@ -258,16 +251,16 @@ def extract_riesz_fits(s: Spectrum, alphas: Sequence[int], variable: str,
     reports = []
     for alpha, means in zip(map(int, alphas), riesz_mean_grids(s, alphas, variable, grid)):
         scale = math.factorial(alpha)
-        samples = [(mv.x, scale * mv.value) for mv in means]
+        values = [scale * v for v in means]
         basis = riesz_fit_basis(s.dim, alpha, variable)
         report = None
         for ss in range(alpha + 1):
             if variable == "omega" and _carries_log(ss, s.dim):
-                det = detect_log_term(samples, Fraction(s.dim - ss), basis)
+                det = detect_log_term(grid, values, Fraction(s.dim - ss), basis)
                 report = det.with_log if det.present else det.without_log
                 basis = report.basis
         if report is None:
-            report = fit_expansion(samples, basis)
+            report = fit_expansion(grid, values, basis)
         notes = list(report.notes)
         redundant = []
         for ss in range(alpha):
@@ -302,14 +295,14 @@ def weyl_remainder(
     if len(weyl_coeffs) < M + 1:
         raise ValueError(f"need g_0..g_{M}, got {len(weyl_coeffs)} coefficients")
     d = s.dim
+    grid = [float(w) for w in grid]
     out = []
-    for mv in riesz_mean_grid(s, 0, "omega", grid):
-        w = mv.x
+    for w, n in zip(grid, riesz_mean_grid(s, 0, "omega", grid)):
         try:
             model = math.fsum(weyl_coeffs[k] * w ** (d - k) for k in range(M + 1))
         except OverflowError:
             model = math.inf
         if not math.isfinite(model):
             raise ValueError(f"the Weyl sum is not finite at omega = {w!r}")
-        out.append((w, mv.value - model))
+        out.append((w, n - model))
     return out

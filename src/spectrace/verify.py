@@ -90,23 +90,27 @@ def fit_trace(spectrum: Spectrum, kernel: str, ts: Sequence[float], tol: float,
         basis = cylinder_basis(d, orders, include_logs=include_logs)
     else:
         basis = dcylinder_basis(d, orders)
-    return fit_expansion([(s.t, s.value) for s in samples], basis)
+    return fit_expansion(ts, [s.value for s in samples], basis)
 
 
 def _first_positive_omega(s: Spectrum) -> float:
     # from where the envelope counts one term past C1 (the list's end when C2 = 0
-    # or C2^(-1/d) overflows), 4x a step: a few terms at any length scale
+    # or C2^(-1/d) overflows), 4x a step: a few terms at any length scale; a
+    # list that ends is probed up to its end too, which a loose envelope's
+    # steps may fall short of
     _c1, c2 = s.envelope
     w = s.truncated_at or 0.0
     if c2 > 0:
         with contextlib.suppress(OverflowError):
             w = c2 ** (-1.0 / s.dim)
-    for _ in range(60):
+    probes = [w * 4.0**k for k in range(60)]
+    if s.truncated_at:
+        probes.append(s.truncated_at)
+    for w in probes:
         omegas, _mults = s.arrays(w)
         positive = omegas[omegas > 0]
         if positive.size:
             return float(positive[0])
-        w *= 4.0
     raise ValueError("could not find a positive eigenfrequency")
 
 
@@ -116,8 +120,8 @@ def run_verification(spectrum: Spectrum) -> list[VerifyRow]:
     Raises ValueError for a spectrum without envelope constants (its traces
     cannot be certified), for dimension 4 or more (the energy's order d+1
     is past the fitted orders), for a spectrum with no positive frequency
-    and for one whose first positive frequency puts a window past the float
-    range;
+    and for one whose first positive frequency or envelope puts a window
+    past the float range;
     ToleranceError when a trace cannot meet _TOL or an enumeration passes
     the term budget (Spectrum.arrays).
     """
@@ -148,7 +152,8 @@ def run_verification(spectrum: Spectrum) -> list[VerifyRow]:
     # its own, smaller cutoff; x0 = 80 and the cap only place the windows.  A
     # budget no larger than C1 pays for no cutoff, so the windows stay
     # nominal and the first trace reports the unreachable tolerance; a w_cap^2
-    # past the float range is over the cap too.
+    # past the float range is over the cap too, and one that underflows puts
+    # the floors past it.
     c1, c2 = spectrum.envelope
     cap = min(spectra.DEFAULT_MAX_TERMS, 400_000)
     x0 = 80.0
@@ -159,8 +164,8 @@ def run_verification(spectrum: Spectrum) -> list[VerifyRow]:
             lam_cap = w_cap**2
         except OverflowError:
             pass
-        t_cyl_floor = x0 / w_cap
-        t_heat_floor = x0 / lam_cap
+        t_cyl_floor = x0 / w_cap if w_cap else math.inf
+        t_heat_floor = x0 / lam_cap if lam_cap else math.inf
     else:
         t_cyl_floor = t_heat_floor = 0.0
     if spectrum.truncated_at is not None and spectrum.truncated_at > 0:
@@ -171,6 +176,11 @@ def run_verification(spectrum: Spectrum) -> list[VerifyRow]:
     cyl_hi = max(0.1 / w1, 8.0 * cyl_lo)
     heat_lo = max(1e-4 / (w1 * w1), t_heat_floor)
     heat_hi = max(0.1 / (w1 * w1), 8.0 * heat_lo)
+    if not (cyl_hi < math.inf and heat_hi < math.inf):
+        raise ValueError(
+            f"verification refused: the envelope C1 = {c1!r}, C2 = {c2!r} puts verify's "
+            f"trace windows past the float range (cylinder times from {cyl_lo!r}, heat "
+            f"times from {heat_lo!r})")
     cyl_ts = geometric_grid(cyl_lo, cyl_hi, _POINTS)
     heat_ts = geometric_grid(heat_lo, heat_hi, _POINTS)
 
@@ -197,13 +207,10 @@ def run_verification(spectrum: Spectrum) -> list[VerifyRow]:
     # one trace_grids call for the cylinder trace and its derivative; the index-term
     # check fits Tr T with and without a t^0 log t column, the log-free one is the fit
     cyl_samples, dcyl_samples = trace_grids(spectrum, ("cylinder", "dcylinder"), cyl_ts, _TOL)
-    det = detect_log_term(
-        [(s.t, s.value) for s in cyl_samples],
-        Fraction(0),
-        cylinder_basis(d, _ORDERS),
-    )
+    det = detect_log_term(cyl_ts, [s.value for s in cyl_samples], Fraction(0),
+                          cylinder_basis(d, _ORDERS))
     cyl_fit = det.without_log
-    dcyl_fit = fit_expansion([(s.t, s.value) for s in dcyl_samples],
+    dcyl_fit = fit_expansion(cyl_ts, [s.value for s in dcyl_samples],
                              dcylinder_basis(d, _ORDERS + 1))
 
     cyl_from_heat = heat_to_cylinder(expansion_from_fit(d, heat_fit))

@@ -65,17 +65,17 @@ _FITS = {}
 def cylinder_fit():
     if "cyl" not in _FITS:
         ts = geometric_grid(1e-3, 0.1, 64)
-        samples = [(s.t, s.value) for s in trace_grid(INTERVAL, "cylinder", ts, 1e-13)]
-        _FITS["cyl"] = fit_expansion(samples, cylinder_basis(1, 4))
-        _FITS["cyl_samples"] = samples
+        values = [s.value for s in trace_grid(INTERVAL, "cylinder", ts, 1e-13)]
+        _FITS["cyl"] = fit_expansion(ts, values, cylinder_basis(1, 4))
+        _FITS["cyl_samples"] = ts, values
     return _FITS["cyl"]
 
 
 def heat_fit():
     if "heat" not in _FITS:
         ts = geometric_grid(1e-4, 0.1, 64)
-        samples = [(s.t, s.value) for s in trace_grid(INTERVAL, "heat", ts, 1e-13)]
-        _FITS["heat"] = fit_expansion(samples, heat_basis(1, 3))
+        values = [s.value for s in trace_grid(INTERVAL, "heat", ts, 1e-13)]
+        _FITS["heat"] = fit_expansion(ts, values, heat_basis(1, 3))
     return _FITS["heat"]
 
 
@@ -120,12 +120,12 @@ def test_criterion_04_heat_cylinder_relation():
 def test_criterion_05_index_term_and_casimir():
     with criterion(5, "no log at t^0, no t^-1 in dT/dt, E = -pi/(24 L) for L in {1, pi, 10}"):
         cylinder_fit()  # populates the shared sample cache
-        det = detect_log_term(_FITS["cyl_samples"], Fraction(0), cylinder_basis(1, 4))
+        det = detect_log_term(*_FITS["cyl_samples"], Fraction(0), cylinder_basis(1, 4))
         assert not det.present
 
         ts = geometric_grid(1e-3, 0.1, 64)
-        dsamples = [(s.t, s.value) for s in trace_grid(INTERVAL, "dcylinder", ts, 1e-13)]
-        dfit = fit_expansion(dsamples, dcylinder_basis(1, 5))
+        dvalues = [s.value for s in trace_grid(INTERVAL, "dcylinder", ts, 1e-13)]
+        dfit = fit_expansion(ts, dvalues, dcylinder_basis(1, 5))
         assert abs(dfit.coefficient(-1, 0)) < 1e-8
 
         energy = casimir_energy(expansion_from_fit(1, cylinder_fit()))
@@ -135,8 +135,8 @@ def test_criterion_05_index_term_and_casimir():
             spec = interval_spectrum(length, "dirichlet")
             scale = length / PI
             lts = geometric_grid(1e-3 * scale, 0.1 * scale, 64)
-            samples = [(s.t, s.value) for s in trace_grid(spec, "cylinder", lts, 1e-13)]
-            fit = fit_expansion(samples, cylinder_basis(1, 4))
+            values = [s.value for s in trace_grid(spec, "cylinder", lts, 1e-13)]
+            fit = fit_expansion(lts, values, cylinder_basis(1, 4))
             e = casimir_energy(expansion_from_fit(1, fit))
             expect = -PI / (24.0 * length)
             assert abs(e - expect) <= 1e-4 * abs(expect)
@@ -238,8 +238,8 @@ def test_criterion_11_product_law():
             assert abs(s2.value - s1.value**2) <= combined + roundoff
 
         ts = geometric_grid(1e-2, 0.5, 40)
-        samples = [(s.t, s.value) for s in trace_grid(square, "heat", ts, 1e-12)]
-        fit = fit_expansion(samples, heat_basis(2, 4))
+        values = [s.value for s in trace_grid(square, "heat", ts, 1e-12)]
+        fit = fit_expansion(ts, values, heat_basis(2, 4))
         assert abs(fit.coefficient(-1, 0) - PI / 4) <= 1e-3
         assert abs(fit.coefficient(Fraction(-1, 2), 0) - (-math.sqrt(PI) / 2)) <= 1e-3
         assert abs(fit.coefficient(0, 0) - 0.25) <= 1e-3

@@ -420,6 +420,31 @@ class TestLibraryErrorsExit2:
         assert f"comb sum at eps={eps!r} " in err
         assert "cap of 10000000 indices" in err
 
+    @pytest.mark.parametrize("extra", [(), ("--fit",), ("--variable", "omega")],
+                             ids=["lambda-means", "fit", "omega-means"])
+    def test_riesz_order_past_170_exits_2(self, capsys, extra):
+        # 171! is past the float range; 170 still runs
+        code, out, err = run(capsys, "riesz", "--spectrum", INTERVAL_SPEC, "--alpha", "171",
+                             *extra)
+        assert (code, out) == (2, "")
+        assert err == "spectrace: error: alpha must be a nonnegative integer at most 170, got 171\n"
+        code, out, err = run(capsys, "riesz", "--spectrum", INTERVAL_SPEC, "--alpha", "170",
+                             "--points", "4")
+        assert (code, err) == (0, "")
+
+    @pytest.mark.parametrize("comb, fn", [
+        ("linear", ("--fn", "gaussian")), ("linear", ("--fn", "expdecay")),
+        ("linear", ("--fn", "odd-gaussian")), ("linear", BUMP),
+        ("omega", ("--fn", "odd-gaussian")), ("omega", BUMP),
+    ], ids=["linear-gaussian", "linear-expdecay", "linear-odd-gaussian", "linear-bump",
+            "omega-odd-gaussian", "omega-bump"])
+    def test_moment_terms_past_the_float_range_exit_2(self, capsys, comb, fn):
+        code, out, err = run(capsys, "moments", "--comb", comb, *fn,
+                             "--eps-decades", "1e100:1e300")
+        assert (code, out) == (2, "")
+        assert err.startswith("spectrace: error: eps = 1e+100 puts the moment term eps^")
+        assert "Traceback" not in err
+
     def test_malformed_file_names_its_line(self, capsys, tmp_path):
         p = tmp_path / "bad.spec"
         p.write_text("dim 1\n1 1\n2 1\n3 1 1\n")

@@ -1,6 +1,7 @@
 import contextlib
 import io
 import math
+import re
 import time
 from fractions import Fraction
 from unittest import mock
@@ -363,6 +364,14 @@ class TestEulerMaclaurin:
         with pytest.raises(ValueError):
             euler_maclaurin_expansion(EXP, 0.1, -1)
 
+    @pytest.mark.parametrize("g", [EXP, GAUSS, TF.bump(lo=0.3, hi=0.9)],
+                             ids=["expdecay", "gaussian", "bump"])
+    @pytest.mark.parametrize("eps, M", [(1e100, 4), (1e200, 2), (1e300, 2)])
+    def test_moment_term_past_the_float_range_raises(self, g, eps, M):
+        # eps^n overflows: a ValueError naming eps, not an OverflowError
+        with pytest.raises(ValueError, match=re.escape(f"eps = {eps!r} puts the moment term eps^")):
+            euler_maclaurin_expansion(g, eps, M)
+
     @pytest.mark.parametrize("M,slope", [(0, 1.0), (2, 3.0)])
     def test_float_level_convergence_slopes(self, M, slope):
         # orders measurable in float arithmetic; higher ones need the
@@ -424,6 +433,13 @@ class TestOmegaComb:
             omega_comb_expansion(GAUSS, 0.01, 2)
         with pytest.raises(ValueError):
             omega_comb_expansion(EXP, 0.01, 2)
+
+    @pytest.mark.parametrize("phi", [ODD, TF.bump(lo=0.3, hi=0.9)], ids=["odd-gaussian", "bump"])
+    @pytest.mark.parametrize("eps, M", [(1e100, 5), (1e200, 2), (1e300, 1)])
+    def test_moment_term_past_the_float_range_raises(self, phi, eps, M):
+        # eps^((n+2)/2) overflows: a ValueError naming eps, not an OverflowError
+        with pytest.raises(ValueError, match=re.escape(f"eps = {eps!r} puts the moment term eps^")):
+            omega_comb_expansion(phi, eps, M)
 
 
 class TestMoments:

@@ -148,7 +148,7 @@ xs = st.floats(min_value=math.log(1e-300), max_value=math.log(1e300)).map(math.e
 def check(name, alpha, variable, grid):
     s = SPECTRA[name]()
     try:
-        values = [mv.value for mv in riesz_mean_grid(s, alpha, variable, grid)]
+        values = riesz_mean_grid(s, alpha, variable, grid)
     except (ValueError, ToleranceError):
         values = []
     try:

@@ -38,24 +38,24 @@ def keys_up_to(s, variable, x):
 class TestRieszMean:
     def test_alpha1_lambda_hand_value(self):
         # (1/5)((5-1) + (5-4)) = 1
-        assert riesz_mean(INTERVAL, 1, "lambda", 5.0).value == pytest.approx(1.0, rel=1e-15)
+        assert riesz_mean(INTERVAL, 1, "lambda", 5.0) == pytest.approx(1.0, rel=1e-15)
 
     def test_alpha2_omega_hand_value(self):
         # (1/2)(1/9)((3-1)^2 + (3-2)^2) = 5/18
-        assert riesz_mean(INTERVAL, 2, "omega", 3.0).value == pytest.approx(5.0 / 18.0, rel=1e-15)
+        assert riesz_mean(INTERVAL, 2, "omega", 3.0) == pytest.approx(5.0 / 18.0, rel=1e-15)
 
     def test_alpha0_is_counting(self):
         for s in (INTERVAL, torus_spectrum(3.0)):
             for x in [0.5, 2.0, 7.3, 40.0]:
-                assert riesz_mean(s, 0, "lambda", x).value == counting(s, x)
+                assert riesz_mean(s, 0, "lambda", x) == counting(s, x)
 
     def test_variables_agree_only_at_alpha0(self):
         x = 5.0
-        n_lambda = riesz_mean(INTERVAL, 0, "lambda", x).value
-        n_omega = riesz_mean(INTERVAL, 0, "omega", math.sqrt(x)).value
+        n_lambda = riesz_mean(INTERVAL, 0, "lambda", x)
+        n_omega = riesz_mean(INTERVAL, 0, "omega", math.sqrt(x))
         assert n_lambda == n_omega
-        r1_lambda = riesz_mean(INTERVAL, 1, "lambda", x).value
-        r1_omega = riesz_mean(INTERVAL, 1, "omega", math.sqrt(x)).value
+        r1_lambda = riesz_mean(INTERVAL, 1, "lambda", x)
+        r1_omega = riesz_mean(INTERVAL, 1, "omega", math.sqrt(x))
         assert abs(r1_lambda - r1_omega) > 0.1
 
     def test_rejects_bad_arguments(self):
@@ -69,17 +69,18 @@ class TestRieszMean:
     def test_grid_matches_scalar_evaluation(self):
         grid = geometric_grid(2.0, 40.0, 12)
         batch = riesz_mean_grid(INTERVAL, 2, "omega", grid)
-        for mv in batch:
-            assert mv.value == riesz_mean(INTERVAL, 2, "omega", mv.x).value
+        assert len(batch) == len(grid)
+        for x, value in zip(grid, batch):
+            assert value == riesz_mean(INTERVAL, 2, "omega", x)
 
     @pytest.mark.parametrize("alpha", [1, 2])
     def test_grid_matches_scalar_on_product(self, alpha):
         # one summation policy: a grid point and the scalar call agree bit for bit
         s = product_spectrum(interval_spectrum(1.1, "dirichlet"), torus_spectrum(1.7))
         x = 1e4 + 0.3
-        (mv,) = riesz_mean_grid(s, alpha, "lambda", [x])
-        assert mv.value == riesz_mean(s, alpha, "lambda", x).value
-        assert riesz_mean_grid(s, alpha, "lambda", [10.0, x])[1] == mv
+        (value,) = riesz_mean_grid(s, alpha, "lambda", [x])
+        assert value == riesz_mean(s, alpha, "lambda", x)
+        assert riesz_mean_grid(s, alpha, "lambda", [10.0, x])[1] == value
 
     @pytest.mark.parametrize("variable, x", [("lambda", 1e4 + 0.3), ("omega", 100.3)])
     @pytest.mark.parametrize("alpha", [0, 1, 2])
@@ -90,7 +91,7 @@ class TestRieszMean:
         keys = [(w * w if variable == "lambda" else w, m) for w, m in s.up_to(110.0)]
         ref = math.fsum(m * (x - k) ** alpha for k, m in keys if k <= x)
         ref /= math.factorial(alpha) * x**alpha
-        assert riesz_mean(s, alpha, variable, x).value == pytest.approx(
+        assert riesz_mean(s, alpha, variable, x) == pytest.approx(
             ref, rel=64 * 2.0**-52, abs=0)
 
     @pytest.mark.parametrize("variable, hi", [("lambda", 1e4), ("omega", 100.0)])
@@ -109,11 +110,13 @@ class TestRieszMean:
         grid = [hi, 0.5, keys[0], keys[7], 3.3 * keys[0], keys[-1], hi / 3.0, keys[7],
                 keys[b - 1], keys[b], keys[2 * b - 1]]
         terms = list(zip(keys.tolist(), mults.tolist()))
-        for mv, x in zip(riesz_mean_grid(s, alpha, variable, grid), grid):
-            assert (mv.x, mv.value.hex()) == (x, riesz_mean(s, alpha, variable, x).value.hex())
+        means = riesz_mean_grid(s, alpha, variable, grid)
+        assert len(means) == len(grid)
+        for value, x in zip(means, grid):
+            assert value.hex() == riesz_mean(s, alpha, variable, x).hex()
             ref = math.fsum(m * (x - k) ** alpha for k, m in terms if k <= x)
             ref /= math.factorial(alpha) * x**alpha
-            assert mv.value == pytest.approx(ref, rel=64 * 2.0**-52, abs=0)
+            assert value == pytest.approx(ref, rel=64 * 2.0**-52, abs=0)
 
     @pytest.mark.parametrize("x, alpha, want", [
         (1e-200, 2, 0.5),  # x^2 underflows; only the zero mode is below x
@@ -122,12 +125,12 @@ class TestRieszMean:
     ])
     def test_extreme_points_stay_in_range(self, x, alpha, want):
         s = finite_spectrum(1, [(0.0, 1), (1.0, 2)])
-        assert riesz_mean(s, alpha, "omega", x).value == want
+        assert riesz_mean(s, alpha, "omega", x) == want
 
     def test_smoothing_continuity_alpha1(self):
         # R^1 is continuous across an eigenvalue; N itself jumps
-        below = riesz_mean(INTERVAL, 1, "lambda", 4.0 - 1e-9).value
-        above = riesz_mean(INTERVAL, 1, "lambda", 4.0 + 1e-9).value
+        below = riesz_mean(INTERVAL, 1, "lambda", 4.0 - 1e-9)
+        above = riesz_mean(INTERVAL, 1, "lambda", 4.0 + 1e-9)
         assert abs(above - below) < 1e-6
         assert counting(INTERVAL, 4.0 + 1e-9) - counting(INTERVAL, 4.0 - 1e-9) == 1
 
@@ -135,8 +138,8 @@ class TestRieszMean:
         # first divided differences of R^2 stay continuous across lambda = 4
         h = 1e-5
         def deriv(x):
-            lo = riesz_mean(INTERVAL, 2, "lambda", x - h).value
-            hi = riesz_mean(INTERVAL, 2, "lambda", x + h).value
+            lo = riesz_mean(INTERVAL, 2, "lambda", x - h)
+            hi = riesz_mean(INTERVAL, 2, "lambda", x + h)
             return (hi - lo) / (2 * h)
         assert abs(deriv(4.0 - 2 * h) - deriv(4.0 + 2 * h)) < 1e-3
 
@@ -191,10 +194,10 @@ class TestChunkedGrid:
         grid = data.draw(st.permutations([x for x in points if x > 0]))
         terms = list(zip(keys.tolist(), mults.tolist()))
         fac = math.factorial(alpha)
-        for mv, x in zip(riesz_mean_grid(s, alpha, variable, grid), grid):
-            assert mv.value == riesz_mean(s, alpha, variable, x).value
+        for value, x in zip(riesz_mean_grid(s, alpha, variable, grid), grid):
+            assert value == riesz_mean(s, alpha, variable, x)
             ref = math.fsum(m * ((x - k) / x) ** alpha for k, m in terms if k <= x)
-            assert mv.value == pytest.approx(ref / fac, rel=64 * 2.0**-52, abs=0)
+            assert value == pytest.approx(ref / fac, rel=64 * 2.0**-52, abs=0)
 
 
 class TestOrdersFromOneTable:
@@ -221,8 +224,8 @@ class TestOrdersFromOneTable:
         grid = data.draw(st.permutations([x for x in points if x > 0]))
         for alpha, means in zip(orders, riesz_mean_grids(s, orders, variable, grid)):
             want = riesz_mean_grid(s, alpha, variable, grid)
-            assert [(m.alpha, m.x) for m in means] == [(alpha, x) for x in grid]
-            assert [m.value.hex() for m in means] == [m.value.hex() for m in want]
+            assert all(type(m) is float for m in means) and len(means) == len(grid)
+            assert [m.hex() for m in means] == [m.hex() for m in want]
 
     def test_no_orders_or_no_points(self):
         assert riesz_mean_grids(INTERVAL, (), "omega", [1.0]) == []
@@ -232,6 +235,18 @@ class TestOrdersFromOneTable:
     def test_every_order_is_checked(self, alphas):
         with pytest.raises(ValueError, match="alpha must be a nonnegative integer"):
             riesz_mean_grids(INTERVAL, alphas, "omega", [1.0])
+
+    def test_order_past_170_raises(self):
+        # 171! is past the float range: the means, the x = inf limit and the
+        # fits all refuse it up front; 170! is the largest factorial in range
+        s = finite_spectrum(1, [(1.0, 1), (2.0, 3)])
+        with pytest.raises(ValueError, match="alpha must be a nonnegative integer at most 170"):
+            riesz_mean_grids(INTERVAL, (0, 171), "omega", [1.0])
+        with pytest.raises(ValueError, match="alpha must be a nonnegative integer at most 170"):
+            riesz_mean(s, 171, "omega", math.inf)
+        with pytest.raises(ValueError, match="alpha must be a nonnegative integer at most 170"):
+            extract_riesz_coeffs(INTERVAL, 171, "omega")
+        assert riesz_mean(s, 170, "omega", math.inf) == 4.0 / math.factorial(170)
 
 
 class TestAlphaZero:
@@ -259,12 +274,12 @@ class TestAlphaZero:
         points += [0.5 * (keys[-3] + keys[-2]), 0.5 * (keys[1] + keys[2]),
                    0.5 * keys[keys > 0][0]]
         grid = [float(x) for x in points if x > 0]
-        for mv in riesz_mean_grid(s, 0, variable, grid):
+        for x, value in zip(grid, riesz_mean_grid(s, 0, variable, grid)):
             if variable == "lambda":
-                want = counting(s, mv.x)
+                want = counting(s, x)
             else:
-                want = sum(s.arrays(mv.x)[1].tolist())
-            assert mv.value == want, (mv.x, mv.value, want)
+                want = sum(s.arrays(x)[1].tolist())
+            assert value == want, (x, value, want)
 
     @pytest.mark.parametrize("variable", ["lambda", "omega"])
     @pytest.mark.parametrize("alpha", [0, 1, 2, 3, 4])
@@ -273,8 +288,8 @@ class TestAlphaZero:
         s = finite_spectrum(1, [(1.0, 1), (2.0, 3)])
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            assert riesz_mean(s, alpha, variable, math.inf).value == 4.0 / math.factorial(alpha)
-            assert riesz_mean_grid(s, alpha, variable, [math.inf, 1.0])[0].value == \
+            assert riesz_mean(s, alpha, variable, math.inf) == 4.0 / math.factorial(alpha)
+            assert riesz_mean_grid(s, alpha, variable, [math.inf, 1.0])[0] == \
                 4.0 / math.factorial(alpha)
 
 
@@ -337,7 +352,7 @@ class TestExtraction:
             rep = extract_riesz_coeffs(INTERVAL, 2, "omega")
         assert detect.call_count and fits.call_count == 2 * detect.call_count
         assert refits.call_count == 0
-        assert rep.basis in [call.args[1] for call in fits.call_args_list[-2:]]
+        assert rep.basis in [call.args[2] for call in fits.call_args_list[-2:]]
 
 
 class TestWeylRemainder:

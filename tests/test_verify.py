@@ -292,3 +292,36 @@ def test_a_list_ending_past_the_float_range_gets_a_verdict(capsys, tmp_path):
     code, out, err = cli_verify(capsys, f"file:{path}")
     assert code in (0, 1), err
     assert "overall:" in out.splitlines()[-1]
+
+
+def loose_list(tmp_path, c2):
+    """A file of the terms n = 1..2999, each of multiplicity 1, under the
+    envelope C1 = 0 and the given C2."""
+    path = tmp_path / f"loose_{c2}.spec"
+    path.write_text(f"dim 1\nenvelope 0 {c2}\n" + "".join(f"{n}.0 1\n" for n in range(1, 3000)))
+    return path
+
+
+def test_probe_reaches_the_end_of_a_list_under_a_loose_envelope():
+    # 60 steps of 4x from C2^(-1) = 1e-300 end near omega = 1e-264; the
+    # probe at the list's end finds omega = 1
+    s = finite_spectrum(1, [(float(n), 1) for n in range(1, 3000)], envelope=(0.0, 1e300))
+    assert verify._first_positive_omega(s) == 1.0
+
+
+@pytest.mark.parametrize("c2", ["1e160", "1e200", "1e300"])
+def test_loose_envelopes_are_refused(capsys, tmp_path, c2):
+    # the envelope counts the 400k-term cap by omega = 4e5 / C2, whose square
+    # is subnormal or underflows: one documented error (exit 2) naming the
+    # envelope, not a ZeroDivisionError and not a window of infinite times
+    code, out, err = cli_verify(capsys, f"file:{loose_list(tmp_path, c2)}")
+    assert code == 2
+    assert out == ""
+    assert f"the envelope C1 = 0.0, C2 = {float(c2)!r}" in err and "past the float range" in err
+    assert "Traceback" not in err
+
+
+def test_a_loose_envelope_in_range_gets_a_verdict(capsys, tmp_path):
+    code, out, err = cli_verify(capsys, f"file:{loose_list(tmp_path, '1e30')}")
+    assert code == 1, err
+    assert out.splitlines()[-1] == "FAIL  overall: 10/16 checks passed"
