@@ -34,11 +34,9 @@ from .riesz import (
 from .moments import (
     MomentExpansionResult,
     TestFunction,
+    comb_expansion,
     comb_pairing,
-    euler_maclaurin_expansion,
     moment,
-    omega_comb_expansion,
-    squares_comb_expansion,
 )
 from .invariants import (
     AsymptoticExpansion,
@@ -89,6 +87,7 @@ __all__ = [
     "TraceSample",
     "bernoulli_numbers",
     "casimir_energy",
+    "comb_expansion",
     "comb_pairing",
     "counting",
     "cylinder_basis",
@@ -97,7 +96,6 @@ __all__ = [
     "cylinder_trace_derivative",
     "dcylinder_basis",
     "detect_log_term",
-    "euler_maclaurin_expansion",
     "expansion_derivative",
     "expansion_product",
     "expansion_to_json",
@@ -114,13 +112,11 @@ __all__ = [
     "interval_spectrum",
     "load_spectrum",
     "moment",
-    "omega_comb_expansion",
     "power_basis",
     "product_spectrum",
     "riesz_mean",
     "riesz_to_cylinder",
     "riesz_to_heat",
-    "squares_comb_expansion",
     "torus_spectrum",
     "trace_grid",
     "weyl_remainder",

@@ -25,13 +25,7 @@ import numpy as np
 from . import __version__
 from .fitkit import IllConditionedBasisError, geometric_grid
 from .invariants import expansion_to_json
-from .moments import (
-    TestFunction,
-    euler_maclaurin_expansion,
-    moment,
-    omega_comb_expansion,
-    squares_comb_expansion,
-)
+from .moments import TestFunction, comb_expansion, moment
 from .riesz import (
     DEFAULT_RANGES,
     extract_riesz_coeffs,
@@ -305,18 +299,6 @@ def cmd_verify(args) -> int:
 # moments / riesz
 # ---------------------------------------------------------------------------
 
-def _test_function(args) -> TestFunction:
-    name = args.fn
-    if name == "gaussian":
-        return TestFunction.gaussian()
-    if name == "expdecay":
-        return TestFunction.expdecay()
-    if name == "odd-gaussian":
-        return TestFunction.odd_gaussian()
-    lo, hi = args.support  # "bump", the last of the parser's choices
-    return TestFunction.bump(lo=lo, hi=hi)
-
-
 def _parse_decades(text: str) -> tuple[float, float]:
     try:
         lo, hi = text.split(":")
@@ -329,25 +311,20 @@ def _parse_decades(text: str) -> tuple[float, float]:
 
 
 def cmd_moments(args) -> int:
-    g = _test_function(args)
+    g = TestFunction.bump(*args.support) if args.fn == "bump" else TestFunction(args.fn)
     lo, hi = _parse_decades(args.eps_decades)
     eps_grid = geometric_grid(lo, hi, args.points)
     if args.orders < 0:
         raise UsageError("orders must be >= 0")
 
+    # the squares comb's error is measured past its n=0 boundary term
+    boundary = g(0.0) / 2.0 if args.comb == "squares" else 0.0
     rows = []
     corrected_errors = []
     fitted = []  # (eps, error) of the rows above the rounding floor
     for eps in eps_grid:
-        if args.comb == "linear":
-            res = euler_maclaurin_expansion(g, eps, args.orders)
-            corrected = res.abs_error
-        elif args.comb == "squares":
-            res = squares_comb_expansion(g, eps)
-            corrected = abs(res.lhs - res.rhs + g(0.0) / 2.0)
-        else:
-            res = omega_comb_expansion(g, eps, args.orders)
-            corrected = res.abs_error
+        res = comb_expansion(args.comb, g, eps, args.orders)
+        corrected = abs(res.lhs - res.rhs + boundary)
         corrected_errors.append(corrected)
         rows.append((res.epsilon, res.lhs, res.rhs, res.abs_error))
         if corrected > _ROUNDING_FLOOR * max(abs(res.lhs), abs(res.rhs)):
@@ -356,7 +333,7 @@ def cmd_moments(args) -> int:
     slope = _loglog_slope([e for e, _ in fitted], [err for _, err in fitted])
     comments = [_config_comment("moments", args)]
     if args.comb == "squares":
-        comments.append(f"# boundary_correction=-g(0)/2={-g(0.0) / 2.0!r}")
+        comments.append(f"# boundary_correction=-g(0)/2={-boundary!r}")
         comments.append(f"# corrected_error_slope={slope!r}")
     else:
         comments.append(f"# error_slope={slope!r}")

@@ -1,12 +1,14 @@
 """Dirac-comb pairings with smooth test functions and their moment expansions.
 
-The linear comb sum g(n eps) expands as (1/eps) int g + sum zeta(-n)
+Every comb pairing expands as a Weyl term built from one Mellin transform,
+G(s) = int_0^inf x^(s-1) g(x) dx, plus moment terms zeta(-k) g^(k)(0)
+eps^k / k!.  The linear comb sum g(n eps) expands as G(1)/eps + sum zeta(-n)
 g^{(n)}(0) eps^n / n!, so the negative-integer zeta values act as the
 distributional moments.  The squares comb sum g(eps n^2) has *all* moments
 zero (zeta at negative even integers) and collapses, up to the n=0 boundary
-constant -g(0)/2, to the single Weyl term (2 sqrt(eps))^{-1} int g(x)/sqrt(x).
-The omega-variable comb (square roots of the squares comb) fills in a ladder
-of half-integer powers instead.
+constant -g(0)/2, to the single Weyl term G(1/2) / (2 sqrt(eps)).  The
+omega-variable comb (square roots of the squares comb) has the Weyl term
+(sqrt(eps)/2) G(0) and fills in a ladder of half-integer powers instead.
 
 Test functions are a fixed built-in family with closed-form derivatives at 0;
 the expansions need exact high-order derivatives, which numerical
@@ -17,9 +19,8 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cached_property
 from typing import Callable, Optional
 
 import numpy as np
@@ -31,9 +32,7 @@ __all__ = [
     "TestFunction",
     "MomentExpansionResult",
     "comb_pairing",
-    "euler_maclaurin_expansion",
-    "squares_comb_expansion",
-    "omega_comb_expansion",
+    "comb_expansion",
     "moment",
 ]
 
@@ -94,8 +93,8 @@ def quad(fn, lo: float, hi: float) -> float:
     error estimate.
 
     fn takes a 1-D float64 array of nodes and returns the float64 array of
-    its values there; it is called once.  Made for the bump integrals: alone
-    or divided by sqrt(u) or u, they come out within 4e-15 relative of
+    its values there; it is called once.  Made for the bump's Mellin
+    transforms: at s = 1, 1/2 and 0 they come out within 4e-15 relative of
     40-digit values.  fn must be finite on the closed interval: the outermost
     nodes, 1e-20 of the width inside each end, round onto lo and hi.
     """
@@ -113,14 +112,16 @@ class TestFunction:
     kinds: gaussian exp(-x^2), expdecay exp(-x), odd-gaussian x exp(-x^2),
     and bump (compactly supported in (lo, hi) with 0 < lo, so it vanishes to
     all orders at 0).  Each knows its derivatives at 0 up to order 12 in
-    closed form and the integrals the expansions need.  rescaled(c) gives
-    x -> f(c x) with the tables and integrals transformed exactly, which is
-    what makes the comb scaling covariance testable as an identity.
+    closed form and its Mellin transform, the one integral the expansions
+    need.  rescaled(c) gives x -> f(c x) with the tables and integrals
+    transformed exactly, which is what makes the comb scaling covariance
+    testable as an identity.
     """
 
     kind: str
     support: Optional[tuple[float, float]] = None
     scale: float = 1.0
+    _mellin_base: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     # -- constructors ------------------------------------------------------
 
@@ -174,28 +175,24 @@ class TestFunction:
         return self.values([x])[0].item()
 
     def _base(self, u: np.ndarray) -> np.ndarray:
-        """The unscaled function at every point of u."""
-        if self.kind == "gaussian":
-            return _exp((-u) * u)
-        if self.kind == "expdecay":
-            # exp(-u) overflows from u = -710 on; exp(inf) = inf
-            return _exp(np.where(u > -700, -u, math.inf))
-        if self.kind == "odd-gaussian":
-            return u * _exp((-u) * u)
-        lo, hi = self.support
-        prod = (u - lo) * (hi - u)
-        out = np.zeros(u.shape)
-        inside = ~(prod <= 0.0)
-        out[inside] = _exp(-1.0 / prod[inside])
-        return out
-
-    @property
-    def support_interval(self) -> Optional[tuple[float, float]]:
-        """Support of the (scaled) function, for bump kinds."""
-        if self.support is None:
-            return None
-        lo, hi = self.support
-        return (lo / self.scale, hi / self.scale)
+        """The unscaled function at every point of u.  Overflow is silent:
+        u * u or a bump's (u - lo) * (hi - u) past the float range gives an
+        infinity whose exponential, exp(-inf) = 0 or exp(-1/inf) = 1, is the
+        function's value there."""
+        with np.errstate(over="ignore"):
+            if self.kind == "gaussian":
+                return _exp((-u) * u)
+            if self.kind == "expdecay":
+                # exp(-u) overflows from u = -710 on; exp(inf) = inf
+                return _exp(np.where(u > -700, -u, math.inf))
+            if self.kind == "odd-gaussian":
+                return u * _exp((-u) * u)
+            lo, hi = self.support
+            prod = (u - lo) * (hi - u)
+            out = np.zeros(u.shape)
+            inside = ~(prod <= 0.0)
+            out[inside] = _exp(-1.0 / prod[inside])
+            return out
 
     def deriv0(self, n: int) -> float:
         """Exact n-th derivative at 0, for 0 <= n <= 12."""
@@ -204,67 +201,37 @@ class TestFunction:
         return self._base_deriv0(n) * self.scale**n
 
     def _base_deriv0(self, n: int) -> float:
-        if self.kind == "gaussian":
-            if n % 2:
-                return 0.0
-            k = n // 2
-            return (-1.0) ** k * math.factorial(n) / math.factorial(k)
         if self.kind == "expdecay":
             return (-1.0) ** n
+        # x exp(-x^2) has n times the (n-1)-th derivative of exp(-x^2) at 0
+        odd = self.kind == "odd-gaussian"
+        if self.kind == "bump" or (n - odd) % 2:
+            return 0.0  # a bump vanishes identically near 0
+        k = (n - odd) // 2
+        return (-1.0) ** k * math.factorial(n) / math.factorial(k)
+
+    # -- Mellin transform --------------------------------------------------
+
+    def mellin(self, s: float) -> float:
+        """int_0^inf x^(s-1) f(x) dx, the Weyl integral of the combs (s = 1
+        linear, 1/2 squares, 0 omega): Gamma(s/2)/2, Gamma(s), Gamma((s+1)/2)/2
+        for gaussian, expdecay, odd-gaussian, a bump's by quadrature, made
+        once per instance and s.  A rescaled function's is the unscaled one
+        over scale^s.  ValueError for s <= 0 on gaussian or expdecay, whose
+        integral diverges at 0."""
+        base = self._mellin_base.get(s)
+        if base is None:
+            base = self._mellin_base[s] = self._base_mellin(s)
+        return base / self.scale**s
+
+    def _base_mellin(self, s: float) -> float:
         if self.kind == "odd-gaussian":
-            if n % 2 == 0:
-                return 0.0
-            k = (n - 1) // 2
-            return (-1.0) ** k * math.factorial(n) / math.factorial(k)
-        return 0.0  # bump vanishes identically near 0
-
-    # -- integrals ---------------------------------------------------------
-    # each integral is computed once per instance: the bump ones cost a
-    # quadrature, and the expansions ask for them at every epsilon
-
-    def integral(self) -> float:
-        """int_0^inf f, closed form except for bump (tanh-sinh quadrature)."""
-        return self._integral
-
-    @cached_property
-    def _integral(self) -> float:
-        if self.kind == "gaussian":
-            base = math.sqrt(math.pi) / 2.0
-        elif self.kind == "expdecay":
-            base = 1.0
-        elif self.kind == "odd-gaussian":
-            base = 0.5
-        else:
-            base = quad(self._base, *self.support)
-        return base / self.scale
-
-    def integral_invsqrt(self) -> float:
-        """int_0^inf f(x)/sqrt(x) dx."""
-        return self._integral_invsqrt
-
-    @cached_property
-    def _integral_invsqrt(self) -> float:
-        if self.kind == "gaussian":
-            base = math.gamma(0.25) / 2.0
-        elif self.kind == "expdecay":
-            base = math.sqrt(math.pi)
-        elif self.kind == "odd-gaussian":
-            base = math.gamma(0.75) / 2.0
-        else:
-            base = quad(lambda u: self._base(u) / np.sqrt(u), *self.support)
-        return base / math.sqrt(self.scale)
-
-    def integral_over_x(self) -> float:
-        """int_0^inf f(x)/x dx (scale invariant); requires f(0) = 0."""
-        return self._integral_over_x
-
-    @cached_property
-    def _integral_over_x(self) -> float:
-        if self.kind == "odd-gaussian":
-            return math.sqrt(math.pi) / 2.0
+            return math.gamma((s + 1.0) / 2.0) / 2.0
         if self.kind == "bump":
-            return quad(lambda u: self._base(u) / u, *self.support)
-        raise ValueError(f"int f/x diverges for {self.kind} (f(0) != 0)")
+            return quad(lambda u: self._base(u) / u ** (1.0 - s), *self.support)
+        if not s > 0:
+            raise ValueError(f"int x^(s-1) f diverges at s = {s!r} for {self.kind} (f(0) != 0)")
+        return math.gamma(s / 2.0) / 2.0 if self.kind == "gaussian" else math.gamma(s)
 
     # -- tail control ------------------------------------------------------
 
@@ -277,10 +244,20 @@ class TestFunction:
             return self.support[1] / self.scale
         return 0.0
 
-    def tail_integral(self, c: float) -> float:
-        """Upper bound on int_c^inf |f|, c >= 0.  ValueError for a bump: its
-        comb sums end at its support and leave no tail to bound."""
-        return self._base_tail(self.scale * c) / self.scale
+    def tail_mellin(self, s: float, c: float) -> float:
+        """Upper bound on int_c^inf x^(s-1) |f(x)| dx, the tail of mellin(s)
+        that the linear (s = 1, c >= 0) and squares (s = 1/2, c > 0) combs
+        drop.  ValueError for a bump: its comb sums end at its support and
+        leave no tail to bound."""
+        if s == 1.0:
+            return self._base_tail(self.scale * c) / self.scale
+        if s != 0.5:
+            raise ValueError(f"tail bounds cover s = 1 and 1/2, got {s}")
+        if self.kind == "expdecay":
+            cc = self.scale * c
+            base = math.sqrt(math.pi) * math.erfc(math.sqrt(cc)) if cc < 1e6 else 0.0
+            return base / math.sqrt(self.scale)
+        return self.tail_mellin(1.0, c) / math.sqrt(c)  # x^(-1/2) <= c^(-1/2) past c
 
     def _base_tail(self, c: float) -> float:
         if self.kind == "gaussian":
@@ -292,14 +269,6 @@ class TestFunction:
                 return 1.0
             return math.exp(-c * c) / 2.0 if c < 26 else 0.0
         raise ValueError("a bump has no tail bound: its comb sums end at its support")
-
-    def tail_integral_invsqrt(self, c: float) -> float:
-        """Upper bound on int_c^inf |f(x)|/sqrt(x) dx, c > 0."""
-        if self.kind == "expdecay":
-            cc = self.scale * c
-            base = math.sqrt(math.pi) * math.erfc(math.sqrt(cc)) if cc < 1e6 else 0.0
-            return base / math.sqrt(self.scale)
-        return self.tail_integral(c) / math.sqrt(c)
 
 
 @dataclass(frozen=True)
@@ -319,25 +288,38 @@ class MomentExpansionResult:
 
 
 # ---------------------------------------------------------------------------
-# pairings
+# pairings and their expansions
 # ---------------------------------------------------------------------------
 
 def comb_pairing(kind: str, eps: float, g: TestFunction) -> float:
-    """sum_{n>=1} g(n eps) (linear) or g(eps n^2) (squares), cut by _comb:
-    a bump's sum ends at its support, any other once the integral test
-    bounds the dropped tail by _COMB_TOL = 1e-14."""
+    """The comb of kind at spacing eps paired with g, cut by _comb: a bump's
+    sum ends at its support, any other once the integral test bounds the
+    dropped tail by _COMB_TOL = 1e-14 (_OMEGA_COMB_TOL = 1e-15 for omega).
+
+    linear: sum_{n>=1} g(n eps); squares: sum_{n>=1} g(eps n^2); omega:
+    sum_{n>=1} (sqrt(eps)/(2n)) g(sqrt(eps) n), the pairing the squares comb
+    induces in the frequency variable (each root of omega^2/eps = n^2
+    carries weight sqrt(eps)/(2n)).
+    """
     if not (eps > 0):
         raise ValueError(f"eps must be positive, got {eps}")
-    if kind not in ("linear", "squares"):
-        raise ValueError(f"kind must be 'linear' or 'squares', got {kind!r}")
 
-    # the sampled arguments, n eps or eps n^2, as the scalar formulas round them
+    # the sampled arguments, n eps, eps n^2 or sqrt(eps) n, as the scalar
+    # formulas round them
     if kind == "linear":
         return _comb(g, eps, lambda x: x / eps, lambda n: g.values(n * eps),
-                     lambda n: g.tail_integral(n * eps) / eps, _COMB_TOL)
-    return _comb(g, eps, lambda x: math.sqrt(x / eps), lambda n: g.values(eps * n * n),
-                 lambda n: g.tail_integral_invsqrt(eps * n * n) / (2.0 * math.sqrt(eps)),
-                 _COMB_TOL)
+                     lambda n: g.tail_mellin(1.0, n * eps) / eps, _COMB_TOL)
+    if kind == "squares":
+        return _comb(g, eps, lambda x: math.sqrt(x / eps), lambda n: g.values(eps * n * n),
+                     lambda n: g.tail_mellin(0.5, eps * n * n) / (2.0 * math.sqrt(eps)),
+                     _COMB_TOL)
+    if kind == "omega":
+        # term magnitude <= (sqrt(eps)/2) |g(sqrt(eps) n)|, so the plain
+        # linear-comb tail bound applies after dividing by sqrt(eps)
+        root = math.sqrt(eps)
+        return _comb(g, eps, lambda x: x / root, lambda n: (root / (2.0 * n)) * g.values(root * n),
+                     lambda n: g.tail_mellin(1.0, n * root) / 2.0, _OMEGA_COMB_TOL)
+    raise ValueError(f"kind must be 'linear', 'squares' or 'omega', got {kind!r}")
 
 
 def _comb(g: TestFunction, eps: float, index_of, term, tail_after, tol: float) -> float:
@@ -350,7 +332,7 @@ def _comb(g: TestFunction, eps: float, index_of, term, tail_after, tol: float) -
     pass the float range for a subnormal eps."""
     cap = spectra.DEFAULT_MAX_TERMS
     if g.kind == "bump":
-        lo, hi = g.support_interval
+        lo, hi = (end / g.scale for end in g.support)
         first, last = max(index_of(lo), 1.0), index_of(hi)
         if last - first < cap:
             return _comb_sum(term, math.ceil(first), math.floor(last))
@@ -384,10 +366,6 @@ def _smallest_stop(certified: Callable[[int], bool], n: int) -> Optional[int]:
     return n
 
 
-# ---------------------------------------------------------------------------
-# expansions
-# ---------------------------------------------------------------------------
-
 def _eps_power(eps: float, p: float) -> float:
     """eps^p of a moment term; one past the float range raises ValueError."""
     try:
@@ -397,72 +375,45 @@ def _eps_power(eps: float, p: float) -> float:
                          "float range") from None
 
 
-def euler_maclaurin_expansion(g: TestFunction, eps: float, M: int) -> MomentExpansionResult:
-    """Linear comb vs its expansion through moment order M:
-    rhs = (1/eps) int_0^inf g + sum_{n=0}^{M} zeta(-n) g^{(n)}(0) eps^n / n!.
+def comb_expansion(kind: str, g: TestFunction, eps: float, M: int) -> MomentExpansionResult:
+    """comb_pairing(kind, eps, g) against its expansion through moment
+    order M, whose Weyl term is built from G(s) = g.mellin(s):
+
+    linear:  rhs = G(1)/eps + sum_{n=0}^{M} zeta(-n) g^{(n)}(0) eps^n / n!,
+             for M in 0..10.
+    squares: rhs = G(1/2) / (2 sqrt(eps)) alone: every moment term has
+             zeta(-2k) = 0, so M is ignored and the order is 0.  With the
+             n >= 1 convention lhs - rhs -> -g(0)/2 up to an error beyond
+             all orders; that n=0 boundary constant is kept out of rhs and
+             carried explicitly by callers.
+    omega:   rhs = (sqrt(eps)/2) G(0)
+                 + sum_{n=0}^{M} zeta(-n) eps^{(n+2)/2} g^{(n+1)}(0) / (2 (n+1)!),
+             for M in 0..11, whose moment terms climb in half-integer steps
+             of eps.  Requires g(0) = 0 so the leading integral converges.
     """
-    if not 0 <= M <= 10:
+    if kind == "linear" and not 0 <= M <= 10:
         raise ValueError(f"M must be in 0..10, got {M}")
-    terms = [g.integral() / eps]
-    for n in range(M + 1):
-        zn = zeta_neg_int(n)
-        terms.append(float(zn) * g.deriv0(n) * _eps_power(eps, n) / math.factorial(n))
-    lhs = comb_pairing("linear", eps, g)
-    return MomentExpansionResult(
-        epsilon=eps, order=M, lhs=lhs, rhs=math.fsum(terms), terms=tuple(terms)
-    )
-
-
-def squares_comb_expansion(g: TestFunction, eps: float) -> MomentExpansionResult:
-    """Squares comb vs its single Weyl term (2 sqrt(eps))^{-1} int g(x)/sqrt(x).
-
-    Every moment term vanishes (zeta at negative even integers is zero), so
-    rhs is the integral term alone.  With the n >= 1 summation convention the
-    pairing satisfies lhs - rhs -> -g(0)/2 up to an error beyond all orders:
-    the constant is the n=0 boundary term, kept out of rhs deliberately and
-    carried explicitly by callers.
-    """
-    lhs = comb_pairing("squares", eps, g)
-    weyl = g.integral_invsqrt() / (2.0 * math.sqrt(eps))
-    return MomentExpansionResult(
-        epsilon=eps, order=0, lhs=lhs, rhs=weyl, terms=(weyl,)
-    )
-
-
-def omega_comb_expansion(phi: TestFunction, eps: float, M: int) -> MomentExpansionResult:
-    """Square-root comb pairing and its half-integer-power expansion.
-
-    lhs = sum_{n>=1} (sqrt(eps)/(2n)) phi(sqrt(eps) n), the pairing the
-    squares comb induces in the frequency variable (each root of
-    omega^2/eps = n^2 carries weight sqrt(eps)/(2n)).  The expansion is
-    rhs = (sqrt(eps)/2) int_0^inf phi(w)/w dw
-        + sum_{n=0}^{M} zeta(-n) eps^{(n+2)/2} phi^{(n+1)}(0) / (2 (n+1)!),
-    whose moment terms climb in half-integer steps of eps.  Requires
-    phi(0) = 0 so the leading integral converges.
-    """
-    if phi.kind not in ("odd-gaussian", "bump"):
-        raise ValueError(
-            f"phi(0) != 0 for {phi.kind}; the leading integral int phi/w diverges"
-        )
-    if not 0 <= M <= _MAX_DERIV - 1:
-        raise ValueError(f"M must be in 0..{_MAX_DERIV - 1}, got {M}")
-    if not (eps > 0):
-        raise ValueError(f"eps must be positive, got {eps}")
-
-    root = math.sqrt(eps)
-
-    # term magnitude <= (sqrt(eps)/2) |phi(sqrt(eps) n)|, so the plain
-    # linear-comb tail bound applies after dividing by sqrt(eps)
-    lhs = _comb(phi, eps, lambda x: x / root, lambda n: (root / (2.0 * n)) * phi.values(root * n),
-                lambda n: phi.tail_integral(n * root) / 2.0, _OMEGA_COMB_TOL)
-
-    terms = [(root / 2.0) * phi.integral_over_x()]
-    for n in range(M + 1):
-        zn = zeta_neg_int(n)
-        terms.append(
-            float(zn) * _eps_power(eps, (n + 2) / 2.0) * phi.deriv0(n + 1)
+    if kind == "omega":
+        if g.kind not in ("odd-gaussian", "bump"):
+            raise ValueError(f"phi(0) != 0 for {g.kind}; the leading integral "
+                             "int phi/w diverges")
+        if not 0 <= M <= _MAX_DERIV - 1:
+            raise ValueError(f"M must be in 0..{_MAX_DERIV - 1}, got {M}")
+    # the linear comb refuses an overflowing moment term before a sum past
+    # the term budget, the others the other way round
+    lhs = None if kind == "linear" else comb_pairing(kind, eps, g)
+    if kind == "linear":
+        terms = [g.mellin(1.0) / eps] + [
+            float(zeta_neg_int(n)) * g.deriv0(n) * _eps_power(eps, n) / math.factorial(n)
+            for n in range(M + 1)]
+        lhs = comb_pairing(kind, eps, g)
+    elif kind == "squares":
+        terms, M = [g.mellin(0.5) / (2.0 * math.sqrt(eps))], 0
+    else:
+        terms = [(math.sqrt(eps) / 2.0) * g.mellin(0.0)] + [
+            float(zeta_neg_int(n)) * _eps_power(eps, (n + 2) / 2.0) * g.deriv0(n + 1)
             / (2.0 * math.factorial(n + 1))
-        )
+            for n in range(M + 1)]
     return MomentExpansionResult(
         epsilon=eps, order=M, lhs=lhs, rhs=math.fsum(terms), terms=tuple(terms)
     )

@@ -41,9 +41,9 @@ _GUARD_ORDERS = 1
 _CHUNK = 1024
 # chunks per block of _chunk_moments' work arrays
 _BLOCK = 64
-# riesz_mean_grid divides by x^alpha only while |log2 x^alpha| is below this,
-# far enough inside the float range that neither it nor the sum under- or
-# overflows
+# riesz_mean_grid divides by alpha! x^alpha only while it and x^alpha are
+# inside 2^-this .. 2^this, far enough inside the float range that neither
+# they nor the sum under- or overflow
 _POW_BITS = 900.0
 
 
@@ -82,9 +82,9 @@ def riesz_mean_grids(s: Spectrum, alphas: Sequence[int], variable: str,
     mean stays within a few eps of the correctly rounded one (the tests hold
     it to 64 eps; N is exact below 2^53).  Chunks start at the first term, so
     a value depends only on x, alpha and the spectrum: riesz_mean(x) is the
-    same float.  Where x^alpha lies outside 2^-900 .. 2^900, a point sums
-    mult ((x - x_n) / x)^alpha instead; x = inf gives the limit
-    (sum mult) / alpha!.  Raises ValueError for an order past 170 (whose
+    same float.  Where x^alpha lies below 2^-900 or alpha! x^alpha above
+    2^900, a point sums mult ((x - x_n) / x)^alpha instead; x = inf gives
+    the limit (sum mult) / alpha!.  Raises ValueError for an order past 170 (whose
     alpha! is past the float range), for an infinite grid point on a
     spectrum that does not end, and ToleranceError when the enumeration to
     the largest point needs more than DEFAULT_MAX_TERMS rows, before it
@@ -134,8 +134,8 @@ def riesz_mean_grids(s: Spectrum, alphas: Sequence[int], variable: str,
                 n = (counts[q - 1] if q else 0.0) + float(
                     np.add.reduce(mults[start:idx], dtype=float))
                 value = n / fac
-            elif not abs(alpha * math.log2(x)) < _POW_BITS:
-                # x^alpha would under- or overflow: sum the terms scaled by 1/x
+            elif not -_POW_BITS < alpha * math.log2(x) < _POW_BITS - math.log2(fac):
+                # x^alpha or alpha! x^alpha is out of range: sum terms scaled by 1/x
                 keys = values[:idx] * values[:idx] if square else values[:idx]
                 scaled = np.power((x - keys) / x, alpha) * mults[:idx]
                 value = float(np.add.reduce(scaled)) / fac

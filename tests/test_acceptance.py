@@ -14,6 +14,7 @@ import numpy as np
 from spectrace import (
     TestFunction as TF,
     casimir_energy,
+    comb_expansion,
     cylinder_basis,
     cylinder_trace,
     dcylinder_basis,
@@ -27,10 +28,8 @@ from spectrace import (
     heat_trace,
     interval_spectrum,
     moment,
-    omega_comb_expansion,
     product_spectrum,
     riesz_to_cylinder,
-    squares_comb_expansion,
     trace_grid,
     weyl_remainder,
     zeta_neg_int,
@@ -209,11 +208,11 @@ def test_criterion_09_squares_and_omega_combs():
     with criterion(9, "squares-comb error below eps^4 after -g(0)/2; omega-comb below eps^2.5"):
         for g in (TF.gaussian(), TF.expdecay()):
             for eps in geometric_grid(1e-3, 1e-2, 5):
-                res = squares_comb_expansion(g, eps)
+                res = comb_expansion("squares", g, eps, 0)
                 assert abs(res.lhs - res.rhs + g(0.0) / 2.0) < eps**4
         phi = TF.odd_gaussian()
         for eps in geometric_grid(1e-3, 1e-2, 5):
-            res = omega_comb_expansion(phi, eps, 3)
+            res = comb_expansion("omega", phi, eps, 3)
             assert res.abs_error < eps**2.5
 
 

@@ -4,6 +4,7 @@ import os
 import subprocess
 import sys
 import time
+import warnings
 from pathlib import Path
 
 import pytest
@@ -285,6 +286,20 @@ class TestMomentsCommand:
         code, _, err = run(capsys, "moments", "--comb", "omega", "--fn", "gaussian")
         assert code == 2
         assert "diverges" in err
+
+    @pytest.mark.parametrize("argv, want", [
+        (("--comb", "squares", "--fn", "gaussian", "--eps-decades", "1e100:1e300"), 0),
+        (("--comb", "squares", "--fn", "odd-gaussian", "--eps-decades", "1e100:1e300"), 0),
+        (("--comb", "linear", "--fn", "bump", "--support", "1e-300", "1e300"), 2),
+    ], ids=["squares-gaussian", "squares-odd-gaussian", "linear-wide-bump"])
+    def test_overflowing_arguments_warn_nothing(self, capsys, argv, want):
+        # eps n^2 or a bump's (u - lo) * (hi - u) past the float range is
+        # an infinity the test function maps to its value, not a warning
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            code, _, err = run(capsys, "moments", *argv)
+        assert code == want
+        assert "Warning" not in err and "Traceback" not in err
 
     def test_svg_written(self, capsys, tmp_path):
         svg = tmp_path / "moments.svg"

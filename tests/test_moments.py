@@ -3,6 +3,7 @@ import io
 import math
 import re
 import time
+import warnings
 from fractions import Fraction
 from unittest import mock
 
@@ -14,13 +15,11 @@ from hypothesis import given, settings, strategies as st
 from spectrace import (
     TestFunction as TF,
     bernoulli_numbers,
+    comb_expansion,
     comb_pairing,
-    euler_maclaurin_expansion,
     heat_trace,
     interval_spectrum,
     moment,
-    omega_comb_expansion,
-    squares_comb_expansion,
     zeta_neg_int,
 )
 from spectrace import cli, moments, spectra
@@ -70,32 +69,98 @@ class TestTestFunctions:
             assert abs(g(x) - taylor) < 1e-11
 
     def test_closed_form_integrals(self):
-        assert GAUSS.integral() == pytest.approx(math.sqrt(PI) / 2, rel=1e-15)
-        assert EXP.integral() == 1.0
-        assert ODD.integral() == 0.5
-        assert GAUSS.integral_invsqrt() == pytest.approx(math.gamma(0.25) / 2, rel=1e-15)
-        assert EXP.integral_invsqrt() == pytest.approx(math.sqrt(PI), rel=1e-15)
-        assert ODD.integral_invsqrt() == pytest.approx(float(mp.gamma(0.75) / 2), rel=1e-15)
-        assert ODD.integral_over_x() == pytest.approx(math.sqrt(PI) / 2, rel=1e-15)
+        assert GAUSS.mellin(1.0) == pytest.approx(math.sqrt(PI) / 2, rel=1e-15)
+        assert EXP.mellin(1.0) == 1.0
+        assert ODD.mellin(1.0) == 0.5
+        assert GAUSS.mellin(0.5) == pytest.approx(math.gamma(0.25) / 2, rel=1e-15)
+        assert EXP.mellin(0.5) == pytest.approx(math.sqrt(PI), rel=1e-15)
+        assert ODD.mellin(0.5) == pytest.approx(float(mp.gamma(0.75) / 2), rel=1e-15)
+        assert ODD.mellin(0.0) == pytest.approx(math.sqrt(PI) / 2, rel=1e-15)
 
     def test_bump_quadrature_integrals(self):
         b = TF.bump(lo=1.0, hi=2.0)
-        direct = b.integral()
+        direct = b.mellin(1.0)
         assert 0 < direct < 1.0
-        assert b.integral_invsqrt() < direct  # 1/sqrt(x) < 1 on (1,2)
-        assert b.integral_over_x() < direct
+        assert b.mellin(0.5) < direct  # 1/sqrt(x) < 1 on (1,2)
+        assert b.mellin(0.0) < direct
 
     def test_integral_over_x_requires_vanishing_at_zero(self):
-        with pytest.raises(ValueError):
-            GAUSS.integral_over_x()
-        with pytest.raises(ValueError):
-            EXP.integral_over_x()
+        # mellin(0) = int f/x diverges at 0 where f(0) != 0
+        with pytest.raises(ValueError, match="diverges"):
+            GAUSS.mellin(0.0)
+        with pytest.raises(ValueError, match="diverges"):
+            EXP.mellin(0.0)
+
+    @pytest.mark.parametrize("g", [GAUSS, EXP, ODD, TF.bump(lo=0.3, hi=0.9),
+                                   TF.bump(lo=1e-300, hi=1e300)],
+                             ids=["gaussian", "expdecay", "odd-gaussian", "bump", "wide-bump"])
+    def test_values_past_the_float_range_are_silent(self, g):
+        # u * u and a bump's (u - lo) * (hi - u) overflow to inf, whose
+        # exponentials are the function's values there
+        xs = [1e155, -1e155, 1e300, -1e300]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = g.values(xs).tolist()
+            if g.kind == "bump":
+                g.mellin(1.0)
+        assert [v.hex() for v in got] == [reference_value(g, x).hex() for x in xs]
 
     def test_bump_support_validation(self):
         with pytest.raises(ValueError):
             TF.bump(lo=0.0, hi=1.0)
         with pytest.raises(ValueError):
             TF.bump(lo=2.0, hi=1.0)
+
+
+class TestMellin:
+    """mellin(s) = int_0^inf x^(s-1) f(x) dx, the Weyl integral of every comb."""
+
+    @pytest.mark.parametrize("g, s", [
+        (GAUSS, 1.0), (GAUSS, 0.5), (EXP, 1.0), (EXP, 0.5),
+        (ODD, 1.0), (ODD, 0.5), (ODD, 0.0),
+        (TF.bump(lo=0.3, hi=0.9), 1.0), (TF.bump(lo=0.3, hi=0.9), 0.5),
+        (TF.bump(lo=0.3, hi=0.9), 0.0),
+    ], ids=lambda v: getattr(v, "kind", v))
+    def test_matches_mpmath(self, g, s):
+        with mp.workdps(40):
+            if g.kind == "gaussian":
+                f = lambda x: mp.exp(-x * x)
+            elif g.kind == "expdecay":
+                f = lambda x: mp.exp(-x)
+            elif g.kind == "odd-gaussian":
+                f = lambda x: x * mp.exp(-x * x)
+            else:
+                lo, hi = g.support
+                f = lambda x: mp.exp(-1 / ((x - lo) * (hi - x)))
+            ends = list(g.support) if g.kind == "bump" else [0, 1, mp.inf]
+            ref = mp.quad(lambda x: x ** (mp.mpf(s) - 1) * f(x), ends)
+        assert abs(g.mellin(s) - ref) <= 4e-15 * ref
+
+    @pytest.mark.parametrize("g", [GAUSS, EXP, ODD, TF.bump(lo=0.3, hi=0.9)],
+                             ids=lambda g: g.kind)
+    def test_rescaled_divides_by_scale_to_the_s(self, g):
+        # mellin of x -> f(c x) is c^(-s) mellin(s) of f: one rounding of
+        # c^s and one of the quotient, so within 2 ulp of the exact value
+        for s in (1.0, 0.5) + ((0.0,) if g.kind in ("odd-gaussian", "bump") else ()):
+            for c in (1e-3, 2.0**-5, 0.3, 1.7, 123.456, 9.1e4):
+                got = g.rescaled(c).mellin(s)
+                with mp.workdps(40):
+                    want = mp.mpf(g.mellin(s)) * mp.mpf(c) ** (-mp.mpf(s))
+                    assert abs(got - want) <= 2 * math.ulp(float(want))
+
+    def test_bump_quadrature_runs_once_per_s(self):
+        calls = []
+        real = moments.quad
+
+        def spy(fn, lo, hi):
+            calls.append((lo, hi))
+            return real(fn, lo, hi)
+
+        b = TF.bump(lo=0.3, hi=0.9)
+        with mock.patch.object(moments, "quad", spy):
+            first = [b.mellin(s) for s in (1.0, 0.5, 0.0)]
+            again = [b.mellin(s) for s in (1.0, 0.5, 0.0)]
+        assert first == again and len(calls) == 3
 
 
 class TestQuadrature:
@@ -119,9 +184,9 @@ class TestQuadrature:
         # comb sums over a bump end at its support, so none asks for a tail
         b = TF.bump(lo=0.5, hi=1.5)
         with pytest.raises(ValueError, match="end at its support"):
-            b.tail_integral(c)
+            b.tail_mellin(1.0, c)
         with pytest.raises(ValueError, match="end at its support"):
-            b.tail_integral_invsqrt(c)
+            b.tail_mellin(0.5, c)
 
 
 class TestCombPairing:
@@ -160,18 +225,15 @@ class TestCombPairing:
         # summed and not at the one before it
         def certified(g, eps, n):
             if kind == "linear":
-                return g.tail_integral(n * eps) / eps <= moments._COMB_TOL
+                return g.tail_mellin(1.0, n * eps) / eps <= moments._COMB_TOL
             if kind == "squares":
-                return (g.tail_integral_invsqrt(eps * n * n) / (2.0 * math.sqrt(eps))
+                return (g.tail_mellin(0.5, eps * n * n) / (2.0 * math.sqrt(eps))
                         <= moments._COMB_TOL)
-            return g.tail_integral(n * math.sqrt(eps)) / 2.0 <= 1e-15
+            return g.tail_mellin(1.0, n * math.sqrt(eps)) / 2.0 <= 1e-15
 
         for g in ([ODD] if kind == "omega" else [EXP, GAUSS]):
             for eps in (1e-3, 0.0137, 0.1):
-                if kind == "omega":
-                    _, ranges = _comb_ranges(lambda: omega_comb_expansion(g, eps, 2))
-                else:
-                    _, ranges = _comb_ranges(lambda: comb_pairing(kind, eps, g))
+                _, ranges = _comb_ranges(lambda: comb_pairing(kind, eps, g))
                 ((_, last),) = ranges
                 assert certified(g, eps, last) and not certified(g, eps, last - 1)
 
@@ -182,11 +244,10 @@ class TestCombPairing:
         b = TF.bump(lo=1.0, hi=2.0).rescaled(1.5)
         eps = 0.0137
         root = math.sqrt(eps)
+        got, ranges = _comb_ranges(lambda: comb_pairing(kind, eps, b))
         if kind == "omega":
-            got, ranges = _comb_ranges(lambda: omega_comb_expansion(b, eps, 2).lhs)
             terms = [root / (2.0 * n) * b(root * n) for n in range(1, 40)]
         else:
-            got, ranges = _comb_ranges(lambda: comb_pairing(kind, eps, b))
             terms = [b(n * eps if kind == "linear" else eps * n * n) for n in range(1, 200)]
         nonzero = [n for n, t in enumerate(terms, 1) if t != 0.0]
         assert ranges == [(nonzero[0], nonzero[-1])]
@@ -217,6 +278,19 @@ class TestCombPairing:
             comb_pairing("cubes", 0.1, EXP)
         with pytest.raises(ValueError):
             comb_pairing("linear", -0.1, EXP)
+        with pytest.raises(ValueError):
+            comb_expansion("cubes", EXP, 0.1, 2)
+
+    @pytest.mark.parametrize("kind, fns", [
+        ("linear", [EXP, GAUSS, ODD, TF.bump(lo=0.3, hi=0.9)]),
+        ("squares", [EXP, GAUSS, ODD, TF.bump(lo=0.3, hi=0.9)]),
+        ("omega", [ODD, TF.bump(lo=0.3, hi=0.9)]),
+    ])
+    def test_expansion_lhs_is_the_pairing(self, kind, fns):
+        for g in fns:
+            for eps in (1e-3, 0.0137, 0.25):
+                want = comb_pairing(kind, eps, g)
+                assert comb_expansion(kind, g, eps, 3).lhs.hex() == want.hex()
 
 
 def reference_value(g, x):
@@ -298,11 +372,11 @@ class TestArrayEvaluator:
     @given(phi=smooth_functions(("odd-gaussian", "bump"), st.floats(0.25, 4.0)),
            eps=st.floats(1e-4, 0.25))
     def test_omega_comb_is_fsum_of_reference(self, phi, eps):
-        res, ranges = _comb_ranges(lambda: omega_comb_expansion(phi, eps, 2))
+        got, ranges = _comb_ranges(lambda: comb_pairing("omega", eps, phi))
         ((first, last),) = ranges
         assert first >= 1
         root = math.sqrt(eps)
-        assert res.lhs == math.fsum((root / (2.0 * n)) * reference_value(phi, root * n)
+        assert got == math.fsum((root / (2.0 * n)) * reference_value(phi, root * n)
                                     for n in range(first, last + 1))
 
     def test_long_sums_are_chunked(self):
@@ -314,7 +388,7 @@ class TestArrayEvaluator:
 
     @pytest.mark.parametrize("comb", ["linear", "squares", "omega"])
     def test_moments_run_makes_one_quadrature_per_integral(self, comb):
-        # 16 epsilons, one bump integral each: int f, int f/sqrt(x) or int f/x
+        # 16 epsilons, one bump Mellin transform: at s = 1, 1/2 or 0
         calls = []
         real = moments.quad
 
@@ -331,7 +405,7 @@ class TestArrayEvaluator:
 
 class TestEulerMaclaurin:
     def test_first_moment_terms_expdecay(self):
-        res = euler_maclaurin_expansion(EXP, 0.3, 3)
+        res = comb_expansion("linear", EXP, 0.3, 3)
         assert res.terms[0] == pytest.approx(1.0 / 0.3, rel=1e-15)
         assert res.terms[1] == pytest.approx(-0.5, rel=1e-15)        # zeta(0) g(0)
         assert res.terms[2] == pytest.approx(0.3 / 12.0, rel=1e-15)  # zeta(-1) g'(0) eps
@@ -341,28 +415,28 @@ class TestEulerMaclaurin:
     def test_error_bounded_by_first_omitted_term(self):
         # M = 5: orders 6 (zeta = 0) and 7 drive the error
         eps = 0.1
-        res = euler_maclaurin_expansion(EXP, eps, 5)
+        res = comb_expansion("linear", EXP, eps, 5)
         bound = 2.0 * abs(Fraction(1, 240)) / math.factorial(7) * eps**7
         assert res.abs_error < bound
 
     def test_exact_laurent_identity(self):
         # the linear expdecay comb is exactly 1/(e^eps - 1)
         for eps in [0.05, 0.2, 1.0]:
-            res = euler_maclaurin_expansion(EXP, eps, 4)
+            res = comb_expansion("linear", EXP, eps, 4)
             assert res.lhs == pytest.approx(1.0 / math.expm1(eps), abs=1e-13)
 
     def test_bump_reduces_to_weyl_term(self):
         b = TF.bump(lo=1.0, hi=2.0)
-        res = euler_maclaurin_expansion(b, 0.01, 6)
+        res = comb_expansion("linear", b, 0.01, 6)
         assert res.rhs == pytest.approx(res.terms[0], rel=1e-15)
         assert all(t == 0.0 for t in res.terms[1:])
         assert res.abs_error < 1e-8  # beyond-all-orders remainder
 
     def test_order_validation(self):
         with pytest.raises(ValueError):
-            euler_maclaurin_expansion(EXP, 0.1, 11)
+            comb_expansion("linear", EXP, 0.1, 11)
         with pytest.raises(ValueError):
-            euler_maclaurin_expansion(EXP, 0.1, -1)
+            comb_expansion("linear", EXP, 0.1, -1)
 
     @pytest.mark.parametrize("g", [EXP, GAUSS, TF.bump(lo=0.3, hi=0.9)],
                              ids=["expdecay", "gaussian", "bump"])
@@ -370,54 +444,58 @@ class TestEulerMaclaurin:
     def test_moment_term_past_the_float_range_raises(self, g, eps, M):
         # eps^n overflows: a ValueError naming eps, not an OverflowError
         with pytest.raises(ValueError, match=re.escape(f"eps = {eps!r} puts the moment term eps^")):
-            euler_maclaurin_expansion(g, eps, M)
+            comb_expansion("linear", g, eps, M)
 
     @pytest.mark.parametrize("M,slope", [(0, 1.0), (2, 3.0)])
     def test_float_level_convergence_slopes(self, M, slope):
         # orders measurable in float arithmetic; higher ones need the
         # high-precision oracle in the acceptance suite
         eps_grid = [10 ** (-1 - k / 4) for k in range(6)]
-        errs = [euler_maclaurin_expansion(EXP, e, M).abs_error for e in eps_grid]
+        errs = [comb_expansion("linear", EXP, e, M).abs_error for e in eps_grid]
         fit = np.polyfit(np.log(eps_grid), np.log(errs), 1)[0]
         assert fit == pytest.approx(slope, abs=0.1)
 
 
 class TestSquaresComb:
     def test_expdecay_boundary_constant(self):
-        res = squares_comb_expansion(EXP, 0.01)
+        res = comb_expansion("squares", EXP, 0.01, 0)
         assert res.rhs == pytest.approx(math.sqrt(PI) / (2 * math.sqrt(0.01)), rel=1e-14)
         assert abs(res.lhs - res.rhs + 0.5) < 1e-8
 
     def test_gaussian_superpolynomial_decay(self):
         for eps in [0.05, 0.025]:
-            res = squares_comb_expansion(GAUSS, eps)
+            res = comb_expansion("squares", GAUSS, eps, 0)
             assert abs(res.lhs - res.rhs + GAUSS(0.0) / 2) < eps**4
 
     def test_moment_terms_all_zero(self):
-        res = squares_comb_expansion(EXP, 0.1)
+        res = comb_expansion("squares", EXP, 0.1, 0)
         assert res.terms == (res.rhs,)  # the Weyl term is the whole rhs
+
+    def test_order_is_ignored(self):
+        assert comb_expansion("squares", EXP, 0.1, 7) == comb_expansion("squares", EXP, 0.1, 0)
+        assert comb_expansion("squares", EXP, 0.1, 7).order == 0
 
 
 class TestOmegaComb:
     def test_odd_gaussian_half_power_expansion(self):
-        res = omega_comb_expansion(ODD, 0.01, 3)
+        res = comb_expansion("omega", ODD, 0.01, 3)
         assert res.abs_error < 0.01**2.5
 
     def test_leading_term_and_ladder(self):
         eps = 0.04
-        res = omega_comb_expansion(ODD, eps, 3)
+        res = comb_expansion("omega", ODD, eps, 3)
         assert res.terms[0] == pytest.approx(
             math.sqrt(eps) / 2 * math.sqrt(PI) / 2, rel=1e-14)
         # first moment term scales as eps^1, i.e. sqrt(eps) past the leading
         assert res.terms[1] == pytest.approx(-eps / 4.0, rel=1e-14)
-        res2 = omega_comb_expansion(ODD, eps / 4.0, 3)
+        res2 = comb_expansion("omega", ODD, eps / 4.0, 3)
         assert res2.terms[1] / res.terms[1] == pytest.approx(1.0 / 4.0, rel=1e-12)
 
     def test_half_power_ladder_spacing(self):
         # successive moment terms step by sqrt(eps): orders (n+2)/2
         eps = 0.09
         bump = TF.bump(lo=0.25, hi=2.0)
-        res = omega_comb_expansion(bump, eps, 4)
+        res = comb_expansion("omega", bump, eps, 4)
         # bump derivatives vanish, so build the ladder directly from the formula
         ladder = [eps ** ((n + 2) / 2) for n in range(4)]
         ratios = [b / a for a, b in zip(ladder, ladder[1:])]
@@ -425,21 +503,21 @@ class TestOmegaComb:
 
     def test_bump_outside_scaled_support_is_zero(self):
         bump = TF.bump(lo=1.0, hi=2.0)
-        res = omega_comb_expansion(bump, 5.0, 2)  # sqrt(eps) > 2 kills all samples
+        res = comb_expansion("omega", bump, 5.0, 2)  # sqrt(eps) > 2 kills all samples
         assert res.lhs == 0.0
 
     def test_rejects_nonvanishing_at_zero(self):
         with pytest.raises(ValueError):
-            omega_comb_expansion(GAUSS, 0.01, 2)
+            comb_expansion("omega", GAUSS, 0.01, 2)
         with pytest.raises(ValueError):
-            omega_comb_expansion(EXP, 0.01, 2)
+            comb_expansion("omega", EXP, 0.01, 2)
 
     @pytest.mark.parametrize("phi", [ODD, TF.bump(lo=0.3, hi=0.9)], ids=["odd-gaussian", "bump"])
     @pytest.mark.parametrize("eps, M", [(1e100, 5), (1e200, 2), (1e300, 1)])
     def test_moment_term_past_the_float_range_raises(self, phi, eps, M):
         # eps^((n+2)/2) overflows: a ValueError naming eps, not an OverflowError
         with pytest.raises(ValueError, match=re.escape(f"eps = {eps!r} puts the moment term eps^")):
-            omega_comb_expansion(phi, eps, M)
+            comb_expansion("omega", phi, eps, M)
 
 
 class TestMoments:

@@ -127,6 +127,22 @@ class TestRieszMean:
         s = finite_spectrum(1, [(0.0, 1), (1.0, 2)])
         assert riesz_mean(s, alpha, "omega", x) == want
 
+    @pytest.mark.parametrize("alpha", [60, 100, 150, 170])
+    def test_high_orders_match_exact_sums(self, alpha):
+        # alpha! x^alpha leaves the float range long before x^alpha does
+        # (100! 100^100 is about 9e357), and such points take the scaled
+        # sum.  Each base is within two roundings, so a mean is within about
+        # alpha 2^-52 relative, plus half a subnormal step below 2^-1022.
+        for x in list(geometric_grid(1.5, 1e4, 12)) + [100.0]:
+            keys, mults = keys_up_to(INTERVAL, "lambda", x)
+            X = Fraction(x)
+            exact = sum(int(m) * (X - Fraction(k)) ** alpha
+                        for k, m in zip(keys.tolist(), mults.tolist()))
+            exact /= math.factorial(alpha) * X**alpha
+            got = Fraction(riesz_mean(INTERVAL, alpha, "lambda", x))
+            assert abs(got - exact) <= (alpha + 2) * Fraction(1, 2**52) * exact + Fraction(
+                1, 2**1075), (alpha, x)
+
     def test_smoothing_continuity_alpha1(self):
         # R^1 is continuous across an eigenvalue; N itself jumps
         below = riesz_mean(INTERVAL, 1, "lambda", 4.0 - 1e-9)
