@@ -169,7 +169,12 @@ class TestFunction:
         it in the last bit), so a value depends neither on the array it comes
         in nor on numpy's SIMD dispatch.
         """
-        return self._base(self.scale * np.array(x, dtype=np.float64, ndmin=1))
+        x = np.array(x, dtype=np.float64, ndmin=1)
+        # a rescaled argument past the float range is the infinity _base maps
+        # to the function's value there, as u * u is
+        with np.errstate(over="ignore"):
+            u = self.scale * x
+        return self._base(u)
 
     def __call__(self, x: float) -> float:
         return self.values([x])[0].item()
@@ -178,7 +183,7 @@ class TestFunction:
         """The unscaled function at every point of u.  Overflow is silent:
         u * u or a bump's (u - lo) * (hi - u) past the float range gives an
         infinity whose exponential, exp(-inf) = 0 or exp(-1/inf) = 1, is the
-        function's value there."""
+        function's value there; an infinite u gives the function's limit."""
         with np.errstate(over="ignore"):
             if self.kind == "gaussian":
                 return _exp((-u) * u)
@@ -186,7 +191,9 @@ class TestFunction:
                 # exp(-u) overflows from u = -710 on; exp(inf) = inf
                 return _exp(np.where(u > -700, -u, math.inf))
             if self.kind == "odd-gaussian":
-                return u * _exp((-u) * u)
+                # an infinite u would make inf * 0 = NaN; the largest float
+                # gives the limit +-0
+                return np.clip(u, -spectra._MAX_FLOAT, spectra._MAX_FLOAT) * _exp((-u) * u)
             lo, hi = self.support
             prod = (u - lo) * (hi - u)
             out = np.zeros(u.shape)

@@ -87,6 +87,9 @@ class Spectrum:
         terms are complete.  Traces certify with it; no budget reads it.
     energy : the vacuum energy -e_{d+1}/2 in closed form, set by the
         constructors that know it (interval, torus); None otherwise.
+    factors : (a, b) for a product_spectrum(a, b), None for every other
+        constructor.  A product's heat trace is K_a(t) K_b(t), which the
+        traces form from the factors without enumerating the product.
     """
 
     dim: int
@@ -98,6 +101,8 @@ class Spectrum:
     # arrays() trims to omega_max
     _enumerate: Callable[[float], Arrays] = field(repr=False, compare=False)
     energy: Optional[float] = None
+    factors: Optional[tuple["Spectrum", "Spectrum"]] = field(default=None, repr=False,
+                                                              compare=False)
     _cache: dict = field(default_factory=dict, repr=False, compare=False)
     _lock: threading.Lock = field(default_factory=threading.Lock, repr=False, compare=False)
 
@@ -381,7 +386,9 @@ def _commonest(mults: np.ndarray) -> int:
 
 def product_spectrum(a: Spectrum, b: Spectrum) -> Spectrum:
     """Direct product: eigenvalues add (omega = sqrt(wa^2 + wb^2)),
-    multiplicities multiply, dimensions add.
+    multiplicities multiply, dimensions add.  The result keeps (a, b) as its
+    factors, so its heat trace comes from theirs, K_a(t) K_b(t), and only
+    its other kernels, Riesz means and counts enumerate the pairs below.
 
     Terms are ascending; terms whose computed eigenvalues collide as exactly
     equal floats are coalesced with summed multiplicity (tolerance 0 -- looser
@@ -528,6 +535,7 @@ def product_spectrum(a: Spectrum, b: Spectrum) -> Spectrum:
         envelope=envelope,
         truncated_at=truncated_at,
         _enumerate=gen,
+        factors=(a, b),
     )
 
 

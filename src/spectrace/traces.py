@@ -14,17 +14,37 @@ np.exp's loop is picked at run time (see NPY_DISABLE_CPU_FEATURES in numpy's
 docs), and its AVX-512 loop can differ from the portable one in the last
 bit.
 
-Each trace point enumerates once, up to the smallest cutoff at which the
-tail bound crediting no enumerated term is <= tol (solved to about 1/64 in
-x = t omega, or t omega^2 for heat).  Crediting the terms found can only
-lower the bound, so that enumeration certifies unless finite data end or the
-term budget caps the cutoff first (ToleranceError): the envelope count there
-passes spectra.DEFAULT_MAX_TERMS, read at call time.  A capped cutoff is
-checked before enumerating: if even the envelope's whole count up to it,
-credited, leaves the bound above tol, no enumeration can certify, and the
-ToleranceError carries the bound with nothing credited and terms_used 0.
+Each trace point sums up to the smallest cutoff at which the tail bound
+crediting no enumerated term is <= tol (solved to about 1/64 in x = t omega,
+or t omega^2 for heat).  Crediting the terms found can only lower the bound,
+so that enumeration certifies unless finite data end or the term budget caps
+the cutoff first (ToleranceError): the envelope count there passes
+spectra.DEFAULT_MAX_TERMS, read at call time.  A capped cutoff is checked
+before enumerating: if even the envelope's whole count up to it, credited,
+leaves the bound above tol, no enumeration can certify, and the
+ToleranceError carries the bound with nothing credited and terms_used 0.  A
+kernel's grid enumerates once, at the widest of its points' cutoffs.
 terms_used counts the distinct frequencies up to the cutoff; tail_bound is
 the bound there with them credited, <= tol and often well below it.
+
+A product's heat trace is K_A(t) K_B(t) (product_spectrum keeps its factors),
+so it is formed from the factors' heat grids and the product is never
+enumerated for it: about 10^2 factor terms a sample where the product has
+10^4 to 10^5 pairs.  At each t the factors are held to tol_A =
+tol / (3 U_B(t)) and tol_B = tol / (3 U_A(t)), with U = C1 + C2
+Gamma(d/2 + 1) t^(-d/2) >= K(t) from the envelope, and tail_bound is
+(tau_A K_B + K_A tau_B + tau_A tau_B) times the slack, <= tol.  Nested
+products recurse, and factors with the same terms share one grid.  The
+value is the product of the factor values, rounded once: a two-factor
+product is within about 129 eps K of the product of the exact truncated sums
+(64 eps a factor, one rounding), not the 64 eps of a sum.  Its terms_used
+counts the rows summed over the factors (one grid's for factors with the
+same terms), not product pairs, and each factor's cutoffs are capped at half
+the budget, so a product sums at most DEFAULT_MAX_TERMS rows, as any trace
+does.  A factor tolerance out of reach raises the factor's reason at the
+product's tol, with the factor's achieved bound times the other factor's U
+as the product's achieved bound.  The cylinder kernels enumerate the
+product's own terms.
 """
 
 from __future__ import annotations
@@ -32,7 +52,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -74,6 +94,10 @@ class TraceSample:
     @property
     def certified(self) -> bool:
         return not math.isnan(self.tail_bound)
+
+
+# a heat sample before it becomes a TraceSample: (t, value, tail_bound, terms_used)
+_Sample = tuple[float, float, float, int]
 
 
 # ---------------------------------------------------------------------------
@@ -137,26 +161,23 @@ def _term_sums(t: float, kinds: Sequence[str], widths: Sequence[int], omegas: np
                weights: dict, work: np.ndarray) -> list[float]:
     """Each kernel's sum at t over its first widths[i] terms, m exp(-t w w),
     m exp(-t w) or -m w exp(-t w), with weights[kind] the float m (-m w for
-    dcylinder) and work a row as long as omegas per kernel.  A family's
-    exponentials, ((-t w) w) for heat, are formed once in its last kernel's
+    dcylinder) and work a row as long as omegas per kernel.  The kernels
+    share one family of exponentials, heat alone or the cylinder kernels:
+    ((-t w) w) for heat, (-t w) otherwise, formed once in the last kernel's
     row, up to the -745 underflow cut (_exp_safe's 0.0), and each kernel
     multiplies them by its weights into its own row; e (-m w) is the float
     -(e (m w)).  One np.add.reduce of same-sign terms: within 64 eps
     sum|term_n| + sum|weight_n| 2^-1074 of the exact sum."""
-    last = {kind == "heat": i for i, kind in enumerate(kinds)}
-    exps = {}  # heat or not -> the family's exponentials
+    widest = max(widths)
+    e = np.multiply(omegas[:widest], -t, out=work[len(kinds) - 1, :widest])
+    if kinds[0] == "heat":
+        e *= omegas[:widest]
+    k = e.size - int(e[::-1].searchsorted(-745.0, side="right"))
+    exps = np.exp(e[:k], out=e[:k])
     sums = []
     for i, (kind, n) in enumerate(zip(kinds, widths)):
-        heat = kind == "heat"
-        if heat not in exps:
-            widest = max(w for k, w in zip(kinds, widths) if (k == "heat") == heat)
-            e = np.multiply(omegas[:widest], -t, out=work[last[heat], :widest])
-            if heat:
-                e *= omegas[:widest]
-            k = e.size - int(e[::-1].searchsorted(-745.0, side="right"))
-            exps[heat] = np.exp(e[:k], out=e[:k])
-        k = min(n, exps[heat].size)
-        terms = np.multiply(exps[heat][:k], weights[kind][:k], out=work[i, :k])
+        n = min(n, k)
+        terms = np.multiply(exps[:n], weights[kind][:n], out=work[i, :n])
         sums.append(float(np.add.reduce(terms)))
     return sums
 
@@ -203,64 +224,118 @@ def _cutoff(kind: str, t: float, tol: float, c1: float, c2: float, d: int) -> fl
     return math.sqrt(hi / t) if kind == "heat" else hi / t
 
 
-def _certify(s: Spectrum, t: float, tol: float,
-             kind: str) -> tuple[float, float, np.ndarray, np.ndarray]:
-    """(t, tail_bound, omegas, mults) of the kernel's cutoff certified at t."""
+def _checked_point(t: float, tol: float) -> float:
+    """t as a float, after the checks every trace point passes."""
     t = float(t)
     if not (0 < t < math.inf):
         raise ValueError(f"t must be positive and finite, got {t}")
     if not (tol > 0):
         raise ValueError(f"tol must be positive, got {tol}")
+    return t
 
-    if s.envelope is None:
-        if s.truncated_at is None:
-            raise ValueError(
-                "spectrum has neither an envelope nor a finite term list; "
-                "cannot evaluate its trace"
-            )
-        omegas, mults = s.arrays(s.truncated_at)
-        warnings.warn(
-            f"spectrum {s.label!r} supplies no envelope constants; "
-            "trace tail cannot be certified (tail_bound = NaN)",
-            stacklevel=4,
-        )
-        return t, math.nan, omegas, mults
 
-    c1, c2 = s.envelope
-    d = s.dim
+def _certify(s: Spectrum, kind: str, ts: Sequence[float], tols: Sequence[float], budget: float,
+             ) -> tuple[list[tuple[float, float, int]], np.ndarray, np.ndarray, Optional[Exception]]:
+    """(points, omegas, mults, failure) of a kernel over a grid, one tol a
+    point, its cutoffs capped where the envelope count reaches budget:
+    (t, tail_bound, terms_used) of each point in grid order up to the first
+    that cannot certify, the terms up to the widest of their cutoffs, and
+    that point's error (None when every point certifies).
 
-    # crediting the enumerated terms only lowers the bound, so this one
-    # enumeration certifies unless the data end or the budget caps it first
-    w = _cutoff(kind, t, tol, c1, c2, d)
-    budget = spectra.DEFAULT_MAX_TERMS
-    exhausted = s.truncated_at is not None and w >= s.truncated_at
-    if exhausted:
-        w = s.truncated_at
+    Each point is the one-point trace's: its own cutoff (_cutoff) and
+    checks, in grid order, so the error is the first failing point trace's.
+    The checks made before enumerating run over the grid first, then the
+    spectrum is enumerated once, at the widest cutoff, and each point's
+    credited count comes from one segmented sum of the multiplicities
+    (_credited).
+    """
+    cuts = []  # per point before the failure: (t, tol, cutoff, budget capped)
+    failure = None
     try:
-        budget_capped = not exhausted and c1 + c2 * w**d > budget
-    except OverflowError:
-        # w**d past the float range exceeds any budget
-        budget_capped = True
-    if budget_capped and c2 > 0:
-        # a budget below C1 pays for no cutoff above 0
-        w = (max(budget - c1, 0.0) / c2) ** (1.0 / d)
-        # no enumeration up to w can credit more than the envelope's count
-        # there, so when even that bound misses tol none can certify
-        if _tail_bound(kind, t, w, c1 + c2 * w**d, c1, c2, d) > tol:
-            raise _unreachable("term budget exhausted", tol,
-                               _tail_bound(kind, t, w, 0.0, c1, c2, d), 0)
-    omegas, mults = s.arrays(w)
-    n_seen = int(mults.sum())
-    # envelope certifies an empty tail: nothing left to bound
-    empty_tail = c2 == 0.0 and n_seen >= c1
-    bound = 0.0 if empty_tail else _tail_bound(kind, t, w, n_seen, c1, c2, d)
-    # the derivative summand decreases only past omega = 1/t, so the
-    # integral test needs w t >= 1 unless the tail is empty anyway
-    usable = empty_tail or kind != "dcylinder" or w * t >= 1.0
-    if usable and bound <= tol:
-        return t, bound, omegas, mults
-    reason = "term budget exhausted" if budget_capped else "spectrum data exhausted"
-    raise _unreachable(reason, tol, bound, omegas.size)
+        for t, tol in zip(ts, tols):
+            t = _checked_point(t, tol)
+            if s.envelope is None:
+                if s.truncated_at is None:
+                    raise ValueError(
+                        "spectrum has neither an envelope nor a finite term list; "
+                        "cannot evaluate its trace"
+                    )
+                cuts.append((t, tol, s.truncated_at, False))
+                continue
+            c1, c2 = s.envelope
+            d = s.dim
+            # crediting the enumerated terms only lowers the bound, so this one
+            # enumeration certifies unless the data end or the budget caps it first
+            w = _cutoff(kind, t, tol, c1, c2, d)
+            exhausted = s.truncated_at is not None and w >= s.truncated_at
+            if exhausted:
+                w = s.truncated_at
+            try:
+                budget_capped = not exhausted and c1 + c2 * w**d > budget
+            except OverflowError:
+                # w**d past the float range exceeds any budget
+                budget_capped = True
+            if budget_capped and c2 > 0:
+                # a budget below C1 pays for no cutoff above 0
+                w = (max(budget - c1, 0.0) / c2) ** (1.0 / d)
+                # no enumeration up to w can credit more than the envelope's count
+                # there, so when even that bound misses tol none can certify
+                if _tail_bound(kind, t, w, c1 + c2 * w**d, c1, c2, d) > tol:
+                    raise _unreachable("term budget exhausted", tol,
+                                       _tail_bound(kind, t, w, 0.0, c1, c2, d), 0)
+            cuts.append((t, tol, w, budget_capped))
+    except (ValueError, ToleranceError) as exc:
+        failure = exc
+
+    def widest() -> tuple[np.ndarray, np.ndarray]:
+        if not cuts:
+            return np.empty(0), np.empty(0, dtype=np.int64)
+        return s.arrays(max(w for _, _, w, _ in cuts))
+
+    try:
+        omegas, mults = widest()
+    except (ValueError, ToleranceError):
+        # a narrower cutoff may enumerate where the widest cannot: the points
+        # before the first whose own enumeration fails stand, and its error
+        # is theirs to beat
+        for j, (_, _, w, _) in enumerate(cuts):
+            try:
+                s.arrays(w)
+            except (ValueError, ToleranceError) as exc:
+                cuts, failure = cuts[:j], exc
+                break
+        omegas, mults = widest()
+    ends = np.searchsorted(omegas, [w for _, _, w, _ in cuts], side="right").tolist()
+    seen = _credited(mults, ends)
+    points = []
+    for (t, tol, w, budget_capped), k, n_seen in zip(cuts, ends, seen):
+        if s.envelope is None:
+            points.append((t, math.nan, k))
+            continue
+        c1, c2 = s.envelope
+        # envelope certifies an empty tail: nothing left to bound
+        empty_tail = c2 == 0.0 and n_seen >= c1
+        bound = 0.0 if empty_tail else _tail_bound(kind, t, w, n_seen, c1, c2, s.dim)
+        # the derivative summand decreases only past omega = 1/t, so the
+        # integral test needs w t >= 1 unless the tail is empty anyway
+        usable = empty_tail or kind != "dcylinder" or w * t >= 1.0
+        if not (usable and bound <= tol):
+            reason = "term budget exhausted" if budget_capped else "spectrum data exhausted"
+            return points, omegas, mults, _unreachable(reason, tol, bound, k)
+        points.append((t, bound, k))
+    return points, omegas, mults, failure
+
+
+def _credited(mults: np.ndarray, ends: Sequence[int]) -> list[int]:
+    """int(mults[:k].sum()) for each k in ends, wrapping in int64 as that
+    does: one np.add.reduceat over the segments between the distinct ends
+    and a running sum of those, so no array as long as mults is formed."""
+    cuts = sorted(set(ends) - {0})
+    counts = {0: 0}
+    if cuts:
+        segments = np.add.reduceat(mults[:cuts[-1]], [0] + cuts[:-1])
+        counts.update(zip(cuts, np.cumsum(segments).tolist()))
+    return [counts[k] for k in ends]
 
 
 def _unreachable(reason: str, tol: float, bound: float, terms: int) -> ToleranceError:
@@ -272,37 +347,167 @@ def _unreachable(reason: str, tol: float, bound: float, terms: int) -> Tolerance
     )
 
 
+def _heat_envelope(s: Spectrum, t: float) -> float:
+    """U(t) = C1 + C2 Gamma(d/2 + 1) t^(-d/2) >= K(t), the heat trace of the
+    envelope count; inf where it passes the float range."""
+    c1, c2 = s.envelope
+    if not c2:
+        return c1
+    try:
+        return c1 + c2 * math.gamma(s.dim / 2.0 + 1.0) * t ** (-s.dim / 2.0)
+    except OverflowError:
+        return math.inf
+
+
+def _factor_tol(tol: float, u_other: float) -> float:
+    """A factor's share tol / (3 U) of a product's tol, U the other factor's
+    envelope trace, and at least the least subnormal (an unreachable share
+    fails the factor, and a share no envelope limits is inf)."""
+    return max(tol / (3.0 * u_other), math.ulp(0.0)) if u_other > 0 else math.inf
+
+
+def _same_terms(a: Spectrum, b: Spectrum) -> bool:
+    """Whether a and b have the same terms, so one heat grid serves both:
+    the same object, or equal fields (a label names an interval, torus,
+    file or product) with, for data that end, equal term lists, since a
+    finite spectrum's label is its caller's choice; products factor by
+    factor."""
+    if a is b:
+        return True
+    if a != b or (a.factors is None) != (b.factors is None):
+        return False
+    if a.factors is not None:
+        return all(map(_same_terms, a.factors, b.factors))
+    if a.truncated_at is None:
+        return True
+    (wa, ma), (wb, mb) = a.arrays(a.truncated_at), b.arrays(b.truncated_at)
+    return np.array_equal(wa, wb) and np.array_equal(ma, mb)
+
+
+def _carried(exc: Exception, tol: float, u_other: float) -> Exception:
+    """A factor's error as its product's: a factor tolerance out of reach
+    becomes the product bound it leaves, the factor's achieved bound times
+    the other factor's envelope trace (inf past the float range), at the
+    product's tol; any other error passes unchanged."""
+    if not isinstance(exc, ToleranceError) or math.isnan(exc.achieved_bound):
+        return exc
+    reason = str(exc).partition(" before reaching tol=")[0]
+    return _unreachable(reason, tol, exc.achieved_bound * u_other, exc.terms_used)
+
+
+def _product_heat(s: Spectrum, ts: Sequence[float], tols: Sequence[float], budget: float,
+                  ) -> tuple[list[_Sample], Optional[Exception]]:
+    """(samples, failure) of a product's heat trace over a grid, one tol a
+    point, as _certify's points: K_A K_B from the factors' heat grids.
+
+    At each t the factors get tol_A = tol / (3 U_B(t)) and tol_B =
+    tol / (3 U_A(t)) (_heat_envelope, _factor_tol), and the sample's bound is
+    (tau_A K_B + K_A tau_B + tau_A tau_B) _BOUND_SLACK over their values K
+    and bounds tau, which K <= U keeps <= tol.  Its terms_used is the rows
+    the factors summed (one grid's when their terms are the same), and each
+    factor caps its cutoffs at half the budget, so they sum at most budget
+    rows.  The
+    first point at which its own checks (t, tol), factor A, factor B or the
+    product's bound fail, in that order, ends the grid with its error.
+    """
+    a, b = s.factors
+    points, failure = [], None  # per point: (t, tol, U_A(t), U_B(t))
+    for t, tol in zip(ts, tols):
+        try:
+            t = _checked_point(t, tol)
+        except ValueError as exc:
+            failure = exc
+            break
+        points.append((t, tol, _heat_envelope(a, t), _heat_envelope(b, t)))
+    ts = [t for t, _, _, _ in points]
+    samples_a, fail_a = _heat_samples(a, ts, [_factor_tol(tol, ub) for _, tol, _, ub in points],
+                                      budget / 2)
+    n = len(samples_a)
+    same = _same_terms(a, b)
+    samples_b, fail_b = (samples_a, fail_a) if same else _heat_samples(
+        b, ts[:n], [_factor_tol(tol, ua) for _, tol, ua, _ in points[:n]], budget / 2)
+    if len(samples_b) < n:
+        n = len(samples_b)
+        failure = _carried(fail_b, points[n][1], points[n][2])
+    elif fail_a is not None:
+        failure = _carried(fail_a, points[n][1], points[n][3])
+    samples = []
+    for (t, tol, _, _), (_, ka, tau_a, n_a), (_, kb, tau_b, n_b) in zip(
+            points[:n], samples_a, samples_b):
+        bound = (tau_a * kb + ka * tau_b + tau_a * tau_b) * _BOUND_SLACK
+        terms = n_a + (0 if same else n_b)
+        if not bound <= tol:
+            return samples, _unreachable("factor split exhausted", tol, bound, terms)
+        samples.append((t, ka * kb, bound, terms))
+    return samples, failure
+
+
+def _heat_samples(s: Spectrum, ts: Sequence[float], tols: Sequence[float], budget: float,
+                  ) -> tuple[list[_Sample], Optional[Exception]]:
+    """(samples, failure) of a heat grid with one tol a point and a term
+    budget, as _certify's points: a product's from its factors, any other
+    spectrum's summed over its own terms."""
+    if s.factors is not None and s.envelope is not None:
+        return _product_heat(s, ts, tols, budget)
+    points, omegas, mults, failure = _certify(s, "heat", ts, tols, budget)
+    weights = {"heat": mults.astype(float)}
+    work = np.empty((1, omegas.size))
+    return [(t, _term_sums(t, ("heat",), (n,), omegas, weights, work)[0], bound, n)
+            for t, bound, n in points], failure
+
+
 def trace_grids(s: Spectrum, kinds: Sequence[str], ts: Sequence[float],
                 tol: float = 1e-12) -> list[list[TraceSample]]:
     """Several kernels over one time grid: a list of samples per kernel in
     kinds, in grid order.  Every point of every kernel is certified first,
     kernel by kernel (_certify), so a grid raises the first failing
-    one-point trace's error; then each t sums every kernel from shared
-    exponentials (_term_sums), each sample the one-point trace's float.
+    one-point trace's error; then each t sums the cylinder kernels from
+    shared exponentials (_term_sums), each sample the one-point trace's
+    float.  The heat kernel shares its exponentials with no other kernel
+    and is formed on its own (_heat_samples), a product's from its factors.
     """
     for kind in kinds:
         if kind not in ("heat", "cylinder", "dcylinder"):
             raise ValueError(f"kernel must be one of ['cylinder', 'dcylinder', 'heat'], "
                              f"got {kind!r}")
     ts = list(ts)
-    # per kernel, per t: (t, tail_bound, terms_used); the terms up to the widest cutoff
-    points, omegas, mults = [], np.empty(0), np.empty(0, dtype=np.int64)
+    tols = [tol] * len(ts)
+    budget = spectra.DEFAULT_MAX_TERMS
+    grids = []  # per kernel in kinds, its samples; a cylinder kernel's come from the sums
+    # per cylinder kernel: (kind, per t (t, tail_bound, terms_used), its samples);
+    # the terms up to the widest cutoff
+    summed, omegas, mults = [], np.empty(0), np.empty(0, dtype=np.int64)
     for kind in kinds:
-        points.append([])
-        for t in ts:
-            t, bound, w_omegas, w_mults = _certify(s, t, tol, kind)
+        samples = []
+        if kind == "heat":
+            heat, failure = _heat_samples(s, ts, tols, budget)
+            samples += [TraceSample(*sample) for sample in heat]
+            certified = len(heat)
+        else:
+            kind_points, w_omegas, w_mults, failure = _certify(s, kind, ts, tols, budget)
+            summed.append((kind, kind_points, samples))
             if w_omegas.size > omegas.size:
                 omegas, mults = w_omegas, w_mults
-            points[-1].append((t, bound, w_omegas.size))
+            certified = len(kind_points)
+        grids.append(samples)
+        if s.envelope is None and certified:
+            warnings.warn(
+                f"spectrum {s.label!r} supplies no envelope constants; "
+                "trace tail cannot be certified (tail_bound = NaN)",
+                stacklevel=3,
+            )
+        if failure is not None:
+            raise failure
     m = mults.astype(float)
-    weights = {kind: -(m * omegas) if kind == "dcylinder" else m for kind in kinds}
-    work = np.empty((len(kinds), omegas.size))
-    out = [[] for _ in kinds]
-    for row in zip(*points):
-        sums = _term_sums(row[0][0], kinds, [n for _, _, n in row], omegas, weights, work)
-        for samples, (t, bound, n), value in zip(out, row, sums):
+    cylinder_kinds = [kind for kind, _, _ in summed]
+    weights = {kind: -(m * omegas) if kind == "dcylinder" else m for kind in cylinder_kinds}
+    work = np.empty((len(summed), omegas.size))
+    for row in zip(*(points for _, points, _ in summed)):
+        values = _term_sums(row[0][0], cylinder_kinds, [n for _, _, n in row], omegas, weights,
+                            work)
+        for (_, _, samples), (t, bound, n), value in zip(summed, row, values):
             samples.append(TraceSample(t, value, bound, n))
-    return out
+    return grids
 
 
 def heat_trace(s: Spectrum, t: float, tol: float = 1e-12) -> TraceSample:

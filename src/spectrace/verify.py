@@ -194,10 +194,13 @@ def run_verification(spectrum: Spectrum) -> list[VerifyRow]:
 
     # one enumeration up front, to the widest extent a stage reads (the
     # traces' cutoffs crediting no term, the Riesz tops); past the term budget
-    # Spectrum.arrays refuses it, and the stage that needs the terms raises
+    # Spectrum.arrays refuses it, and the stage that needs the terms raises.
+    # A product's heat trace reads its factors, not its own terms
     end_w = math.inf if end is None else end
-    extent = max(*(min(_cutoff(kind, ts[0], _TOL, c1, c2, d), end_w) for kind, ts in
-                   (("heat", heat_ts), ("cylinder", cyl_ts), ("dcylinder", cyl_ts))),
+    summed = [("cylinder", cyl_ts), ("dcylinder", cyl_ts)]
+    if spectrum.factors is None:
+        summed.append(("heat", heat_ts))
+    extent = max(*(min(_cutoff(kind, ts[0], _TOL, c1, c2, d), end_w) for kind, ts in summed),
                  spectra._key_extent("lambda", lam_hi), spectra._key_extent("omega", om_hi))
     if math.isfinite(extent):
         with contextlib.suppress(spectra.ToleranceError):

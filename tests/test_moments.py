@@ -105,6 +105,19 @@ class TestTestFunctions:
                 g.mellin(1.0)
         assert [v.hex() for v in got] == [reference_value(g, x).hex() for x in xs]
 
+    @pytest.mark.parametrize("g", [GAUSS, EXP, ODD, TF.bump(lo=0.3, hi=0.9)],
+                             ids=["gaussian", "expdecay", "odd-gaussian", "bump"])
+    def test_rescaled_argument_past_the_float_range_is_silent(self, g):
+        # scale * x overflows before _base: the infinity it gives is mapped
+        # to the function's value there, with no warning
+        h = g.rescaled(1e10)
+        xs = [1e300, -1e300]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = h.values(xs).tolist()
+        # f(+-1e310) is f's limit, which it already takes at +-1e300
+        assert [v.hex() for v in got] == [reference_value(g, x).hex() for x in xs]
+
     def test_bump_support_validation(self):
         with pytest.raises(ValueError):
             TF.bump(lo=0.0, hi=1.0)

@@ -681,6 +681,8 @@ class TestTermBudget:
     # capped at the budget, these enumerate exactly 4,000 rows and certify
     @example(0, "cylinder", 1e-3, 5e-3, 4000)
     @example(1, "cylinder", 1e-3, 1e-15, 4000)
+    # N x T's heat factors, at a full budget each, would sum 953 rows here
+    @example(3, "heat", math.exp(-12.0), math.exp(-5.0), 823)
     def test_traces_within_the_budget_never_hit_the_enumeration_check(
             self, kind, kernel, t, tol, budget):
         # a trace caps its cutoff where the envelope count reaches the

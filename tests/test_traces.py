@@ -21,7 +21,7 @@ from spectrace import (
 from spectrace import spectra
 from spectrace.traces import trace_grids
 from spectrace.spectra import Spectrum
-from spectrace.traces import _X_STEP, _cutoff, _tail_bound, _upper_gamma_half
+from spectrace.traces import _X_STEP, _certify, _cutoff, _tail_bound, _upper_gamma_half
 
 PI = math.pi
 INTERVAL = interval_spectrum(PI, "dirichlet")
@@ -351,12 +351,17 @@ class TestSolvedCutoff:
             return arrays(self, omega_max)
 
         monkeypatch.setattr(Spectrum, "arrays", counted)
+        # a product's heat trace enumerates each factor once and never the
+        # product; its other kernels enumerate the product once (and the
+        # product, when not cached, its factors)
+        factors = spectrum.factors if kind == "heat" and spectrum.factors else ()
         for t in (0.2, 1.0, 10.0):
             for tol in (1e-14, 1e-8, 1e-3):
                 calls.clear()
                 sample = trace_grid(spectrum, kind, [t], tol)[0]
-                # a product also enumerates its factors; count its own calls
-                assert sum(1 for s in calls if s is spectrum) == 1
+                assert sum(1 for s in calls if s is spectrum) == (0 if factors else 1)
+                for factor in factors:
+                    assert sum(1 for s in calls if s is factor) == 1
                 assert sample.tail_bound <= tol
 
 
@@ -371,7 +376,8 @@ class TestKernelTuples:
     them from shared exponentials; each sample is the point trace's."""
 
     @settings(max_examples=60, deadline=None)
-    @given(st.sampled_from([INTERVAL, NEUMANN, TORUS, product_spectrum(NEUMANN, TORUS), ENDING]),
+    @given(st.sampled_from([INTERVAL, NEUMANN, TORUS, product_spectrum(NEUMANN, TORUS), ENDING,
+                            product_spectrum(ENDING, NEUMANN)]),
            st.lists(st.sampled_from(sorted(POINT_TRACES)), min_size=1, max_size=3, unique=True),
            st.lists(st.floats(min_value=1e-3, max_value=10.0), min_size=1, max_size=6),
            st.floats(min_value=-14.0, max_value=-2.0), st.integers(0, 4))
@@ -398,10 +404,121 @@ class TestKernelTuples:
         assert [[(g.t, g.value.hex(), g.tail_bound, g.terms_used) for g in row] for row in got] \
             == [[(w.t, w.value.hex(), w.tail_bound, w.terms_used) for w in row] for row in want]
 
+    def test_a_point_that_fails_first_wins_over_a_wider_failing_enumeration(
+            self, monkeypatch):
+        # at t = 5.6 the cutoff is capped by the budget and misses tol with
+        # the 4 terms it credits; at t = 1e-3 the data end and enumerating
+        # them needs 348 pairs, over the budget: the grid raises t = 5.6's
+        # error, as the point traces come in that order
+        monkeypatch.setattr(spectra, "DEFAULT_MAX_TERMS", 50)
+        a = finite_spectrum(1, [(float(n), 1) for n in range(1, 31)], envelope=(0.0, 2.0))
+        ts = [5.623413251903491, 1e-3]
+        with pytest.raises(ToleranceError, match="enumerating up to omega = 30.0"):
+            cylinder_trace(product_spectrum(a, a), ts[1], 1e-7)
+        with pytest.raises(ToleranceError) as point:
+            cylinder_trace(product_spectrum(a, a), ts[0], 1e-7)
+        with pytest.raises(ToleranceError) as grid:
+            trace_grid(product_spectrum(a, a), "cylinder", ts, 1e-7)
+        assert str(grid.value) == str(point.value)
+        assert "before reaching tol=1e-07" in str(grid.value)
+
     def test_no_kernels_or_no_times(self):
         assert trace_grids(INTERVAL, (), [0.1]) == []
         assert trace_grids(INTERVAL, ("heat", "dcylinder"), []) == [[], []]
 
+    def test_a_repeated_kernel_gets_its_own_samples(self):
+        ts = [0.1, 0.2]
+        got = trace_grids(INTERVAL, ("cylinder", "heat", "cylinder", "heat"), ts)
+        assert got == [trace_grid(INTERVAL, kind, ts) for kind in ("cylinder", "heat") * 2]
+
     def test_unknown_kernel_is_refused_before_any_point(self):
         with pytest.raises(ValueError, match="kernel must be one of"):
             trace_grids(INTERVAL, ("cylinder", "wave"), [-1.0])
+
+
+@st.composite
+def leaf_spectra(draw):
+    """An interval, a torus, or a finite list whose envelope is its total
+    count C1 with C2 = 0 or 1, either of which bounds its counting function."""
+    kind = draw(st.sampled_from(["interval", "torus", "finite"]))
+    if kind == "interval":
+        return interval_spectrum(draw(st.floats(0.5, 3.0)),
+                                 draw(st.sampled_from(["dirichlet", "neumann"])))
+    if kind == "torus":
+        return torus_spectrum(draw(st.floats(0.5, 3.0)))
+    omegas = sorted(draw(st.lists(st.floats(0.0, 40.0), min_size=1, max_size=25)))
+    terms = [(w, draw(st.integers(1, 3))) for w in omegas]
+    total = float(sum(m for _, m in terms))
+    weyl = draw(st.booleans())
+    return finite_spectrum(1, terms, envelope=(total, 1.0) if weyl else None)
+
+
+@st.composite
+def product_spectra(draw):
+    """A product of two leaves, or a nested one of three, either way round."""
+    a, b = draw(leaf_spectra()), draw(leaf_spectra())
+    if draw(st.booleans()):
+        return product_spectrum(a, b)
+    c = draw(leaf_spectra())
+    if draw(st.booleans()):
+        return product_spectrum(product_spectrum(a, b), c)
+    return product_spectrum(a, product_spectrum(b, c))
+
+
+class TestProductHeat:
+    """A product's heat trace is K_A(t) K_B(t), formed from its factors'
+    heat grids without enumerating the product."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(product_spectra(), st.floats(min_value=0.02, max_value=10.0),
+           st.floats(min_value=-14.0, max_value=-4.0))
+    def test_matches_the_sum_over_the_products_own_terms(self, spectrum, t, log_tol):
+        tol = 10.0 ** log_tol
+        # the product's own terms up to its direct cutoff, summed by fsum
+        points, omegas, mults, failure = _certify(spectrum, "heat", [t], [tol],
+                                                  spectra.DEFAULT_MAX_TERMS)
+        if failure is not None:
+            return  # the product's own envelope cannot certify this t
+        (_, direct_bound, k), = points
+        direct = math.fsum(m * math.exp(-t * w * w)
+                           for w, m in zip(omegas[:k].tolist(), mults[:k].tolist()))
+        sample = heat_trace(spectrum, t, tol)
+        assert sample.tail_bound <= tol
+        # both bounds cover truncation only; the sums' rounding, documented
+        # as at most 64 eps a factor, stays within a few ulps here
+        assert abs(sample.value - direct) <= (sample.tail_bound + direct_bound
+                                              + 16 * math.ulp(direct))
+
+    def test_unit_dirichlet_4_box(self):
+        # its own enumeration would pass the term budget at t = 1e-3; each
+        # factor needs about 60 terms
+        unit = interval_spectrum(1.0, "dirichlet")
+        box = unit
+        for _ in range(3):
+            box = product_spectrum(box, unit)
+        t = 1e-3
+        sample = heat_trace(box, t)
+        exact = math.fsum(math.exp(-PI * PI * n * n * t) for n in range(1, 200)) ** 4
+        assert abs(sample.value - exact) <= sample.tail_bound + 1e-14 * exact
+        assert sample.terms_used < 1000
+
+    def test_equal_labels_with_different_terms_share_no_grid(self):
+        # two finite lists under the default label, envelope and end compare
+        # equal as spectra; their product is still K_A K_B
+        a = finite_spectrum(1, [(1.0, 1), (3.0, 1)])
+        b = finite_spectrum(1, [(2.0, 1), (3.0, 1)])
+        assert a == b
+        t = 0.1
+        sample = heat_trace(product_spectrum(a, b), t)
+        ka = math.exp(-t) + math.exp(-9 * t)
+        kb = math.exp(-4 * t) + math.exp(-9 * t)
+        assert sample.value == pytest.approx(ka * kb, rel=1e-14)
+
+    def test_an_unreachable_factor_names_the_products_tol(self, monkeypatch):
+        # the factor's bound carried up: times the other factor's envelope trace
+        monkeypatch.setattr(spectra, "DEFAULT_MAX_TERMS", 100)
+        square = product_spectrum(INTERVAL, INTERVAL)
+        with pytest.raises(ToleranceError, match=r"term budget exhausted before reaching "
+                                                 r"tol=1e-12;") as err:
+            heat_trace(square, 1e-6, 1e-12)
+        assert err.value.achieved_bound > 1e-12
