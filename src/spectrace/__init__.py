@@ -51,8 +51,7 @@ from .invariants import (
     gamma_half,
     heat_expansion,
     heat_to_cylinder,
-    riesz_to_cylinder,
-    riesz_to_heat,
+    riesz_to_trace,
     zeta_neg_int,
 )
 from .fitkit import (
@@ -115,8 +114,7 @@ __all__ = [
     "power_basis",
     "product_spectrum",
     "riesz_mean",
-    "riesz_to_cylinder",
-    "riesz_to_heat",
+    "riesz_to_trace",
     "torus_spectrum",
     "trace_grid",
     "weyl_remainder",

@@ -282,10 +282,11 @@ def fit_expansion(x, y, basis: AsymptoticBasis, weights=None) -> FitReport:
     )
 
 
-def detect_log_term(x, y, p, base_basis: AsymptoticBasis) -> LogTermDetection:
+def detect_log_term(x, y, p, base_basis: AsymptoticBasis, weights=None) -> LogTermDetection:
     """Decide whether a (p, log) term is present in the samples y at x.
 
-    Fits with and without the x^p log x column added to base_basis.  The term
+    Fits with and without the x^p log x column added to base_basis, both
+    under fit_expansion's weights (default 1/y^2).  The term
     is declared present only when adding it shrinks the weighted residual rms
     by at least 10x AND the fitted coefficient exceeds 10x its jackknife
     spread.
@@ -293,8 +294,8 @@ def detect_log_term(x, y, p, base_basis: AsymptoticBasis) -> LogTermDetection:
     p = Fraction(p)
     if (p, 1) in base_basis.terms:
         raise ValueError(f"base basis already contains the log term at {p}")
-    without = fit_expansion(x, y, base_basis)
-    with_report = fit_expansion(x, y, base_basis.with_term(p, 1))
+    without = fit_expansion(x, y, base_basis, weights)
+    with_report = fit_expansion(x, y, base_basis.with_term(p, 1), weights)
     coeff = with_report.coefficient(p, 1)
     spread = with_report.spread(p, 1)
     if with_report.residual_rms == 0.0:

@@ -26,8 +26,7 @@ __all__ = [
     "zeta_neg_int",
     "gamma_half",
     "heat_to_cylinder",
-    "riesz_to_heat",
-    "riesz_to_cylinder",
+    "riesz_to_trace",
     "expansion_product",
     "expansion_derivative",
     "casimir_energy",
@@ -36,7 +35,7 @@ __all__ = [
     "expansion_to_json",
 ]
 
-# Euler-Mascheroni constant, 30 significant digits (enough for psi(d+1)).
+# Euler-Mascheroni constant, 30 significant digits (enough for psi(nu)).
 EULER_GAMMA = 0.577215664901532860606512090082
 
 
@@ -354,45 +353,47 @@ def heat_to_cylinder(heat: AsymptoticExpansion) -> AsymptoticExpansion:
     return AsymptoticExpansion(d, tuple(out))
 
 
-def riesz_to_heat(a_ss: Sequence[CoeffLike], d: int) -> AsymptoticExpansion:
-    """Heat coefficients from diagonal lambda-Riesz coefficients:
-    b_s = Gamma((d+s)/2 + 1) a_ss / Gamma(s+1)."""
-    terms = []
-    for s, a in enumerate(a_ss):
-        b = _scale(gamma_half(d + s + 2) / math.factorial(s), _coeff(a))
-        terms.append(ExpansionTerm(Fraction(s - d, 2), 0, b, _status(b)))
-    return AsymptoticExpansion(d, tuple(terms))
+def riesz_to_trace(variable: str, alpha: int, d: int, coeffs: Sequence[CoeffLike],
+                   log_coeffs: Sequence[CoeffLike] = ()) -> AsymptoticExpansion:
+    """Trace coefficients from the coefficients of one Riesz mean of order alpha.
 
-
-def riesz_to_cylinder(c_ss: Sequence[CoeffLike], d_ss: Sequence[CoeffLike],
-                      d: int) -> AsymptoticExpansion:
-    """Cylinder coefficients from diagonal omega-Riesz coefficients.
-
-    c_ss[s] is the non-log coefficient at exponent d-s, d_ss[s] the log one.
-    For d-s even or positive: e_s = Gamma(d+1)/Gamma(s+1) * c_ss.
-    For d-s odd and negative: f_s = -Gamma(d+1)/Gamma(s+1) * d_ss and
-    e_s = Gamma(d+1)/Gamma(s+1) * (c_ss + psi(d+1) d_ss), psi(d+1) = H_d - gamma.
-
-    The source relations name the non-log coefficient of that mixed branch
-    e_ss, whose operational meaning beside a log term is ambiguous; here it is
-    the fitted non-log coefficient at exponent d-s, as in the other branch.
-    Status follows the result: exact "known", float "fitted", None
-    "undetermined".
+    coeffs[s] is the mean's coefficient at x^{(d-s)/2} (variable "lambda")
+    or x^{d-s} ("omega") for s = 0..alpha, in the plain normalization
+    x^{-alpha} sum (x - x_n)^alpha; log_coeffs[s] is the omega mean's
+    x^{d-s} log x coefficient (0 where absent).  Order s relates through
+    R = Gamma(alpha+1)/Gamma(nu), nu = alpha+(d-s)/2+1 (lambda) or
+    alpha+d-s+1 (omega):
+      lambda: b_s = a_{alpha,s}/R, the heat expansion;
+      omega:  e_s = c_{alpha,s}/R, and where s - d is odd and positive
+              f_s = -d_{alpha,s}/R and e_s = (c_{alpha,s} + psi(nu) d_{alpha,s})/R,
+              the cylinder expansion.
+    At alpha = s these are the diagonal relations b_s = Gamma((d+s)/2+1) a_ss/s!
+    and e_s = d!/s! (c_ss + psi(d+1) d_ss).  Gamma comes from gamma_half, so an
+    exact input stays exact; psi(nu) = H_(nu-1) - gamma is a float, so an exact
+    c stays exact only beside a zero log coefficient.  Status follows the
+    result: exact "known", float "fitted", None "undetermined".  Raises
+    ValueError for an unknown variable, a negative alpha or an order past alpha.
     """
-    psi = sum(1.0 / k for k in range(1, d + 1)) - EULER_GAMMA
+    if variable not in ("lambda", "omega"):
+        raise ValueError(f"variable must be 'lambda' or 'omega', got {variable!r}")
+    if alpha < 0 or max(len(coeffs), len(log_coeffs)) > alpha + 1:
+        raise ValueError(f"a Riesz mean of order {alpha} relates the orders s = 0..{alpha}, "
+                         f"got {max(len(coeffs), len(log_coeffs))} coefficients")
+    omega = variable == "omega"
     terms = []
-    for s in range(max(len(c_ss), len(d_ss))):
-        factor = ExactCoeff.from_rational(Fraction(math.factorial(d), math.factorial(s)))
-        p = Fraction(s - d)
-        c = _coeff(c_ss[s]) if s < len(c_ss) else None
-        if _carries_log(s, d):
-            dv = _coeff(d_ss[s] if s < len(d_ss) else 0)
-            f = _scale(-factor, dv)
+    for s, c in enumerate(coeffs):
+        p = Fraction(s - d) if omega else Fraction(s - d, 2)
+        nu2 = 2 * (alpha + d - s + 1) if omega else 2 * alpha + d - s + 2  # 2 nu
+        inverse = gamma_half(nu2) / gamma_half(2 * alpha + 2)  # 1/R
+        c = _coeff(c)
+        if omega and _carries_log(s, d):
+            dv = _coeff(log_coeffs[s] if s < len(log_coeffs) else 0)
+            f = _scale(-inverse, dv)
             terms.append(ExpansionTerm(p, 1, f, _status(f)))
-            # psi is a float, so only a zero d_ss leaves an exact c_ss exact
-            e = None if c is None or dv is None else factor * (c + psi * dv if dv else c)
+            psi = sum(1.0 / k for k in range(1, nu2 // 2)) - EULER_GAMMA
+            e = None if c is None or dv is None else inverse * (c + psi * dv if dv else c)
         else:
-            e = _scale(factor, c)
+            e = _scale(inverse, c)
         terms.append(ExpansionTerm(p, 0, e, _status(e)))
     return AsymptoticExpansion(d, tuple(terms))
 

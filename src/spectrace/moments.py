@@ -188,8 +188,9 @@ class TestFunction:
             if self.kind == "gaussian":
                 return _exp((-u) * u)
             if self.kind == "expdecay":
-                # exp(-u) overflows from u = -710 on; exp(inf) = inf
-                return _exp(np.where(u > -700, -u, math.inf))
+                # exp(-u) overflows from u = -710 on; exp(inf) = inf, and a
+                # NaN stays NaN
+                return _exp(np.where(u <= -700, math.inf, -u))
             if self.kind == "odd-gaussian":
                 # an infinite u would make inf * 0 = NaN; the largest float
                 # gives the limit +-0

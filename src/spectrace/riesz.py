@@ -7,11 +7,16 @@ simplex integral of a unit step), in either the eigenvalue variable
 what turns the non-decaying spectral oscillations of the raw Weyl remainder
 into a genuinely asymptotic series; weyl_remainder exhibits the raw
 oscillation itself.
+
+One mean of order alpha carries every coefficient of the orders s <= alpha:
+extract_riesz_coeffs fits it, and invariants.riesz_to_trace maps each
+coefficient to its heat (lambda) or cylinder (omega) coefficient through one
+Gamma ratio (Fulling & Gustafson, and Estrada & Fulling, EJDE 1999, nos. 6
+and 7).
 """
 
 from __future__ import annotations
 
-import dataclasses
 import math
 from fractions import Fraction
 from typing import Optional, Sequence
@@ -25,9 +30,7 @@ from .spectra import Spectrum, _key_counts
 __all__ = [
     "riesz_mean",
     "riesz_mean_grid",
-    "riesz_mean_grids",
     "extract_riesz_coeffs",
-    "extract_riesz_fits",
     "weyl_remainder",
     "riesz_fit_basis",
 ]
@@ -35,8 +38,6 @@ __all__ = [
 _VARIABLES = ("lambda", "omega")
 # default fitting window (x_min, x_max) per variable
 DEFAULT_RANGES = {"lambda": (1e2, 1e4), "omega": (10.0, 1e2)}
-# orders fitted beyond s = alpha
-_GUARD_ORDERS = 1
 # consecutive terms per chunk of riesz_mean_grid's moment tables
 _CHUNK = 1024
 # chunks per block of _chunk_moments' work arrays
@@ -52,40 +53,32 @@ def riesz_mean(s: Spectrum, alpha: int, variable: str, x: float) -> float:
 
     variable="lambda": (1/alpha!) x^{-alpha} sum_{lambda_n <= x} mult (x - lambda_n)^alpha.
     variable="omega":  the same with omega_n in place of lambda_n.
-    The one-point riesz_mean_grids: x = inf on a spectrum that ends gives the
+    The one-point riesz_mean_grid: x = inf on a spectrum that ends gives the
     limit (sum mult) / alpha!, on one that does not it raises ValueError.
     """
-    return riesz_mean_grids(s, (alpha,), variable, [x])[0][0]
+    return riesz_mean_grid(s, alpha, variable, [x])[0]
 
 
 def riesz_mean_grid(s: Spectrum, alpha: int, variable: str,
                     grid: Sequence[float]) -> list[float]:
-    """Riesz means of one order over a grid: the one-order riesz_mean_grids."""
-    return riesz_mean_grids(s, (alpha,), variable, grid)[0]
-
-
-def riesz_mean_grids(s: Spectrum, alphas: Sequence[int], variable: str,
-                     grid: Sequence[float]) -> list[list[float]]:
-    """Riesz means of several orders over a whole grid, one list of floats
-    per order of alphas, in grid order, from one spectrum enumeration and
-    one moment table.
+    """Riesz means of order alpha over a whole grid, one float per point in
+    grid order, from one spectrum enumeration and one moment table.
 
     Evaluated from the closed form (partial power sums), not by quadrature.
     The sorted terms are cut into chunks of _CHUNK consecutive terms; chunk
     c, with largest key a_c, keeps the moments S[c, i] = sum mult (a_c - x_n)^i
-    for i = 0..max(alphas), which do not depend on alpha, and its share of
-    the order-alpha sum at any x >= a_c is the Horner polynomial
-    sum_i C(alpha, i) (x - a_c)^(alpha - i) S[c, i] (for alpha = 0 the chunk
-    count, summed once per grid).  A point adds that over the chunks at or
-    below it and np.add.reduce of the fewer than _CHUNK terms past them,
-    whose bases x - x_n serve every order.  Every quantity is >= 0, so a
-    mean stays within a few eps of the correctly rounded one (the tests hold
-    it to 64 eps; N is exact below 2^53).  Chunks start at the first term, so
-    a value depends only on x, alpha and the spectrum: riesz_mean(x) is the
-    same float.  Where x^alpha lies below 2^-900 or alpha! x^alpha above
-    2^900, a point sums mult ((x - x_n) / x)^alpha instead; x = inf gives
-    the limit (sum mult) / alpha!.  Raises ValueError for an order past 170 (whose
-    alpha! is past the float range), for an infinite grid point on a
+    for i = 0..alpha, and its share of the sum at any x >= a_c is the Horner
+    polynomial sum_i C(alpha, i) (x - a_c)^(alpha - i) S[c, i] (for alpha = 0
+    the chunk count, summed once per grid).  A point adds that over the
+    chunks at or below it and np.add.reduce of the fewer than _CHUNK terms
+    past them.  Every quantity is >= 0, so a mean stays within a few eps of
+    the correctly rounded one (the tests hold it to 64 eps; N is exact below
+    2^53).  Chunks start at the first term, so a value depends only on x,
+    alpha and the spectrum: riesz_mean(x) is the same float.  Where x^alpha
+    lies below 2^-900 or alpha! x^alpha above 2^900, a point sums
+    mult ((x - x_n) / x)^alpha instead; x = inf gives the limit
+    (sum mult) / alpha!.  Raises ValueError for an order past 170
+    (whose alpha! is past the float range), for an infinite grid point on a
     spectrum that does not end, and ToleranceError when the enumeration to
     the largest point needs more than DEFAULT_MAX_TERMS rows, before it
     allocates them.
@@ -93,82 +86,76 @@ def riesz_mean_grids(s: Spectrum, alphas: Sequence[int], variable: str,
     Memory above the cached enumeration: the moment table and work arrays of
     _BLOCK chunks; the lambda keys omega^2 are squared where used, never as
     a whole.  A grid over 420k terms peaks about 5.2 bytes a term above the
-    cache at max(alphas) = 2 (2.5 for alpha = 0).
+    cache at alpha = 2 (2.5 for alpha = 0).
     """
     if variable not in _VARIABLES:
         raise ValueError(f"variable must be one of {_VARIABLES}, got {variable!r}")
-    for alpha in alphas:
-        # 170! is the largest factorial in the float range
-        if alpha < 0 or int(alpha) != alpha or alpha > 170:
-            raise ValueError(f"alpha must be a nonnegative integer at most 170, got {alpha}")
+    # 170! is the largest factorial in the float range
+    if alpha < 0 or int(alpha) != alpha or alpha > 170:
+        raise ValueError(f"alpha must be a nonnegative integer at most 170, got {alpha}")
+    alpha = int(alpha)
     grid = [float(x) for x in grid]
     if any(not (x > 0) for x in grid):
         raise ValueError("grid points must be positive")
-    alphas = [int(alpha) for alpha in alphas]
-    if not grid or not alphas:
-        return [[] for _ in alphas]
+    if not grid:
+        return []
     # the keys are values * values in the lambda variable, squared where used
     values, mults, idxs = _key_counts(s, variable, grid)
     square = variable == "lambda"
     chunks = max(idxs) // _CHUNK
-    moments = _chunk_moments(values[:chunks * _CHUNK], mults[:chunks * _CHUNK], max(alphas),
-                             square)
+    moments = _chunk_moments(values[:chunks * _CHUNK], mults[:chunks * _CHUNK], alpha, square)
     counts = np.cumsum(moments[0]).tolist()
-    # order alpha's Horner rows C(alpha, i) S[c, i]
-    coefs = [list(moments[:alpha + 1] * np.array([math.comb(alpha, i) for i in range(alpha + 1)],
-                                                  dtype=float)[:, None]) for alpha in alphas]
+    # the Horner rows C(alpha, i) S[c, i]
+    coef = list(moments * np.array([math.comb(alpha, i) for i in range(alpha + 1)],
+                                   dtype=float)[:, None])
     anchors = values[_CHUNK - 1:chunks * _CHUNK:_CHUNK]
     if square:
         anchors = anchors * anchors
+    fac = math.factorial(alpha)
     gap, acc = np.empty(chunks), np.empty(chunks)
     bases, terms = np.empty(_CHUNK - 1), np.empty(_CHUNK - 1)
-    out = [[] for _ in alphas]
+    means = []
     for x, idx in zip(grid, idxs):
         q = idx // _CHUNK
         start = q * _CHUNK
-        base = None
-        for alpha, coef, means in zip(alphas, coefs, out):
-            fac = math.factorial(alpha)
-            if alpha == 0 or math.isinf(x):
-                # N(x) (over alpha! at x = inf): the chunk counts and the tail's
-                n = (counts[q - 1] if q else 0.0) + float(
-                    np.add.reduce(mults[start:idx], dtype=float))
-                value = n / fac
-            elif not -_POW_BITS < alpha * math.log2(x) < _POW_BITS - math.log2(fac):
-                # x^alpha or alpha! x^alpha is out of range: sum terms scaled by 1/x
-                keys = values[:idx] * values[:idx] if square else values[:idx]
-                scaled = np.power((x - keys) / x, alpha) * mults[:idx]
-                value = float(np.add.reduce(scaled)) / fac
-            else:
-                if base is None:
-                    # the gaps x - a_c and bases x - x_n, for every order
-                    y = np.subtract(x, anchors[:q], out=gap[:q])
-                    base = bases[:idx - start]
-                    if square:
-                        np.multiply(values[start:idx], values[start:idx], out=base)
-                        np.subtract(x, base, out=base)
-                    else:
-                        np.subtract(x, values[start:idx], out=base)
-                head = 0.0
-                if q:
-                    # the chunks at or below x, by Horner in x - a_c
-                    h = np.multiply(coef[0][:q], y, out=acc[:q])
-                    h += coef[1][:q]
-                    for row in coef[2:]:
-                        h *= y
-                        h += row[:q]
-                    head = float(np.add.reduce(h))
-                # the terms past the last full chunk, term by term
-                tail = terms[:idx - start]
-                if alpha == 1:
-                    np.multiply(base, mults[start:idx], out=tail)
-                elif alpha == 2:
-                    np.multiply(np.square(base, out=tail), mults[start:idx], out=tail)
-                else:
-                    np.multiply(np.power(base, alpha, out=tail), mults[start:idx], out=tail)
-                value = (head + float(np.add.reduce(tail))) / (fac * x**alpha)
-            means.append(value)
-    return out
+        if alpha == 0 or math.isinf(x):
+            # N(x) (over alpha! at x = inf): the chunk counts and the tail's
+            n = (counts[q - 1] if q else 0.0) + float(
+                np.add.reduce(mults[start:idx], dtype=float))
+            means.append(n / fac)
+            continue
+        if not -_POW_BITS < alpha * math.log2(x) < _POW_BITS - math.log2(fac):
+            # x^alpha or alpha! x^alpha is out of range: sum terms scaled by 1/x
+            keys = values[:idx] * values[:idx] if square else values[:idx]
+            scaled = np.power((x - keys) / x, alpha) * mults[:idx]
+            means.append(float(np.add.reduce(scaled)) / fac)
+            continue
+        head = 0.0
+        if q:
+            # the chunks at or below x, by Horner in the gaps x - a_c
+            y = np.subtract(x, anchors[:q], out=gap[:q])
+            h = np.multiply(coef[0][:q], y, out=acc[:q])
+            h += coef[1][:q]
+            for row in coef[2:]:
+                h *= y
+                h += row[:q]
+            head = float(np.add.reduce(h))
+        # the terms past the last full chunk, term by term, from the bases x - x_n
+        base = bases[:idx - start]
+        if square:
+            np.multiply(values[start:idx], values[start:idx], out=base)
+            np.subtract(x, base, out=base)
+        else:
+            np.subtract(x, values[start:idx], out=base)
+        tail = terms[:idx - start]
+        if alpha == 1:
+            np.multiply(base, mults[start:idx], out=tail)
+        elif alpha == 2:
+            np.multiply(np.square(base, out=tail), mults[start:idx], out=tail)
+        else:
+            np.multiply(np.power(base, alpha, out=tail), mults[start:idx], out=tail)
+        means.append((head + float(np.add.reduce(tail))) / (fac * x**alpha))
+    return means
 
 
 def _chunk_moments(values: np.ndarray, mults: np.ndarray, alpha: int,
@@ -198,48 +185,33 @@ def _chunk_moments(values: np.ndarray, mults: np.ndarray, alpha: int,
 
 
 def riesz_fit_basis(dim: int, alpha: int, variable: str) -> AsymptoticBasis:
-    """The power terms of the Riesz-mean expansion shape.
+    """The power terms of the order-alpha Riesz-mean expansion shape, s = 0..alpha.
 
-    lambda variable: x^{(d-s)/2}; omega variable: x^{d-s}.  s runs to
-    alpha + _GUARD_ORDERS: the terms beyond s = alpha absorb the smooth part
-    of the remainder so the diagonal-range coefficients come out clean.  The
-    omega-variable log columns x^{d-s} log x are not in it:
-    extract_riesz_coeffs adds each one where the data show it.
+    lambda variable: x^{(d-s)/2}; omega variable: x^{d-s}.  The omega-variable
+    log columns x^{d-s} log x are not in it: extract_riesz_coeffs adds each
+    one where the data show it.
     """
     den = 2 if variable == "lambda" else 1
-    terms = tuple((Fraction(dim - s, den), 0) for s in range(alpha + _GUARD_ORDERS + 1))
-    return AsymptoticBasis(terms)
+    return AsymptoticBasis(tuple((Fraction(dim - s, den), 0) for s in range(alpha + 1)))
 
 
 def extract_riesz_coeffs(s: Spectrum, alpha: int, variable: str,
                          grid: Optional[Sequence[float]] = None) -> FitReport:
-    """The one-order extract_riesz_fits."""
-    return extract_riesz_fits(s, (alpha,), variable, grid)[0]
-
-
-def extract_riesz_fits(s: Spectrum, alphas: Sequence[int], variable: str,
-                       grid: Optional[Sequence[float]] = None) -> list[FitReport]:
-    """Fit the asymptotic coefficients of the Riesz mean of each order in
-    alphas, one report per order, from one riesz_mean_grids call.
+    """Fit the asymptotic coefficients of the order-alpha Riesz mean over grid.
 
     The fitted values follow the plain normalization x^{-alpha} sum (x-x_n)^alpha
-    (alpha! times riesz_mean), which is the convention under which the
-    coefficient-relation identities hold: in the lambda variable the diagonal
-    coefficient a_{alpha,alpha} feeds b_s = Gamma((d+s)/2+1)/Gamma(s+1) a_ss,
-    and in the omega variable c_ss feeds the cylinder relations.
+    (alpha! times riesz_mean), the one invariants.riesz_to_trace reads: each
+    coefficient at s <= alpha gives its heat (lambda) or cylinder (omega)
+    coefficient through one Gamma ratio.
 
     grid defaults to 64 points geometric over DEFAULT_RANGES[variable].  The
-    fit starts from riesz_fit_basis.  In the omega variable, at each order
-    s <= alpha where s - d is odd and positive, detect_log_term compares the
-    fit with and without an x^{d-s} log x column and keeps the column only
-    when the data have it -- fitting a log column against data that have
-    none mostly soaks up spectral oscillation and spoils the power
-    coefficients.  The guard orders s > alpha get no log column.  The last
-    detection's kept fit is the report; with no detection the basis is
-    fitted once.
-
-    Coefficients at s < alpha repeat information available at lower alpha and
-    are flagged informational in the report notes.
+    fit starts from riesz_fit_basis and weighs every sample alike.  In the
+    omega variable, at each order s <= alpha where s - d is odd and positive,
+    detect_log_term compares the fit with and without an x^{d-s} log x column
+    and keeps the column only when the data have it -- fitting a log column
+    against data that have none mostly soaks up spectral oscillation and
+    spoils the power coefficients.  The last detection's kept fit is the
+    report; with no detection the basis is fitted once.
     """
     if variable not in _VARIABLES:
         raise ValueError(f"variable must be one of {_VARIABLES}, got {variable!r}")
@@ -248,31 +220,17 @@ def extract_riesz_fits(s: Spectrum, alphas: Sequence[int], variable: str,
     grid = list(grid)
     if any(b <= a for a, b in zip(grid, grid[1:])):
         raise ValueError("grid must be strictly increasing")
-    reports = []
-    for alpha, means in zip(map(int, alphas), riesz_mean_grids(s, alphas, variable, grid)):
-        scale = math.factorial(alpha)
-        values = [scale * v for v in means]
-        basis = riesz_fit_basis(s.dim, alpha, variable)
-        report = None
-        for ss in range(alpha + 1):
-            if variable == "omega" and _carries_log(ss, s.dim):
-                det = detect_log_term(grid, values, Fraction(s.dim - ss), basis)
-                report = det.with_log if det.present else det.without_log
-                basis = report.basis
-        if report is None:
-            report = fit_expansion(grid, values, basis)
-        notes = list(report.notes)
-        redundant = []
-        for ss in range(alpha):
-            p = Fraction(s.dim - ss, 2) if variable == "lambda" else Fraction(s.dim - ss)
-            if (p, 0) in report.basis.terms:
-                redundant.append(f"s={ss}")
-        if redundant:
-            notes.append(
-                "informational only (redundant below the diagonal): " + ", ".join(redundant)
-            )
-        reports.append(dataclasses.replace(report, notes=tuple(notes)))
-    return reports
+    means = riesz_mean_grid(s, alpha, variable, grid)
+    values = [math.factorial(alpha) * v for v in means]
+    weights = [1.0] * len(grid)
+    basis = riesz_fit_basis(s.dim, alpha, variable)
+    report = None
+    for ss in range(alpha + 1):
+        if variable == "omega" and _carries_log(ss, s.dim):
+            det = detect_log_term(grid, values, Fraction(s.dim - ss), basis, weights)
+            report = det.with_log if det.present else det.without_log
+            basis = report.basis
+    return fit_expansion(grid, values, basis, weights) if report is None else report
 
 
 def weyl_remainder(

@@ -1,9 +1,11 @@
 """The coefficient-relation pipeline behind `spectrace verify`.
 
 run_verification fits every coefficient family of one spectrum (heat,
-cylinder and derivative-cylinder traces, lambda- and omega-Riesz means) and
-returns one VerifyRow per relation it checks, ending in the vacuum energy
--e_(d+1)/2 against the constructor's closed form, Spectrum.energy.
+cylinder and derivative-cylinder traces, and one Riesz mean of order d+3 in
+each of the lambda and omega variables) and returns one VerifyRow per
+relation it checks.  The vacuum energy comes twice: -e_(d+1)/2 from the
+cylinder fit, and -c_(d+3,d+1)/(2(d+3)) from the omega-Riesz fit, each
+against the constructor's closed form, Spectrum.energy.
 """
 
 from __future__ import annotations
@@ -29,10 +31,9 @@ from .invariants import (
     _carries_log,
     casimir_energy,
     heat_to_cylinder,
-    riesz_to_cylinder,
-    riesz_to_heat,
+    riesz_to_trace,
 )
-from .riesz import extract_riesz_fits
+from .riesz import extract_riesz_coeffs
 from . import spectra
 from .spectra import Spectrum
 from .traces import _cutoff, trace_grid, trace_grids
@@ -43,6 +44,10 @@ __all__ = ["VerifyRow", "expansion_from_fit", "fit_trace", "run_verification"]
 _ORDERS = 4
 _POINTS = 64
 _TOL = 1e-13
+# the Riesz grids: omega from 20 w1 to 200 w1 in 96 geometric points, and
+# their squares in lambda; the Riesz order is d + this
+_RIESZ_LO, _RIESZ_HI, _RIESZ_POINTS = 20.0, 200.0, 96
+_RIESZ_ORDER_PAST_D = 3
 
 
 @dataclass
@@ -119,9 +124,10 @@ def run_verification(spectrum: Spectrum) -> list[VerifyRow]:
 
     Raises ValueError for a spectrum without envelope constants (its traces
     cannot be certified), for dimension 4 or more (the energy's order d+1
-    is past the fitted orders), for a spectrum with no positive frequency
-    and for one whose first positive frequency or envelope puts a window
-    past the float range;
+    is past the fitted orders), for a spectrum with no positive frequency,
+    for one whose first positive frequency or envelope puts a window past
+    the float range and for a finite list whose data end at or below the
+    Riesz grids' bottom, 20 w1;
     ToleranceError when a trace cannot meet _TOL or an enumeration passes
     the term budget (Spectrum.arrays).
     """
@@ -138,22 +144,20 @@ def run_verification(spectrum: Spectrum) -> list[VerifyRow]:
             f"d <= {_ORDERS - 1}")
     w1 = _first_positive_omega(spectrum)
     # every window is placed in units of w1, from heat times 0.1 / w1^2 to
-    # lambda = 1e6 w1^2; a w1 that sends one past the float range is refused
-    if not (0.1 / w1 / w1 < math.inf and 1e6 * w1 * w1 < math.inf):
+    # lambda = (200 w1)^2; a w1 that sends one past the float range is refused
+    if not (0.1 / w1 / w1 < math.inf and _RIESZ_HI * w1 * _RIESZ_HI * w1 < math.inf):
         raise ValueError(
             f"verification refused: the first positive frequency w1 = {w1!r} puts verify's "
-            "windows (heat times up to 0.1/w1^2, lambda up to 1e6 w1^2) past the float range")
+            "windows (heat times up to 0.1/w1^2, lambda up to (200 w1)^2) past the float range")
     rows: list[VerifyRow] = []
 
     # verify's window policy: no sample below the time at which the envelope
     # count out to x0/t (cylinder) or x0/t in lambda (heat) exceeds the term
-    # cap, and no lambda-Riesz grid point above the lambda at which it does
-    # (w_cap^2; the grid keeps at least a factor 8).  Each trace solves for
-    # its own, smaller cutoff; x0 = 80 and the cap only place the windows.  A
-    # budget no larger than C1 pays for no cutoff, so the windows stay
-    # nominal and the first trace reports the unreachable tolerance; a w_cap^2
-    # past the float range is over the cap too, and one that underflows puts
-    # the floors past it.
+    # cap.  Each trace solves for its own, smaller cutoff; x0 = 80 and the cap
+    # only place the windows.  A budget no larger than C1 pays for no cutoff,
+    # so the windows stay nominal and the first trace reports the unreachable
+    # tolerance; a w_cap^2 past the float range is over the cap too, and one
+    # that underflows puts the floors past it.
     c1, c2 = spectrum.envelope
     cap = min(spectra.DEFAULT_MAX_TERMS, 400_000)
     x0 = 80.0
@@ -184,16 +188,20 @@ def run_verification(spectrum: Spectrum) -> list[VerifyRow]:
     cyl_ts = geometric_grid(cyl_lo, cyl_hi, _POINTS)
     heat_ts = geometric_grid(heat_lo, heat_hi, _POINTS)
 
-    lam_lo, om_lo = 1e2 * w1 * w1, 10.0 * w1
-    lam_hi = max(min(1e6 * w1 * w1, lam_cap), 8.0 * lam_lo)
-    om_hi = 100.0 * w1
+    om_lo, om_hi = _RIESZ_LO * w1, _RIESZ_HI * w1
     end = spectrum.truncated_at
     if end is not None:
         # a finite term list's means are exact only up to its last frequency
-        lam_hi, om_hi = min(lam_hi, end * end), min(om_hi, end)
+        if end <= om_lo:
+            raise ValueError(
+                f"verification refused: the spectrum's data end at omega = {end:.6g}, "
+                f"below the Riesz grids' bottom omega = 20 w1 = {om_lo:.6g}")
+        om_hi = min(om_hi, end)
+    om_grid = geometric_grid(om_lo, om_hi, _RIESZ_POINTS)
+    lam_grid = [w * w for w in om_grid]
 
     # one enumeration up front, to the widest extent a stage reads (the
-    # traces' cutoffs crediting no term, the Riesz tops); past the term budget
+    # traces' cutoffs crediting no term, the Riesz grids' top); past the term budget
     # Spectrum.arrays refuses it, and the stage that needs the terms raises.
     # A product's heat trace reads its factors, not its own terms
     end_w = math.inf if end is None else end
@@ -201,7 +209,8 @@ def run_verification(spectrum: Spectrum) -> list[VerifyRow]:
     if spectrum.factors is None:
         summed.append(("heat", heat_ts))
     extent = max(*(min(_cutoff(kind, ts[0], _TOL, c1, c2, d), end_w) for kind, ts in summed),
-                 spectra._key_extent("lambda", lam_hi), spectra._key_extent("omega", om_hi))
+                 spectra._key_extent("lambda", lam_grid[-1]),
+                 spectra._key_extent("omega", om_grid[-1]))
     if math.isfinite(extent):
         with contextlib.suppress(spectra.ToleranceError):
             spectrum.arrays(extent)
@@ -265,41 +274,45 @@ def run_verification(spectrum: Spectrum) -> list[VerifyRow]:
     rows.append(VerifyRow("casimir energy -e_(d+1)/2", energy, expected, tol_e,
                           note="" if expected is not None else "no closed form for this recipe"))
 
-    # Riesz relations (diagonal coefficients only); the fits are limited by
-    # spectral oscillation, so these rows run at a looser tolerance than the
-    # trace-to-trace relations above
-    if end is not None and (end <= om_lo or end * end <= lam_lo):
-        raise ValueError(
-            f"verification refused: the spectrum's data end at omega = {end:.6g}, "
-            f"below the Riesz grids' bottom omega = 10 w1 = {om_lo:.6g}")
-    lam_grid = geometric_grid(lam_lo, lam_hi, 128)
-    om_grid = geometric_grid(om_lo, om_hi, 128)
+    # Riesz relations: one fit of order alpha = d+3 per variable, every
+    # coefficient read through one Gamma ratio; the fits are limited by
+    # spectral oscillation, so the s <= 2 rows run at a looser tolerance than
+    # the trace-to-trace relations above
+    alpha = d + _RIESZ_ORDER_PAST_D
     riesz_tol = 2e-2 if d == 1 else 5e-2
 
-    a_diag = [rep.coefficient(Fraction(d - alpha, 2), 0) for alpha, rep in
-              enumerate(extract_riesz_fits(spectrum, range(3), "lambda", lam_grid))]
-    heat_from_riesz = riesz_to_heat(a_diag, d)
-    for s, _a in enumerate(a_diag):
+    lam_fit = extract_riesz_coeffs(spectrum, alpha, "lambda", lam_grid)
+    heat_from_riesz = riesz_to_trace(
+        "lambda", alpha, d, [lam_fit.coefficient(Fraction(d - s, 2), 0) for s in range(3)])
+    for s in range(3):
         via = heat_from_riesz.term(Fraction(s - d, 2), 0)
         direct = heat_fit.coefficient(Fraction(s - d, 2), 0)
         rows.append(VerifyRow(
-            f"b_{s} = Gamma((d+{s})/2+1) a_{s}{s}/{s}!",
+            f"b_{s} = Gamma({alpha}+(d-{s})/2+1) a_({alpha},{s})/{alpha}!",
             float(via.coefficient), direct, riesz_tol * max(1.0, abs(direct))))
 
-    c_diag, d_diag = [], []
-    # a log column at x^(d-alpha) is fitted only where the data show it
-    for alpha, rep in enumerate(extract_riesz_fits(spectrum, range(3), "omega", om_grid)):
-        p_diag = Fraction(d - alpha)
-        c_diag.append(rep.coefficient(p_diag, 0))
-        d_diag.append(rep.coefficient(p_diag, 1) if (p_diag, 1) in rep.basis.terms else 0.0)
-    cyl_from_riesz = riesz_to_cylinder(c_diag, d_diag, d)
-    for s in range(len(c_diag)):
+    # a log column at x^(d-s) is fitted only where the data show it
+    om_fit = extract_riesz_coeffs(spectrum, alpha, "omega", om_grid)
+    c, dlog = [], []
+    for s in range(d + 2):
+        p = Fraction(d - s)
+        c.append(om_fit.coefficient(p, 0))
+        dlog.append(om_fit.coefficient(p, 1) if (p, 1) in om_fit.basis.terms else 0.0)
+    cyl_from_riesz = riesz_to_trace("omega", alpha, d, c, dlog)
+    for s in range(3):
         via = cyl_from_riesz.term(Fraction(s - d), 0)
         direct = cyl_fit.coefficient(Fraction(s - d), 0)
-        branch = "e" if _carries_log(s, d) else "c"
-        tol_s = (2e-2 if branch == "e" else riesz_tol) * max(1.0, abs(direct))
+        log = _carries_log(s, d)
+        tol_s = (2e-2 if log else riesz_tol) * max(1.0, abs(direct))
         rows.append(VerifyRow(
-            f"e_{s} = d! {branch}_{s}{s}/{s}!" + (" (+psi d_ss)" if branch == "e" else ""),
+            f"e_{s} = Gamma({alpha}+d-{s}+1) c_({alpha},{s})/{alpha}!" + (" (+psi d)" if log else ""),
             float(via.coefficient), direct, tol_s))
+
+    # the energy is the omega mean's x^(-1) coefficient: c_(alpha,d+1) = -2 alpha E
+    rows.append(VerifyRow(
+        f"casimir energy from omega-Riesz -c_({alpha},d+1)/(2*{alpha})",
+        casimir_energy(cyl_from_riesz), expected,
+        1e-4 * abs(expected) if expected is not None else 0.0,
+        note="" if expected is not None else "no closed form for this recipe"))
 
     return rows

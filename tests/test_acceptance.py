@@ -29,7 +29,7 @@ from spectrace import (
     interval_spectrum,
     moment,
     product_spectrum,
-    riesz_to_cylinder,
+    riesz_to_trace,
     trace_grid,
     weyl_remainder,
     zeta_neg_int,
@@ -159,7 +159,7 @@ def test_criterion_06_riesz_relations():
         # detection already ruled the log column out, so d_22 = 0 and the
         # mixed branch reduces to e_2 = Gamma(2)/Gamma(3) c_22
         assert (Fraction(-1), 1) not in rep_c.basis.terms
-        via = riesz_to_cylinder([None, None, c22], [0, 0, 0], d=1)
+        via = riesz_to_trace("omega", 2, 1, [None, None, c22], [0, 0, 0])
         e2_via = float(via.term(1).coefficient)
         assert abs(e2_via - 1.0 / 12.0) <= 2e-2 / 12.0
 

@@ -340,7 +340,7 @@ class TestRieszCommand:
         assert (code, err) == (0, "")
         report = json.loads(out)["fit_report"]
         assert report["scale_anchor"] == pytest.approx(1e-295, rel=1e-14)
-        assert report["coefficients"] == [0.0, 0.0, 0.0]
+        assert report["coefficients"] == [0.0, 0.0]
 
     def test_remainder_sup(self, capsys):
         code, out, _ = run(capsys, "riesz", "--spectrum", INTERVAL_SPEC,
@@ -375,7 +375,7 @@ class TestLibraryErrorsExit2:
     @pytest.mark.parametrize("argv", [
         ["riesz", "--spectrum", INTERVAL_SPEC, "--points", "1"],
         ["moments", "--points", "1"],
-        ["riesz", "--spectrum", INTERVAL_SPEC, "--fit", "--points", "3"],
+        ["riesz", "--spectrum", INTERVAL_SPEC, "--fit", "--alpha", "1", "--points", "3"],
         ["riesz", "--spectrum", INTERVAL_SPEC, "--remainder", "2", "--weyl-coeffs", "1"],
         ["riesz", "--spectrum", INTERVAL_SPEC, "--remainder", "-1", "--weyl-coeffs", "1"],
         ["coeffs", "--spectrum", INTERVAL_SPEC, "--orders", "9", "--points", "8"],

@@ -107,6 +107,16 @@ class TestTestFunctions:
 
     @pytest.mark.parametrize("g", [GAUSS, EXP, ODD, TF.bump(lo=0.3, hi=0.9)],
                              ids=["gaussian", "expdecay", "odd-gaussian", "bump"])
+    @pytest.mark.parametrize("scale", [1.0, 2.5])
+    def test_nan_in_gives_nan_out(self, g, scale):
+        # NaN is no point past the float range: expdecay mapped it to inf
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = g.rescaled(scale).values([math.nan, -math.nan, 0.5])
+        assert np.isnan(got[:2]).all() and not np.isnan(got[2])
+
+    @pytest.mark.parametrize("g", [GAUSS, EXP, ODD, TF.bump(lo=0.3, hi=0.9)],
+                             ids=["gaussian", "expdecay", "odd-gaussian", "bump"])
     def test_rescaled_argument_past_the_float_range_is_silent(self, g):
         # scale * x overflows before _base: the infinity it gives is mapped
         # to the function's value there, with no warning

@@ -19,7 +19,7 @@ from spectrace import (
     weyl_remainder,
 )
 from spectrace import riesz
-from spectrace.riesz import riesz_mean_grid, riesz_mean_grids
+from spectrace.riesz import riesz_mean_grid
 
 PI = math.pi
 INTERVAL = interval_spectrum(PI, "dirichlet")
@@ -217,47 +217,44 @@ class TestChunkedGrid:
 
 
 class TestOrdersFromOneTable:
-    """riesz_mean_grids serves several orders from one moment table at the
-    top order and one tail base a point; each order's means are its
-    one-order means, bit for bit."""
+    """riesz_mean_grid serves a whole grid from one moment table of the
+    orders i = 0..alpha, the scaled-sum points and the limit at x = inf
+    included; each mean is its one-point mean, bit for bit."""
 
     @settings(max_examples=80, deadline=None)
     @given(st.one_of(finite_factors, st.builds(product_spectrum, st.one_of(point, lattices),
                                                st.one_of(finite_factors, lattices))),
-           st.sampled_from(["lambda", "omega"]),
-           st.lists(st.integers(0, 3), min_size=1, max_size=4, unique=True),
+           st.sampled_from(["lambda", "omega"]), st.integers(0, 6),
            st.integers(900, 6000), st.lists(st.floats(0.0, 1.0, exclude_min=True), max_size=6),
            st.data())
-    def test_each_order_is_its_one_order_grid(self, s, variable, orders, n, fracs, data):
+    def test_each_grid_is_its_one_point_means(self, s, variable, alpha, n, fracs, data):
         keys, _ = keys_up_to(s, variable, 1.6e5 if variable == "lambda" else 400.0)
         hi = float(keys[min(n, keys.size - 1)])
-        # points whose x^alpha passes 2^-900 for some orders (and 2^900 on a
-        # list that ends, with its limit at x = inf) take the scaled sum
+        # points whose x^alpha passes 2^-900 (and 2^900 on a list that ends,
+        # with its limit at x = inf) take the scaled sum
         points = [hi] + [u * hi for u in fracs] + [2.0**-901, 2.0**-400]
         if s.dim == 1:
             points += [math.inf, 2.0**901, 2.0**400]
         points += keys[riesz._CHUNK - 1::riesz._CHUNK].tolist()
         grid = data.draw(st.permutations([x for x in points if x > 0]))
-        for alpha, means in zip(orders, riesz_mean_grids(s, orders, variable, grid)):
-            want = riesz_mean_grid(s, alpha, variable, grid)
-            assert all(type(m) is float for m in means) and len(means) == len(grid)
-            assert [m.hex() for m in means] == [m.hex() for m in want]
+        means = riesz_mean_grid(s, alpha, variable, grid)
+        assert all(type(m) is float for m in means) and len(means) == len(grid)
+        assert [m.hex() for m in means] == [riesz_mean(s, alpha, variable, x).hex() for x in grid]
 
-    def test_no_orders_or_no_points(self):
-        assert riesz_mean_grids(INTERVAL, (), "omega", [1.0]) == []
-        assert riesz_mean_grids(INTERVAL, (0, 2), "omega", []) == [[], []]
+    def test_no_points(self):
+        assert riesz_mean_grid(INTERVAL, 2, "omega", []) == []
 
-    @pytest.mark.parametrize("alphas", [(1, -1), (0, 1.5)])
-    def test_every_order_is_checked(self, alphas):
+    @pytest.mark.parametrize("alpha", [-1, 1.5])
+    def test_order_is_checked(self, alpha):
         with pytest.raises(ValueError, match="alpha must be a nonnegative integer"):
-            riesz_mean_grids(INTERVAL, alphas, "omega", [1.0])
+            riesz_mean_grid(INTERVAL, alpha, "omega", [1.0])
 
     def test_order_past_170_raises(self):
         # 171! is past the float range: the means, the x = inf limit and the
         # fits all refuse it up front; 170! is the largest factorial in range
         s = finite_spectrum(1, [(1.0, 1), (2.0, 3)])
         with pytest.raises(ValueError, match="alpha must be a nonnegative integer at most 170"):
-            riesz_mean_grids(INTERVAL, (0, 171), "omega", [1.0])
+            riesz_mean_grid(INTERVAL, 171, "omega", [1.0])
         with pytest.raises(ValueError, match="alpha must be a nonnegative integer at most 170"):
             riesz_mean(s, 171, "omega", math.inf)
         with pytest.raises(ValueError, match="alpha must be a nonnegative integer at most 170"):
@@ -341,9 +338,34 @@ class TestExtraction:
         rep = extract_riesz_coeffs(INTERVAL, 1, "lambda")
         assert rep.coefficient(Fraction(1, 2), 0) == pytest.approx(2.0 / 3.0, abs=2e-3)
 
-    def test_redundant_subdiagonal_flagged(self):
+    @pytest.mark.parametrize("variable", ["lambda", "omega"])
+    @pytest.mark.parametrize("alpha", [0, 2, 4])
+    def test_one_unweighted_fit_of_orders_up_to_alpha(self, alpha, variable):
+        # the basis is x^((d-s)/2) or x^(d-s) for s = 0..alpha, every sample
+        # weighs 1, and every coefficient below the top order is as much a
+        # result as the top one: no note marks it
+        from spectrace import fitkit
+        grid = geometric_grid(20.0, 200.0, 96)
+        values = [math.factorial(alpha) * v
+                  for v in riesz_mean_grid(INTERVAL, alpha, variable, grid)]
+        with mock.patch.object(fitkit, "fit_expansion", wraps=fitkit.fit_expansion) as fits, \
+                mock.patch.object(riesz, "fit_expansion", fits):
+            rep = extract_riesz_coeffs(INTERVAL, alpha, variable, grid)
+        assert fits.call_count
+        den = 2 if variable == "lambda" else 1
+        assert [p for p, q in rep.basis.terms if q == 0] == \
+            [Fraction(1 - s, den) for s in range(alpha + 1)]
+        assert rep.notes == ()
+        plain = fitkit.fit_expansion(grid, values, rep.basis, [1.0] * len(grid))
+        assert rep.coefficients == plain.coefficients
+        for call in fits.call_args_list:
+            assert list(call.args[3]) == [1.0] * len(grid)
+
+    def test_no_subdiagonal_notes(self):
+        # the coefficients below s = alpha are read through the Gamma ratio,
+        # not flagged as redundant
         rep = extract_riesz_coeffs(INTERVAL, 2, "omega")
-        assert any("informational" in note for note in rep.notes)
+        assert not any("informational" in note for note in rep.notes)
 
     def test_rejects_unsorted_grid(self):
         with pytest.raises(ValueError):
@@ -351,8 +373,8 @@ class TestExtraction:
 
     @pytest.mark.parametrize("s", [INTERVAL, torus_spectrum(1.5)])
     def test_no_log_column_at_guard_orders(self, s):
-        # at alpha = d the only order with s - d odd and positive is the
-        # guard order d + 1, which gets no log column and so no detection
+        # at alpha = d no order s <= alpha has s - d odd and positive, and the
+        # basis stops at s = alpha: no log column and so no detection
         with mock.patch.object(riesz, "detect_log_term", wraps=riesz.detect_log_term) as detect:
             rep = extract_riesz_coeffs(s, s.dim, "omega")
         assert detect.call_count == 0

@@ -1,5 +1,6 @@
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -8,6 +9,7 @@ import pytest
 
 from spectrace import (
     finite_spectrum,
+    geometric_grid,
     interval_spectrum,
     load_spectrum,
     product_spectrum,
@@ -35,7 +37,7 @@ def test_run_verification_runs_without_the_cli():
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                           timeout=120, env={**os.environ, "PYTHONPATH": SRC})
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.split() == ["16", "True", "False", "False"]
+    assert proc.stdout.split() == ["17", "True", "False", "False"]
 
 
 class TestConstructorEnergies:
@@ -72,17 +74,17 @@ def test_verify_reads_the_energy_from_the_spectrum_not_its_label():
 
 
 def riesz_grids(monkeypatch, spectrum):
-    """The grids run_verification hands extract_riesz_fits, by variable."""
+    """The grids run_verification hands extract_riesz_coeffs, by variable."""
     grids = {}
-    real = riesz.extract_riesz_fits
+    real = riesz.extract_riesz_coeffs
 
-    def capture(s, alphas, variable, grid):
-        assert variable not in grids  # one call serves every order
-        assert list(alphas) == [0, 1, 2]
+    def capture(s, alpha, variable, grid):
+        assert variable not in grids  # one fit a variable
+        assert alpha == s.dim + 3
         grids[variable] = list(grid)
-        return real(s, alphas, variable, grid)
+        return real(s, alpha, variable, grid)
 
-    monkeypatch.setattr(verify, "extract_riesz_fits", capture)
+    monkeypatch.setattr(verify, "extract_riesz_coeffs", capture)
     rows = run_verification(spectrum)
     return rows, grids
 
@@ -92,13 +94,6 @@ def dirichlet_square(side):
     return product_spectrum(iv, iv)
 
 
-def w_cap_squared(spectrum):
-    # the lambda at which the envelope count C1 + C2 lambda^(d/2) reaches the cap
-    c1, c2 = spectrum.envelope
-    cap = min(spectra.DEFAULT_MAX_TERMS, 400_000)
-    return (((cap - c1) / c2) ** (1.0 / spectrum.dim)) ** 2
-
-
 class TestRieszWindows:
     @pytest.mark.parametrize("s", [
         interval_spectrum(1.0, "dirichlet"),
@@ -106,16 +101,19 @@ class TestRieszWindows:
         torus_spectrum(1.5),
     ], ids=["dirichlet", "neumann", "torus"])
     def test_one_dimensional_lambda_top_is_nominal(self, monkeypatch, s):
-        # the envelope counts at most a few thousand terms at 1e6 w1^2
+        # 96 points over omega in [20, 200] w1, and their squares in lambda
         _rows, grids = riesz_grids(monkeypatch, s)
         w1 = verify._first_positive_omega(s)
-        assert grids["lambda"][-1] == 1e6 * w1 * w1
-        assert grids["omega"][-1] == 100.0 * w1
+        assert grids["omega"] == geometric_grid(20.0 * w1, 200.0 * w1, 96)
+        assert grids["lambda"] == [w * w for w in grids["omega"]]
 
-    def test_square_lambda_top_is_the_cap(self, monkeypatch):
+    def test_square_lambda_grid_is_the_omega_grid_squared(self, monkeypatch):
+        # the lambda grid is no longer placed against the term cap: it ends at
+        # (200 w1)^2 = 80,000, where the envelope counts about 63k terms
         s = dirichlet_square(math.pi)
         _rows, grids = riesz_grids(monkeypatch, s)
-        assert grids["lambda"][-1] == w_cap_squared(s) < 1e6 * 2.0
+        assert grids["omega"] == geometric_grid(20.0 * math.sqrt(2.0), 200.0 * math.sqrt(2.0), 96)
+        assert grids["lambda"] == [w * w for w in grids["omega"]]
 
     def test_square_lambda_top_scales_with_the_side(self, monkeypatch):
         tops = []
@@ -127,32 +125,33 @@ class TestRieszWindows:
         assert tops[0] == pytest.approx(tops[1], rel=1e-12)
 
     def test_truncated_square_file_stays_inside_its_data(self, monkeypatch, tmp_path):
-        # the Dirichlet square of side pi up to omega = 300 (21,591 terms):
-        # lambda means past 300^2 would count a list that has ended
-        w, m = dirichlet_square(math.pi).arrays(300.0)
+        # the Dirichlet square of side pi up to omega = 250 (15,263 terms),
+        # below the nominal top 200 w1 = 283: means past 250 would count a
+        # list that has ended
+        w, m = dirichlet_square(math.pi).arrays(250.0)
         path = tmp_path / "square.spec"
         path.write_text("dim 2\nenvelope 0 1\n" + "".join(
             f"{a!r} {b}\n" for a, b in zip(w.tolist(), m.tolist())), encoding="utf-8")
         s = load_spectrum(path)
-        assert s.truncated_at == 300.0 and len(w) == 21_591
+        assert s.truncated_at == 250.0 and len(w) == 15_263
         rows, grids = riesz_grids(monkeypatch, s)
-        assert grids["lambda"][-1] == 300.0 ** 2
-        assert grids["omega"][-1] == 100.0 * math.sqrt(2.0)
+        assert grids["omega"] == geometric_grid(20.0 * math.sqrt(2.0), 250.0, 96)
+        assert grids["lambda"][-1] == 250.0 ** 2
         assert all(r.passed for r in rows), [r.line() for r in rows if not r.passed]
 
     def test_data_ending_below_the_grid_is_refused(self):
-        # the omega grid starts at 10 w1 = 10
-        s = finite_spectrum(1, [(float(n), 1) for n in range(1, 9)], envelope=(1.0, 1.0))
-        with pytest.raises(ValueError, match="data end at omega = 8, below the Riesz grids' bottom omega = 10 w1 = 10"):
+        # the omega grid starts at 20 w1 = 20
+        s = finite_spectrum(1, [(float(n), 1) for n in range(1, 20)], envelope=(1.0, 1.0))
+        with pytest.raises(ValueError, match="data end at omega = 19, below the Riesz grids' bottom omega = 20 w1 = 20"):
             run_verification(s)
 
     def test_cap_past_the_float_range_is_no_cap(self, monkeypatch):
-        # w_cap = 4e305, whose square overflows: over any cap, so the lambda
-        # grid runs to its nominal top
+        # w_cap = 4e305, whose square overflows: over any cap, so the heat
+        # window has no floor, and the Riesz grids run to their nominal top
         s = finite_spectrum(1, [(n * math.pi, 1) for n in range(1, 3001)],
                             envelope=(1.0, 1e-300))
         _rows, grids = riesz_grids(monkeypatch, s)
-        assert grids["lambda"][-1] == 1e6 * math.pi * math.pi
+        assert grids["lambda"][-1] == (200.0 * math.pi) ** 2
 
 
 def nd_rectangle():
@@ -196,6 +195,40 @@ SHAPES = {
     "torus": lambda: torus_spectrum(1.5),
     "cube": unit_cube,
 }
+
+
+@pytest.mark.parametrize("shape", ["interval", "square", "dirichlet-torus"])
+def test_one_riesz_order_per_variable(monkeypatch, shape):
+    # one grid of means a variable, at the one order d + 3, feeds every
+    # Riesz row and the Riesz energy
+    calls = []
+    real = riesz.riesz_mean_grid
+
+    def spy(s, alpha, variable, grid):
+        calls.append((alpha, variable, len(grid)))
+        return real(s, alpha, variable, grid)
+
+    monkeypatch.setattr(riesz, "riesz_mean_grid", spy)
+    s = SHAPES[shape]()
+    run_verification(s)
+    assert sorted(calls) == [(s.dim + 3, "lambda", 96), (s.dim + 3, "omega", 96)]
+
+
+@pytest.mark.parametrize("size", [10.0**k for k in range(-3, 3)])
+@pytest.mark.parametrize("kind", ["dirichlet", "neumann", "torus"])
+def test_one_dimensional_shapes_pass_every_row(kind, size):
+    # every row at every length scale, the Riesz energy within 1e-4 |E| of
+    # the closed form; only the cylinder row is the one the energy metric
+    # reads (the benchmark's pattern below)
+    s = torus_spectrum(size) if kind == "torus" else interval_spectrum(size, kind)
+    rows = run_verification(s)
+    assert all(r.passed for r in rows), [r.line() for r in rows if not r.passed]
+    (riesz_energy,) = [r for r in rows if r.name.startswith("casimir energy from omega-Riesz")]
+    assert riesz_energy.expected == s.energy
+    assert riesz_energy.delta <= 1e-4 * abs(s.energy) == riesz_energy.tol
+    text = "\n".join(r.line() for r in rows)
+    (value,) = re.findall(r"casimir energy -e_\(d\+1\)/2\s+(\S+)", text)
+    assert float(value) == pytest.approx(energy_row(rows).computed, rel=1e-8)
 
 
 def counted_enumerations(monkeypatch, s):
@@ -324,4 +357,4 @@ def test_loose_envelopes_are_refused(capsys, tmp_path, c2):
 def test_a_loose_envelope_in_range_gets_a_verdict(capsys, tmp_path):
     code, out, err = cli_verify(capsys, f"file:{loose_list(tmp_path, '1e30')}")
     assert code == 1, err
-    assert out.splitlines()[-1] == "FAIL  overall: 10/16 checks passed"
+    assert out.splitlines()[-1] == "FAIL  overall: 12/17 checks passed"
