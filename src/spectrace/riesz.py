@@ -220,8 +220,15 @@ def extract_riesz_coeffs(s: Spectrum, alpha: int, variable: str,
     grid = list(grid)
     if any(b <= a for a, b in zip(grid, grid[1:])):
         raise ValueError("grid must be strictly increasing")
-    means = riesz_mean_grid(s, alpha, variable, grid)
-    values = [math.factorial(alpha) * v for v in means]
+    return _fit_means(s, alpha, variable, grid)[1]
+
+
+def _fit_means(s: Spectrum, alpha: int, variable: str,
+               grid: list[float]) -> tuple[list[float], FitReport]:
+    """(values, report): the order-alpha means over grid in the plain
+    normalization (alpha! riesz_mean, from one riesz_mean_grid) and
+    extract_riesz_coeffs' fit of them."""
+    values = [math.factorial(alpha) * v for v in riesz_mean_grid(s, alpha, variable, grid)]
     weights = [1.0] * len(grid)
     basis = riesz_fit_basis(s.dim, alpha, variable)
     report = None
@@ -230,7 +237,7 @@ def extract_riesz_coeffs(s: Spectrum, alpha: int, variable: str,
             det = detect_log_term(grid, values, Fraction(s.dim - ss), basis, weights)
             report = det.with_log if det.present else det.without_log
             basis = report.basis
-    return fit_expansion(grid, values, basis, weights) if report is None else report
+    return values, fit_expansion(grid, values, basis, weights) if report is None else report
 
 
 def weyl_remainder(

@@ -539,12 +539,21 @@ def product_spectrum(a: Spectrum, b: Spectrum) -> Spectrum:
     )
 
 
-def _listed_spectrum(dim: int, label: str, envelope: Optional[tuple[float, float]],
+def _listed_spectrum(dim: int, label: Optional[str], envelope: Optional[tuple[float, float]],
                      omegas: Sequence[float], mults: Sequence[int]) -> Spectrum:
-    """A spectrum that ends: the given ascending terms and nothing beyond."""
+    """A spectrum that ends: the given ascending terms and nothing beyond.
+    Without a label it is 'finite:' and a digest of the two term arrays, so
+    spectra with different terms never compare or hash equal."""
     # no copy of arrays that already are contiguous float64 / int64
     terms = (np.ascontiguousarray(omegas, dtype=np.float64),
              np.ascontiguousarray(mults, dtype=np.int64))
+    if label is None:
+        import hashlib  # a few ms of import that only unlabelled lists pay
+
+        digest = hashlib.blake2b(digest_size=8)
+        for array in terms:
+            digest.update(array.tobytes())
+        label = f"finite:{digest.hexdigest()}"
     last = float(terms[0][-1]) if terms[0].size else 0.0
     return Spectrum(dim=dim, label=label, envelope=envelope,
                     truncated_at=last, _enumerate=lambda omega_max: terms)
@@ -553,10 +562,14 @@ def _listed_spectrum(dim: int, label: str, envelope: Optional[tuple[float, float
 def finite_spectrum(
     dim: int,
     terms: Sequence[tuple[float, int]],
-    label: str = "finite",
+    label: Optional[str] = None,
     envelope: Optional[tuple[float, float]] = None,
 ) -> Spectrum:
     """A complete finite spectrum given literally as (omega, multiplicity) terms.
+
+    The default label is 'finite:' and a digest of the terms, so two lists
+    compare equal only when their terms do; a label the caller chooses is
+    taken as given.
 
     With no explicit envelope the total multiplicity itself is the (exact)
     envelope, since the spectrum genuinely ends.

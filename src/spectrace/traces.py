@@ -3,8 +3,8 @@
 heat_trace sums exp(-t lambda_n), cylinder_trace sums exp(-t omega_n), and
 cylinder_trace_derivative sums -omega_n exp(-t omega_n), each with an a
 priori tail bound obtained from the spectrum's Weyl envelope
-N(lambda) <= C1 + C2 lambda^{d/2} by the integral test; they and trace_grid
-are views of trace_grids, which serves several kernels from shared work.
+N(lambda) <= C1 + C2 lambda^{d/2} by the integral test; they are the
+one-point views of trace_grid, which evaluates one kernel over a time grid.
 Values are plain floats summed by the one policy Riesz means also use: the
 terms formed in numpy (np.exp for the exponential) and added by one
 np.add.reduce.  The terms share a sign, so a value is within 64 eps
@@ -67,12 +67,14 @@ __all__ = [
     "cylinder_trace_derivative",
     "heat_diagonal_interval",
     "trace_grid",
-    "trace_grids",
 ]
 
 # headroom multiplying every tail bound, covering float rounding in the
 # incomplete-gamma recurrences
 _BOUND_SLACK = 1.0 + 1e-9
+
+# the kernels a trace sums
+_KERNELS = ("cylinder", "dcylinder", "heat")
 
 # resolution, in x = t w (t w^2 for heat), of the solved cutoff, and a cap
 # on its solver's steps (3 or 4 is typical; bisection alone needs 16)
@@ -96,7 +98,7 @@ class TraceSample:
         return not math.isnan(self.tail_bound)
 
 
-# a heat sample before it becomes a TraceSample: (t, value, tail_bound, terms_used)
+# a sample before it becomes a TraceSample: (t, value, tail_bound, terms_used)
 _Sample = tuple[float, float, float, int]
 
 
@@ -157,29 +159,29 @@ def _tail_bound(kind: str, t: float, w: float, n_seen: float,
     return max((head + poly) * _BOUND_SLACK, 0.0)
 
 
-def _term_sums(t: float, kinds: Sequence[str], widths: Sequence[int], omegas: np.ndarray,
-               weights: dict, work: np.ndarray) -> list[float]:
-    """Each kernel's sum at t over its first widths[i] terms, m exp(-t w w),
-    m exp(-t w) or -m w exp(-t w), with weights[kind] the float m (-m w for
-    dcylinder) and work a row as long as omegas per kernel.  The kernels
-    share one family of exponentials, heat alone or the cylinder kernels:
-    ((-t w) w) for heat, (-t w) otherwise, formed once in the last kernel's
-    row, up to the -745 underflow cut (_exp_safe's 0.0), and each kernel
-    multiplies them by its weights into its own row; e (-m w) is the float
-    -(e (m w)).  One np.add.reduce of same-sign terms: within 64 eps
+def _term_sums(kind: str, points: Sequence[tuple[float, float, int]], omegas: np.ndarray,
+               mults: np.ndarray) -> list[_Sample]:
+    """One kernel's samples at certified points (t, tail_bound, terms_used):
+    each value the sum at t over the first terms_used terms of
+    m exp(-t w w), m exp(-t w) or -m w exp(-t w), with the float weights m
+    (-m w for dcylinder, the float -(m w)) formed once.  The exponentials
+    ((-t w) w) for heat, (-t w) otherwise, are formed up to the -745
+    underflow cut (_exp_safe's 0.0) and multiplied by the weights in place.
+    One np.add.reduce of same-sign terms: within 64 eps
     sum|term_n| + sum|weight_n| 2^-1074 of the exact sum."""
-    widest = max(widths)
-    e = np.multiply(omegas[:widest], -t, out=work[len(kinds) - 1, :widest])
-    if kinds[0] == "heat":
-        e *= omegas[:widest]
-    k = e.size - int(e[::-1].searchsorted(-745.0, side="right"))
-    exps = np.exp(e[:k], out=e[:k])
-    sums = []
-    for i, (kind, n) in enumerate(zip(kinds, widths)):
-        n = min(n, k)
-        terms = np.multiply(exps[:n], weights[kind][:n], out=work[i, :n])
-        sums.append(float(np.add.reduce(terms)))
-    return sums
+    m = mults.astype(float)
+    weights = -(m * omegas) if kind == "dcylinder" else m
+    work = np.empty(omegas.size)
+    samples = []
+    for t, bound, n in points:
+        e = np.multiply(omegas[:n], -t, out=work[:n])
+        if kind == "heat":
+            e *= omegas[:n]
+        k = n - int(e[::-1].searchsorted(-745.0, side="right"))
+        exps = np.exp(e[:k], out=e[:k])
+        value = float(np.add.reduce(np.multiply(exps, weights[:k], out=exps)))
+        samples.append((t, value, bound, n))
+    return samples
 
 
 def _cutoff(kind: str, t: float, tol: float, c1: float, c2: float, d: int) -> float:
@@ -420,12 +422,12 @@ def _product_heat(s: Spectrum, ts: Sequence[float], tols: Sequence[float], budge
             break
         points.append((t, tol, _heat_envelope(a, t), _heat_envelope(b, t)))
     ts = [t for t, _, _, _ in points]
-    samples_a, fail_a = _heat_samples(a, ts, [_factor_tol(tol, ub) for _, tol, _, ub in points],
-                                      budget / 2)
+    samples_a, fail_a = _samples(a, "heat", ts,
+                                 [_factor_tol(tol, ub) for _, tol, _, ub in points], budget / 2)
     n = len(samples_a)
     same = _same_terms(a, b)
-    samples_b, fail_b = (samples_a, fail_a) if same else _heat_samples(
-        b, ts[:n], [_factor_tol(tol, ua) for _, tol, ua, _ in points[:n]], budget / 2)
+    samples_b, fail_b = (samples_a, fail_a) if same else _samples(
+        b, "heat", ts[:n], [_factor_tol(tol, ua) for _, tol, ua, _ in points[:n]], budget / 2)
     if len(samples_b) < n:
         n = len(samples_b)
         failure = _carried(fail_b, points[n][1], points[n][2])
@@ -442,72 +444,44 @@ def _product_heat(s: Spectrum, ts: Sequence[float], tols: Sequence[float], budge
     return samples, failure
 
 
-def _heat_samples(s: Spectrum, ts: Sequence[float], tols: Sequence[float], budget: float,
-                  ) -> tuple[list[_Sample], Optional[Exception]]:
-    """(samples, failure) of a heat grid with one tol a point and a term
-    budget, as _certify's points: a product's from its factors, any other
-    spectrum's summed over its own terms."""
-    if s.factors is not None and s.envelope is not None:
+def _samples(s: Spectrum, kind: str, ts: Sequence[float], tols: Sequence[float],
+             budget: float) -> tuple[list[_Sample], Optional[Exception]]:
+    """(samples, failure) of one kernel over a grid with one tol a point and
+    a term budget, as _certify's points: a product's heat trace from its
+    factors, any other trace summed over the spectrum's own terms."""
+    if kind == "heat" and s.factors is not None and s.envelope is not None:
         return _product_heat(s, ts, tols, budget)
-    points, omegas, mults, failure = _certify(s, "heat", ts, tols, budget)
-    weights = {"heat": mults.astype(float)}
-    work = np.empty((1, omegas.size))
-    return [(t, _term_sums(t, ("heat",), (n,), omegas, weights, work)[0], bound, n)
-            for t, bound, n in points], failure
+    points, omegas, mults, failure = _certify(s, kind, ts, tols, budget)
+    return _term_sums(kind, points, omegas, mults), failure
 
 
-def trace_grids(s: Spectrum, kinds: Sequence[str], ts: Sequence[float],
-                tol: float = 1e-12) -> list[list[TraceSample]]:
-    """Several kernels over one time grid: a list of samples per kernel in
-    kinds, in grid order.  Every point of every kernel is certified first,
-    kernel by kernel (_certify), so a grid raises the first failing
-    one-point trace's error; then each t sums the cylinder kernels from
-    shared exponentials (_term_sums), each sample the one-point trace's
-    float.  The heat kernel shares its exponentials with no other kernel
-    and is formed on its own (_heat_samples), a product's from its factors.
-    """
-    for kind in kinds:
-        if kind not in ("heat", "cylinder", "dcylinder"):
-            raise ValueError(f"kernel must be one of ['cylinder', 'dcylinder', 'heat'], "
-                             f"got {kind!r}")
+def trace_grid(s: Spectrum, kind: str, ts: Sequence[float],
+               tol: float = 1e-12) -> list[TraceSample]:
+    """One kernel over a time grid, one sample a point in grid order, each
+    the one-point trace's float.  Every point is certified first (_certify),
+    so a grid raises the error the first failing one-point trace would; the
+    spectrum is enumerated once, at the widest cutoff, and each t sums its
+    terms (_term_sums).  A product's heat trace is formed from its factors
+    (_product_heat)."""
+    return _trace_grid(s, kind, ts, tol)
+
+
+def _trace_grid(s: Spectrum, kind: str, ts: Sequence[float], tol: float) -> list[TraceSample]:
+    # trace_grid's body, which the point traces call directly, so that the
+    # missing-envelope warning names the caller of either
+    if kind not in _KERNELS:
+        raise ValueError(f"kernel must be one of {list(_KERNELS)}, got {kind!r}")
     ts = list(ts)
-    tols = [tol] * len(ts)
-    budget = spectra.DEFAULT_MAX_TERMS
-    grids = []  # per kernel in kinds, its samples; a cylinder kernel's come from the sums
-    # per cylinder kernel: (kind, per t (t, tail_bound, terms_used), its samples);
-    # the terms up to the widest cutoff
-    summed, omegas, mults = [], np.empty(0), np.empty(0, dtype=np.int64)
-    for kind in kinds:
-        samples = []
-        if kind == "heat":
-            heat, failure = _heat_samples(s, ts, tols, budget)
-            samples += [TraceSample(*sample) for sample in heat]
-            certified = len(heat)
-        else:
-            kind_points, w_omegas, w_mults, failure = _certify(s, kind, ts, tols, budget)
-            summed.append((kind, kind_points, samples))
-            if w_omegas.size > omegas.size:
-                omegas, mults = w_omegas, w_mults
-            certified = len(kind_points)
-        grids.append(samples)
-        if s.envelope is None and certified:
-            warnings.warn(
-                f"spectrum {s.label!r} supplies no envelope constants; "
-                "trace tail cannot be certified (tail_bound = NaN)",
-                stacklevel=3,
-            )
-        if failure is not None:
-            raise failure
-    m = mults.astype(float)
-    cylinder_kinds = [kind for kind, _, _ in summed]
-    weights = {kind: -(m * omegas) if kind == "dcylinder" else m for kind in cylinder_kinds}
-    work = np.empty((len(summed), omegas.size))
-    for row in zip(*(points for _, points, _ in summed)):
-        values = _term_sums(row[0][0], cylinder_kinds, [n for _, _, n in row], omegas, weights,
-                            work)
-        for (_, _, samples), (t, bound, n), value in zip(summed, row, values):
-            samples.append(TraceSample(t, value, bound, n))
-    return grids
+    samples, failure = _samples(s, kind, ts, [tol] * len(ts), spectra.DEFAULT_MAX_TERMS)
+    if s.envelope is None and samples:
+        warnings.warn(
+            f"spectrum {s.label!r} supplies no envelope constants; "
+            "trace tail cannot be certified (tail_bound = NaN)",
+            stacklevel=3,
+        )
+    if failure is not None:
+        raise failure
+    return [TraceSample(*sample) for sample in samples]
 
 
 def heat_trace(s: Spectrum, t: float, tol: float = 1e-12) -> TraceSample:
@@ -521,12 +495,12 @@ def heat_trace(s: Spectrum, t: float, tol: float = 1e-12) -> TraceSample:
         count passes spectra.DEFAULT_MAX_TERMS raises ToleranceError with
         the bound that was achievable.
     """
-    return trace_grids(s, ("heat",), [t], tol)[0][0]
+    return _trace_grid(s, "heat", [t], tol)[0]
 
 
 def cylinder_trace(s: Spectrum, t: float, tol: float = 1e-12) -> TraceSample:
     """Tr T(t) = sum_n mult_n exp(-t omega_n) with certified tail bound."""
-    return trace_grids(s, ("cylinder",), [t], tol)[0][0]
+    return _trace_grid(s, "cylinder", [t], tol)[0]
 
 
 def cylinder_trace_derivative(s: Spectrum, t: float, tol: float = 1e-12) -> TraceSample:
@@ -535,7 +509,7 @@ def cylinder_trace_derivative(s: Spectrum, t: float, tol: float = 1e-12) -> Trac
     Differentiated analytically per term; never a finite difference.  Its t^0
     coefficient is -2x the scalar-field vacuum energy.
     """
-    return trace_grids(s, ("dcylinder",), [t], tol)[0][0]
+    return _trace_grid(s, "dcylinder", [t], tol)[0]
 
 
 def heat_diagonal_interval(t: float, x: float) -> float:
@@ -577,9 +551,3 @@ def _split_sum(v: np.ndarray) -> list[float]:
     sigma = math.ldexp(1.0, math.frexp(2.0 * v.size * float(v.max()))[1])
     high = (v + sigma) - sigma
     return [float(np.sum(high)), float(np.sum(v - high))]
-
-
-def trace_grid(s: Spectrum, kind: str, ts: Sequence[float], tol: float = 1e-12) -> list[TraceSample]:
-    """Evaluate one kernel over a time grid, in grid order: the one-kernel
-    trace_grids."""
-    return trace_grids(s, (kind,), ts, tol)[0]

@@ -91,6 +91,18 @@ class TestProduct:
         # lambda = 5 from (1,2) and (2,1) lands on one term with multiplicity 2
         assert terms[1] == (math.sqrt(5.0), 2)
 
+    def test_default_labels_tell_different_lists_apart(self):
+        # the default label digests the terms: lists that differ only in
+        # their terms (same envelope and end) neither compare nor hash equal,
+        # and the same terms get the same label
+        a = finite_spectrum(1, [(1.0, 1), (3.0, 1)])
+        b = finite_spectrum(1, [(2.0, 1), (3.0, 1)])
+        c = finite_spectrum(1, [(1.0, 2), (3.0, 1)], envelope=a.envelope)
+        assert a.label.startswith("finite:")
+        assert a != b and a != c and len({hash(a), hash(b), hash(c)}) == 3
+        assert finite_spectrum(1, [(1, 1), (3, 1)]) == a
+        assert finite_spectrum(1, [(1.0, 1), (3.0, 1)], label="mine").label == "mine"
+
     def test_zero_mode_factor_is_identity_on_eigenvalues(self):
         base = interval_spectrum(PI, "dirichlet")
         zero = finite_spectrum(1, [(0.0, 1)], label="zero-mode")

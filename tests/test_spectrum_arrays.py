@@ -576,9 +576,8 @@ term_lists = st.lists(
 
 def _term_sum(kind, t, omegas, mults):
     """One kernel's sum over all the terms, through the traces' sum step."""
-    m = mults.astype(float)
-    weights = {kind: -(m * omegas) if kind == "dcylinder" else m}
-    return _term_sums(t, (kind,), [omegas.size], omegas, weights, np.empty((1, omegas.size)))[0]
+    ((_t, value, _bound, _n),) = _term_sums(kind, [(t, 0.0, omegas.size)], omegas, mults)
+    return value
 
 
 class TestTermSumBitIdentical:

@@ -19,7 +19,6 @@ from spectrace import (
     trace_grid,
 )
 from spectrace import spectra
-from spectrace.traces import trace_grids
 from spectrace.spectra import Spectrum
 from spectrace.traces import _X_STEP, _certify, _cutoff, _tail_bound, _upper_gamma_half
 
@@ -372,37 +371,37 @@ ENDING = finite_spectrum(1, [(float(n), 1 + n % 3) for n in range(1, 61)], envel
 
 
 class TestKernelTuples:
-    """trace_grids certifies every point of every kernel first and then sums
-    them from shared exponentials; each sample is the point trace's."""
+    """trace_grid certifies every point of its kernel first and then sums
+    them; each sample is the point trace's."""
 
     @settings(max_examples=60, deadline=None)
     @given(st.sampled_from([INTERVAL, NEUMANN, TORUS, product_spectrum(NEUMANN, TORUS), ENDING,
                             product_spectrum(ENDING, NEUMANN)]),
-           st.lists(st.sampled_from(sorted(POINT_TRACES)), min_size=1, max_size=3, unique=True),
+           st.sampled_from(sorted(POINT_TRACES)),
            st.lists(st.floats(min_value=1e-3, max_value=10.0), min_size=1, max_size=6),
            st.floats(min_value=-14.0, max_value=-2.0), st.integers(0, 4))
-    def test_equals_the_point_traces(self, spectrum, kinds, ts, log_tol, bad):
+    def test_equals_the_point_traces(self, spectrum, kind, ts, log_tol, bad):
         tol = 10.0 ** log_tol
         if bad == 0:
             ts = ts + [0.0]  # a time no trace takes: ValueError
 
-        def point(kind, t):
+        def point(t):
             try:
                 return POINT_TRACES[kind](spectrum, t, tol)
             except (ValueError, ToleranceError) as exc:
                 return type(exc), str(exc)
 
-        want = [[point(kind, t) for t in ts] for kind in kinds]
-        errors = [w for row in want for w in row if isinstance(w, tuple)]
+        want = [point(t) for t in ts]
+        errors = [w for w in want if isinstance(w, tuple)]
         if errors:
-            # the first point, kernel by kernel in grid order, that cannot certify
+            # the first point in grid order that cannot certify
             with pytest.raises(errors[0][0]) as err:
-                trace_grids(spectrum, kinds, ts, tol)
+                trace_grid(spectrum, kind, ts, tol)
             assert str(err.value) == errors[0][1]
             return
-        got = trace_grids(spectrum, kinds, ts, tol)
-        assert [[(g.t, g.value.hex(), g.tail_bound, g.terms_used) for g in row] for row in got] \
-            == [[(w.t, w.value.hex(), w.tail_bound, w.terms_used) for w in row] for row in want]
+        got = trace_grid(spectrum, kind, ts, tol)
+        assert [(g.t, g.value.hex(), g.tail_bound, g.terms_used) for g in got] \
+            == [(w.t, w.value.hex(), w.tail_bound, w.terms_used) for w in want]
 
     def test_a_point_that_fails_first_wins_over_a_wider_failing_enumeration(
             self, monkeypatch):
@@ -422,18 +421,13 @@ class TestKernelTuples:
         assert str(grid.value) == str(point.value)
         assert "before reaching tol=1e-07" in str(grid.value)
 
-    def test_no_kernels_or_no_times(self):
-        assert trace_grids(INTERVAL, (), [0.1]) == []
-        assert trace_grids(INTERVAL, ("heat", "dcylinder"), []) == [[], []]
-
-    def test_a_repeated_kernel_gets_its_own_samples(self):
-        ts = [0.1, 0.2]
-        got = trace_grids(INTERVAL, ("cylinder", "heat", "cylinder", "heat"), ts)
-        assert got == [trace_grid(INTERVAL, kind, ts) for kind in ("cylinder", "heat") * 2]
+    def test_no_times(self):
+        for kind in POINT_TRACES:
+            assert trace_grid(INTERVAL, kind, []) == []
 
     def test_unknown_kernel_is_refused_before_any_point(self):
         with pytest.raises(ValueError, match="kernel must be one of"):
-            trace_grids(INTERVAL, ("cylinder", "wave"), [-1.0])
+            trace_grid(INTERVAL, "wave", [-1.0])
 
 
 @st.composite
@@ -503,10 +497,10 @@ class TestProductHeat:
         assert sample.terms_used < 1000
 
     def test_equal_labels_with_different_terms_share_no_grid(self):
-        # two finite lists under the default label, envelope and end compare
-        # equal as spectra; their product is still K_A K_B
-        a = finite_spectrum(1, [(1.0, 1), (3.0, 1)])
-        b = finite_spectrum(1, [(2.0, 1), (3.0, 1)])
+        # two finite lists under one label of the caller's choice, envelope
+        # and end compare equal as spectra; their product is still K_A K_B
+        a = finite_spectrum(1, [(1.0, 1), (3.0, 1)], label="list")
+        b = finite_spectrum(1, [(2.0, 1), (3.0, 1)], label="list")
         assert a == b
         t = 0.1
         sample = heat_trace(product_spectrum(a, b), t)
