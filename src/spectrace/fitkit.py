@@ -69,9 +69,14 @@ class AsymptoticBasis:
         object.__setattr__(self, "_powers", [float(p) for p, _ in terms])
         object.__setattr__(self, "_log_pairs", [(i, terms.index((p, 1))) for i, (p, q)
                                                 in enumerate(terms) if q == 0 and (p, 1) in terms])
+        # with_term's bases, built once each
+        object.__setattr__(self, "_extended", {})
 
     def with_term(self, p, q: int) -> "AsymptoticBasis":
-        return AsymptoticBasis(self.terms + ((Fraction(p), q),))
+        key = (Fraction(p), q)
+        if key not in self._extended:
+            self._extended[key] = AsymptoticBasis(self.terms + (key,))
+        return self._extended[key]
 
     def index_of(self, p, q: int = 0) -> int:
         return self.terms.index((Fraction(p), q))
@@ -139,8 +144,15 @@ def power_basis(exponents: Sequence) -> AsymptoticBasis:
 
 
 def heat_basis(dim: int, orders: int) -> AsymptoticBasis:
-    """Heat-trace shape: t^{(s-d)/2} for s = 0..orders, no log terms."""
-    return power_basis([Fraction(s - dim, 2) for s in range(orders + 1)])
+    """Heat-trace shape: t^{(s-d)/2} for s = 0..orders, no log terms; built
+    once per (dim, orders)."""
+    key = (dim, orders)
+    if key not in _HEAT_BASES:
+        _HEAT_BASES[key] = power_basis([Fraction(s - dim, 2) for s in range(orders + 1)])
+    return _HEAT_BASES[key]
+
+
+_HEAT_BASES: dict[tuple[int, int], AsymptoticBasis] = {}
 
 
 def cylinder_basis(dim: int, orders: int, *, include_logs: bool = False) -> AsymptoticBasis:
@@ -200,8 +212,9 @@ def _design_matrix(x: np.ndarray, basis: AsymptoticBasis, t0: float) -> np.ndarr
 def _raw_coefficients(basis: AsymptoticBasis, c_norm: np.ndarray, t0: float,
                       window: tuple[float, float]) -> np.ndarray:
     """Map coefficients of the basis rescaled around t0 back to raw x^p (log x)^q
-    in one array division; a t0^p (a Python float) or a raw coefficient
-    outside the float range raises ValueError naming the window."""
+    in one array division, for one solve or a stack of them (one a row); a
+    t0^p (a Python float) or a raw coefficient outside the float range
+    raises ValueError naming the window."""
     scales = []
     for p in basis._powers:
         try:
@@ -211,23 +224,31 @@ def _raw_coefficients(basis: AsymptoticBasis, c_norm: np.ndarray, t0: float,
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         raw = c_norm / np.array(scales)
         for i, j in basis._log_pairs:
-            raw[i] -= c_norm[j] * math.log(t0) / scales[i]
+            raw[..., i] -= c_norm[..., j] * math.log(t0) / scales[i]
     if not (np.isfinite(raw).all() and all(0.0 < v < math.inf for v in scales)):
         raise ValueError(f"the fit window {window[0]!r}..{window[1]!r} puts its raw "
                          f"coefficients outside the float range (t0 = {t0!r})")
     return raw
 
 
-def _solve(aw: np.ndarray, yw: np.ndarray, basis: AsymptoticBasis, t0: float,
-           window: tuple[float, float]):
-    """Least squares of the weighted design aw against the weighted samples
-    yw; the condition estimate is the ratio of lstsq's own singular values."""
+def _lstsq(aw: np.ndarray, yw: np.ndarray) -> tuple[np.ndarray, float]:
+    """(normalized coefficients, condition estimate) of the least squares of
+    the weighted design aw against the weighted samples yw; the condition
+    estimate is the ratio of lstsq's own singular values, and past
+    CONDITION_LIMIT it raises IllConditionedBasisError."""
     c_norm, _, _, sing = np.linalg.lstsq(aw, yw, rcond=None)
     condition = math.inf if sing[-1] == 0 else float(sing[0] / sing[-1])
     if condition > CONDITION_LIMIT:
         raise IllConditionedBasisError(condition)
+    return c_norm, condition
+
+
+def _solve(aw: np.ndarray, yw: np.ndarray, basis: AsymptoticBasis, t0: float,
+           window: tuple[float, float]):
+    """(raw coefficients, residual rms, condition estimate) of _lstsq."""
+    c_norm, condition = _lstsq(aw, yw)
     resid = aw @ c_norm - yw
-    rms = float(math.sqrt(np.mean(resid**2)))
+    rms = math.sqrt(float(np.add.reduce(resid * resid)) / resid.size)
     return _raw_coefficients(basis, c_norm, t0, window), rms, condition
 
 
@@ -240,8 +261,12 @@ def fit_expansion(x, y, basis: AsymptoticBasis, weights=None) -> FitReport:
     samples.  The columns are rescaled around the geometric mean t0 of the
     smallest and largest abscissae, which sets the conditioning and not the
     raw coefficients; a window whose raw coefficients leave the float range
-    raises ValueError.
-    Raises IllConditionedBasisError past a condition estimate of 1e12.
+    raises ValueError.  The stability of each coefficient is the spread of
+    four refits, each dropping one contiguous quarter of the sorted samples:
+    the rows of the one weighted design, solved by np.linalg.lstsq as the
+    full fit is, with no residual of their own.
+    Raises IllConditionedBasisError past a condition estimate of 1e12, for
+    the full fit or a refit.
     """
     x, y, w = _unpack_samples(x, y, weights)
     m = len(basis.terms)
@@ -260,41 +285,45 @@ def fit_expansion(x, y, basis: AsymptoticBasis, weights=None) -> FitReport:
     notes: list[str] = []
     folds = []
     bounds = [round(k * len(x) / 4) for k in range(5)]
-    for k in range(4):
-        keep = np.ones(len(x), dtype=bool)
-        keep[bounds[k]:bounds[k + 1]] = False
-        if keep.sum() >= m:
-            folds.append(_solve(aw[keep], yw[keep], basis, t0, (lo, hi))[0])
+    for a, b in zip(bounds, bounds[1:]):
+        if len(x) - (b - a) >= m:
+            folds.append(_lstsq(np.concatenate((aw[:a], aw[b:])),
+                                np.concatenate((yw[:a], yw[b:])))[0])
+    if folds:
+        folds = _raw_coefficients(basis, np.vstack(folds), t0, (lo, hi))
     if len(folds) == 4:
-        stacked = np.vstack(folds)
-        spreads = stacked.max(axis=0) - stacked.min(axis=0)
+        spreads = folds.max(axis=0) - folds.min(axis=0)
     else:
         notes.append("too few samples for jackknife stability")
 
     return FitReport(
         basis=basis,
         scale_anchor=t0,
-        coefficients=tuple(float(c) for c in coeffs),
+        coefficients=tuple(coeffs.tolist()),
         residual_rms=rms,
         condition_estimate=condition,
-        stability=tuple(float(s) for s in spreads),
+        stability=tuple(spreads.tolist()),
         notes=tuple(notes),
     )
 
 
-def detect_log_term(x, y, p, base_basis: AsymptoticBasis, weights=None) -> LogTermDetection:
+def detect_log_term(x, y, p, base, weights=None) -> LogTermDetection:
     """Decide whether a (p, log) term is present in the samples y at x.
 
-    Fits with and without the x^p log x column added to base_basis, both
-    under fit_expansion's weights (default 1/y^2).  The term
+    Fits with and without the x^p log x column added to the base basis,
+    both under fit_expansion's weights (default 1/y^2).  base is that
+    AsymptoticBasis, or a caller's FitReport of it on these same samples and
+    weights, which then stands as the fit without the column and is not
+    refitted.  The term
     is declared present only when adding it shrinks the weighted residual rms
     by at least 10x AND the fitted coefficient exceeds 10x its jackknife
     spread.
     """
     p = Fraction(p)
+    base_basis = base.basis if isinstance(base, FitReport) else base
     if (p, 1) in base_basis.terms:
         raise ValueError(f"base basis already contains the log term at {p}")
-    without = fit_expansion(x, y, base_basis, weights)
+    without = base if isinstance(base, FitReport) else fit_expansion(x, y, base_basis, weights)
     with_report = fit_expansion(x, y, base_basis.with_term(p, 1), weights)
     coeff = with_report.coefficient(p, 1)
     spread = with_report.spread(p, 1)

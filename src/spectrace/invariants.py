@@ -10,6 +10,7 @@ coefficient is fed through a relation.
 
 from __future__ import annotations
 
+import functools
 import math
 import numbers
 import operator
@@ -339,18 +340,26 @@ def heat_to_cylinder(heat: AsymptoticExpansion) -> AsymptoticExpansion:
             raise ValueError("heat expansions carry no log terms")
         s = _order_of(tm, d, half_step=True)
         p = Fraction(s - d)  # cylinder exponent
-        ds = d - s
         b = _coeff(tm.coefficient)
         if _carries_log(s, d):
-            sign = -1 if (s - d + 1) // 2 % 2 else 1
-            # Gamma((s-d+1)/2) has a positive integer argument here
-            factor = sign * Fraction(2) ** (ds + 1) / (ExactCoeff.sqrt_pi() * gamma_half(s - d + 1))
-            out.append(ExpansionTerm(p, 1, _scale(factor, b), tm.status))
+            out.append(ExpansionTerm(p, 1, _scale(_heat_cylinder_factor(d, s), b), tm.status))
             out.append(ExpansionTerm(p, 0, None, "undetermined"))
         else:
-            e = _scale(Fraction(2) ** ds * gamma_half(ds + 1) / ExactCoeff.sqrt_pi(), b)
+            e = _scale(_heat_cylinder_factor(d, s), b)
             out.append(ExpansionTerm(p, 0, e, tm.status if e is not None else "undetermined"))
     return AsymptoticExpansion(d, tuple(out))
+
+
+@functools.lru_cache(maxsize=None)
+def _heat_cylinder_factor(d: int, s: int) -> ExactCoeff:
+    """heat_to_cylinder's exact factor at order s, built once per (d, s):
+    e_s / b_s, or f_s / b_s where s - d is odd and positive."""
+    ds = d - s
+    if _carries_log(s, d):
+        sign = -1 if (s - d + 1) // 2 % 2 else 1
+        # Gamma((s-d+1)/2) has a positive integer argument here
+        return sign * Fraction(2) ** (ds + 1) / (ExactCoeff.sqrt_pi() * gamma_half(s - d + 1))
+    return Fraction(2) ** ds * gamma_half(ds + 1) / ExactCoeff.sqrt_pi()
 
 
 def riesz_to_trace(variable: str, alpha: int, d: int, coeffs: Sequence[CoeffLike],
@@ -383,19 +392,27 @@ def riesz_to_trace(variable: str, alpha: int, d: int, coeffs: Sequence[CoeffLike
     terms = []
     for s, c in enumerate(coeffs):
         p = Fraction(s - d) if omega else Fraction(s - d, 2)
-        nu2 = 2 * (alpha + d - s + 1) if omega else 2 * alpha + d - s + 2  # 2 nu
-        inverse = gamma_half(nu2) / gamma_half(2 * alpha + 2)  # 1/R
+        inverse, psi = _riesz_ratio(omega, alpha, d, s)
         c = _coeff(c)
         if omega and _carries_log(s, d):
             dv = _coeff(log_coeffs[s] if s < len(log_coeffs) else 0)
             f = _scale(-inverse, dv)
             terms.append(ExpansionTerm(p, 1, f, _status(f)))
-            psi = sum(1.0 / k for k in range(1, nu2 // 2)) - EULER_GAMMA
             e = None if c is None or dv is None else inverse * (c + psi * dv if dv else c)
         else:
             e = _scale(inverse, c)
         terms.append(ExpansionTerm(p, 0, e, _status(e)))
     return AsymptoticExpansion(d, tuple(terms))
+
+
+@functools.lru_cache(maxsize=None)
+def _riesz_ratio(omega: bool, alpha: int, d: int, s: int) -> tuple[ExactCoeff, float]:
+    """(1/R, psi(nu)) of riesz_to_trace at order s, built once per
+    (variable, alpha, d, s): 1/R = Gamma(nu)/Gamma(alpha+1) exactly, and
+    psi(nu) = H_(nu-1) - gamma, which only the omega log orders read."""
+    nu2 = 2 * (alpha + d - s + 1) if omega else 2 * alpha + d - s + 2  # 2 nu
+    psi = sum(1.0 / k for k in range(1, nu2 // 2)) - EULER_GAMMA
+    return gamma_half(nu2) / gamma_half(2 * alpha + 2), psi
 
 
 def expansion_product(a: AsymptoticExpansion, b: AsymptoticExpansion) -> AsymptoticExpansion:

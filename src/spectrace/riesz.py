@@ -30,6 +30,7 @@ from .spectra import Spectrum, _key_counts
 __all__ = [
     "riesz_mean",
     "riesz_mean_grid",
+    "riesz_sum_grid",
     "extract_riesz_coeffs",
     "weyl_remainder",
     "riesz_fit_basis",
@@ -38,11 +39,14 @@ __all__ = [
 _VARIABLES = ("lambda", "omega")
 # default fitting window (x_min, x_max) per variable
 DEFAULT_RANGES = {"lambda": (1e2, 1e4), "omega": (10.0, 1e2)}
-# consecutive terms per chunk of riesz_mean_grid's moment tables
-_CHUNK = 1024
+# consecutive terms per chunk of riesz_sum_grid's moment tables
+_CHUNK = 128
 # chunks per block of _chunk_moments' work arrays
-_BLOCK = 64
-# riesz_mean_grid divides by alpha! x^alpha only while it and x^alpha are
+_BLOCK = 512
+# chunks per block of a point's chunk sums, and points per block of rows
+_HEAD_BLOCK = 128
+_POINT_BLOCK = 256
+# riesz_sum_grid divides by x^alpha only while it and alpha! x^alpha are
 # inside 2^-this .. 2^this, far enough inside the float range that neither
 # they nor the sum under- or overflow
 _POW_BITS = 900.0
@@ -62,31 +66,54 @@ def riesz_mean(s: Spectrum, alpha: int, variable: str, x: float) -> float:
 def riesz_mean_grid(s: Spectrum, alpha: int, variable: str,
                     grid: Sequence[float]) -> list[float]:
     """Riesz means of order alpha over a whole grid, one float per point in
-    grid order, from one spectrum enumeration and one moment table.
+    grid order: riesz_sum_grid, divided by alpha!.
+
+    From one spectrum enumeration and one moment table of chunks of
+    _CHUNK = 128 terms, evaluated in array passes over the points (see
+    riesz_sum_grid).  Every quantity is >= 0, so a mean stays within a few
+    eps of the correctly rounded one (the tests hold it to 64 eps; N is
+    exact below 2^53), and riesz_mean(x) is the same float.  A grid over
+    420k terms peaks about 5.4 bytes a term above the cached enumeration at
+    alpha = 2 (2.6 at alpha = 0).  Raises as riesz_sum_grid.
+    """
+    sums = riesz_sum_grid(s, alpha, variable, grid)
+    fac = math.factorial(int(alpha))
+    return [v / fac for v in sums]
+
+
+def riesz_sum_grid(s: Spectrum, alpha: int, variable: str,
+                   grid: Sequence[float]) -> list[float]:
+    """x^{-alpha} sum_{x_n <= x} mult (x - x_n)^alpha over a whole grid (the
+    plain normalization, alpha! times riesz_mean_grid), one float per point
+    in grid order, from one spectrum enumeration and one moment table.
 
     Evaluated from the closed form (partial power sums), not by quadrature.
-    The sorted terms are cut into chunks of _CHUNK consecutive terms; chunk
-    c, with largest key a_c, keeps the moments S[c, i] = sum mult (a_c - x_n)^i
-    for i = 0..alpha, and its share of the sum at any x >= a_c is the Horner
-    polynomial sum_i C(alpha, i) (x - a_c)^(alpha - i) S[c, i] (for alpha = 0
-    the chunk count, summed once per grid).  A point adds that over the
-    chunks at or below it and np.add.reduce of the fewer than _CHUNK terms
-    past them.  Every quantity is >= 0, so a mean stays within a few eps of
-    the correctly rounded one (the tests hold it to 64 eps; N is exact below
-    2^53).  Chunks start at the first term, so a value depends only on x,
-    alpha and the spectrum: riesz_mean(x) is the same float.  Where x^alpha
+    The sorted terms are cut into chunks of _CHUNK = 128 consecutive terms;
+    chunk c, with largest key a_c, keeps the moments
+    S[c, i] = sum mult (a_c - x_n)^i for i = 0..alpha, and its share of the
+    sum at any x >= a_c is the Horner polynomial
+    sum_i C(alpha, i) (x - a_c)^(alpha - i) S[c, i].  A point adds that over
+    the chunks at or below it and the fewer than _CHUNK terms past them.
+    Both are array passes over the points: the chunk shares in blocks of
+    _HEAD_BLOCK chunks, each block a row of that width per point, zero past
+    the point's chunks, summed by one np.add.reduce and added to the
+    point's running head in block order; the terms past the chunks as one
+    row of _CHUNK per point, zero past its terms.  A row's width never
+    depends on the other points, so a value depends only on x, alpha and
+    the spectrum: a one-point grid gives the same float.  Where x^alpha
     lies below 2^-900 or alpha! x^alpha above 2^900, a point sums
-    mult ((x - x_n) / x)^alpha instead; x = inf gives the limit
-    (sum mult) / alpha!.  Raises ValueError for an order past 170
-    (whose alpha! is past the float range), for an infinite grid point on a
-    spectrum that does not end, and ToleranceError when the enumeration to
-    the largest point needs more than DEFAULT_MAX_TERMS rows, before it
-    allocates them.
+    mult ((x - x_n) / x)^alpha instead; x = inf gives the limit sum mult.
+    Raises ValueError for an order past 170 (whose alpha! is past the
+    float range), for an infinite grid point on a spectrum that does not
+    end, and ToleranceError when the enumeration to the largest point needs
+    more than DEFAULT_MAX_TERMS rows, before it allocates them.
 
-    Memory above the cached enumeration: the moment table and work arrays of
-    _BLOCK chunks; the lambda keys omega^2 are squared where used, never as
-    a whole.  A grid over 420k terms peaks about 5.2 bytes a term above the
-    cache at alpha = 2 (2.5 for alpha = 0).
+    Memory above the cached enumeration: the moment table (alpha + 1 floats
+    a chunk, 8 (alpha + 1) / 128 bytes a term), the work arrays of _BLOCK
+    chunks (65,536 terms) and the rows of _POINT_BLOCK points; the lambda
+    keys omega^2 are squared where used, never as a whole.  A grid over
+    420k terms peaks about 5.4 bytes a term above the cache at alpha = 2
+    (2.6 for alpha = 0), most of it the moment work arrays.
     """
     if variable not in _VARIABLES:
         raise ValueError(f"variable must be one of {_VARIABLES}, got {variable!r}")
@@ -104,58 +131,96 @@ def riesz_mean_grid(s: Spectrum, alpha: int, variable: str,
     square = variable == "lambda"
     chunks = max(idxs) // _CHUNK
     moments = _chunk_moments(values[:chunks * _CHUNK], mults[:chunks * _CHUNK], alpha, square)
-    counts = np.cumsum(moments[0]).tolist()
     # the Horner rows C(alpha, i) S[c, i]
-    coef = list(moments * np.array([math.comb(alpha, i) for i in range(alpha + 1)],
-                                   dtype=float)[:, None])
+    coef = moments * np.array([math.comb(alpha, i) for i in range(alpha + 1)],
+                              dtype=float)[:, None]
     anchors = values[_CHUNK - 1:chunks * _CHUNK:_CHUNK]
     if square:
         anchors = anchors * anchors
-    fac = math.factorial(alpha)
-    gap, acc = np.empty(chunks), np.empty(chunks)
-    bases, terms = np.empty(_CHUNK - 1), np.empty(_CHUNK - 1)
-    means = []
-    for x, idx in zip(grid, idxs):
-        q = idx // _CHUNK
-        start = q * _CHUNK
-        if alpha == 0 or math.isinf(x):
-            # N(x) (over alpha! at x = inf): the chunk counts and the tail's
-            n = (counts[q - 1] if q else 0.0) + float(
-                np.add.reduce(mults[start:idx], dtype=float))
-            means.append(n / fac)
-            continue
-        if not -_POW_BITS < alpha * math.log2(x) < _POW_BITS - math.log2(fac):
-            # x^alpha or alpha! x^alpha is out of range: sum terms scaled by 1/x
+    xs, ends = np.array(grid), np.array(idxs)
+    # points where x^alpha or alpha! x^alpha is out of range, and x = inf
+    with np.errstate(invalid="ignore"):
+        logs = alpha * np.log2(xs)
+    inside = (-_POW_BITS < logs) & (logs < _POW_BITS - math.log2(math.factorial(alpha)))
+    sums = np.empty(len(grid))
+    for i in np.flatnonzero(~inside).tolist():
+        x, idx = grid[i], idxs[i]
+        if math.isinf(x):
+            # the limit sum mult, exact below 2^53
+            sums[i] = np.add.reduce(mults[:idx], dtype=float)
+        else:
+            # sum the terms scaled by 1/x
             keys = values[:idx] * values[:idx] if square else values[:idx]
-            scaled = np.power((x - keys) / x, alpha) * mults[:idx]
-            means.append(float(np.add.reduce(scaled)) / fac)
-            continue
-        head = 0.0
-        if q:
-            # the chunks at or below x, by Horner in the gaps x - a_c
-            y = np.subtract(x, anchors[:q], out=gap[:q])
-            h = np.multiply(coef[0][:q], y, out=acc[:q])
-            h += coef[1][:q]
-            for row in coef[2:]:
-                h *= y
-                h += row[:q]
-            head = float(np.add.reduce(h))
-        # the terms past the last full chunk, term by term, from the bases x - x_n
-        base = bases[:idx - start]
-        if square:
-            np.multiply(values[start:idx], values[start:idx], out=base)
-            np.subtract(x, base, out=base)
-        else:
-            np.subtract(x, values[start:idx], out=base)
-        tail = terms[:idx - start]
-        if alpha == 1:
-            np.multiply(base, mults[start:idx], out=tail)
-        elif alpha == 2:
-            np.multiply(np.square(base, out=tail), mults[start:idx], out=tail)
-        else:
-            np.multiply(np.power(base, alpha, out=tail), mults[start:idx], out=tail)
-        means.append((head + float(np.add.reduce(tail))) / (fac * x**alpha))
-    return means
+            sums[i] = np.add.reduce(np.power((x - keys) / x, alpha) * mults[:idx])
+    # the rest by chunk count, so each head block's points are a suffix
+    rows = np.flatnonzero(inside)
+    rows = rows[np.argsort(ends[rows], kind="stable")]
+    for lo in range(0, rows.size, _POINT_BLOCK):
+        block = rows[lo:lo + _POINT_BLOCK]
+        totals = (_chunk_heads(xs[block], ends[block] // _CHUNK, coef, anchors)
+                  + _tail_sums(xs[block], ends[block], values, mults, alpha, square))
+        sums[block] = [total / x**alpha for total, x in zip(totals.tolist(), xs[block].tolist())]
+    return sums.tolist()
+
+
+def _chunk_heads(xs: np.ndarray, qs: np.ndarray, coef: np.ndarray,
+                 anchors: np.ndarray) -> np.ndarray:
+    """sum over the chunks c < q of the Horner polynomial in x - a_c, for
+    each point (x, q), qs ascending: in blocks of _HEAD_BLOCK chunks, each a
+    row of that width per point with zeros past the point's chunks (or the
+    table), reduced by np.add.reduce and added to the point's running sum in
+    block order.  The gaps x - a_c are clamped at 0, so the entries past a
+    point's chunks, zeroed, stay finite wherever its own do."""
+    heads = np.zeros(xs.size)
+    chunks = anchors.size
+    cols = np.arange(_HEAD_BLOCK)
+    for c0 in range(0, chunks, _HEAD_BLOCK):
+        first = int(np.searchsorted(qs, c0, side="right"))
+        if first == xs.size:
+            break
+        width = min(_HEAD_BLOCK, chunks - c0)
+        h = np.zeros((xs.size - first, _HEAD_BLOCK))
+        part = h[:, :width]
+        part[...] = coef[0][c0:c0 + width]
+        if coef.shape[0] > 1:
+            y = np.subtract(xs[first:, None], anchors[None, c0:c0 + width])
+            np.maximum(y, 0.0, out=y)
+            for row in coef[1:]:
+                part *= y
+                part += row[c0:c0 + width]
+        h *= (c0 + cols)[None, :] < qs[first:, None]
+        heads[first:] += np.add.reduce(h, axis=1)
+    return heads
+
+
+def _tail_sums(xs: np.ndarray, ends: np.ndarray, values: np.ndarray, mults: np.ndarray,
+               alpha: int, square: bool) -> np.ndarray:
+    """sum mult (x - x_n)^alpha over the terms past each point's last full
+    chunk (index end // _CHUNK * _CHUNK up to end), as one row of _CHUNK
+    per point with zeros past its terms: the bases x - x_n clamped at 0 and
+    the multiplicities zeroed there, so every entry is finite and >= 0."""
+    if not values.size:
+        return np.zeros(xs.size)
+    cols = np.arange(_CHUNK)
+    take = (ends // _CHUNK * _CHUNK)[:, None] + cols[None, :]
+    valid = take < ends[:, None]
+    np.minimum(take, values.size - 1, out=take)
+    weight = mults[take].astype(float)
+    weight *= valid
+    if alpha == 0:
+        return np.add.reduce(weight, axis=1)
+    keys = values[take]
+    if square:
+        keys *= keys
+    base = np.subtract(xs[:, None], keys, out=keys)
+    np.maximum(base, 0.0, out=base)
+    if alpha == 1:
+        terms = np.multiply(base, weight, out=base)
+    elif alpha == 2:
+        terms = np.multiply(np.square(base, out=base), weight, out=base)
+    else:
+        terms = np.multiply(np.power(base, alpha, out=base), weight, out=base)
+    return np.add.reduce(terms, axis=1)
 
 
 def _chunk_moments(values: np.ndarray, mults: np.ndarray, alpha: int,
@@ -189,10 +254,17 @@ def riesz_fit_basis(dim: int, alpha: int, variable: str) -> AsymptoticBasis:
 
     lambda variable: x^{(d-s)/2}; omega variable: x^{d-s}.  The omega-variable
     log columns x^{d-s} log x are not in it: extract_riesz_coeffs adds each
-    one where the data show it.
+    one where the data show it.  Built once per (dim, alpha, variable).
     """
-    den = 2 if variable == "lambda" else 1
-    return AsymptoticBasis(tuple((Fraction(dim - s, den), 0) for s in range(alpha + 1)))
+    key = (dim, alpha, variable)
+    if key not in _FIT_BASES:
+        den = 2 if variable == "lambda" else 1
+        _FIT_BASES[key] = AsymptoticBasis(
+            tuple((Fraction(dim - s, den), 0) for s in range(alpha + 1)))
+    return _FIT_BASES[key]
+
+
+_FIT_BASES: dict[tuple[int, int, str], AsymptoticBasis] = {}
 
 
 def extract_riesz_coeffs(s: Spectrum, alpha: int, variable: str,
@@ -200,9 +272,10 @@ def extract_riesz_coeffs(s: Spectrum, alpha: int, variable: str,
     """Fit the asymptotic coefficients of the order-alpha Riesz mean over grid.
 
     The fitted values follow the plain normalization x^{-alpha} sum (x-x_n)^alpha
-    (alpha! times riesz_mean), the one invariants.riesz_to_trace reads: each
-    coefficient at s <= alpha gives its heat (lambda) or cylinder (omega)
-    coefficient through one Gamma ratio.
+    (riesz_sum_grid, alpha! times riesz_mean), the one
+    invariants.riesz_to_trace reads: each coefficient at s <= alpha gives
+    its heat (lambda) or cylinder (omega) coefficient through one Gamma
+    ratio.
 
     grid defaults to 64 points geometric over DEFAULT_RANGES[variable].  The
     fit starts from riesz_fit_basis and weighs every sample alike.  In the
@@ -210,8 +283,9 @@ def extract_riesz_coeffs(s: Spectrum, alpha: int, variable: str,
     detect_log_term compares the fit with and without an x^{d-s} log x column
     and keeps the column only when the data have it -- fitting a log column
     against data that have none mostly soaks up spectral oscillation and
-    spoils the power coefficients.  The last detection's kept fit is the
-    report; with no detection the basis is fitted once.
+    spoils the power coefficients.  Each detection starts from the fit kept
+    before it, so every distinct basis is fitted once; the last kept fit is
+    the report.
     """
     if variable not in _VARIABLES:
         raise ValueError(f"variable must be one of {_VARIABLES}, got {variable!r}")
@@ -226,18 +300,17 @@ def extract_riesz_coeffs(s: Spectrum, alpha: int, variable: str,
 def _fit_means(s: Spectrum, alpha: int, variable: str,
                grid: list[float]) -> tuple[list[float], FitReport]:
     """(values, report): the order-alpha means over grid in the plain
-    normalization (alpha! riesz_mean, from one riesz_mean_grid) and
-    extract_riesz_coeffs' fit of them."""
-    values = [math.factorial(alpha) * v for v in riesz_mean_grid(s, alpha, variable, grid)]
+    normalization (riesz_sum_grid) and extract_riesz_coeffs' fit of them.
+    Each detection starts from the report before it, so no basis is fitted
+    twice."""
+    values = riesz_sum_grid(s, alpha, variable, grid)
     weights = [1.0] * len(grid)
-    basis = riesz_fit_basis(s.dim, alpha, variable)
-    report = None
+    report = fit_expansion(grid, values, riesz_fit_basis(s.dim, alpha, variable), weights)
     for ss in range(alpha + 1):
         if variable == "omega" and _carries_log(ss, s.dim):
-            det = detect_log_term(grid, values, Fraction(s.dim - ss), basis, weights)
+            det = detect_log_term(grid, values, Fraction(s.dim - ss), report, weights)
             report = det.with_log if det.present else det.without_log
-            basis = report.basis
-    return values, fit_expansion(grid, values, basis, weights) if report is None else report
+    return values, report
 
 
 def weyl_remainder(

@@ -82,6 +82,10 @@ _X_STEP = 1.0 / 64.0
 _SOLVE_STEPS = 64
 # heat-kernel diagonal terms evaluated per array pass, which bounds its memory
 _DIAGONAL_CHUNK = 1 << 16
+# _term_sums forms the terms of points with at most _SUM_ROW of them
+# together, up to _SUM_BLOCK terms a pass; a longer point is a pass of its own
+_SUM_ROW = 1 << 8
+_SUM_BLOCK = 1 << 14
 
 
 @dataclass(frozen=True)
@@ -164,23 +168,56 @@ def _term_sums(kind: str, points: Sequence[tuple[float, float, int]], omegas: np
     """One kernel's samples at certified points (t, tail_bound, terms_used):
     each value the sum at t over the first terms_used terms of
     m exp(-t w w), m exp(-t w) or -m w exp(-t w), with the float weights m
-    (-m w for dcylinder, the float -(m w)) formed once.  The exponentials
+    (-m w for dcylinder, the float -(m w)) formed once.  The exponents
     ((-t w) w) for heat, (-t w) otherwise, are formed up to the -745
     underflow cut (_exp_safe's 0.0) and multiplied by the weights in place.
-    One np.add.reduce of same-sign terms: within 64 eps
-    sum|term_n| + sum|weight_n| 2^-1074 of the exact sum."""
+    A point with more than _SUM_ROW terms does so in its own pass over its
+    terms; the runs of points with fewer, whose numpy calls would cost more
+    than their terms, do so in one pass over all their terms one after
+    another, up to _SUM_BLOCK terms a pass.  Each value is one
+    np.add.reduce of its point's terms, so it is the one-point sum, bit for
+    bit, whatever else the grid holds: within 64 eps
+    sum|term_n| + sum|weight_n| 2^-1074 of the exact sum (same-sign terms)."""
     m = mults.astype(float)
     weights = -(m * omegas) if kind == "dcylinder" else m
-    work = np.empty(omegas.size)
+    work = np.empty(max([_SUM_BLOCK] + [n for _, _, n in points]))
     samples = []
-    for t, bound, n in points:
-        e = np.multiply(omegas[:n], -t, out=work[:n])
+    i = 0
+    while i < len(points):
+        t, bound, n = points[i]
+        if n > _SUM_ROW:
+            e = np.multiply(omegas[:n], -t, out=work[:n])
+            if kind == "heat":
+                e *= omegas[:n]
+            k = n - int(e[::-1].searchsorted(-745.0, side="right"))
+            exps = np.exp(e[:k], out=e[:k])
+            samples.append((t, float(np.add.reduce(np.multiply(exps, weights[:k], out=exps))),
+                            bound, n))
+            i += 1
+            continue
+        # the run of short points from i on while their terms fit in _SUM_BLOCK
+        j, size = i + 1, n
+        while j < len(points) and points[j][2] <= _SUM_ROW and size + points[j][2] <= _SUM_BLOCK:
+            size += points[j][2]
+            j += 1
+        block, i = points[i:j], j
+        ns = [n for _, _, n in block]
+        starts = (np.cumsum(ns) - ns).tolist()
+        # each point's term indices 0..n-1, one point after another
+        idx = np.arange(size) - np.repeat(starts, ns)
+        w = omegas[idx]
+        e = np.multiply(w, np.repeat([-t for t, _, _ in block], ns), out=work[:size])
         if kind == "heat":
-            e *= omegas[:n]
-        k = n - int(e[::-1].searchsorted(-745.0, side="right"))
-        exps = np.exp(e[:k], out=e[:k])
-        value = float(np.add.reduce(np.multiply(exps, weights[:k], out=exps)))
-        samples.append((t, value, bound, n))
+            e *= w
+        ks = ns
+        if size and e.min() <= -745.0:
+            # the exponents fall along a point's terms, so a point sums those
+            # above the cut, which lead them
+            ks = [n - int(e[a:a + n][::-1].searchsorted(-745.0, side="right"))
+                  for a, n in zip(starts, ns)]
+        terms = np.multiply(np.exp(e, out=e), weights[idx], out=e)
+        for (t, bound, n), start, k in zip(block, starts, ks):
+            samples.append((t, float(np.add.reduce(terms[start:start + k])), bound, n))
     return samples
 
 

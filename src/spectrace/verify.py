@@ -102,16 +102,18 @@ def fit_trace(spectrum: Spectrum, kernel: str, ts: Sequence[float], tol: float,
 
 
 def _first_positive_omega(s: Spectrum) -> float:
-    # from where the envelope counts one term past C1 (the list's end when C2 = 0
-    # or C2^(-1/d) overflows), 4x a step: a few terms at any length scale; a
-    # list that ends is probed up to its end too, which a loose envelope's
-    # steps may fall short of
+    # from 4x where the envelope counts one term past C1 (the list's end when
+    # C2 = 0 or C2^(-1/d) overflows), 4x a step: the first probe's envelope
+    # count is C1 + 4^d, a few terms at any length scale and enough to pass
+    # the first frequency where the bound runs ahead of the count (the
+    # Dirichlet shapes); a list that ends is probed up to its end too, which
+    # a loose envelope's steps may fall short of
     _c1, c2 = s.envelope
     w = s.truncated_at or 0.0
     if c2 > 0:
         with contextlib.suppress(OverflowError):
             w = c2 ** (-1.0 / s.dim)
-    probes = [w * 4.0**k for k in range(60)]
+    probes = [w * 4.0**k for k in range(1, 61)]
     if s.truncated_at:
         probes.append(s.truncated_at)
     for w in probes:
@@ -257,7 +259,7 @@ def run_verification(spectrum: Spectrum) -> list[VerifyRow]:
     # the index term: no t^0 log t in Tr T (equally, no t^-1 in dTrT/dt),
     # f_d = -d_(alpha,d) at R = 1, detected on the omega mean's own values
     # weighed alike, as its fit weighs them
-    det = detect_log_term(om_grid, om_values, Fraction(0), om_fit.basis, [1.0] * len(om_grid))
+    det = detect_log_term(om_grid, om_values, Fraction(0), om_fit, [1.0] * len(om_grid))
     rows.append(VerifyRow(
         "no log t at t^0 in Tr T", det.magnitude, 0.0, 0.0 if det.present else tol(d, 0.0),
         note="detector says PRESENT" if det.present else "detector says absent"))

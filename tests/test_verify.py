@@ -15,13 +15,13 @@ from spectrace import (
     product_spectrum,
     torus_spectrum,
 )
-from spectrace import riesz, spectra, traces, verify
+from spectrace import fitkit, riesz, spectra, traces, verify
 from spectrace.cli import main
 from spectrace.verify import run_verification
 
 SRC = str(Path(__file__).resolve().parent.parent / "src")
 ENERGY_ROW = "casimir energy -e_(d+1)/2"
-RIESZ_MEAN_GRID = riesz.riesz_mean_grid
+RIESZ_SUM_GRID = riesz.riesz_sum_grid
 
 
 def energy_row(rows):
@@ -83,9 +83,9 @@ def riesz_grids(monkeypatch, spectrum):
         assert variable not in grids  # one grid of means a variable
         assert alpha == s.dim + 3
         grids[variable] = list(grid)
-        return RIESZ_MEAN_GRID(s, alpha, variable, grid)
+        return RIESZ_SUM_GRID(s, alpha, variable, grid)
 
-    monkeypatch.setattr(riesz, "riesz_mean_grid", capture)
+    monkeypatch.setattr(riesz, "riesz_sum_grid", capture)
     rows = run_verification(spectrum)
     return rows, grids
 
@@ -203,16 +203,39 @@ def test_one_riesz_order_per_variable(monkeypatch, shape):
     # one grid of means a variable, at the one order d + 3, feeds every
     # Riesz row and the Riesz energy
     calls = []
-    real = riesz.riesz_mean_grid
+    real = riesz.riesz_sum_grid
 
     def spy(s, alpha, variable, grid):
         calls.append((alpha, variable, len(grid)))
         return real(s, alpha, variable, grid)
 
-    monkeypatch.setattr(riesz, "riesz_mean_grid", spy)
+    monkeypatch.setattr(riesz, "riesz_sum_grid", spy)
     s = SHAPES[shape]()
     run_verification(s)
     assert sorted(calls) == [(s.dim + 3, "lambda", 96), (s.dim + 3, "omega", 96)]
+
+
+@pytest.mark.parametrize("shape", ["interval", "square", "cube"])
+def test_each_distinct_fit_runs_once(monkeypatch, shape):
+    # d = 1, 2, 3: the heat fit, the lambda mean's fit, the omega mean's base
+    # fit and its fit with the column of each of its two log detections, and
+    # the t^0 detection's fit with its column; each detection starts from
+    # the fit before it.  One counter stands for the one function under every
+    # name it is called by, so no call is counted twice
+    fits = []
+    real = fitkit.fit_expansion
+
+    def counted(x, y, basis, weights=None):
+        fits.append((tuple(x), basis))
+        return real(x, y, basis, weights)
+
+    for module in (fitkit, riesz, verify):
+        monkeypatch.setattr(module, "fit_expansion", counted)
+    s = SHAPES[shape]()
+    assert s.dim == {"interval": 1, "square": 2, "cube": 3}[shape]
+    run_verification(s)
+    assert len(fits) == 6
+    assert len(set(fits)) == 6
 
 
 @pytest.mark.parametrize("size", [10.0**k for k in range(-3, 3)])
