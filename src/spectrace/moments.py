@@ -17,7 +17,6 @@ differentiation could not deliver.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -25,7 +24,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from . import spectra
+from . import spectra, traces
 from .invariants import zeta_neg_int
 
 __all__ = [
@@ -37,27 +36,9 @@ __all__ = [
 ]
 
 _MAX_DERIV = 12
-# comb indices per array evaluation, which bounds the memory of a long sum
-_COMB_CHUNK = 1 << 16
 # absolute tail bounds at which comb_pairing and the omega comb stop summing
 _COMB_TOL = 1e-14
 _OMEGA_COMB_TOL = 1e-15
-
-
-def _exp(a: np.ndarray) -> np.ndarray:
-    """math.exp at every element of the 1-D array a.  Not np.exp: numpy's
-    SIMD loops may differ from math.exp in the last bit."""
-    return np.fromiter(map(math.exp, a.tolist()), dtype=np.float64, count=a.size)
-
-
-def _comb_sum(term: Callable[[np.ndarray], np.ndarray], first: int, last: int) -> float:
-    """math.fsum of term(n) over the integers n = first..last, with term
-    evaluated on float64 arrays of at most _COMB_CHUNK consecutive n.  fsum
-    rounds the exact total once, so the chunking cannot change the result."""
-    return math.fsum(itertools.chain.from_iterable(
-        term(np.arange(lo, min(lo + _COMB_CHUNK, last + 1), dtype=np.float64)).tolist()
-        for lo in range(first, last + 1, _COMB_CHUNK)
-    ))
 
 
 # ---------------------------------------------------------------------------
@@ -164,10 +145,9 @@ class TestFunction:
         """f at every point of x (a number or a 1-D sequence), as a float64
         array; g(x) is its one-point case.
 
-        Each element goes through the same IEEE operations, and the
-        exponentials are math.exp applied per element (np.exp may differ from
-        it in the last bit), so a value depends neither on the array it comes
-        in nor on numpy's SIMD dispatch.
+        Each element goes through the same IEEE operations and one np.exp
+        call, so a value does not depend on the array it comes in; np.exp's
+        last bit depends on the machine (see spectrace.traces).
         """
         x = np.array(x, dtype=np.float64, ndmin=1)
         # a rescaled argument past the float range is the infinity _base maps
@@ -183,23 +163,22 @@ class TestFunction:
         """The unscaled function at every point of u.  Overflow is silent:
         u * u or a bump's (u - lo) * (hi - u) past the float range gives an
         infinity whose exponential, exp(-inf) = 0 or exp(-1/inf) = 1, is the
-        function's value there; an infinite u gives the function's limit."""
+        function's value there; expdecay's exp(-u) is inf from u = -709.79
+        on; an infinite u gives the function's limit."""
         with np.errstate(over="ignore"):
             if self.kind == "gaussian":
-                return _exp((-u) * u)
+                return np.exp((-u) * u)
             if self.kind == "expdecay":
-                # exp(-u) overflows from u = -710 on; exp(inf) = inf, and a
-                # NaN stays NaN
-                return _exp(np.where(u <= -700, math.inf, -u))
+                return np.exp(-u)
             if self.kind == "odd-gaussian":
                 # an infinite u would make inf * 0 = NaN; the largest float
                 # gives the limit +-0
-                return np.clip(u, -spectra._MAX_FLOAT, spectra._MAX_FLOAT) * _exp((-u) * u)
+                return np.clip(u, -spectra._MAX_FLOAT, spectra._MAX_FLOAT) * np.exp((-u) * u)
             lo, hi = self.support
             prod = (u - lo) * (hi - u)
             out = np.zeros(u.shape)
             inside = ~(prod <= 0.0)
-            out[inside] = _exp(-1.0 / prod[inside])
+            out[inside] = np.exp(-1.0 / prod[inside])
             return out
 
     def deriv0(self, n: int) -> float:
@@ -270,12 +249,13 @@ class TestFunction:
     def _base_tail(self, c: float) -> float:
         if self.kind == "gaussian":
             return math.sqrt(math.pi) * math.erfc(c) / 2.0
+        # math.exp underflows to 0.0 without raising; a NaN c gives 0.0
         if self.kind == "expdecay":
-            return math.exp(-c) if c < 700 else 0.0
+            return 0.0 if math.isnan(c) else math.exp(-c)
         if self.kind == "odd-gaussian":
             if c <= 0.0:
                 return 1.0
-            return math.exp(-c * c) / 2.0 if c < 26 else 0.0
+            return 0.0 if math.isnan(c) else math.exp(-c * c) / 2.0
         raise ValueError("a bump has no tail bound: its comb sums end at its support")
 
 
@@ -343,13 +323,13 @@ def _comb(g: TestFunction, eps: float, index_of, term, tail_after, tol: float) -
         lo, hi = (end / g.scale for end in g.support)
         first, last = max(index_of(lo), 1.0), index_of(hi)
         if last - first < cap:
-            return _comb_sum(term, math.ceil(first), math.floor(last))
+            return traces._index_sum(term, math.ceil(first), math.floor(last))
     else:
         # first index beyond which |g| decreases along the sampled arguments
         n_mono = math.ceil(min(index_of(g.monotone_from), cap)) + 1
         stop = _smallest_stop(lambda n: tail_after(n) <= tol, max(n_mono, 4))
         if stop is not None:
-            return _comb_sum(term, 1, stop)
+            return traces._index_sum(term, 1, stop)
     raise ValueError(f"comb sum at eps={eps!r} would take more than the cap of "
                      f"{cap} indices")
 
