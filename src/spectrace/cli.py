@@ -270,8 +270,7 @@ def cmd_coeffs(args) -> int:
         raise UsageError("orders must be >= 1")
     spectrum = parse_spectrum_spec(args.spectrum)
     ts = geometric_grid(args.tmin, args.tmax, args.points)
-    report = fit_trace(spectrum, args.kernel, ts, args.tol, args.orders,
-                       include_logs=args.with_logs)
+    report = fit_trace(spectrum, args.kernel, ts, args.tol, args.orders)
     payload = {"kernel": args.kernel, "dim": spectrum.dim,
                "fit_report": report.to_json_dict(),
                "expansion": expansion_to_json(expansion_from_fit(spectrum.dim, report))}
@@ -426,8 +425,6 @@ def build_parser() -> argparse.ArgumentParser:
                           default="cylinder")
     p_coeffs.add_argument("--orders", type=int, default=4,
                           help="basis depth: orders s = 0..S")
-    p_coeffs.add_argument("--with-logs", action="store_true",
-                          help="include t^(s-d) log t basis terms where the shape allows them")
     add_common_grid(p_coeffs, 1e-3, 1e-1, 64, 1e-13)
     p_coeffs.set_defaults(func=cmd_coeffs)
 

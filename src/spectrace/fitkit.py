@@ -17,8 +17,6 @@ from typing import Sequence
 
 import numpy as np
 
-from .invariants import _carries_log
-
 __all__ = [
     "AsymptoticBasis",
     "FitReport",
@@ -155,13 +153,11 @@ def heat_basis(dim: int, orders: int) -> AsymptoticBasis:
 _HEAT_BASES: dict[tuple[int, int], AsymptoticBasis] = {}
 
 
-def cylinder_basis(dim: int, orders: int, *, include_logs: bool = False) -> AsymptoticBasis:
-    """Cylinder-trace shape: t^{s-d} for s = 0..orders; with include_logs,
-    adds t^{s-d} log t at the s with s-d odd and positive."""
-    terms: list[tuple[Fraction, int]] = [(Fraction(s - dim), 0) for s in range(orders + 1)]
-    if include_logs:
-        terms += [(Fraction(s - dim), 1) for s in range(orders + 1) if _carries_log(s, dim)]
-    return AsymptoticBasis(tuple(terms))
+def cylinder_basis(dim: int, orders: int) -> AsymptoticBasis:
+    """Cylinder-trace power shape: t^{s-d} for s = 0..orders.  The log
+    columns t^{s-d} log t are not in it: verify.fit_trace adds each one where
+    the data show it."""
+    return power_basis([Fraction(s - dim) for s in range(orders + 1)])
 
 
 def dcylinder_basis(dim: int, orders: int) -> AsymptoticBasis:

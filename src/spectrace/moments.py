@@ -234,29 +234,27 @@ class TestFunction:
     def tail_mellin(self, s: float, c: float) -> float:
         """Upper bound on int_c^inf x^(s-1) |f(x)| dx, the tail of mellin(s)
         that the linear (s = 1, c >= 0) and squares (s = 1/2, c > 0) combs
-        drop.  ValueError for a bump: its comb sums end at its support and
-        leave no tail to bound."""
-        if s == 1.0:
-            return self._base_tail(self.scale * c) / self.scale
-        if s != 0.5:
+        drop: the closed form times traces._BOUND_SLACK plus the least
+        normal float, 2^-1022, above its rounding and the coarse subnormal
+        steps at every finite c; 0.0 at c = inf or NaN.  ValueError for a
+        bump: its comb sums end at its support and leave no tail to bound."""
+        if s not in (1.0, 0.5):
             raise ValueError(f"tail bounds cover s = 1 and 1/2, got {s}")
-        if self.kind == "expdecay":
-            cc = self.scale * c
-            base = math.sqrt(math.pi) * math.erfc(math.sqrt(cc)) if cc < 1e6 else 0.0
-            return base / math.sqrt(self.scale)
-        return self.tail_mellin(1.0, c) / math.sqrt(c)  # x^(-1/2) <= c^(-1/2) past c
-
-    def _base_tail(self, c: float) -> float:
-        if self.kind == "gaussian":
-            return math.sqrt(math.pi) * math.erfc(c) / 2.0
-        # math.exp underflows to 0.0 without raising; a NaN c gives 0.0
-        if self.kind == "expdecay":
-            return 0.0 if math.isnan(c) else math.exp(-c)
-        if self.kind == "odd-gaussian":
-            if c <= 0.0:
-                return 1.0
-            return 0.0 if math.isnan(c) else math.exp(-c * c) / 2.0
-        raise ValueError("a bump has no tail bound: its comb sums end at its support")
+        if self.kind == "bump":
+            raise ValueError("a bump has no tail bound: its comb sums end at its support")
+        u = self.scale * c
+        # math.exp and math.erfc underflow to 0.0 without raising
+        if s == 0.5 and self.kind == "expdecay":
+            tail = math.sqrt(math.pi / self.scale) * math.erfc(math.sqrt(u))
+        elif self.kind == "expdecay":
+            tail = math.exp(-u) / self.scale
+        elif self.kind == "gaussian":
+            tail = math.sqrt(math.pi) * math.erfc(u) / 2.0 / self.scale
+        else:
+            tail = (1.0 if u <= 0.0 else math.exp(-u * u) / 2.0) / self.scale
+        if s == 0.5 and self.kind != "expdecay":
+            tail /= math.sqrt(c)  # x^(-1/2) <= c^(-1/2) past c
+        return tail * traces._BOUND_SLACK + 2.0**-1022 if c < math.inf else 0.0
 
 
 @dataclass(frozen=True)

@@ -129,7 +129,13 @@ def riesz_sum_grid(s: Spectrum, alpha: int, variable: str,
     # the keys are values * values in the lambda variable, squared where used
     values, mults, idxs = _key_counts(s, variable, grid)
     square = variable == "lambda"
-    chunks = max(idxs) // _CHUNK
+    xs, ends = np.array(grid), np.array(idxs)
+    # points where x^alpha or alpha! x^alpha is out of range, and x = inf
+    with np.errstate(invalid="ignore"):
+        logs = alpha * np.log2(xs)
+    inside = (-_POW_BITS < logs) & (logs < _POW_BITS - math.log2(math.factorial(alpha)))
+    # moments only up to the last chunk a point inside reads: past it they may overflow
+    chunks = int(ends[inside].max(initial=0)) // _CHUNK
     moments = _chunk_moments(values[:chunks * _CHUNK], mults[:chunks * _CHUNK], alpha, square)
     # the Horner rows C(alpha, i) S[c, i]
     coef = moments * np.array([math.comb(alpha, i) for i in range(alpha + 1)],
@@ -137,11 +143,6 @@ def riesz_sum_grid(s: Spectrum, alpha: int, variable: str,
     anchors = values[_CHUNK - 1:chunks * _CHUNK:_CHUNK]
     if square:
         anchors = anchors * anchors
-    xs, ends = np.array(grid), np.array(idxs)
-    # points where x^alpha or alpha! x^alpha is out of range, and x = inf
-    with np.errstate(invalid="ignore"):
-        logs = alpha * np.log2(xs)
-    inside = (-_POW_BITS < logs) & (logs < _POW_BITS - math.log2(math.factorial(alpha)))
     sums = np.empty(len(grid))
     for i in np.flatnonzero(~inside).tolist():
         x, idx = grid[i], idxs[i]
@@ -253,7 +254,7 @@ def riesz_fit_basis(dim: int, alpha: int, variable: str) -> AsymptoticBasis:
     """The power terms of the order-alpha Riesz-mean expansion shape, s = 0..alpha.
 
     lambda variable: x^{(d-s)/2}; omega variable: x^{d-s}.  The omega-variable
-    log columns x^{d-s} log x are not in it: extract_riesz_coeffs adds each
+    log columns x^{d-s} log x are not in it: _fit_detecting_logs adds each
     one where the data show it.  Built once per (dim, alpha, variable).
     """
     key = (dim, alpha, variable)
@@ -278,14 +279,9 @@ def extract_riesz_coeffs(s: Spectrum, alpha: int, variable: str,
     ratio.
 
     grid defaults to 64 points geometric over DEFAULT_RANGES[variable].  The
-    fit starts from riesz_fit_basis and weighs every sample alike.  In the
-    omega variable, at each order s <= alpha where s - d is odd and positive,
-    detect_log_term compares the fit with and without an x^{d-s} log x column
-    and keeps the column only when the data have it -- fitting a log column
-    against data that have none mostly soaks up spectral oscillation and
-    spoils the power coefficients.  Each detection starts from the fit kept
-    before it, so every distinct basis is fitted once; the last kept fit is
-    the report.
+    fit starts from riesz_fit_basis and weighs every sample alike; in the
+    omega variable _fit_detecting_logs adds each x^{d-s} log x column the
+    data show, as coeffs does for the cylinder trace's t^{s-d} log t.
     """
     if variable not in _VARIABLES:
         raise ValueError(f"variable must be one of {_VARIABLES}, got {variable!r}")
@@ -300,17 +296,30 @@ def extract_riesz_coeffs(s: Spectrum, alpha: int, variable: str,
 def _fit_means(s: Spectrum, alpha: int, variable: str,
                grid: list[float]) -> tuple[list[float], FitReport]:
     """(values, report): the order-alpha means over grid in the plain
-    normalization (riesz_sum_grid) and extract_riesz_coeffs' fit of them.
-    Each detection starts from the report before it, so no basis is fitted
-    twice."""
+    normalization (riesz_sum_grid) and extract_riesz_coeffs' fit of them."""
     values = riesz_sum_grid(s, alpha, variable, grid)
-    weights = [1.0] * len(grid)
-    report = fit_expansion(grid, values, riesz_fit_basis(s.dim, alpha, variable), weights)
-    for ss in range(alpha + 1):
-        if variable == "omega" and _carries_log(ss, s.dim):
-            det = detect_log_term(grid, values, Fraction(s.dim - ss), report, weights)
-            report = det.with_log if det.present else det.without_log
-    return values, report
+    logs = [-p for p in _log_exponents(s.dim, alpha)] if variable == "omega" else []
+    return values, _fit_detecting_logs(grid, values, riesz_fit_basis(s.dim, alpha, variable),
+                                       logs, [1.0] * len(grid))
+
+
+def _log_exponents(dim: int, orders: int) -> list[Fraction]:
+    """The exponents s - d, s <= orders, of the cylinder trace's log terms
+    t^{s-d} log t (invariants._carries_log); the omega mean's are their negatives."""
+    return [Fraction(s - dim) for s in range(orders + 1) if _carries_log(s, dim)]
+
+
+def _fit_detecting_logs(x, y, basis: AsymptoticBasis, logs: Sequence[Fraction],
+                        weights=None) -> FitReport:
+    """Every fit's one log-column policy: fit y at x to basis, then at each p
+    of logs in turn keep an x^p log x column only where detect_log_term finds
+    it (one fitted to data without it soaks up the oscillation and spoils the
+    power terms), each detection from the fit kept before it, none refitted."""
+    report = fit_expansion(x, y, basis, weights)
+    for p in logs:
+        det = detect_log_term(x, y, p, report, weights)
+        report = det.with_log if det.present else det.without_log
+    return report
 
 
 def weyl_remainder(

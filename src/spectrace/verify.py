@@ -36,7 +36,7 @@ from .invariants import (
     heat_to_cylinder,
     riesz_to_trace,
 )
-from .riesz import _fit_means
+from .riesz import _fit_detecting_logs, _fit_means, _log_exponents
 from . import spectra
 from .spectra import Spectrum
 from .traces import _cutoff, trace_grid
@@ -87,18 +87,18 @@ def expansion_from_fit(dim: int, report: FitReport) -> AsymptoticExpansion:
 
 
 def fit_trace(spectrum: Spectrum, kernel: str, ts: Sequence[float], tol: float,
-              orders: int, include_logs: bool = False) -> FitReport:
+              orders: int) -> FitReport:
     """The kernel's trace sampled over ts and fitted to its expansion shape
-    through `orders`, with the cylinder log columns if asked."""
-    samples = trace_grid(spectrum, kernel, ts, tol)
+    through `orders`.  The cylinder fit adds each log column t^{s-d} log t
+    the data show, by the omega mean's policy (riesz._fit_detecting_logs);
+    the heat and dcylinder fits have none."""
+    values = [s.value for s in trace_grid(spectrum, kernel, ts, tol)]
     d = spectrum.dim
-    if kernel == "heat":
-        basis = heat_basis(d, orders)
-    elif kernel == "cylinder":
-        basis = cylinder_basis(d, orders, include_logs=include_logs)
-    else:
-        basis = dcylinder_basis(d, orders)
-    return fit_expansion(ts, [s.value for s in samples], basis)
+    if kernel == "cylinder":
+        return _fit_detecting_logs(ts, values, cylinder_basis(d, orders),
+                                   _log_exponents(d, orders))
+    basis = heat_basis(d, orders) if kernel == "heat" else dcylinder_basis(d, orders)
+    return fit_expansion(ts, values, basis)
 
 
 def _first_positive_omega(s: Spectrum) -> float:

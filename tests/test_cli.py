@@ -6,10 +6,11 @@ import sys
 import time
 import warnings
 from pathlib import Path
+from unittest import mock
 
 import pytest
 
-from spectrace import spectra
+from spectrace import riesz, spectra, verify
 from spectrace.cli import build_parser, main, parse_spectrum_spec, UsageError
 
 PI_STR = "3.141592653589793"
@@ -186,6 +187,36 @@ class TestCoeffsCommand:
         assert coeffs[basis.index(("-1/2", 0))] == pytest.approx(
             -math.sqrt(math.pi) / 2, abs=1e-3)
         assert coeffs[basis.index(("0", 0))] == pytest.approx(0.25, abs=1e-3)
+
+    @pytest.mark.parametrize("spec, unit", [
+        ("interval:length=1.1:bc=neumann", 1.1 / math.pi),
+        ("torus:circumference=1.1", 1.1 / (2.0 * math.pi)),
+    ])
+    def test_log_free_shapes_keep_a_log_free_basis(self, capsys, spec, unit):
+        # at the benchmark's windows, 1e-3 to 1e-1 in units of 1/w1, both
+        # d = 1 log columns (t log t, t^3 log t) are tried and neither is kept
+        with mock.patch.object(riesz, "detect_log_term", wraps=riesz.detect_log_term) as detect:
+            code, out, _ = run(capsys, "coeffs", "--spectrum", spec,
+                               "--tmin", repr(1e-3 * unit), "--tmax", repr(1e-1 * unit))
+        assert code == 0
+        assert [call.args[2] for call in detect.call_args_list] == [1, 3]
+        assert all(term["q"] == 0 for term in json.loads(out)["fit_report"]["basis"])
+
+    def test_coeffs_and_the_omega_riesz_fit_share_one_log_policy(self, capsys):
+        # the cylinder fit of coeffs and the omega fit of riesz --fit choose
+        # their log columns in the one function, whose detections are the
+        # only calls to riesz's detect_log_term: t^(s-1) log t at s = 2, 4
+        # for coeffs, omega^(1-s) log omega at s = 2 for the order-3 mean
+        assert verify._fit_detecting_logs is riesz._fit_detecting_logs
+        seen = []
+        for argv in (["coeffs", "--kernel", "cylinder"],
+                     ["riesz", "--fit", "--variable", "omega", "--alpha", "3"]):
+            with mock.patch.object(riesz, "detect_log_term",
+                                   wraps=riesz.detect_log_term) as detect:
+                code, _, _ = run(capsys, argv[0], "--spectrum", INTERVAL_SPEC, *argv[1:])
+            assert code == 0
+            seen.append([call.args[2] for call in detect.call_args_list])
+        assert seen == [[1, 3], [-1]]
 
 
 class TestVerifyCommand:

@@ -246,13 +246,13 @@ class TestCombPairing:
                              ids=["expdecay", "odd-gaussian"])
     def test_tail_bound_is_at_least_the_true_tail(self, g, lo, hi):
         # the tails e^-c and e^(-c^2)/2 stay positive floats down to the
-        # least subnormal; the bound may fall below them only by its own
-        # rounding, 1e-12 relative (c * c) and one subnormal ulp
+        # least subnormal and below it; the bound's slack covers its own
+        # rounding (c * c among it) and its underflow
         with mp.workdps(30):
             for c in np.linspace(lo, hi, 241).tolist():
                 x = mp.mpf(c)
                 tail = mp.exp(-x) if g.kind == "expdecay" else mp.exp(-x * x) / 2
-                assert g.tail_mellin(1.0, c) >= tail * (1 - mp.mpf(1e-12)) - mp.mpf(2) ** -1074
+                assert g.tail_mellin(1.0, c) >= tail
 
     @pytest.mark.parametrize("kind", ["linear", "squares", "omega"])
     def test_sum_stops_at_the_smallest_certified_index(self, kind):

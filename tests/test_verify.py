@@ -4,6 +4,7 @@ import re
 import subprocess
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
@@ -382,6 +383,42 @@ def test_long_shapes_pass(capsys, spec):
     code, out, err = cli_verify(capsys, spec)
     assert code == 0, err
     assert out.splitlines()[-1].startswith("PASS  overall:"), out
+
+
+@pytest.mark.parametrize("spec", [
+    *(f"interval:length={size}:bc=dirichlet" for size in ("1e-50", "1e-70", "1e-100")),
+    "product:(interval:length=1e-30:bc=dirichlet)x(interval:length=1e-30:bc=dirichlet)",
+    "product:(interval:length=1e-30:bc=dirichlet)x(torus:circumference=1.5e-30)",
+    "torus:circumference=1e-60",
+    "interval:length=1e-60:bc=neumann",
+])
+def test_short_shapes_pass_every_row(capsys, spec):
+    # the Riesz grids' moment table stops at the last chunk that a point in
+    # the x^alpha range reads; built to the top point, its chunks overflowed
+    # at these scales, which the suite's warnings-as-errors turns into a raise
+    code, out, err = cli_verify(capsys, spec)
+    assert code == 0, err
+    assert all(line.startswith("PASS") for line in out.splitlines()[1:]), out
+
+
+@pytest.mark.parametrize("f", [0.0, 0.3])
+def test_cylinder_fit_keeps_a_log_column_only_where_the_data_have_one(monkeypatch, f):
+    # cylinder-trace-shaped samples of a d = 1 shape, sum e_s t^(s-1) plus
+    # f t log t, through coeffs' fit: both log columns (t log t, t^3 log t)
+    # are tried; t log t is kept and its coefficient recovered where f != 0,
+    # and the fit stays log-free where f = 0
+    e = [1.0, -0.5, 1.0 / 12.0, 0.0, -1.0 / 720.0]
+    ts = geometric_grid(1e-3, 1e-1, 64)
+    values = [math.fsum(c * t ** (s - 1) for s, c in enumerate(e)) + f * t * math.log(t)
+              for t in ts]
+    monkeypatch.setattr(verify, "trace_grid",
+                        lambda *args: [SimpleNamespace(value=v) for v in values])
+    rep = verify.fit_trace(interval_spectrum(1.0, "dirichlet"), "cylinder", ts, 1e-13, 4)
+    assert [p for p, q in rep.basis.terms if q == 1] == ([1] if f else [])
+    if f:
+        assert rep.coefficient(1, 1) == pytest.approx(f, rel=1e-6)
+    for s, c in enumerate(e):
+        assert rep.coefficient(s - 1) == pytest.approx(c, abs=1e-6)
 
 
 @pytest.mark.parametrize("spec", [
