@@ -10,6 +10,7 @@ jackknife-stability diagnostics.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -141,16 +142,11 @@ def power_basis(exponents: Sequence) -> AsymptoticBasis:
     return AsymptoticBasis(tuple((Fraction(p), 0) for p in exponents))
 
 
+@functools.cache
 def heat_basis(dim: int, orders: int) -> AsymptoticBasis:
     """Heat-trace shape: t^{(s-d)/2} for s = 0..orders, no log terms; built
     once per (dim, orders)."""
-    key = (dim, orders)
-    if key not in _HEAT_BASES:
-        _HEAT_BASES[key] = power_basis([Fraction(s - dim, 2) for s in range(orders + 1)])
-    return _HEAT_BASES[key]
-
-
-_HEAT_BASES: dict[tuple[int, int], AsymptoticBasis] = {}
+    return power_basis([Fraction(s - dim, 2) for s in range(orders + 1)])
 
 
 def cylinder_basis(dim: int, orders: int) -> AsymptoticBasis:

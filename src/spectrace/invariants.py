@@ -350,7 +350,7 @@ def heat_to_cylinder(heat: AsymptoticExpansion) -> AsymptoticExpansion:
     return AsymptoticExpansion(d, tuple(out))
 
 
-@functools.lru_cache(maxsize=None)
+@functools.cache
 def _heat_cylinder_factor(d: int, s: int) -> ExactCoeff:
     """heat_to_cylinder's exact factor at order s, built once per (d, s):
     e_s / b_s, or f_s / b_s where s - d is odd and positive."""
@@ -405,7 +405,7 @@ def riesz_to_trace(variable: str, alpha: int, d: int, coeffs: Sequence[CoeffLike
     return AsymptoticExpansion(d, tuple(terms))
 
 
-@functools.lru_cache(maxsize=None)
+@functools.cache
 def _riesz_ratio(omega: bool, alpha: int, d: int, s: int) -> tuple[ExactCoeff, float]:
     """(1/R, psi(nu)) of riesz_to_trace at order s, built once per
     (variable, alpha, d, s): 1/R = Gamma(nu)/Gamma(alpha+1) exactly, and

@@ -17,13 +17,15 @@ and 7).
 
 from __future__ import annotations
 
+import functools
 import math
 from fractions import Fraction
 from typing import Optional, Sequence
 
 import numpy as np
 
-from .fitkit import AsymptoticBasis, FitReport, detect_log_term, fit_expansion, geometric_grid
+from .fitkit import (AsymptoticBasis, FitReport, IllConditionedBasisError, detect_log_term,
+                     fit_expansion, geometric_grid)
 from .invariants import _carries_log
 from .spectra import Spectrum, _key_counts
 
@@ -250,6 +252,7 @@ def _chunk_moments(values: np.ndarray, mults: np.ndarray, alpha: int,
     return moments
 
 
+@functools.cache
 def riesz_fit_basis(dim: int, alpha: int, variable: str) -> AsymptoticBasis:
     """The power terms of the order-alpha Riesz-mean expansion shape, s = 0..alpha.
 
@@ -257,15 +260,8 @@ def riesz_fit_basis(dim: int, alpha: int, variable: str) -> AsymptoticBasis:
     log columns x^{d-s} log x are not in it: _fit_detecting_logs adds each
     one where the data show it.  Built once per (dim, alpha, variable).
     """
-    key = (dim, alpha, variable)
-    if key not in _FIT_BASES:
-        den = 2 if variable == "lambda" else 1
-        _FIT_BASES[key] = AsymptoticBasis(
-            tuple((Fraction(dim - s, den), 0) for s in range(alpha + 1)))
-    return _FIT_BASES[key]
-
-
-_FIT_BASES: dict[tuple[int, int, str], AsymptoticBasis] = {}
+    den = 2 if variable == "lambda" else 1
+    return AsymptoticBasis(tuple((Fraction(dim - s, den), 0) for s in range(alpha + 1)))
 
 
 def extract_riesz_coeffs(s: Spectrum, alpha: int, variable: str,
@@ -314,10 +310,14 @@ def _fit_detecting_logs(x, y, basis: AsymptoticBasis, logs: Sequence[Fraction],
     """Every fit's one log-column policy: fit y at x to basis, then at each p
     of logs in turn keep an x^p log x column only where detect_log_term finds
     it (one fitted to data without it soaks up the oscillation and spoils the
-    power terms), each detection from the fit kept before it, none refitted."""
+    power terms), each detection from the fit kept before it, none refitted;
+    a column whose fit cannot be made counts as absent."""
     report = fit_expansion(x, y, basis, weights)
     for p in logs:
-        det = detect_log_term(x, y, p, report, weights)
+        try:  # ill-conditioned, too few samples or past the float range
+            det = detect_log_term(x, y, p, report, weights)
+        except (IllConditionedBasisError, ValueError):
+            continue
         report = det.with_log if det.present else det.without_log
     return report
 

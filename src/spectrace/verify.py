@@ -39,7 +39,7 @@ from .invariants import (
 from .riesz import _fit_detecting_logs, _fit_means, _log_exponents
 from . import spectra
 from .spectra import Spectrum
-from .traces import _cutoff, trace_grid
+from .traces import trace_grid
 
 __all__ = ["VerifyRow", "expansion_from_fit", "fit_trace", "run_verification"]
 
@@ -134,8 +134,9 @@ def run_verification(spectrum: Spectrum) -> list[VerifyRow]:
     for one whose first positive frequency or envelope puts a window past
     the float range and for a finite list whose data end at or below the
     Riesz grids' bottom, 20 w1;
-    ToleranceError when a trace cannot meet _TOL or an enumeration passes
-    the term budget (Spectrum.arrays).
+    ToleranceError when a trace cannot meet _TOL or the enumeration passes
+    the term budget (Spectrum.arrays): the first stage to read the terms
+    enumerates them, and the later ones read Spectrum.arrays' cache.
     """
     if spectrum.envelope is None:
         raise ValueError(
@@ -197,19 +198,6 @@ def run_verification(spectrum: Spectrum) -> list[VerifyRow]:
         om_hi = min(om_hi, end)
     om_grid = geometric_grid(om_lo, om_hi, _RIESZ_POINTS)
     lam_grid = [w * w for w in om_grid]
-
-    # one enumeration up front, to the widest extent a stage reads (the heat
-    # cutoff crediting no term, the Riesz grids' top); past the term budget
-    # Spectrum.arrays refuses it, and the stage that needs the terms raises.
-    # A product's heat trace reads its factors, not its own terms
-    extent = max(spectra._key_extent("lambda", lam_grid[-1]),
-                 spectra._key_extent("omega", om_grid[-1]))
-    if spectrum.factors is None:
-        extent = max(extent, min(_cutoff("heat", heat_ts[0], _TOL, c1, c2, d),
-                                 math.inf if end is None else end))
-    if math.isfinite(extent):
-        with contextlib.suppress(spectra.ToleranceError):
-            spectrum.arrays(extent)
 
     # the heat trace's fit on one side of the trace rows, and one Riesz mean
     # of order alpha = d+3 in each variable on the other: the lambda fit gives

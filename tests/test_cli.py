@@ -218,6 +218,27 @@ class TestCoeffsCommand:
             seen.append([call.args[2] for call in detect.call_args_list])
         assert seen == [[1, 3], [-1]]
 
+    @pytest.mark.parametrize("argv, terms, tried", [
+        # each log column's fit is one sample short (8 needed for 6 terms)
+        (["coeffs", "--points", "7"], 5, [1, 3]),
+        # each with-log design passes the condition limit (2.9e12 at t log t)
+        (["coeffs", "--orders", "10"], 11, [1, 3, 5, 7, 9]),
+        # the omega mean's fit at the same two edges
+        (["riesz", "--fit", "--variable", "omega", "--alpha", "2", "--points", "5"], 3, [-1]),
+        (["riesz", "--fit", "--variable", "omega", "--alpha", "12"], 13,
+         [-1, -3, -5, -7, -9, -11]),
+    ], ids=["coeffs-points-7", "coeffs-orders-10", "riesz-points-5", "riesz-alpha-12"])
+    def test_a_log_column_whose_fit_cannot_be_made_is_absent(self, capsys, argv, terms, tried):
+        # the power fit succeeds; each tried log column's fit raises and
+        # counts as absent, so the command reports the log-free fit
+        with mock.patch.object(riesz, "detect_log_term", wraps=riesz.detect_log_term) as detect:
+            code, out, err = run(capsys, argv[0], "--spectrum", "interval:length=1:bc=dirichlet",
+                                 *argv[1:])
+        assert code == 0, err
+        assert [call.args[2] for call in detect.call_args_list] == tried
+        basis = json.loads(out)["fit_report"]["basis"]
+        assert len(basis) == terms and all(term["q"] == 0 for term in basis)
+
 
 class TestVerifyCommand:
     def test_interval_passes(self, capsys):

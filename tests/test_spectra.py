@@ -584,6 +584,19 @@ class TestLoaderAgainstReference:
         p.write_text("dim 1\n" + "".join(f"{t} 1\n" for t in tokens))
         assert load_spectrum(p).up_to(math.inf) == [(float(t), 1) for t in tokens]
 
+    # a 28-digit fraction is past the exact powers of ten (_POW10), and a
+    # 19-digit mantissa past 2^63 is one np.fromstring clamps to int64's top
+    @pytest.mark.parametrize("body", [
+        "0.1234567890123456789012345678 1\n1.5 2\n",
+        "1.5 1\n9.999999999999999999 2\n",
+    ], ids=["28-digit-fraction", "19-digit-mantissa"])
+    def test_plain_reader_declines_tokens_it_cannot_read_exactly(self, tmp_path, body):
+        assert spectra._plain_block(body) is None
+        p = tmp_path / "long-tokens.txt"
+        p.write_text("dim 1\n" + body)
+        terms = [(float(w), int(m)) for w, m in map(str.split, body.splitlines())]
+        assert load_spectrum(p).up_to(math.inf) == terms
+
     @pytest.mark.parametrize("text, terms", [
         ("dim 1\n1 1_000\n", [(1.0, 1000)]),
         ("dim 1\n1_0.5 2\n", [(10.5, 2)]),

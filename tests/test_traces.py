@@ -18,7 +18,7 @@ from spectrace import (
     torus_spectrum,
     trace_grid,
 )
-from spectrace import spectra
+from spectrace import spectra, traces
 from spectrace.spectra import Spectrum
 from spectrace.traces import _X_STEP, _certify, _cutoff, _tail_bound, _upper_gamma_half
 
@@ -520,3 +520,34 @@ class TestProductHeat:
                                                  r"tol=1e-12;") as err:
             heat_trace(square, 1e-6, 1e-12)
         assert err.value.achieved_bound > 1e-12
+
+    def test_equal_nested_products_share_one_grid(self, monkeypatch):
+        # two squares built apart are equal products, factor by factor, so the
+        # 4-box sums the interval's terms once, as the box of one square does
+        calls = []
+        certify = traces._certify
+        monkeypatch.setattr(traces, "_certify", lambda *args: calls.append(args[0])
+                            or certify(*args))
+        box = product_spectrum(product_spectrum(INTERVAL, INTERVAL),
+                               product_spectrum(INTERVAL, INTERVAL))
+        sample = heat_trace(box, 0.01)
+        assert calls == [INTERVAL]
+        square = product_spectrum(INTERVAL, INTERVAL)
+        assert sample == heat_trace(product_spectrum(square, square), 0.01)
+
+    def test_an_envelope_below_its_trace_exhausts_the_split(self):
+        # a factor whose envelope trace U is below its own K breaks
+        # tau_A K_B <= tol / 3, and the product's bound passes tol though
+        # each factor met its share
+        lying = finite_spectrum(1, [(0.001, 1000)], envelope=(0.0, 1.0))
+        with pytest.raises(ToleranceError, match="factor split exhausted before reaching "
+                                                 "tol=1e-06;") as err:
+            heat_trace(product_spectrum(INTERVAL, lying), 1.0, 1e-6)
+        assert err.value.achieved_bound > 1e-6
+
+    def test_envelope_trace_past_the_float_range_is_inf(self):
+        # t^(-3/2) overflows at t = 1e-300; the other factor's share is then
+        # the least subnormal, which fails it
+        cube = product_spectrum(product_spectrum(INTERVAL, INTERVAL), INTERVAL)
+        assert traces._heat_envelope(cube, 1e-300) == math.inf
+        assert traces._factor_tol(1e-12, math.inf) == math.ulp(0.0)

@@ -7,6 +7,7 @@ from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
+from hypothesis import assume, given, strategies as st
 
 from spectrace import (
     finite_spectrum,
@@ -335,7 +336,8 @@ def counted_enumerations(monkeypatch, s):
 
 
 # at the lower budgets the lambda grid tops out where the envelope counts the
-# cap, and the warm-up still reads every stage's terms; the cube is over them
+# cap, and the first stage still reads every later stage's terms; the cube is
+# over them
 @pytest.mark.parametrize("budget, shape", [
     pytest.param(budget, shape, id=shape if budget == 10_000_000
                  else f"{shape}-{budget}")
@@ -351,17 +353,26 @@ def test_one_enumeration_after_the_probe(monkeypatch, budget, shape):
     assert len(rows) >= 11
 
 
-def test_warm_up_past_the_budget_leaves_the_error_to_the_stage(monkeypatch):
-    # the cube's warm-up extent is over a budget of 400,000: Spectrum.arrays
-    # refuses it, the warm-up lets that pass, and the first stage that needs
-    # the terms enumerates again and raises
+def test_enumeration_past_the_budget_raises_in_its_stage(monkeypatch):
+    # the cube's heat trace reads its factors, so its first enumeration is the
+    # lambda grid's, over a budget of 400,000: that stage raises, naming the
+    # omega of the one enumeration made
     monkeypatch.setattr(spectra, "DEFAULT_MAX_TERMS", 400_000)
     s = unit_cube()
     calls = counted_enumerations(monkeypatch, s)
     with pytest.raises(spectra.ToleranceError, match="term budget exhausted") as err:
         run_verification(s)
-    assert len(calls) > 1, calls
-    assert f"omega = {calls[-1]!r}" in str(err.value)
+    assert len(calls) == 1, calls
+    assert f"omega = {calls[0]!r}" in str(err.value)
+
+
+@given(st.floats(min_value=2.0**-511, max_value=2.0**512))
+def test_lambda_and_omega_grids_share_one_extent(w):
+    # sqrt(fl(w * w)) = w in binary64 wherever the square is normal (Boldo,
+    # "Stupid is as stupid does", 2015), so the lambda grid, the omega grid
+    # squared, enumerates to the omega grid's extent
+    assume(sys.float_info.min <= w * w < math.inf)
+    assert spectra._key_extent("lambda", w * w) == spectra._key_extent("omega", w)
 
 
 def cli_verify(capsys, spec):
