@@ -346,7 +346,6 @@ def cmd_moments(args) -> int:
 
 
 def cmd_riesz(args) -> int:
-    spectrum = parse_spectrum_spec(args.spectrum)
     if args.alpha < 0:
         raise UsageError("alpha must be >= 0")
     default_min, default_max = DEFAULT_RANGES[args.variable]
@@ -357,14 +356,21 @@ def cmd_riesz(args) -> int:
     if not (0 < args.xmin < args.xmax < math.inf):
         raise UsageError("need 0 < xmin < xmax < inf")
     grid = geometric_grid(args.xmin, args.xmax, args.points)
-
-    if args.remainder is not None:
+    if args.remainder is None:
+        if args.weyl_coeffs is not None:
+            raise UsageError("--weyl-coeffs is read only with --remainder M")
+    else:
+        if args.fit:
+            raise UsageError("--fit and --remainder exclude each other")
         if not args.weyl_coeffs:
             raise UsageError("--remainder needs --weyl-coeffs g0,g1,...")
         try:
             gs = [float(v) for v in args.weyl_coeffs.split(",")]
         except ValueError:
             raise UsageError(f"bad --weyl-coeffs {args.weyl_coeffs!r}") from None
+    spectrum = parse_spectrum_spec(args.spectrum)
+
+    if args.remainder is not None:
         data = weyl_remainder(spectrum, args.remainder, gs, grid)
         comments = [_config_comment("riesz", args)]
         sup = max(abs(e) for _, e in data)

@@ -289,13 +289,16 @@ def extract_riesz_coeffs(s: Spectrum, alpha: int, variable: str,
     return _fit_means(s, alpha, variable, grid)[1]
 
 
-def _fit_means(s: Spectrum, alpha: int, variable: str,
-               grid: list[float]) -> tuple[list[float], FitReport]:
+def _fit_means(s: Spectrum, alpha: int, variable: str, grid: list[float],
+               fit_grid: Optional[list[float]] = None) -> tuple[list[float], FitReport]:
     """(values, report): the order-alpha means over grid in the plain
-    normalization (riesz_sum_grid) and extract_riesz_coeffs' fit of them."""
+    normalization (riesz_sum_grid) and extract_riesz_coeffs' fit of them,
+    at the abscissae fit_grid (grid by default): the same points in other
+    units, whose means are the same numbers."""
     values = riesz_sum_grid(s, alpha, variable, grid)
     logs = [-p for p in _log_exponents(s.dim, alpha)] if variable == "omega" else []
-    return values, _fit_detecting_logs(grid, values, riesz_fit_basis(s.dim, alpha, variable),
+    return values, _fit_detecting_logs(grid if fit_grid is None else fit_grid, values,
+                                       riesz_fit_basis(s.dim, alpha, variable),
                                        logs, [1.0] * len(grid))
 
 

@@ -11,10 +11,10 @@ lets the trace evaluators certify their truncation error.
 from __future__ import annotations
 
 import contextlib
+import itertools
 import math
 import os
 import threading
-import warnings
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Iterator, Optional, Sequence, TextIO
 
@@ -604,13 +604,13 @@ def load_spectrum(path) -> Spectrum:
     the body, from the first data line on, in one pass of blocks of whole
     lines (_read_body).  Blocks whose every line is
     "<digits>.<digits> <digits>" are read with exact integer arithmetic
-    (_plain_block); from the first block that holds anything else, each
-    block goes to np.loadtxt.  Both fill the same two arrays, at about 25
-    bytes a term.  Where np.loadtxt fails or a term is bad, _read_lines
-    reads the reopened file instead, at about 57 bytes a term: it names the
-    offending line and reads the tokens only Python accepts (1_000,
-    non-ASCII digits), so the result never depends on which reader ran.
-    No reader holds the file's lines.
+    (_plain_block); any other block goes to the reference reader's body
+    grammar (_read_terms), which reads every token Python's float and int
+    read (1_000, non-ASCII digits).  Both fill the same two arrays, at about
+    25 bytes a term, so the result never depends on which reader ran.  Where
+    a term is bad or the file does not decode, _read_lines reads the
+    reopened file and raises, naming the offending line.  No reader holds
+    the file's lines.
     """
     with _spectrum_file(path) as fh:
         # terms stay the header pass's empty lists when it reaches the end
@@ -641,30 +641,26 @@ def _read_body(first: str, fh: TextIO) -> Optional[Arrays]:
     """(omegas, mults) of a nonempty file body that starts with the line
     first and goes on in fh, or None when the per-line reader must decide.
 
-    The body is read once, in blocks of whole lines (_line_blocks).  Each
-    block goes to _plain_block until the first block it declines (from the
-    start where _EXACT_QUOTIENTS is off); that block and every later one go
-    to np.loadtxt (_loadtxt_block).  Both fill the same two arrays, sized
-    from the lines a character read so far and the file's size, grown in
-    place when that falls short and cut to the lines read at the end, so
-    the result is held once.  None comes back when loadtxt raises or warns
-    (numpy 1.x reads "5.0" into an int column with a DeprecationWarning),
-    when a term breaks the grammar (NaN or negative omega, multiplicity
-    below 1, omega decreasing), or when the file does not decode, so that
-    the per-line reader raises the UnicodeDecodeError where it always has."""
+    The body is read once, in blocks of whole lines (_line_blocks).  A block
+    goes to _plain_block, and one it declines (every block where
+    _EXACT_QUOTIENTS is off) to _read_terms, the per-line reader's body
+    grammar.  Both fill the same two arrays, sized from the lines a
+    character read so far and the file's size, grown in place when that
+    falls short and cut to the lines read at the end, so the result is held
+    once.  None comes back when a term breaks the grammar (_read_terms
+    raises, or a plain block holds a multiplicity below 1 or omegas fall
+    across blocks) or when the file does not decode, so that the per-line
+    reader raises the error on the reopened file, naming its line, and the
+    UnicodeDecodeError where it always has."""
     size = os.fstat(fh.fileno()).st_size
     omegas, mults = np.empty(0), np.empty(0, dtype=np.int64)
     n = chars = 0
-    plain = _EXACT_QUOTIENTS
     try:
         for text in _line_blocks(first, fh):
-            terms = _plain_block(text) if plain else None
+            terms = _plain_block(text) if _EXACT_QUOTIENTS else None
             if terms is None:
-                plain = False
-                terms = _loadtxt_block(text)
-                if terms is None:
-                    return None
-            k = n + terms[0].size
+                terms = _read_terms(enumerate(text[:-1].split("\n")))
+            k = n + len(terms[0])
             chars += len(text)
             if k > omegas.size:
                 # room for the rest of the file at the lines a character so
@@ -674,30 +670,14 @@ def _read_body(first: str, fh: TextIO) -> Optional[Arrays]:
                 mults.resize(room, refcheck=False)
             omegas[n:k], mults[n:k] = terms
             n = k
-    except UnicodeDecodeError:
+    except (SpectrumFormatError, UnicodeDecodeError):
         return None
     del text, terms  # the last block and its work arrays
     omegas.resize(n, refcheck=False)
     mults.resize(n, refcheck=False)
-    if not (np.all(omegas >= 0) and np.all(mults >= 1) and np.all(np.diff(omegas) >= 0)):
+    if not (np.all(mults >= 1) and np.all(np.diff(omegas) >= 0)):
         return None
     return omegas, mults
-
-
-def _loadtxt_block(text: str) -> Optional[Arrays]:
-    """(omegas, mults) of a block of whole lines by np.loadtxt, or None when
-    it raises or warns.  The lines are split on newlines only, as iterating
-    the file splits them; a block with no data line gives no terms."""
-    try:
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
-            # an iterator, as the no-data warning quotes its input
-            table = np.loadtxt(iter(text[:-1].split("\n")), dtype=[("w", "f8"), ("m", "i8")],
-                               comments="#", ndmin=1)
-    except (ValueError, Warning):  # the per-line reader decides, and names the line
-        return None
-    return table["w"], table["m"]
 
 
 def _line_blocks(first: str, fh: TextIO) -> Iterator[str]:
@@ -739,12 +719,7 @@ def _plain_block(text: str) -> Optional[Arrays]:
     frac = seps[1::3] - seps[::3] - 1
     if frac.max() > _POW10.size - 1:
         return None
-    try:
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            ints = np.fromstring(raw.replace(b".", b""), dtype=np.int64, sep=" ")
-    except (ValueError, Warning):
-        return None
+    ints = np.fromstring(raw.replace(b".", b""), dtype=np.int64, sep=" ")
     if ints.size != 2 * frac.size or ints.max() >= _PLAIN_INT_END:
         return None
     quotients = ints[::2].astype(np.longdouble)
@@ -769,27 +744,23 @@ def _read_lines(lines: Iterable[str], header_only: bool = False,
 
     Reads the lines of a whole file (any iterable, numbered from line 1) and
     returns (dim, envelope, first, omegas, mults) with omegas and mults
-    Python lists.  With header_only it stops at the first data line and
+    Python lists: the header here, the body from the first data line on by
+    _read_terms.  With header_only it stops at the first data line and
     hands it back as first, without reading it (None when the file has
     none); otherwise first is None.  Raises SpectrumFormatError, naming the
     line, at the first line that breaks the grammar.
     """
     dim: Optional[int] = None
     envelope: Optional[tuple[float, float]] = None
-    omegas: list[float] = []
-    mults: list[int] = []
-    prev_omega = -math.inf
-
-    for lineno, raw in enumerate(lines, start=1):
+    numbered = enumerate(lines, start=1)
+    for lineno, raw in numbered:
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
         fields = line.split()
         if dim is None:
             if fields[0] != "dim" or len(fields) != 2:
-                raise SpectrumFormatError(
-                    f"missing 'dim <d>' header at line {lineno}"
-                )
+                raise SpectrumFormatError(f"missing 'dim <d>' header at line {lineno}")
             try:
                 dim = int(fields[1])
             except ValueError:
@@ -798,7 +769,7 @@ def _read_lines(lines: Iterable[str], header_only: bool = False,
                 raise SpectrumFormatError(f"dimension must be positive at line {lineno}")
             continue
         if fields[0] == "envelope":
-            if omegas or envelope is not None or len(fields) != 3:
+            if envelope is not None or len(fields) != 3:
                 raise SpectrumFormatError(f"misplaced envelope line at line {lineno}")
             try:
                 c1, c2 = float(fields[1]), float(fields[2])
@@ -809,17 +780,39 @@ def _read_lines(lines: Iterable[str], header_only: bool = False,
             envelope = (c1, c2)
             continue
         if header_only:
-            return dim, envelope, raw, omegas, mults
+            return dim, envelope, raw, [], []
+        return dim, envelope, None, *_read_terms(itertools.chain([(lineno, raw)], numbered))
+
+    if dim is None:
+        raise SpectrumFormatError("missing 'dim <d>' header (empty file)")
+    return dim, envelope, None, [], []
+
+
+def _read_terms(numbered: Iterable[tuple[int, str]]) -> tuple[list[float], list[int]]:
+    """The body grammar, one line at a time: (omegas, mults) as Python lists
+    of the (lineno, line) pairs of a file's body, from its first data line
+    on, where every line is blank, a comment or "<omega> <multiplicity>"
+    with omega nondecreasing.  Raises SpectrumFormatError, naming the line,
+    at the first line that breaks the grammar."""
+    omegas: list[float] = []
+    mults: list[int] = []
+    prev_omega = -math.inf
+    for lineno, raw in numbered:
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        fields = line.split()
+        if fields[0] == "envelope":
+            raise SpectrumFormatError(f"misplaced envelope line at line {lineno}")
         if len(fields) != 2:
-            raise SpectrumFormatError(
-                f"expected '<omega> <multiplicity>' at line {lineno}, got {line!r}"
-            )
+            raise SpectrumFormatError(f"expected '<omega> <multiplicity>' at line {lineno}, "
+                                      f"got {line!r}")
         try:
             omega = float(fields[0])
             mult = int(fields[1])
         except ValueError:
             raise SpectrumFormatError(f"unparsable term at line {lineno}: {line!r}") from None
-        if math.isnan(omega) or omega < 0:
+        if not omega >= 0:  # NaN too
             raise SpectrumFormatError(f"omega must be >= 0 at line {lineno}")
         if mult < 1:
             raise SpectrumFormatError(f"multiplicity must be >= 1 at line {lineno}")
@@ -830,7 +823,4 @@ def _read_lines(lines: Iterable[str], header_only: bool = False,
         prev_omega = omega
         omegas.append(omega)
         mults.append(mult)
-
-    if dim is None:
-        raise SpectrumFormatError("missing 'dim <d>' header (empty file)")
-    return dim, envelope, None, omegas, mults
+    return omegas, mults

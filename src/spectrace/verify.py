@@ -9,7 +9,10 @@ the index-term check and the vacuum energy -c_(d+3,d+1)/(2(d+3)), checked
 against the constructor's closed form, Spectrum.energy.  Every checked row
 is held to one rule fixed in advance: 1e-4 of the expected coefficient or
 of its scale w1^(s-d), whichever is larger (1e-4 |E| for the energy), with
-w1 the first positive frequency.
+w1 the first positive frequency.  Every fit and check is made in units of
+u = 2^e, the power of two with w1/u in [1/2, 1), where an order-s
+coefficient is u^(d-s) times its raw value, so neither depends on the
+length scale; the rows hold the raw values.
 """
 
 from __future__ import annotations
@@ -32,7 +35,6 @@ from .fitkit import (
 from .invariants import (
     AsymptoticExpansion,
     ExpansionTerm,
-    casimir_energy,
     heat_to_cylinder,
     riesz_to_trace,
 )
@@ -56,17 +58,25 @@ _RIESZ_ORDER_PAST_D = 3
 @dataclass
 class VerifyRow:
     """One check: computed against expected within tol; expected None means
-    reported, not checked (passed)."""
+    reported, not checked (passed).  The check is made on the values given;
+    computed, expected, tol and delta then hold them times 2^shift (+-inf
+    past the float range), so a check made in units of a power of two keeps
+    its raw values."""
 
     name: str
     computed: float
     expected: Optional[float]
     tol: float
     note: str = ""
+    shift: int = 0
 
     def __post_init__(self):
         self.delta = math.nan if self.expected is None else abs(self.computed - self.expected)
         self.passed = self.expected is None or self.delta <= self.tol
+        self.computed, self.tol, self.delta = (
+            _ldexp(v, self.shift) for v in (self.computed, self.tol, self.delta))
+        if self.expected is not None:
+            self.expected = _ldexp(self.expected, self.shift)
 
     def line(self) -> str:
         status = "PASS" if self.passed else "FAIL"
@@ -75,6 +85,14 @@ class VerifyRow:
         delta = "" if self.expected is None else f" delta={self.delta:.2e} tol={self.tol:.1e}"
         note = f"  [{self.note}]" if self.note else ""
         return f"{status}  {self.name:<38} {comp}  vs {exp}{delta}{note}"
+
+
+def _ldexp(x: float, shift: int) -> float:
+    """x * 2^shift, +-inf past the float range."""
+    try:
+        return math.ldexp(x, shift)
+    except OverflowError:
+        return math.copysign(math.inf, x)
 
 
 def expansion_from_fit(dim: int, report: FitReport) -> AsymptoticExpansion:
@@ -201,12 +219,20 @@ def run_verification(spectrum: Spectrum) -> list[VerifyRow]:
 
     # the heat trace's fit on one side of the trace rows, and one Riesz mean
     # of order alpha = d+3 in each variable on the other: the lambda fit gives
-    # b_s, the omega fit e_s and f_s through one Gamma ratio each
+    # b_s, the omega fit e_s and f_s through one Gamma ratio each.  The
+    # samples are taken on the raw grids and fitted in units of u = 2^e
+    # (heat time u^2 t, lambda / u^2, omega / u), exact power-of-two
+    # rescalings, so every coefficient of order s is u^(d-s) times its raw one
+    e = math.frexp(w1)[1]
     alpha = d + _RIESZ_ORDER_PAST_D
-    heat_fit = fit_trace(spectrum, "heat", heat_ts, _TOL, _ORDERS)
+    heat_values = [p.value for p in trace_grid(spectrum, "heat", heat_ts, _TOL)]
+    heat_fit = fit_expansion([math.ldexp(t, 2 * e) for t in heat_ts], heat_values,
+                             heat_basis(d, _ORDERS))
     cyl_from_heat = heat_to_cylinder(expansion_from_fit(d, heat_fit))
-    _lam_values, lam_fit = _fit_means(spectrum, alpha, "lambda", lam_grid)
-    om_values, om_fit = _fit_means(spectrum, alpha, "omega", om_grid)
+    _lam_values, lam_fit = _fit_means(spectrum, alpha, "lambda", lam_grid,
+                                      [math.ldexp(x, -2 * e) for x in lam_grid])
+    om_x = [math.ldexp(w, -e) for w in om_grid]
+    om_values, om_fit = _fit_means(spectrum, alpha, "omega", om_grid, om_x)
     orders = range(_ORDERS + 1)
     heat_from_riesz = riesz_to_trace(
         "lambda", alpha, d, [lam_fit.coefficient(Fraction(d - s, 2), 0) for s in range(3)])
@@ -216,48 +242,53 @@ def run_verification(spectrum: Spectrum) -> list[VerifyRow]:
          else 0.0 for s in orders])
 
     def tol(s: int, expected: float) -> float:
-        # the one rule: 1e-4 of the coefficient or of its scale w1^(s-d)
-        try:
-            scale = w1 ** (s - d)
-        except OverflowError:
-            scale = math.inf
-        return 1e-4 * max(abs(expected), scale)
+        # the one rule in units of u: 1e-4 of the coefficient or of its
+        # scale (w1/u)^(s-d)
+        return 1e-4 * max(abs(expected), math.ldexp(w1, -e) ** (s - d))
+
+    def omega_e(s: int) -> float:
+        # e_s in units of u: beside a fitted log column f_s t^(s-d) log t the
+        # raw e_s is u^(s-d) (e_s + f_s ln u), from these units' e_s and f_s
+        e_s = float(cyl_from_riesz.term(Fraction(s - d), 0).coefficient)
+        log = cyl_from_riesz.term(Fraction(s - d), 1)
+        f_s = 0.0 if log is None else float(log.coefficient)
+        return e_s + f_s * e * math.log(2) if f_s else e_s
 
     rows: list[VerifyRow] = []
     # e_s from b_s against e_s from the omega mean
     for s in orders:
-        p = Fraction(s - d)
-        via = cyl_from_heat.term(p, 0)
-        riesz_e = float(cyl_from_riesz.term(p, 0).coefficient)
+        via = cyl_from_heat.term(Fraction(s - d), 0)
+        riesz_e = omega_e(s)
         if via.status == "undetermined":
             rows.append(VerifyRow(
                 f"e_{s} undetermined by heat side", riesz_e, None, 0.0,
-                note="new invariant; reported from the omega-Riesz fit only"))
+                note="new invariant; reported from the omega-Riesz fit only", shift=e * (s - d)))
             continue
         rows.append(VerifyRow(
             f"e_{s} = 2^(d-s) Gamma((d-s+1)/2) b_{s}/sqrt(pi)",
-            float(via.coefficient), riesz_e, tol(s, riesz_e)))
+            float(via.coefficient), riesz_e, tol(s, riesz_e), shift=e * (s - d)))
 
     # log coefficients implied by the heat side must be tiny here
     for s in orders:
         via = cyl_from_heat.term(Fraction(s - d), 1)
         if via is not None:
-            rows.append(VerifyRow(f"f_{s} from b_{s}", float(via.coefficient), 0.0, tol(s, 0.0)))
+            rows.append(VerifyRow(f"f_{s} from b_{s}", float(via.coefficient), 0.0, tol(s, 0.0),
+                                  shift=e * (s - d)))
 
     # the index term: no t^0 log t in Tr T (equally, no t^-1 in dTrT/dt),
     # f_d = -d_(alpha,d) at R = 1, detected on the omega mean's own values
     # weighed alike, as its fit weighs them
-    det = detect_log_term(om_grid, om_values, Fraction(0), om_fit, [1.0] * len(om_grid))
+    det = detect_log_term(om_x, om_values, Fraction(0), om_fit, [1.0] * len(om_grid))
     rows.append(VerifyRow(
         "no log t at t^0 in Tr T", det.magnitude, 0.0, 0.0 if det.present else tol(d, 0.0),
         note="detector says PRESENT" if det.present else "detector says absent"))
 
     # the vacuum energy: at s = d+1 the ratio is alpha, E = -c_(alpha,d+1)/(2 alpha)
-    expected = spectrum.energy
+    expected = None if spectrum.energy is None else math.ldexp(spectrum.energy, -e)
     rows.append(VerifyRow(
-        "casimir energy -e_(d+1)/2", casimir_energy(cyl_from_riesz), expected,
+        "casimir energy -e_(d+1)/2", -omega_e(d + 1) / 2.0, expected,
         0.0 if expected is None else 1e-4 * abs(expected),
-        note="" if expected is not None else "no closed form for this recipe"))
+        note="" if expected is not None else "no closed form for this recipe", shift=e))
 
     # b_s from the lambda mean against the heat fit
     for s in range(3):
@@ -265,6 +296,6 @@ def run_verification(spectrum: Spectrum) -> list[VerifyRow]:
         direct = heat_fit.coefficient(Fraction(s - d, 2), 0)
         rows.append(VerifyRow(
             f"b_{s} = Gamma({alpha}+(d-{s})/2+1) a_({alpha},{s})/{alpha}!",
-            float(via.coefficient), direct, tol(s, direct)))
+            float(via.coefficient), direct, tol(s, direct), shift=e * (s - d)))
 
     return rows

@@ -10,7 +10,7 @@ from unittest import mock
 
 import pytest
 
-from spectrace import riesz, spectra, verify
+from spectrace import cli, riesz, spectra, verify
 from spectrace.cli import build_parser, main, parse_spectrum_spec, UsageError
 
 PI_STR = "3.141592653589793"
@@ -418,6 +418,20 @@ class TestRieszCommand:
         code, _, err = run(capsys, "riesz", "--spectrum", INTERVAL_SPEC,
                            "--remainder", "1")
         assert code == 2
+
+    @pytest.mark.parametrize("flags, message", [
+        (["--fit", "--remainder", "1", "--weyl-coeffs", "1,-0.5"],
+         "--fit and --remainder exclude each other"),
+        (["--weyl-coeffs", "1,-0.5"], "--weyl-coeffs is read only with --remainder M"),
+    ], ids=["fit-with-remainder", "weyl-coeffs-without-remainder"])
+    def test_flags_are_checked_before_the_spectrum_is_read(self, capsys, monkeypatch,
+                                                            flags, message):
+        # a flag that would be dropped is refused, before the spectrum (a
+        # long file, say) is parsed
+        monkeypatch.setattr(cli, "parse_spectrum_spec", None)
+        code, out, err = run(capsys, "riesz", "--spectrum", INTERVAL_SPEC, *flags)
+        assert (code, out) == (2, "")
+        assert err == f"spectrace: error: {message}\n"
 
 
 BUMP = ("--fn", "bump", "--support", "0.3", "0.9")

@@ -451,10 +451,10 @@ SEAM_FILES = {
     "header-error-then-bad-byte": ("dimm 1\n" + _terms(8000)).encode() + b"\xff 1\n",
     "body-error-then-bad-byte": ("dim 1\n2 1\n1 1\n" + _terms(8000)).encode() + b"\xff 1\n",
     # the plain-block reader: a line across its first block's edge, a plain
-    # first block then a comment (it declines mid-file and loadtxt reads the
-    # rest), no final newline, 18- to 20-digit mantissas (it takes only
-    # the 18), "5." / ".5" (it declines), and a plain body whose grammar
-    # breaks past a block
+    # first block then a comment (it declines the comment's block, which the
+    # per-line grammar reads), no final newline, 18- to 20-digit mantissas
+    # (it takes only the 18), "5." / ".5" (it declines), and a plain body
+    # whose grammar breaks past a block
     "plain-line-across-block-edge": ("dim 1\n" + _plain_edge_body(4000)).encode(),
     "plain-then-comment": ("dim 1\n" + _terms(10000) + "# tail\n" + _terms(10, 1e6)).encode(),
     "plain-no-final-newline": b"dim 1\nenvelope 0 1\n1.5 2\n2.25 3",
@@ -465,10 +465,10 @@ SEAM_FILES = {
     "plain-20-digit-multiplicity": b"dim 1\n1.5 1\n2.5 12345678901234567890\n",
     "point-tokens": b"dim 1\n.5 1\n5. 2\n",
     "plain-non-monotone-past-a-block": ("dim 1\n" + _terms(10000) + "0.5 1\n").encode(),
-    # loadtxt blocks: a run of comments longer than a block between plain
-    # lines (a block with no data line adds no terms), and a form feed and
-    # a U+2028 inside lines, which str.splitlines would split but iterating
-    # the file does not
+    # blocks the plain reader declines: a run of comments longer than a block
+    # between plain lines (a block with no data line adds no terms), and a
+    # form feed and a U+2028 inside lines, which str.splitlines would split
+    # but iterating the file does not
     "comment-run-past-a-block": ("dim 1\n" + _terms(8000) + "# c\n" * 20000
                                  + _terms(10, 1e6)).encode(),
     "form-feed-and-line-separator": ("dim 1\n" + _terms(8000) + "2000.5\x0c2\n2001.5 1\u2028\n"
@@ -477,10 +477,10 @@ SEAM_FILES = {
 
 
 class TestLoaderAgainstReference:
-    """load_spectrum reads the body in one pass of plain and np.loadtxt
-    blocks, or with the per-line reader where that pass fails; either way it
-    must return what the per-line reader alone returns, bit for bit, or
-    raise its message."""
+    """load_spectrum reads the body in one pass of blocks, each by the plain
+    reader or the per-line reader's body grammar, or with the per-line
+    reader where that pass fails; either way it must return what the
+    per-line reader alone returns, bit for bit, or raise its message."""
 
     @settings(max_examples=300, deadline=None, derandomize=True)
     @given(text=st.one_of(spectrum_files(), plain_spectrum_files()))
@@ -510,36 +510,41 @@ class TestLoaderAgainstReference:
             assert _outcome(_loaded, p) == _outcome(_reference, p)
 
     def test_plain_bodies_take_the_plain_reader(self, tmp_path, monkeypatch):
-        # a plain body is read by _plain_block, and loadtxt never runs
+        # a plain body is read by _plain_block, and the per-line grammar
+        # never runs
         if not spectra._EXACT_QUOTIENTS:
             pytest.skip("no extended long double on this platform")
         p = tmp_path / "plain.txt"
         p.write_bytes(SEAM_FILES["plain-line-across-block-edge"])
-        monkeypatch.setattr(np, "loadtxt", None)
-        assert _loaded(p) == _reference(p)
+        expected = _reference(p)
+        monkeypatch.setattr(spectra, "_read_terms", None)
+        assert _loaded(p) == expected
 
-    def test_loadtxt_reads_from_the_declined_block_on(self, tmp_path, monkeypatch):
+    def test_only_the_declined_block_reaches_the_per_line_grammar(self, tmp_path, monkeypatch):
         # the plain blocks before the comment's block are read once, by
-        # _plain_block; loadtxt gets each later line once, and nothing before
+        # _plain_block; the comment's block, the file's last, goes to
+        # _read_terms once, and nothing before it
         if not spectra._EXACT_QUOTIENTS:
             pytest.skip("no extended long double on this platform")
         text = SEAM_FILES["plain-then-comment"]
         p = tmp_path / "seam.txt"
         p.write_bytes(text)
+        expected = _reference(p)
         fed = []
-        loadtxt = np.loadtxt
+        read_terms = spectra._read_terms
 
-        def counting_loadtxt(lines, *args, **kwargs):
-            lines = list(lines)
-            fed.extend(line.rstrip("\n") for line in lines)
-            return loadtxt(lines, *args, **kwargs)
+        def spy(numbered):
+            lines = [line for _, line in numbered]
+            fed.append(lines)
+            return read_terms(enumerate(lines))
 
-        monkeypatch.setattr(np, "loadtxt", counting_loadtxt)
-        assert _loaded(p) == _reference(p)
+        monkeypatch.setattr(spectra, "_read_terms", spy)
+        assert _loaded(p) == expected
         body = text.decode().split("\n")[1:-1]
-        assert "# tail" in fed and body[0] not in fed
-        assert fed == body[len(body) - len(fed):]
-        assert len(fed) < len(body) // 2
+        (block,) = fed
+        assert "# tail" in block and body[0] not in block
+        assert block == body[len(body) - len(block):]
+        assert len(block) < len(body) // 2
 
     # tokens whose quotient M / 10^f rounds, in the 64-bit long double, onto a
     # float64 midpoint, so that the cast to float64 rounds the wrong way
@@ -639,9 +644,8 @@ class TestLoaderAgainstReference:
 class TestLoadMemory:
     """load_spectrum holds no line list: a 75k-line file peaks at the two
     arrays it keeps plus the final checks' work arrays (about 25 bytes a
-    term) wherever its blocks go, to _plain_block or to np.loadtxt, and at
-    the per-line reader's Python lists plus those arrays (57) where the
-    per-line reader decides."""
+    term) wherever its blocks go, to _plain_block or to the per-line
+    grammar (_read_terms), whose Python lists last one block."""
 
     TERMS = 75_000
 
@@ -660,9 +664,9 @@ class TestLoadMemory:
         finally:
             tracemalloc.stop()
 
-    # the last line is plain, carries a comment (np.loadtxt reads its block)
-    # or a multiplicity only Python reads
-    @pytest.mark.parametrize("last_mult, limit", [("1", 32), ("1 # last", 30), ("1_0", 70)],
+    # the last line is plain, carries a comment or a multiplicity only
+    # Python reads (the per-line grammar reads the last block of either)
+    @pytest.mark.parametrize("last_mult, limit", [("1", 32), ("1 # last", 30), ("1_0", 30)],
                              ids=["plain", "one-pass", "per-line"])
     def test_peak_bytes_per_term(self, tmp_path, omegas, last_mult, limit):
         p = tmp_path / "long.spec"
@@ -673,8 +677,8 @@ class TestLoadMemory:
         assert self.peak_per_term(p) <= limit
 
     def test_peak_with_a_comment_at_the_middle_line(self, tmp_path, omegas):
-        # np.loadtxt reads the blocks from the comment's on into the same
-        # arrays, with no table of the whole body and no copy of its columns
+        # the per-line grammar reads the comment's block into the same
+        # arrays, and the plain reader the blocks after it
         p = tmp_path / "long.spec"
         half = self.TERMS // 2
         with open(p, "w", encoding="utf-8") as fh:
@@ -684,10 +688,20 @@ class TestLoadMemory:
             fh.writelines(f"{w!r} 1\n" for w in omegas[half:])
         assert self.peak_per_term(p) <= 30
 
-    @pytest.mark.parametrize("exact_quotients", [True, False], ids=["plain-reader", "loadtxt"])
+    def test_peak_with_every_line_tab_separated(self, tmp_path, omegas):
+        # every block goes to the per-line grammar, whose lists last a block
+        p = tmp_path / "long.spec"
+        with open(p, "w", encoding="utf-8") as fh:
+            fh.write("# 75k terms\ndim 2\nenvelope 0 0.1\n")
+            fh.writelines(f"{w!r}\t1\n" for w in omegas)
+        assert self.peak_per_term(p) <= 30
+
+    @pytest.mark.parametrize("exact_quotients", [True, False],
+                             ids=["plain-reader", "per-line-grammar"])
     def test_matches_per_line_reader(self, tmp_path, monkeypatch, omegas, exact_quotients):
-        # with the platform flag off the body goes to np.loadtxt, as on a
-        # machine whose long double is too short for exact quotients
+        # with the platform flag off every block goes to the per-line
+        # grammar, as on a machine whose long double is too short for exact
+        # quotients
         monkeypatch.setattr(spectra, "_EXACT_QUOTIENTS", exact_quotients and spectra._EXACT_QUOTIENTS)
         p = tmp_path / "long.spec"
         with open(p, "w", encoding="utf-8") as fh:

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import os
 import re
@@ -266,17 +267,59 @@ SCALED = {
 }
 
 
+# lengths at which fits in raw units put their coefficients past the float
+# range; up to 1.3e155 and down to 4.7e-152 verify's windows fit in it
+EXTREME_LENGTHS = (1e130, 1e150, 1e155, 1e-100, 1e-130, 1e-150)
+
+
 @pytest.mark.parametrize("kind", sorted(SCALED))
 def test_rows_and_verdicts_do_not_depend_on_the_length_scale(kind):
-    # every window and tolerance is placed in units of w1, so a rescaled
-    # spectrum prints the same rows with the same verdicts; a product's heat
-    # window is not floored by its envelope, which does not scale with it
+    # every window and tolerance is placed in units of w1 and every fit is
+    # made in units of a power of two near it, so a rescaled spectrum prints
+    # the same rows with the same verdicts, at powers of ten, at powers of
+    # two (where each window rescales exactly) and at the extreme lengths;
+    # a product's heat window is not floored by its envelope, which does not
+    # scale with it, and its folded envelope leaves the w1 probe short below
+    # about 2^-300, so the product stops at 2^+-200
+    product = kind == "dirichlet-torus"
+    top = 200 if product else 400
+    sizes = ([10.0**k for k in (-6, -3, 0, 3, 6)] + [2.0**k for k in range(-top, top + 1, 50)]
+             + ([] if product else list(EXTREME_LENGTHS)))
     tables = []
-    for k in (-6, -3, 0, 3, 6):
-        rows = run_verification(SCALED[kind](10.0**k))
-        assert all(r.passed for r in rows), (k, [r.line() for r in rows if not r.passed])
+    for size in sizes:
+        rows = run_verification(SCALED[kind](size))
+        assert all(r.passed for r in rows), (size, [r.line() for r in rows if not r.passed])
         tables.append([(r.name, r.passed) for r in rows])
     assert all(table == tables[0] for table in tables), tables
+
+
+@pytest.mark.parametrize("length", [1.0, 1e-3, 1e130])
+def test_a_kept_omega_log_column_moves_e_s_by_its_log_of_the_unit(monkeypatch, length):
+    # where the omega fit keeps f_s t^(s-d) log t, fitted in units of
+    # u = 2^e, the raw e_s is u^(s-d) (e_s + f_s ln u): a log coefficient
+    # of 1 in those units at s = d + 1 moves the e_2 row by u ln u and the
+    # energy by -u ln u / 2
+    s = interval_spectrum(length, "dirichlet")
+    e = math.frexp(verify._first_positive_omega(s))[1]
+    plain = {r.name: r.computed for r in run_verification(s)}
+    real = verify.riesz_to_trace
+
+    def with_log(variable, *args):
+        cyl = real(variable, *args)
+        if variable != "omega":
+            return cyl
+        return type(cyl)(cyl.dim, tuple(
+            dataclasses.replace(t, coefficient=1.0) if (t.exponent, t.log_power) == (1, 1) else t
+            for t in cyl.terms))
+
+    monkeypatch.setattr(verify, "riesz_to_trace", with_log)
+    logged = {r.name: r.computed for r in run_verification(s)}
+    shift = math.ldexp(e * math.log(2), e)
+    assert logged["e_2 undetermined by heat side"] == pytest.approx(
+        plain["e_2 undetermined by heat side"] + shift, rel=1e-12)
+    assert logged[ENERGY_ROW] == pytest.approx(plain[ENERGY_ROW] - shift / 2, rel=1e-12)
+    assert {k: v for k, v in logged.items() if "e_2" not in k and k != ENERGY_ROW} == \
+        {k: v for k, v in plain.items() if "e_2" not in k and k != ENERGY_ROW}
 
 
 def test_no_cylinder_kernel_is_summed(monkeypatch):
