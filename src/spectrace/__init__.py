@@ -20,15 +20,11 @@ from .spectra import (
 from .traces import (
     ToleranceError,
     TraceSample,
-    cylinder_trace,
-    cylinder_trace_derivative,
     heat_diagonal_interval,
-    heat_trace,
     trace_grid,
 )
 from .riesz import (
     extract_riesz_coeffs,
-    riesz_mean,
     weyl_remainder,
 )
 from .moments import (
@@ -91,8 +87,6 @@ __all__ = [
     "counting",
     "cylinder_basis",
     "cylinder_expansion",
-    "cylinder_trace",
-    "cylinder_trace_derivative",
     "dcylinder_basis",
     "detect_log_term",
     "expansion_derivative",
@@ -107,13 +101,11 @@ __all__ = [
     "heat_diagonal_interval",
     "heat_expansion",
     "heat_to_cylinder",
-    "heat_trace",
     "interval_spectrum",
     "load_spectrum",
     "moment",
     "power_basis",
     "product_spectrum",
-    "riesz_mean",
     "riesz_to_trace",
     "torus_spectrum",
     "trace_grid",

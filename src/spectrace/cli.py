@@ -304,8 +304,6 @@ def _parse_decades(text: str) -> tuple[float, float]:
         lo, hi = float(lo), float(hi)
     except ValueError:
         raise UsageError(f"expected '<lo>:<hi>', got {text!r}") from None
-    if not (0 < lo < hi):
-        raise UsageError("need 0 < lo < hi for the epsilon range")
     return lo, hi
 
 

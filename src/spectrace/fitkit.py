@@ -131,8 +131,8 @@ class LogTermDetection:
 
 def geometric_grid(lo: float, hi: float, n: int) -> list[float]:
     """n points geometric from lo to hi inclusive."""
-    if not (0 < lo < hi):
-        raise ValueError(f"need 0 < lo < hi, got {lo}, {hi}")
+    if not (0 < lo < hi < math.inf):
+        raise ValueError(f"need 0 < lo < hi < inf, got {lo}, {hi}")
     if n < 2:
         raise ValueError("need at least 2 points")
     return [float(v) for v in np.geomspace(lo, hi, n)]
@@ -218,9 +218,13 @@ def _raw_coefficients(basis: AsymptoticBasis, c_norm: np.ndarray, t0: float,
         for i, j in basis._log_pairs:
             raw[..., i] -= c_norm[..., j] * math.log(t0) / scales[i]
     if not (np.isfinite(raw).all() and all(0.0 < v < math.inf for v in scales)):
-        raise ValueError(f"the fit window {window[0]!r}..{window[1]!r} puts its raw "
-                         f"coefficients outside the float range (t0 = {t0!r})")
+        raise _outside_float_range(window, t0)
     return raw
+
+
+def _outside_float_range(window: tuple[float, float], t0: float) -> ValueError:
+    return ValueError(f"the fit window {window[0]!r}..{window[1]!r} puts its raw "
+                      f"coefficients outside the float range (t0 = {t0!r})")
 
 
 def _lstsq(aw: np.ndarray, yw: np.ndarray) -> tuple[np.ndarray, float]:
@@ -252,11 +256,12 @@ def fit_expansion(x, y, basis: AsymptoticBasis, weights=None) -> FitReport:
     finite or is negative raises ValueError.  Needs at least len(basis) + 2
     samples.  The columns are rescaled around the geometric mean t0 of the
     smallest and largest abscissae, which sets the conditioning and not the
-    raw coefficients; a window whose raw coefficients leave the float range
-    raises ValueError.  The stability of each coefficient is the spread of
-    four refits, each dropping one contiguous quarter of the sorted samples:
-    the rows of the one weighted design, solved by np.linalg.lstsq as the
-    full fit is, with no residual of their own.
+    raw coefficients; a window whose weighted design or raw coefficients
+    leave the float range raises ValueError (the design before any solve).
+    The stability of each coefficient is the spread of four refits, each
+    dropping one contiguous quarter of the sorted samples: the rows of the
+    one weighted design, solved by np.linalg.lstsq as the full fit is, with
+    no residual of their own.
     Raises IllConditionedBasisError past a condition estimate of 1e12, for
     the full fit or a refit.
     """
@@ -268,7 +273,10 @@ def fit_expansion(x, y, basis: AsymptoticBasis, weights=None) -> FitReport:
     lo, hi = float(x[0]), float(x[-1])
     t0 = math.sqrt(lo * hi) if 0 < lo * hi < math.inf else math.sqrt(lo) * math.sqrt(hi)
     sw = np.sqrt(w)
-    aw = _design_matrix(x, basis, t0) * sw[:, None]
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        aw = _design_matrix(x, basis, t0) * sw[:, None]
+    if not np.isfinite(aw).all():
+        raise _outside_float_range((lo, hi), t0)
     yw = y * sw
     coeffs, rms, condition = _solve(aw, yw, basis, t0, (lo, hi))
 

@@ -296,9 +296,11 @@ def comb_pairing(kind: str, eps: float, g: TestFunction) -> float:
         return _comb(g, eps, lambda x: x / eps, lambda n: g.values(n * eps),
                      lambda n: g.tail_mellin(1.0, n * eps) / eps, _COMB_TOL)
     if kind == "squares":
-        return _comb(g, eps, lambda x: math.sqrt(x / eps), lambda n: g.values(eps * n * n),
-                     lambda n: g.tail_mellin(0.5, eps * n * n) / (2.0 * math.sqrt(eps)),
-                     _COMB_TOL)
+        # an eps n^2 past the float range is inf, which g.values maps to g's limit
+        with np.errstate(over="ignore"):
+            return _comb(g, eps, lambda x: math.sqrt(x / eps), lambda n: g.values(eps * n * n),
+                         lambda n: g.tail_mellin(0.5, eps * n * n) / (2.0 * math.sqrt(eps)),
+                         _COMB_TOL)
     if kind == "omega":
         # term magnitude <= (sqrt(eps)/2) |g(sqrt(eps) n)|, so the plain
         # linear-comb tail bound applies after dividing by sqrt(eps)

@@ -3,7 +3,9 @@
 The alpha-fold averaged counting function has the closed form
 (1/alpha!) x^{-alpha} sum_{x_n <= x} mult (x - x_n)^alpha (the iterated
 simplex integral of a unit step), in either the eigenvalue variable
-(x_n = lambda_n) or the frequency variable (x_n = omega_n).  Averaging is
+(x_n = lambda_n) or the frequency variable (x_n = omega_n), which
+riesz_mean_grid evaluates over a grid of x (a one-point grid gives the
+mean at one x) and riesz_sum_grid without the 1/alpha!.  Averaging is
 what turns the non-decaying spectral oscillations of the raw Weyl remainder
 into a genuinely asymptotic series; weyl_remainder exhibits the raw
 oscillation itself.
@@ -30,7 +32,6 @@ from .invariants import _carries_log
 from .spectra import Spectrum, _key_counts
 
 __all__ = [
-    "riesz_mean",
     "riesz_mean_grid",
     "riesz_sum_grid",
     "extract_riesz_coeffs",
@@ -54,29 +55,20 @@ _POINT_BLOCK = 256
 _POW_BITS = 900.0
 
 
-def riesz_mean(s: Spectrum, alpha: int, variable: str, x: float) -> float:
-    """Exact alpha-th Riesz mean of N at x, in the chosen variable.
-
-    variable="lambda": (1/alpha!) x^{-alpha} sum_{lambda_n <= x} mult (x - lambda_n)^alpha.
-    variable="omega":  the same with omega_n in place of lambda_n.
-    The one-point riesz_mean_grid: x = inf on a spectrum that ends gives the
-    limit (sum mult) / alpha!, on one that does not it raises ValueError.
-    """
-    return riesz_mean_grid(s, alpha, variable, [x])[0]
-
-
 def riesz_mean_grid(s: Spectrum, alpha: int, variable: str,
                     grid: Sequence[float]) -> list[float]:
-    """Riesz means of order alpha over a whole grid, one float per point in
-    grid order: riesz_sum_grid, divided by alpha!.
+    """Exact alpha-th Riesz means of N over a whole grid, one float per point
+    in grid order: riesz_sum_grid, divided by alpha!.  x = inf on a spectrum
+    that ends gives the limit (sum mult) / alpha!; on one that does not it
+    raises ValueError.
 
     From one spectrum enumeration and one moment table of chunks of
     _CHUNK = 128 terms, evaluated in array passes over the points (see
     riesz_sum_grid).  Every quantity is >= 0, so a mean stays within a few
     eps of the correctly rounded one (the tests hold it to 64 eps; N is
-    exact below 2^53), and riesz_mean(x) is the same float.  A grid over
-    420k terms peaks about 5.4 bytes a term above the cached enumeration at
-    alpha = 2 (2.6 at alpha = 0).  Raises as riesz_sum_grid.
+    exact below 2^53), and a one-point grid at x gives the same float.  A
+    grid over 420k terms peaks about 5.4 bytes a term above the cached
+    enumeration at alpha = 2 (2.6 at alpha = 0).  Raises as riesz_sum_grid.
     """
     sums = riesz_sum_grid(s, alpha, variable, grid)
     fac = math.factorial(int(alpha))
@@ -269,7 +261,7 @@ def extract_riesz_coeffs(s: Spectrum, alpha: int, variable: str,
     """Fit the asymptotic coefficients of the order-alpha Riesz mean over grid.
 
     The fitted values follow the plain normalization x^{-alpha} sum (x-x_n)^alpha
-    (riesz_sum_grid, alpha! times riesz_mean), the one
+    (riesz_sum_grid, alpha! times riesz_mean_grid), the one
     invariants.riesz_to_trace reads: each coefficient at s <= alpha gives
     its heat (lambda) or cylinder (omega) coefficient through one Gamma
     ratio.

@@ -1,10 +1,13 @@
 """Kernel traces over a spectrum with certified truncation error.
 
-heat_trace sums exp(-t lambda_n), cylinder_trace sums exp(-t omega_n), and
-cylinder_trace_derivative sums -omega_n exp(-t omega_n), each with an a
-priori tail bound obtained from the spectrum's Weyl envelope
-N(lambda) <= C1 + C2 lambda^{d/2} by the integral test; they are the
-one-point views of trace_grid, which evaluates one kernel over a time grid.
+trace_grid evaluates one kernel over a time grid: "heat" sums
+mult_n exp(-t lambda_n) (Tr K(t)), "cylinder" sums mult_n exp(-t omega_n)
+(Tr T(t)) and "dcylinder" sums -mult_n omega_n exp(-t omega_n), d(Tr T)/dt
+differentiated term by term, never by a finite difference, whose t^0
+coefficient is -2E, E the scalar-field vacuum energy.  Each sample carries an
+a priori tail bound obtained from the spectrum's Weyl envelope
+N(lambda) <= C1 + C2 lambda^{d/2} by the integral test; a one-point grid is
+the trace at one t.
 
 Summation policy, the one for every sum over spectral or comb terms (traces,
 Riesz means, comb pairings and heat_diagonal_interval): the terms are formed
@@ -66,9 +69,6 @@ from .spectra import Spectrum, ToleranceError
 __all__ = [
     "TraceSample",
     "ToleranceError",
-    "heat_trace",
-    "cylinder_trace",
-    "cylinder_trace_derivative",
     "heat_diagonal_interval",
     "trace_grid",
 ]
@@ -498,18 +498,15 @@ def _samples(s: Spectrum, kind: str, ts: Sequence[float], tols: Sequence[float],
 
 def trace_grid(s: Spectrum, kind: str, ts: Sequence[float],
                tol: float = 1e-12) -> list[TraceSample]:
-    """One kernel over a time grid, one sample a point in grid order, each
-    the one-point trace's float.  Every point is certified first (_certify),
-    so a grid raises the error the first failing one-point trace would; the
-    spectrum is enumerated once, at the widest cutoff, and each t sums its
-    terms (_term_sums).  A product's heat trace is formed from its factors
-    (_product_heat)."""
-    return _trace_grid(s, kind, ts, tol)
-
-
-def _trace_grid(s: Spectrum, kind: str, ts: Sequence[float], tol: float) -> list[TraceSample]:
-    # trace_grid's body, which the point traces call directly, so that the
-    # missing-envelope warning names the caller of either
+    """One kernel ("heat", "cylinder" or "dcylinder") over a time grid, one
+    TraceSample a point in grid order, each certified to tail_bound <= tol
+    (NaN, with a warning, on a spectrum without envelope constants).  Every
+    point is certified first (_certify), so a grid raises the error of its
+    first point that cannot (ToleranceError, with the achieved bound, where
+    the term budget or the data end first), and each sample is the one-point
+    grid's, bit for bit; the spectrum is enumerated once, at the widest
+    cutoff, and each t sums its terms (_term_sums).  A product's heat trace
+    is formed from its factors (_product_heat)."""
     if kind not in _KERNELS:
         raise ValueError(f"kernel must be one of {list(_KERNELS)}, got {kind!r}")
     ts = list(ts)
@@ -518,39 +515,11 @@ def _trace_grid(s: Spectrum, kind: str, ts: Sequence[float], tol: float) -> list
         warnings.warn(
             f"spectrum {s.label!r} supplies no envelope constants; "
             "trace tail cannot be certified (tail_bound = NaN)",
-            stacklevel=3,
+            stacklevel=2,
         )
     if failure is not None:
         raise failure
     return [TraceSample(*sample) for sample in samples]
-
-
-def heat_trace(s: Spectrum, t: float, tol: float = 1e-12) -> TraceSample:
-    """Tr K(t) = sum_n mult_n exp(-t lambda_n) with certified tail bound.
-
-    Parameters
-    ----------
-    s : spectrum to sum over (must carry an envelope to certify).
-    t : kernel time, > 0.
-    tol : required bound on the truncation error; a cutoff whose envelope
-        count passes spectra.DEFAULT_MAX_TERMS raises ToleranceError with
-        the bound that was achievable.
-    """
-    return _trace_grid(s, "heat", [t], tol)[0]
-
-
-def cylinder_trace(s: Spectrum, t: float, tol: float = 1e-12) -> TraceSample:
-    """Tr T(t) = sum_n mult_n exp(-t omega_n) with certified tail bound."""
-    return _trace_grid(s, "cylinder", [t], tol)[0]
-
-
-def cylinder_trace_derivative(s: Spectrum, t: float, tol: float = 1e-12) -> TraceSample:
-    """d(Tr T)/dt = -sum_n mult_n omega_n exp(-t omega_n), term by term.
-
-    Differentiated analytically per term; never a finite difference.  Its t^0
-    coefficient is -2x the scalar-field vacuum energy.
-    """
-    return _trace_grid(s, "dcylinder", [t], tol)[0]
 
 
 def heat_diagonal_interval(t: float, x: float) -> float:

@@ -120,18 +120,23 @@ def fit_trace(spectrum: Spectrum, kernel: str, ts: Sequence[float], tol: float,
 
 
 def _first_positive_omega(s: Spectrum) -> float:
-    # from 4x where the envelope counts one term past C1 (the list's end when
-    # C2 = 0 or C2^(-1/d) overflows), 4x a step: the first probe's envelope
-    # count is C1 + 4^d, a few terms at any length scale and enough to pass
-    # the first frequency where the bound runs ahead of the count (the
-    # Dirichlet shapes); a list that ends is probed up to its end too, which
-    # a loose envelope's steps may fall short of
+    # probes 4x apart: a product's from the smaller of its factors' first
+    # frequencies, a lower bound on its own (their hypot is an upper one),
+    # whatever its folded envelope says; any other spectrum's from 4x where
+    # the envelope counts one term past C1 (the list's end when C2 = 0 or
+    # C2^(-1/d) overflows), whose envelope count C1 + 4^d is a few terms at
+    # any length scale and enough to pass the first frequency where the
+    # bound runs ahead of the count (the Dirichlet shapes).  A list that ends
+    # is probed up to its end too, which a loose envelope's steps may fall
+    # short of
     _c1, c2 = s.envelope
     w = s.truncated_at or 0.0
-    if c2 > 0:
+    if s.factors is not None:
+        w = min(map(_first_positive_omega, s.factors))
+    elif c2 > 0:
         with contextlib.suppress(OverflowError):
-            w = c2 ** (-1.0 / s.dim)
-    probes = [w * 4.0**k for k in range(1, 61)]
+            w = 4.0 * c2 ** (-1.0 / s.dim)
+    probes = [w * 4.0**k for k in range(60)]
     if s.truncated_at:
         probes.append(s.truncated_at)
     for w in probes:

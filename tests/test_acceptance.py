@@ -16,7 +16,6 @@ from spectrace import (
     casimir_energy,
     comb_expansion,
     cylinder_basis,
-    cylinder_trace,
     dcylinder_basis,
     detect_log_term,
     extract_riesz_coeffs,
@@ -25,7 +24,6 @@ from spectrace import (
     heat_basis,
     heat_diagonal_interval,
     heat_to_cylinder,
-    heat_trace,
     interval_spectrum,
     moment,
     product_spectrum,
@@ -81,7 +79,7 @@ def heat_fit():
 def test_criterion_01_cylinder_trace_oracle():
     with criterion(1, "cylinder trace matches 1/(e^t-1) to 1e-12 on [1e-3, 1]"):
         for t in geometric_grid(1e-3, 1.0, 40):
-            sample = cylinder_trace(INTERVAL, t, tol=1e-13)
+            sample = trace_grid(INTERVAL, "cylinder", [t], 1e-13)[0]
             assert abs(sample.value - 1.0 / math.expm1(t)) <= 1e-12
             assert sample.tail_bound <= 1e-13
 
@@ -89,7 +87,7 @@ def test_criterion_01_cylinder_trace_oracle():
 def test_criterion_02_heat_trace_oracle():
     with criterion(2, "heat trace matches (sqrt(pi/t)-1)/2 to 1e-10 on [1e-4, 0.1]"):
         for t in geometric_grid(1e-4, 0.1, 25):
-            sample = heat_trace(INTERVAL, t, tol=1e-12)
+            sample = trace_grid(INTERVAL, "heat", [t], 1e-12)[0]
             assert abs(sample.value - 0.5 * (math.sqrt(PI / t) - 1.0)) <= 1e-10
 
 
@@ -228,8 +226,8 @@ def test_criterion_11_product_law():
     with criterion(11, "2D trace = (1D trace)^2 within bounds; exponents {-1,-1/2,0}"):
         square = product_spectrum(INTERVAL, INTERVAL)
         for t in geometric_grid(1e-2, 1.0, 20):
-            s2 = heat_trace(square, t, tol=1e-12)
-            s1 = heat_trace(INTERVAL, t, tol=1e-12)
+            s2 = trace_grid(square, "heat", [t], 1e-12)[0]
+            s1 = trace_grid(INTERVAL, "heat", [t], 1e-12)[0]
             combined = s2.tail_bound + 2 * abs(s1.value) * s1.tail_bound + s1.tail_bound**2
             # the certified bounds cover truncation; a few ulps of roundoff
             # on the summed values come on top

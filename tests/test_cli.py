@@ -150,6 +150,24 @@ class TestTraceCommand:
 
 
 class TestCoeffsCommand:
+    @pytest.mark.parametrize("argv", [
+        ("--spectrum", "interval:length=1:bc=dirichlet", "--kernel", "cylinder",
+         "--tmin", "3", "--tmax", "1e308", "--tol", "0.5"),
+        ("--spectrum", "torus:circumference=7", "--kernel", "heat",
+         "--tmin", "1e-300", "--tmax", "1e300", "--tol", "1e300"),
+    ], ids=["cylinder-to-1e308", "heat-1e-300-to-1e300"])
+    def test_a_design_past_the_float_range_exits_2_with_empty_stdout(self, argv):
+        # in a subprocess: LAPACK handed a non-finite design writes to fd 1,
+        # which capsys does not see
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        proc = subprocess.run([sys.executable, "-W", "error::RuntimeWarning", "-m",
+                               "spectrace.cli", "coeffs", *argv], capture_output=True,
+                              text=True, timeout=60, env={**os.environ, "PYTHONPATH": src})
+        assert (proc.returncode, proc.stdout) == (2, "")
+        assert proc.stderr.startswith("spectrace: error: the fit window ")
+        assert "outside the float range" in proc.stderr
+        assert "Warning" not in proc.stderr and "Traceback" not in proc.stderr
+
     def test_cylinder_coefficients(self, capsys):
         code, out, _ = run(capsys, "coeffs", "--spectrum", INTERVAL_SPEC,
                            "--kernel", "cylinder", "--orders", "4")
@@ -340,8 +358,8 @@ class TestMomentsCommand:
         assert "diverges" in err
 
     @pytest.mark.parametrize("argv, want", [
-        (("--comb", "squares", "--fn", "gaussian", "--eps-decades", "1e100:1e300"), 0),
-        (("--comb", "squares", "--fn", "odd-gaussian", "--eps-decades", "1e100:1e300"), 0),
+        (("--comb", "squares", "--fn", "gaussian", "--eps-decades", "1e100:1e308"), 0),
+        (("--comb", "squares", "--fn", "odd-gaussian", "--eps-decades", "1e100:1e308"), 0),
         (("--comb", "linear", "--fn", "bump", "--support", "1e-300", "1e300"), 2),
     ], ids=["squares-gaussian", "squares-odd-gaussian", "linear-wide-bump"])
     def test_overflowing_arguments_warn_nothing(self, capsys, argv, want):
@@ -352,6 +370,17 @@ class TestMomentsCommand:
             code, _, err = run(capsys, "moments", *argv)
         assert code == want
         assert "Warning" not in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("comb", ["squares", "linear"])
+    @pytest.mark.parametrize("decades", ["1e-3:inf", "1e-3:1e400"])
+    def test_an_infinite_eps_range_is_refused(self, capsys, comb, decades):
+        # 1e400 parses to inf; the grid refuses it before numpy warns or a
+        # comb is paired at epsilon = inf
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run(capsys, "moments", "--comb", comb, "--eps-decades", decades)
+        assert (code, out) == (2, "")
+        assert err == "spectrace: error: need 0 < lo < hi < inf, got 0.001, inf\n"
 
     def test_svg_written(self, capsys, tmp_path):
         svg = tmp_path / "moments.svg"

@@ -1,5 +1,6 @@
 import math
 import re
+import warnings
 from fractions import Fraction
 from unittest import mock
 
@@ -451,3 +452,17 @@ class TestRawCoefficients:
         xs = geometric_grid(lo, 10.0 * lo, 16)
         with pytest.raises(ValueError, match=re.escape(f"the fit window {xs[0]!r}..{xs[-1]!r}")):
             fit_expansion(xs, [1.0 + (x / lo) ** 2 for x in xs], power_basis(exponents))
+
+    @pytest.mark.parametrize("lo, hi, exponents", [
+        (3.0, 1e308, [-1, 0, 1, 2, 3]),    # (x / t0)^3 overflows at both ends
+        (1e-300, 1e300, [-2, 0]),          # (x / t0)^-2 overflows at the bottom
+    ])
+    def test_design_past_the_float_range_is_refused_before_lstsq(self, lo, hi, exponents):
+        # LAPACK handed an infinite design writes to stdout and fails to
+        # converge; the fit refuses it first, naming the window, with no warning
+        xs = geometric_grid(lo, hi, 16)
+        with mock.patch.object(np.linalg, "lstsq", side_effect=AssertionError("solved")), \
+                warnings.catch_warnings(), \
+                pytest.raises(ValueError, match=re.escape(f"the fit window {lo!r}..{hi!r}")):
+            warnings.simplefilter("error")
+            fit_expansion(xs, [0.0] * len(xs), power_basis(exponents))

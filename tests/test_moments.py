@@ -17,9 +17,9 @@ from spectrace import (
     bernoulli_numbers,
     comb_expansion,
     comb_pairing,
-    heat_trace,
     interval_spectrum,
     moment,
+    trace_grid,
     zeta_neg_int,
 )
 from spectrace import cli, moments, spectra, traces
@@ -220,7 +220,7 @@ class TestCombPairing:
     def test_squares_expdecay_equals_heat_trace(self):
         t = 0.07
         got = comb_pairing("squares", t, EXP)
-        trace = heat_trace(interval_spectrum(PI, "dirichlet"), t, tol=1e-13)
+        trace = trace_grid(interval_spectrum(PI, "dirichlet"), "heat", [t], 1e-13)[0]
         assert got == pytest.approx(trace.value, abs=1e-12)
 
     def test_bump_outside_support_sums_to_zero(self):

@@ -23,7 +23,6 @@ from spectrace import (
     interval_spectrum,
     load_spectrum,
     product_spectrum,
-    riesz_mean,
     torus_spectrum,
     weyl_remainder,
 )
@@ -52,13 +51,12 @@ class TestNonFiniteTime:
     def test_traces_raise_promptly(self):
         proc = run_python(
             "import math\n"
-            "from spectrace import interval_spectrum, heat_trace, cylinder_trace, "
-            "cylinder_trace_derivative\n"
+            "from spectrace import interval_spectrum, trace_grid\n"
             "s = interval_spectrum(1.0, 'dirichlet')\n"
-            "for fn in (heat_trace, cylinder_trace, cylinder_trace_derivative):\n"
+            "for kind in ('heat', 'cylinder', 'dcylinder'):\n"
             "    for t in (math.inf, -math.inf, math.nan):\n"
             "        try:\n"
-            "            fn(s, t)\n"
+            "            trace_grid(s, kind, [t])\n"
             "        except ValueError as exc:\n"
             "            print(exc)\n"
         )
@@ -83,8 +81,7 @@ import math
 from unittest import mock
 from hypothesis import given, settings, strategies as st
 from spectrace import spectra
-from spectrace import (cylinder_trace, cylinder_trace_derivative, heat_trace,
-                       interval_spectrum, product_spectrum, torus_spectrum)
+from spectrace import interval_spectrum, product_spectrum, torus_spectrum, trace_grid
 from spectrace.traces import ToleranceError
 
 SPECTRA = [
@@ -96,14 +93,14 @@ SPECTRA = [
 
 @settings(max_examples=150, deadline=None, database=None)
 @given(st.sampled_from(SPECTRA),
-       st.sampled_from([heat_trace, cylinder_trace, cylinder_trace_derivative]),
+       st.sampled_from(["heat", "cylinder", "dcylinder"]),
        st.floats(min_value=1e-300, max_value=1e300),
        st.floats(min_value=1e-300, max_value=1.0),
        st.integers(min_value=1, max_value=10**7))
-def check(make, fn, t, tol, budget):
+def check(make, kind, t, tol, budget):
     try:
         with mock.patch.object(spectra, "DEFAULT_MAX_TERMS", budget):
-            sample = fn(make(), t, tol)
+            (sample,) = trace_grid(make(), kind, [t], tol)
     except (ValueError, ToleranceError):
         return
     assert math.isfinite(sample.value) and sample.tail_bound <= tol, sample
@@ -259,7 +256,7 @@ class TestInfiniteCutoff:
     @pytest.mark.parametrize("variable", ["lambda", "omega"])
     def test_riesz_mean(self, variable):
         with pytest.raises(ValueError, match="infinite spectrum"):
-            riesz_mean(interval_spectrum(1.0, "dirichlet"), 0, variable, math.inf)
+            riesz_mean_grid(interval_spectrum(1.0, "dirichlet"), 0, variable, [math.inf])
 
     def test_riesz_mean_grid(self):
         with pytest.raises(ValueError, match="infinite spectrum"):

@@ -14,7 +14,6 @@ from spectrace import (
     geometric_grid,
     interval_spectrum,
     product_spectrum,
-    riesz_mean,
     torus_spectrum,
     weyl_remainder,
 )
@@ -38,40 +37,41 @@ def keys_up_to(s, variable, x):
 class TestRieszMean:
     def test_alpha1_lambda_hand_value(self):
         # (1/5)((5-1) + (5-4)) = 1
-        assert riesz_mean(INTERVAL, 1, "lambda", 5.0) == pytest.approx(1.0, rel=1e-15)
+        assert riesz_mean_grid(INTERVAL, 1, "lambda", [5.0])[0] == pytest.approx(1.0, rel=1e-15)
 
     def test_alpha2_omega_hand_value(self):
         # (1/2)(1/9)((3-1)^2 + (3-2)^2) = 5/18
-        assert riesz_mean(INTERVAL, 2, "omega", 3.0) == pytest.approx(5.0 / 18.0, rel=1e-15)
+        assert riesz_mean_grid(INTERVAL, 2, "omega", [3.0]) == pytest.approx([5.0 / 18.0],
+                                                                         rel=1e-15)
 
     def test_alpha0_is_counting(self):
         for s in (INTERVAL, torus_spectrum(3.0)):
             for x in [0.5, 2.0, 7.3, 40.0]:
-                assert riesz_mean(s, 0, "lambda", x) == counting(s, x)
+                assert riesz_mean_grid(s, 0, "lambda", [x])[0] == counting(s, x)
 
     def test_variables_agree_only_at_alpha0(self):
         x = 5.0
-        n_lambda = riesz_mean(INTERVAL, 0, "lambda", x)
-        n_omega = riesz_mean(INTERVAL, 0, "omega", math.sqrt(x))
+        n_lambda = riesz_mean_grid(INTERVAL, 0, "lambda", [x])[0]
+        n_omega = riesz_mean_grid(INTERVAL, 0, "omega", [math.sqrt(x)])[0]
         assert n_lambda == n_omega
-        r1_lambda = riesz_mean(INTERVAL, 1, "lambda", x)
-        r1_omega = riesz_mean(INTERVAL, 1, "omega", math.sqrt(x))
+        r1_lambda = riesz_mean_grid(INTERVAL, 1, "lambda", [x])[0]
+        r1_omega = riesz_mean_grid(INTERVAL, 1, "omega", [math.sqrt(x)])[0]
         assert abs(r1_lambda - r1_omega) > 0.1
 
     def test_rejects_bad_arguments(self):
         with pytest.raises(ValueError):
-            riesz_mean(INTERVAL, 1, "lambda", 0.0)
+            riesz_mean_grid(INTERVAL, 1, "lambda", [0.0])
         with pytest.raises(ValueError):
-            riesz_mean(INTERVAL, -1, "lambda", 1.0)
+            riesz_mean_grid(INTERVAL, -1, "lambda", [1.0])
         with pytest.raises(ValueError):
-            riesz_mean(INTERVAL, 1, "mu", 1.0)
+            riesz_mean_grid(INTERVAL, 1, "mu", [1.0])
 
     def test_grid_matches_scalar_evaluation(self):
         grid = geometric_grid(2.0, 40.0, 12)
         batch = riesz_mean_grid(INTERVAL, 2, "omega", grid)
         assert len(batch) == len(grid)
         for x, value in zip(grid, batch):
-            assert value == riesz_mean(INTERVAL, 2, "omega", x)
+            assert value == riesz_mean_grid(INTERVAL, 2, "omega", [x])[0]
 
     @pytest.mark.parametrize("alpha", [1, 2])
     def test_grid_matches_scalar_on_product(self, alpha):
@@ -79,7 +79,6 @@ class TestRieszMean:
         s = product_spectrum(interval_spectrum(1.1, "dirichlet"), torus_spectrum(1.7))
         x = 1e4 + 0.3
         (value,) = riesz_mean_grid(s, alpha, "lambda", [x])
-        assert value == riesz_mean(s, alpha, "lambda", x)
         assert riesz_mean_grid(s, alpha, "lambda", [10.0, x])[1] == value
 
     @pytest.mark.parametrize("variable, x", [("lambda", 1e4 + 0.3), ("omega", 100.3)])
@@ -91,7 +90,7 @@ class TestRieszMean:
         keys = [(w * w if variable == "lambda" else w, m) for w, m in s.up_to(110.0)]
         ref = math.fsum(m * (x - k) ** alpha for k, m in keys if k <= x)
         ref /= math.factorial(alpha) * x**alpha
-        assert riesz_mean(s, alpha, variable, x) == pytest.approx(
+        assert riesz_mean_grid(s, alpha, variable, [x])[0] == pytest.approx(
             ref, rel=64 * 2.0**-52, abs=0)
 
     @pytest.mark.parametrize("variable, hi", [("lambda", 1e4), ("omega", 100.0)])
@@ -113,7 +112,7 @@ class TestRieszMean:
         means = riesz_mean_grid(s, alpha, variable, grid)
         assert len(means) == len(grid)
         for value, x in zip(means, grid):
-            assert value.hex() == riesz_mean(s, alpha, variable, x).hex()
+            assert value.hex() == riesz_mean_grid(s, alpha, variable, [x])[0].hex()
             ref = math.fsum(m * (x - k) ** alpha for k, m in terms if k <= x)
             ref /= math.factorial(alpha) * x**alpha
             assert value == pytest.approx(ref, rel=64 * 2.0**-52, abs=0)
@@ -125,7 +124,7 @@ class TestRieszMean:
     ])
     def test_extreme_points_stay_in_range(self, x, alpha, want):
         s = finite_spectrum(1, [(0.0, 1), (1.0, 2)])
-        assert riesz_mean(s, alpha, "omega", x) == want
+        assert riesz_mean_grid(s, alpha, "omega", [x])[0] == want
 
     @pytest.mark.parametrize("alpha", [60, 100, 150, 170])
     def test_high_orders_match_exact_sums(self, alpha):
@@ -139,14 +138,14 @@ class TestRieszMean:
             exact = sum(int(m) * (X - Fraction(k)) ** alpha
                         for k, m in zip(keys.tolist(), mults.tolist()))
             exact /= math.factorial(alpha) * X**alpha
-            got = Fraction(riesz_mean(INTERVAL, alpha, "lambda", x))
+            got = Fraction(riesz_mean_grid(INTERVAL, alpha, "lambda", [x])[0])
             assert abs(got - exact) <= (alpha + 2) * Fraction(1, 2**52) * exact + Fraction(
                 1, 2**1075), (alpha, x)
 
     def test_smoothing_continuity_alpha1(self):
         # R^1 is continuous across an eigenvalue; N itself jumps
-        below = riesz_mean(INTERVAL, 1, "lambda", 4.0 - 1e-9)
-        above = riesz_mean(INTERVAL, 1, "lambda", 4.0 + 1e-9)
+        below = riesz_mean_grid(INTERVAL, 1, "lambda", [4.0 - 1e-9])[0]
+        above = riesz_mean_grid(INTERVAL, 1, "lambda", [4.0 + 1e-9])[0]
         assert abs(above - below) < 1e-6
         assert counting(INTERVAL, 4.0 + 1e-9) - counting(INTERVAL, 4.0 - 1e-9) == 1
 
@@ -154,8 +153,8 @@ class TestRieszMean:
         # first divided differences of R^2 stay continuous across lambda = 4
         h = 1e-5
         def deriv(x):
-            lo = riesz_mean(INTERVAL, 2, "lambda", x - h)
-            hi = riesz_mean(INTERVAL, 2, "lambda", x + h)
+            lo = riesz_mean_grid(INTERVAL, 2, "lambda", [x - h])[0]
+            hi = riesz_mean_grid(INTERVAL, 2, "lambda", [x + h])[0]
             return (hi - lo) / (2 * h)
         assert abs(deriv(4.0 - 2 * h) - deriv(4.0 + 2 * h)) < 1e-3
 
@@ -211,7 +210,7 @@ class TestChunkedGrid:
         terms = list(zip(keys.tolist(), mults.tolist()))
         fac = math.factorial(alpha)
         for value, x in zip(riesz_mean_grid(s, alpha, variable, grid), grid):
-            assert value == riesz_mean(s, alpha, variable, x)
+            assert value == riesz_mean_grid(s, alpha, variable, [x])[0]
             ref = math.fsum(m * ((x - k) / x) ** alpha for k, m in terms if k <= x)
             assert value == pytest.approx(ref / fac, rel=64 * 2.0**-52, abs=0)
 
@@ -258,7 +257,7 @@ class TestVerifyGrids:
         assert keys.size > 100 * riesz._CHUNK
         means = riesz_mean_grid(s, alpha, variable, grid)
         for value, x, exact in zip(means, grid, exact_means(keys, mults, grid, alpha)):
-            assert value == riesz_mean(s, alpha, variable, x)
+            assert value == riesz_mean_grid(s, alpha, variable, [x])[0]
             assert abs(Fraction(value) - exact) <= 64 * Fraction(1, 2**52) * exact, x
         shuffled = [grid[(37 * i) % 96] for i in range(96)] + [grid[50]]
         by_x = dict(zip(grid, means))
@@ -288,7 +287,8 @@ class TestOrdersFromOneTable:
         grid = data.draw(st.permutations([x for x in points if x > 0]))
         means = riesz_mean_grid(s, alpha, variable, grid)
         assert all(type(m) is float for m in means) and len(means) == len(grid)
-        assert [m.hex() for m in means] == [riesz_mean(s, alpha, variable, x).hex() for x in grid]
+        assert [m.hex() for m in means] == [riesz_mean_grid(s, alpha, variable, [x])[0].hex()
+                                            for x in grid]
 
     def test_no_points(self):
         assert riesz_mean_grid(INTERVAL, 2, "omega", []) == []
@@ -305,10 +305,10 @@ class TestOrdersFromOneTable:
         with pytest.raises(ValueError, match="alpha must be a nonnegative integer at most 170"):
             riesz_mean_grid(INTERVAL, 171, "omega", [1.0])
         with pytest.raises(ValueError, match="alpha must be a nonnegative integer at most 170"):
-            riesz_mean(s, 171, "omega", math.inf)
+            riesz_mean_grid(s, 171, "omega", [math.inf])
         with pytest.raises(ValueError, match="alpha must be a nonnegative integer at most 170"):
             extract_riesz_coeffs(INTERVAL, 171, "omega")
-        assert riesz_mean(s, 170, "omega", math.inf) == 4.0 / math.factorial(170)
+        assert riesz_mean_grid(s, 170, "omega", [math.inf])[0] == 4.0 / math.factorial(170)
 
 
 class TestAlphaZero:
@@ -350,7 +350,8 @@ class TestAlphaZero:
         s = finite_spectrum(1, [(1.0, 1), (2.0, 3)])
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            assert riesz_mean(s, alpha, variable, math.inf) == 4.0 / math.factorial(alpha)
+            assert riesz_mean_grid(s, alpha, variable, [math.inf]) == \
+                [4.0 / math.factorial(alpha)]
             assert riesz_mean_grid(s, alpha, variable, [math.inf, 1.0])[0] == \
                 4.0 / math.factorial(alpha)
 

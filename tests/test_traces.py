@@ -6,12 +6,9 @@ from hypothesis import given, settings, strategies as st
 
 from spectrace import (
     ToleranceError,
-    cylinder_trace,
-    cylinder_trace_derivative,
     finite_spectrum,
     geometric_grid,
     heat_diagonal_interval,
-    heat_trace,
     interval_spectrum,
     load_spectrum,
     product_spectrum,
@@ -36,61 +33,61 @@ def theta_heat(t):
 
 class TestHeatTrace:
     def test_against_theta_oracle(self):
-        s = heat_trace(INTERVAL, 0.01, tol=1e-13)
+        s = trace_grid(INTERVAL, "heat", [0.01], 1e-13)[0]
         assert abs(s.value - theta_heat(0.01)) < 1e-12
         assert s.tail_bound <= 1e-13
         assert s.certified
 
     @pytest.mark.parametrize("t", [1e-4, 1e-3, 1e-2, 0.1])
     def test_oracle_window(self, t):
-        s = heat_trace(INTERVAL, t, tol=1e-12)
+        s = trace_grid(INTERVAL, "heat", [t], 1e-12)[0]
         assert abs(s.value - theta_heat(t)) < 1e-10
 
     def test_single_zero_mode(self):
         s = finite_spectrum(1, [(0.0, 1)])
-        assert heat_trace(s, 3.7).value == 1.0
-        assert heat_trace(s, 3.7).tail_bound == 0.0
+        assert trace_grid(s, "heat", [3.7])[0].value == 1.0
+        assert trace_grid(s, "heat", [3.7])[0].tail_bound == 0.0
 
     def test_torus_large_time(self):
-        s = heat_trace(torus_spectrum(2 * PI), 1e6, tol=1e-15)
+        s = trace_grid(torus_spectrum(2 * PI), "heat", [1e6], 1e-15)[0]
         assert abs(s.value - 1.0) <= 1e-15
 
     def test_rejects_nonpositive_t(self):
         with pytest.raises(ValueError):
-            heat_trace(INTERVAL, 0.0)
+            trace_grid(INTERVAL, "heat", [0.0])
         with pytest.raises(ValueError):
-            heat_trace(INTERVAL, -1.0)
+            trace_grid(INTERVAL, "heat", [-1.0])
 
 
 class TestCylinderTrace:
     @pytest.mark.parametrize("t", [0.5, 1.0])
     def test_geometric_series_oracle(self, t):
-        s = cylinder_trace(INTERVAL, t, tol=1e-13)
+        s = trace_grid(INTERVAL, "cylinder", [t], 1e-13)[0]
         assert abs(s.value - 1.0 / math.expm1(t)) < 1e-12
 
     def test_triple_zero_mode(self):
         s = finite_spectrum(1, [(0.0, 3)])
-        assert cylinder_trace(s, 0.123).value == 3.0
+        assert trace_grid(s, "cylinder", [0.123])[0].value == 3.0
 
     def test_scaled_interval(self):
         s = interval_spectrum(2.0, "dirichlet")
-        got = cylinder_trace(s, 0.7, tol=1e-13).value
+        got = trace_grid(s, "cylinder", [0.7], 1e-13)[0].value
         assert got == pytest.approx(1.0 / math.expm1(0.7 * PI / 2.0), abs=1e-12)
 
 
 class TestCylinderDerivative:
     def test_analytic_derivative_oracle(self):
-        s = cylinder_trace_derivative(INTERVAL, 0.5, tol=1e-13)
+        s = trace_grid(INTERVAL, "dcylinder", [0.5], 1e-13)[0]
         expect = -math.exp(0.5) / math.expm1(0.5) ** 2
         assert abs(s.value - expect) < 1e-12
 
     def test_zero_mode_contributes_nothing(self):
         s = finite_spectrum(1, [(0.0, 1)])
-        assert cylinder_trace_derivative(s, 2.0).value == 0.0
+        assert trace_grid(s, "dcylinder", [2.0])[0].value == 0.0
 
     def test_values_negative_for_real_spectra(self):
         for t in [0.2, 1.0, 5.0]:
-            assert cylinder_trace_derivative(INTERVAL, t).value < 0.0
+            assert trace_grid(INTERVAL, "dcylinder", [t])[0].value < 0.0
 
     def test_fitted_constant_term_is_one_twelfth(self):
         # the t^0 coefficient of dTrT/dt carries the vacuum-energy invariant
@@ -118,8 +115,8 @@ class TestCertification:
         sq = product_spectrum(INTERVAL, INTERVAL)
         eps = 2.0**-52
         for t in geometric_grid(0.02, 1.0, 8):
-            s2 = heat_trace(sq, t, tol=1e-12)
-            s1 = heat_trace(INTERVAL, t, tol=1e-12)
+            s2 = trace_grid(sq, "heat", [t], 1e-12)[0]
+            s1 = trace_grid(INTERVAL, "heat", [t], 1e-12)[0]
             combined = s2.tail_bound + 2 * abs(s1.value) * s1.tail_bound + s1.tail_bound**2
             # tail bounds cover truncation only; allow a few ulps of roundoff
             roundoff = 8 * eps * (abs(s2.value) + s1.value**2 + 1.0)
@@ -153,14 +150,15 @@ class TestCertification:
     def test_budget_exhaustion_reports_achieved_bound(self, monkeypatch):
         monkeypatch.setattr(spectra, "DEFAULT_MAX_TERMS", 100)
         with pytest.raises(ToleranceError) as err:
-            heat_trace(INTERVAL, 1e-6, tol=1e-300)
+            trace_grid(INTERVAL, "heat", [1e-6], 1e-300)
         assert err.value.achieved_bound > 1e-300
         assert err.value.terms_used <= 100
 
-    @pytest.mark.parametrize("fn", [heat_trace, cylinder_trace, cylinder_trace_derivative])
-    def test_budget_is_not_a_parameter(self, fn):
+    @pytest.mark.parametrize("kind", ["heat", "cylinder", "dcylinder"],
+                             ids=["heat_trace", "cylinder_trace", "cylinder_trace_derivative"])
+    def test_budget_is_not_a_parameter(self, kind):
         with pytest.raises(TypeError):
-            fn(INTERVAL, 1e-3, 1e-12, max_terms=100)
+            trace_grid(INTERVAL, kind, [1e-3], 1e-12, max_terms=100)
 
     @pytest.mark.parametrize("kind", ["heat", "cylinder", "dcylinder"])
     def test_budget_no_credit_can_meet_raises_before_enumerating(self, monkeypatch, kind):
@@ -182,8 +180,10 @@ class TestCertification:
         p = tmp_path / "trunc.txt"
         p.write_text("dim 1\n" + "\n".join(f"{n} 1" for n in range(1, 200)) + "\n")
         s = load_spectrum(p)
-        with pytest.warns(UserWarning, match="envelope"):
-            sample = cylinder_trace(s, 0.5)
+        with pytest.warns(UserWarning, match="envelope") as record:
+            sample = trace_grid(s, "cylinder", [0.5])[0]
+        # the warning names trace_grid's caller
+        assert [w.filename for w in record] == [__file__]
         assert math.isnan(sample.tail_bound)
         assert not sample.certified
         assert sample.value == pytest.approx(1.0 / math.expm1(0.5), abs=1e-10)
@@ -193,7 +193,7 @@ class TestCertification:
         p.write_text("dim 1\nenvelope 0 1\n" +
                      "\n".join(f"{n} 1" for n in range(1, 200)) + "\n")
         s = load_spectrum(p)
-        sample = cylinder_trace(s, 0.5, tol=1e-10)
+        sample = trace_grid(s, "cylinder", [0.5], 1e-10)[0]
         assert sample.certified
         assert abs(sample.value - 1.0 / math.expm1(0.5)) <= 1e-10
 
@@ -202,7 +202,7 @@ class TestCertification:
         p.write_text("dim 1\nenvelope 0 1\n1 1\n2 1\n3 1\n")
         s = load_spectrum(p)
         with pytest.raises(ToleranceError):
-            cylinder_trace(s, 0.5, tol=1e-12)
+            trace_grid(s, "cylinder", [0.5], 1e-12)
 
 
 class TestHeatDiagonal:
@@ -312,7 +312,7 @@ SPECTRA = {"dirichlet": (INTERVAL, 1, 0), "neumann": (NEUMANN, 1, 1), "torus": (
 class TestSolvedCutoff:
     def test_sums_far_fewer_terms(self):
         # a fixed first cutoff at x = 45 + ln(1/tol) summed 74,933 terms here
-        s = cylinder_trace(INTERVAL, 1e-3, tol=1e-13)
+        s = trace_grid(INTERVAL, "cylinder", [1e-3], 1e-13)[0]
         assert s.terms_used <= 45_000
         assert s.tail_bound <= 1e-13
 
@@ -368,20 +368,19 @@ class TestSolvedCutoff:
                 assert sample.tail_bound <= tol
 
 
-POINT_TRACES = {"heat": heat_trace, "cylinder": cylinder_trace,
-                "dcylinder": cylinder_trace_derivative}
+KINDS = ["cylinder", "dcylinder", "heat"]
 # data that end at omega = 60 under a Weyl envelope: small t cannot certify
 ENDING = finite_spectrum(1, [(float(n), 1 + n % 3) for n in range(1, 61)], envelope=(0.0, 2.0))
 
 
 class TestKernelTuples:
     """trace_grid certifies every point of its kernel first and then sums
-    them; each sample is the point trace's."""
+    them; each sample is its one-point grid's."""
 
     @settings(max_examples=60, deadline=None)
     @given(st.sampled_from([INTERVAL, NEUMANN, TORUS, product_spectrum(NEUMANN, TORUS), ENDING,
                             product_spectrum(ENDING, NEUMANN)]),
-           st.sampled_from(sorted(POINT_TRACES)),
+           st.sampled_from(KINDS),
            st.lists(st.floats(min_value=1e-3, max_value=10.0), min_size=1, max_size=6),
            st.floats(min_value=-14.0, max_value=-2.0), st.integers(0, 4))
     def test_equals_the_point_traces(self, spectrum, kind, ts, log_tol, bad):
@@ -391,7 +390,7 @@ class TestKernelTuples:
 
         def point(t):
             try:
-                return POINT_TRACES[kind](spectrum, t, tol)
+                return trace_grid(spectrum, kind, [t], tol)[0]
             except (ValueError, ToleranceError) as exc:
                 return type(exc), str(exc)
 
@@ -417,16 +416,16 @@ class TestKernelTuples:
         a = finite_spectrum(1, [(float(n), 1) for n in range(1, 31)], envelope=(0.0, 2.0))
         ts = [5.623413251903491, 1e-3]
         with pytest.raises(ToleranceError, match="enumerating up to omega = 30.0"):
-            cylinder_trace(product_spectrum(a, a), ts[1], 1e-7)
+            trace_grid(product_spectrum(a, a), "cylinder", [ts[1]], 1e-7)
         with pytest.raises(ToleranceError) as point:
-            cylinder_trace(product_spectrum(a, a), ts[0], 1e-7)
+            trace_grid(product_spectrum(a, a), "cylinder", [ts[0]], 1e-7)
         with pytest.raises(ToleranceError) as grid:
             trace_grid(product_spectrum(a, a), "cylinder", ts, 1e-7)
         assert str(grid.value) == str(point.value)
         assert "before reaching tol=1e-07" in str(grid.value)
 
     def test_no_times(self):
-        for kind in POINT_TRACES:
+        for kind in KINDS:
             assert trace_grid(INTERVAL, kind, []) == []
 
     def test_unknown_kernel_is_refused_before_any_point(self):
@@ -480,7 +479,7 @@ class TestProductHeat:
         (_, direct_bound, k), = points
         direct = math.fsum(m * math.exp(-t * w * w)
                            for w, m in zip(omegas[:k].tolist(), mults[:k].tolist()))
-        sample = heat_trace(spectrum, t, tol)
+        sample = trace_grid(spectrum, "heat", [t], tol)[0]
         assert sample.tail_bound <= tol
         # both bounds cover truncation only; the sums' rounding, documented
         # as at most 64 eps a factor, stays within a few ulps here
@@ -495,7 +494,7 @@ class TestProductHeat:
         for _ in range(3):
             box = product_spectrum(box, unit)
         t = 1e-3
-        sample = heat_trace(box, t)
+        sample = trace_grid(box, "heat", [t])[0]
         exact = math.fsum(math.exp(-PI * PI * n * n * t) for n in range(1, 200)) ** 4
         assert abs(sample.value - exact) <= sample.tail_bound + 1e-14 * exact
         assert sample.terms_used < 1000
@@ -507,7 +506,7 @@ class TestProductHeat:
         b = finite_spectrum(1, [(2.0, 1), (3.0, 1)], label="list")
         assert a == b
         t = 0.1
-        sample = heat_trace(product_spectrum(a, b), t)
+        sample = trace_grid(product_spectrum(a, b), "heat", [t])[0]
         ka = math.exp(-t) + math.exp(-9 * t)
         kb = math.exp(-4 * t) + math.exp(-9 * t)
         assert sample.value == pytest.approx(ka * kb, rel=1e-14)
@@ -518,7 +517,7 @@ class TestProductHeat:
         square = product_spectrum(INTERVAL, INTERVAL)
         with pytest.raises(ToleranceError, match=r"term budget exhausted before reaching "
                                                  r"tol=1e-12;") as err:
-            heat_trace(square, 1e-6, 1e-12)
+            trace_grid(square, "heat", [1e-6], 1e-12)
         assert err.value.achieved_bound > 1e-12
 
     def test_equal_nested_products_share_one_grid(self, monkeypatch):
@@ -530,10 +529,10 @@ class TestProductHeat:
                             or certify(*args))
         box = product_spectrum(product_spectrum(INTERVAL, INTERVAL),
                                product_spectrum(INTERVAL, INTERVAL))
-        sample = heat_trace(box, 0.01)
+        sample = trace_grid(box, "heat", [0.01])[0]
         assert calls == [INTERVAL]
         square = product_spectrum(INTERVAL, INTERVAL)
-        assert sample == heat_trace(product_spectrum(square, square), 0.01)
+        assert sample == trace_grid(product_spectrum(square, square), "heat", [0.01])[0]
 
     def test_an_envelope_below_its_trace_exhausts_the_split(self):
         # a factor whose envelope trace U is below its own K breaks
@@ -542,7 +541,7 @@ class TestProductHeat:
         lying = finite_spectrum(1, [(0.001, 1000)], envelope=(0.0, 1.0))
         with pytest.raises(ToleranceError, match="factor split exhausted before reaching "
                                                  "tol=1e-06;") as err:
-            heat_trace(product_spectrum(INTERVAL, lying), 1.0, 1e-6)
+            trace_grid(product_spectrum(INTERVAL, lying), "heat", [1.0], 1e-6)
         assert err.value.achieved_bound > 1e-6
 
     def test_envelope_trace_past_the_float_range_is_inf(self):

@@ -180,6 +180,19 @@ def test_probe_finds_w1_at_any_length_scale(size, dim):
     assert w1 == pytest.approx(math.pi * math.sqrt(dim) / size, rel=1e-14)
 
 
+@pytest.mark.parametrize("size", [1e-150, 1e-100, 2.0**-300, 1.0, 2.0**300, 1e155])
+@pytest.mark.parametrize("ratio", [1.0, 1.5])
+def test_probe_finds_a_products_w1_at_any_length_scale(size, ratio):
+    # D(L) x T(ratio L): the folded envelope's C2 scales as L, not L^2, and
+    # overflows at 1e155, so the probe starts from the factors' first
+    # frequencies; the torus zero mode puts w1 at the interval's pi / L
+    s = product_spectrum(interval_spectrum(size, "dirichlet"), torus_spectrum(ratio * size))
+    w1 = verify._first_positive_omega(s)
+    omegas, _ = s.arrays(2.0 * math.pi / size)
+    assert w1 == omegas[omegas > 0][0]
+    assert w1 == pytest.approx(math.pi / size, rel=1e-14)
+
+
 @pytest.mark.parametrize("envelope", [None, (2.0, 5e-324)], ids=["c2-zero", "c2-overflows"])
 def test_probe_starts_at_the_list_end_without_a_usable_c2(envelope):
     # C2 = 0 (the default envelope of a finite list) or a C2^(-1/d) past the
@@ -279,12 +292,9 @@ def test_rows_and_verdicts_do_not_depend_on_the_length_scale(kind):
     # the same rows with the same verdicts, at powers of ten, at powers of
     # two (where each window rescales exactly) and at the extreme lengths;
     # a product's heat window is not floored by its envelope, which does not
-    # scale with it, and its folded envelope leaves the w1 probe short below
-    # about 2^-300, so the product stops at 2^+-200
-    product = kind == "dirichlet-torus"
-    top = 200 if product else 400
-    sizes = ([10.0**k for k in (-6, -3, 0, 3, 6)] + [2.0**k for k in range(-top, top + 1, 50)]
-             + ([] if product else list(EXTREME_LENGTHS)))
+    # scale with it, and its w1 is probed from its factors'
+    sizes = ([10.0**k for k in (-6, -3, 0, 3, 6)] + [2.0**k for k in range(-400, 401, 50)]
+             + list(EXTREME_LENGTHS))
     tables = []
     for size in sizes:
         rows = run_verification(SCALED[kind](size))
